@@ -374,40 +374,6 @@ func BenchmarkAblationDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMerge compares the sorted-merge summation against the
-// hash-accumulate alternative.
-func BenchmarkAblationMerge(b *testing.B) {
-	const n, k = 1 << 20, 20000
-	rng := rand.New(rand.NewSource(5))
-	mk := func() *stream.Vector {
-		idx := make([]int32, 0, k)
-		seen := map[int32]bool{}
-		val := make([]float64, 0, k)
-		for len(idx) < k {
-			ix := int32(rng.Intn(n))
-			if !seen[ix] {
-				seen[ix] = true
-				idx = append(idx, ix)
-				val = append(val, rng.NormFloat64())
-			}
-		}
-		return stream.NewSparse(n, idx, val, stream.OpSum)
-	}
-	x, y := mk(), mk()
-	b.Run("sorted-merge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := x.Clone()
-			c.Add(y)
-		}
-	})
-	b.Run("hash-accumulate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := x.Clone()
-			c.AddHash(y)
-		}
-	})
-}
-
 // randSparseInputs draws P sparse vectors of k distinct uniform indices
 // each, deterministic per seed (shared by the k-way and scratch ablations).
 func randSparseInputs(seed int64, n, k, P int) []*stream.Vector {

@@ -299,9 +299,6 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *jsonOut {
-			return emitBench6(stdout, rows, demo)
-		}
 		tb := report.NewTable("transport", "algorithm", "N", "P", "k", "sim", "wall", "bit-identical")
 		for _, r := range rows {
 			tb.AddRowRaw(
@@ -639,39 +636,6 @@ func emitBench5(w io.Writer, rows []experiments.AdaptRow) error {
 			"(~0.6%, within the 2% budget; ~0.1% at P=64) — see BenchmarkAblationSketchOverhead, " +
 			"re-measure with go test -bench (wall time is machine-dependent and cannot be drift-gated).",
 		Cells: rows,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// emitBench6 writes the BENCH_6.json document: the execution-backend
-// comparison plus the wall-clock calibration demo. Unlike BENCH_2–5 this
-// file is NOT drift-gated byte-for-byte: wall_seconds, alpha_seconds, and
-// beta_seconds_per_byte are measured on whatever machine recorded it and
-// vary run to run. The deterministic claims — every real backend's results
-// bit-identical to the simulator's, a usable measured link fit, all ranks
-// agreeing on the Auto resolution — are what CI enforces (via the
-// equivalence and calibration tests); the committed file is a one-time
-// snapshot, re-record with `sparbench -sweep transport -json`.
-func emitBench6(w io.Writer, rows []experiments.TransportRow, demo experiments.CalibDemo) error {
-	doc := struct {
-		ID    string                     `json:"id"`
-		Note  string                     `json:"note"`
-		Cells []experiments.TransportRow `json:"cells"`
-		Calib experiments.CalibDemo      `json:"calibration_demo"`
-	}{
-		ID: "BENCH_6",
-		Note: "execution-backend comparison: the same seeded allreduce instances on the simulator " +
-			"(virtual time) and the real transports (goroutine channels / loopback TCP, measured " +
-			"wall time), with bit-identity of every rank's result against the simulator; plus the " +
-			"calibration demo — the adaptive controller on the goroutine backend fitting alpha-beta " +
-			"link constants from measured transfer durations and resolving Auto from them. " +
-			"wall_seconds / alpha_seconds / beta_seconds_per_byte are machine-dependent snapshots " +
-			"and are NOT drift-gated (unlike BENCH_2-5); the deterministic fields are enforced by " +
-			"TestCrossTransportEquivalence and TestControllerOnGoroutineTransport instead.",
-		Cells: rows,
-		Calib: demo,
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
@@ -13,33 +14,37 @@ import (
 	"repro/internal/stream"
 )
 
-// TestPayloadCodecRoundTrip: every payload type a collective sends must
-// survive the wire codec deeply equal, sharing no storage with the input.
-func TestPayloadCodecRoundTrip(t *testing.T) {
+// codecCases returns one payload per codec arm, plus the shapes the block
+// allgather's lists take: ragged blocks, nil entries at either end, an
+// empty block next to an absent one, an empty list.
+func codecCases() []any {
 	sv := stream.NewSparse(100, []int32{3, 17, 99}, []float64{1.5, -2.25, 0.125}, stream.OpSum)
 	dv := stream.NewDense(make([]float64, 40), stream.OpMax)
 	qc := quant.Config{Bits: 4, Bucket: 16, Norm: quant.NormMax}
 	qv := quant.Encode([]float64{1, -2, 3, -4, 5, 6, 7, 8}, qc, rand.New(rand.NewSource(1)))
-
-	cases := []any{
+	qw := quant.Encode(make([]float64, 37), qc, rand.New(rand.NewSource(2)))
+	return []any{
 		nil,
 		[]float64{1, 2, 3.5},
 		[]float64{},
 		[][]float64{{1, 2}, nil, {3}},
-		map[int][]float64{4: {1}, 1: {2, 3}, 9: {}},
+		[][]float64{nil, nil, {1, 2, 3, 4, 5}, {}, nil, {6}, nil},
+		[][]float64{},
 		sv,
 		dv,
 		(*stream.Vector)(nil),
 		qv,
 		(*quant.Quantized)(nil),
 		[]*quant.Quantized{qv, nil, qv},
-		map[int]*quant.Quantized{2: qv, 0: qv},
-		7,
-		-3.75,
-		"hello",
-		[]byte{1, 2, 3},
+		[]*quant.Quantized{nil, qw, nil, nil, qv, nil},
+		[]*quant.Quantized{},
 	}
-	for i, in := range cases {
+}
+
+// TestPayloadCodecRoundTrip: every payload type a collective sends must
+// survive the wire codec deeply equal, sharing no storage with the input.
+func TestPayloadCodecRoundTrip(t *testing.T) {
+	for i, in := range codecCases() {
 		out, err := copyPayload(in)
 		if err != nil {
 			t.Fatalf("case %d (%T): %v", i, in, err)
@@ -58,25 +63,68 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPayloadCodecRejectsGarbage: truncation and trailing bytes error
-// rather than decode wrong data.
+// hostileCountFrame claims a 2^31−1 entry block list in five bytes: a
+// decoder that allocates from the count before checking it against the
+// frame dies with an unrecoverable out-of-memory error.
+var hostileCountFrame = []byte{wireFloatss, 0xff, 0xff, 0xff, 0x7f}
+
+// TestPayloadCodecRejectsGarbage: truncation, trailing bytes and counts
+// the frame cannot hold error rather than decode wrong data or allocate.
 func TestPayloadCodecRejectsGarbage(t *testing.T) {
 	good, err := appendPayload(nil, []float64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodePayload(good[:len(good)-3]); err == nil {
-		t.Fatalf("truncated frame decoded")
-	}
-	if _, err := decodePayload(append(good, 0)); err == nil {
-		t.Fatalf("trailing garbage decoded")
-	}
-	if _, err := decodePayload([]byte{250}); err == nil {
-		t.Fatalf("unknown type id decoded")
+	for name, frame := range map[string][]byte{
+		"truncated":               good[:len(good)-3],
+		"trailing garbage":        append(append([]byte(nil), good...), 0),
+		"unknown type id":         {250},
+		"hostile float list":      hostileCountFrame,
+		"hostile quant list":      {wireQuantSlice, 0xff, 0xff, 0xff, 0x7f},
+		"hostile float count":     {wireFloats, 0xff, 0xff, 0xff, 0x7f},
+		"hostile quant size":      {wireQuantized, 0xff, 0xff, 0xff, 0x7f},
+		"list one entry short":    {wireFloatss, 3, 0, 0, 0, 0, 0},
+		"list ends in an element": {wireFloatss, 2, 0, 0, 0, 1, 1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8},
+	} {
+		if _, err := decodePayload(frame); err == nil {
+			t.Fatalf("%s decoded", name)
+		}
 	}
 	if _, err := appendPayload(nil, struct{ X int }{1}); err == nil {
-		t.Fatalf("unregistered type encoded")
+		t.Fatalf("unsupported type encoded")
 	}
+}
+
+// FuzzDecodePayload: whatever bytes a socket delivers, the decoder returns
+// a value or an error — it never panics and never allocates past the
+// frame — and an accepted value re-encodes to a frame that decodes to the
+// same bytes again (compared as frames, so NaN payloads compare equal).
+func FuzzDecodePayload(f *testing.F) {
+	for _, v := range codecCases() {
+		frame, err := appendPayload(nil, v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Add(hostileCountFrame)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := decodePayload(data)
+		if err != nil {
+			return
+		}
+		frame, err := appendPayload(nil, v)
+		if err != nil {
+			t.Fatalf("decoded %T does not encode: %v", v, err)
+		}
+		again, err := decodePayload(frame)
+		if err != nil {
+			t.Fatalf("re-encoded %T does not decode: %v", v, err)
+		}
+		if frame2, _ := appendPayload(nil, again); !bytes.Equal(frame, frame2) {
+			t.Fatalf("%T: decode∘append is not the identity", v)
+		}
+	})
 }
 
 // exchangeRing is the test program both real backends run: every rank

@@ -4,9 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"reflect"
-	"sort"
-	"sync"
 
 	"repro/internal/quant"
 	"repro/internal/stream"
@@ -19,69 +16,29 @@ import (
 // backend frames exactly these bytes onto sockets.
 //
 // Every payload type a collective sends is supported: nil (barriers),
-// dense slices and their allgather containers, sparse stream vectors
-// (reconstructed field-exact via stream.AppendWire/DecodeWire, which is
-// what keeps results bit-identical across transports), and quantized
-// vectors (quant.Marshal/Unmarshal). Packages with private payload types
-// extend the codec with RegisterPayloadCodec.
+// dense slices, sparse stream vectors (reconstructed field-exact via
+// stream.AppendWire/DecodeWire, which is what keeps results bit-identical
+// across transports), quantized vectors (quant.Marshal/Unmarshal), and the
+// block allgather's rank-indexed lists of dense or quantized blocks, whose
+// absent entries stay nil.
 //
 // Wire form (little endian): one type-id byte followed by a type-specific
 // body. A message frame carries exactly one payload, so decoders consume
-// the whole buffer.
+// the whole buffer. Frames arrive from sockets, so the decoder trusts no
+// count in them: every element count is checked against the bytes that
+// remain before anything is allocated from it.
 
 // Payload type ids.
 const (
 	wireNil        byte = 0
 	wireFloats     byte = 1 // []float64
 	wireFloatss    byte = 2 // [][]float64 (nil inner slices preserved)
-	wireFloatMap   byte = 3 // map[int][]float64
-	wireVector     byte = 4 // *stream.Vector
+	wireVector     byte = 3 // *stream.Vector
+	wireVectorNil  byte = 4 // typed nil *stream.Vector
 	wireQuantized  byte = 5 // *quant.Quantized
-	wireQuantSlice byte = 6 // []*quant.Quantized (nil entries preserved)
-	wireQuantMap   byte = 7 // map[int]*quant.Quantized
-	wireInt        byte = 8
-	wireFloat      byte = 9
-	wireString     byte = 10
-	wireBytes      byte = 11
-	wireRegistered byte = 12 // name-tagged type from RegisterPayloadCodec
-	wireVectorNil  byte = 13 // typed nil *stream.Vector
-	wireQuantNil   byte = 14 // typed nil *quant.Quantized
+	wireQuantNil   byte = 6 // typed nil *quant.Quantized
+	wireQuantSlice byte = 7 // []*quant.Quantized (nil entries preserved)
 )
-
-// PayloadCodec serializes one application payload type for the real
-// transports. Append writes v's body to buf and returns the extended
-// slice; Decode reverses it from exactly the bytes Append produced.
-// Decode must reconstruct the value deeply — the result must share no
-// mutable storage with the encoded original.
-type PayloadCodec struct {
-	// Type is the concrete dynamic type the codec handles.
-	Type reflect.Type
-	// Append serializes a value of Type.
-	Append func(buf []byte, v any) []byte
-	// Decode parses a value of Type from its full body.
-	Decode func(data []byte) (any, error)
-}
-
-var (
-	payloadMu     sync.RWMutex
-	payloadByType = map[reflect.Type]string{}
-	payloadCodecs = map[string]PayloadCodec{}
-)
-
-// RegisterPayloadCodec extends the real transports' payload codec with a
-// package-private type (for example core's dense allgather block slices).
-// The name tags the type on the wire and must be unique; register from an
-// init function so every process of a multi-process world agrees on the
-// tag before any message flows.
-func RegisterPayloadCodec(name string, c PayloadCodec) {
-	payloadMu.Lock()
-	defer payloadMu.Unlock()
-	if _, dup := payloadCodecs[name]; dup {
-		panic(fmt.Sprintf("comm: payload codec %q registered twice", name))
-	}
-	payloadCodecs[name] = c
-	payloadByType[c.Type] = name
-}
 
 // copyPayload round-trips a payload through the codec, producing a deep
 // copy that shares no storage with the original — the goroutine
@@ -100,87 +57,23 @@ func appendPayload(buf []byte, v any) ([]byte, error) {
 	case nil:
 		return append(buf, wireNil), nil
 	case []float64:
-		buf = append(buf, wireFloats)
-		return appendFloats(buf, x), nil
+		return appendFloats(append(buf, wireFloats), x), nil
 	case [][]float64:
-		buf = append(buf, wireFloatss)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
-		for _, inner := range x {
-			if inner == nil {
-				buf = append(buf, 0)
-				continue
-			}
-			buf = append(buf, 1)
-			buf = appendFloats(buf, inner)
-		}
-		return buf, nil
-	case map[int][]float64:
-		buf = append(buf, wireFloatMap)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
-		for _, k := range sortedKeys(x) {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(k)))
-			buf = appendFloats(buf, x[k])
-		}
-		return buf, nil
+		return appendList(append(buf, wireFloatss), x, func(xs []float64) bool { return xs != nil }, appendFloats), nil
 	case *stream.Vector:
 		if x == nil {
 			return append(buf, wireVectorNil), nil
 		}
-		buf = append(buf, wireVector)
-		return x.AppendWire(buf), nil
+		return x.AppendWire(append(buf, wireVector)), nil
 	case *quant.Quantized:
 		if x == nil {
 			return append(buf, wireQuantNil), nil
 		}
-		buf = append(buf, wireQuantized)
-		return appendSized(buf, x.Marshal()), nil
+		return appendQuantized(append(buf, wireQuantized), x), nil
 	case []*quant.Quantized:
-		buf = append(buf, wireQuantSlice)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
-		for _, q := range x {
-			if q == nil {
-				buf = append(buf, 0)
-				continue
-			}
-			buf = append(buf, 1)
-			buf = appendSized(buf, q.Marshal())
-		}
-		return buf, nil
-	case map[int]*quant.Quantized:
-		buf = append(buf, wireQuantMap)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
-		for _, k := range sortedKeys(x) {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(k)))
-			buf = appendSized(buf, x[k].Marshal())
-		}
-		return buf, nil
-	case int:
-		buf = append(buf, wireInt)
-		return binary.LittleEndian.AppendUint64(buf, uint64(int64(x))), nil
-	case float64:
-		buf = append(buf, wireFloat)
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(x)), nil
-	case string:
-		buf = append(buf, wireString)
-		return appendSized(buf, []byte(x)), nil
-	case []byte:
-		buf = append(buf, wireBytes)
-		return appendSized(buf, x), nil
+		return appendList(append(buf, wireQuantSlice), x, func(q *quant.Quantized) bool { return q != nil }, appendQuantized), nil
 	default:
-		payloadMu.RLock()
-		name, ok := payloadByType[reflect.TypeOf(v)]
-		var c PayloadCodec
-		if ok {
-			c = payloadCodecs[name]
-		}
-		payloadMu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("comm: no payload codec for %T (see RegisterPayloadCodec)", v)
-		}
-		buf = append(buf, wireRegistered)
-		buf = appendSized(buf, []byte(name))
-		body := c.Append(nil, v)
-		return appendSized(buf, body), nil
+		return nil, fmt.Errorf("comm: no payload codec for %T", v)
 	}
 }
 
@@ -204,50 +97,7 @@ func decodePayload(data []byte) (any, error) {
 		}
 		return xs, checkDrained(body, n)
 	case wireFloatss:
-		if len(body) < 4 {
-			return nil, errTruncated
-		}
-		count := int(binary.LittleEndian.Uint32(body))
-		off := 4
-		out := make([][]float64, count)
-		for i := 0; i < count; i++ {
-			if off >= len(body) {
-				return nil, errTruncated
-			}
-			present := body[off]
-			off++
-			if present == 0 {
-				continue
-			}
-			xs, n, err := decodeFloats(body[off:])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = xs
-			off += n
-		}
-		return out, checkDrained(body, off)
-	case wireFloatMap:
-		if len(body) < 4 {
-			return nil, errTruncated
-		}
-		count := int(binary.LittleEndian.Uint32(body))
-		off := 4
-		out := make(map[int][]float64, count)
-		for i := 0; i < count; i++ {
-			if off+8 > len(body) {
-				return nil, errTruncated
-			}
-			k := int(int64(binary.LittleEndian.Uint64(body[off:])))
-			off += 8
-			xs, n, err := decodeFloats(body[off:])
-			if err != nil {
-				return nil, err
-			}
-			out[k] = xs
-			off += n
-		}
-		return out, checkDrained(body, off)
+		return decodeList(body, decodeFloats)
 	case wireVector:
 		v, n, err := stream.DecodeWire(body)
 		if err != nil {
@@ -255,113 +105,62 @@ func decodePayload(data []byte) (any, error) {
 		}
 		return v, checkDrained(body, n)
 	case wireQuantized:
-		b, n, err := readSized(body)
-		if err != nil {
-			return nil, err
-		}
-		q, err := quant.Unmarshal(b)
+		q, n, err := decodeQuantized(body)
 		if err != nil {
 			return nil, err
 		}
 		return q, checkDrained(body, n)
 	case wireQuantSlice:
-		if len(body) < 4 {
-			return nil, errTruncated
-		}
-		count := int(binary.LittleEndian.Uint32(body))
-		off := 4
-		out := make([]*quant.Quantized, count)
-		for i := 0; i < count; i++ {
-			if off >= len(body) {
-				return nil, errTruncated
-			}
-			present := body[off]
-			off++
-			if present == 0 {
-				continue
-			}
-			b, n, err := readSized(body[off:])
-			if err != nil {
-				return nil, err
-			}
-			q, err := quant.Unmarshal(b)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = q
-			off += n
-		}
-		return out, checkDrained(body, off)
-	case wireQuantMap:
-		if len(body) < 4 {
-			return nil, errTruncated
-		}
-		count := int(binary.LittleEndian.Uint32(body))
-		off := 4
-		out := make(map[int]*quant.Quantized, count)
-		for i := 0; i < count; i++ {
-			if off+8 > len(body) {
-				return nil, errTruncated
-			}
-			k := int(int64(binary.LittleEndian.Uint64(body[off:])))
-			off += 8
-			b, n, err := readSized(body[off:])
-			if err != nil {
-				return nil, err
-			}
-			q, err := quant.Unmarshal(b)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = q
-			off += n
-		}
-		return out, checkDrained(body, off)
-	case wireInt:
-		if len(body) != 8 {
-			return nil, errTruncated
-		}
-		return int(int64(binary.LittleEndian.Uint64(body))), nil
-	case wireFloat:
-		if len(body) != 8 {
-			return nil, errTruncated
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(body)), nil
-	case wireString:
-		b, n, err := readSized(body)
-		if err != nil {
-			return nil, err
-		}
-		return string(b), checkDrained(body, n)
-	case wireBytes:
-		b, n, err := readSized(body)
-		if err != nil {
-			return nil, err
-		}
-		return append([]byte(nil), b...), checkDrained(body, n)
-	case wireRegistered:
-		nameB, n, err := readSized(body)
-		if err != nil {
-			return nil, err
-		}
-		codecBody, m, err := readSized(body[n:])
-		if err != nil {
-			return nil, err
-		}
-		payloadMu.RLock()
-		c, ok := payloadCodecs[string(nameB)]
-		payloadMu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("comm: unknown payload codec %q", nameB)
-		}
-		v, err := c.Decode(codecBody)
-		if err != nil {
-			return nil, err
-		}
-		return v, checkDrained(body, n+m)
+		return decodeList(body, decodeQuantized)
 	default:
 		return nil, fmt.Errorf("comm: unknown payload type id %d", id)
 	}
+}
+
+// appendList writes a rank-indexed list: a uint32 length, then per entry a
+// presence byte followed, when present, by the element.
+func appendList[T any](buf []byte, list []T, present func(T) bool, elem func([]byte, T) []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(list)))
+	for _, x := range list {
+		if !present(x) {
+			buf = append(buf, 0)
+			continue
+		}
+		buf = elem(append(buf, 1), x)
+	}
+	return buf
+}
+
+// decodeList reads a whole appendList body; elem decodes one element from
+// the front of its argument and returns the bytes it consumed. Absent
+// entries stay the zero T.
+func decodeList[T any](body []byte, elem func([]byte) (T, int, error)) ([]T, error) {
+	if len(body) < 4 {
+		return nil, errTruncated
+	}
+	count := int(binary.LittleEndian.Uint32(body))
+	off := 4
+	if count > len(body)-off { // every entry takes at least its presence byte
+		return nil, errTruncated
+	}
+	out := make([]T, count)
+	for i := range out {
+		if off >= len(body) {
+			return nil, errTruncated
+		}
+		present := body[off]
+		off++
+		if present == 0 {
+			continue
+		}
+		x, n, err := elem(body[off:])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = x
+		off += n
+	}
+	return out, checkDrained(body, off)
 }
 
 var errTruncated = fmt.Errorf("comm: truncated payload frame")
@@ -401,32 +200,24 @@ func decodeFloats(data []byte) ([]float64, int, error) {
 	return out, size, nil
 }
 
-// appendSized writes a length-prefixed byte block.
-func appendSized(buf, b []byte) []byte {
+// appendQuantized writes a quantized vector as a length-prefixed
+// quant.Marshal block.
+func appendQuantized(buf []byte, q *quant.Quantized) []byte {
+	b := q.Marshal()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
 	return append(buf, b...)
 }
 
-// readSized reads a length-prefixed byte block (aliasing data), returning
-// it and the bytes consumed.
-func readSized(data []byte) ([]byte, int, error) {
+// decodeQuantized reads one appendQuantized block, returning the vector
+// and the bytes consumed.
+func decodeQuantized(data []byte) (*quant.Quantized, int, error) {
 	if len(data) < 4 {
 		return nil, 0, errTruncated
 	}
 	n := int(binary.LittleEndian.Uint32(data))
-	if n < 0 || len(data) < 4+n {
+	if len(data)-4 < n {
 		return nil, 0, errTruncated
 	}
-	return data[4 : 4+n], 4 + n, nil
-}
-
-// sortedKeys returns m's keys ascending — map payloads must encode
-// deterministically so both real backends produce identical frames.
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
+	q, err := quant.Unmarshal(data[4 : 4+n])
+	return q, 4 + n, err
 }

@@ -19,35 +19,25 @@ import (
 // ("the nodes could collaborate to compute the result at a single node
 // (reduce) followed by a broadcast", §5.3).
 func Reduce(p *comm.Proc, v *stream.Vector, root int) *stream.Vector {
-	return reduceTagged(p, v, root, nil, p.NextTagBase())
+	return reduceTagged(p, v, root, nil, p.NextTagBase(), mergeCharged)
 }
 
-// reduceTagged is Reduce over an explicit tag base and scratch pool,
-// reusable as a phase of composite collectives (the intra-node phase of
-// HierSSAR runs it on a node sub-communicator).
-func reduceTagged(p *comm.Proc, v *stream.Vector, root int, sc *stream.Scratch, base int) *stream.Vector {
-	rank, P := p.Rank(), p.Size()
-	vrank := (rank - root + P) % P
+// reduceTagged is a rooted binomial-tree reduction over an explicit tag
+// base and scratch pool, reusable as a phase of composite collectives (the
+// up sweep of the hierarchical allreduces runs it on sub-communicators).
+// combine folds an arrival into the accumulation: a merge for Reduce, a
+// concatenation for GatherSparse. Non-root ranks return nil.
+func reduceTagged(p *comm.Proc, v *stream.Vector, root int, sc *stream.Scratch, base int,
+	combine func(p *comm.Proc, acc, in *stream.Vector, sc *stream.Scratch)) *stream.Vector {
 	acc := v.CloneInto(sc)
-
-	// Binomial tree, ascending distances: at round d, a virtual rank whose
-	// d-bit is set (all lower bits are zero or it would have exited
-	// earlier) sends its accumulation to vrank−d and leaves; otherwise it
-	// receives from vrank+d when that rank exists.
-	for d := 1; d < P; d *= 2 {
-		if vrank&d != 0 {
-			dst := (vrank - d + root) % P
-			p.Send(dst, base+d, acc, acc.WireBytes())
-			return nil
-		}
-		if vrank+d < P {
-			src := (vrank + d + root) % P
-			in := p.Recv(src, base+d).Payload.(*stream.Vector)
-			mergeCharged(p, acc, in, sc)
-			sc.Release(in)
-		}
-	}
-	if rank == root {
+	binomialTree(p, root, base, false,
+		func() (any, int) { return acc, acc.WireBytes() },
+		func(in any) {
+			x := in.(*stream.Vector)
+			combine(p, acc, x, sc)
+			sc.Release(x)
+		})
+	if p.Rank() == root {
 		return acc
 	}
 	return nil
@@ -66,27 +56,7 @@ func ReduceScatterSparse(p *comm.Proc, v *stream.Vector) *stream.Vector {
 // GatherSparse collects every rank's (disjoint) sparse vector at the root
 // via a binomial tree of concatenations. Non-root ranks return nil.
 func GatherSparse(p *comm.Proc, mine *stream.Vector, root int) *stream.Vector {
-	base := p.NextTagBase()
-	rank, P := p.Rank(), p.Size()
-	vrank := (rank - root + P) % P
-	acc := mine.Clone()
-
-	for d := 1; d < P; d *= 2 {
-		if vrank&d != 0 {
-			dst := (vrank - d + root) % P
-			p.Send(dst, base+d, acc, acc.WireBytes())
-			return nil
-		}
-		if vrank+d < P {
-			src := (vrank + d + root) % P
-			in := p.Recv(src, base+d).Payload.(*stream.Vector)
-			concatCharged(p, acc, in)
-		}
-	}
-	if rank == root {
-		return acc
-	}
-	return nil
+	return reduceTagged(p, mine, root, nil, p.NextTagBase(), concatCharged)
 }
 
 // ScatterRanges splits the root's vector by the uniform dimension

@@ -116,13 +116,6 @@ type Options struct {
 	// Seed drives the stochastic quantization; combined with the rank that
 	// owns each partition so encodings are deterministic yet independent.
 	Seed int64
-	// SmallDataBytes is the wire-size boundary (in bytes) below which the
-	// hierarchical algorithms' leader phase uses recursive doubling rather
-	// than split allgather. Zero means DefaultSmallDataBytes. Auto no
-	// longer thresholds on it directly — the cost model prices both flat
-	// variants — but it is forwarded into the hierarchical collectives and
-	// their cost predictions.
-	SmallDataBytes int
 	// Levels caps how many machine-hierarchy levels the hierarchical
 	// algorithms exploit: 0 (the default) uses the world's full hierarchy,
 	// d >= 2 truncates the recursion to the innermost d levels (up/down
@@ -169,9 +162,11 @@ type Options struct {
 	Scratch *stream.Scratch
 }
 
-// DefaultSmallDataBytes is the Auto-mode small/large message boundary,
-// mirroring MPI's long-message switch (Thakur & Gropp use 64 KiB⋅class
-// thresholds).
+// DefaultSmallDataBytes is the small/large message boundary, mirroring
+// MPI's long-message switch (Thakur & Gropp use 64 KiB⋅class thresholds):
+// the wire size up to which the hierarchical SSAR top phase runs recursive
+// doubling rather than split allgather, in execution and in the cost model
+// alike. Auto prices the flat variants directly and does not consult it.
 const DefaultSmallDataBytes = 64 << 10
 
 // AutoChunks, assigned to Options.Chunks (or CostScenario.Chunks), asks
@@ -289,12 +284,11 @@ func ScenarioFor(p *comm.Proc, v *stream.Vector, opts Options, kmax int) CostSce
 		N: v.Dim(), P: p.Size(), K: kmax,
 		ValueBytes: v.ValueBytes(), Delta: v.Delta(),
 		Profile: p.Profile(), Quant: opts.Quant,
-		SmallDataBytes: opts.SmallDataBytes,
-		Levels:         opts.Levels,
-		Chunks:         opts.Chunks,
-		Support:        opts.Support,
-		HotFraction:    opts.HotFraction,
-		HotMass:        opts.HotMass,
+		Levels:      opts.Levels,
+		Chunks:      opts.Chunks,
+		Support:     opts.Support,
+		HotFraction: opts.HotFraction,
+		HotMass:     opts.HotMass,
 	}
 	if topo, ok := p.Topology(); ok {
 		s.Topo = &topo

@@ -69,11 +69,6 @@ type CostScenario struct {
 	// algorithms at the QSGD wire size (Bits/8 + 4/Bucket bytes per
 	// element) instead of ValueBytes.
 	Quant *quant.Config
-	// SmallDataBytes is the rec-double/split wire-size boundary the
-	// hierarchical SSAR top phase selects by; zero means
-	// DefaultSmallDataBytes. The flat algorithms are priced directly and
-	// do not consult it.
-	SmallDataBytes int
 	// Support selects the index-distribution assumption behind the fill-in
 	// expectation E[K]. The default SupportUniform is the paper's
 	// worst-case uniform model; SupportClustered uses the blocked hot-set
@@ -269,13 +264,6 @@ func (s CostScenario) deltaOr() int {
 		return stream.Delta(s.N, s.valueBytesOr())
 	}
 	return s.Delta
-}
-
-func (s CostScenario) smallOr() int {
-	if s.SmallDataBytes == 0 {
-		return DefaultSmallDataBytes
-	}
-	return s.SmallDataBytes
 }
 
 // hierarchy returns the scenario's machine hierarchy: Hier when set,
@@ -686,7 +674,7 @@ func (s CostScenario) predictHierSSAR(h simnet.Hierarchy, L int) float64 {
 	kp := s.fill(stride) // per-leader non-zeros after the up sweep
 	wireK := stream.HeaderBytes + int(kp)*(stream.IndexBytes+s.valueBytesOr())
 	p2m := largestPow2(m)
-	if wireK <= s.smallOr() {
+	if wireK <= DefaultSmallDataBytes {
 		// Top-phase recursive doubling: payload is the union of stride·d
 		// inputs, with the non-power-of-two leader fold in and out.
 		if m > p2m {

@@ -27,102 +27,73 @@ func AllreduceDense(p *comm.Proc, x []float64, op stream.Op) []float64 {
 // of two). Cost: ~log2(P)·(α + N·isize·β).
 func AllreduceDenseRecDouble(p *comm.Proc, x []float64, op stream.Op, valueBytes, base int) []float64 {
 	acc := append([]float64(nil), x...)
-	n := len(acc)
-	rank, P := p.Rank(), p.Size()
-	p2 := largestPow2(P)
-	rem := P - p2
-
-	// Fold phase: ranks [p2, P) send their vectors to [0, rem); the first
-	// rem ranks absorb them, then the first p2 ranks run the power-of-two
-	// algorithm, and finally results are returned to the folded ranks.
-	if rem > 0 {
-		if rank >= p2 {
-			p.Send(rank-p2, base, acc, n*valueBytes)
-			res := p.Recv(rank-p2, base+1).Payload.([]float64)
-			return append([]float64(nil), res...)
-		}
-		if rank < rem {
-			in := p.Recv(rank+p2, base).Payload.([]float64)
-			combineDense(p, acc, in, op)
-		}
-	}
-
-	for stage, dist := 0, 1; dist < p2; stage, dist = stage+1, dist*2 {
-		peer := rank ^ dist
-		m := p.SendRecv(peer, base+2+stage, append([]float64(nil), acc...), n*valueBytes)
-		combineDense(p, acc, m.Payload.([]float64), op)
-	}
-
-	if rem > 0 && rank < rem {
-		p.Send(rank+p2, base+1, append([]float64(nil), acc...), n*valueBytes)
-	}
+	bytes := len(acc) * valueBytes
+	butterfly(p, p.Size(), base, false,
+		func(stage, _ int) (any, int) {
+			if stage == stageFoldIn {
+				return acc, bytes // handed off: this rank's result arrives with the fold-out
+			}
+			return append([]float64(nil), acc...), bytes
+		},
+		func(stage, _ int, in any) {
+			if stage == stageFoldOut {
+				acc = append([]float64(nil), in.([]float64)...)
+				return
+			}
+			combineDense(p, acc, in.([]float64), op)
+		}, nil)
 	return acc
 }
 
 // AllreduceRabenseifner implements the two-phase large-message algorithm
 // (§5.3.2's dense inspiration): recursive-halving reduce-scatter followed
 // by recursive-doubling allgather. Cost: ~2·log2(P)·α + 2·(P−1)/P·N·isize·β.
-// Requires no divisibility; uses the same partition map as the sparse
-// split algorithms. Non-power-of-two worlds fold as in recursive doubling.
+// Requires no divisibility. Non-power-of-two worlds fold as in recursive
+// doubling.
 func AllreduceRabenseifner(p *comm.Proc, x []float64, op stream.Op, valueBytes, base int) []float64 {
 	acc := append([]float64(nil), x...)
 	n := len(acc)
-	rank, P := p.Rank(), p.Size()
-	p2 := largestPow2(P)
-	rem := P - p2
-
-	if rem > 0 {
-		if rank >= p2 {
-			p.Send(rank-p2, base, acc, n*valueBytes)
-			res := p.Recv(rank-p2, base+1).Payload.([]float64)
-			return append([]float64(nil), res...)
-		}
-		if rank < rem {
-			in := p.Recv(rank+p2, base).Payload.([]float64)
-			combineDense(p, acc, in, op)
-		}
-	}
-
-	// Recursive halving reduce-scatter among the first p2 ranks: at each
-	// stage a rank keeps the half of its current range containing its own
-	// final partition and sends the other half to its peer.
+	rank := p.Rank()
+	p2 := largestPow2(p.Size())
+	// Reduce-scatter: at each halving stage a rank keeps the half of its
+	// current range [lo, hi) containing its final block and sends the
+	// other half to its partner.
 	lo, hi := 0, n
-	for stage, dist := 0, p2/2; dist >= 1; stage, dist = stage+1, dist/2 {
-		peer := rank ^ dist
-		mid := lo + (hi-lo)/2
-		var keepLo, keepHi, sendLo, sendHi int
-		if rank&dist == 0 { // keep lower half
-			keepLo, keepHi, sendLo, sendHi = lo, mid, mid, hi
-		} else {
-			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
-		}
-		out := append([]float64(nil), acc[sendLo:sendHi]...)
-		m := p.SendRecv(peer, base+2+stage, out, (sendHi-sendLo)*valueBytes)
-		in := m.Payload.([]float64)
-		combineDense(p, acc[keepLo:keepHi], in, op)
-		lo, hi = keepLo, keepHi
-	}
-
-	// Recursive doubling allgather of the reduced ranges.
-	mine := block{lo, append([]float64(nil), acc[lo:hi]...)}
-	have := []block{mine}
-	size := hi - lo
-	for stage, dist := 0, 1; dist < p2; stage, dist = stage+1, dist*2 {
-		peer := rank ^ dist
-		out := make([]block, len(have))
-		copy(out, have)
-		m := p.SendRecv(peer, base+32+stage, out, size*valueBytes+8*len(have))
-		in := m.Payload.([]block)
-		have = append(have, in...)
-		size *= 2
-	}
-	for _, b := range have {
-		copy(acc[b.lo:b.lo+len(b.val)], b.val)
-	}
-
-	if rem > 0 && rank < rem {
-		p.Send(rank+p2, base+1, append([]float64(nil), acc...), n*valueBytes)
-	}
+	butterfly(p, p.Size(), base, true,
+		func(stage, dist int) (any, int) {
+			switch stage {
+			case stageFoldIn:
+				return acc, n * valueBytes
+			case stageFoldOut:
+				return append([]float64(nil), acc...), n * valueBytes
+			}
+			_, _, sendLo, sendHi := halve(lo, hi, rank&dist != 0)
+			return append([]float64(nil), acc[sendLo:sendHi]...), (sendHi - sendLo) * valueBytes
+		},
+		func(stage, dist int, in any) {
+			switch stage {
+			case stageFoldIn:
+				combineDense(p, acc, in.([]float64), op)
+			case stageFoldOut:
+				acc = append([]float64(nil), in.([]float64)...)
+			default:
+				lo, hi, _, _ = halve(lo, hi, rank&dist != 0)
+				combineDense(p, acc[lo:hi], in.([]float64), op)
+			}
+		},
+		func() {
+			// Allgather of the reduced blocks among the p2 core ranks, 30
+			// tags above the halving stages. Every block is priced at this
+			// rank's own block size plus an 8-byte offset word.
+			parts := make([][]float64, p2)
+			parts[rank] = append([]float64(nil), acc[lo:hi]...)
+			blockBytes := (hi-lo)*valueBytes + 8
+			allgatherBlocks(p, p2, parts, base+30, func([]float64) int { return blockBytes })
+			for r, v := range parts {
+				rLo, _ := halvedRange(n, p2, r)
+				copy(acc[rLo:], v)
+			}
+		})
 	return acc
 }
 
@@ -177,156 +148,46 @@ func AllreduceRing(p *comm.Proc, x []float64, op stream.Op, valueBytes, base int
 }
 
 // AllgatherDense gathers each rank's block (the blocks may have different
-// lengths) to every rank via recursive doubling, returning the
-// concatenation in rank order. Cost: ~log2(P)·α + (P−1)/P·total·β.
+// lengths) to every rank via recursive doubling, returning the blocks in
+// rank order. Cost: ~log2(P)·α + (P−1)/P·total·β.
 func AllgatherDense(p *comm.Proc, mine []float64, valueBytes, base int) [][]float64 {
-	rank, P := p.Rank(), p.Size()
-	parts := make([][]float64, P)
-	parts[rank] = append([]float64(nil), mine...)
-	p2 := largestPow2(P)
-	rem := P - p2
-
-	if rem > 0 {
-		if rank >= p2 {
-			p.Send(rank-p2, base, parts[rank], len(mine)*valueBytes)
-			res := p.Recv(rank-p2, base+1).Payload.([][]float64)
-			out := make([][]float64, P)
-			copy(out, res)
-			return out
-		}
-		if rank < rem {
-			m := p.Recv(rank+p2, base)
-			parts[rank+p2] = m.Payload.([]float64)
-		}
-	}
-
-	owned := []int{rank}
-	if rem > 0 && rank < rem {
-		owned = append(owned, rank+p2)
-	}
-	for stage, dist := 0, 1; dist < p2; stage, dist = stage+1, dist*2 {
-		peer := rank ^ dist
-		bytes := 0
-		out := make(map[int][]float64, len(owned))
-		for _, b := range owned {
-			out[b] = parts[b]
-			bytes += len(parts[b]) * valueBytes
-		}
-		m := p.SendRecv(peer, base+2+stage, out, bytes)
-		for b, v := range m.Payload.(map[int][]float64) {
-			parts[b] = v
-			owned = append(owned, b)
-		}
-	}
-
-	if rem > 0 && rank < rem {
-		p.Send(rank+p2, base+1, parts, totalLen(parts)*valueBytes)
-	}
+	parts := make([][]float64, p.Size())
+	parts[p.Rank()] = append([]float64(nil), mine...)
+	allgatherBlocks(p, p.Size(), parts, base, func(v []float64) int { return len(v) * valueBytes })
 	return parts
 }
 
-// AllgatherDenseInto gathers each rank's block of the uniform dimension
-// partition of dst to every rank via recursive doubling, landing received
-// blocks directly in dst at their partition offsets instead of retaining
-// them for a final assembly copy. mine must hold this rank's fully reduced
-// partition; its ownership transfers to the collective (it is sent to
-// peers and must not be mutated or recycled afterwards — hence it must not
-// alias dst, which the caller may mutate once the collective returns).
-// Received slices are forwarded to later-stage peers unchanged; no slice
-// of dst ever goes on the wire. Cost: ~log2(P)·α + (P−1)/P·N·isize·β, the
-// same schedule as AllgatherDense.
+// AllgatherDenseInto is AllgatherDense over the uniform dimension
+// partition of dst, assembling the gathered blocks in dst. mine must hold
+// this rank's partition; its ownership transfers to the collective (it is
+// sent to peers and must not be mutated or recycled afterwards — hence it
+// must not alias dst, which the caller may mutate once the collective
+// returns). No slice of dst ever goes on the wire.
 func AllgatherDenseInto(p *comm.Proc, mine, dst []float64, valueBytes, base int) {
 	rank, P := p.Rank(), p.Size()
 	n := len(dst)
-	lo, hi := partition(n, P, rank)
-	if len(mine) != hi-lo {
+	if lo, hi := partition(n, P, rank); len(mine) != hi-lo {
 		panic("core: AllgatherDenseInto block does not match this rank's partition")
 	}
-	copy(dst[lo:hi], mine)
-	// wire holds each block's standalone wire slice for forwarding.
-	wire := make([][]float64, P)
-	wire[rank] = mine
-	land := func(b int, v []float64) {
-		bLo, _ := partition(n, P, b)
-		copy(dst[bLo:bLo+len(v)], v)
-		wire[b] = v
-	}
-	p2 := largestPow2(P)
-	rem := P - p2
-
-	if rem > 0 {
-		if rank >= p2 {
-			p.Send(rank-p2, base, mine, len(mine)*valueBytes)
-			res := p.Recv(rank-p2, base+1).Payload.([][]float64)
-			for b, v := range res {
-				if b != rank {
-					land(b, v)
-				}
-			}
-			return
-		}
-		if rank < rem {
-			land(rank+p2, p.Recv(rank+p2, base).Payload.([]float64))
-		}
-	}
-
-	owned := []int{rank}
-	if rem > 0 && rank < rem {
-		owned = append(owned, rank+p2)
-	}
-	for stage, dist := 0, 1; dist < p2; stage, dist = stage+1, dist*2 {
-		peer := rank ^ dist
-		bytes := 0
-		out := make(map[int][]float64, len(owned))
-		for _, b := range owned {
-			out[b] = wire[b]
-			bytes += len(wire[b]) * valueBytes
-		}
-		m := p.SendRecv(peer, base+2+stage, out, bytes)
-		for b, v := range m.Payload.(map[int][]float64) {
-			land(b, v)
-			owned = append(owned, b)
-		}
-	}
-
-	if rem > 0 && rank < rem {
-		bytes := 0
-		for _, v := range wire {
-			bytes += len(v) * valueBytes
-		}
-		p.Send(rank+p2, base+1, wire, bytes)
+	parts := make([][]float64, P)
+	parts[rank] = mine
+	allgatherBlocks(p, P, parts, base, func(v []float64) int { return len(v) * valueBytes })
+	for r, v := range parts {
+		lo, _ := partition(n, P, r)
+		copy(dst[lo:lo+len(v)], v)
 	}
 }
 
 // Bcast broadcasts root's vector to all ranks via a binomial tree,
 // returning the vector on every rank. Cost: ~log2(P)·(α + N·isize·β).
 func Bcast(p *comm.Proc, x []float64, root int, valueBytes int) []float64 {
-	base := p.NextTagBase()
-	rank, P := p.Rank(), p.Size()
-	// Rotate so the root is virtual rank 0.
-	vrank := (rank - root + P) % P
 	var have []float64
-	if vrank == 0 {
+	if p.Rank() == root {
 		have = append([]float64(nil), x...)
 	}
-	// Receive from the appropriate ancestor, then forward down the tree.
-	mask := 1
-	for mask < P {
-		mask *= 2
-	}
-	for mask /= 2; mask >= 1; mask /= 2 {
-		if vrank&(mask-1) == 0 { // active at this level
-			if vrank&mask == 0 {
-				dst := vrank | mask
-				if dst < P && have != nil {
-					p.Send((dst+root)%P, base, append([]float64(nil), have...), len(have)*valueBytes)
-				}
-			} else if have == nil {
-				src := vrank &^ mask
-				have = p.Recv((src+root)%P, base).Payload.([]float64)
-			}
-		}
-	}
+	binomialTree(p, root, p.NextTagBase(), true,
+		func() (any, int) { return append([]float64(nil), have...), len(have) * valueBytes },
+		func(in any) { have = in.([]float64) })
 	return have
 }
 
@@ -338,20 +199,4 @@ func combineDense(p *comm.Proc, dst, src []float64, op stream.Op) {
 		dst[i] = op.Combine(dst[i], src[i])
 	}
 	p.Compute(p.Profile().DenseReduceTime(len(dst)))
-}
-
-func largestPow2(p int) int {
-	v := 1
-	for v*2 <= p {
-		v *= 2
-	}
-	return v
-}
-
-func totalLen(parts [][]float64) int {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	return n
 }

@@ -21,69 +21,63 @@ import (
 // tracks SSAR_Split_allgather, as the paper notes.
 func DrydenAllreduce(p *comm.Proc, v *stream.Vector, k int) (result, postponed *stream.Vector) {
 	base := p.NextTagBase()
-	rank, P := p.Rank(), p.Size()
+	rank := p.Rank()
 	n := v.Dim()
+	p2 := largestPow2(p.Size())
 
 	// Phase 1: pairwise (recursive halving) reduce-scatter over sparse
-	// range slices. Requires power-of-two P; fold otherwise.
-	p2 := largestPow2(P)
-	rem := P - p2
+	// range slices of acc, narrowing [lo, hi) to this rank's final range.
+	// Requires power-of-two P; the butterfly folds otherwise.
 	acc := v.Clone()
-	if rem > 0 {
-		if rank >= p2 {
-			p.Send(rank-p2, base, acc, acc.WireBytes())
-			res := p.Recv(rank-p2, base+1).Payload.(*stream.Vector).Clone()
-			return res, stream.Zero(n, v.Op())
-		}
-		if rank < rem {
-			in := p.Recv(rank+p2, base).Payload.(*stream.Vector)
-			mergeCharged(p, acc, in, nil)
-		}
-	}
-
 	lo, hi := 0, n
-	for stage, dist := 0, p2/2; dist >= 1; stage, dist = stage+1, dist/2 {
-		peer := rank ^ dist
-		mid := lo + (hi-lo)/2
-		var keepLo, keepHi, sendLo, sendHi int
-		if rank&dist == 0 {
-			keepLo, keepHi, sendLo, sendHi = lo, mid, mid, hi
-		} else {
-			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
-		}
-		out := acc.ExtractRange(sendLo, sendHi)
-		m := p.SendRecv(peer, base+2+stage, out, out.WireBytes())
-		kept := acc.ExtractRange(keepLo, keepHi)
-		mergeCharged(p, kept, m.Payload.(*stream.Vector), nil)
-		acc = kept
-		lo, hi = keepLo, keepHi
-	}
+	butterfly(p, p.Size(), base, true,
+		func(stage, dist int) (any, int) {
+			switch stage {
+			case stageFoldIn:
+				return acc, acc.WireBytes()
+			case stageFoldOut:
+				return result.Clone(), result.WireBytes()
+			}
+			_, _, sendLo, sendHi := halve(lo, hi, rank&dist != 0)
+			out := acc.ExtractRange(sendLo, sendHi)
+			return out, out.WireBytes()
+		},
+		func(stage, dist int, in any) {
+			switch stage {
+			case stageFoldIn:
+				mergeCharged(p, acc, in.(*stream.Vector), nil)
+			case stageFoldOut:
+				result, postponed = in.(*stream.Vector).Clone(), stream.Zero(n, v.Op())
+			default:
+				lo, hi, _, _ = halve(lo, hi, rank&dist != 0)
+				acc = acc.ExtractRange(lo, hi)
+				mergeCharged(p, acc, in.(*stream.Vector), nil)
+			}
+		},
+		func() {
+			// Re-select the top k/p2 entries of my reduced range; postpone
+			// the rest.
+			kLocal := k / p2
+			if kLocal < 1 {
+				kLocal = 1
+			}
+			var mine *stream.Vector
+			mine, postponed = reselect(acc, kLocal)
+			p.Compute(p.Profile().SparseMergeTime(acc.NNZ()))
 
-	// Re-select the top k/p2 entries of my reduced range; postpone the
-	// rest.
-	kLocal := k / p2
-	if kLocal < 1 {
-		kLocal = 1
-	}
-	mine, post := reselect(acc, kLocal)
-	p.Compute(p.Profile().SparseMergeTime(acc.NNZ()))
-
-	// Phase 2: ring allgather of the fixed-size selections.
-	next := (rank + 1) % p2
-	prev := (rank - 1 + p2) % p2
-	gathered := mine.Clone()
-	cur := mine
-	for s := 0; s < p2-1; s++ {
-		p.Send(next, base+64+s, cur, cur.WireBytes())
-		in := p.Recv(prev, base+64+s).Payload.(*stream.Vector)
-		concatCharged(p, gathered, in)
-		cur = in
-	}
-
-	if rem > 0 && rank < rem {
-		p.Send(rank+p2, base+1, gathered.Clone(), gathered.WireBytes())
-	}
-	return gathered, post
+			// Phase 2: ring allgather of the fixed-size selections.
+			next := (rank + 1) % p2
+			prev := (rank - 1 + p2) % p2
+			result = mine.Clone()
+			cur := mine
+			for s := 0; s < p2-1; s++ {
+				p.Send(next, base+64+s, cur, cur.WireBytes())
+				in := p.Recv(prev, base+64+s).Payload.(*stream.Vector)
+				concatCharged(p, result, in, nil)
+				cur = in
+			}
+		})
+	return result, postponed
 }
 
 // reselect splits a sparse vector into its k largest-magnitude entries and

@@ -200,25 +200,37 @@ func TestAutoCostModelOnTopology(t *testing.T) {
 	}
 }
 
-// TestHierSSARLeaderPhaseSelectsBySize: small agreed sizes must take the
-// recursive-doubling leader phase, large ones the split allgather; both
-// must be correct. Exercised via SmallDataBytes so the same input crosses
-// the boundary.
+// TestHierSSARLeaderPhaseSelectsBySize: leader accumulations within
+// DefaultSmallDataBytes on the wire must take the recursive-doubling
+// leader phase, larger ones the split allgather; both must be correct. The
+// input size carries the agreed size across the boundary, and the message
+// count tells the branches apart: 4 nodes of 4 ranks spend 12 messages on
+// each sweep and 8 on the leaders' size agreement, then 8 on recursive
+// doubling or 12 + 8 on split + allgather.
 func TestHierSSARLeaderPhaseSelectsBySize(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	P := 16
-	inputs := patterns[0].gen(rng, 2000, 100, P)
-	want := refSum(inputs)
-	for _, small := range []int{1, 1 << 26} { // force split vs rec-double
+	for _, tc := range []struct {
+		n, k int
+		msgs int64
+	}{
+		{2000, 100, 40},    // ≤ 2000 non-zeros per leader: 24 KB on the wire
+		{100000, 3000, 52}, // ~11.6k non-zeros per leader: ~140 KB
+	} {
+		inputs := patterns[0].gen(rng, tc.n, tc.k, P)
+		want := refSum(inputs)
 		w := comm.NewWorldTopo(P, testTopo)
 		results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
-			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierSSAR, SmallDataBytes: small})
+			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierSSAR})
 		})
+		if got := w.TotalMessages(); got != tc.msgs {
+			t.Fatalf("n=%d k=%d: %d messages, want %d (wrong leader phase)", tc.n, tc.k, got, tc.msgs)
+		}
 		for r, res := range results {
 			got := res.ToDense()
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("small=%d rank=%d coord=%d: got %g want %g", small, r, i, got[i], want[i])
+					t.Fatalf("n=%d k=%d rank=%d coord=%d: got %g want %g", tc.n, tc.k, r, i, got[i], want[i])
 				}
 			}
 		}

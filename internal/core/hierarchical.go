@@ -104,7 +104,7 @@ func hierUpSweep(p *comm.Proc, v *stream.Vector, h simnet.Hierarchy, L int, sc *
 		}
 		stages = append(stages, hierStage{l, group})
 		sub := p.Sub(group)
-		out := reduceTagged(sub, cur, 0, sc, base+hierReduceTag(l))
+		out := reduceTagged(sub, cur, 0, sc, base+hierReduceTag(l), mergeCharged)
 		p.Join(sub)
 		if cur != v {
 			sc.Release(cur) // reduceTagged cloned it; the old accumulation is dead
@@ -132,9 +132,14 @@ func hierDownSweep(p *comm.Proc, result *stream.Vector, stages []hierStage, sc *
 	return result
 }
 
-// hierSSAR implements the recursive hierarchical sparse allreduce. Without
-// an exploitable hierarchy it degrades to the flat split allgather.
-func hierSSAR(p *comm.Proc, v *stream.Vector, opts Options, base int) *stream.Vector {
+// hierAllreduce is the body the hierarchical allreduces share: the up
+// sweep, a top phase among the leaders of the outermost grouped level, and
+// the down sweep. top runs a flat allreduce of the leaders' accumulations
+// on their sub-communicator under the given tag base; flat is the whole
+// collective when the world has no exploitable hierarchy, which makes both
+// algorithms safe to request unconditionally.
+func hierAllreduce(p *comm.Proc, v *stream.Vector, opts Options, base int,
+	flat, top func(q *comm.Proc, x *stream.Vector, tag int) *stream.Vector) *stream.Vector {
 	sc := opts.Scratch
 	h, ok := p.Hierarchy()
 	P := p.Size()
@@ -143,46 +148,52 @@ func hierSSAR(p *comm.Proc, v *stream.Vector, opts Options, base int) *stream.Ve
 		L = hierDepth(h, opts.Levels)
 	}
 	if !ok || !hierExploitable(h, L, P) {
-		return ssarSplitAllgather(p, v, sc, base, opts.Chunks)
+		return flat(p, v, base)
 	}
 	cur, stages := hierUpSweep(p, v, h, L, sc, base)
 
-	// Top phase: sparse allreduce among the leaders of the outermost
-	// grouped level. The leaders first agree on the maximum accumulated
-	// size (the k = maxᵢ|Hᵢ| of the paper's analysis, one 8-byte word) and
-	// pick the flat SSAR variant the paper's guidance prescribes for it.
 	var result *stream.Vector
 	if cur != nil {
 		p.SpanBegin("hier:leaders")
-		leaders := h.LeadersAt(L-2, P)
-		if len(leaders) == 1 {
-			if cur == v {
-				cur = v.CloneInto(sc)
-			}
-			result = cur
-		} else {
-			lsub := p.Sub(leaders)
-			kmax := int(AllreduceDenseRecDouble(lsub, []float64{float64(cur.NNZ())},
-				stream.OpMax, stream.DefaultValueBytes, base+hierLeaderAgreeTag)[0])
-			small := opts.SmallDataBytes
-			if small == 0 {
-				small = DefaultSmallDataBytes
-			}
-			wire := stream.HeaderBytes + kmax*(stream.IndexBytes+cur.ValueBytes())
-			if wire <= small {
-				result = ssarRecDouble(lsub, cur, sc, base+hierLeaderTag)
-			} else {
-				result = ssarSplitAllgather(lsub, cur, sc, base+hierLeaderTag, opts.Chunks)
-			}
-			p.Join(lsub)
-			if cur != v {
-				sc.Release(cur) // the leader allreduce cloned it
-			}
+		lsub := p.Sub(h.LeadersAt(L-2, P))
+		result = top(lsub, cur, base+hierLeaderTag)
+		p.Join(lsub)
+		if cur != v && cur != result {
+			sc.Release(cur) // the top phase copied out of it; the accumulation is dead
 		}
 		p.SpanEnd()
 	}
 
 	return hierDownSweep(p, result, stages, sc, base)
+}
+
+// hierSSAR implements the recursive hierarchical sparse allreduce. Without
+// an exploitable hierarchy it degrades to the flat split allgather.
+func hierSSAR(p *comm.Proc, v *stream.Vector, opts Options, base int) *stream.Vector {
+	sc := opts.Scratch
+	return hierAllreduce(p, v, opts, base,
+		func(q *comm.Proc, x *stream.Vector, tag int) *stream.Vector {
+			return ssarSplitAllgather(q, x, sc, tag, opts.Chunks)
+		},
+		// Top phase: the leaders first agree on the maximum accumulated
+		// size (the k = maxᵢ|Hᵢ| of the paper's analysis, one 8-byte word)
+		// and pick the flat SSAR variant the paper's guidance prescribes for
+		// it. A lone leader already holds the result.
+		func(q *comm.Proc, x *stream.Vector, tag int) *stream.Vector {
+			if q.Size() == 1 {
+				if x == v {
+					return v.CloneInto(sc)
+				}
+				return x
+			}
+			kmax := int(AllreduceDenseRecDouble(q, []float64{float64(x.NNZ())},
+				stream.OpMax, stream.DefaultValueBytes, base+hierLeaderAgreeTag)[0])
+			wire := stream.HeaderBytes + kmax*(stream.IndexBytes+x.ValueBytes())
+			if wire <= DefaultSmallDataBytes {
+				return ssarRecDouble(q, x, sc, tag)
+			}
+			return ssarSplitAllgather(q, x, sc, tag, opts.Chunks)
+		})
 }
 
 // hierDSAR implements the recursive hierarchical dynamic sparse allreduce:
@@ -198,38 +209,12 @@ func hierSSAR(p *comm.Proc, v *stream.Vector, opts Options, base int) *stream.Ve
 // so all ranks still decode identical bytes, but the bucket boundaries
 // differ from flat DSAR's P-way partition and the two quantized variants
 // are only statistically, not bitwise, equal. Without an exploitable
-// hierarchy it degrades to flat DSAR, so it is safe to request
-// unconditionally.
+// hierarchy it degrades to flat DSAR.
 func hierDSAR(p *comm.Proc, v *stream.Vector, opts Options, base int) *stream.Vector {
-	sc := opts.Scratch
-	h, ok := p.Hierarchy()
-	P := p.Size()
-	L := 0
-	if ok {
-		L = hierDepth(h, opts.Levels)
+	dsar := func(q *comm.Proc, x *stream.Vector, tag int) *stream.Vector {
+		return dsarSplitAllgather(q, x, opts, tag)
 	}
-	if !ok || !hierExploitable(h, L, P) {
-		return dsarSplitAllgather(p, v, opts, base)
-	}
-	cur, stages := hierUpSweep(p, v, h, L, sc, base)
-
-	// Top phase: DSAR among the outermost-level leaders. Each leader owns
-	// one of the leader-count dimension partitions, densifies it after the
-	// sparse split, and the dense (optionally quantized) partitions are
-	// allgathered — one egress flow per group.
-	var result *stream.Vector
-	if cur != nil {
-		p.SpanBegin("hier:leaders")
-		lsub := p.Sub(h.LeadersAt(L-2, P))
-		result = dsarSplitAllgather(lsub, cur, opts, base+hierLeaderTag)
-		p.Join(lsub)
-		if cur != v {
-			sc.Release(cur) // the leader DSAR extracted slices; the input is dead
-		}
-		p.SpanEnd()
-	}
-
-	return hierDownSweep(p, result, stages, sc, base)
+	return hierAllreduce(p, v, opts, base, dsar, dsar)
 }
 
 // bcastVectorTagged broadcasts the root's sparse vector to every rank of
@@ -237,29 +222,9 @@ func hierDSAR(p *comm.Proc, v *stream.Vector, opts Options, base int) *stream.Ve
 // pass nil and every rank returns its own copy. Forwarded copies are drawn
 // from sc; each destination adopts its dedicated clone.
 func bcastVectorTagged(p *comm.Proc, v *stream.Vector, root int, sc *stream.Scratch, base int) *stream.Vector {
-	rank, P := p.Rank(), p.Size()
-	vrank := (rank - root + P) % P
-	var have *stream.Vector
-	if vrank == 0 {
-		have = v
-	}
-	mask := 1
-	for mask < P {
-		mask *= 2
-	}
-	for mask /= 2; mask >= 1; mask /= 2 {
-		if vrank&(mask-1) != 0 { // not yet active at this level
-			continue
-		}
-		if vrank&mask == 0 {
-			dst := vrank | mask
-			if dst < P && have != nil {
-				p.Send((dst+root)%P, base, have.CloneInto(sc), have.WireBytes())
-			}
-		} else if have == nil {
-			src := vrank &^ mask
-			have = p.Recv((src+root)%P, base).Payload.(*stream.Vector)
-		}
-	}
+	have := v
+	binomialTree(p, root, base, true,
+		func() (any, int) { return have.CloneInto(sc), have.WireBytes() },
+		func(in any) { have = in.(*stream.Vector) })
 	return have
 }

@@ -18,35 +18,32 @@ import (
 // (P−1)·k·βs (disjoint supports). Non-power-of-two worlds fold the excess
 // ranks onto the first P−2^⌊log2P⌋ ranks (Appendix A).
 func ssarRecDouble(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base int) *stream.Vector {
+	return sparseRecDouble(p, v, sc, base, mergeCharged)
+}
+
+// sparseRecDouble is recursive doubling over sparse streams: every stage
+// exchanges clones of the accumulated stream and folds the arrival in with
+// combine (a merge for the allreduce, a concatenation for the allgather of
+// disjoint streams). Arrivals are recycled into sc once combined.
+func sparseRecDouble(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base int,
+	combine func(p *comm.Proc, acc, in *stream.Vector, sc *stream.Scratch)) *stream.Vector {
 	acc := v.CloneInto(sc)
-	rank, P := p.Rank(), p.Size()
-	p2 := largestPow2(P)
-	rem := P - p2
-
-	if rem > 0 {
-		if rank >= p2 {
-			p.Send(rank-p2, base, acc, acc.WireBytes())
-			// The peer sends a dedicated clone back: adopt it.
-			return p.Recv(rank-p2, base+1).Payload.(*stream.Vector)
-		}
-		if rank < rem {
-			in := p.Recv(rank+p2, base).Payload.(*stream.Vector)
-			mergeCharged(p, acc, in, sc)
-			sc.Release(in)
-		}
-	}
-
-	for stage, dist := 0, 1; dist < p2; stage, dist = stage+1, dist*2 {
-		peer := rank ^ dist
-		m := p.SendRecv(peer, base+2+stage, acc.CloneInto(sc), acc.WireBytes())
-		in := m.Payload.(*stream.Vector)
-		mergeCharged(p, acc, in, sc)
-		sc.Release(in)
-	}
-
-	if rem > 0 && rank < rem {
-		p.Send(rank+p2, base+1, acc.CloneInto(sc), acc.WireBytes())
-	}
+	butterfly(p, p.Size(), base, false,
+		func(stage, _ int) (any, int) {
+			if stage == stageFoldIn {
+				return acc, acc.WireBytes() // handed off: this rank's result arrives with the fold-out
+			}
+			return acc.CloneInto(sc), acc.WireBytes()
+		},
+		func(stage, _ int, in any) {
+			if stage == stageFoldOut {
+				acc = in.(*stream.Vector) // the partner sent a dedicated clone: adopt it
+				return
+			}
+			x := in.(*stream.Vector)
+			combine(p, acc, x, sc)
+			sc.Release(x)
+		}, nil)
 	return acc
 }
 
@@ -267,39 +264,12 @@ func ssarSplitAllgather(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base
 // Also used directly for the SCD experiment (§8.2) where nodes contribute
 // disjoint coordinate blocks. Non-power-of-two worlds fold as usual.
 func sparseAllgatherConcat(p *comm.Proc, mine *stream.Vector, sc *stream.Scratch, base int) *stream.Vector {
-	acc := mine.CloneInto(sc)
-	rank, P := p.Rank(), p.Size()
-	p2 := largestPow2(P)
-	rem := P - p2
-
-	if rem > 0 {
-		if rank >= p2 {
-			p.Send(rank-p2, base, acc, acc.WireBytes())
-			// The peer sends a dedicated clone back: adopt it.
-			return p.Recv(rank-p2, base+1).Payload.(*stream.Vector)
-		}
-		if rank < rem {
-			in := p.Recv(rank+p2, base).Payload.(*stream.Vector)
-			concatCharged(p, acc, in)
-			sc.Release(in)
-		}
-	}
-
-	for stage, dist := 0, 1; dist < p2; stage, dist = stage+1, dist*2 {
-		peer := rank ^ dist
-		m := p.SendRecv(peer, base+2+stage, acc.CloneInto(sc), acc.WireBytes())
-		in := m.Payload.(*stream.Vector)
-		concatCharged(p, acc, in)
-		sc.Release(in)
-	}
-
-	if rem > 0 && rank < rem {
-		p.Send(rank+p2, base+1, acc.CloneInto(sc), acc.WireBytes())
-	}
-	return acc
+	return sparseRecDouble(p, mine, sc, base, concatCharged)
 }
 
-func concatCharged(p *comm.Proc, acc, in *stream.Vector) {
+// concatCharged appends the disjoint stream in to acc, charged like
+// mergeCharged. It builds in place, so the pool is unused.
+func concatCharged(p *comm.Proc, acc, in *stream.Vector, _ *stream.Scratch) {
 	prof := p.Profile()
 	if acc.IsDense() || in.IsDense() {
 		p.Compute(prof.DenseReduceTime(acc.Dim()))
@@ -372,7 +342,9 @@ func dsarSplitAllgather(p *comm.Proc, v *stream.Vector, opts Options, base int) 
 		p.Compute(p.Profile().DenseReduceTime(hi - lo)) // encode pass
 		p.SpanEnd()
 		p.SpanBegin("dsar:allgather")
-		gathered := allgatherQuantized(p, q, agBase)
+		gathered := make([]*quant.Quantized, P)
+		gathered[rank] = q
+		allgatherBlocks(p, P, gathered, agBase, (*quant.Quantized).WireBytes)
 		for r, qr := range gathered {
 			rLo, _ := partition(n, P, r)
 			dec := qr.Decode()
@@ -403,57 +375,6 @@ func dsarSplitAllgather(p *comm.Proc, v *stream.Vector, opts Options, base int) 
 	res := stream.WrapDense(result, v.Op())
 	res.SetValueBytes(v.ValueBytes())
 	return res
-}
-
-// allgatherQuantized is AllgatherDense over quantized blocks, with wire
-// sizes taken from the quantized representation.
-func allgatherQuantized(p *comm.Proc, mine *quant.Quantized, base int) []*quant.Quantized {
-	rank, P := p.Rank(), p.Size()
-	parts := make([]*quant.Quantized, P)
-	parts[rank] = mine
-	p2 := largestPow2(P)
-	rem := P - p2
-
-	if rem > 0 {
-		if rank >= p2 {
-			p.Send(rank-p2, base, mine, mine.WireBytes())
-			res := p.Recv(rank-p2, base+1).Payload.([]*quant.Quantized)
-			out := make([]*quant.Quantized, P)
-			copy(out, res)
-			return out
-		}
-		if rank < rem {
-			parts[rank+p2] = p.Recv(rank+p2, base).Payload.(*quant.Quantized)
-		}
-	}
-
-	owned := []int{rank}
-	if rem > 0 && rank < rem {
-		owned = append(owned, rank+p2)
-	}
-	for stage, dist := 0, 1; dist < p2; stage, dist = stage+1, dist*2 {
-		peer := rank ^ dist
-		bytes := 0
-		out := make(map[int]*quant.Quantized, len(owned))
-		for _, b := range owned {
-			out[b] = parts[b]
-			bytes += parts[b].WireBytes()
-		}
-		m := p.SendRecv(peer, base+2+stage, out, bytes)
-		for b, q := range m.Payload.(map[int]*quant.Quantized) {
-			parts[b] = q
-			owned = append(owned, b)
-		}
-	}
-
-	if rem > 0 && rank < rem {
-		bytes := 0
-		for _, q := range parts {
-			bytes += q.WireBytes()
-		}
-		p.Send(rank+p2, base+1, parts, bytes)
-	}
-	return parts
 }
 
 // ringSparse is the sparse counterpart of the ring allreduce compared in
@@ -510,7 +431,7 @@ func ringSparse(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base int) *s
 	result := stream.Zero(n, v.Op())
 	result.SetValueBytes(v.ValueBytes())
 	for b := 0; b < P; b++ {
-		concatCharged(p, result, have[b])
+		concatCharged(p, result, have[b], nil)
 	}
 	return result
 }

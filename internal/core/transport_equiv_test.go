@@ -15,14 +15,16 @@ import (
 // every collective — SSAR/DSAR variants, the hierarchical algorithms on
 // ragged tiers, quantized and not — must produce bit-identical results on
 // the simulator, the goroutine backend, and loopback TCP, at P ∈
-// {4, 16, 32}. Dyadic values make float addition exact, so any divergence
+// {4, 12, 16, 32}; P = 12 is not a power of two, so the butterfly's fold
+// messages and the block allgather's folded lists cross both codecs.
+// Dyadic values make float addition exact, so any divergence
 // is a transport bug (payload codec corruption, reordering, or a merge
 // path that departed from the serial fold), never float noise. The
 // simulator is the reference; its result is also checked against the
 // plain chained reduction.
 func TestCrossTransportEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	// RanksPerNode 3 keeps the last node ragged at every tested P
+	// RanksPerNode 3 keeps the last node ragged at every tested P but 12
 	// (4 = 3+1, 16 = 5·3+1, 32 = 10·3+2).
 	mkTopo := func() simnet.Topology {
 		return simnet.Topology{RanksPerNode: 3, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
@@ -39,9 +41,12 @@ func TestCrossTransportEquivalence(t *testing.T) {
 		{"hier-ssar", HierSSAR, true, false},
 		{"hier-dsar", HierDSAR, true, true},
 		{"dense-raben", DenseRabenseifner, false, false},
+		{"dense-recdouble", DenseRecDouble, false, false},
+		{"dense-ring", DenseRing, false, false},
+		{"ring-sparse", RingSparse, false, false},
 	}
 
-	for _, P := range []int{4, 16, 32} {
+	for _, P := range []int{4, 12, 16, 32} {
 		topo := mkTopo()
 		simFlat := comm.NewWorld(P, simnet.Aries)
 		simHier := comm.NewWorldTopo(P, topo)

@@ -58,7 +58,7 @@ var contentionCandidates = []core.Algorithm{
 
 // oldHeuristicChoice reproduces the PR-1 Auto rule this PR replaced: δ
 // gate to DSAR, otherwise HierSSAR whenever a multi-node topology exists,
-// otherwise the SmallDataBytes wire-size threshold.
+// otherwise the DefaultSmallDataBytes wire-size threshold.
 func oldHeuristicChoice(n, k, P, rpn int) core.Algorithm {
 	delta := stream.Delta(n, stream.DefaultValueBytes)
 	if density.ExpectedKUniform(n, k, P) >= float64(delta) {

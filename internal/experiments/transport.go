@@ -11,61 +11,60 @@ import (
 	"repro/internal/stream"
 )
 
-// This file holds the execution-backend comparison recorded as
-// BENCH_6.json: the same seeded allreduce instances run on the simulator
-// and on the real transports (in-process goroutine channels, loopback TCP
-// sockets), checking bit-identity of the results and recording measured
-// wall times, plus the calibration demo — the adaptive controller running
-// on the goroutine backend, fitting genuine α–β link constants from
-// measured transfer durations and resolving Auto from them. Unlike
-// BENCH_2–5, the wall-time fields are machine-dependent snapshots and are
-// NOT drift-gated; only the deterministic fields (bit-identity, shapes,
-// agreement) are stable across machines.
+// This file holds the execution-backend comparison behind `sparbench
+// -sweep transport`, the CI smoke of the real backends: the same seeded
+// allreduce instances run on the simulator and on the real transports
+// (in-process goroutine channels, loopback TCP sockets), checking
+// bit-identity of the results and reporting measured wall times, plus the
+// calibration demo — the adaptive controller running on the goroutine
+// backend, fitting genuine α–β link constants from measured transfer
+// durations and resolving Auto from them. The wall-clock record of the
+// repo is the benchmark under bench/, not this table.
 
 // TransportRow is one (backend, algorithm) cell of the execution-backend
 // comparison. Exactly one of SimSeconds/WallSeconds is meaningful: the
 // simulator reports deterministic virtual time and zero wall time, the
 // real backends report measured wall time and zero virtual time.
 type TransportRow struct {
-	Transport string `json:"transport"`
-	Algorithm string `json:"algorithm"`
-	N         int    `json:"n"`
-	P         int    `json:"p"`
-	K         int    `json:"k"`
+	Transport string
+	Algorithm string
+	N         int
+	P         int
+	K         int
 	// SimSeconds is the simulator's virtual completion time (deterministic);
 	// WallSeconds is the measured wall-clock completion time on a real
-	// backend (machine-dependent, not drift-gated).
-	SimSeconds  float64 `json:"sim_seconds,omitempty"`
-	WallSeconds float64 `json:"wall_seconds,omitempty"`
+	// backend (machine-dependent).
+	SimSeconds  float64
+	WallSeconds float64
 	// BitIdenticalToSim reports whether every rank's dense result equals
 	// the simulator's bit for bit (trivially true on the sim row itself).
-	BitIdenticalToSim bool `json:"bit_identical_to_sim"`
+	BitIdenticalToSim bool
 }
 
 // CalibDemo records the wall-clock calibration demo: the adaptive
 // controller on the goroutine backend, with the link fit recovered from
 // measured transfer durations and the Auto resolution it fed.
 type CalibDemo struct {
-	Transport string `json:"transport"`
-	P         int    `json:"p"`
-	N         int    `json:"n"`
-	K         int    `json:"k"`
-	Calls     int    `json:"calls"`
+	Transport string
+	P         int
+	N         int
+	K         int
+	Calls     int
 	// Samples is how many of rank 0's own measured transfers the
 	// calibrator consumed; FitOK whether they yielded a usable affine fit.
-	Samples int  `json:"samples"`
-	FitOK   bool `json:"fit_ok"`
+	Samples int
+	FitOK   bool
 	// AlphaSeconds and BetaSecondsPerByte are the fitted link constants
-	// (measured wall values — machine-dependent, not drift-gated).
-	AlphaSeconds       float64 `json:"alpha_seconds,omitempty"`
-	BetaSecondsPerByte float64 `json:"beta_seconds_per_byte,omitempty"`
+	// (measured wall values — machine-dependent).
+	AlphaSeconds       float64
+	BetaSecondsPerByte float64
 	// Choice is the concrete algorithm Auto resolved to; RanksAgree
 	// whether every rank's controller holds the same choice.
-	Choice     string `json:"choice"`
-	RanksAgree bool   `json:"ranks_agree"`
+	Choice     string
+	RanksAgree bool
 	// BitIdenticalToStatic reports whether the adaptive results equal a
 	// static reference run bit for bit.
-	BitIdenticalToStatic bool `json:"bit_identical_to_static"`
+	BitIdenticalToStatic bool
 }
 
 // transportInputs builds the seeded per-rank inputs shared by every

@@ -2,7 +2,7 @@ package stream
 
 // Scratch is a pool of reusable vector buffers for the reduction hot path.
 // The chained two-way merges of an allreduce allocate fresh idx/val slices
-// on every Add (BenchmarkAblationMerge); a Scratch lets the in-place
+// on every Add; a Scratch lets the in-place
 // variants (AddInto, AddAll, ExtractRangeInto, CloneInto, DensifyInto)
 // draw their output buffers from a free list and return superseded buffers
 // to it, so steady-state reductions perform near-zero allocations.
@@ -30,7 +30,6 @@ type Scratch struct {
 	val [][]float64
 	dns [][]float64
 	hdr []*Vector // voided Vector headers, recycled by grabVector
-	bts [][]byte  // wire-codec buffers, recycled by EncodeInto/PutBytes
 }
 
 // scratchPoolCap bounds each free list so a pathological release pattern
@@ -46,7 +45,7 @@ func (s *Scratch) Buffers() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.idx) + len(s.val) + len(s.dns) + len(s.hdr) + len(s.bts)
+	return len(s.idx) + len(s.val) + len(s.dns) + len(s.hdr)
 }
 
 // Release reclaims v's backing buffers — and the *Vector header itself —
@@ -166,32 +165,6 @@ func (s *Scratch) grabDenseBuf(n int) ([]float64, bool) {
 		}
 	}
 	return make([]float64, n), true
-}
-
-// grabBytes returns a length-n byte buffer with unspecified contents,
-// reusing a pooled wire buffer when one fits; the caller must overwrite
-// every byte.
-func (s *Scratch) grabBytes(n int) []byte {
-	if s != nil {
-		for i := len(s.bts) - 1; i >= 0; i-- {
-			if cap(s.bts[i]) >= n {
-				b := s.bts[i][:n]
-				s.bts[i] = s.bts[len(s.bts)-1]
-				s.bts = s.bts[:len(s.bts)-1]
-				return b
-			}
-		}
-	}
-	return make([]byte, n)
-}
-
-// PutBytes returns a wire buffer obtained from Vector.EncodeInto (or
-// otherwise exclusively owned) to the pool — the byte-slice counterpart of
-// PutDense. Safe on a nil pool or buffer (the storage is simply dropped).
-func (s *Scratch) PutBytes(b []byte) {
-	if s != nil && b != nil && len(s.bts) < scratchPoolCap {
-		s.bts = append(s.bts, b)
-	}
 }
 
 // putIdx returns a loose index buffer to the pool.

@@ -95,96 +95,6 @@ func (v *Vector) mergeSparseInto(other *Vector, idx []int32, val []float64) ([]i
 	return idx, val
 }
 
-// AddHash is an alternative reduction used only for the merge-strategy
-// ablation (DESIGN.md §4.2): instead of a sorted merge it accumulates into
-// a hash map and re-sorts. Semantically identical to Add for sparse+sparse
-// inputs; falls back to Add otherwise.
-func (v *Vector) AddHash(other *Vector) {
-	if v.dns != nil || other.dns != nil {
-		v.Add(other)
-		return
-	}
-	if v.n != other.n || v.op != other.op {
-		panic("stream: mismatched vectors")
-	}
-	m := make(map[int32]float64, len(v.idx)+len(other.idx))
-	for i, ix := range v.idx {
-		m[ix] = v.val[i]
-	}
-	for i, ix := range other.idx {
-		if old, ok := m[ix]; ok {
-			m[ix] = v.op.Combine(old, other.val[i])
-		} else {
-			m[ix] = other.val[i]
-		}
-	}
-	neutral := v.op.Neutral()
-	idx := make([]int32, 0, len(m))
-	for ix, x := range m {
-		if x != neutral {
-			idx = append(idx, ix)
-		}
-	}
-	sortInt32(idx)
-	val := make([]float64, len(idx))
-	for i, ix := range idx {
-		val[i] = m[ix]
-	}
-	v.idx, v.val = idx, val
-	v.maybeDensify()
-}
-
-func sortInt32(a []int32) {
-	// Insertion sort for tiny inputs, pdq-style fallback via sort.Slice.
-	if len(a) <= 32 {
-		for i := 1; i < len(a); i++ {
-			for j := i; j > 0 && a[j] < a[j-1]; j-- {
-				a[j], a[j-1] = a[j-1], a[j]
-			}
-		}
-		return
-	}
-	quickSortInt32(a)
-}
-
-func quickSortInt32(a []int32) {
-	for len(a) > 32 {
-		p := partitionInt32(a)
-		if p < len(a)-p {
-			quickSortInt32(a[:p])
-			a = a[p+1:]
-		} else {
-			quickSortInt32(a[p+1:])
-			a = a[:p]
-		}
-	}
-	sortInt32(a)
-}
-
-func partitionInt32(a []int32) int {
-	mid := len(a) / 2
-	if a[mid] < a[0] {
-		a[mid], a[0] = a[0], a[mid]
-	}
-	if a[len(a)-1] < a[0] {
-		a[len(a)-1], a[0] = a[0], a[len(a)-1]
-	}
-	if a[len(a)-1] < a[mid] {
-		a[len(a)-1], a[mid] = a[mid], a[len(a)-1]
-	}
-	pivot := a[mid]
-	a[mid], a[len(a)-2] = a[len(a)-2], a[mid]
-	i := 0
-	for j := 0; j < len(a)-2; j++ {
-		if a[j] < pivot {
-			a[i], a[j] = a[j], a[i]
-			i++
-		}
-	}
-	a[i], a[len(a)-2] = a[len(a)-2], a[i]
-	return i
-}
-
 // Concat merges two vectors whose index sets are guaranteed disjoint (the
 // partition-by-dimension case of §5.1, where the sum is a simple
 // concatenation). Panics if an overlap is detected during the merge. Both

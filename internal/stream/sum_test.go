@@ -106,23 +106,6 @@ func TestAddStaysSparseBelowThreshold(t *testing.T) {
 	}
 }
 
-func TestAddHashMatchesAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		n := 10 + rng.Intn(200)
-		a := randVector(rng, n, 0.1, OpSum)
-		b := randVector(rng, n, 0.1, OpSum)
-		a.Sparsify()
-		b.Sparsify()
-		a2 := a.Clone()
-		a.Add(b)
-		a2.AddHash(b)
-		if !a.Equal(a2) {
-			t.Fatalf("trial %d: AddHash diverges from Add", trial)
-		}
-	}
-}
-
 func TestConcatDisjointOrderedRanges(t *testing.T) {
 	a := NewSparse(100, []int32{1, 3}, []float64{1, 3}, OpSum)
 	b := NewSparse(100, []int32{50, 70}, []float64{50, 70}, OpSum)
@@ -353,18 +336,6 @@ func BenchmarkAddSparseSparseMerge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x := a.Clone()
 		x.Add(c)
-	}
-}
-
-func BenchmarkAddHash(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 1 << 20
-	a := randSparseExact(rng, n, 1000)
-	c := randSparseExact(rng, n, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x := a.Clone()
-		x.AddHash(c)
 	}
 }
 

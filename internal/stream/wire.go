@@ -2,14 +2,15 @@ package stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
 
-// Self-describing wire form (little endian), used by the comm transport
-// payload codec rather than by the collectives themselves:
+// Self-describing wire form (little endian), the one serialization of a
+// Vector — the comm transports' payload codec frames it:
 //
-//	byte 0        format flag: 0 = sparse, 1 = dense (same flags as Encode)
+//	byte 0        format flag: 0 = sparse, 1 = dense
 //	bytes 1..4    uint32 dimension N
 //	byte 5        operation (Op)
 //	byte 6        value-byte accounting (4 or 8)
@@ -18,13 +19,21 @@ import (
 //	sparse:       nnz × (uint32 index, float64 bits)
 //	dense:        N × float64 bits
 //
-// Unlike Encode/Decode — whose header matches the paper's modeled wire
-// format and therefore carries neither the dimension, the operation, nor
-// the δ/value-byte settings (the collectives know all of them) — this form
-// reconstructs the vector field-exact on another process. That exactness
-// is what keeps results bit-identical across transports: a decoded vector
-// must densify at exactly the same δ, charge exactly the same wire bytes,
-// and carry exactly the same representation as the original.
+// The paper's modeled wire format (HeaderBytes, IndexBytes, WireBytes) is
+// what the collectives charge for a message; it carries neither the
+// dimension, the operation, nor the δ/value-byte settings, because the
+// collectives know all of them. This form carries them so that a vector is
+// reconstructed field-exact on another process, which is what keeps results
+// bit-identical across transports: a decoded vector must densify at
+// exactly the same δ, charge exactly the same wire bytes, and carry
+// exactly the same representation as the original.
+
+const (
+	flagSparse byte = 0
+	flagDense  byte = 1
+)
+
+var errShortBuffer = errors.New("stream: short buffer")
 
 // selfWireHeaderBytes is the fixed prefix size of the self-describing form.
 const selfWireHeaderBytes = 15

@@ -3,8 +3,9 @@
 # floor (godoc coverage on the exported API packages + docs-vs-code drift),
 # race-check the concurrency hot spots (the message-passing substrate with
 # its real transports, the collectives and parallel merge that run on it),
-# smoke the real execution backends (goroutine + loopback TCP) through the
-# sparbench transport sweep, run the full test suite, prove the
+# fuzz the transports' payload decoder for a short budget, smoke the real
+# execution backends (goroutine + loopback TCP) through the sparbench
+# transport sweep, run the full test suite, prove the
 # record/replay contract end to end (record a scenario trace with
 # sparreplay, replay it through sparbench, diff the rows byte for byte),
 # prove the observability contract the same way (live vs replay Perfetto
@@ -27,11 +28,13 @@
 # BENCH_8's (full mix concurrent, cost-aware strictly beats random on
 # mean predicted job time, packed holds slowdown 1.0 on exclusive
 # groups) by TestBench8AcceptanceCriteria/TestBench8AdaptDiversity, so a
-# drift that regresses any fails twice. BENCH_6.json (the
-# execution-backend comparison) carries measured wall times, so it is NOT
-# drift-gated; the transport smoke plus the equivalence/calibration tests
-# enforce its deterministic claims instead. BENCH_7's wall-clock overlap
-# snapshot lives in its note as static text for the same reason.
+# drift that regresses any fails twice. Wall-clock performance is not
+# recorded here: `go run ./bench` measures the workloads BENCHMARK.json
+# declares (bench/README.md) and `go run ./bench/benchcmp old.json new.json`
+# prints the before/after table; the transport smoke below only proves the
+# real backends run, and the equivalence/calibration tests enforce their
+# deterministic claims. BENCH_7's wall-clock overlap snapshot lives in its
+# note as static text.
 #
 # Usage: ./scripts/ci.sh
 set -euo pipefail
@@ -59,6 +62,9 @@ go run ./tools/docdrift -root . docs/COLLECTIVES.md docs/ARCHITECTURE.md
 
 echo "== go test -race (comm + core + adapt + stream + scenario + train + cluster + obs: real transports, parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks)"
 go test -race ./internal/comm/... ./internal/core/... ./internal/adapt/... ./internal/stream/... ./internal/scenario/... ./internal/train/... ./internal/cluster/... ./internal/obs/...
+
+echo "== fuzz the payload decoder (frames off a socket: never panics, never allocates past the frame, decode∘append round-trips)"
+go test ./internal/comm -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 10s | tail -n 4
 
 echo "== transport smoke (goroutine + loopback TCP backends, wall clock)"
 go run ./cmd/sparbench -sweep transport -transport all > /dev/null
