@@ -7,7 +7,29 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/report"
 )
+
+// readBench decodes one section of a committed BENCH document through
+// report.Document — the type sparbench wrote it with — into rows, a pointer
+// to a slice of the section's row struct.
+func readBench(t *testing.T, id, section string, rows any) {
+	t.Helper()
+	raw, err := os.ReadFile(id + ".json")
+	if err != nil {
+		t.Fatalf("read %s.json: %v", id, err)
+	}
+	var doc report.Document
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("parse %s.json: %v", id, err)
+	}
+	if doc.ID != id {
+		t.Fatalf("%s.json: unexpected document id %q", id, doc.ID)
+	}
+	if err := doc.Rows(section, rows); err != nil {
+		t.Fatalf("%s.json: %v", id, err)
+	}
+}
 
 // TestBench5AcceptanceCriteria validates the PR-5 acceptance invariants
 // on the committed BENCH_5.json (scripts/ci.sh regenerates the file and
@@ -19,23 +41,11 @@ import (
 // The noise bound is 3%: the measured overhead of the two tiny per-call
 // agreement allreduces is ~0.7–1.1% on these cells.
 func TestBench5AcceptanceCriteria(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_5.json")
-	if err != nil {
-		t.Fatalf("read BENCH_5.json: %v", err)
-	}
-	var doc struct {
-		ID    string                 `json:"id"`
-		Cells []experiments.AdaptRow `json:"cells"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("parse BENCH_5.json: %v", err)
-	}
-	if doc.ID != "BENCH_5" {
-		t.Fatalf("unexpected document id %q", doc.ID)
-	}
+	var cells []experiments.AdaptRow
+	readBench(t, "BENCH_5", "cells", &cells)
 	const noise = 0.03
 	byName := map[string]experiments.AdaptRow{}
-	for _, c := range doc.Cells {
+	for _, c := range cells {
 		byName[c.Workload] = c
 	}
 	for _, want := range []string{"uniform", "clustered", "drift-cluster", "drift-shift"} {
@@ -43,7 +53,7 @@ func TestBench5AcceptanceCriteria(t *testing.T) {
 			t.Fatalf("BENCH_5.json is missing the %q workload", want)
 		}
 	}
-	for _, c := range doc.Cells {
+	for _, c := range cells {
 		if c.AdaptiveSwitches > 3 {
 			t.Errorf("%s: %d switches — hysteresis should bound churn", c.Workload, c.AdaptiveSwitches)
 		}

@@ -1,39 +1,12 @@
 package sparcml
 
 import (
-	"encoding/json"
 	"math"
-	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/experiments"
 )
-
-// bench8Doc mirrors the BENCH_8.json document emitted by
-// `sparbench -sweep cluster -json`.
-type bench8Doc struct {
-	ID         string                             `json:"id"`
-	Cells      []experiments.ClusterRow           `json:"cells"`
-	Policies   []experiments.ClusterPolicySummary `json:"policy_summary"`
-	AdaptCells []experiments.AdaptRow             `json:"adapt_cells"`
-}
-
-func readBench8(t *testing.T) bench8Doc {
-	t.Helper()
-	raw, err := os.ReadFile("BENCH_8.json")
-	if err != nil {
-		t.Fatalf("read BENCH_8.json: %v", err)
-	}
-	var doc bench8Doc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("parse BENCH_8.json: %v", err)
-	}
-	if doc.ID != "BENCH_8" {
-		t.Fatalf("unexpected document id %q", doc.ID)
-	}
-	return doc
-}
 
 // TestBench8AcceptanceCriteria validates the PR-9 acceptance invariants on
 // the committed BENCH_8.json (scripts/ci.sh regenerates the file and
@@ -45,11 +18,14 @@ func readBench8(t *testing.T) bench8Doc {
 // beats random's at every scale, and its mean realized slowdown is never
 // worse than any other policy's.
 func TestBench8AcceptanceCriteria(t *testing.T) {
-	doc := readBench8(t)
+	var cells []experiments.ClusterRow
+	var policies []experiments.ClusterPolicySummary
+	readBench(t, "BENCH_8", "cells", &cells)
+	readBench(t, "BENCH_8", "policy_summary", &policies)
 	const eps = 1e-9
 
 	byScale := map[string]map[string]experiments.ClusterPolicySummary{}
-	for _, s := range doc.Policies {
+	for _, s := range policies {
 		if byScale[s.Scale] == nil {
 			byScale[s.Scale] = map[string]experiments.ClusterPolicySummary{}
 		}
@@ -89,7 +65,7 @@ func TestBench8AcceptanceCriteria(t *testing.T) {
 		}
 	}
 
-	for _, c := range doc.Cells {
+	for _, c := range cells {
 		if c.Slowdown < 1-eps {
 			t.Errorf("%s/%s/%s: slowdown %g < 1 — a co-tenant run beat its isolated baseline",
 				c.Scale, c.Policy, c.Job, c.Slowdown)
@@ -116,11 +92,12 @@ func TestBench8AcceptanceCriteria(t *testing.T) {
 // and streams, so any divergence means the two documents were recorded
 // from different code.
 func TestBench8AdaptDiversity(t *testing.T) {
-	doc := readBench8(t)
+	var adaptCells []experiments.AdaptRow
+	readBench(t, "BENCH_8", "adapt_cells", &adaptCells)
 	const noise = 0.03
 
 	byName := map[string]experiments.AdaptRow{}
-	for _, c := range doc.AdaptCells {
+	for _, c := range adaptCells {
 		byName[c.Workload] = c
 	}
 	for _, want := range experiments.Bench8AdaptNames() {
@@ -129,7 +106,7 @@ func TestBench8AdaptDiversity(t *testing.T) {
 		}
 	}
 
-	for _, c := range doc.AdaptCells {
+	for _, c := range adaptCells {
 		if c.AdaptiveSwitches > 3 {
 			t.Errorf("%s: %d switches — hysteresis should bound churn", c.Workload, c.AdaptiveSwitches)
 		}
@@ -155,17 +132,9 @@ func TestBench8AdaptDiversity(t *testing.T) {
 		}
 	}
 
-	raw, err := os.ReadFile("BENCH_5.json")
-	if err != nil {
-		t.Fatalf("read BENCH_5.json: %v", err)
-	}
-	var bench5 struct {
-		Cells []experiments.AdaptRow `json:"cells"`
-	}
-	if err := json.Unmarshal(raw, &bench5); err != nil {
-		t.Fatalf("parse BENCH_5.json: %v", err)
-	}
-	for _, b5 := range bench5.Cells {
+	var bench5 []experiments.AdaptRow
+	readBench(t, "BENCH_5", "cells", &bench5)
+	for _, b5 := range bench5 {
 		b8, ok := byName[b5.Workload]
 		if !ok {
 			t.Errorf("BENCH_5 workload %q absent from BENCH_8 adapt cells", b5.Workload)

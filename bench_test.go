@@ -1,9 +1,8 @@
 // Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation (§8), plus the ablation benches called out in
-// DESIGN.md §4. Each bench wraps the corresponding runner in
-// internal/experiments at a reduced default scale; the cmd/ tools run the
-// same code at paper scale and print the full tables (see EXPERIMENTS.md
-// for paper-vs-measured shapes).
+// paper's evaluation (§8), plus the ablation benches. Each bench wraps the
+// corresponding runner in internal/experiments at a reduced default scale;
+// the cmd/ tools run the same code at paper scale and print the full
+// tables (see EXPERIMENTS.md for paper-vs-measured shapes).
 //
 // Run everything:  go test -bench=. -benchmem
 package sparcml
@@ -153,8 +152,8 @@ func BenchmarkHierVsFlat(b *testing.B) {
 // cmd/sparbench -sweep hier scenario at test scale).
 func BenchmarkHierSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.HierNodeSweep(1<<16, 1e-3, []int{8, 16, 32}, 4,
-			simnet.NVLinkLike, simnet.Aries, 1, 1)
+		topo := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
+		rows := experiments.HierNodeSweep(1<<16, 1e-3, []int{8, 16, 32}, topo, false, 1, 1)
 		if len(rows) != 3 {
 			b.Fatal("unexpected row count")
 		}
@@ -335,7 +334,7 @@ func BenchmarkSparkComparison(b *testing.B) {
 	b.ReportMetric(f, "comm-speedup-vs-spark")
 }
 
-// --- Ablations (DESIGN.md §4) ----------------------------------------------
+// --- Ablations --------------------------------------------------------------
 
 // BenchmarkAblationDelta varies the sparse→dense switch threshold δ and
 // measures the simulated SSAR recursive-doubling time: too small a δ

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/report"
 )
 
 func TestRunNodesSweepTiny(t *testing.T) {
@@ -13,7 +16,7 @@ func TestRunNodesSweepTiny(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "SSAR_Recursive_double") || !strings.Contains(out, "Figure 3") {
+	if !strings.Contains(out, "SSAR_Recursive_double") || !strings.Contains(out, "Figure 3") || !strings.Contains(out, "median_seconds") {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
 }
@@ -25,7 +28,7 @@ func TestRunHierSweepTiny(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "hierarchical crossover") || !strings.Contains(out, "speedup") {
+	if !strings.Contains(out, "hierarchical crossover") || !strings.Contains(out, "hier_median_seconds") {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
 }
@@ -46,8 +49,8 @@ func TestRunCSVAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "algorithm,P") {
-		t.Fatalf("want CSV header, got:\n%s", buf.String())
+	if !strings.HasPrefix(buf.String(), "algorithm,n,p,density,median_seconds") {
+		t.Fatalf("want plain CSV with the derived header, got:\n%s", buf.String())
 	}
 	if err := run([]string{"-sweep", "bogus"}, &buf); err == nil {
 		t.Fatal("unknown sweep must error")
@@ -55,9 +58,59 @@ func TestRunCSVAndErrors(t *testing.T) {
 	if err := run([]string{"-sweep", "nodes", "-profile", "bogus"}, &buf); err == nil {
 		t.Fatal("unknown profile must error")
 	}
-	// Regression: -rpn 0 used to hang in Pow2Range(0, maxp).
-	if err := run([]string{"-sweep", "hier", "-rpn", "0"}, &buf); err == nil {
-		t.Fatal("rpn < 1 must error")
+	if err := run([]string{"-sweep", "hier", "-maxp", "4"}, &buf); err == nil {
+		t.Fatal("a hier sweep with no multi-node shape must error")
+	}
+
+	// Every registered sweep rejects every bad number with an error naming
+	// the flag — before any world is built, so a fixed-cell sweep costs
+	// nothing here. (-rpn 0 once hung in Pow2Range; -p 0, -n 0 and -nic -3
+	// once died in goroutine-trace panics from comm/scenario/simnet.)
+	bad := [][2]string{
+		{"-n", "0"}, {"-density", "0"}, {"-density", "2"}, {"-maxp", "0"}, {"-p", "0"},
+		{"-rpn", "0"}, {"-nic", "-3"}, {"-gens", "0"}, {"-runs", "0"},
+	}
+	for _, sw := range experiments.Sweeps() {
+		for _, b := range bad {
+			for _, name := range []string{sw.Name, sw.Bench} {
+				if name == "" {
+					continue
+				}
+				err := run([]string{"-sweep", name, b[0], b[1]}, &buf)
+				if err == nil || !strings.Contains(err.Error(), b[0]+" ") {
+					t.Errorf("-sweep %s %s %s: got %v, want an error naming the flag", name, b[0], b[1], err)
+				}
+			}
+		}
+	}
+	if err := run([]string{"-trace", "-p", "0"}, &buf); err == nil {
+		t.Error("-trace -p 0 must error")
+	}
+}
+
+// TestRunEveryFormat checks the flags the hand-written tables used to
+// ignore: -json on a CLI-shaped sweep, and -csv on a multi-section one.
+func TestRunEveryFormat(t *testing.T) {
+	var buf strings.Builder
+	if err := run([]string{"-sweep", "hierdsar", "-n", "4096", "-maxp", "8", "-gens", "1", "-runs", "1", "-json"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc report.Document
+	if err := json.Unmarshal([]byte(buf.String()), &doc); err != nil {
+		t.Fatalf("-json output is not a document: %v\n%s", err, buf.String())
+	}
+	var rows []experiments.HierRow
+	if err := doc.Rows("cells", &rows); err != nil || len(rows) != 1 || rows[0].P != 8 {
+		t.Fatalf("hierdsar -json cells = %+v, %v", rows, err)
+	}
+
+	buf.Reset()
+	if err := run([]string{"-sweep", "overlap", "-csv"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.HasPrefix(out, "# cells\nworkload,") || !strings.Contains(out, "\n# pipeline_model_cells\nn,p,k_per_rank,chunks,") {
+		t.Fatalf("multi-section CSV must separate its sections:\n%s", out)
 	}
 }
 
@@ -71,12 +124,6 @@ func TestRunHierDSARSweepTiny(t *testing.T) {
 	if !strings.Contains(out, "hierarchical DSAR under NIC contention") || !strings.Contains(out, "speedup") {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
-	if err := run([]string{"-sweep", "hierdsar", "-nic", "-1"}, &buf); err == nil {
-		t.Fatal("nic < 0 must error")
-	}
-	if err := run([]string{"-sweep", "hierdsar", "-rpn", "0"}, &buf); err == nil {
-		t.Fatal("rpn < 1 must error")
-	}
 }
 
 func TestRunContentionSweepJSON(t *testing.T) {
@@ -84,23 +131,16 @@ func TestRunContentionSweepJSON(t *testing.T) {
 	if err := run([]string{"-sweep", "contention", "-json"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		ID    string `json:"id"`
-		Cells []struct {
-			AutoChoice          string `json:"auto_choice"`
-			OldChoice           string `json:"old_heuristic_choice"`
-			AutoMatchesCheapest bool   `json:"auto_matches_cheapest"`
-			OldMatchesCheapest  bool   `json:"old_matches_cheapest"`
-		} `json:"cells"`
-	}
+	var doc report.Document
 	if err := json.Unmarshal([]byte(buf.String()), &doc); err != nil {
 		t.Fatalf("BENCH_2 output is not valid JSON: %v", err)
 	}
-	if doc.ID != "BENCH_2" || len(doc.Cells) == 0 {
-		t.Fatalf("unexpected document: %+v", doc)
+	var cells []experiments.ContentionRow
+	if err := doc.Rows("cells", &cells); err != nil || doc.ID != "BENCH_2" || len(cells) == 0 {
+		t.Fatalf("unexpected document: %+v (%v)", doc, err)
 	}
 	demonstrated := false
-	for _, c := range doc.Cells {
+	for _, c := range cells {
 		if c.AutoMatchesCheapest && !c.OldMatchesCheapest {
 			demonstrated = true
 		}
@@ -114,7 +154,7 @@ func TestRunContentionSweepJSON(t *testing.T) {
 	if err := run([]string{"-sweep", "contention"}, &tbl); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tbl.String(), "old-heuristic") {
+	if !strings.Contains(tbl.String(), "old_heuristic_choice") {
 		t.Fatalf("unexpected table output:\n%s", tbl.String())
 	}
 }

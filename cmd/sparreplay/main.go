@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -27,7 +26,6 @@ import (
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/scenario"
 )
@@ -45,6 +43,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sparreplay", flag.ContinueOnError)
+	p := experiments.DefaultParams()
 	var (
 		list    = fs.Bool("list", false, "list the scenario library and exit")
 		name    = fs.String("scenario", "", "library scenario to run or record")
@@ -52,14 +51,20 @@ func run(args []string, stdout io.Writer) error {
 		out     = fs.String("out", "", "output path for -record")
 		replay  = fs.String("replay", "", "trace file to replay instead of generating live")
 		seed    = fs.Int64("seed", experiments.AdaptSeed, "generation seed (the BENCH_5 sweep's default)")
-		rpn     = fs.Int("rpn", 4, "ranks per node of the simulated topology")
-		nic     = fs.Int("nic", 1, "per-node NIC serialization cap")
-		jsonOut = fs.Bool("json", false, "emit the cell row as JSON instead of a table")
+		jsonOut = fs.Bool("json", false, "emit the cell row as a JSON document instead of a table")
 		obsOut  = fs.String("obs", "", "write the adaptive arm's Chrome trace-event JSON (Perfetto) here")
 		obsMet  = fs.String("obsmetrics", "", "write the adaptive arm's plain-text metrics dump here")
 	)
+	fs.IntVar(&p.RPN, "rpn", p.RPN, "ranks per node of the simulated topology")
+	fs.IntVar(&p.NIC, "nic", p.NIC, "per-node NIC serialization cap")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if *record && *out == "" {
+		return fmt.Errorf("-record needs -out")
 	}
 
 	if *list {
@@ -74,105 +79,61 @@ func run(args []string, stdout io.Writer) error {
 		return tb.Emit(stdout, false)
 	}
 
+	var tr *scenario.Trace
 	if *replay != "" {
-		tr, err := scenario.ReadFile(*replay)
+		var err error
+		if tr, err = scenario.ReadFile(*replay); err != nil {
+			return err
+		}
+	} else {
+		if *name == "" {
+			return fmt.Errorf("need -scenario (or -replay / -list); see -h")
+		}
+		sc, err := scenario.ByName(*name)
 		if err != nil {
 			return err
 		}
-		if *obsOut != "" || *obsMet != "" {
-			row, hub := experiments.ReplayAdaptCellObs(*rpn, *nic, tr)
-			if err := writeObs(hub, *obsOut, *obsMet); err != nil {
-				return err
-			}
-			return emitRow(stdout, row, *jsonOut)
-		}
-		return emitRow(stdout, experiments.ReplayAdaptCell(*rpn, *nic, tr), *jsonOut)
+		tr = scenario.Record(sc, scenario.NewKey(*seed))
 	}
-
-	if *name == "" {
-		return fmt.Errorf("need -scenario (or -replay / -list); see -h")
-	}
-	sc, err := scenario.ByName(*name)
-	if err != nil {
-		return err
-	}
-	key := scenario.NewKey(*seed)
 
 	if *record {
-		if *out == "" {
-			return fmt.Errorf("-record needs -out")
-		}
-		tr := scenario.Record(sc, key)
 		if err := tr.WriteFile(*out); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "recorded %s: %d steps x %d ranks, N=%d, key=%#x -> %s\n",
-			sc.Name, len(tr.Steps), tr.P, tr.N, uint64(key), *out)
+			tr.Name, len(tr.Steps), tr.P, tr.N, uint64(tr.Key), *out)
 		return nil
 	}
 
-	if *obsOut != "" || *obsMet != "" {
-		row, hub := experiments.RunAdaptCellObs(*rpn, *nic, sc, key)
-		if err := writeObs(hub, *obsOut, *obsMet); err != nil {
-			return err
-		}
-		return emitRow(stdout, row, *jsonOut)
+	// One call serves the live run and the replay; they differ only in
+	// whether the trace went through the file codec.
+	row, hub := experiments.RunAdaptCell(p.RPN, p.NIC, tr, *obsOut != "" || *obsMet != "")
+	if err := writeFile(*obsOut, hub.WriteChrome); err != nil {
+		return err
 	}
-	return emitRow(stdout, experiments.RunAdaptCell(*rpn, *nic, sc, key), *jsonOut)
+	if err := writeFile(*obsMet, hub.WriteMetrics); err != nil {
+		return err
+	}
+	doc := report.Document{Sections: []report.Section{{Name: "cells", Rows: []experiments.AdaptRow{row}}}}
+	if *jsonOut {
+		return doc.Write(stdout, report.JSON)
+	}
+	return doc.Write(stdout, report.Text)
 }
 
-// writeObs exports the hub's Chrome trace and/or metrics dump to the
-// given paths (empty path = skip).
-func writeObs(hub *obs.Obs, tracePath, metricsPath string) error {
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := hub.WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+// writeFile writes one obs export to path (empty path = skip), reporting
+// the close error a full disk would surface.
+func writeFile(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
 	}
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := hub.WriteMetrics(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-// emitRow prints one adaptation-cell row. The JSON form is byte-stable:
-// a live run and a replay of its trace must produce identical output.
-func emitRow(w io.Writer, row experiments.AdaptRow, jsonOut bool) error {
-	if jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(row)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
-	tb := report.NewTable("workload", "N", "P", "calls", "k-range", "static-uniform", "static-clustered", "adaptive", "vs-uniform", "vs-best", "switches", "clustered-calls", "final")
-	tb.AddRowRaw(
-		row.Workload, fmt.Sprint(row.N), fmt.Sprint(row.P), fmt.Sprint(row.Calls),
-		fmt.Sprintf("%d..%d", row.KStart, row.KEnd),
-		report.FormatSeconds(row.StaticUniformSim),
-		report.FormatSeconds(row.StaticClusteredSim),
-		report.FormatSeconds(row.AdaptiveSim),
-		fmt.Sprintf("%.3f", row.AdaptiveVsUniform),
-		fmt.Sprintf("%.3f", row.AdaptiveVsBestStatic),
-		fmt.Sprint(row.AdaptiveSwitches),
-		fmt.Sprint(row.AdaptiveClusteredCalls),
-		row.FinalChoice,
-	)
-	return tb.Emit(w, false)
+	return f.Close()
 }

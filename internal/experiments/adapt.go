@@ -25,7 +25,7 @@ import (
 // simulated virtual time on seed-isolated inputs, so the document is
 // reproducible byte-for-byte and scripts/ci.sh drift-gates it like
 // BENCH_2–4. Any cell can be recorded to a trace (scenario.Record) and
-// re-run byte-identically from the file via ReplayAdaptCell.
+// re-run byte-identically from the file (cmd/sparreplay).
 
 // AdaptRow is one workload cell of the adaptation ablation.
 type AdaptRow struct {
@@ -57,85 +57,43 @@ type AdaptRow struct {
 	FinalChoice            string `json:"final_choice"`
 }
 
-// RunAdaptCell measures one scenario cell: the schedule generated under
-// key, run under the three arms on identical fresh worlds. Simulated
-// times are deterministic, so one run per arm suffices.
-func RunAdaptCell(rpn, nic int, sc scenario.Scenario, key scenario.SimulationKey) AdaptRow {
-	row, _ := runAdaptSchedule(rpn, nic, sc.Name, sc.N, sc.P, sc.Generator(key).All(), false)
-	return row
-}
-
-// RunAdaptCellObs is RunAdaptCell with observability attached to the
-// adaptive arm's world: the returned hub carries per-rank send and
-// collective-phase spans plus the adapt decision instants, ready for
-// WriteChrome/WriteMetrics. The static arms stay uninstrumented, so the
-// row itself is byte-identical to RunAdaptCell's.
-func RunAdaptCellObs(rpn, nic int, sc scenario.Scenario, key scenario.SimulationKey) (AdaptRow, *obs.Obs) {
-	return runAdaptSchedule(rpn, nic, sc.Name, sc.N, sc.P, sc.Generator(key).All(), true)
-}
-
-// ReplayAdaptCell re-runs a cell from a recorded trace. Because the trace
-// codec reconstructs every input vector field-exact and the arms are
-// deterministic given their inputs, the returned row is byte-identical to
-// the live run that recorded the trace.
-func ReplayAdaptCell(rpn, nic int, tr *scenario.Trace) AdaptRow {
-	row, _ := runAdaptSchedule(rpn, nic, tr.Name, tr.N, tr.P, tr.Steps, false)
-	return row
-}
-
-// ReplayAdaptCellObs is ReplayAdaptCell with observability attached, the
-// replay-side twin of RunAdaptCellObs: replaying a recorded trace yields
-// a hub whose exported timeline is byte-identical to the live run's,
-// because the simulator's virtual clocks are deterministic given the
-// reconstructed inputs.
-func ReplayAdaptCellObs(rpn, nic int, tr *scenario.Trace) (AdaptRow, *obs.Obs) {
-	return runAdaptSchedule(rpn, nic, tr.Name, tr.N, tr.P, tr.Steps, true)
-}
-
-// runAdaptSchedule is the shared measurement core of the live and replay
-// paths: both reduce to "run this exact schedule under the three arms".
-// When observe is set, the adaptive arm's world gets an obs hub (returned
-// to the caller); the hooks only read the virtual clocks, so the row is
-// identical either way.
-func runAdaptSchedule(rpn, nic int, name string, n, P int, sched [][]*stream.Vector, observe bool) (AdaptRow, *obs.Obs) {
+// RunAdaptCell measures one cell: the trace's schedule run under the three
+// arms on identical fresh worlds (simulated times are deterministic, so one
+// run per arm suffices). A live run passes scenario.Record(sc, key); a
+// replay passes the trace read back from a file — the codec reconstructs
+// every input vector field-exact, so both yield the identical row. With
+// observe set, the adaptive arm's world gets an obs hub (returned; nil
+// otherwise) carrying per-rank send and collective-phase spans plus the
+// adapt decision instants, ready for WriteChrome/WriteMetrics. The hooks
+// only read the virtual clocks and the static arms stay uninstrumented, so
+// the row is identical either way and a replay's exported timeline matches
+// the live run's byte for byte.
+func RunAdaptCell(rpn, nic int, tr *scenario.Trace, observe bool) (AdaptRow, *obs.Obs) {
+	n, P, sched := tr.N, tr.P, tr.Steps
 	topo := simnet.Topology{RanksPerNode: rpn, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: nic}
 	row := AdaptRow{
-		Workload: name, N: n, P: P, RanksPerNode: rpn, NICSerial: nic,
+		Workload: tr.Name, N: n, P: P, RanksPerNode: rpn, NICSerial: nic,
 		Calls: len(sched), KStart: sched[0][0].NNZ(), KEnd: sched[len(sched)-1][0].NNZ(),
 	}
 
-	static := func(opts core.Options) float64 {
-		w := comm.NewWorldTopo(P, topo)
-		comm.Run(w, func(p *comm.Proc) any {
-			for _, inputs := range sched {
-				core.Allreduce(p, inputs[p.Rank()], opts)
-			}
-			return nil
-		})
-		return w.MaxTime()
-	}
-	row.StaticUniformSim = static(core.Options{})
-	row.StaticClusteredSim = static(core.Options{Support: core.SupportClustered})
+	row.StaticUniformSim = measure(comm.NewWorldTopo(P, topo), sched, allreduce(core.Options{})).seconds
+	row.StaticClusteredSim = measure(comm.NewWorldTopo(P, topo), sched, allreduce(core.Options{Support: core.SupportClustered})).seconds
 
 	w := comm.NewWorldTopo(P, topo)
 	var hub *obs.Obs
 	if observe {
 		hub = w.EnableObservability()
 	}
-	tr := w.EnableTrace()
-	tr.LimitPerRank(4096)
+	tracer := w.EnableTrace()
+	tracer.LimitPerRank(4096)
 	ctrls := make([]*adapt.Controller, P)
 	for r := range ctrls {
 		ctrls[r] = adapt.NewController(adapt.Config{})
-		ctrls[r].AttachTracer(tr, r)
+		ctrls[r].AttachTracer(tracer, r)
 	}
-	comm.Run(w, func(p *comm.Proc) any {
-		for _, inputs := range sched {
-			ctrls[p.Rank()].Allreduce(p, inputs[p.Rank()], core.Options{})
-		}
-		return nil
-	})
-	row.AdaptiveSim = w.MaxTime()
+	row.AdaptiveSim = measure(w, sched, func(p *comm.Proc, in *stream.Vector) *stream.Vector {
+		return ctrls[p.Rank()].Allreduce(p, in, core.Options{})
+	}).seconds
 	row.AdaptiveSwitches = ctrls[0].Switches()
 	row.AdaptiveClusteredCalls = ctrls[0].ClusteredCalls()
 	alg, levels := ctrls[0].Choice()
@@ -156,6 +114,23 @@ func runAdaptSchedule(rpn, nic int, name string, n, P int, sched [][]*stream.Vec
 // rows exactly.
 const AdaptSeed = 701
 
+// adaptCells runs the named library scenarios as adaptation cells on the
+// BENCH_5 machine shape (4 ranks per node, NIC serial 1) under the BENCH_5
+// key.
+func adaptCells(names []string) []AdaptRow {
+	key := scenario.NewKey(AdaptSeed)
+	rows := make([]AdaptRow, 0, len(names))
+	for _, name := range names {
+		sc, err := scenario.ByName(name)
+		if err != nil {
+			panic(err) // callers name library entries only
+		}
+		row, _ := RunAdaptCell(4, 1, scenario.Record(sc, key), false)
+		rows = append(rows, row)
+	}
+	return rows
+}
+
 // AdaptSweep runs the BENCH_5 scenario cells (scenario.Bench5Names) on a
 // 32-rank, 4-ranks-per-node contended topology at N = 2^18. Densities sit
 // around the δ regime gate, where the support model actually flips
@@ -164,42 +139,13 @@ const AdaptSeed = 701
 // mass keeps the true union around a fifth of the space — where the
 // sparse-result family simulates ~20% faster than the dense one the
 // uniform model picks.
-func AdaptSweep() []AdaptRow {
-	const (
-		rpn = 4
-		nic = 1
-	)
-	key := scenario.NewKey(AdaptSeed)
-	names := scenario.Bench5Names()
-	rows := make([]AdaptRow, 0, len(names))
-	for _, name := range names {
-		sc, err := scenario.ByName(name)
-		if err != nil {
-			panic(err) // the library always carries its own cells
-		}
-		rows = append(rows, RunAdaptCell(rpn, nic, sc, key))
-	}
-	return rows
-}
+func AdaptSweep() []AdaptRow { return adaptCells(scenario.Bench5Names()) }
 
 // AdaptDiversitySweep runs the adaptation ablation across the *entire*
-// scenario library (scenario.Names) rather than the four BENCH_5 cells:
-// the same three arms per workload, on the same machine shape. Library
-// scenarios vary P, N, and call counts, so this sweep is a
+// scenario library (scenario.Names) rather than the four BENCH_5 cells.
+// Library scenarios vary P, N, and call counts, so this sweep is a
 // scenario-diversity check (does the controller ever lose badly to the
 // static arms on shapes it was not tuned on?) and is reported
 // snapshot-only — it is NOT drift-gated, because adding a library entry
 // legitimately adds a row.
-func AdaptDiversitySweep() []AdaptRow {
-	key := scenario.NewKey(AdaptSeed)
-	names := scenario.Names()
-	rows := make([]AdaptRow, 0, len(names))
-	for _, name := range names {
-		sc, err := scenario.ByName(name)
-		if err != nil {
-			panic(err)
-		}
-		rows = append(rows, RunAdaptCell(4, 1, sc, key))
-	}
-	return rows
-}
+func AdaptDiversitySweep() []AdaptRow { return adaptCells(scenario.Names()) }

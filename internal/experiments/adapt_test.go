@@ -22,8 +22,8 @@ var testAdaptScenario = scenario.Scenario{
 // and internally consistent.
 func TestRunAdaptCellDeterministic(t *testing.T) {
 	key := scenario.NewKey(42)
-	a := RunAdaptCell(4, 1, testAdaptScenario, key)
-	b := RunAdaptCell(4, 1, testAdaptScenario, key)
+	a, _ := RunAdaptCell(4, 1, scenario.Record(testAdaptScenario, key), false)
+	b, _ := RunAdaptCell(4, 1, scenario.Record(testAdaptScenario, key), false)
 	if a != b {
 		t.Fatalf("adapt cell not deterministic:\n%+v\n%+v", a, b)
 	}
@@ -45,14 +45,14 @@ func TestRunAdaptCellDeterministic(t *testing.T) {
 // claim behind cmd/sparreplay and the CI replay gate.
 func TestReplayAdaptCellMatchesLive(t *testing.T) {
 	key := scenario.NewKey(42)
-	live := RunAdaptCell(4, 1, testAdaptScenario, key)
-
 	tr := scenario.Record(testAdaptScenario, key)
+	live, _ := RunAdaptCell(4, 1, tr, false)
+
 	decoded, err := scenario.Decode(tr.Encode())
 	if err != nil {
 		t.Fatalf("decode recorded trace: %v", err)
 	}
-	replayed := ReplayAdaptCell(4, 1, decoded)
+	replayed, _ := RunAdaptCell(4, 1, decoded, false)
 	if live != replayed {
 		t.Fatalf("replay diverged from live run:\nlive:   %+v\nreplay: %+v", live, replayed)
 	}

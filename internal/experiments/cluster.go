@@ -242,19 +242,7 @@ func Bench8AdaptNames() []string {
 }
 
 // ClusterAdaptCells runs the pinned diversity cells on the BENCH_5
-// machine shape (4 ranks per node, NIC serial 1) under the BENCH_5 key,
-// so the four shared workloads reproduce the BENCH_5 rows exactly and the
-// remaining library shapes join the drift gate with them.
-func ClusterAdaptCells() []AdaptRow {
-	key := scenario.NewKey(AdaptSeed)
-	names := Bench8AdaptNames()
-	rows := make([]AdaptRow, 0, len(names))
-	for _, name := range names {
-		sc, err := scenario.ByName(name)
-		if err != nil {
-			panic(err) // the pinned list names library entries only
-		}
-		rows = append(rows, RunAdaptCell(4, 1, sc, key))
-	}
-	return rows
-}
+// machine shape and key, so the four shared workloads reproduce the
+// BENCH_5 rows exactly and the remaining library shapes join the drift
+// gate with them.
+func ClusterAdaptCells() []AdaptRow { return adaptCells(Bench8AdaptNames()) }

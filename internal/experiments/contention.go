@@ -6,14 +6,12 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/density"
-	"repro/internal/report"
 	"repro/internal/simnet"
 	"repro/internal/stream"
 )
 
-// This file holds the contention-model experiments introduced with the
-// per-node NIC serialization cap (simnet.Topology.NICSerial): a
-// flat-vs-hierarchical DSAR sweep on capped topologies, and the
+// This file holds the contention-model experiment introduced with the
+// per-node NIC serialization cap (simnet.Topology.NICSerial): the
 // cost-model validation sweep recorded as BENCH_2.json — for each cell it
 // measures every Auto candidate, prices it with the analytic model, and
 // compares the cost-model choice against both the empirically cheapest
@@ -88,11 +86,7 @@ func RunContentionCell(n int, d float64, P, rpn, nic int, intra, inter simnet.Pr
 	scenario := core.CostScenario{N: n, P: P, K: k, Profile: inter, Topo: &topo}
 	cheapest, cheapestT := "", 0.0
 	for _, alg := range contentionCandidates {
-		w := comm.NewWorldTopo(P, topo)
-		comm.Run(w, func(p *comm.Proc) any {
-			return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: alg})
-		})
-		sim := w.MaxTime()
+		sim := measure(comm.NewWorldTopo(P, topo), once(inputs), allreduce(core.Options{Algorithm: alg})).seconds
 		row.Costs = append(row.Costs, AlgCost{
 			Algorithm:    alg.String(),
 			ModelSeconds: core.PredictSeconds(alg, scenario),
@@ -132,63 +126,6 @@ func ContentionSweep(intra, inter simnet.Profile) []ContentionRow {
 	}
 	for _, c := range cells {
 		rows = append(rows, RunContentionCell(c.n, c.d, c.P, c.rpn, c.nic, intra, inter, c.seed))
-	}
-	return rows
-}
-
-// RunHierDSARCell measures flat DSAR_Split_allgather versus
-// DSAR_Hierarchical on the *same* NIC-capped two-level world (unlike
-// RunHierCell, which contrasts a flat world with a topology world): the
-// question is purely algorithmic — does routing the dense allgather
-// through one leader flow per node beat P concurrent flows through capped
-// NICs.
-func RunHierDSARCell(n int, d float64, P, rpn, nic int, intra, inter simnet.Profile, gens, runs int, seed int64) HierRow {
-	if gens <= 0 {
-		gens = 2
-	}
-	if runs <= 0 {
-		runs = 3
-	}
-	row := HierRow{N: n, P: P, RanksPerNode: rpn, Density: d}
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: intra, Inter: inter, NICSerial: nic}
-	var flat, hier report.Sample
-	for g := 0; g < gens; g++ {
-		rng := rand.New(rand.NewSource(seed + int64(g)*6151))
-		inputs := uniformInputs(rng, n, d, P)
-		for r := 0; r < runs; r++ {
-			fw := comm.NewWorldTopo(P, topo)
-			comm.Run(fw, func(p *comm.Proc) any {
-				return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: core.DSARSplitAllgather})
-			})
-			flat.Add(fw.MaxTime())
-			row.FlatMsgs = fw.TotalMessages()
-
-			hw := comm.NewWorldTopo(P, topo)
-			comm.Run(hw, func(p *comm.Proc) any {
-				return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: core.HierDSAR})
-			})
-			hier.Add(hw.MaxTime())
-			row.HierMsgs = hw.TotalMessages()
-		}
-	}
-	row.FlatMedian = flat.Median()
-	row.HierMedian = hier.Median()
-	if row.HierMedian > 0 {
-		row.Speedup = row.FlatMedian / row.HierMedian
-	}
-	return row
-}
-
-// HierDSARNodeSweep measures the flat-vs-hierarchical DSAR comparison
-// across total rank counts at a fixed dense-regime density and NIC cap.
-// Single-node shapes (P ≤ rpn) are skipped as in HierNodeSweep.
-func HierDSARNodeSweep(n int, d float64, ranks []int, rpn, nic int, intra, inter simnet.Profile, gens, runs int) []HierRow {
-	var rows []HierRow
-	for _, P := range ranks {
-		if P <= rpn {
-			continue
-		}
-		rows = append(rows, RunHierDSARCell(n, d, P, rpn, nic, intra, inter, gens, runs, int64(P)*9433))
 	}
 	return rows
 }

@@ -35,12 +35,12 @@ func TestFig3OrderingAtPaperOperatingPoints(t *testing.T) {
 	// growing P) the sparse algorithms must beat the dense baselines by a
 	// wide margin — the headline of Figure 3.
 	rows := Fig3NodeSweep(1<<18, 0.0078, []int{8}, simnet.Aries, 1, 1)
-	byAlg := map[core.Algorithm]MicrobenchRow{}
+	byAlg := map[string]MicrobenchRow{}
 	for _, r := range rows {
 		byAlg[r.Algorithm] = r
 	}
-	sparseBest := math.Min(byAlg[core.SSARRecDouble].Median, byAlg[core.SSARSplitAllgather].Median)
-	denseBest := math.Min(byAlg[core.DenseRabenseifner].Median, byAlg[core.DenseRing].Median)
+	sparseBest := math.Min(byAlg[core.SSARRecDouble.String()].Median, byAlg[core.SSARSplitAllgather.String()].Median)
+	denseBest := math.Min(byAlg[core.DenseRabenseifner.String()].Median, byAlg[core.DenseRing.String()].Median)
 	if denseBest/sparseBest < 5 {
 		t.Fatalf("sparse best %g vs dense best %g: speedup %.1fx, want ≥5x",
 			sparseBest, denseBest, denseBest/sparseBest)
@@ -54,11 +54,11 @@ func TestFig3DensitySweepCrossover(t *testing.T) {
 	lo := Fig3DensitySweep(1<<16, 8, []float64{0.0005}, simnet.GigE, 1, 1)
 	hi := Fig3DensitySweep(1<<16, 8, []float64{0.25}, simnet.GigE, 1, 1)
 	ratio := func(rows []MicrobenchRow) float64 {
-		byAlg := map[core.Algorithm]MicrobenchRow{}
+		byAlg := map[string]MicrobenchRow{}
 		for _, r := range rows {
 			byAlg[r.Algorithm] = r
 		}
-		return byAlg[core.DenseRabenseifner].Median / byAlg[core.SSARSplitAllgather].Median
+		return byAlg[core.DenseRabenseifner.String()].Median / byAlg[core.SSARSplitAllgather.String()].Median
 	}
 	if rLo, rHi := ratio(lo), ratio(hi); rLo <= rHi {
 		t.Fatalf("sparse advantage must shrink with density: %.2fx at 0.05%% vs %.2fx at 25%%", rLo, rHi)

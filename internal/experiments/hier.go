@@ -20,79 +20,81 @@ import (
 
 // HierRow is one flat-vs-hierarchical measurement cell.
 type HierRow struct {
-	N, P, RanksPerNode int
-	Density            float64
+	N            int     `json:"n"`
+	P            int     `json:"p"`
+	RanksPerNode int     `json:"ranks_per_node"`
+	Density      float64 `json:"density"`
 	// FlatMedian and HierMedian are simulated allreduce times in seconds.
-	FlatMedian, HierMedian float64
+	FlatMedian float64 `json:"flat_median_seconds"`
+	HierMedian float64 `json:"hier_median_seconds"`
 	// Speedup is FlatMedian / HierMedian.
-	Speedup float64
+	Speedup float64 `json:"speedup"`
 	// FlatMsgs and HierMsgs are total message counts for one allreduce.
-	FlatMsgs, HierMsgs int64
+	FlatMsgs int64 `json:"flat_msgs"`
+	HierMsgs int64 `json:"hier_msgs"`
 }
 
-// RunHierCell measures one configuration: flat SSAR_Split_allgather on the
-// inter profile versus HierSSAR on Topology{rpn, intra, inter}.
-func RunHierCell(n int, density float64, P, rpn int, intra, inter simnet.Profile, gens, runs int, seed int64) HierRow {
-	if gens <= 0 {
-		gens = 2
+// arm is one side of an A/B cell: an algorithm and the fresh world it runs
+// on.
+type arm struct {
+	alg   core.Algorithm
+	world func(P int) *comm.World
+}
+
+// hierArms returns the two arms of a flat-vs-hierarchical cell on topo.
+// Sparse regime: flat SSAR_Split_allgather on a world priced entirely by
+// the inter-node profile versus HierSSAR on topo. Dense regime: flat DSAR
+// versus HierDSAR, both on the NIC-capped topo, so the question is purely
+// algorithmic — does one leader flow per node beat P concurrent flows
+// through capped NICs.
+func hierArms(topo simnet.Topology, dense bool) (flat, hier arm) {
+	onTopo := func(P int) *comm.World { return comm.NewWorldTopo(P, topo) }
+	if dense {
+		return arm{core.DSARSplitAllgather, onTopo}, arm{core.HierDSAR, onTopo}
 	}
-	if runs <= 0 {
-		runs = 3
-	}
+	onInter := func(P int) *comm.World { return comm.NewWorld(P, topo.Inter) }
+	return arm{core.SSARSplitAllgather, onInter}, arm{core.HierSSAR, onTopo}
+}
+
+// runABCell measures the two arms on the same seeded inputs: gens data
+// generations, runs repetitions each, medians of the simulated times.
+func runABCell(n int, density float64, P, rpn int, flat, hier arm, gens, runs int, seed int64) HierRow {
 	row := HierRow{N: n, P: P, RanksPerNode: rpn, Density: density}
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: intra, Inter: inter}
-	var flat, hier report.Sample
+	var flatT, hierT report.Sample
 	for g := 0; g < gens; g++ {
 		rng := rand.New(rand.NewSource(seed + int64(g)*6151))
-		inputs := uniformInputs(rng, n, density, P)
+		sched := once(uniformInputs(rng, n, density, P))
 		for r := 0; r < runs; r++ {
-			fw := comm.NewWorld(P, inter)
-			comm.Run(fw, func(p *comm.Proc) any {
-				return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: core.SSARSplitAllgather})
-			})
-			flat.Add(fw.MaxTime())
-			row.FlatMsgs = fw.TotalMessages()
-
-			hw := comm.NewWorldTopo(P, topo)
-			comm.Run(hw, func(p *comm.Proc) any {
-				return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: core.HierSSAR})
-			})
-			hier.Add(hw.MaxTime())
-			row.HierMsgs = hw.TotalMessages()
+			f := measure(flat.world(P), sched, allreduce(core.Options{Algorithm: flat.alg}))
+			h := measure(hier.world(P), sched, allreduce(core.Options{Algorithm: hier.alg}))
+			flatT.Add(f.seconds)
+			hierT.Add(h.seconds)
+			row.FlatMsgs, row.HierMsgs = f.msgs, h.msgs
 		}
 	}
-	row.FlatMedian = flat.Median()
-	row.HierMedian = hier.Median()
+	row.FlatMedian = flatT.Median()
+	row.HierMedian = hierT.Median()
 	if row.HierMedian > 0 {
 		row.Speedup = row.FlatMedian / row.HierMedian
 	}
 	return row
 }
 
-// HierNodeSweep measures the flat-vs-hierarchical comparison across total
-// rank counts at fixed ranks-per-node and density (the issue's acceptance
-// scenario P=32, 4 ranks/node, NVLink-like intra + Aries inter is one
-// cell of the default sweep). Single-node shapes (P ≤ rpn) are skipped:
-// there the "hierarchical" run degrades to flat SSAR with every link
-// intra-priced, so its speedup would measure the profile price ratio, not
-// the algorithm.
-func HierNodeSweep(n int, density float64, ranks []int, rpn int, intra, inter simnet.Profile, gens, runs int) []HierRow {
+// HierNodeSweep measures the flat-vs-hierarchical comparison (hierArms)
+// across total rank counts at fixed topology and density (the acceptance
+// scenario P=32, 4 ranks/node, NVLink-like intra + Aries inter is one cell
+// of the default sparse sweep). Single-node shapes (P ≤ ranks per node)
+// are skipped: there the "hierarchical" run degrades to the flat algorithm
+// with every link intra-priced, so its speedup would measure the profile
+// price ratio, not the algorithm.
+func HierNodeSweep(n int, density float64, ranks []int, topo simnet.Topology, dense bool, gens, runs int) []HierRow {
+	flat, hier := hierArms(topo, dense)
 	var rows []HierRow
 	for _, P := range ranks {
-		if P <= rpn {
+		if P <= topo.RanksPerNode {
 			continue
 		}
-		rows = append(rows, RunHierCell(n, density, P, rpn, intra, inter, gens, runs, int64(P)*7529))
-	}
-	return rows
-}
-
-// HierDensitySweep measures the comparison across per-rank densities at a
-// fixed world shape, locating the latency→bandwidth crossover.
-func HierDensitySweep(n int, densities []float64, P, rpn int, intra, inter simnet.Profile, gens, runs int) []HierRow {
-	var rows []HierRow
-	for _, d := range densities {
-		rows = append(rows, RunHierCell(n, d, P, rpn, intra, inter, gens, runs, int64(d*1e7)+29))
+		rows = append(rows, runABCell(n, density, P, topo.RanksPerNode, flat, hier, gens, runs, int64(P)*7529))
 	}
 	return rows
 }

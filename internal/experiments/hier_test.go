@@ -10,7 +10,8 @@ func TestHierCellAcceptanceScenario(t *testing.T) {
 	// The issue's acceptance scenario: P=32, 4 ranks/node, NVLink-like
 	// intra + Aries inter, latency-bound density. HierSSAR must beat flat
 	// SSAR_Split_allgather run entirely on the inter-node profile.
-	row := RunHierCell(1<<20, 1e-4, 32, 4, simnet.NVLinkLike, simnet.Aries, 1, 1, 1)
+	flat, hier := hierArms(simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries}, false)
+	row := runABCell(1<<20, 1e-4, 32, 4, flat, hier, 1, 1, 1)
 	if row.FlatMedian <= 0 || row.HierMedian <= 0 {
 		t.Fatal("medians must be positive")
 	}
@@ -23,15 +24,12 @@ func TestHierCellAcceptanceScenario(t *testing.T) {
 }
 
 func TestHierSweepsShapes(t *testing.T) {
-	rows := HierNodeSweep(1<<14, 1e-3, []int{2, 8, 16}, 4, simnet.NVLinkLike, simnet.Aries, 1, 1)
+	topo := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
+	rows := HierNodeSweep(1<<14, 1e-3, []int{2, 8, 16}, topo, false, 1, 1)
 	if len(rows) != 2 { // P=2 < rpn is skipped
 		t.Fatalf("want 2 rows, got %d", len(rows))
 	}
-	drows := HierDensitySweep(1<<14, []float64{1e-4, 1e-2}, 8, 4, simnet.NVLinkLike, simnet.Aries, 1, 1)
-	if len(drows) != 2 {
-		t.Fatalf("want 2 density rows, got %d", len(drows))
-	}
-	for _, r := range append(rows, drows...) {
+	for _, r := range rows {
 		if r.FlatMedian <= 0 || r.HierMedian <= 0 {
 			t.Fatalf("cell %+v has nonpositive medians", r)
 		}

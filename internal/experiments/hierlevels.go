@@ -71,11 +71,7 @@ func RunHierLevelsCell(n int, d float64, P, rpn, npg int, family string, seed in
 		flat, hier = core.DSARSplitAllgather, core.HierDSAR
 	}
 	run := func(alg core.Algorithm, levels int) float64 {
-		w := comm.NewWorldHier(P, h)
-		comm.Run(w, func(p *comm.Proc) any {
-			return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: alg, Levels: levels})
-		})
-		return w.MaxTime()
+		return measure(comm.NewWorldHier(P, h), once(inputs), allreduce(core.Options{Algorithm: alg, Levels: levels})).seconds
 	}
 	row.FlatSim = run(flat, 0)
 	row.TwoLevelSim = run(hier, 2)

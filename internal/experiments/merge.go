@@ -101,11 +101,7 @@ func RunMergeCell(n, k, P int, pattern string, seed int64) MergeCell {
 	cell.BitIdentical = bitIdentical(ref, kway) && bitIdentical(ref, pooled)
 
 	// Deterministic simulated time of the collective the merge serves.
-	w := comm.NewWorld(P, simnet.Aries)
-	comm.Run(w, func(p *comm.Proc) any {
-		return core.Allreduce(p, vs[p.Rank()], core.Options{Algorithm: core.SSARSplitAllgather})
-	})
-	cell.SplitSimSeconds = w.MaxTime()
+	cell.SplitSimSeconds = measure(comm.NewWorld(P, simnet.Aries), once(vs), allreduce(core.Options{Algorithm: core.SSARSplitAllgather})).seconds
 	return cell
 }
 

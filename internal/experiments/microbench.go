@@ -1,10 +1,13 @@
 // Package experiments contains the runners that regenerate every table and
 // figure of the paper's evaluation (§8). Each runner returns structured
-// rows; cmd/ tools print them and the root benchmark harness wraps them in
-// testing.B targets. DESIGN.md §3 maps experiment ids to these functions.
+// rows; the sweep registry (registry.go) names the ones cmd/sparbench
+// renders and scripts/ci.sh records as BENCH documents, and the root
+// benchmark harness wraps them in testing.B targets.
 package experiments
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
 
 	"repro/internal/comm"
@@ -30,7 +33,7 @@ var Fig3Algorithms = []core.Algorithm{
 // allreduce of dimension N at per-node density d across P nodes.
 type MicrobenchConfig struct {
 	// N is the vector dimension (the paper uses 16M; default sweeps use
-	// 2^20 to keep memory modest — shapes are unchanged, see DESIGN.md).
+	// 2^20 to keep memory modest — shapes are unchanged).
 	N int
 	// Density is the per-node non-zero fraction.
 	Density float64
@@ -46,16 +49,52 @@ type MicrobenchConfig struct {
 
 // MicrobenchRow is one (algorithm, configuration) measurement.
 type MicrobenchRow struct {
-	Algorithm core.Algorithm
-	N, P      int
-	Density   float64
+	Algorithm string  `json:"algorithm"`
+	N         int     `json:"n"`
+	P         int     `json:"p"`
+	Density   float64 `json:"density"`
 	// Median, Q25, Q75 are simulated reduction times in seconds.
-	Median, Q25, Q75 float64
+	Median float64 `json:"median_seconds"`
+	Q25    float64 `json:"q25_seconds"`
+	Q75    float64 `json:"q75_seconds"`
 	// ResultNNZ is the reduced result's non-zero count (fill-in).
-	ResultNNZ int
+	ResultNNZ int `json:"result_nnz"`
 	// ResultDense reports whether the result ended in dense representation.
-	ResultDense bool
+	ResultDense bool `json:"result_dense"`
 }
+
+// step is what one rank does with its input at one schedule entry; it
+// returns the reduced vector when it yields exactly one.
+type step = func(*comm.Proc, *stream.Vector) *stream.Vector
+
+// measured is what one arm of a cell yields: the completion time on the
+// world's clock (simulated seconds, or wall seconds on a real transport),
+// the messages sent, and rank 0's last result.
+type measured struct {
+	seconds float64
+	msgs    int64
+	result  *stream.Vector
+}
+
+// measure executes sched on w: at every step, rank r passes its own input
+// to s. Every arm of every sweep is one call of it on a fresh world.
+func measure(w *comm.World, sched [][]*stream.Vector, s step) measured {
+	results := comm.Run(w, func(p *comm.Proc) (out *stream.Vector) {
+		for _, inputs := range sched {
+			out = s(p, inputs[p.Rank()])
+		}
+		return out
+	})
+	return measured{w.MaxTime(), w.TotalMessages(), results[0]}
+}
+
+// allreduce is the step of a blocking allreduce under opts.
+func allreduce(opts core.Options) step {
+	return func(p *comm.Proc, in *stream.Vector) *stream.Vector { return core.Allreduce(p, in, opts) }
+}
+
+// once wraps one call's inputs as a single-step schedule.
+func once(inputs []*stream.Vector) [][]*stream.Vector { return [][]*stream.Vector{inputs} }
 
 // uniformInputs draws k = d·N indices uniformly at random per node with
 // random values, the §8.1 synthetic workload. The contention, hier, and
@@ -80,9 +119,10 @@ func uniformInputs(rng *rand.Rand, n int, density float64, P int) []*stream.Vect
 	return out
 }
 
-// sampleDistinct draws k distinct sorted indices from [0, n). It uses a
-// dense permutation-free rejection sampler appropriate for k ≪ n and a
-// Floyd sampler otherwise.
+// sampleDistinct draws k distinct indices from [0, n) by rejection
+// sampling, in draw order (stream.NewSparse sorts them). Part of the frozen
+// stream: the cost grows as k approaches n, which the BENCH_2/BENCH_4 cells
+// (d ≤ 0.6) tolerate.
 func sampleDistinct(rng *rand.Rand, n, k int) []int32 {
 	if k > n {
 		k = n
@@ -100,36 +140,48 @@ func sampleDistinct(rng *rand.Rand, n, k int) []int32 {
 	return out
 }
 
+// microbenchInputs draws generation gen of a micro-benchmark cell from the
+// scenario generator: uniform supports, normal values.
+func microbenchInputs(cfg MicrobenchConfig, gen int) []*stream.Vector {
+	sc := scenario.Scenario{
+		Name: "microbench", N: cfg.N, P: cfg.P, Calls: 1,
+		Density: scenario.Const(cfg.Density),
+		Values:  scenario.ValuesNormal,
+	}
+	return sc.Generator(scenario.NewKey(cfg.Seed + int64(gen)*7907)).Next()
+}
+
 // RunMicrobench measures one configuration for one algorithm.
 func RunMicrobench(cfg MicrobenchConfig, alg core.Algorithm) MicrobenchRow {
-	if cfg.Gens <= 0 {
-		cfg.Gens = 2
-	}
-	if cfg.Runs <= 0 {
-		cfg.Runs = 3
-	}
 	var sample report.Sample
-	row := MicrobenchRow{Algorithm: alg, N: cfg.N, P: cfg.P, Density: cfg.Density}
+	row := MicrobenchRow{Algorithm: alg.String(), N: cfg.N, P: cfg.P, Density: cfg.Density}
 	for g := 0; g < cfg.Gens; g++ {
-		sc := scenario.Scenario{
-			Name: "microbench", N: cfg.N, P: cfg.P, Calls: 1,
-			Density: scenario.Const(cfg.Density),
-			Values:  scenario.ValuesNormal,
-		}
-		inputs := sc.Generator(scenario.NewKey(cfg.Seed + int64(g)*7907)).Next()
+		inputs := microbenchInputs(cfg, g)
 		for r := 0; r < cfg.Runs; r++ {
-			w := comm.NewWorld(cfg.P, cfg.Profile)
-			results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
-				return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: alg})
-			})
-			sample.Add(w.MaxTime())
-			row.ResultNNZ = results[0].NNZ()
-			row.ResultDense = results[0].IsDense()
+			m := measure(comm.NewWorld(cfg.P, cfg.Profile), once(inputs), allreduce(core.Options{Algorithm: alg}))
+			sample.Add(m.seconds)
+			row.ResultNNZ = m.result.NNZ()
+			row.ResultDense = m.result.IsDense()
 		}
 	}
 	row.Median = sample.Median()
 	row.Q25, row.Q75 = sample.IQR()
 	return row
+}
+
+// DumpTrace runs one recursive-doubling sparse allreduce of the cell with
+// tracing enabled and prints the virtual-time message timeline (the
+// Figure 2 schedule, observable directly).
+func DumpTrace(w io.Writer, cfg MicrobenchConfig) {
+	world := comm.NewWorld(cfg.P, cfg.Profile)
+	tr := world.EnableTrace()
+	measure(world, once(microbenchInputs(cfg, 0)), allreduce(core.Options{Algorithm: core.SSARRecDouble}))
+	fmt.Fprintf(w, "# SSAR_Recursive_double message timeline: N=%d d=%.4f%% P=%d profile=%s\n",
+		cfg.N, cfg.Density*100, cfg.P, cfg.Profile.Name)
+	tr.Dump(w)
+	counts, bytes := tr.Rounds()
+	fmt.Fprintf(w, "\n# rounds: %d; per-round messages %v\n", len(counts), counts)
+	fmt.Fprintf(w, "# per-round bytes %v (geometric growth under low overlap)\n", bytes)
 }
 
 // Fig3NodeSweep reproduces the left panel of Figure 3: reduction time

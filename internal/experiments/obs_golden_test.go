@@ -32,7 +32,7 @@ func TestGoldenObsExport(t *testing.T) {
 	sc := obsGoldenScenario(t)
 	key := scenario.NewKey(AdaptSeed)
 
-	_, hub := RunAdaptCellObs(4, 1, sc, key)
+	_, hub := RunAdaptCell(4, 1, scenario.Record(sc, key), true)
 	var live bytes.Buffer
 	if err := hub.WriteChrome(&live); err != nil {
 		t.Fatal(err)
@@ -72,8 +72,11 @@ func TestGoldenObsExport(t *testing.T) {
 	// Replay identity: a trace recorded from the same scenario replays to
 	// the byte-identical timeline — the acceptance claim that recorded
 	// runs are fully inspectable after the fact.
-	tr := scenario.Record(sc, key)
-	_, replayHub := ReplayAdaptCellObs(4, 1, tr)
+	tr, err := scenario.Decode(scenario.Record(sc, key).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, replayHub := RunAdaptCell(4, 1, tr, true)
 	var replayed bytes.Buffer
 	if err := replayHub.WriteChrome(&replayed); err != nil {
 		t.Fatal(err)

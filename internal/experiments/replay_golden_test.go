@@ -34,7 +34,7 @@ func TestGoldenTraceReplay(t *testing.T) {
 		if err := tr.WriteFile(tracePath); err != nil {
 			t.Fatal(err)
 		}
-		row := ReplayAdaptCell(4, 1, tr)
+		row, _ := RunAdaptCell(4, 1, tr, false)
 		buf, err := json.MarshalIndent(row, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -50,7 +50,7 @@ func TestGoldenTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden trace (regenerate with -update): %v", err)
 	}
-	got := ReplayAdaptCell(4, 1, tr)
+	got, _ := RunAdaptCell(4, 1, tr, false)
 
 	buf, err := os.ReadFile(rowPath)
 	if err != nil {
@@ -67,7 +67,7 @@ func TestGoldenTraceReplay(t *testing.T) {
 	// The trace must also still match a fresh generation of its scenario —
 	// record and replay share one definition of the workload.
 	fresh := scenario.Record(goldenAdaptScenario, scenario.NewKey(AdaptSeed))
-	if live := ReplayAdaptCell(4, 1, fresh); live != got {
+	if live, _ := RunAdaptCell(4, 1, fresh, false); live != got {
 		t.Fatalf("fresh generation diverged from the committed trace:\nfresh: %+v\ntrace: %+v", live, got)
 	}
 }

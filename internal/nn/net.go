@@ -11,7 +11,7 @@
 // phenomena reproduced — TopK error-feedback convergence, gradient
 // fill-in, compute/communication ratios — depend on parameter count,
 // gradient sparsity and the optimizer, which these models parameterize
-// directly (see DESIGN.md §1).
+// directly.
 package nn
 
 import (

@@ -113,7 +113,7 @@ type Config struct {
 	EvalSamples int
 	// DisableErrorFeedback drops the residual after every TopK extraction
 	// instead of accumulating it — an ablation of Algorithm 1's error
-	// feedback (DESIGN.md §4.6). Convergence degrades without it.
+	// feedback. Convergence degrades without it.
 	DisableErrorFeedback bool
 	// LayerWise issues one nonblocking sparse allreduce per model layer
 	// instead of one fused exchange ("communication is done layer-wise

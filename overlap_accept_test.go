@@ -1,8 +1,6 @@
 package sparcml
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"repro/internal/experiments"
@@ -15,12 +13,13 @@ import (
 // beats the naive blocking per-layer loop AND the monolithic fused
 // exchange in simulated virtual time.
 func TestBench7AcceptanceCriteria(t *testing.T) {
-	doc := readBench7(t)
-	if len(doc.Cells) < 2 {
-		t.Fatalf("BENCH_7.json has %d workload cells, want >= 2", len(doc.Cells))
+	var cells []experiments.OverlapRow
+	readBench(t, "BENCH_7", "cells", &cells)
+	if len(cells) < 2 {
+		t.Fatalf("BENCH_7.json has %d workload cells, want >= 2", len(cells))
 	}
 	seen := map[string]bool{}
-	for _, c := range doc.Cells {
+	for _, c := range cells {
 		seen[c.Workload] = true
 		if c.Buckets < 2 {
 			t.Errorf("%s: %d buckets — the sizing rule should split these models, or the ablation degenerates to fused-vs-layerwise", c.Workload, c.Buckets)
@@ -45,12 +44,13 @@ func TestBench7AcceptanceCriteria(t *testing.T) {
 // prediction stays within 5% of simulation on the committed validation
 // cells (recorded ratios sit in [0.976, 1.002]).
 func TestBench7PipelineModelBand(t *testing.T) {
-	doc := readBench7(t)
-	if len(doc.PipeModel) < 4 {
-		t.Fatalf("BENCH_7.json has %d pipeline model cells, want >= 4", len(doc.PipeModel))
+	var pipeModel []experiments.PipeModelRow
+	readBench(t, "BENCH_7", "pipeline_model_cells", &pipeModel)
+	if len(pipeModel) < 4 {
+		t.Fatalf("BENCH_7.json has %d pipeline model cells, want >= 4", len(pipeModel))
 	}
 	chunks := map[int]bool{}
-	for _, c := range doc.PipeModel {
+	for _, c := range pipeModel {
 		chunks[c.Chunks] = true
 		if c.ModelOverSim < 0.95 || c.ModelOverSim > 1.05 {
 			t.Errorf("chunks=%d: model_over_sim = %.4f, outside the documented [0.95, 1.05] band",
@@ -62,28 +62,4 @@ func TestBench7PipelineModelBand(t *testing.T) {
 			t.Fatalf("BENCH_7.json pipeline model cells are missing chunks=%d", want)
 		}
 	}
-}
-
-func readBench7(t *testing.T) struct {
-	ID        string                     `json:"id"`
-	Cells     []experiments.OverlapRow   `json:"cells"`
-	PipeModel []experiments.PipeModelRow `json:"pipeline_model_cells"`
-} {
-	t.Helper()
-	raw, err := os.ReadFile("BENCH_7.json")
-	if err != nil {
-		t.Fatalf("read BENCH_7.json: %v", err)
-	}
-	var doc struct {
-		ID        string                     `json:"id"`
-		Cells     []experiments.OverlapRow   `json:"cells"`
-		PipeModel []experiments.PipeModelRow `json:"pipeline_model_cells"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("parse BENCH_7.json: %v", err)
-	}
-	if doc.ID != "BENCH_7" {
-		t.Fatalf("unexpected document id %q", doc.ID)
-	}
-	return doc
 }

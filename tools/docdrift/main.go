@@ -9,6 +9,9 @@
 // and underscores. Dotted selectors like `core.HierDSAR` are checked by
 // their final element.
 //
+// It also fails when a `sparbench -sweep X` invocation anywhere in the docs
+// names a sweep the registry in internal/experiments does not hold.
+//
 // Usage: go run ./tools/docdrift -root . docs/COLLECTIVES.md...
 package main
 
@@ -21,10 +24,13 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+
+	"repro/internal/experiments"
 )
 
 var backticked = regexp.MustCompile("`([^`]+)`")
 var identifier = regexp.MustCompile(`^[A-Z][A-Za-z0-9_]*$`)
+var sweepFlag = regexp.MustCompile(`sparbench\s+-sweep\s+([A-Za-z0-9_]+)`)
 
 func main() {
 	log.SetFlags(0)
@@ -42,10 +48,17 @@ func main() {
 
 	missing := 0
 	for _, doc := range flag.Args() {
-		names, err := tableIdentifiers(doc)
+		text, err := os.ReadFile(doc)
 		if err != nil {
 			log.Fatal(err)
 		}
+		for _, m := range sweepFlag.FindAllSubmatch(text, -1) {
+			if _, err := experiments.Lookup(string(m[1])); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: `sparbench -sweep %s` names no registered sweep\n", doc, m[1])
+				missing++
+			}
+		}
+		names := tableIdentifiers(string(text))
 		for _, name := range names {
 			if !wordPresent(source, name) {
 				fmt.Fprintf(os.Stderr, "%s: `%s` is named in a table but does not exist in the Go source\n", doc, name)
@@ -54,9 +67,9 @@ func main() {
 		}
 	}
 	if missing > 0 {
-		log.Fatalf("%d stale identifier(s) — update the docs or restore the symbols", missing)
+		log.Fatalf("%d stale name(s) — update the docs or restore the symbols", missing)
 	}
-	fmt.Println("docdrift: all documented identifiers exist in the source")
+	fmt.Println("docdrift: all documented identifiers and sweeps exist in the source")
 }
 
 // allGoSource concatenates every .go file under root (skipping hidden
@@ -84,15 +97,11 @@ func allGoSource(root string) (string, error) {
 }
 
 // tableIdentifiers extracts the exported-identifier-shaped backticked
-// tokens from the markdown file's table rows.
-func tableIdentifiers(path string) ([]string, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+// tokens from the markdown text's table rows.
+func tableIdentifiers(text string) []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, line := range strings.Split(string(b), "\n") {
+	for _, line := range strings.Split(text, "\n") {
 		if !strings.HasPrefix(strings.TrimSpace(line), "|") {
 			continue
 		}
@@ -110,7 +119,7 @@ func tableIdentifiers(path string) ([]string, error) {
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // wordPresent reports whether name occurs in source on an identifier
