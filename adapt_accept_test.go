@@ -89,7 +89,7 @@ func TestBench5AcceptanceCriteria(t *testing.T) {
 // with correctness against the plain static path.
 func TestFacadeAdaptive(t *testing.T) {
 	const n, P, k = 1 << 14, 8, 400
-	w := NewWorldTopo(P, Topology{RanksPerNode: 4, Intra: NVLinkLike, Inter: Aries, NICSerial: 1})
+	w := NewWorldHier(P, TwoLevel(4, NVLinkLike, Aries, 1))
 	w.EnableAdaptation(AdaptConfig{})
 	rng := rand.New(rand.NewSource(61))
 	mkInputs := func() []*Vector {

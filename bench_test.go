@@ -127,7 +127,7 @@ func BenchmarkHierVsFlat(b *testing.B) {
 		}
 		inputs[r] = stream.NewSparse(n, idx, val, stream.OpSum)
 	}
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
+	topo := simnet.TwoLevel(rpn, simnet.NVLinkLike, simnet.Aries, 0)
 	b.Run("flat-inter", func(b *testing.B) {
 		w := comm.NewWorld(P, simnet.Aries)
 		for i := 0; i < b.N; i++ {
@@ -138,7 +138,7 @@ func BenchmarkHierVsFlat(b *testing.B) {
 		b.ReportMetric(w.MaxTime()*1e6, "simµs/op")
 	})
 	b.Run("hier-topo", func(b *testing.B) {
-		w := comm.NewWorldTopo(P, topo)
+		w := comm.NewWorldHier(P, topo)
 		for i := 0; i < b.N; i++ {
 			comm.Run(w, func(p *comm.Proc) any {
 				return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: core.HierSSAR})
@@ -152,7 +152,7 @@ func BenchmarkHierVsFlat(b *testing.B) {
 // cmd/sparbench -sweep hier scenario at test scale).
 func BenchmarkHierSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		topo := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
+		topo := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0)
 		rows := experiments.HierNodeSweep(1<<16, 1e-3, []int{8, 16, 32}, topo, false, 1, 1)
 		if len(rows) != 3 {
 			b.Fatal("unexpected row count")
@@ -186,11 +186,10 @@ func BenchmarkHierDSARVsFlatContended(b *testing.B) {
 		}
 		inputs[r] = stream.NewSparse(n, idx, val, stream.OpSum)
 	}
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: simnet.NVLinkLike,
-		Inter: simnet.Aries, NICSerial: 1}
+	topo := simnet.TwoLevel(rpn, simnet.NVLinkLike, simnet.Aries, 1)
 	for _, alg := range []core.Algorithm{core.DSARSplitAllgather, core.HierDSAR} {
 		b.Run(alg.String(), func(b *testing.B) {
-			w := comm.NewWorldTopo(P, topo)
+			w := comm.NewWorldHier(P, topo)
 			for i := 0; i < b.N; i++ {
 				comm.Run(w, func(p *comm.Proc) any {
 					return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: alg})

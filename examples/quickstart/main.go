@@ -69,17 +69,15 @@ func run(out io.Writer, P, n, k int) error {
 	fmt.Fprintf(out, "simulated time on Cray Aries (dense baseline): %.1fµs\n", denseTime*1e6)
 	fmt.Fprintf(out, "sparse speedup: %.1fx\n", denseTime/sparseTime)
 
-	// The same sparse reduction on a two-level topology (4 ranks per
+	// The same sparse reduction on a two-level machine (4 ranks per
 	// node, NVLink-like intra + Aries inter): Auto routes through the
 	// hierarchical algorithm.
 	if P >= 8 {
-		topo := sparcml.NewWorldTopo(P, sparcml.Topology{
-			RanksPerNode: 4, Intra: sparcml.NVLinkLike, Inter: sparcml.Aries,
-		})
-		sparcml.Run(topo, func(c *sparcml.Comm) *sparcml.Vector {
+		nodes := sparcml.NewWorldHier(P, sparcml.TwoLevel(4, sparcml.NVLinkLike, sparcml.Aries, 0))
+		sparcml.Run(nodes, func(c *sparcml.Comm) *sparcml.Vector {
 			return c.Allreduce(rankInput(c.Rank(), n, k), sparcml.Options{})
 		})
-		fmt.Fprintf(out, "simulated time on 4-GPU nodes (hierarchical): %.1fµs\n", topo.SimTime()*1e6)
+		fmt.Fprintf(out, "simulated time on 4-GPU nodes (hierarchical): %.1fµs\n", nodes.SimTime()*1e6)
 	}
 
 	// Steady-state training loops reuse per-rank buffer pools: after a

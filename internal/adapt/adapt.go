@@ -115,10 +115,9 @@ type Controller struct {
 	calib  *LinkCalibrator
 	tracer *comm.Tracer
 
-	started               bool
-	curAlg, pendAlg       core.Algorithm
-	curLevels, pendLevels int
-	pendCount             int
+	// hold is the blocking path's (Allreduce, Plan) hysteresis state; the
+	// bucketed path keeps one per bucket in buckets.
+	hold bucketHold
 
 	switches       int
 	clusteredCalls int
@@ -133,11 +132,10 @@ type Controller struct {
 	calls     int
 }
 
-// bucketHold is one bucket's hysteresis state machine in the per-bucket
-// decision path — the same margin/hold filter Controller.decide applies,
-// kept separately per bucket so a small embedding bucket and a large MLP
-// bucket each converge to their own choice without resetting the other's
-// pending count.
+// bucketHold is one hysteresis state machine: the margin/hold filter every
+// decision passes through, kept separately per bucket so a small embedding
+// bucket and a large MLP bucket each converge to their own choice without
+// resetting the other's pending count.
 type bucketHold struct {
 	started               bool
 	curAlg, pendAlg       core.Algorithm
@@ -214,7 +212,7 @@ func (a *Controller) Calibrator() *LinkCalibrator { return a.calib }
 
 // Choice returns the current algorithm/depth the controller is holding
 // (meaningful after the first Allreduce).
-func (a *Controller) Choice() (core.Algorithm, int) { return a.curAlg, a.curLevels }
+func (a *Controller) Choice() (core.Algorithm, int) { return a.hold.curAlg, a.hold.curLevels }
 
 // Switches returns how many times the held algorithm/depth changed after
 // the initial adoption — the quantity the hysteresis tests bound.
@@ -238,24 +236,7 @@ func (a *Controller) Support() core.SupportModel { return a.lastSupport }
 // passed through unchanged, though still observed, so a mixed workload
 // keeps the sketch warm.
 func (a *Controller) Allreduce(p *comm.Proc, v *stream.Vector, opts core.Options) *stream.Vector {
-	a.sketch.Observe(v)
-	if opts.Algorithm != core.Auto {
-		return core.Allreduce(p, v, opts)
-	}
-	if a.calib != nil {
-		a.calib.ConsumeOwn(a.tracer)
-	}
-	s := a.agreeScenario(p, v, opts)
-	candAlg, candLevels, _ := core.ChooseAutoLevels(s)
-	alg, levels, switched, reason := a.decide(candAlg, candLevels, s)
-	a.recordDecision(p, DecisionEvent{Call: a.calls, Bucket: -1,
-		Algorithm: alg, Levels: levels, Support: s.Support,
-		PredictedSeconds: predictFor(alg, levels, 0, s),
-		Switched:         switched, Reason: reason})
-	a.calls++
-	opts.Algorithm, opts.Levels = alg, levels
-	opts.Support, opts.HotFraction, opts.HotMass = s.Support, s.HotFraction, s.HotMass
-	return core.Allreduce(p, v, opts)
+	return core.Allreduce(p, v, a.Plan(p, []*stream.Vector{v}, opts))
 }
 
 // Plan makes one adaptive decision for a batch of allreduces that will be
@@ -290,7 +271,10 @@ func (a *Controller) Plan(p *comm.Proc, vs []*stream.Vector, opts core.Options) 
 	}
 	s := a.agreeScenario(p, rep, opts)
 	candAlg, candLevels, _ := core.ChooseAutoLevels(s)
-	alg, levels, switched, reason := a.decide(candAlg, candLevels, s)
+	// This path does not own the chunk degree (opts.Chunks passes through),
+	// so incumbent and candidate are both priced at this call's.
+	a.hold.curChunks = s.Chunks
+	alg, levels, _, switched, reason := a.hold.decide(a.cfg, candAlg, candLevels, s.Chunks, s, &a.switches)
 	a.recordDecision(p, DecisionEvent{Call: a.calls, Bucket: -1,
 		Algorithm: alg, Levels: levels, Support: s.Support,
 		PredictedSeconds: predictFor(alg, levels, 0, s),
@@ -341,13 +325,13 @@ func (a *Controller) PlanBuckets(p *comm.Proc, sched *core.BucketScheduler, cont
 		ks[b] = float64(n)
 	}
 	agreedK := core.AllreduceDense(p, ks, stream.OpMax)
-	agreed, depth := a.agreeStats(p)
+	agreed := a.agreeStats(p)
 	if len(a.buckets) != B {
 		a.buckets = make([]bucketHold, B)
 	}
 	rep := contribs[0] // dimension/wire settings; every contribution shares them
 	for b := range out {
-		s := a.scenarioFromAgreed(p, rep, opts, agreedK[b], agreed, depth)
+		s := a.scenarioFromAgreed(p, rep, opts, agreedK[b], agreed)
 		s.Chunks = core.AutoChunks
 		candAlg, candLevels, candChunks := core.ChooseAutoLevels(s)
 		if opts.Algorithm != core.Auto {
@@ -379,21 +363,16 @@ func (a *Controller) BucketSwitches() int { return a.bucketSwitches }
 // core.ScenarioFor's scenario.
 func (a *Controller) agreeScenario(p *comm.Proc, v *stream.Vector, opts core.Options) core.CostScenario {
 	kmax := core.AllreduceDense(p, []float64{float64(v.NNZ())}, stream.OpMax)[0]
-	agreed, depth := a.agreeStats(p)
-	return a.scenarioFromAgreed(p, v, opts, kmax, agreed, depth)
+	return a.scenarioFromAgreed(p, v, opts, kmax, a.agreeStats(p))
 }
 
 // agreeStats runs the one sum-allreduce agreeing on the sketch shape and
 // calibration statistics — the K-independent half of agreeScenario, shared
 // with the per-bucket path, which agrees on all bucket counts in a single
-// separate collective. Returns the agreed sums and the hierarchy depth the
-// layout was built for.
-func (a *Controller) agreeStats(p *comm.Proc) (agreed []float64, depth int) {
-	h, hasHier := p.Hierarchy()
-	depth = 1
-	if hasHier {
-		depth = h.Depth()
-	}
+// separate collective. Returns the agreed sums, laid out per level of the
+// communicator's hierarchy.
+func (a *Controller) agreeStats(p *comm.Proc) []float64 {
+	depth := p.Hierarchy().Depth()
 	st := a.sketch.Stats()
 	// Layout: [hotFrac, hotMass, div, then per level: okFlag, alpha, beta].
 	local := make([]float64, 3+3*depth)
@@ -407,7 +386,7 @@ func (a *Controller) agreeStats(p *comm.Proc) (agreed []float64, depth int) {
 			}
 		}
 	}
-	return core.AllreduceDense(p, local, stream.OpSum), depth
+	return core.AllreduceDense(p, local, stream.OpSum)
 }
 
 // scenarioFromAgreed substitutes the agreed statistics into the scenario
@@ -415,16 +394,10 @@ func (a *Controller) agreeStats(p *comm.Proc) (agreed []float64, depth int) {
 // mean sketch shape, link constants from the mean usable fits. Pure local
 // arithmetic on agreed inputs (no collectives), so it can be applied once
 // per bucket after a single agreement round.
-func (a *Controller) scenarioFromAgreed(p *comm.Proc, v *stream.Vector, opts core.Options, kmax float64, agreed []float64, depth int) core.CostScenario {
+func (a *Controller) scenarioFromAgreed(p *comm.Proc, v *stream.Vector, opts core.Options, kmax float64, agreed []float64) core.CostScenario {
 	P := float64(p.Size())
 	s := core.ScenarioFor(p, v, opts, int(kmax))
-	if s.Topo != nil {
-		// Normalize to the hierarchy form so per-level calibration has one
-		// substitution point (a Topology prices exactly like its two-level
-		// hierarchy).
-		th := s.Topo.Hierarchy()
-		s.Hier, s.Topo = &th, nil
-	}
+	depth := s.Hier.Depth()
 
 	// Support model: agreed mean divergence above the threshold selects
 	// the clustered closed form, parameterized by the agreed mean hot
@@ -452,18 +425,12 @@ func (a *Controller) scenarioFromAgreed(p *comm.Proc, v *stream.Vector, opts cor
 			continue
 		}
 		alpha, beta := agreed[4+3*l]/okCnt, agreed[5+3*l]/okCnt
-		if s.Hier != nil {
-			if !copied {
-				hc := *s.Hier
-				hc.Levels = append([]simnet.Level(nil), hc.Levels...)
-				s.Hier = &hc
-				copied = true
-			}
-			s.Hier.Levels[l].Profile = calibrated(s.Hier.Levels[l].Profile, alpha, beta)
-			if l == depth-1 {
-				s.Profile = calibrated(s.Profile, alpha, beta)
-			}
-		} else {
+		if !copied {
+			s.Hier = &simnet.Hierarchy{Levels: append([]simnet.Level(nil), s.Hier.Levels...)}
+			copied = true
+		}
+		s.Hier.Levels[l].Profile = calibrated(s.Hier.Levels[l].Profile, alpha, beta)
+		if l == depth-1 {
 			s.Profile = calibrated(s.Profile, alpha, beta)
 		}
 	}
@@ -478,44 +445,6 @@ func calibrated(base simnet.Profile, alpha, beta float64) simnet.Profile {
 	base.SoftwareOverhead = 0
 	base.SoftwarePerByte = 0
 	return base
-}
-
-// decide applies hysteresis to the cost model's candidate: the incumbent
-// choice is kept unless the candidate has been predicted at least
-// SwitchMargin cheaper for HoldCalls consecutive decisions. All inputs
-// are agreed quantities, so every rank's state machine transitions
-// identically.
-func (a *Controller) decide(candAlg core.Algorithm, candLevels int, s core.CostScenario) (core.Algorithm, int, bool, string) {
-	if !a.started {
-		a.started = true
-		a.curAlg, a.curLevels = candAlg, candLevels
-		return a.curAlg, a.curLevels, false, ReasonAdopt
-	}
-	if candAlg == a.curAlg && candLevels == a.curLevels {
-		a.pendCount = 0
-		return a.curAlg, a.curLevels, false, ReasonKeep
-	}
-	scCur, scCand := s, s
-	scCur.Levels = a.curLevels
-	scCand.Levels = candLevels
-	tCur := core.PredictSeconds(a.curAlg, scCur)
-	tCand := core.PredictSeconds(candAlg, scCand)
-	if tCand <= (1-a.cfg.SwitchMargin)*tCur {
-		if candAlg == a.pendAlg && candLevels == a.pendLevels {
-			a.pendCount++
-		} else {
-			a.pendAlg, a.pendLevels, a.pendCount = candAlg, candLevels, 1
-		}
-		if a.pendCount >= a.cfg.HoldCalls {
-			a.curAlg, a.curLevels = candAlg, candLevels
-			a.pendCount = 0
-			a.switches++
-			return a.curAlg, a.curLevels, true, ReasonSwitch
-		}
-		return a.curAlg, a.curLevels, false, ReasonHold
-	}
-	a.pendCount = 0
-	return a.curAlg, a.curLevels, false, ReasonMargin
 }
 
 // clamp bounds x to [lo, hi].

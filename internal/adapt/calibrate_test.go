@@ -62,9 +62,9 @@ func TestCalibratorRecoversFlatProfile(t *testing.T) {
 // and inter profiles — including dividing the recorded contention factor
 // back out of the bandwidth term.
 func TestCalibratorRecoversPerLevel(t *testing.T) {
-	topo := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: 1}
+	topo := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1)
 	P := 16
-	w := comm.NewWorldTopo(P, topo)
+	w := comm.NewWorldHier(P, topo)
 	tr := w.EnableTrace()
 	inputs := calibInputs(13, 1<<16, 800, P)
 	type fit struct{ a0, b0, a1, b1 float64 }

@@ -23,8 +23,7 @@ func TestDecisionHistoryStructure(t *testing.T) {
 			}
 			return "clustered"
 		})
-	w := comm.NewWorldTopo(P, simnet.Topology{RanksPerNode: 4,
-		Intra: simnet.NVLinkLike, Inter: simnet.Aries})
+	w := comm.NewWorldHier(P, simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0))
 	ctrls, _ := runAdaptive(t, w, Config{}, sched)
 
 	for r, c := range ctrls {

@@ -158,7 +158,7 @@ func (CostAware) Place(r PlaceRequest) ([]int, bool) {
 	if node < 1 {
 		node = 1
 	}
-	for off := node; off+r.P <= len(r.Free); off += node {
+	for off := node; off <= len(r.Free)-r.P; off += node { // a flat machine's node is math.MaxInt wide
 		candidates = append(candidates, r.Free[off:off+r.P:off+r.P])
 	}
 	best, bestT := candidates[0], r.Predict(candidates[0])

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/simnet"
 )
 
 // request builds a PlaceRequest over the test machine with the given free
@@ -58,6 +59,12 @@ func TestPlacementContracts(t *testing.T) {
 		}
 		if _, ok := place.Place(request(free, len(free)+1, nil)); ok {
 			t.Fatalf("%s: placed a job larger than the free set", place.Name())
+		}
+		// A flat (depth-1) machine is a single node spanning every slot.
+		flat := request(free, 8, nil)
+		flat.Machine = simnet.Flat(simnet.Aries)
+		if slots, ok := place.Place(flat); !ok || len(slots) != 8 {
+			t.Fatalf("%s on a flat machine: got %v, want 8 slots", place.Name(), slots)
 		}
 	}
 }

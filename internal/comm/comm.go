@@ -45,16 +45,15 @@ type Message struct {
 // World is a communicator over P ranks.
 type World struct {
 	p       int
-	profile simnet.Profile
-	topo    *simnet.Topology  // set only by NewWorldTopo, for the legacy accessor
-	hier    *simnet.Hierarchy // nil for flat (single-level) worlds
+	profile simnet.Profile    // the outermost level's: local compute costs
+	hier    *simnet.Hierarchy // the machine over the ranks; never nil, depth 1 when flat
 	boxes   []*mailbox
 	times   []float64 // final per-rank time (virtual or wall), filled by Run
 
 	// mach and slots are set only by NewWorldPlaced: the full machine
 	// hierarchy and the ascending machine slot hosting each rank. Pricing
 	// (profiles, contention levels) then happens over slots on mach, while
-	// hier holds the induced job-structure hierarchy when derivable.
+	// hier holds the induced job-structure hierarchy (flat when irregular).
 	mach  *simnet.Hierarchy
 	slots []int
 
@@ -105,13 +104,20 @@ func newMailbox() *mailbox {
 	return m
 }
 
-// NewWorld creates a world of p ranks communicating under the given
-// network profile.
+// NewWorld creates a world of p ranks on the flat network of the given
+// profile: the depth-1 case of NewWorldHier (an ad-hoc unnamed profile is
+// accepted here). Panics if p <= 0.
 func NewWorld(p int, profile simnet.Profile) *World {
+	return newWorld(p, simnet.Flat(profile))
+}
+
+// newWorld builds the simulator-backed world of p ranks organized by h.
+func newWorld(p int, h simnet.Hierarchy) *World {
 	if p <= 0 {
 		panic("comm: world size must be positive")
 	}
-	w := &World{p: p, profile: profile, boxes: make([]*mailbox, p), times: make([]float64, p)}
+	w := &World{p: p, profile: h.Levels[len(h.Levels)-1].Profile, hier: &h,
+		boxes: make([]*mailbox, p), times: make([]float64, p)}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
@@ -166,27 +172,6 @@ func (w *World) LocalRanks() []int {
 	return append([]int(nil), w.localRanks()...)
 }
 
-// NewWorldTopo creates a world of p ranks on a two-level topology:
-// consecutive groups of topo.RanksPerNode ranks share a node, intra-node
-// messages are priced by topo.Intra and inter-node messages by topo.Inter
-// (both in seconds per the α–β model). The world's default profile
-// (returned by Profile, used for local compute costs) is the inter-node
-// profile. When topo.NICSerial > 0, inter-node sends additionally pay the
-// per-node NIC bandwidth-sharing factor for concurrently sending
-// node-mates (see Topology.NICFactor and Proc.Send). Panics if
-// topo.Validate fails or p <= 0.
-//
-// A topology world is exactly the two-level case of NewWorldHier; it
-// additionally answers the legacy Topology accessor.
-func NewWorldTopo(p int, topo simnet.Topology) *World {
-	if err := topo.Validate(); err != nil {
-		panic(err.Error())
-	}
-	w := NewWorldHier(p, topo.Hierarchy())
-	w.topo = &topo
-	return w
-}
-
 // NewWorldHier creates a world of p ranks on an N-level machine hierarchy:
 // every message is priced by the profile of the innermost level its two
 // ranks share (simnet.Hierarchy.ProfileFor), and pays each crossed level's
@@ -197,9 +182,7 @@ func NewWorldHier(p int, h simnet.Hierarchy) *World {
 	if err := h.Validate(); err != nil {
 		panic(err.Error())
 	}
-	w := NewWorld(p, h.Levels[len(h.Levels)-1].Profile)
-	w.hier = &h
-	return w
+	return newWorld(p, h)
 }
 
 // NewWorldPlaced creates a world of p ranks gang-placed onto slots of a
@@ -210,8 +193,8 @@ func NewWorldHier(p int, h simnet.Hierarchy) *World {
 // levels crossed. When the placement is regular, the world reports the
 // induced job-structure hierarchy (simnet.Hierarchy.Induced) through
 // Hierarchy/SubLevel so hierarchical collectives organize around the
-// machine's real locality; irregular placements report no hierarchy and
-// run flat, still machine-correctly priced. Panics on an invalid machine,
+// machine's real locality; irregular placements report the flat hierarchy
+// and run flat, still machine-correctly priced. Panics on an invalid machine,
 // a slot count mismatch, or out-of-machine slots. Multi-tenant contention
 // across co-placed worlds is modeled by installing a shared
 // ActivitySource (see SetActivitySource); without one, contention falls
@@ -231,13 +214,13 @@ func NewWorldPlaced(p int, mach simnet.Hierarchy, slots []int) *World {
 			panic("comm: machine slots must be strictly ascending")
 		}
 	}
-	w := NewWorld(p, mach.Levels[len(mach.Levels)-1].Profile)
-	m := mach
-	w.mach = &m
-	w.slots = append([]int(nil), slots...)
-	if ih, ok := mach.Induced(slots); ok {
-		w.hier = &ih
+	h, ok := mach.Induced(slots)
+	if !ok {
+		h = simnet.Flat(mach.Levels[len(mach.Levels)-1].Profile)
 	}
+	w := newWorld(p, h)
+	w.mach = &mach
+	w.slots = append([]int(nil), slots...)
 	return w
 }
 
@@ -269,33 +252,17 @@ func (w *World) SetActivitySource(src ActivitySource) { w.activity = src }
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.p }
 
-// Profile returns the world's network profile (the inter-node profile for
-// topology worlds).
+// Profile returns the world's network profile (the outermost level's).
 func (w *World) Profile() simnet.Profile { return w.profile }
 
-// Topology returns the world's two-level topology, if the world was built
-// with NewWorldTopo. Worlds built directly from a Hierarchy report false;
-// use Hierarchy instead.
-func (w *World) Topology() (simnet.Topology, bool) {
-	if w.topo == nil {
-		return simnet.Topology{}, false
-	}
-	return *w.topo, true
-}
+// Hierarchy returns the machine the world's ranks are organized by: the
+// one it was built on, the induced job-structure hierarchy of a regular
+// placement, or the flat one (Depth() == 1) of Profile. The value is the
+// world's own — shared and read-only.
+func (w *World) Hierarchy() *simnet.Hierarchy { return w.hier }
 
-// Hierarchy returns the world's machine hierarchy, if one was configured
-// (directly via NewWorldHier, or as the two-level hierarchy of a
-// NewWorldTopo topology).
-func (w *World) Hierarchy() (simnet.Hierarchy, bool) {
-	if w.hier == nil {
-		return simnet.Hierarchy{}, false
-	}
-	return *w.hier, true
-}
-
-// pricingHier returns the hierarchy messages are priced on — the machine
-// hierarchy for placed worlds, the world's own otherwise — or nil for flat
-// worlds.
+// pricingHier returns the hierarchy messages are priced on: the machine
+// hierarchy for placed worlds, the world's own otherwise.
 func (w *World) pricingHier() *simnet.Hierarchy {
 	if w.mach != nil {
 		return w.mach
@@ -310,14 +277,6 @@ func (w *World) slotOf(rank int) int {
 		return w.slots[rank]
 	}
 	return rank
-}
-
-// profileFor returns the profile pricing a message from src to dst.
-func (w *World) profileFor(src, dst int) simnet.Profile {
-	if h := w.pricingHier(); h != nil {
-		return h.ProfileFor(w.slotOf(src), w.slotOf(dst))
-	}
-	return w.profile
 }
 
 // Times returns each rank's completion time for the last Run. On the
@@ -424,29 +383,20 @@ func (p *Proc) worldRank(r int) int {
 	return r
 }
 
-// Profile returns the network profile (the inter-node profile on a
-// topology world).
+// Profile returns the network profile (the outermost level's).
 func (p *Proc) Profile() simnet.Profile { return p.world.profile }
 
-// Topology returns the world's two-level topology if one is configured.
-// Sub-communicator views report no topology: the node grouping is defined
-// over world ranks, and hierarchical algorithms are expected to run on the
-// world communicator.
-func (p *Proc) Topology() (simnet.Topology, bool) {
+// Hierarchy returns the machine this communicator's ranks are organized
+// by (see World.Hierarchy; shared and read-only). Sub-communicator views
+// report the flat hierarchy of Profile: the grouping is defined over world
+// ranks, and hierarchical algorithms are expected to run on the world
+// communicator.
+func (p *Proc) Hierarchy() *simnet.Hierarchy {
 	if p.group != nil {
-		return simnet.Topology{}, false
+		flat := simnet.Flat(p.world.profile)
+		return &flat
 	}
-	return p.world.Topology()
-}
-
-// Hierarchy returns the world's machine hierarchy if one is configured
-// (a two-level one on NewWorldTopo worlds). Sub-communicator views report
-// no hierarchy, for the same reason as Topology.
-func (p *Proc) Hierarchy() (simnet.Hierarchy, bool) {
-	if p.group != nil {
-		return simnet.Hierarchy{}, false
-	}
-	return p.world.Hierarchy()
+	return p.world.hier
 }
 
 // Sub returns a sub-communicator view of this rank over the given world
@@ -483,12 +433,9 @@ func (p *Proc) Sub(ranks []int) *Proc {
 // level-l group: SubLevel(0) is this rank's node, SubLevel(1) its rack or
 // Dragonfly group, and SubLevel(Depth-1) the whole world. The view follows
 // the Sub contract (independent clock, fold back with Join, no nesting).
-// Panics on a world without a hierarchy or an out-of-range level.
+// Panics on an out-of-range level.
 func (p *Proc) SubLevel(l int) *Proc {
 	h := p.world.hier
-	if h == nil {
-		panic("comm: SubLevel requires a hierarchy world")
-	}
 	if l < 0 || l >= h.Depth() {
 		panic(fmt.Sprintf("comm: SubLevel %d outside hierarchy of depth %d", l, h.Depth()))
 	}
@@ -592,15 +539,16 @@ func (p *Proc) activeAt(l int) int {
 // On the simulator backend the sender's clock advances by the full
 // α+β·bytes transfer (message injection occupies the sender, which is what
 // gives the split phase its (P−1)α latency term in §5.3.2); the receiver
-// will observe the same completion time. On hierarchy worlds the message
-// pays, for every level it escapes below the shared one, that level's
-// egress serialization factor (simnet.Hierarchy.SerialFactor) — and, on
+// will observe the same completion time. The message is priced by the
+// profile of the innermost level the two ranks share and pays, for every
+// level it escapes below the shared one, that level's egress
+// serialization factor (simnet.Hierarchy.SerialFactor) — and, on
 // hierarchies with ingress caps, every entered level's ingress factor
 // (simnet.Hierarchy.IngressFactor). The contending flow counts come from
 // the world's ActivitySource when one is installed (observed in-flight
 // flows, the multi-tenant cluster path) and otherwise from the static
-// communicator-size proxy of activeAt — on a two-level topology world
-// exactly the per-node NIC factor of Topology.NICFactor.
+// communicator-size proxy of activeAt — on a simnet.TwoLevel world exactly
+// the per-node NIC factor.
 //
 // On real transports the payload actually moves (through the wire codec in
 // process, over a socket across processes) and the recorded trace times
@@ -618,9 +566,6 @@ func (p *Proc) sendFactor(dst int) (factor float64, level int) {
 	factor = 1.0
 	w := p.world
 	h := w.pricingHier()
-	if h == nil {
-		return factor, level
-	}
 	src, d := w.slotOf(p.rank), w.slotOf(dst)
 	level = h.SharedLevel(src, d)
 	if a := w.activity; a != nil {
@@ -642,13 +587,10 @@ func (p *Proc) sendFactor(dst int) (factor float64, level int) {
 
 // sharedLevel returns the hierarchy level a message to world rank dst is
 // priced (and calibrated) at: the innermost pricing-hierarchy level shared
-// by the two ranks (their machine slots, on placed worlds), 0 on flat
-// worlds.
+// by the two ranks (their machine slots, on placed worlds).
 func (p *Proc) sharedLevel(dst int) int {
-	if h := p.world.pricingHier(); h != nil {
-		return h.SharedLevel(p.world.slotOf(p.rank), p.world.slotOf(dst))
-	}
-	return 0
+	w := p.world
+	return w.pricingHier().SharedLevel(w.slotOf(p.rank), w.slotOf(dst))
 }
 
 // recordSend updates the world counters and, when tracing is enabled,

@@ -17,12 +17,11 @@ var (
 // intra-node sends must be unaffected.
 func TestNICContentionScalesInterBandwidth(t *testing.T) {
 	const bytes = 1 << 20
-	base := simnet.Topology{RanksPerNode: 2, Intra: cheapIntra, Inter: costlyInter}
-	capped := base
-	capped.NICSerial = 1
+	base := simnet.TwoLevel(2, cheapIntra, costlyInter, 0)
+	capped := simnet.TwoLevel(2, cheapIntra, costlyInter, 1)
 
-	sendCost := func(topo simnet.Topology, to int) float64 {
-		w := NewWorldTopo(4, topo)
+	sendCost := func(topo simnet.Hierarchy, to int) float64 {
+		w := NewWorldHier(4, topo)
 		times := Run(w, func(p *Proc) float64 {
 			if p.Rank() == 0 {
 				p.Send(to, 1, nil, bytes)
@@ -59,8 +58,7 @@ func TestNICContentionScalesInterBandwidth(t *testing.T) {
 // node population.
 func TestNICContentionLeaderSubUncontended(t *testing.T) {
 	const bytes = 1 << 20
-	topo := simnet.Topology{RanksPerNode: 4, Intra: cheapIntra, Inter: costlyInter, NICSerial: 1}
-	w := NewWorldTopo(8, topo)
+	w := NewWorldHier(8, simnet.TwoLevel(4, cheapIntra, costlyInter, 1))
 	leaders := []int{0, 4}
 	times := Run(w, func(p *Proc) [2]float64 {
 		var out [2]float64
@@ -100,8 +98,7 @@ func TestNICContentionLeaderSubUncontended(t *testing.T) {
 // only with the ranks that actually exist there.
 func TestNICContentionRaggedLastNode(t *testing.T) {
 	const bytes = 1 << 20
-	topo := simnet.Topology{RanksPerNode: 4, Intra: cheapIntra, Inter: costlyInter, NICSerial: 1}
-	w := NewWorldTopo(6, topo) // nodes {0..3} and {4,5}
+	w := NewWorldHier(6, simnet.TwoLevel(4, cheapIntra, costlyInter, 1)) // nodes {0..3} and {4,5}
 	times := Run(w, func(p *Proc) float64 {
 		if p.Rank() == 4 {
 			p.Send(0, 1, nil, bytes) // last node hosts only 2 ranks
@@ -121,8 +118,7 @@ func TestNICContentionRaggedLastNode(t *testing.T) {
 // TestTraceRecordsNICFactor: the tracer must expose the contention factor
 // each message was priced with.
 func TestTraceRecordsNICFactor(t *testing.T) {
-	topo := simnet.Topology{RanksPerNode: 2, Intra: cheapIntra, Inter: costlyInter, NICSerial: 1}
-	w := NewWorldTopo(4, topo)
+	w := NewWorldHier(4, simnet.TwoLevel(2, cheapIntra, costlyInter, 1))
 	tr := w.EnableTrace()
 	Run(w, func(p *Proc) any {
 		switch p.Rank() {

@@ -58,11 +58,8 @@ func TestHierWorldPricesBySharedLevel(t *testing.T) {
 	if got[2] != wantGlobal {
 		t.Fatalf("global send cost %g, want %g", got[2], wantGlobal)
 	}
-	if _, ok := w.Hierarchy(); !ok {
-		t.Fatal("hierarchy world must report its hierarchy")
-	}
-	if _, ok := w.Topology(); ok {
-		t.Fatal("NewWorldHier world must not report a legacy topology")
+	if got := w.Hierarchy().Depth(); got != testHier.Depth() {
+		t.Fatalf("hierarchy world reports depth %d, want %d", got, testHier.Depth())
 	}
 	if w.Profile().Name != "global" {
 		t.Fatal("hierarchy world default profile must be the outermost profile")

@@ -35,9 +35,9 @@ func TestPlacedWorldPricesByMachineSlots(t *testing.T) {
 		t.Fatalf("node-mate slots priced %g, want intra %g", got, want)
 	}
 	// The induced hierarchy mirrors the machine locality.
-	ih, ok := w.Hierarchy()
-	if !ok {
-		t.Fatal("regular placement must report an induced hierarchy")
+	ih := w.Hierarchy()
+	if ih.Depth() != placedMach.Depth() {
+		t.Fatalf("regular placement must report an induced hierarchy, got %+v", ih)
 	}
 	if ih.SharedLevel(0, 1) != 0 || ih.SharedLevel(0, 2) != 1 {
 		t.Fatalf("induced locality wrong: %d/%d", ih.SharedLevel(0, 1), ih.SharedLevel(0, 2))
@@ -111,13 +111,13 @@ func TestPlacedWorldActivitySource(t *testing.T) {
 	}
 }
 
-// TestPlacedWorldIrregularRunsFlat: an irregular placement reports no
-// hierarchy (flat algorithm structure) but is still priced by machine
-// locality.
+// TestPlacedWorldIrregularRunsFlat: an irregular placement reports the
+// flat hierarchy of the machine's outermost profile (flat algorithm
+// structure) but is still priced by machine locality.
 func TestPlacedWorldIrregularRunsFlat(t *testing.T) {
 	w := NewWorldPlaced(3, placedMach, []int{0, 1, 2})
-	if _, ok := w.Hierarchy(); ok {
-		t.Fatal("irregular placement must not report a hierarchy")
+	if h := w.Hierarchy(); h.Depth() != 1 || h.Levels[0].Profile != w.Profile() {
+		t.Fatalf("irregular placement must report the flat hierarchy, got %+v", h)
 	}
 	const bytes = 1 << 10
 	times := Run(w, func(p *Proc) float64 {

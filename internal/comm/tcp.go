@@ -392,12 +392,17 @@ func decodeTable(body []byte) ([]string, error) {
 // the same p and rendezvous, then Run executes only its local ranks'
 // programs. Close the world to release its sockets.
 func NewWorldTCP(p int, profile simnet.Profile, cfg TCPConfig) (*World, error) {
-	var w *World
-	if cfg.Hierarchy != nil {
-		w = NewWorldHier(p, *cfg.Hierarchy)
-	} else {
-		w = NewWorld(p, profile)
+	if p <= 0 {
+		return nil, fmt.Errorf("comm: tcp world size must be positive, got %d", p)
 	}
+	h := simnet.Flat(profile)
+	if cfg.Hierarchy != nil {
+		if err := cfg.Hierarchy.Validate(); err != nil {
+			return nil, fmt.Errorf("comm: tcp world hierarchy: %w", err)
+		}
+		h = *cfg.Hierarchy
+	}
+	w := newWorld(p, h)
 	local := cfg.LocalRanks
 	if local == nil {
 		local = w.localRanks()

@@ -11,12 +11,12 @@ var (
 		GammaPerElem: 1e-10, SparseComputeFactor: 4}
 	fastIntra = simnet.Profile{Name: "fast", Alpha: 1e-7, BetaPerByte: 1e-11,
 		GammaPerElem: 1e-10, SparseComputeFactor: 4}
-	testTopo = simnet.Topology{RanksPerNode: 2, Intra: fastIntra, Inter: slowInter}
+	testTopo = simnet.TwoLevel(2, fastIntra, slowInter, 0)
 )
 
 func TestTopoWorldCostsByNodeLocality(t *testing.T) {
 	const bytes = 1 << 20
-	w := NewWorldTopo(4, testTopo)
+	w := NewWorldHier(4, testTopo)
 	// Rank 0 sends to its node peer (1) and to a remote rank (2); the
 	// sender-side injection cost must differ by the profile ratio.
 	times := Run(w, func(p *Proc) float64 {
@@ -40,25 +40,36 @@ func TestTopoWorldCostsByNodeLocality(t *testing.T) {
 	if got := times[0]; got != wantRatio {
 		t.Fatalf("inter/intra cost ratio = %g, want %g", got, wantRatio)
 	}
-	if _, ok := w.Topology(); !ok {
-		t.Fatal("topology world must report its topology")
+	if h := w.Hierarchy(); h.Depth() != 2 || h.Span(0) != 2 {
+		t.Fatalf("two-level world must report its hierarchy, got %+v", h)
 	}
 	if w.Profile().Name != "slow" {
 		t.Fatal("topology world default profile must be the inter profile")
 	}
 }
 
+// TestFlatWorldReportsNoTopology: a flat world — and any sub-communicator
+// view, whose grouping is defined over world ranks — reports the depth-1
+// hierarchy of its profile, never nil.
 func TestFlatWorldReportsNoTopology(t *testing.T) {
-	w := NewWorld(2, slowInter)
-	if _, ok := w.Topology(); ok {
-		t.Fatal("flat world must not report a topology")
+	flat := func(h *simnet.Hierarchy) bool {
+		return h != nil && h.Depth() == 1 && h.Levels[0].Profile == slowInter
 	}
-	Run(w, func(p *Proc) any {
-		if _, ok := p.Topology(); ok {
-			panic("flat proc must not report a topology")
-		}
-		return nil
-	})
+	w := NewWorld(2, slowInter)
+	if !flat(w.Hierarchy()) {
+		t.Fatalf("flat world reports %+v, want one level of its profile", w.Hierarchy())
+	}
+	for _, w := range []*World{w, NewWorldHier(2, testTopo)} {
+		Run(w, func(p *Proc) any {
+			if p.Hierarchy() != w.Hierarchy() {
+				panic("a world proc must report the world's own hierarchy")
+			}
+			if !flat(p.Sub([]int{0, 1}).Hierarchy()) {
+				panic("a sub-communicator view must report the flat hierarchy")
+			}
+			return nil
+		})
+	}
 }
 
 func TestNewWorldTopoValidates(t *testing.T) {
@@ -67,7 +78,7 @@ func TestNewWorldTopoValidates(t *testing.T) {
 			t.Fatal("invalid topology must panic")
 		}
 	}()
-	NewWorldTopo(4, simnet.Topology{RanksPerNode: 0, Intra: fastIntra, Inter: slowInter})
+	NewWorldHier(4, simnet.TwoLevel(0, fastIntra, slowInter, 0))
 }
 
 func TestSubCommunicatorRanksAndExchange(t *testing.T) {

@@ -47,7 +47,7 @@ func (simTransport) close() error { return nil }
 func (simTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
 	start := p.clock.Now()
 	factor, level := p.sendFactor(dst)
-	cost := p.world.profileFor(p.rank, dst).ContendedTransferTime(bytes, factor)
+	cost := p.world.pricingHier().Levels[level].Profile.ContendedTransferTime(bytes, factor)
 	p.clock.Advance(cost)
 	arrival := p.clock.Now()
 	p.recordSend(dst, tag, bytes, start, arrival, factor, level)

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/quant"
 	"repro/internal/simnet"
@@ -337,15 +340,47 @@ func TestTCPMultiProcessWorlds(t *testing.T) {
 	}
 }
 
-// TestTCPConfigValidation: malformed configurations fail fast.
+// TestTCPConfigValidation: malformed configurations come back as errors —
+// NewWorldTCP returns one, so it must not panic on any of them — before a
+// listener or goroutine is left behind.
 func TestTCPConfigValidation(t *testing.T) {
-	if _, err := NewWorldTCP(4, simnet.Aries, TCPConfig{LocalRanks: []int{0, 2}}); err == nil {
-		t.Fatalf("partial world without rendezvous accepted")
+	openFDs := func() int {
+		ents, _ := os.ReadDir("/proc/self/fd")
+		return len(ents)
 	}
-	if _, err := NewWorldTCP(4, simnet.Aries, TCPConfig{Rendezvous: "127.0.0.1:0", LocalRanks: []int{2, 1}}); err == nil {
-		t.Fatalf("unsorted LocalRanks accepted")
+	goroutines, fds := runtime.NumGoroutine(), openFDs()
+	for _, tc := range []struct {
+		name string
+		p    int
+		cfg  TCPConfig
+	}{
+		{"partial world without rendezvous", 4, TCPConfig{LocalRanks: []int{0, 2}}},
+		{"unsorted LocalRanks", 4, TCPConfig{Rendezvous: "127.0.0.1:0", LocalRanks: []int{2, 1}}},
+		{"out-of-range rank", 4, TCPConfig{Rendezvous: "127.0.0.1:0", LocalRanks: []int{0, 7}}},
+		{"zero world size", 0, TCPConfig{}},
+		{"negative world size", -3, TCPConfig{}},
+		{"empty hierarchy", 4, TCPConfig{Hierarchy: &simnet.Hierarchy{}}},
+		{"invalid hierarchy level", 4, TCPConfig{Hierarchy: &simnet.Hierarchy{
+			Levels: []simnet.Level{{GroupSize: 0, Profile: simnet.NVLinkLike}, {Profile: simnet.Aries}}}}},
+	} {
+		func() {
+			defer func() {
+				if e := recover(); e != nil {
+					t.Errorf("%s: panicked instead of returning an error: %v", tc.name, e)
+				}
+			}()
+			if w, err := NewWorldTCP(tc.p, simnet.Aries, tc.cfg); err == nil {
+				w.Close()
+				t.Errorf("%s accepted", tc.name)
+			}
+		}()
 	}
-	if _, err := NewWorldTCP(4, simnet.Aries, TCPConfig{Rendezvous: "127.0.0.1:0", LocalRanks: []int{0, 7}}); err == nil {
-		t.Fatalf("out-of-range rank accepted")
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > goroutines || openFDs() > fds {
+		if time.Now().After(deadline) {
+			t.Fatalf("rejected configurations leaked: goroutines %d → %d, fds %d → %d",
+				goroutines, runtime.NumGoroutine(), fds, openFDs())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -28,7 +28,7 @@ func TestChunkedEqualsUnchunked(t *testing.T) {
 	}{
 		{"flat/P=8", 8, func(P int) *comm.World { return comm.NewWorld(P, testProfile) }},
 		{"flat/P=5", 5, func(P int) *comm.World { return comm.NewWorld(P, testProfile) }},
-		{"topo/P=10/ragged", 10, func(P int) *comm.World { return comm.NewWorldTopo(P, testTopo) }},
+		{"topo/P=10/ragged", 10, func(P int) *comm.World { return comm.NewWorldHier(P, testTopo) }},
 		{"hier3/P=17/ragged-both", 17, func(P int) *comm.World { return comm.NewWorldHier(P, testHier3) }},
 	}
 	quants := []*quant.Config{

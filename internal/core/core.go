@@ -33,7 +33,7 @@ const (
 	// fixes the result representation (expected fill-in E[K] ≥ δ routes to
 	// the dense-result DSAR family, which also honors quantization; below
 	// δ to the sparse-result SSAR family), then the candidates — including
-	// the hierarchical variants on multi-node topology worlds — are priced
+	// the hierarchical variants on multi-level worlds — are priced
 	// by the α–β(+NIC contention) cost model (see CostScenario and
 	// PredictSeconds) and the cheapest wins. Every rank first agrees on
 	// the maximum per-rank non-zero count, so all ranks pick the same
@@ -280,22 +280,16 @@ func resolve(p *comm.Proc, v *stream.Vector, opts Options, base int) (Algorithm,
 // controller substitutes its measured support model and calibrated link
 // constants into exactly this scenario.
 func ScenarioFor(p *comm.Proc, v *stream.Vector, opts Options, kmax int) CostScenario {
-	s := CostScenario{
+	return CostScenario{
 		N: v.Dim(), P: p.Size(), K: kmax,
 		ValueBytes: v.ValueBytes(), Delta: v.Delta(),
-		Profile: p.Profile(), Quant: opts.Quant,
+		Profile: p.Profile(), Hier: p.Hierarchy(), Quant: opts.Quant,
 		Levels:      opts.Levels,
 		Chunks:      opts.Chunks,
 		Support:     opts.Support,
 		HotFraction: opts.HotFraction,
 		HotMass:     opts.HotMass,
 	}
-	if topo, ok := p.Topology(); ok {
-		s.Topo = &topo
-	} else if h, ok := p.Hierarchy(); ok {
-		s.Hier = &h
-	}
-	return s
 }
 
 // resolveTagOffset reserves the top half of each collective's tag range

@@ -39,18 +39,13 @@ type CostScenario struct {
 	// Delta is the sparse→dense representation threshold δ in non-zeros;
 	// zero means stream.Delta(N, ValueBytes).
 	Delta int
-	// Profile prices every message on flat worlds and local compute
-	// everywhere (γ terms). On hierarchy scenarios it should equal the
-	// outermost level's profile, matching comm.NewWorldHier.
+	// Profile prices local compute (γ terms). It should equal Hier's
+	// outermost profile, matching comm.NewWorldHier.
 	Profile simnet.Profile
-	// Topo, when non-nil, prices messages by the two-level topology —
-	// shorthand for Hier set to Topo.Hierarchy(), kept for the
-	// NewWorldTopo surface.
-	Topo *simnet.Topology
-	// Hier, when non-nil, prices messages by the N-level machine
-	// hierarchy: each message uses the profile of the innermost level its
-	// ranks share and pays the egress serialization factor of every level
-	// it escapes. Takes precedence over Topo.
+	// Hier is the machine: each message uses the profile of the innermost
+	// level its ranks share and pays the egress serialization factor of
+	// every level it escapes. Nil means the flat network of Profile
+	// (simnet.Flat). Read-only: scenarios share their world's value.
 	Hier *simnet.Hierarchy
 	// Levels caps the hierarchical algorithms' modeled recursion depth,
 	// mirroring Options.Levels: 0 prices the full hierarchy; d >= 2 prices
@@ -135,25 +130,24 @@ func PredictSeconds(alg Algorithm, s CostScenario) float64 {
 	if s.N <= 0 || s.P <= 0 || s.K < 0 {
 		panic("core: CostScenario needs N > 0, P > 0, K >= 0")
 	}
+	h := s.hierarchy()
 	switch alg {
 	case SSARRecDouble:
-		return s.predictRecDouble()
+		return s.predictRecDouble(h)
 	case SSARSplitAllgather:
-		return s.predictSplitAllgather()
+		return s.predictSplitAllgather(h)
 	case DSARSplitAllgather:
-		return s.predictDSAR()
+		return s.predictDSAR(h)
 	case HierSSAR:
-		h, L, ok := s.hierAt()
-		if !ok {
-			return s.predictSplitAllgather()
+		if L, ok := s.hierAt(h); ok {
+			return s.predictHierSSAR(h, L)
 		}
-		return s.predictHierSSAR(h, L)
+		return s.predictSplitAllgather(h)
 	case HierDSAR:
-		h, L, ok := s.hierAt()
-		if !ok {
-			return s.predictDSAR()
+		if L, ok := s.hierAt(h); ok {
+			return s.predictHierDSAR(h, L)
 		}
-		return s.predictHierDSAR(h, L)
+		return s.predictDSAR(h)
 	default:
 		panic("core: no cost model for " + alg.String())
 	}
@@ -190,11 +184,10 @@ func ChooseAutoLevels(s CostScenario) (Algorithm, int, int) {
 	}
 	var candidates []cand
 	var depths []int
-	if h, ok := s.hierarchy(); ok {
-		for d := 2; d <= hierDepth(h, s.Levels); d++ {
-			if hierExploitable(h, d, s.P) {
-				depths = append(depths, d)
-			}
+	h := s.hierarchy()
+	for d := 2; d <= hierDepth(h, s.Levels); d++ {
+		if hierExploitable(h, d, s.P) {
+			depths = append(depths, d)
 		}
 	}
 	if s.fill(s.P) >= float64(s.deltaOr()) {
@@ -266,28 +259,22 @@ func (s CostScenario) deltaOr() int {
 	return s.Delta
 }
 
-// hierarchy returns the scenario's machine hierarchy: Hier when set,
-// otherwise the two-level hierarchy of Topo.
-func (s CostScenario) hierarchy() (simnet.Hierarchy, bool) {
-	if s.Hier != nil {
-		return *s.Hier, true
+// hierarchy returns the scenario's machine: Hier, or the flat network of
+// Profile when unset. The one place that encoding is resolved — every
+// Predict/Choose entry point calls it once and hands the value down.
+func (s CostScenario) hierarchy() simnet.Hierarchy {
+	if s.Hier == nil {
+		return simnet.Flat(s.Profile)
 	}
-	if s.Topo != nil {
-		return s.Topo.Hierarchy(), true
-	}
-	return simnet.Hierarchy{}, false
+	return *s.Hier
 }
 
-// hierAt resolves the hierarchy and the effective recursion depth of the
-// hierarchical algorithms under the scenario's Levels cap, reporting false
-// when no exploitable hierarchy remains.
-func (s CostScenario) hierAt() (simnet.Hierarchy, int, bool) {
-	h, ok := s.hierarchy()
-	if !ok {
-		return h, 0, false
-	}
-	L := hierDepth(h, s.Levels)
-	return h, L, hierExploitable(h, L, s.P)
+// hierAt returns the effective recursion depth of the hierarchical
+// algorithms on h under the scenario's Levels cap, and whether the scheme
+// at that depth is exploitable (differs from the flat algorithm).
+func (s CostScenario) hierAt(h simnet.Hierarchy) (L int, ok bool) {
+	L = hierDepth(h, s.Levels)
+	return L, hierExploitable(h, L, s.P)
 }
 
 // fill returns E[K] for the union of `groups` rank supports under the
@@ -372,33 +359,15 @@ func (s CostScenario) levelFactor(h simnet.Hierarchy, l, own int) float64 {
 	return h.SerialFactor(l, active) * h.IngressFactor(l, active)
 }
 
-// link returns the profile and egress contention factor pricing an
-// exchange at rank distance `dist` when the whole world communicator is
-// active: the profile of the innermost level spanning the distance, times
-// each crossed level's serialization factor with all of the sender's
-// group-mates contending.
-func (s CostScenario) link(dist int) (simnet.Profile, float64) {
-	h, ok := s.hierarchy()
-	if !ok {
-		return s.Profile, 1
-	}
-	l := 0
-	for l < h.Depth()-1 && dist >= h.Span(l) {
-		l++
-	}
-	f := 1.0
-	for j := 0; j < l; j++ {
-		f *= s.levelFactor(h, j, s.spanCapped(h, j))
-	}
-	return h.Levels[l].Profile, f
-}
-
-// topLink returns the profile and contention factor pricing a top-phase
-// exchange between leaders `d` leader-slots apart when the leaders are one
-// per `stride` ranks: the communicator places ⌈span/stride⌉ ranks in each
-// crossed level's group, so a full-depth top phase (stride = the outermost
-// grouped span) pays factor 1 while a truncated one still pays the caps of
-// the levels it ignores — the cost that makes deeper recursion win.
+// topLink returns the profile and contention factor pricing an exchange
+// between leaders `d` leader-slots apart when the leaders are one per
+// `stride` ranks — the profile of the innermost level spanning the
+// distance, times each crossed level's serialization factor: the
+// communicator places ⌈span/stride⌉ ranks in each crossed level's group,
+// so a full-depth top phase (stride = the outermost grouped span) pays
+// factor 1 while a truncated one still pays the caps of the levels it
+// ignores — the cost that makes deeper recursion win. stride 1 is the
+// whole world communicator, all of the sender's group-mates contending.
 func (s CostScenario) topLink(h simnet.Hierarchy, d, stride int) (simnet.Profile, float64) {
 	dist := d * stride
 	l := 0
@@ -458,22 +427,22 @@ func pipe(S, M float64, C int) float64 {
 // stages whose payload is the accumulated union E[K_d], plus — on
 // non-power-of-two worlds — the fold of the excess ranks onto the first
 // ones (their input in, the full result back, at rank distance 2^⌊log2 P⌋).
-func (s CostScenario) predictRecDouble() float64 {
+func (s CostScenario) predictRecDouble(h simnet.Hierarchy) float64 {
 	t := 0.0
 	p2 := largestPow2(s.P)
 	if s.P > p2 {
-		prof, f := s.link(p2)
+		prof, f := s.topLink(h, p2, 1)
 		t += modelMsg(prof, s.wire(float64(s.K)), f)
 		t += s.mergeCost(2*float64(s.K), s.fill(2) > float64(s.deltaOr()))
 	}
 	for d := 1; d < p2; d *= 2 {
 		kt := s.fill(d)
-		prof, f := s.link(d)
+		prof, f := s.topLink(h, d, 1)
 		t += modelMsg(prof, s.wire(kt), f)
 		t += s.mergeCost(2*kt, s.fill(2*d) > float64(s.deltaOr()))
 	}
 	if s.P > p2 {
-		prof, f := s.link(p2)
+		prof, f := s.topLink(h, p2, 1)
 		t += modelMsg(prof, s.wire(s.fill(s.P)), f)
 	}
 	return t
@@ -487,24 +456,20 @@ func (s CostScenario) predictRecDouble() float64 {
 // adds the k-way merge separately. perDest = 1 with the full K/P slice
 // reproduces the unchunked split phase; the chunked caller passes
 // perDest = C with a slice/C payload.
-func (s CostScenario) splitSendCost(perDest int, slice float64) float64 {
+func (s CostScenario) splitSendCost(h simnet.Hierarchy, perDest int, slice float64) float64 {
 	t := 0.0
-	if h, ok := s.hierarchy(); ok {
-		prev := 1
-		f := 1.0
-		for l := 0; l < h.Depth(); l++ {
-			span := s.spanCapped(h, l)
-			if cnt := span - prev; cnt > 0 {
-				t += float64(cnt*perDest) * modelMsg(h.Levels[l].Profile, s.wire(slice), f)
-			}
-			if span >= s.P {
-				break
-			}
-			f *= s.levelFactor(h, l, span)
-			prev = span
+	prev := 1
+	f := 1.0
+	for l := 0; l < h.Depth(); l++ {
+		span := s.spanCapped(h, l)
+		if cnt := span - prev; cnt > 0 {
+			t += float64(cnt*perDest) * modelMsg(h.Levels[l].Profile, s.wire(slice), f)
 		}
-	} else {
-		t += float64((s.P-1)*perDest) * modelMsg(s.Profile, s.wire(slice), 1)
+		if span >= s.P {
+			break
+		}
+		f *= s.levelFactor(h, l, span)
+		prev = span
 	}
 	return t
 }
@@ -519,14 +484,14 @@ func (s CostScenario) splitSendCost(perDest int, slice float64) float64 {
 // At Chunks ≥ 2 the phase is the chunk pipeline instead: C·(P−1) sends of
 // a 1/C slice each (more α, same β volume) with the merge
 // overlap-discounted behind the send stage per pipe.
-func (s CostScenario) splitPhaseCost() float64 {
+func (s CostScenario) splitPhaseCost(h simnet.Hierarchy) float64 {
 	slice := float64(s.K) / float64(s.P)
 	if C := s.chunksOr(); C > 1 {
-		S := s.splitSendCost(C, slice/float64(C))
+		S := s.splitSendCost(h, C, slice/float64(C))
 		M := s.mergeCost(float64(s.P)*slice, false)
 		return pipe(S, M, C)
 	}
-	t := s.splitSendCost(1, slice)
+	t := s.splitSendCost(h, 1, slice)
 	t += s.mergeCost(float64(s.P)*slice, false)
 	return t
 }
@@ -535,24 +500,24 @@ func (s CostScenario) splitPhaseCost() float64 {
 // a concatenating sparse allgather whose payload doubles each stage up to
 // the reduced size E[K_P] (with the non-power-of-two fold in and out of
 // the allgather priced like predictRecDouble's).
-func (s CostScenario) predictSplitAllgather() float64 {
-	t := s.splitPhaseCost()
+func (s CostScenario) predictSplitAllgather(h simnet.Hierarchy) float64 {
+	t := s.splitPhaseCost(h)
 	p2 := largestPow2(s.P)
 	part := s.fill(s.P) / float64(p2)
 	if s.P > p2 {
 		slice := s.fill(s.P) / float64(s.P)
-		prof, f := s.link(p2)
+		prof, f := s.topLink(h, p2, 1)
 		t += modelMsg(prof, s.wire(slice), f)
 		t += s.mergeCost(2*slice, false)
 	}
 	for d := 1; d < p2; d *= 2 {
 		kt := part * float64(d)
-		prof, f := s.link(d)
+		prof, f := s.topLink(h, d, 1)
 		t += modelMsg(prof, s.wire(kt), f)
 		t += s.mergeCost(2*kt, 2*kt > float64(s.deltaOr()))
 	}
 	if s.P > p2 {
-		prof, f := s.link(p2)
+		prof, f := s.topLink(h, p2, 1)
 		t += modelMsg(prof, s.wire(s.fill(s.P)), f)
 	}
 	return t
@@ -561,8 +526,8 @@ func (s CostScenario) predictSplitAllgather() float64 {
 // predictDSAR prices DSAR_Split_allgather: the sparse split phase, a
 // densify pass over the local partition (plus QSGD encode/decode passes
 // when quantizing), and a dense allgather whose per-stage volume doubles.
-func (s CostScenario) predictDSAR() float64 {
-	t := s.splitPhaseCost()
+func (s CostScenario) predictDSAR(h simnet.Hierarchy) float64 {
+	t := s.splitPhaseCost(h)
 	g := s.Profile.GammaPerElem
 	block := float64(s.N) / float64(s.P)
 	t += g * block // densify the owned partition
@@ -571,16 +536,16 @@ func (s CostScenario) predictDSAR() float64 {
 	}
 	p2 := largestPow2(s.P)
 	if s.P > p2 {
-		prof, f := s.link(p2)
+		prof, f := s.topLink(h, p2, 1)
 		t += modelMsg(prof, block*s.densePerElem()+float64(stream.HeaderBytes), f)
 	}
 	for d := 1; d < p2; d *= 2 {
 		bytes := float64(d)*(float64(s.N)/float64(p2))*s.densePerElem() + float64(stream.HeaderBytes)
-		prof, f := s.link(d)
+		prof, f := s.topLink(h, d, 1)
 		t += modelMsg(prof, bytes, f)
 	}
 	if s.P > p2 {
-		prof, f := s.link(p2)
+		prof, f := s.topLink(h, p2, 1)
 		t += modelMsg(prof, float64(s.N)*s.densePerElem()+float64(stream.HeaderBytes), f)
 	}
 	return t

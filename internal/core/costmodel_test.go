@@ -11,29 +11,20 @@ import (
 	"repro/internal/stream"
 )
 
-// simulateUniform runs one allreduce of the given uniform-sparse instance and
-// returns the simulated completion time.
-func simulateUniform(t *testing.T, n, k, P int, topo *simnet.Topology, prof simnet.Profile, alg Algorithm) float64 {
+// simulateUniform is simulateUniformHier at full depth on *topo, or on the
+// flat network of prof when topo is nil — the CostScenario.Hier encoding.
+func simulateUniform(t *testing.T, n, k, P int, topo *simnet.Hierarchy, prof simnet.Profile, alg Algorithm) float64 {
 	t.Helper()
-	rng := rand.New(rand.NewSource(int64(n) + int64(k)*31 + int64(P)*7))
-	inputs := make([]*stream.Vector, P)
-	for r := range inputs {
-		inputs[r] = randSparse(rng, n, k)
-	}
-	var w *comm.World
+	h := simnet.Flat(prof)
 	if topo != nil {
-		w = comm.NewWorldTopo(P, *topo)
-	} else {
-		w = comm.NewWorld(P, prof)
+		h = *topo
 	}
-	comm.Run(w, func(p *comm.Proc) any {
-		return Allreduce(p, inputs[p.Rank()], Options{Algorithm: alg})
-	})
-	return w.MaxTime()
+	return simulateUniformHier(t, n, k, P, h, 0, alg)
 }
 
-// simulateUniformHier is simulateUniform on an N-level hierarchy world
-// with an explicit recursion depth.
+// simulateUniformHier runs one allreduce of the given uniform-sparse
+// instance on a world of h at an explicit recursion depth and returns the
+// simulated completion time.
 func simulateUniformHier(t *testing.T, n, k, P int, h simnet.Hierarchy, levels int, alg Algorithm) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(n) + int64(k)*31 + int64(P)*7))
@@ -54,12 +45,12 @@ func simulateUniformHier(t *testing.T, n, k, P int, h simnet.Hierarchy, levels i
 // model only needs to *rank* algorithms, but tracking the absolute time
 // keeps the formulas honest.
 func TestPredictTracksSimulator(t *testing.T) {
-	topo := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
-	nic := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: 1}
+	topo := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0)
+	nic := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1)
 	cases := []struct {
 		name    string
 		n, k, P int
-		topo    *simnet.Topology
+		topo    *simnet.Hierarchy
 	}{
 		{"flat-small", 1 << 20, 100, 4, nil},
 		{"flat-large", 1 << 20, 50000, 4, nil},
@@ -70,7 +61,7 @@ func TestPredictTracksSimulator(t *testing.T) {
 	}
 	algs := []Algorithm{SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather, HierSSAR, HierDSAR}
 	for _, tc := range cases {
-		s := CostScenario{N: tc.n, P: tc.P, K: tc.k, Profile: simnet.Aries, Topo: tc.topo}
+		s := CostScenario{N: tc.n, P: tc.P, K: tc.k, Profile: simnet.Aries, Hier: tc.topo}
 		if tc.topo == nil {
 			s.Profile = testProfile
 		}
@@ -125,17 +116,51 @@ func TestPredictTracksSimulator3Level(t *testing.T) {
 	}
 }
 
+// TestOutermostGroupSizeSpellings: the outermost group spans the world
+// whatever its GroupSize says (simnet.Level), so a positive outermost
+// GroupSize whose product falls short of the world — 2·2·2 = 8 of 16 ranks
+// — must price, choose and simulate exactly like the idiomatic 0. The
+// model used to drop the eight destinations beyond the "group".
+func TestOutermostGroupSizeSpellings(t *testing.T) {
+	spelled := func(top int) simnet.Hierarchy {
+		return simnet.Hierarchy{Levels: []simnet.Level{
+			{GroupSize: 2, Profile: simnet.NVLinkLike, Serial: 1},
+			{GroupSize: 2, Profile: simnet.Aries, Serial: 2},
+			{GroupSize: top, Profile: simnet.AriesGlobal},
+		}}
+	}
+	zero, two := spelled(0), spelled(2)
+	for _, k := range []int{100, 10000} {
+		a := CostScenario{N: 1 << 14, P: 16, K: k, Profile: simnet.AriesGlobal, Hier: &zero, Chunks: AutoChunks}
+		b := a
+		b.Hier = &two
+		for _, alg := range []Algorithm{SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather, HierSSAR, HierDSAR} {
+			if ta, tb := PredictSeconds(alg, a), PredictSeconds(alg, b); ta != tb {
+				t.Errorf("k=%d %s: model %g with GroupSize 0, %g with GroupSize 2", k, alg, ta, tb)
+			}
+			if sa, sb := simulateUniformHier(t, a.N, k, a.P, zero, 0, alg), simulateUniformHier(t, a.N, k, a.P, two, 0, alg); sa != sb {
+				t.Errorf("k=%d %s: simulated %g with GroupSize 0, %g with GroupSize 2", k, alg, sa, sb)
+			}
+		}
+		aa, al, ac := ChooseAutoLevels(a)
+		ba, bl, bc := ChooseAutoLevels(b)
+		if aa != ba || al != bl || ac != bc {
+			t.Errorf("k=%d: Auto picks %s@%d/%d with GroupSize 0, %s@%d/%d with GroupSize 2", k, aa, al, ac, ba, bl, bc)
+		}
+	}
+}
+
 // TestAutoMatchesEmpiricalCheapest is the acceptance-criterion check: in
 // scenarios where the old topology-presence heuristic picks the wrong
 // algorithm, the cost-model Auto must pick the one that is actually
 // cheapest in simulation.
 func TestAutoMatchesEmpiricalCheapest(t *testing.T) {
-	topo := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
-	nic := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: 1}
+	topo := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0)
+	nic := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1)
 	cases := []struct {
 		name    string
 		n, k, P int
-		topo    simnet.Topology
+		topo    simnet.Hierarchy
 		old     Algorithm // what the PR-1 topology-presence heuristic chose
 	}{
 		// Sparse regime on an uncontended topology: old heuristic always
@@ -146,7 +171,7 @@ func TestAutoMatchesEmpiricalCheapest(t *testing.T) {
 		{"dense-contended", 1 << 16, 40000, 16, nic, DSARSplitAllgather},
 	}
 	for _, tc := range cases {
-		s := CostScenario{N: tc.n, P: tc.P, K: tc.k, Profile: simnet.Aries, Topo: &tc.topo}
+		s := CostScenario{N: tc.n, P: tc.P, K: tc.k, Profile: simnet.Aries, Hier: &tc.topo}
 		choice := ChooseAuto(s)
 		if choice == tc.old {
 			t.Fatalf("%s: cost model chose %s, same as the old heuristic — scenario no longer discriminates",
@@ -188,19 +213,14 @@ func TestChooseAutoDeterministicAndFlatSafe(t *testing.T) {
 		}
 		s.K = rng.Intn(s.N + 1)
 		if rng.Intn(2) == 0 {
-			topo := simnet.Topology{
-				RanksPerNode: 1 + rng.Intn(8),
-				Intra:        simnet.NVLinkLike,
-				Inter:        simnet.Aries,
-				NICSerial:    rng.Intn(3),
-			}
-			s.Topo = &topo
+			topo := simnet.TwoLevel(1+rng.Intn(8), simnet.NVLinkLike, simnet.Aries, rng.Intn(3))
+			s.Hier = &topo
 		}
 		a, b := ChooseAuto(s), ChooseAuto(s)
 		if a != b {
 			t.Fatalf("trial %d: ChooseAuto not deterministic (%s vs %s)", trial, a, b)
 		}
-		if s.Topo == nil && (a == HierSSAR || a == HierDSAR) {
+		if s.Hier == nil && (a == HierSSAR || a == HierDSAR) {
 			t.Fatalf("trial %d: hierarchical algorithm %s chosen on a flat world", trial, a)
 		}
 	}

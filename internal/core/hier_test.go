@@ -10,7 +10,7 @@ import (
 	"repro/internal/stream"
 )
 
-var testTopo = simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
+var testTopo = simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0)
 
 // TestHierSSARMatchesFlat is the acceptance-criterion correctness check:
 // HierSSAR on a topology world must produce bit-identical reductions to
@@ -24,7 +24,7 @@ func TestHierSSARMatchesFlat(t *testing.T) {
 		{4, 4}, {3, 8}, // single node: degrades to flat intra-priced
 		{5, 1}, // one rank per node: degrades to flat
 	} {
-		topo := simnet.Topology{RanksPerNode: tc.rpn, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
+		topo := simnet.TwoLevel(tc.rpn, simnet.NVLinkLike, simnet.Aries, 0)
 		for _, pat := range patterns {
 			n := 300 + rng.Intn(300)
 			k := 1 + rng.Intn(n/6)
@@ -35,7 +35,7 @@ func TestHierSSARMatchesFlat(t *testing.T) {
 				return Allreduce(p, inputs[p.Rank()], Options{Algorithm: SSARSplitAllgather}).ToDense()
 			})
 
-			w := comm.NewWorldTopo(tc.P, topo)
+			w := comm.NewWorldHier(tc.P, topo)
 			results := comm.Run(w, func(p *comm.Proc) []float64 {
 				return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierSSAR}).ToDense()
 			})
@@ -75,7 +75,7 @@ func TestHierSSARBeatsFlatOnTopology(t *testing.T) {
 	})
 	flatTime := flat.MaxTime()
 
-	w := comm.NewWorldTopo(P, testTopo)
+	w := comm.NewWorldHier(P, testTopo)
 	comm.Run(w, func(p *comm.Proc) any {
 		return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierSSAR})
 	})
@@ -112,8 +112,7 @@ func TestHierSSARFlatFallback(t *testing.T) {
 }
 
 // contendedTopo is testTopo with a fully serializing per-node NIC cap.
-var contendedTopo = simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike,
-	Inter: simnet.Aries, NICSerial: 1}
+var contendedTopo = simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1)
 
 // TestAutoCostModelOnTopology: Auto must pick by modeled cost, not by
 // topology presence — hierarchical when the NIC cap (or the latency
@@ -123,7 +122,7 @@ func TestAutoCostModelOnTopology(t *testing.T) {
 	// Latency-bound sparse instance on a NIC-capped topology: the flat
 	// split/rec-double phases pay the contention factor, the hierarchical
 	// leader phase (one flow per node) does not → HierSSAR.
-	w := comm.NewWorldTopo(32, contendedTopo)
+	w := comm.NewWorldHier(32, contendedTopo)
 	comm.Run(w, func(p *comm.Proc) any {
 		v := randSparse(rand.New(rand.NewSource(int64(p.Rank()))), 1<<20, 100)
 		if got, _, _ := resolve(p, v, Options{}, p.NextTagBase()); got != HierSSAR {
@@ -136,7 +135,7 @@ func TestAutoCostModelOnTopology(t *testing.T) {
 	// stages are already intra-priced and it skips the hierarchical
 	// broadcast entirely, so it is empirically cheaper — the old
 	// topology-presence heuristic would have picked HierSSAR here.
-	tiny := comm.NewWorldTopo(8, testTopo)
+	tiny := comm.NewWorldHier(8, testTopo)
 	comm.Run(tiny, func(p *comm.Proc) any {
 		v := randSparse(rand.New(rand.NewSource(int64(p.Rank()))), 1000, 20)
 		if got, _, _ := resolve(p, v, Options{}, p.NextTagBase()); got != SSARRecDouble {
@@ -146,7 +145,7 @@ func TestAutoCostModelOnTopology(t *testing.T) {
 	})
 
 	// Single-node topology: no hierarchy to exploit, flat cost comparison.
-	single := comm.NewWorldTopo(4, testTopo)
+	single := comm.NewWorldHier(4, testTopo)
 	comm.Run(single, func(p *comm.Proc) any {
 		v := randSparse(rand.New(rand.NewSource(int64(p.Rank()))), 1<<20, 100)
 		if got, _, _ := resolve(p, v, Options{}, p.NextTagBase()); got != SSARRecDouble {
@@ -158,7 +157,7 @@ func TestAutoCostModelOnTopology(t *testing.T) {
 	// Dense regime on a NIC-capped topology: the dense allgather volume
 	// through a serialized NIC is what hurts, so the hierarchical DSAR
 	// (one flow per node) wins — the old heuristic always chose flat DSAR.
-	denseNIC := comm.NewWorldTopo(16, contendedTopo)
+	denseNIC := comm.NewWorldHier(16, contendedTopo)
 	comm.Run(denseNIC, func(p *comm.Proc) any {
 		v := randSparse(rand.New(rand.NewSource(int64(p.Rank()))), 1<<16, 40000)
 		if got, _, _ := resolve(p, v, Options{}, p.NextTagBase()); got != HierDSAR {
@@ -169,7 +168,7 @@ func TestAutoCostModelOnTopology(t *testing.T) {
 
 	// Dense regime without contention: flat DSAR stays cheapest (the
 	// hierarchical variant pays an extra dense intra-node broadcast).
-	denseW := comm.NewWorldTopo(16, testTopo)
+	denseW := comm.NewWorldHier(16, testTopo)
 	comm.Run(denseW, func(p *comm.Proc) any {
 		v := randSparse(rand.New(rand.NewSource(int64(p.Rank()))), 1<<16, 40000)
 		if got, _, _ := resolve(p, v, Options{}, p.NextTagBase()); got != DSARSplitAllgather {
@@ -179,12 +178,12 @@ func TestAutoCostModelOnTopology(t *testing.T) {
 	})
 
 	// End-to-end on ragged worlds under Auto, with and without contention.
-	for _, topo := range []simnet.Topology{testTopo, contendedTopo} {
+	for _, topo := range []simnet.Hierarchy{testTopo, contendedTopo} {
 		rng := rand.New(rand.NewSource(23))
 		P := 10
 		inputs := patterns[0].gen(rng, 500, 40, P)
 		want := refSum(inputs)
-		wr := comm.NewWorldTopo(P, topo)
+		wr := comm.NewWorldHier(P, topo)
 		results := comm.Run(wr, func(p *comm.Proc) *stream.Vector {
 			return Allreduce(p, inputs[p.Rank()], Options{})
 		})
@@ -193,7 +192,7 @@ func TestAutoCostModelOnTopology(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("Auto nic=%d P=%d rank=%d coord=%d: got %g want %g",
-						topo.NICSerial, P, r, i, got[i], want[i])
+						topo.Levels[0].Serial, P, r, i, got[i], want[i])
 				}
 			}
 		}
@@ -219,7 +218,7 @@ func TestHierSSARLeaderPhaseSelectsBySize(t *testing.T) {
 	} {
 		inputs := patterns[0].gen(rng, tc.n, tc.k, P)
 		want := refSum(inputs)
-		w := comm.NewWorldTopo(P, testTopo)
+		w := comm.NewWorldHier(P, testTopo)
 		results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
 			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierSSAR})
 		})
@@ -249,8 +248,7 @@ func TestHierDSARMatchesFlatDSAR(t *testing.T) {
 		{4, 4, 0}, {3, 8, 0}, // single node: degrades to flat DSAR
 		{5, 1, 0}, // one rank per node: degrades to flat DSAR
 	} {
-		topo := simnet.Topology{RanksPerNode: tc.rpn, Intra: simnet.NVLinkLike,
-			Inter: simnet.Aries, NICSerial: tc.nic}
+		topo := simnet.TwoLevel(tc.rpn, simnet.NVLinkLike, simnet.Aries, tc.nic)
 		for _, pat := range patterns {
 			n := 300 + rng.Intn(300)
 			k := 1 + rng.Intn(n/6)
@@ -261,7 +259,7 @@ func TestHierDSARMatchesFlatDSAR(t *testing.T) {
 				return Allreduce(p, inputs[p.Rank()], Options{Algorithm: DSARSplitAllgather}).ToDense()
 			})
 
-			w := comm.NewWorldTopo(tc.P, topo)
+			w := comm.NewWorldHier(tc.P, topo)
 			results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
 				return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierDSAR})
 			})
@@ -292,7 +290,7 @@ func TestHierDSARQuantizedConsistent(t *testing.T) {
 		for r := range inputs {
 			inputs[r] = randSparse(rng, 4096, 600)
 		}
-		w := comm.NewWorldTopo(P, testTopo)
+		w := comm.NewWorldHier(P, testTopo)
 		results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
 			return Allreduce(p, inputs[p.Rank()], Options{
 				Algorithm: HierDSAR,
@@ -333,7 +331,7 @@ func TestHierDSARBeatsFlatUnderContention(t *testing.T) {
 	}
 	times := map[Algorithm]float64{}
 	for _, alg := range []Algorithm{DSARSplitAllgather, HierDSAR} {
-		w := comm.NewWorldTopo(P, contendedTopo)
+		w := comm.NewWorldHier(P, contendedTopo)
 		comm.Run(w, func(p *comm.Proc) any {
 			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: alg})
 		})
@@ -366,7 +364,7 @@ func TestHierSSARInterNodeMessageCount(t *testing.T) {
 		})
 		inter := 0
 		for _, ev := range tr.Events() {
-			if !testTopo.SameNode(ev.Src, ev.Dst) {
+			if testTopo.SharedLevel(ev.Src, ev.Dst) != 0 {
 				inter++
 			}
 		}
@@ -374,7 +372,7 @@ func TestHierSSARInterNodeMessageCount(t *testing.T) {
 	}
 
 	flatInter := countInter(comm.NewWorld(P, simnet.Aries), SSARSplitAllgather)
-	hierInter := countInter(comm.NewWorldTopo(P, testTopo), HierSSAR)
+	hierInter := countInter(comm.NewWorldHier(P, testTopo), HierSSAR)
 	if hierInter >= flatInter {
 		t.Fatalf("hier must send fewer inter-node messages: hier=%d flat=%d", hierInter, flatInter)
 	}

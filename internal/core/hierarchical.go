@@ -141,13 +141,9 @@ func hierDownSweep(p *comm.Proc, result *stream.Vector, stages []hierStage, sc *
 func hierAllreduce(p *comm.Proc, v *stream.Vector, opts Options, base int,
 	flat, top func(q *comm.Proc, x *stream.Vector, tag int) *stream.Vector) *stream.Vector {
 	sc := opts.Scratch
-	h, ok := p.Hierarchy()
-	P := p.Size()
-	L := 0
-	if ok {
-		L = hierDepth(h, opts.Levels)
-	}
-	if !ok || !hierExploitable(h, L, P) {
+	h, P := *p.Hierarchy(), p.Size()
+	L := hierDepth(h, opts.Levels)
+	if !hierExploitable(h, L, P) {
 		return flat(p, v, base)
 	}
 	cur, stages := hierUpSweep(p, v, h, L, sc, base)

@@ -70,17 +70,16 @@ func TestCrossAlgorithmEquivalence(t *testing.T) {
 		{"flat/P=2", 2, func(P int) *comm.World { return comm.NewWorld(P, testProfile) }},
 		{"flat/P=5", 5, func(P int) *comm.World { return comm.NewWorld(P, testProfile) }},
 		{"flat/P=8", 8, func(P int) *comm.World { return comm.NewWorld(P, testProfile) }},
-		{"topo/P=8/rpn=4", 8, func(P int) *comm.World { return comm.NewWorldTopo(P, testTopo) }},
-		{"topo/P=16/rpn=4", 16, func(P int) *comm.World { return comm.NewWorldTopo(P, testTopo) }},
-		{"topo/P=10/rpn=4", 10, func(P int) *comm.World { return comm.NewWorldTopo(P, testTopo) }},
+		{"topo/P=8/rpn=4", 8, func(P int) *comm.World { return comm.NewWorldHier(P, testTopo) }},
+		{"topo/P=16/rpn=4", 16, func(P int) *comm.World { return comm.NewWorldHier(P, testTopo) }},
+		{"topo/P=10/rpn=4", 10, func(P int) *comm.World { return comm.NewWorldHier(P, testTopo) }},
 		// NIC-contention worlds: the serialization cap reprices inter-node
 		// bandwidth but must never change any reduction bit, including on
 		// ragged node counts.
-		{"nic/P=16/rpn=4", 16, func(P int) *comm.World { return comm.NewWorldTopo(P, contendedTopo) }},
-		{"nic/P=10/rpn=4", 10, func(P int) *comm.World { return comm.NewWorldTopo(P, contendedTopo) }},
+		{"nic/P=16/rpn=4", 16, func(P int) *comm.World { return comm.NewWorldHier(P, contendedTopo) }},
+		{"nic/P=10/rpn=4", 10, func(P int) *comm.World { return comm.NewWorldHier(P, contendedTopo) }},
 		{"nic/P=7/rpn=3", 7, func(P int) *comm.World {
-			return comm.NewWorldTopo(P, simnet.Topology{RanksPerNode: 3,
-				Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: 2})
+			return comm.NewWorldHier(P, simnet.TwoLevel(3, simnet.NVLinkLike, simnet.Aries, 2))
 		}},
 		// Three-level hierarchy worlds (nodes of 3 in groups of 2, capped
 		// egress at both tiers): divisible, ragged last node, ragged last

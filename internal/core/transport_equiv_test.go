@@ -26,9 +26,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	// RanksPerNode 3 keeps the last node ragged at every tested P but 12
 	// (4 = 3+1, 16 = 5·3+1, 32 = 10·3+2).
-	mkTopo := func() simnet.Topology {
-		return simnet.Topology{RanksPerNode: 3, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
-	}
+	topo := simnet.TwoLevel(3, simnet.NVLinkLike, simnet.Aries, 0)
 	algs := []struct {
 		name  string
 		alg   Algorithm
@@ -47,17 +45,15 @@ func TestCrossTransportEquivalence(t *testing.T) {
 	}
 
 	for _, P := range []int{4, 12, 16, 32} {
-		topo := mkTopo()
 		simFlat := comm.NewWorld(P, simnet.Aries)
-		simHier := comm.NewWorldTopo(P, topo)
+		simHier := comm.NewWorldHier(P, topo)
 		goFlat := comm.NewWorld(P, simnet.Aries).UseGoroutineTransport()
-		goHier := comm.NewWorldTopo(P, topo).UseGoroutineTransport()
+		goHier := comm.NewWorldHier(P, topo).UseGoroutineTransport()
 		tcpFlat, err := comm.NewWorldTCP(P, simnet.Aries, comm.TCPConfig{})
 		if err != nil {
 			t.Fatalf("P=%d: tcp flat world: %v", P, err)
 		}
-		h := topo.Hierarchy()
-		tcpHier, err := comm.NewWorldTCP(P, simnet.Aries, comm.TCPConfig{Hierarchy: &h})
+		tcpHier, err := comm.NewWorldTCP(P, simnet.Aries, comm.TCPConfig{Hierarchy: &topo})
 		if err != nil {
 			t.Fatalf("P=%d: tcp hier world: %v", P, err)
 		}

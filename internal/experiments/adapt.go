@@ -70,16 +70,16 @@ type AdaptRow struct {
 // the live run's byte for byte.
 func RunAdaptCell(rpn, nic int, tr *scenario.Trace, observe bool) (AdaptRow, *obs.Obs) {
 	n, P, sched := tr.N, tr.P, tr.Steps
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: nic}
+	machine := simnet.TwoLevel(rpn, simnet.NVLinkLike, simnet.Aries, nic)
 	row := AdaptRow{
 		Workload: tr.Name, N: n, P: P, RanksPerNode: rpn, NICSerial: nic,
 		Calls: len(sched), KStart: sched[0][0].NNZ(), KEnd: sched[len(sched)-1][0].NNZ(),
 	}
 
-	row.StaticUniformSim = measure(comm.NewWorldTopo(P, topo), sched, allreduce(core.Options{})).seconds
-	row.StaticClusteredSim = measure(comm.NewWorldTopo(P, topo), sched, allreduce(core.Options{Support: core.SupportClustered})).seconds
+	row.StaticUniformSim = measure(comm.NewWorldHier(P, machine), sched, allreduce(core.Options{})).seconds
+	row.StaticClusteredSim = measure(comm.NewWorldHier(P, machine), sched, allreduce(core.Options{Support: core.SupportClustered})).seconds
 
-	w := comm.NewWorldTopo(P, topo)
+	w := comm.NewWorldHier(P, machine)
 	var hub *obs.Obs
 	if observe {
 		hub = w.EnableObservability()

@@ -11,7 +11,7 @@ import (
 )
 
 // This file holds the contention-model experiment introduced with the
-// per-node NIC serialization cap (simnet.Topology.NICSerial): the
+// per-node NIC serialization cap (simnet.TwoLevel's nicSerial): the
 // cost-model validation sweep recorded as BENCH_2.json — for each cell it
 // measures every Auto candidate, prices it with the analytic model, and
 // compares the cost-model choice against both the empirically cheapest
@@ -73,20 +73,20 @@ func oldHeuristicChoice(n, k, P, rpn int) core.Algorithm {
 }
 
 // RunContentionCell measures one contention cell: every Auto candidate on
-// the same inputs over Topology{rpn, intra, inter, nic}, plus the modeled
+// the same inputs over TwoLevel(rpn, intra, inter, nic), plus the modeled
 // cost of each. Simulated times are deterministic, so one run per
 // algorithm suffices.
 func RunContentionCell(n int, d float64, P, rpn, nic int, intra, inter simnet.Profile, seed int64) ContentionRow {
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: intra, Inter: inter, NICSerial: nic}
+	machine := simnet.TwoLevel(rpn, intra, inter, nic)
 	rng := rand.New(rand.NewSource(seed))
 	inputs := uniformInputs(rng, n, d, P)
 	k := inputs[0].NNZ()
 	row := ContentionRow{N: n, P: P, RanksPerNode: rpn, NICSerial: nic, Density: d, K: k}
 
-	scenario := core.CostScenario{N: n, P: P, K: k, Profile: inter, Topo: &topo}
+	scenario := core.CostScenario{N: n, P: P, K: k, Profile: inter, Hier: &machine}
 	cheapest, cheapestT := "", 0.0
 	for _, alg := range contentionCandidates {
-		sim := measure(comm.NewWorldTopo(P, topo), once(inputs), allreduce(core.Options{Algorithm: alg})).seconds
+		sim := measure(comm.NewWorldHier(P, machine), once(inputs), allreduce(core.Options{Algorithm: alg})).seconds
 		row.Costs = append(row.Costs, AlgCost{
 			Algorithm:    alg.String(),
 			ModelSeconds: core.PredictSeconds(alg, scenario),

@@ -10,7 +10,7 @@ import (
 func TestHierDSARCellBeatsFlatUnderContention(t *testing.T) {
 	// Dense regime, fully serialized NICs, 4 nodes of 4: the hierarchical
 	// DSAR's single leader flow per node must beat flat DSAR's four.
-	flat, hier := hierArms(simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: 1}, true)
+	flat, hier := hierArms(simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1), true)
 	row := runABCell(1<<16, 0.6, 16, 4, flat, hier, 1, 1, 1)
 	if row.FlatMedian <= 0 || row.HierMedian <= 0 {
 		t.Fatal("medians must be positive")
@@ -24,7 +24,7 @@ func TestHierDSARCellBeatsFlatUnderContention(t *testing.T) {
 }
 
 func TestHierDSARNodeSweepShapes(t *testing.T) {
-	topo := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: 1}
+	topo := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1)
 	rows := HierNodeSweep(1<<12, 0.6, []int{2, 8, 16}, topo, true, 1, 1)
 	if len(rows) != 2 { // P=2 < rpn is skipped
 		t.Fatalf("want 2 rows, got %d", len(rows))

@@ -41,19 +41,19 @@ type arm struct {
 	world func(P int) *comm.World
 }
 
-// hierArms returns the two arms of a flat-vs-hierarchical cell on topo.
-// Sparse regime: flat SSAR_Split_allgather on a world priced entirely by
-// the inter-node profile versus HierSSAR on topo. Dense regime: flat DSAR
-// versus HierDSAR, both on the NIC-capped topo, so the question is purely
-// algorithmic — does one leader flow per node beat P concurrent flows
-// through capped NICs.
-func hierArms(topo simnet.Topology, dense bool) (flat, hier arm) {
-	onTopo := func(P int) *comm.World { return comm.NewWorldTopo(P, topo) }
+// hierArms returns the two arms of a flat-vs-hierarchical cell on the
+// two-level machine. Sparse regime: flat SSAR_Split_allgather on a world
+// priced entirely by the inter-node profile versus HierSSAR on the
+// machine. Dense regime: flat DSAR versus HierDSAR, both on the NIC-capped
+// machine, so the question is purely algorithmic — does one leader flow
+// per node beat P concurrent flows through capped NICs.
+func hierArms(machine simnet.Hierarchy, dense bool) (flat, hier arm) {
+	onMachine := func(P int) *comm.World { return comm.NewWorldHier(P, machine) }
 	if dense {
-		return arm{core.DSARSplitAllgather, onTopo}, arm{core.HierDSAR, onTopo}
+		return arm{core.DSARSplitAllgather, onMachine}, arm{core.HierDSAR, onMachine}
 	}
-	onInter := func(P int) *comm.World { return comm.NewWorld(P, topo.Inter) }
-	return arm{core.SSARSplitAllgather, onInter}, arm{core.HierSSAR, onTopo}
+	onInter := func(P int) *comm.World { return comm.NewWorld(P, machine.Levels[1].Profile) }
+	return arm{core.SSARSplitAllgather, onInter}, arm{core.HierSSAR, onMachine}
 }
 
 // runABCell measures the two arms on the same seeded inputs: gens data
@@ -87,14 +87,15 @@ func runABCell(n int, density float64, P, rpn int, flat, hier arm, gens, runs in
 // are skipped: there the "hierarchical" run degrades to the flat algorithm
 // with every link intra-priced, so its speedup would measure the profile
 // price ratio, not the algorithm.
-func HierNodeSweep(n int, density float64, ranks []int, topo simnet.Topology, dense bool, gens, runs int) []HierRow {
-	flat, hier := hierArms(topo, dense)
+func HierNodeSweep(n int, density float64, ranks []int, machine simnet.Hierarchy, dense bool, gens, runs int) []HierRow {
+	flat, hier := hierArms(machine, dense)
+	rpn := machine.Span(0)
 	var rows []HierRow
 	for _, P := range ranks {
-		if P <= topo.RanksPerNode {
+		if P <= rpn {
 			continue
 		}
-		rows = append(rows, runABCell(n, density, P, topo.RanksPerNode, flat, hier, gens, runs, int64(P)*7529))
+		rows = append(rows, runABCell(n, density, P, rpn, flat, hier, gens, runs, int64(P)*7529))
 	}
 	return rows
 }

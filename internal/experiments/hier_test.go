@@ -10,7 +10,7 @@ func TestHierCellAcceptanceScenario(t *testing.T) {
 	// The issue's acceptance scenario: P=32, 4 ranks/node, NVLink-like
 	// intra + Aries inter, latency-bound density. HierSSAR must beat flat
 	// SSAR_Split_allgather run entirely on the inter-node profile.
-	flat, hier := hierArms(simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries}, false)
+	flat, hier := hierArms(simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0), false)
 	row := runABCell(1<<20, 1e-4, 32, 4, flat, hier, 1, 1, 1)
 	if row.FlatMedian <= 0 || row.HierMedian <= 0 {
 		t.Fatal("medians must be positive")
@@ -24,7 +24,7 @@ func TestHierCellAcceptanceScenario(t *testing.T) {
 }
 
 func TestHierSweepsShapes(t *testing.T) {
-	topo := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries}
+	topo := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0)
 	rows := HierNodeSweep(1<<14, 1e-3, []int{2, 8, 16}, topo, false, 1, 1)
 	if len(rows) != 2 { // P=2 < rpn is skipped
 		t.Fatalf("want 2 rows, got %d", len(rows))

@@ -114,7 +114,7 @@ func bucketed(bs *core.BucketScheduler, spans [][2]int, opts core.Options) step 
 // identical fresh worlds. Simulated times are deterministic, so one run
 // per arm suffices.
 func RunOverlapCell(rpn, nic int, sc scenario.Scenario, key scenario.SimulationKey) OverlapRow {
-	topo := simnet.Topology{RanksPerNode: rpn, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: nic}
+	machine := simnet.TwoLevel(rpn, simnet.NVLinkLike, simnet.Aries, nic)
 	sched := sc.Generator(key).All()
 	spans := sc.LayerSpans()
 	coords := core.BucketCoords(core.CostScenario{N: sc.N, P: sc.P, Profile: simnet.Aries})
@@ -125,7 +125,7 @@ func RunOverlapCell(rpn, nic int, sc scenario.Scenario, key scenario.SimulationK
 		Calls: len(sched), Layers: len(spans), Buckets: bs.NumBuckets(), BucketCoords: coords,
 	}
 
-	arm := func(s step) float64 { return measure(comm.NewWorldTopo(sc.P, topo), sched, s).seconds }
+	arm := func(s step) float64 { return measure(comm.NewWorldHier(sc.P, machine), sched, s).seconds }
 	row.FusedSim = arm(allreduce(core.Options{}))
 	row.LayerwiseSim = arm(layerwise(spans, core.Options{}))
 	row.LayerwiseNBSim = arm(func(p *comm.Proc, in *stream.Vector) *stream.Vector {
@@ -262,7 +262,7 @@ type OverlapWallRow struct {
 // traffic would only add identical noise to both arms). Takes the median
 // of runs per arm.
 func OverlapWallSweep(runs int) []OverlapWallRow {
-	topo := simnet.Topology{RanksPerNode: 4, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: 1}
+	machine := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1)
 	key := scenario.NewKey(OverlapSeed)
 	var rows []OverlapWallRow
 	for _, sc := range overlapScenarios() {
@@ -275,7 +275,7 @@ func OverlapWallSweep(runs int) []OverlapWallRow {
 		arm := func(s step) float64 {
 			var wall report.Sample
 			for i := 0; i < runs; i++ {
-				wall.Add(measure(comm.NewWorldTopo(sc.P, topo).UseGoroutineTransport(), sched, s).seconds)
+				wall.Add(measure(comm.NewWorldHier(sc.P, machine).UseGoroutineTransport(), sched, s).seconds)
 			}
 			return wall.Median()
 		}

@@ -118,11 +118,12 @@ func hierSweep(p Params, dense bool) ([]report.Section, error) {
 		return nil, fmt.Errorf("-maxp %d yields no multi-node shapes (need at least %d ranks for 2 nodes of %d)",
 			p.MaxP, 2*p.RPN, p.RPN)
 	}
-	topo := simnet.Topology{RanksPerNode: p.RPN, Intra: p.Intra, Inter: p.Profile}
+	nic := 0
 	if dense {
-		topo.NICSerial = p.NIC
+		nic = p.NIC
 	}
-	return cells(HierNodeSweep(p.N, p.Density, ranks, topo, dense, p.Gens, p.Runs))
+	machine := simnet.TwoLevel(p.RPN, p.Intra, p.Profile, nic)
+	return cells(HierNodeSweep(p.N, p.Density, ranks, machine, dense, p.Gens, p.Runs))
 }
 
 // Sweeps returns the registry in listing order.

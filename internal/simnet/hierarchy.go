@@ -39,15 +39,16 @@ type Level struct {
 	IngressSerial int
 }
 
-// Hierarchy is the N-level generalization of the two-level Topology:
-// an ordered list of Levels from innermost to outermost. Ranks are grouped
-// into consecutive blocks bottom-up — Span(l) consecutive ranks share a
-// level-l group — and a message between two ranks is priced by the profile
-// of the innermost level whose group both share, paying each crossed
-// level's egress serialization factor on its bandwidth term.
+// Hierarchy is the one description of a machine: an ordered list of Levels
+// from innermost to outermost. Ranks are grouped into consecutive blocks
+// bottom-up — Span(l) consecutive ranks share a level-l group — and a
+// message between two ranks is priced by the profile of the innermost
+// level whose group both share, paying each crossed level's egress
+// serialization factor on its bandwidth term.
 //
-// A Topology is exactly a two-level Hierarchy (Topology.Hierarchy()); the
-// three-tier shape of a Dragonfly machine is DragonflyLike.
+// The flat α–β network of the paper's analysis is the depth-1 hierarchy
+// (Flat), multi-GPU nodes on one network the depth-2 one (TwoLevel), and
+// the three-tier shape of a Dragonfly machine is DragonflyLike.
 type Hierarchy struct {
 	// Levels holds the tiers, innermost first. See Validate for the
 	// structural requirements.
@@ -94,9 +95,12 @@ func (h Hierarchy) Validate() error {
 func (h Hierarchy) Depth() int { return len(h.Levels) }
 
 // Span returns the number of consecutive ranks forming one level-l group.
-// The outermost level (GroupSize 0, or any product overflowing int) spans
-// the whole world and reports math.MaxInt.
+// The outermost level (whatever its GroupSize, see Level) and any product
+// overflowing int span the whole world and report math.MaxInt.
 func (h Hierarchy) Span(l int) int {
+	if l >= len(h.Levels)-1 {
+		return math.MaxInt
+	}
 	span := 1
 	for i := 0; i <= l; i++ {
 		g := h.Levels[i].GroupSize
@@ -140,8 +144,8 @@ func (h Hierarchy) ProfileFor(a, b int) Profile {
 // escaping a level-`level` group pays when `active` co-located flows drive
 // the group's egress concurrently: 1 when the level has no cap (Serial ==
 // 0) or the flows fit under it, active/Serial (> 1) otherwise. active must
-// be >= 1 (a sender is always active itself). The per-node NICFactor of
-// the two-level Topology is SerialFactor at level 0.
+// be >= 1 (a sender is always active itself). TwoLevel's per-node NIC cap
+// is SerialFactor at level 0.
 func (h Hierarchy) SerialFactor(level, active int) float64 {
 	if active < 1 {
 		panic("simnet: SerialFactor needs active >= 1")
@@ -308,14 +312,24 @@ func (h Hierarchy) StageRanks(rank, l, p int) []int {
 	return out
 }
 
-// Hierarchy returns the two-level hierarchy equivalent to the topology:
-// the Intra profile (with the NICSerial egress cap) inside nodes of
-// RanksPerNode ranks, the Inter profile everywhere else. Worlds built from
-// a Topology are priced identically through either representation.
-func (t Topology) Hierarchy() Hierarchy {
+// Flat returns the depth-1 hierarchy of a single network: every message is
+// priced by profile and nothing contends — the machine the paper's §5.2–5.3
+// analysis assumes.
+func Flat(profile Profile) Hierarchy {
+	return Hierarchy{Levels: []Level{{Profile: profile}}}
+}
+
+// TwoLevel returns the two-tier machine the paper actually targets
+// (multi-GPU nodes on Greina, Piz Daint's nodes): consecutive groups of
+// ranksPerNode ranks share a node wired by intra, and inter prices
+// everything between nodes. nicSerial is the per-node NIC cap — the number
+// of concurrent inter-node sends one node drives at full inter bandwidth
+// (level 0's Serial); zero reproduces the paper's full-bisection
+// assumption.
+func TwoLevel(ranksPerNode int, intra, inter Profile, nicSerial int) Hierarchy {
 	return Hierarchy{Levels: []Level{
-		{GroupSize: t.RanksPerNode, Profile: t.Intra, Serial: t.NICSerial},
-		{Profile: t.Inter},
+		{GroupSize: ranksPerNode, Profile: intra, Serial: nicSerial},
+		{Profile: inter},
 	}}
 }
 

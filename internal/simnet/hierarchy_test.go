@@ -29,8 +29,10 @@ func TestHierarchyValidate(t *testing.T) {
 			t.Fatalf("bad hierarchy %d accepted", i)
 		}
 	}
-	if err := (Topology{RanksPerNode: 4, Intra: NVLinkLike, Inter: Aries}).Hierarchy().Validate(); err != nil {
-		t.Fatalf("Topology.Hierarchy must validate: %v", err)
+	for _, h := range []Hierarchy{TwoLevel(4, NVLinkLike, Aries, 0), Flat(Aries)} {
+		if err := h.Validate(); err != nil {
+			t.Fatalf("preset %+v must validate: %v", h, err)
+		}
 	}
 }
 
@@ -84,6 +86,53 @@ func TestHierarchySpanAndGroups(t *testing.T) {
 	}
 	if got := h.StageRanks(6, 2, 14); !reflect.DeepEqual(got, []int{0, 12}) {
 		t.Fatalf("StageRanks(6, 2, 14) = %v", got)
+	}
+}
+
+// TestOutermostLevelSpansWorld pins Level.GroupSize's promise: the
+// outermost group is the whole world whatever its GroupSize says — a
+// positive value whose product falls short of the world (2·2·2 = 8 of 16
+// ranks here) must not carve the top level into several groups.
+func TestOutermostLevelSpansWorld(t *testing.T) {
+	const p = 16
+	all := make([]int, p)
+	for i := range all {
+		all[i] = i
+	}
+	for _, top := range []int{0, 1, 2, 5, p, 10 * p} {
+		h := Hierarchy{Levels: []Level{
+			{GroupSize: 2, Profile: NVLinkLike},
+			{GroupSize: 2, Profile: Aries},
+			{GroupSize: top, Profile: AriesGlobal},
+		}}
+		if err := h.Validate(); err != nil {
+			t.Fatalf("top GroupSize %d: %v", top, err)
+		}
+		if got := h.Span(2); got != math.MaxInt {
+			t.Fatalf("top GroupSize %d: Span(2) = %d, want MaxInt", top, got)
+		}
+		for r := 0; r < p; r++ {
+			if g, l := h.GroupOf(r, 2), h.Leader(r, 2); g != 0 || l != 0 {
+				t.Fatalf("top GroupSize %d: rank %d in group %d led by %d, want 0/0", top, r, g, l)
+			}
+			if got := h.GroupRanks(r, 2, p); !reflect.DeepEqual(got, all) {
+				t.Fatalf("top GroupSize %d: GroupRanks(%d, 2) = %v, want all %d ranks", top, r, got, p)
+			}
+		}
+		if got := h.LeadersAt(2, p); !reflect.DeepEqual(got, []int{0}) {
+			t.Fatalf("top GroupSize %d: LeadersAt(2) = %v, want [0]", top, got)
+		}
+		if got := h.StageRanks(15, 2, p); !reflect.DeepEqual(got, []int{0, 4, 8, 12}) {
+			t.Fatalf("top GroupSize %d: StageRanks(15, 2) = %v", top, got)
+		}
+		if got := h.SharedLevel(0, 15); got != 2 {
+			t.Fatalf("top GroupSize %d: SharedLevel(0, 15) = %d, want 2", top, got)
+		}
+	}
+	// Depth 1 is all outermost: a flat network has one group.
+	one := Hierarchy{Levels: []Level{{GroupSize: 4, Profile: Aries}}}
+	if one.Span(0) != math.MaxInt || one.GroupOf(9, 0) != 0 || len(one.LeadersAt(0, p)) != 1 {
+		t.Fatalf("depth-1 hierarchy with GroupSize 4 split the world: span %d", one.Span(0))
 	}
 }
 
@@ -172,42 +221,6 @@ func TestHierarchyIngressFactor(t *testing.T) {
 		}
 	}()
 	h.IngressFactor(0, 0)
-}
-
-// TestTopologyHierarchyEquivalence: the two-level hierarchy derived from a
-// Topology must agree with the topology's own locality and pricing.
-func TestTopologyHierarchyEquivalence(t *testing.T) {
-	topo := Topology{RanksPerNode: 3, Intra: NVLinkLike, Inter: Aries, NICSerial: 2}
-	h := topo.Hierarchy()
-	const p = 11
-	for a := 0; a < p; a++ {
-		for b := 0; b < p; b++ {
-			if got, want := h.ProfileFor(a, b).Name, topo.ProfileFor(a, b).Name; got != want {
-				t.Fatalf("ProfileFor(%d, %d) = %s, topology says %s", a, b, got, want)
-			}
-			wantLevel := 1
-			if topo.SameNode(a, b) {
-				wantLevel = 0
-			}
-			if got := h.SharedLevel(a, b); got != wantLevel {
-				t.Fatalf("SharedLevel(%d, %d) = %d, want %d", a, b, got, wantLevel)
-			}
-		}
-		if got, want := h.Leader(a, 0), topo.Leader(a); got != want {
-			t.Fatalf("Leader(%d) = %d, topology says %d", a, got, want)
-		}
-		if got, want := h.GroupRanks(a, 0, p), topo.NodeRanks(a, p); !reflect.DeepEqual(got, want) {
-			t.Fatalf("GroupRanks(%d) = %v, topology says %v", a, got, want)
-		}
-	}
-	if got, want := h.LeadersAt(0, p), topo.LeaderRanks(p); !reflect.DeepEqual(got, want) {
-		t.Fatalf("LeadersAt(0) = %v, topology says %v", got, want)
-	}
-	for active := 1; active <= 5; active++ {
-		if got, want := h.SerialFactor(0, active), topo.NICFactor(active); got != want {
-			t.Fatalf("SerialFactor(0, %d) = %g, NICFactor says %g", active, got, want)
-		}
-	}
 }
 
 func TestHierarchyInduced(t *testing.T) {

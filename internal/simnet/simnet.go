@@ -72,6 +72,15 @@ var (
 		GammaPerElem: 2.5e-10, SparseComputeFactor: 4,
 		SoftwareOverhead: 2e-3, SoftwarePerByte: 9e-8,
 	}
+	// NVLinkLike models an intra-node GPU interconnect in the class of the
+	// paper's multi-GPU Greina nodes: sub-microsecond launch latency and
+	// ~25 GB/s effective per-link bandwidth — roughly 2× lower α and 4×
+	// higher bandwidth than Aries. Compute constants match the other
+	// profiles (the reduction runs on the same device either way).
+	NVLinkLike = Profile{
+		Name: "nvlink", Alpha: 6e-7, BetaPerByte: 4e-11,
+		GammaPerElem: 2.5e-10, SparseComputeFactor: 4,
+	}
 )
 
 // ProfileByName returns a built-in profile.
@@ -91,8 +100,8 @@ func (p Profile) TransferTime(bytes int) float64 {
 }
 
 // ContendedTransferTime is TransferTime with the bandwidth term (β and
-// SoftwarePerByte) scaled by a NIC-contention factor (see
-// Topology.NICFactor): α + overhead + (β+βsw)·bytes·factor, in seconds.
+// SoftwarePerByte) scaled by a contention factor (see
+// Hierarchy.SerialFactor): α + overhead + (β+βsw)·bytes·factor, in seconds.
 // The latency terms are unscaled — contention serializes bytes, it does
 // not add message setups. factor must be >= 1.
 func (p Profile) ContendedTransferTime(bytes int, factor float64) float64 {

@@ -312,9 +312,7 @@ func TestScheduledTrainingConverges(t *testing.T) {
 // consumed).
 func TestTopKAdaptiveTraining(t *testing.T) {
 	P := 4
-	w := comm.NewWorldTopo(P, simnet.Topology{
-		RanksPerNode: 2, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: 1,
-	})
+	w := comm.NewWorldHier(P, simnet.TwoLevel(2, simnet.NVLinkLike, simnet.Aries, 1))
 	tr := w.EnableTrace()
 	tr.LimitPerRank(4096)
 	ctrls := make([]*adapt.Controller, P)
@@ -365,9 +363,7 @@ func TestTopKAdaptiveTraining(t *testing.T) {
 // controller holding the same concrete choice.
 func TestLayerWiseAdaptiveTraining(t *testing.T) {
 	P := 4
-	w := comm.NewWorldTopo(P, simnet.Topology{
-		RanksPerNode: 2, Intra: simnet.NVLinkLike, Inter: simnet.Aries, NICSerial: 1,
-	})
+	w := comm.NewWorldHier(P, simnet.TwoLevel(2, simnet.NVLinkLike, simnet.Aries, 1))
 	tr := w.EnableTrace()
 	tr.LimitPerRank(4096)
 	ctrls := make([]*adapt.Controller, P)

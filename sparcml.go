@@ -19,7 +19,9 @@
 // All collectives move real data and simultaneously advance a virtual
 // latency–bandwidth clock, so world.SimTime() reports the communication
 // time the operation would take on the selected network (Cray Aries,
-// InfiniBand FDR, Gigabit Ethernet, or a Spark-like software stack).
+// InfiniBand FDR, Gigabit Ethernet, or a Spark-like software stack). A
+// machine is one Hierarchy: NewWorld's flat network is its depth-1 case,
+// TwoLevel and DragonflyLike build the deeper ones for NewWorldHier.
 package sparcml
 
 import (
@@ -64,18 +66,17 @@ const (
 	DenseRabenseifner  = core.DenseRabenseifner
 	DenseRing          = core.DenseRing
 	RingSparse         = core.RingSparse
-	// HierSSAR is the hierarchical sparse allreduce for two-level
-	// topologies: intra-node reduce → inter-node SSAR among node leaders →
-	// intra-node broadcast. Auto selects it on worlds built with
-	// NewWorldTopo when the cost model prices it cheapest in the
-	// sparse-result regime.
+	// HierSSAR is the hierarchical sparse allreduce for multi-level
+	// machines: intra-node reduce → inter-node SSAR among node leaders →
+	// intra-node broadcast. Auto selects it on NewWorldHier worlds when the
+	// cost model prices it cheapest in the sparse-result regime.
 	HierSSAR = core.HierSSAR
 	// HierDSAR is the hierarchical dynamic sparse allreduce: intra-node
 	// reduce → DSAR among node leaders (densify at the leader, dense or
 	// QSGD-quantized inter-node allgather) → intra-node broadcast of the
 	// dense result. Auto selects it in the dense-result regime when the
-	// cost model prices it cheapest — typically when a NICSerial cap makes
-	// concurrent flat flows expensive.
+	// cost model prices it cheapest — typically when a per-node NIC cap
+	// (a Level's Serial) makes concurrent flat flows expensive.
 	HierDSAR = core.HierDSAR
 )
 
@@ -140,23 +141,7 @@ const (
 // Profile describes a network in the α–β cost model.
 type Profile = simnet.Profile
 
-// Topology describes a two-level machine: ranks are grouped into nodes of
-// RanksPerNode consecutive ranks, intra-node messages are priced by the
-// Intra profile and inter-node messages by the Inter profile. NICSerial,
-// when positive, caps how many concurrent inter-node sends one node can
-// drive at full bandwidth (per-node NIC contention). Use with
-// NewWorldTopo:
-//
-//	world := sparcml.NewWorldTopo(32, sparcml.Topology{
-//	    RanksPerNode: 4, Intra: sparcml.NVLinkLike, Inter: sparcml.Aries,
-//	    NICSerial: 1, // one full-rate flow per node NIC
-//	})
-//
-// A Topology is exactly the two-level case of the general Hierarchy
-// (Topology.Hierarchy converts); deeper machines use NewWorldHier.
-type Topology = simnet.Topology
-
-// Hierarchy describes an N-level machine as an ordered list of Levels from
+// Hierarchy describes a machine as an ordered list of Levels from
 // innermost (intra-node links) to outermost (global links): Span(l)
 // consecutive ranks share a level-l group, a message is priced by the
 // profile of the innermost level its two ranks share, and each level's
@@ -167,6 +152,7 @@ type Topology = simnet.Topology
 //
 // Auto selects the recursive hierarchical collectives — and their depth —
 // on such worlds whenever the level-aware cost model prices them cheapest.
+// A flat network is the depth-1 hierarchy, which is what NewWorld builds.
 type Hierarchy = simnet.Hierarchy
 
 // Level is one tier of a Hierarchy: GroupSize units of the previous level
@@ -181,6 +167,17 @@ type Level = simnet.Level
 // AriesGlobal links between groups.
 func DragonflyLike(ranksPerNode, nodesPerGroup int) Hierarchy {
 	return simnet.DragonflyLike(ranksPerNode, nodesPerGroup)
+}
+
+// TwoLevel returns the two-tier hierarchy of multi-GPU nodes on one
+// network: consecutive groups of ranksPerNode ranks share a node wired by
+// intra, inter prices everything between nodes, and nicSerial, when
+// positive, caps how many concurrent inter-node sends one node drives at
+// full bandwidth (per-node NIC contention):
+//
+//	world := sparcml.NewWorldHier(32, sparcml.TwoLevel(4, sparcml.NVLinkLike, sparcml.Aries, 1))
+func TwoLevel(ranksPerNode int, intra, inter Profile, nicSerial int) Hierarchy {
+	return simnet.TwoLevel(ranksPerNode, intra, inter, nicSerial)
 }
 
 // CostScenario describes an allreduce instance for the analytic α–β(+NIC)
@@ -221,8 +218,8 @@ var (
 	GigE = simnet.GigE
 	// SparkLike models a JVM dataflow communication layer.
 	SparkLike = simnet.SparkLike
-	// NVLinkLike models an intra-node GPU interconnect, the natural Intra
-	// profile of a Topology.
+	// NVLinkLike models an intra-node GPU interconnect, the natural intra
+	// profile of a TwoLevel machine.
 	NVLinkLike = simnet.NVLinkLike
 	// AriesGlobal models the tapered global links between Dragonfly
 	// groups, the natural outermost profile of a three-tier Hierarchy.
@@ -270,14 +267,6 @@ func newScratches(p int) []*Scratch {
 		out[i] = NewScratch()
 	}
 	return out
-}
-
-// NewWorldTopo creates a world of p ranks on a two-level topology:
-// messages between ranks on the same node cost topo.Intra, messages
-// between nodes cost topo.Inter. Auto algorithm selection picks the
-// hierarchical collectives on such worlds.
-func NewWorldTopo(p int, topo Topology) *World {
-	return &World{inner: comm.NewWorldTopo(p, topo), scratches: newScratches(p)}
 }
 
 // NewWorldHier creates a world of p ranks on an N-level machine hierarchy:
@@ -412,14 +401,9 @@ func (w *World) Adapt(rank int) *Adaptive {
 	return w.adapts[rank]
 }
 
-// Topology returns the world's two-level topology, if one was configured
-// with NewWorldTopo.
-func (w *World) Topology() (Topology, bool) { return w.inner.Topology() }
-
-// Hierarchy returns the world's machine hierarchy, if one was configured
-// (directly via NewWorldHier, or as the two-level hierarchy of a
-// NewWorldTopo topology).
-func (w *World) Hierarchy() (Hierarchy, bool) { return w.inner.Hierarchy() }
+// Hierarchy returns the machine the world's ranks are organized by;
+// Depth() == 1 means a flat network. Treat it as read-only.
+func (w *World) Hierarchy() Hierarchy { return *w.inner.Hierarchy() }
 
 // SimTime returns the maximum completion time across ranks for the most
 // recent Run: simulated α–β seconds on the default backend, measured

@@ -30,10 +30,10 @@ func TestFacadeAllreduce(t *testing.T) {
 }
 
 func TestFacadeTopologyWorld(t *testing.T) {
-	topo := Topology{RanksPerNode: 2, Intra: NVLinkLike, Inter: Aries}
-	w := NewWorldTopo(8, topo)
-	if got, ok := w.Topology(); !ok || got.RanksPerNode != 2 {
-		t.Fatal("topology world must report its topology")
+	topo := TwoLevel(2, NVLinkLike, Aries, 0)
+	w := NewWorldHier(8, topo)
+	if got := w.Hierarchy(); got.Depth() != 2 || got.Span(0) != 2 {
+		t.Fatal("two-level world must report its hierarchy")
 	}
 	// Auto on a topology world routes through HierSSAR; the reduction must
 	// still be exact.
@@ -63,12 +63,12 @@ func TestFacadeTopologyWorld(t *testing.T) {
 func TestFacadeHierarchyWorld(t *testing.T) {
 	// The README 3-tier quickstart: a DragonflyLike machine of 64 ranks.
 	w := NewWorldHier(64, DragonflyLike(4, 4))
-	h, ok := w.Hierarchy()
-	if !ok || h.Depth() != 3 || h.Span(1) != 16 {
+	h := w.Hierarchy()
+	if h.Depth() != 3 || h.Span(1) != 16 {
 		t.Fatal("hierarchy world must report its 3-tier hierarchy")
 	}
-	if _, ok := w.Topology(); ok {
-		t.Fatal("hierarchy world must not report a two-level topology")
+	if flat := NewWorld(4, Aries).Hierarchy(); flat.Depth() != 1 || flat.Levels[0].Profile != Aries {
+		t.Fatalf("flat world must report the depth-1 hierarchy of its profile, got %+v", flat)
 	}
 	results := Run(w, func(c *Comm) *Vector {
 		v := NewSparse(100000, []int32{int32(c.Rank()), 200}, []float64{1, 2})
@@ -95,20 +95,19 @@ func TestFacadeHierarchyWorld(t *testing.T) {
 	if alg != HierSSAR || levels < 2 {
 		t.Fatalf("ChooseAutoLevels on DragonflyLike = %v@%d, want a hierarchical pick", alg, levels)
 	}
-	// A custom 2-level hierarchy must behave like the equivalent topology.
-	topo := Topology{RanksPerNode: 2, Intra: NVLinkLike, Inter: Aries}
-	hw := NewWorldHier(8, topo.Hierarchy())
-	tw := NewWorldTopo(8, topo)
+	// A hand-written 2-level hierarchy must behave like the TwoLevel preset.
+	hw := NewWorldHier(8, Hierarchy{Levels: []Level{{GroupSize: 2, Profile: NVLinkLike}, {Profile: Aries}}})
+	tw := NewWorldHier(8, TwoLevel(2, NVLinkLike, Aries, 0))
 	prog := func(c *Comm) *Vector {
 		v := NewSparse(100, []int32{int32(c.Rank()), 50}, []float64{1, 2})
 		return c.Allreduce(v, Options{})
 	}
 	hres, tres := Run(hw, prog), Run(tw, prog)
 	if !hres[0].Equal(tres[0]) {
-		t.Fatal("two-level hierarchy world must match the topology world")
+		t.Fatal("two-level hierarchy world must match the TwoLevel world")
 	}
 	if hw.SimTime() != tw.SimTime() {
-		t.Fatalf("two-level hierarchy sim time %g must equal topology world's %g",
+		t.Fatalf("two-level hierarchy sim time %g must equal the TwoLevel world's %g",
 			hw.SimTime(), tw.SimTime())
 	}
 }

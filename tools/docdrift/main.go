@@ -1,16 +1,19 @@
-// Command docdrift fails when an exported Go identifier named in a
-// markdown table of the given docs no longer exists anywhere in the
-// repository's Go source — the cheap guard that keeps the algorithm and
-// API tables in docs/COLLECTIVES.md from silently rotting as code evolves.
+// Command docdrift fails when the given docs name Go identifiers the
+// repository no longer declares — the cheap guard that keeps the algorithm
+// and API tables in docs/COLLECTIVES.md from silently rotting as code
+// evolves. Three checks:
 //
-// A "named identifier" is a backticked token in a table row (a line
-// starting with '|') that looks like an exported Go identifier: leading
-// upper-case letter, at least one lower-case letter, only letters, digits
-// and underscores. Dotted selectors like `core.HierDSAR` are checked by
-// their final element.
-//
-// It also fails when a `sparbench -sweep X` invocation anywhere in the docs
-// names a sweep the registry in internal/experiments does not hold.
+//   - A backticked token in a table row (a line starting with '|') that
+//     looks like an exported Go identifier — leading upper-case letter, at
+//     least one lower-case letter, only letters, digits and underscores —
+//     must be declared by non-test Go source: a top-level declaration, a
+//     method, a struct field or an interface method. Dotted selectors like
+//     `core.HierDSAR` are checked by their final element. A word that only
+//     survives in a comment, a string or a test does not count.
+//   - Every `sparcml.X` selector inside a fenced Go block must name an
+//     exported top-level identifier of the facade package at the root.
+//   - Every `sparbench -sweep X` invocation must name a sweep the registry
+//     in internal/experiments holds.
 //
 // Usage: go run ./tools/docdrift -root . docs/COLLECTIVES.md...
 package main
@@ -18,6 +21,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"log"
 	"os"
@@ -31,6 +37,8 @@ import (
 var backticked = regexp.MustCompile("`([^`]+)`")
 var identifier = regexp.MustCompile(`^[A-Z][A-Za-z0-9_]*$`)
 var sweepFlag = regexp.MustCompile(`sparbench\s+-sweep\s+([A-Za-z0-9_]+)`)
+var goFence = regexp.MustCompile("(?s)```go\n(.*?)```")
+var facadeSelector = regexp.MustCompile(`\bsparcml\.([A-Z][A-Za-z0-9_]*)`)
 
 func main() {
 	log.SetFlags(0)
@@ -41,28 +49,35 @@ func main() {
 		log.Fatal("usage: docdrift [-root dir] <doc.md>...")
 	}
 
-	source, err := allGoSource(*root)
+	declared, facade, err := declaredIdentifiers(*root)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	missing := 0
+	stale := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		missing++
+	}
 	for _, doc := range flag.Args() {
-		text, err := os.ReadFile(doc)
+		raw, err := os.ReadFile(doc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, m := range sweepFlag.FindAllSubmatch(text, -1) {
-			if _, err := experiments.Lookup(string(m[1])); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: `sparbench -sweep %s` names no registered sweep\n", doc, m[1])
-				missing++
+		text := string(raw)
+		for _, m := range sweepFlag.FindAllStringSubmatch(text, -1) {
+			if _, err := experiments.Lookup(m[1]); err != nil {
+				stale("%s: `sparbench -sweep %s` names no registered sweep", doc, m[1])
 			}
 		}
-		names := tableIdentifiers(string(text))
-		for _, name := range names {
-			if !wordPresent(source, name) {
-				fmt.Fprintf(os.Stderr, "%s: `%s` is named in a table but does not exist in the Go source\n", doc, name)
-				missing++
+		for _, name := range tableIdentifiers(text) {
+			if !declared[name] {
+				stale("%s: `%s` is named in a table but no non-test Go source declares it", doc, name)
+			}
+		}
+		for _, name := range facadeSelectors(text) {
+			if !facade[name] {
+				stale("%s: a Go block uses `sparcml.%s`, which the facade does not export", doc, name)
 			}
 		}
 	}
@@ -72,28 +87,79 @@ func main() {
 	fmt.Println("docdrift: all documented identifiers and sweeps exist in the source")
 }
 
-// allGoSource concatenates every .go file under root (skipping hidden
-// directories) so presence checks can run over one haystack.
-func allGoSource(root string) (string, error) {
-	var sb strings.Builder
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// declaredIdentifiers parses every non-test .go file under root (skipping
+// hidden directories) and returns the names it declares anywhere —
+// top-level declarations, methods, struct fields, interface methods — plus
+// the exported subset the package in root itself declares at top level: the
+// facade's exports.
+func declaredIdentifiers(root string) (declared, facade map[string]bool, err error) {
+	declared, facade = map[string]bool{}, map[string]bool{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root {
-			return filepath.SkipDir
-		}
-		if !d.IsDir() && strings.HasSuffix(path, ".go") {
-			b, err := os.ReadFile(path)
-			if err != nil {
-				return err
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != root {
+				return filepath.SkipDir
 			}
-			sb.Write(b)
-			sb.WriteByte('\n')
+			return nil
 		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		inFacade := filepath.Dir(path) == filepath.Clean(root)
+		topLevel := func(name string) {
+			declared[name] = true
+			if inFacade && ast.IsExported(name) {
+				facade[name] = true
+			}
+		}
+		for _, decl := range file.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv != nil {
+					declared[decl.Name.Name] = true // a method
+				} else {
+					topLevel(decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						topLevel(spec.Name.Name)
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							topLevel(n.Name)
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			var members *ast.FieldList
+			switch n := n.(type) {
+			case *ast.StructType:
+				members = n.Fields
+			case *ast.InterfaceType:
+				members = n.Methods
+			}
+			if members != nil {
+				for _, m := range members.List {
+					for _, name := range m.Names {
+						declared[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
 		return nil
 	})
-	return sb.String(), err
+	return declared, facade, err
 }
 
 // tableIdentifiers extracts the exported-identifier-shaped backticked
@@ -122,9 +188,18 @@ func tableIdentifiers(text string) []string {
 	return out
 }
 
-// wordPresent reports whether name occurs in source on an identifier
-// boundary (not as a substring of a longer identifier).
-func wordPresent(source, name string) bool {
-	re := regexp.MustCompile(`\b` + regexp.QuoteMeta(name) + `\b`)
-	return re.MatchString(source)
+// facadeSelectors extracts the X of every `sparcml.X` inside the markdown
+// text's fenced Go blocks.
+func facadeSelectors(text string) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, block := range goFence.FindAllStringSubmatch(text, -1) {
+		for _, m := range facadeSelector.FindAllStringSubmatch(block[1], -1) {
+			if !seen[m[1]] {
+				seen[m[1]] = true
+				out = append(out, m[1])
+			}
+		}
+	}
+	return out
 }
