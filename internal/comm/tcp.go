@@ -61,6 +61,9 @@ const (
 // length prefixes.
 const maxFrameBytes = 1 << 30
 
+// frameLenBytes is the size of a frame's uint32 length prefix.
+const frameLenBytes = 4
+
 // msgHeaderBytes is the fixed prefix of a frameMsg body before the payload
 // codec bytes: kind + src + tag + modeled size.
 const msgHeaderBytes = 1 + 4 + 8 + 8
@@ -135,18 +138,21 @@ func (t *tcpTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
 	if ep == nil {
 		panic(fmt.Sprintf("comm: rank %d is not local to this process", p.rank))
 	}
-	body := make([]byte, 0, msgHeaderBytes+64)
-	body = append(body, frameMsg)
-	body = binary.LittleEndian.AppendUint32(body, uint32(p.rank))
-	body = binary.LittleEndian.AppendUint64(body, uint64(int64(tag)))
-	body = binary.LittleEndian.AppendUint64(body, uint64(int64(bytes)))
-	body, err := appendPayload(body, payload)
+	// The whole frame — length prefix, message header, payload — is built
+	// once in one buffer of its exact size and leaves in one Write.
+	frame := make([]byte, frameLenBytes, frameLenBytes+msgHeaderBytes+payloadSize(payload))
+	frame = append(frame, frameMsg)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(p.rank))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(int64(tag)))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(int64(bytes)))
+	frame, err := appendPayload(frame, payload)
 	if err != nil {
 		panic(fmt.Sprintf("comm: tcp transport payload: %v", err))
 	}
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-frameLenBytes))
 	c, err := ep.connTo(dst)
 	if err == nil {
-		err = c.writeFrame(body)
+		err = c.write(frame)
 	}
 	if err != nil {
 		t.w.poison()
@@ -195,20 +201,27 @@ func (t *tcpTransport) dialTimeout() time.Duration {
 	return 10 * time.Second
 }
 
-// writeFrame writes one length-prefixed frame as a single Write.
+// writeFrame prefixes a small control body with its length and writes it;
+// message frames are built with the prefix in place (see send).
 func (c *tcpConn) writeFrame(body []byte) error {
-	buf := make([]byte, 4+len(body))
-	binary.LittleEndian.PutUint32(buf, uint32(len(body)))
-	copy(buf[4:], body)
+	frame := make([]byte, frameLenBytes+len(body))
+	binary.LittleEndian.PutUint32(frame, uint32(len(body)))
+	copy(frame[frameLenBytes:], body)
+	return c.write(frame)
+}
+
+// write sends one complete frame, length prefix included, as a single
+// Write, serialized against the connection's other writers.
+func (c *tcpConn) write(frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, err := c.c.Write(buf)
+	_, err := c.c.Write(frame)
 	return err
 }
 
 // readFrame reads one length-prefixed frame body.
 func readFrame(br *bufio.Reader) ([]byte, error) {
-	var lenBuf [4]byte
+	var lenBuf [frameLenBytes]byte
 	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 		return nil, err
 	}

@@ -66,6 +66,53 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPayloadSizeMatchesAppend guards the switch payloadSize mirrors: for
+// every codec arm, nil entries and empty lists included, it is exactly the
+// number of bytes appendPayload writes.
+func TestPayloadSizeMatchesAppend(t *testing.T) {
+	for i, v := range codecCases() {
+		frame, err := appendPayload(nil, v)
+		if err != nil {
+			t.Fatalf("case %d (%T): %v", i, v, err)
+		}
+		if got := payloadSize(v); got != len(frame) {
+			t.Errorf("case %d (%T): payloadSize %d, appendPayload wrote %d bytes", i, v, got, len(frame))
+		}
+	}
+}
+
+// TestCopyPayloadAllocationBudget: the goroutine handover of a 1 MiB sparse
+// vector allocates its exact-size frame and the decoded copy — two bytes
+// per encoded byte in a handful of allocations — not a buffer regrown
+// through dozens of appends (6 bytes per byte in 40 allocations).
+func TestCopyPayloadAllocationBudget(t *testing.T) {
+	nnz := (1 << 20) / 12
+	idx := make([]int32, nnz)
+	val := make([]float64, nnz)
+	for i := range idx {
+		idx[i], val[i] = int32(2*i), float64(i)
+	}
+	v := stream.NewSparse(2*nnz, idx, val, stream.OpSum)
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := copyPayload(v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// MemStats is process-wide, but a stray allocation elsewhere is bytes
+	// against the 2 MiB each run allocates here.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		copyPayload(v)
+	}
+	runtime.ReadMemStats(&after)
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(payloadSize(v))
+	if bytesPer > 2.1 || allocs > 6 {
+		t.Fatalf("copyPayload allocated %.2f bytes per encoded byte in %v allocations, budget 2.1 in 6", bytesPer, allocs)
+	}
+}
+
 // hostileCountFrame claims a 2^31−1 entry block list in five bytes: a
 // decoder that allocates from the count before checking it against the
 // frame dies with an unrecoverable out-of-memory error.
@@ -119,6 +166,9 @@ func FuzzDecodePayload(f *testing.F) {
 		frame, err := appendPayload(nil, v)
 		if err != nil {
 			t.Fatalf("decoded %T does not encode: %v", v, err)
+		}
+		if got := payloadSize(v); got != len(frame) {
+			t.Fatalf("%T: payloadSize %d, appendPayload wrote %d bytes", v, got, len(frame))
 		}
 		again, err := decodePayload(frame)
 		if err != nil {

@@ -18,7 +18,7 @@ import (
 // Every payload type a collective sends is supported: nil (barriers),
 // dense slices, sparse stream vectors (reconstructed field-exact via
 // stream.AppendWire/DecodeWire, which is what keeps results bit-identical
-// across transports), quantized vectors (quant.Marshal/Unmarshal), and the
+// across transports), quantized vectors (quant.AppendMarshal/Unmarshal), and the
 // block allgather's rank-indexed lists of dense or quantized blocks, whose
 // absent entries stay nil.
 //
@@ -44,7 +44,7 @@ const (
 // copy that shares no storage with the original — the goroutine
 // transport's per-message handover.
 func copyPayload(v any) (any, error) {
-	buf, err := appendPayload(nil, v)
+	buf, err := appendPayload(make([]byte, 0, payloadSize(v)), v)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func appendPayload(buf []byte, v any) ([]byte, error) {
 	case []float64:
 		return appendFloats(append(buf, wireFloats), x), nil
 	case [][]float64:
-		return appendList(append(buf, wireFloatss), x, func(xs []float64) bool { return xs != nil }, appendFloats), nil
+		return appendList(append(buf, wireFloatss), x, hasFloats, appendFloats), nil
 	case *stream.Vector:
 		if x == nil {
 			return append(buf, wireVectorNil), nil
@@ -71,11 +71,42 @@ func appendPayload(buf []byte, v any) ([]byte, error) {
 		}
 		return appendQuantized(append(buf, wireQuantized), x), nil
 	case []*quant.Quantized:
-		return appendList(append(buf, wireQuantSlice), x, func(q *quant.Quantized) bool { return q != nil }, appendQuantized), nil
+		return appendList(append(buf, wireQuantSlice), x, hasQuantized, appendQuantized), nil
 	default:
 		return nil, fmt.Errorf("comm: no payload codec for %T", v)
 	}
 }
+
+// payloadSize returns the exact number of bytes appendPayload appends for
+// v, arm for arm, so a frame is allocated once at its final size instead
+// of growing through append. A type without a codec counts as its id byte;
+// appendPayload is what reports it.
+func payloadSize(v any) int {
+	switch x := v.(type) {
+	case []float64:
+		return 1 + floatsSize(x)
+	case [][]float64:
+		return 1 + listSize(x, hasFloats, floatsSize)
+	case *stream.Vector:
+		if x == nil {
+			return 1
+		}
+		return 1 + x.WireSize()
+	case *quant.Quantized:
+		if x == nil {
+			return 1
+		}
+		return 1 + quantizedSize(x)
+	case []*quant.Quantized:
+		return 1 + listSize(x, hasQuantized, quantizedSize)
+	default:
+		return 1
+	}
+}
+
+// hasFloats and hasQuantized say whether a block-list entry is present.
+func hasFloats(xs []float64) bool          { return xs != nil }
+func hasQuantized(q *quant.Quantized) bool { return q != nil }
 
 // decodePayload reverses appendPayload, consuming the whole buffer.
 func decodePayload(data []byte) (any, error) {
@@ -131,6 +162,17 @@ func appendList[T any](buf []byte, list []T, present func(T) bool, elem func([]b
 	return buf
 }
 
+// listSize is the length appendList writes.
+func listSize[T any](list []T, present func(T) bool, elem func(T) int) int {
+	size := 4 + len(list)
+	for _, x := range list {
+		if present(x) {
+			size += elem(x)
+		}
+	}
+	return size
+}
+
 // decodeList reads a whole appendList body; elem decodes one element from
 // the front of its argument and returns the bytes it consumed. Absent
 // entries stay the zero T.
@@ -182,6 +224,9 @@ func appendFloats(buf []byte, xs []float64) []byte {
 	return buf
 }
 
+// floatsSize is the length appendFloats writes.
+func floatsSize(xs []float64) int { return 4 + 8*len(xs) }
+
 // decodeFloats reads a length-prefixed float64 slice, returning it and the
 // bytes consumed.
 func decodeFloats(data []byte) ([]float64, int, error) {
@@ -201,12 +246,14 @@ func decodeFloats(data []byte) ([]float64, int, error) {
 }
 
 // appendQuantized writes a quantized vector as a length-prefixed
-// quant.Marshal block.
+// quant.AppendMarshal block, marshalled straight into the frame.
 func appendQuantized(buf []byte, q *quant.Quantized) []byte {
-	b := q.Marshal()
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(q.MarshalSize()))
+	return q.AppendMarshal(buf)
 }
+
+// quantizedSize is the length appendQuantized writes.
+func quantizedSize(q *quant.Quantized) int { return 4 + q.MarshalSize() }
 
 // decodeQuantized reads one appendQuantized block, returning the vector
 // and the bytes consumed.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -103,4 +106,63 @@ func TestDSARQuantizedReducesBytes(t *testing.T) {
 var bandwidthBound = simnet.Profile{
 	Name: "bw-bound", Alpha: 1e-7, BetaPerByte: 1e-8,
 	GammaPerElem: 1e-12, SparseComputeFactor: 4,
+}
+
+// TestQuantizedResultDigests pins the §6 path across commits: the
+// equivalence tables compare transports within one commit, so a change to
+// the quantizer's draw order, the decoder's arithmetic or the block
+// placement would pass them on every backend at once. The digests are the
+// SHA-256 of the result's float bits, recorded before DecodeInto replaced
+// the per-coordinate decoder. P = 6 and three 2-rank nodes make both the
+// flat allgather and the hierarchical top phase fold.
+func TestQuantizedResultDigests(t *testing.T) {
+	const P, n = 6, 3000
+	inputs := make([]*stream.Vector, P)
+	for r := range inputs {
+		var idx []int32
+		var val []float64
+		for i := 0; i < n; i++ {
+			if h := uint32(i*P+r) * 2654435761; h>>29 == 0 && i/250 != 5 {
+				idx = append(idx, int32(i))
+				val = append(val, float64(int32(h>>8)%2001-1000)/64)
+			}
+		}
+		inputs[r] = stream.NewSparse(n, idx, val, stream.OpSum)
+	}
+	topo := simnet.TwoLevel(2, simnet.NVLinkLike, simnet.Aries, 0)
+	tcp, err := comm.NewWorldTCP(P, simnet.Aries, comm.TCPConfig{Hierarchy: &topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	worlds := map[string]*comm.World{
+		"sim":       comm.NewWorldHier(P, topo),
+		"goroutine": comm.NewWorldHier(P, topo).UseGoroutineTransport(),
+		"tcp":       tcp,
+	}
+	for _, tc := range []struct {
+		alg  Algorithm
+		want string
+	}{
+		{DSARSplitAllgather, "983efe4cd3a629fe576ffc8e52afff4b33abc100608506ab49a086e02ed2b9a9"},
+		{HierDSAR, "db99dd5750b51c0254bf589a2c01d4acd19e78ea976713e7e86591ad7d06c248"},
+	} {
+		opts := Options{Algorithm: tc.alg, Seed: 20261002,
+			Quant: &quant.Config{Bits: 4, Bucket: 128, Norm: quant.NormMax}}
+		for backend, w := range worlds {
+			results := comm.Run(w, func(p *comm.Proc) []float64 {
+				return Allreduce(p, inputs[p.Rank()], opts).ToDense()
+			})
+			for r, res := range results {
+				bits := make([]byte, 0, 8*len(res))
+				for _, x := range res {
+					bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(x))
+				}
+				sum := sha256.Sum256(bits)
+				if got := hex.EncodeToString(sum[:]); got != tc.want {
+					t.Errorf("%v on %s, rank %d: result digest %s, want %s", tc.alg, backend, r, got, tc.want)
+				}
+			}
+		}
+	}
 }

@@ -329,8 +329,9 @@ func dsarSplitAllgather(p *comm.Proc, v *stream.Vector, opts Options, base int) 
 
 	agBase := base + C*P + 8
 	if opts.Quant != nil {
-		// Quantize my block; exchange quantized blocks; decode all. The
-		// block dies once encoded, so it is scratch-pooled.
+		// Quantize my block; exchange quantized blocks; decode each straight
+		// into its slice of the result. The block dies once encoded, so it
+		// is scratch-pooled.
 		block := sc.GrabDense(hi-lo, v.Op().Neutral())
 		p.SpanBegin("dsar:densify")
 		densify(block)
@@ -346,9 +347,8 @@ func dsarSplitAllgather(p *comm.Proc, v *stream.Vector, opts Options, base int) 
 		gathered[rank] = q
 		allgatherBlocks(p, P, gathered, agBase, (*quant.Quantized).WireBytes)
 		for r, qr := range gathered {
-			rLo, _ := partition(n, P, r)
-			dec := qr.Decode()
-			copy(result[rLo:rLo+len(dec)], dec)
+			rLo, rHi := partition(n, P, r)
+			qr.DecodeInto(result[rLo:rHi])
 		}
 		p.Compute(p.Profile().DenseReduceTime(n)) // decode pass
 		p.SpanEnd()

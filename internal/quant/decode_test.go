@@ -1,0 +1,196 @@
+package quant
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// referenceDecode is the per-coordinate decoder DecodeInto replaced, kept
+// as the arithmetic's definition: one bucket division, one code extraction
+// and one float division per entry.
+func referenceDecode(q *Quantized) []float64 {
+	out := make([]float64, q.n)
+	L := float64(q.cfg.Levels())
+	for i := range out {
+		bitPos := i * q.cfg.Bits
+		u := uint(q.packed[bitPos/8]>>uint(bitPos%8)) & (1<<q.cfg.Bits - 1)
+		code := int(u) - q.cfg.Levels()
+		out[i] = float64(q.scales[i/q.cfg.Bucket]) * float64(code) / L
+	}
+	return out
+}
+
+// sameBits reports the first coordinate at which two vectors differ as
+// float bit patterns (so −0 ≠ +0 and NaN payloads count), or -1.
+func sameBits(a, b []float64) int {
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestDecodeIntoMatchesReference: the table-driven decoder is bit-equal to
+// the per-coordinate one for every width, for buckets that start and end
+// inside a byte and buckets shorter than the table, with all-zero buckets
+// (which decode to −0) and a ragged last bucket in the mix.
+func TestDecodeIntoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, bits := range []int{2, 4, 8} {
+		for _, bucket := range []int{1, 3, 7, 64, 1000, 1024} {
+			for _, norm := range []Norm{NormMax, NormL2} {
+				for _, n := range []int{0, 1, 5, 1023, 1024, 1025, 131072} {
+					v := make([]float64, n)
+					for i := range v {
+						if i/bucket%3 != 1 { // every third bucket stays all-zero
+							v[i] = rng.NormFloat64()
+						}
+					}
+					q := Encode(v, Config{Bits: bits, Bucket: bucket, Norm: norm}, rng)
+					// Poison dst: every entry must be overwritten, none past n.
+					dst := make([]float64, n+3)
+					for i := range dst {
+						dst[i] = math.Inf(1)
+					}
+					q.DecodeInto(dst)
+					if i := sameBits(dst[:n], referenceDecode(q)); i >= 0 {
+						t.Fatalf("bits=%d bucket=%d norm=%v n=%d: coordinate %d differs from the reference decoder", bits, bucket, norm, n, i)
+					}
+					for _, x := range dst[n:] {
+						if !math.IsInf(x, 1) {
+							t.Fatalf("bits=%d bucket=%d norm=%v n=%d: wrote past Dim()", bits, bucket, norm, n)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestDecodeIntoAllocatesNothing(t *testing.T) {
+	q := Encode(pinInput(), Config{Bits: 4, Bucket: 512, Norm: NormMax}, rand.New(rand.NewSource(1)))
+	dst := make([]float64, q.Dim())
+	if allocs := testing.AllocsPerRun(10, func() { q.DecodeInto(dst) }); allocs != 0 {
+		t.Fatalf("DecodeInto allocates %v times per call, want 0", allocs)
+	}
+}
+
+func TestDecodeIntoShortDstPanics(t *testing.T) {
+	q := Encode(make([]float64, 100), Config{Bits: 4, Bucket: 32, Norm: NormMax}, rand.New(rand.NewSource(1)))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DecodeInto into a 99-entry dst did not panic")
+		}
+	}()
+	q.DecodeInto(make([]float64, 99))
+}
+
+// TestHugeBucketScaleSaturates: a bucket whose max |x| is past float32
+// range used to store scale +Inf, and +Inf·0 decoded its zero entries to
+// NaN. The stored scale saturates instead.
+func TestHugeBucketScaleSaturates(t *testing.T) {
+	v := []float64{1e300, 0, -1e300, 0.5}
+	for _, norm := range []Norm{NormMax, NormL2} {
+		q := Encode(v, Config{Bits: 4, Bucket: 4, Norm: norm}, rand.New(rand.NewSource(1)))
+		dec := q.Decode()
+		for i, x := range dec {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("norm=%v: coordinate %d decodes to %g", norm, i, x)
+			}
+		}
+		if dec[1] != 0 {
+			t.Fatalf("norm=%v: the zero entry decodes to %g", norm, dec[1])
+		}
+	}
+}
+
+// TestAppendMarshal: AppendMarshal extends the buffer it is given by
+// exactly MarshalSize bytes, the same bytes whatever precedes them.
+func TestAppendMarshal(t *testing.T) {
+	q := Encode(pinInput(), Config{Bits: 2, Bucket: 100, Norm: NormL2}, rand.New(rand.NewSource(1)))
+	prefix := []byte("frame")
+	got := q.AppendMarshal(append([]byte(nil), prefix...))
+	alone := q.AppendMarshal(nil)
+	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], alone) || len(alone) != q.MarshalSize() {
+		t.Fatalf("AppendMarshal wrote %d bytes after the prefix, %d onto nil, MarshalSize %d", len(got)-len(prefix), len(alone), q.MarshalSize())
+	}
+}
+
+// FuzzUnmarshal: whatever bytes arrive, Unmarshal returns a vector or an
+// error — it never panics and holds no more than the buffer's worth of
+// storage — and an accepted buffer re-marshals to itself and decodes as
+// the reference decoder says.
+func FuzzUnmarshal(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, cfg := range []Config{{2, 3, NormMax}, {4, 16, NormL2}, {8, 1000, NormMax}} {
+		for _, n := range []int{0, 1, 37} {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = rng.NormFloat64()
+			}
+			f.Add(Encode(v, cfg, rng).AppendMarshal(nil))
+		}
+	}
+	// Bare headers that claim 2^32−1 entries.
+	f.Add([]byte{4, 0, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{8, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		if held := 4*len(q.scales) + len(q.packed); held > len(data) {
+			t.Fatalf("a %d-byte buffer unmarshalled into %d bytes of storage", len(data), held)
+		}
+		if !bytes.Equal(q.AppendMarshal(nil), data) {
+			t.Fatalf("AppendMarshal∘Unmarshal is not the identity on an accepted %d-byte buffer", len(data))
+		}
+		if i := sameBits(q.Decode(), referenceDecode(q)); i >= 0 {
+			t.Fatalf("cfg=%+v n=%d: coordinate %d differs from the reference decoder", q.cfg, q.n, i)
+		}
+	})
+}
+
+// pinInput is a fixed vector of exact dyadic values with a ragged last
+// bucket and one all-zero bucket (which must draw nothing from the rng).
+func pinInput() []float64 {
+	v := make([]float64, 5000)
+	for i := range v {
+		if i/512 == 3 {
+			continue
+		}
+		h := uint32(i) * 2654435761
+		v[i] = float64(int32(h>>8)%4001-2000) / 128
+	}
+	return v
+}
+
+// TestEncodeMarshalDigests pins the encoder's bytes across commits: one
+// rng.Float64() per coordinate of a non-zero bucket, in coordinate order,
+// is part of the bit-identity contract, and nothing else would notice a
+// reordering that every transport applies alike. Recorded before the
+// decoder and the framing were rewritten.
+func TestEncodeMarshalDigests(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Bits: 2, Bucket: 512, Norm: NormMax}, "83afe1c97dac440ca348de95e4ccb432ab50ee2f81d8cdcede7400b8792a9f9d"},
+		{Config{Bits: 4, Bucket: 512, Norm: NormMax}, "b35ed3631fa973d2dcb023a5ac2ec8e077d029ce6542aeb0552f7c6731423cec"},
+		{Config{Bits: 8, Bucket: 512, Norm: NormMax}, "12bc232416ee64349f3482196d3b4846d1abe06324ab257c8ade82c5fa7c4f1c"},
+		{Config{Bits: 4, Bucket: 512, Norm: NormL2}, "f523d08cf0953113fef04534e3530b02349fe30e18ab2ffe99f4f565f8b3afb6"},
+	} {
+		sum := sha256.Sum256(Encode(pinInput(), tc.cfg, rand.New(rand.NewSource(20261002))).AppendMarshal(nil))
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%+v: marshalled Encode(...) digest %s, want %s", tc.cfg, got, tc.want)
+		}
+	}
+}

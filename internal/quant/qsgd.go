@@ -27,10 +27,14 @@ const (
 )
 
 func (n Norm) String() string {
-	if n == NormL2 {
+	switch n {
+	case NormMax:
+		return "max"
+	case NormL2:
 		return "L2"
+	default:
+		return fmt.Sprintf("Norm(%d)", int(n))
 	}
-	return "max"
 }
 
 // Config describes a quantizer.
@@ -54,6 +58,9 @@ func (c Config) Validate() error {
 	}
 	if c.Bucket <= 0 {
 		return fmt.Errorf("quant: bucket must be positive (got %d)", c.Bucket)
+	}
+	if c.Norm != NormMax && c.Norm != NormL2 {
+		return fmt.Errorf("quant: unknown norm %d", int(c.Norm))
 	}
 	return nil
 }
@@ -94,7 +101,9 @@ func Encode(v []float64, cfg Config, rng *rand.Rand) *Quantized {
 			hi = len(v)
 		}
 		scale := bucketScale(v[lo:hi], cfg.Norm)
-		q.scales[b] = float32(scale)
+		// A scale past float32 range would be stored as +Inf and decode its
+		// zero codes to NaN; saturate what is stored, round with the true one.
+		q.scales[b] = float32(math.Min(scale, math.MaxFloat32))
 		if scale == 0 {
 			continue // all codes stay 0
 		}
@@ -136,29 +145,12 @@ func bucketScale(v []float64, norm Norm) float64 {
 	}
 }
 
-// put stores the signed code for entry i.
+// put stores the signed code for entry i. Bits divides 8, so a code never
+// straddles a byte.
 func (q *Quantized) put(i, code int) {
 	u := uint(code + q.cfg.Levels()) // bias to unsigned
 	bitPos := i * q.cfg.Bits
-	byteIdx := bitPos / 8
-	shift := uint(bitPos % 8)
-	q.packed[byteIdx] |= byte(u << shift)
-	if shift+uint(q.cfg.Bits) > 8 {
-		q.packed[byteIdx+1] |= byte(u >> (8 - shift))
-	}
-}
-
-// code retrieves the signed code for entry i.
-func (q *Quantized) code(i int) int {
-	bitPos := i * q.cfg.Bits
-	byteIdx := bitPos / 8
-	shift := uint(bitPos % 8)
-	u := uint(q.packed[byteIdx] >> shift)
-	if shift+uint(q.cfg.Bits) > 8 {
-		u |= uint(q.packed[byteIdx+1]) << (8 - shift)
-	}
-	u &= (1 << q.cfg.Bits) - 1
-	return int(u) - q.cfg.Levels()
+	q.packed[bitPos/8] |= byte(u << uint(bitPos%8))
 }
 
 // Dim returns the vector dimension.
@@ -170,12 +162,59 @@ func (q *Quantized) Config() Config { return q.cfg }
 // Decode reconstructs the (lossy) vector.
 func (q *Quantized) Decode() []float64 {
 	out := make([]float64, q.n)
-	L := float64(q.cfg.Levels())
-	for i := range out {
-		b := i / q.cfg.Bucket
-		out[i] = float64(q.scales[b]) * float64(q.code(i)) / L
-	}
+	q.DecodeInto(out)
 	return out
+}
+
+// DecodeInto reconstructs the (lossy) vector into dst[:Dim()] without
+// allocating; it panics when dst is shorter than Dim(). Entry i decodes to
+// float64(scale)·float64(code)/L: per bucket that expression is tabulated
+// once over the 2^Bits code words, then the packed codes are unpacked a
+// whole byte at a time.
+func (q *Quantized) DecodeInto(dst []float64) {
+	dst = dst[:q.n]
+	bits, levels := q.cfg.Bits, q.cfg.Levels()
+	L := float64(levels)
+	perByte := 8 / bits
+	mask := byte(1<<bits - 1)
+	word := func(i int) int { return int(q.packed[i/perByte] >> (i % perByte * bits) & mask) }
+	var table [256]float64
+	for b, scale := range q.scales {
+		s := float64(scale)
+		lo := b * q.cfg.Bucket
+		hi := min(lo+q.cfg.Bucket, q.n)
+		for u := 0; u < 1<<bits; u++ {
+			table[u] = s * float64(u-levels) / L
+		}
+		// A bucket may begin or end inside a byte: one code at a time up to
+		// the first byte boundary and after the last.
+		alignedLo := min((lo+perByte-1)/perByte*perByte, hi)
+		alignedHi := max(hi/perByte*perByte, alignedLo)
+		for i := lo; i < alignedLo; i++ {
+			dst[i] = table[word(i)]
+		}
+		src := q.packed[alignedLo/perByte : alignedHi/perByte]
+		out := dst[alignedLo:alignedHi]
+		switch bits {
+		case 2:
+			for j, c := range src {
+				o := out[4*j : 4*j+4 : 4*j+4]
+				o[0], o[1], o[2], o[3] = table[c&3], table[c>>2&3], table[c>>4&3], table[c>>6]
+			}
+		case 4:
+			for j, c := range src {
+				o := out[2*j : 2*j+2 : 2*j+2]
+				o[0], o[1] = table[c&15], table[c>>4]
+			}
+		default:
+			for j, c := range src {
+				out[j] = table[c]
+			}
+		}
+		for i := alignedHi; i < hi; i++ {
+			dst[i] = table[word(i)]
+		}
+	}
 }
 
 // WireBytes returns the transmitted size: packed codes plus one float32
@@ -190,26 +229,32 @@ func (q *Quantized) CompressionRatio() float64 {
 	return float64(8*q.n) / float64(q.WireBytes())
 }
 
-// Marshal serializes the quantized vector.
-func (q *Quantized) Marshal() []byte {
-	buf := make([]byte, 0, 16+len(q.packed)+4*len(q.scales))
-	var hdr [16]byte
-	hdr[0] = byte(q.cfg.Bits)
-	hdr[1] = byte(q.cfg.Norm)
-	binary.LittleEndian.PutUint32(hdr[2:], uint32(q.cfg.Bucket))
-	binary.LittleEndian.PutUint32(hdr[6:], uint32(q.n))
-	buf = append(buf, hdr[:10]...)
+// marshalHeaderBytes is the fixed prefix of the serialized form: bits,
+// norm, uint32 bucket, uint32 dimension.
+const marshalHeaderBytes = 10
+
+// MarshalSize returns the exact length of the serialized form.
+func (q *Quantized) MarshalSize() int {
+	return marshalHeaderBytes + 4*len(q.scales) + len(q.packed)
+}
+
+// AppendMarshal appends the serialized form — header, one float32 per
+// bucket, the packed codes — to buf and returns the extended slice.
+func (q *Quantized) AppendMarshal(buf []byte) []byte {
+	buf = append(buf, byte(q.cfg.Bits), byte(q.cfg.Norm))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(q.cfg.Bucket))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(q.n))
 	for _, s := range q.scales {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(s))
-		buf = append(buf, b[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(s))
 	}
 	return append(buf, q.packed...)
 }
 
-// Unmarshal reverses Marshal.
+// Unmarshal reverses AppendMarshal. The buffer may come off a socket: its
+// counts are checked against its length before anything is allocated from
+// them.
 func Unmarshal(buf []byte) (*Quantized, error) {
-	if len(buf) < 10 {
+	if len(buf) < marshalHeaderBytes {
 		return nil, fmt.Errorf("quant: short buffer")
 	}
 	cfg := Config{
@@ -223,15 +268,14 @@ func Unmarshal(buf []byte) (*Quantized, error) {
 	n := int(binary.LittleEndian.Uint32(buf[6:]))
 	nb := (n + cfg.Bucket - 1) / cfg.Bucket
 	packedLen := (n*cfg.Bits + 7) / 8
-	if len(buf) != 10+4*nb+packedLen {
-		return nil, fmt.Errorf("quant: buffer is %d bytes, want %d", len(buf), 10+4*nb+packedLen)
+	if want := marshalHeaderBytes + 4*nb + packedLen; len(buf) != want {
+		return nil, fmt.Errorf("quant: buffer is %d bytes, want %d", len(buf), want)
 	}
-	q := &Quantized{cfg: cfg, n: n, scales: make([]float32, nb)}
-	off := 10
+	q := &Quantized{cfg: cfg, n: n, scales: make([]float32, nb), packed: make([]byte, packedLen)}
+	scales := buf[marshalHeaderBytes : marshalHeaderBytes+4*nb]
 	for i := range q.scales {
-		q.scales[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
+		q.scales[i] = math.Float32frombits(binary.LittleEndian.Uint32(scales[4*i:]))
 	}
-	q.packed = append([]byte(nil), buf[off:]...)
+	copy(q.packed, buf[marshalHeaderBytes+4*nb:])
 	return q, nil
 }

@@ -14,11 +14,14 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%+v: unexpected error %v", c, err)
 		}
 	}
-	bad := []Config{{3, 512, NormMax}, {4, 0, NormMax}, {0, 512, NormMax}, {16, 512, NormMax}}
+	bad := []Config{{3, 512, NormMax}, {4, 0, NormMax}, {0, 512, NormMax}, {16, 512, NormMax}, {4, 512, Norm(7)}}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%+v: expected error", c)
 		}
+	}
+	if got := Norm(7).String(); got == NormMax.String() {
+		t.Errorf("Norm(7) prints as %q", got)
 	}
 }
 
@@ -108,7 +111,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 			v[i] = rng.NormFloat64()
 		}
 		q := Encode(v, Config{Bits: bits, Bucket: 128, Norm: NormL2}, rng)
-		q2, err := Unmarshal(q.Marshal())
+		q2, err := Unmarshal(q.AppendMarshal(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,11 +130,15 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(6))
 	q := Encode(make([]float64, 64), Config{Bits: 4, Bucket: 16, Norm: NormMax}, rng)
-	buf := q.Marshal()
+	buf := q.AppendMarshal(nil)
 	if _, err := Unmarshal(buf[:len(buf)-1]); err == nil {
 		t.Fatal("expected error on truncated buffer")
 	}
-	buf[0] = 5 // invalid bits
+	buf[1] = 7 // a norm byte no encoder writes
+	if _, err := Unmarshal(buf); err == nil {
+		t.Fatal("expected error on invalid norm")
+	}
+	buf[0], buf[1] = 5, 0 // invalid bits
 	if _, err := Unmarshal(buf); err == nil {
 		t.Fatal("expected error on invalid bits")
 	}
@@ -183,30 +190,44 @@ func TestQuickBoundedError(t *testing.T) {
 	}
 }
 
-func BenchmarkEncode4Bit1M(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
+// benchVector is the benchmarks' input: 2^20 standard normals.
+func benchVector(rng *rand.Rand) []float64 {
 	v := make([]float64, 1<<20)
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
-	cfg := Config{Bits: 4, Bucket: 1024, Norm: NormMax}
+	return v
+}
+
+var bench4Bit = Config{Bits: 4, Bucket: 1024, Norm: NormMax}
+
+func BenchmarkEncode4Bit1M(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	v := benchVector(rng)
 	b.SetBytes(8 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Encode(v, cfg, rng)
+		Encode(v, bench4Bit, rng)
 	}
 }
 
 func BenchmarkDecode4Bit1M(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	v := make([]float64, 1<<20)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	q := Encode(v, Config{Bits: 4, Bucket: 1024, Norm: NormMax}, rng)
+	q := Encode(benchVector(rng), bench4Bit, rng)
 	b.SetBytes(8 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Decode()
+	}
+}
+
+func BenchmarkDecodeInto4Bit1M(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	q := Encode(benchVector(rng), bench4Bit, rng)
+	dst := make([]float64, q.Dim())
+	b.SetBytes(8 << 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.DecodeInto(dst)
 	}
 }

@@ -3,7 +3,8 @@
 #   1. build, vet, gofmt; the documentation floor (godoc coverage on the
 #      exported API packages; docs tables name real identifiers and every
 #      `sparbench -sweep X` names a registered sweep).
-#   2. race-check the concurrency hot spots and fuzz the payload decoder.
+#   2. race-check the concurrency hot spots; fuzz the payload decoder and
+#      quant.Unmarshal.
 #   3. the wall-clock benchmark's quick run: all six workloads on the
 #      goroutine and loopback-TCP backends, every op bit-checked against
 #      the simulator, goroutine/fd leaks fail the run. It measures nothing
@@ -48,6 +49,9 @@ go test -race ./internal/comm/... ./internal/core/... ./internal/adapt/... ./int
 
 echo "== fuzz the payload decoder (frames off a socket: never panics, never allocates past the frame, decode∘append round-trips)"
 go test ./internal/comm -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 10s | tail -n 4
+
+echo "== fuzz quant.Unmarshal (the block inside those frames: never panics, holds no more than the buffer, re-marshals to itself, decodes as the reference decoder)"
+go test ./internal/quant -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s | tail -n 4
 
 echo "== bench -quick (six workloads on goroutine + loopback TCP, every op checked, leaks fail)"
 go run ./bench -quick > /dev/null
