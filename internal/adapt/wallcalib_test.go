@@ -10,31 +10,39 @@ import (
 	"repro/internal/stream"
 )
 
-// TestWallClockLinkFit: on the goroutine backend the trace carries
-// measured wall durations, and the calibrator must recover a usable
-// affine fit from them — positive per-byte slope, non-negative intercept —
-// because the codec round-trip does real per-byte work. Message sizes
-// spanning ~100 B to ~4 MB make the slope's sign robust to scheduler
-// noise.
-func TestWallClockLinkFit(t *testing.T) {
-	const P = 4
-	w := comm.NewWorld(P, simnet.Aries).UseGoroutineTransport()
+// tracedRing runs 24 ring rounds alternating ~4 MB and ~100 B messages on
+// w and returns the trace of them: the size spread that makes a measured
+// slope's sign robust to scheduler noise.
+func tracedRing(w *comm.World) *comm.Tracer {
 	tr := w.EnableTrace()
 	big := make([]float64, 1<<19)
 	comm.Run(w, func(p *comm.Proc) int {
 		rank, n := p.Rank(), p.Size()
 		for round := 0; round < 24; round++ {
-			var payload []float64
+			payload := big[:16]
 			if round%2 == 0 {
 				payload = big
-			} else {
-				payload = big[:16]
 			}
 			p.Send((rank+1)%n, round, payload, len(payload)*8)
 			p.Recv((rank-1+n)%n, round)
 		}
 		return 0
 	})
+	return tr
+}
+
+// TestWallClockLinkFit: measured α–β belongs to the transport that moves
+// bytes. On loopback TCP the trace carries the wall duration of framing
+// and writing every message, and the calibrator must recover a usable
+// affine fit from them — positive per-byte slope, non-negative intercept.
+func TestWallClockLinkFit(t *testing.T) {
+	const P = 4
+	w, err := comm.NewWorldTCP(P, simnet.Aries, comm.TCPConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	tr := tracedRing(w)
 	for r := 0; r < P; r++ {
 		c := NewLinkCalibrator(r)
 		c.ConsumeOwn(tr)
@@ -53,6 +61,29 @@ func TestWallClockLinkFit(t *testing.T) {
 		prof, ok := c.CalibratedProfile(simnet.Aries, 0, 8)
 		if !ok || prof.BetaPerByte != beta || prof.Alpha != alpha {
 			t.Fatalf("rank %d: CalibratedProfile (%v, ok=%v)", r, prof, ok)
+		}
+	}
+}
+
+// TestGoroutineHandoverHasNoLinkFit: the goroutine backend hands payloads
+// over by reference, so every traced transfer has zero duration and there
+// is no link to measure — Fit must refuse and CalibratedProfile return the
+// base profile, which is what makes a Controller on this backend price
+// with its static profile (TestControllerOnGoroutineTransport).
+func TestGoroutineHandoverHasNoLinkFit(t *testing.T) {
+	const P = 4
+	tr := tracedRing(comm.NewWorld(P, simnet.Aries).UseGoroutineTransport())
+	for r := 0; r < P; r++ {
+		c := NewLinkCalibrator(r)
+		c.ConsumeOwn(tr)
+		if got := c.Samples(0); got != 24 {
+			t.Fatalf("rank %d: %d samples, want 24", r, got)
+		}
+		if alpha, beta, ok := c.Fit(0); ok {
+			t.Fatalf("rank %d: fitted alpha=%g beta=%g from zero-duration handovers", r, alpha, beta)
+		}
+		if prof, ok := c.CalibratedProfile(simnet.Aries, 0, 8); ok || prof != simnet.Aries {
+			t.Fatalf("rank %d: CalibratedProfile (%v, ok=%v), want the base profile", r, prof, ok)
 		}
 	}
 }

@@ -17,6 +17,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -550,9 +551,10 @@ func (p *Proc) activeAt(l int) int {
 // communicator-size proxy of activeAt — on a simnet.TwoLevel world exactly
 // the per-node NIC factor.
 //
-// On real transports the payload actually moves (through the wire codec in
-// process, over a socket across processes) and the recorded trace times
-// are measured; contention is then physical, so no factor is modeled.
+// On real transports the recorded trace times are measured and contention
+// is physical, so no factor is modeled: the goroutine backend hands the
+// payload over by reference like the simulator, the TCP backend serializes
+// it through the wire codec onto a socket.
 func (p *Proc) Send(to, tag int, payload any, bytes int) {
 	p.world.transport.send(p, p.worldRank(to), tag, payload, bytes)
 }
@@ -649,7 +651,9 @@ func (p *Proc) Recv(from, tag int) Message {
 	for {
 		for i, m := range box.pending {
 			if m.Src == wfrom && m.Tag == tag {
-				box.pending = append(box.pending[:i], box.pending[i+1:]...)
+				// Delete zeroes the vacated tail slot, which would
+				// otherwise pin the payload past the receiver's release.
+				box.pending = slices.Delete(box.pending, i, i+1)
 				p.Observe(m.Arrival)
 				return m
 			}
@@ -765,6 +769,7 @@ func Run[R any](w *World, f func(*Proc) R) []R {
 	// defensive hygiene).
 	for _, b := range w.boxes {
 		b.mu.Lock()
+		clear(b.pending) // stragglers' payloads must not outlive the Run
 		b.pending = b.pending[:0]
 		b.mu.Unlock()
 	}

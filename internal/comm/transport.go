@@ -1,7 +1,5 @@
 package comm
 
-import "fmt"
-
 // Transport is the execution backend behind Proc.Send/Recv/SendRecv/
 // Barrier: it decides how a message's payload reaches the destination
 // rank's mailbox and what the recorded timestamps mean. Three backends are
@@ -10,10 +8,15 @@ import "fmt"
 //   - the simulator (default): single-process, payloads handed over by
 //     reference, per-rank virtual clocks advanced by the α–β model;
 //   - goroutine (World.UseGoroutineTransport): single-process, one truly
-//     concurrent goroutine per rank, payloads deep-copied through the wire
-//     codec, measured wall-clock timestamps;
-//   - TCP (NewWorldTCP): one or more OS processes, payloads framed over
-//     sockets, measured wall-clock timestamps.
+//     concurrent goroutine per rank, payloads handed over by reference,
+//     measured wall-clock timestamps;
+//   - TCP (NewWorldTCP): one or more OS processes, payloads serialized by
+//     the wire codec (wire.go) and framed over sockets, measured wall-clock
+//     timestamps.
+//
+// Both in-process backends deliver the sender's payload object itself, under
+// the Message.Payload contract: ownership transfers on Send, the sender
+// neither mutates nor recycles what it sent.
 //
 // The interface is sealed (its send/close methods are unexported):
 // backends live in this package because they are entangled with mailbox
@@ -55,11 +58,11 @@ func (simTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
 }
 
 // goroutineTransport is the in-process real backend: ranks run truly
-// concurrently and every payload is deep-copied through the wire codec
-// before delivery — real per-byte serialization work, so the recorded
-// (measured) transfer times carry a genuine α–β signal for the link
-// calibrator, and the codec is exercised on every single message exactly
-// as the TCP backend would use it.
+// concurrently on the wall clock and a payload is handed to the receiver by
+// reference, exactly as on the simulator — nothing is serialized, so a
+// message costs a mailbox append and one clock read. The handover has no
+// duration (SendTime = Arrival), which leaves the link calibrator nothing
+// to fit: a controller on this backend prices with its static profile.
 type goroutineTransport struct{}
 
 // Name identifies the backend.
@@ -71,25 +74,19 @@ func (goroutineTransport) Wall() bool { return true }
 func (goroutineTransport) close() error { return nil }
 
 func (goroutineTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
-	start := p.world.wallNow()
-	cp, err := copyPayload(payload)
-	if err != nil {
-		panic(fmt.Sprintf("comm: goroutine transport payload round-trip: %v", err))
-	}
-	arrival := p.world.wallNow()
+	now := p.world.wallNow()
 	// Contention on a real machine is physical, not modeled: record
-	// factor 1 so the calibrator fits measured bytes directly. The priced
-	// hierarchy level is still attributed, keeping per-level fits.
-	p.recordSend(dst, tag, bytes, start, arrival, 1, p.sharedLevel(dst))
-	p.deliver(dst, Message{Src: p.rank, Tag: tag, Payload: cp, Bytes: bytes, Arrival: arrival})
+	// factor 1. The priced hierarchy level is still attributed.
+	p.recordSend(dst, tag, bytes, now, now, 1, p.sharedLevel(dst))
+	p.deliver(dst, Message{Src: p.rank, Tag: tag, Payload: payload, Bytes: bytes, Arrival: now})
 }
 
 // UseGoroutineTransport switches the world to the in-process goroutine
-// backend: ranks run as truly concurrent goroutines, payloads are
-// deep-copied through the wire codec, and all times (Times, MaxTime,
-// Proc.Now, trace timestamps) are measured wall-clock seconds. Call it
-// before Run; the virtual clocks are never advanced on this backend.
-// Returns the world for chaining.
+// backend: ranks run as truly concurrent goroutines, payloads are handed
+// to the receiver by reference (a sent payload belongs to the receiver),
+// and all times (Times, MaxTime, Proc.Now, trace timestamps) are measured
+// wall-clock seconds. Call it before Run; the virtual clocks are never
+// advanced on this backend. Returns the world for chaining.
 func (w *World) UseGoroutineTransport() *World {
 	w.setTransport(goroutineTransport{})
 	return w

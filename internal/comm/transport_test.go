@@ -44,6 +44,17 @@ func codecCases() []any {
 	}
 }
 
+// copyPayload round-trips a payload through the codec the way a TCP message
+// travels: one exact-size frame, then the decoded value, which shares no
+// storage with the original.
+func copyPayload(v any) (any, error) {
+	buf, err := appendPayload(make([]byte, 0, payloadSize(v)), v)
+	if err != nil {
+		return nil, err
+	}
+	return decodePayload(buf)
+}
+
 // TestPayloadCodecRoundTrip: every payload type a collective sends must
 // survive the wire codec deeply equal, sharing no storage with the input.
 func TestPayloadCodecRoundTrip(t *testing.T) {
@@ -81,36 +92,37 @@ func TestPayloadSizeMatchesAppend(t *testing.T) {
 	}
 }
 
-// TestCopyPayloadAllocationBudget: the goroutine handover of a 1 MiB sparse
-// vector allocates its exact-size frame and the decoded copy — two bytes
-// per encoded byte in a handful of allocations — not a buffer regrown
-// through dozens of appends (6 bytes per byte in 40 allocations).
+// TestCopyPayloadAllocationBudget: encoding and decoding a 1 MiB sparse
+// vector, as a TCP message is, allocates its exact-size frame and the
+// decoded copy — two bytes per encoded byte in a handful of allocations —
+// not a buffer regrown through dozens of appends (6 bytes per byte in 40
+// allocations).
 func TestCopyPayloadAllocationBudget(t *testing.T) {
-	nnz := (1 << 20) / 12
-	idx := make([]int32, nnz)
-	val := make([]float64, nnz)
-	for i := range idx {
-		idx[i], val[i] = int32(2*i), float64(i)
-	}
-	v := stream.NewSparse(2*nnz, idx, val, stream.OpSum)
-	const runs = 20
-	allocs := testing.AllocsPerRun(runs, func() {
+	v := megabyteSparse()
+	allocs, bytesPer := allocationsPer(20, func() {
 		if _, err := copyPayload(v); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// MemStats is process-wide, but a stray allocation elsewhere is bytes
-	// against the 2 MiB each run allocates here.
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		copyPayload(v)
-	}
-	runtime.ReadMemStats(&after)
-	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(payloadSize(v))
+	bytesPer /= float64(payloadSize(v))
 	if bytesPer > 2.1 || allocs > 6 {
 		t.Fatalf("copyPayload allocated %.2f bytes per encoded byte in %v allocations, budget 2.1 in 6", bytesPer, allocs)
 	}
+}
+
+// allocationsPer returns the allocations and the bytes allocated by one
+// call of f. The count comes from testing.AllocsPerRun; the bytes from
+// MemStats, which is process-wide — so f should allocate enough, or the
+// budget leave room enough, that a stray allocation elsewhere is noise.
+func allocationsPer(runs int, f func()) (allocs, allocated float64) {
+	allocs = testing.AllocsPerRun(runs, f)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // hostileCountFrame claims a 2^31−1 entry block list in five bytes: a
@@ -191,8 +203,8 @@ func exchangeRing(p *Proc) *stream.Vector {
 }
 
 // TestGoroutineTransportExchange: the goroutine backend delivers correct
-// values, deep-copied (no storage shared with the sender), and reports
-// measured wall times.
+// values by handover — the receiver holds the sender's own object, as on
+// the simulator — and reports measured wall times.
 func TestGoroutineTransportExchange(t *testing.T) {
 	const P = 8
 	w := NewWorld(P, simnet.Aries).UseGoroutineTransport()
@@ -213,8 +225,8 @@ func TestGoroutineTransportExchange(t *testing.T) {
 		if len(idx) != 1 || idx[0] != int32(prev) || val[0] != float64(prev+1) {
 			t.Fatalf("rank %d received %v/%v", r, idx, val)
 		}
-		if v == sent[prev] {
-			t.Fatalf("rank %d received the sender's own object (no deep copy)", r)
+		if v != sent[prev] {
+			t.Fatalf("rank %d received a copy, want the sender's own object", r)
 		}
 	}
 	times := w.Times()
@@ -226,6 +238,94 @@ func TestGoroutineTransportExchange(t *testing.T) {
 	if w.MaxTime() <= 0 {
 		t.Fatalf("MaxTime %g, want > 0", w.MaxTime())
 	}
+}
+
+// megabyteSparse is a sparse vector whose wire form is 1 MiB.
+func megabyteSparse() *stream.Vector {
+	nnz := (1 << 20) / 12
+	idx := make([]int32, nnz)
+	val := make([]float64, nnz)
+	for i := range idx {
+		idx[i], val[i] = int32(2*i), float64(i)
+	}
+	return stream.NewSparse(2*nnz, idx, val, stream.OpSum)
+}
+
+// TestGoroutineSendAllocationBudget: a goroutine-world Send+Recv hands the
+// payload over, so moving a 1 MiB sparse vector costs at most one
+// allocation and under a hundredth of a byte allocated per payload byte.
+func TestGoroutineSendAllocationBudget(t *testing.T) {
+	v := megabyteSparse()
+	w := NewWorld(2, simnet.Aries).UseGoroutineTransport()
+	Run(w, func(p *Proc) int {
+		if p.Rank() != 0 {
+			return 0
+		}
+		allocs, bytesPer := allocationsPer(50, func() {
+			p.Send(0, 3, v, v.WireBytes())
+			if p.Recv(0, 3).Payload.(*stream.Vector) != v {
+				panic("payload not handed over")
+			}
+		})
+		bytesPer /= float64(payloadSize(v))
+		if allocs > 1 || bytesPer >= 0.01 {
+			t.Errorf("Send+Recv allocated %.4f bytes per payload byte in %v allocations, budget 0.01 in 1", bytesPer, allocs)
+		}
+		return 0
+	})
+}
+
+// collectable reports whether the object whose finalizer closes done gets
+// collected within a few GC cycles.
+func collectable(done <-chan struct{}) bool {
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-done:
+			return true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return false
+}
+
+// finalized returns a payload and a channel closed once it is collected.
+func finalized() (*stream.Vector, <-chan struct{}) {
+	done := make(chan struct{})
+	v := stream.NewSparse(64, []int32{1}, []float64{1}, stream.OpSum)
+	runtime.SetFinalizer(v, func(*stream.Vector) { close(done) })
+	return v, done
+}
+
+// TestMailboxReleasesPayloads: a handed-over payload is the sender's own
+// buffer, so the mailbox must not pin it past its release — neither from
+// the slot a matched message vacated (checked mid-Run, queue drained and
+// refilled around it) nor from a straggler nobody received (checked after
+// Run, with the world still alive).
+func TestMailboxReleasesPayloads(t *testing.T) {
+	w := NewWorld(2, simnet.Aries).UseGoroutineTransport()
+	var straggler <-chan struct{}
+	Run(w, func(p *Proc) int {
+		if p.Rank() != 0 {
+			return 0
+		}
+		v, received := finalized()
+		p.Send(0, 1, nil, 0)
+		p.Send(0, 2, v, v.WireBytes())
+		v = nil
+		p.Recv(0, 1) // the payload's message shifts down a slot
+		p.Recv(0, 2) // received and dropped
+		if !collectable(received) {
+			t.Errorf("a received and dropped payload is still reachable from the mailbox")
+		}
+		v, straggler = finalized()
+		p.Send(0, 9, v, v.WireBytes()) // never received
+		return 0
+	})
+	if !collectable(straggler) {
+		t.Errorf("a straggler's payload outlived the Run that drained it")
+	}
+	runtime.KeepAlive(w)
 }
 
 // TestGoroutineTransportTrace: traced events on the real backend carry

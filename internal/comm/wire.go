@@ -9,11 +9,9 @@ import (
 	"repro/internal/stream"
 )
 
-// Payload codec: the serialization layer of the real transports. The
-// simulator hands payloads over by reference, but the goroutine backend
-// deep-copies every message through this codec (so sender and receiver
-// never share storage and the copy costs real per-byte work) and the TCP
-// backend frames exactly these bytes onto sockets.
+// Payload codec: the serialization layer of the TCP transport, which frames
+// exactly these bytes onto sockets. The in-process backends (simulator,
+// goroutine) hand payloads over by reference and never come here.
 //
 // Every payload type a collective sends is supported: nil (barriers),
 // dense slices, sparse stream vectors (reconstructed field-exact via
@@ -39,17 +37,6 @@ const (
 	wireQuantNil   byte = 6 // typed nil *quant.Quantized
 	wireQuantSlice byte = 7 // []*quant.Quantized (nil entries preserved)
 )
-
-// copyPayload round-trips a payload through the codec, producing a deep
-// copy that shares no storage with the original — the goroutine
-// transport's per-message handover.
-func copyPayload(v any) (any, error) {
-	buf, err := appendPayload(make([]byte, 0, payloadSize(v)), v)
-	if err != nil {
-		return nil, err
-	}
-	return decodePayload(buf)
-}
 
 // appendPayload serializes one payload (type id + body) onto buf.
 func appendPayload(buf []byte, v any) ([]byte, error) {

@@ -64,7 +64,9 @@ func GatherSparse(p *comm.Proc, mine *stream.Vector, root int) *stream.Vector {
 // root) returns its partition as a stream over the full universe — in the
 // canonical representation, so a partition holding more than δ non-zeros
 // of a dense input comes back dense (check IsDense before calling Pairs).
-// n and op must be provided on non-root ranks (they have no input).
+// n and op must be provided on non-root ranks (they have no input). What
+// travels are fresh extracts, handed to their receivers by reference on
+// both in-process backends; the root's v itself is never sent.
 func ScatterRanges(p *comm.Proc, v *stream.Vector, root, n int, op stream.Op) *stream.Vector {
 	base := p.NextTagBase()
 	rank, P := p.Rank(), p.Size()
@@ -89,7 +91,11 @@ func ScatterRanges(p *comm.Proc, v *stream.Vector, root, n int, op stream.Op) *s
 // AlltoallSparse sends pieces[r] to rank r and returns the P pieces
 // received, indexed by source rank (the direct exchange pattern of the
 // split phase, generalized to arbitrary per-destination payloads).
-// pieces[p.Rank()] is returned unchanged in its slot.
+// pieces[p.Rank()] is returned unchanged in its slot. Every other piece
+// belongs to its receiver once sent: on both in-process backends
+// (simulator and goroutine) the receiver holds the very object, so the
+// caller must not mutate or release a piece after the call, and owns the
+// ones it gets back.
 func AlltoallSparse(p *comm.Proc, pieces []*stream.Vector) []*stream.Vector {
 	base := p.NextTagBase()
 	rank, P := p.Rank(), p.Size()

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/comm"
@@ -20,9 +23,14 @@ func perRankScratches(P int) []*stream.Scratch {
 }
 
 // TestAllreduceScratchBitIdentical: for every algorithm and input pattern,
-// repeated allreduce calls reusing per-rank scratch pools must return
-// results bit-identical to the scratch-free path, on every rank, every
-// round (round ≥ 2 exercises recycled buffers).
+// on both in-process backends — where a sent vector is handed to the
+// receiver and may end up in another rank's pool — repeated allreduce calls
+// reusing per-rank scratch pools must return results bit-identical to the
+// simulator's scratch-free path, on every rank, every round (round ≥ 2
+// exercises recycled buffers), and must leave every input's wire bytes
+// untouched: a collective that sent or released a caller's vector would
+// show here. The goroutine rows run truly concurrently, so the ci.sh -race
+// pass over this test is the sharing check.
 func TestAllreduceScratchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, P := range []int{2, 4, 7, 8} {
@@ -32,26 +40,111 @@ func TestAllreduceScratchBitIdentical(t *testing.T) {
 			inputs := pat.gen(rng, n, k, P)
 			for _, alg := range allAlgorithms {
 				plain := runAllreduce(t, P, inputs, Options{Algorithm: alg})
-				w := comm.NewWorld(P, testProfile)
-				scratches := perRankScratches(P)
-				for round := 0; round < 3; round++ {
-					results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
-						return Allreduce(p, inputs[p.Rank()],
-							Options{Algorithm: alg, Scratch: scratches[p.Rank()]})
-					})
-					for r, res := range results {
-						got, want := res.ToDense(), plain[r].ToDense()
-						for i := range want {
-							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-								t.Fatalf("P=%d pattern=%s alg=%s round=%d rank=%d coord=%d: got %g want %g",
-									P, pat.name, alg, round, r, i, got[i], want[i])
-							}
-						}
+				for _, w := range []*comm.World{
+					comm.NewWorld(P, testProfile),
+					comm.NewWorld(P, testProfile).UseGoroutineTransport(),
+				} {
+					if err := scratchRounds(w, alg, inputs, plain); err != nil {
+						t.Fatalf("%s P=%d pattern=%s alg=%s: %v", w.Transport(), P, pat.name, alg, err)
 					}
 				}
 			}
 		}
 	}
+}
+
+// scratchRounds runs three scratch-backed allreduces of inputs on w and
+// compares every rank's result of every round with want, bit for bit, and
+// the inputs' wire bytes afterwards with those before.
+func scratchRounds(w *comm.World, alg Algorithm, inputs, want []*stream.Vector) error {
+	wire := make([][]byte, len(inputs))
+	for r, v := range inputs {
+		wire[r] = v.AppendWire(nil)
+	}
+	scratches := perRankScratches(len(inputs))
+	for round := 0; round < 3; round++ {
+		results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
+			return Allreduce(p, inputs[p.Rank()],
+				Options{Algorithm: alg, Scratch: scratches[p.Rank()]})
+		})
+		for r, res := range results {
+			got, want := res.ToDense(), want[r].ToDense()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					return fmt.Errorf("round=%d rank=%d coord=%d: got %g want %g", round, r, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	for r, v := range inputs {
+		if !bytes.Equal(v.AppendWire(nil), wire[r]) {
+			return fmt.Errorf("rank %d's input changed", r)
+		}
+	}
+	return nil
+}
+
+// TestGoroutinePoolsReachSteadyState: handover keeps large buffers in
+// circulation — what a sender draws from its pool, the receiver releases
+// into its own — so the pools must neither fill nor leak. On a scaled
+// gor-bandwidth shape (P=8 goroutine world, SSAR split-allgather, d = 1/16,
+// four input sets in rotation) the pooled buffer count summed over the
+// ranks is level after 8 warm ops and bytes allocated per op stay flat.
+// Level means under one buffer per op over all eight ranks: while buffer
+// capacities sort themselves out the sum creeps by a few buffers (here
+// 294 → 306 of a 2048 cap, then constant; the sequence is deterministic),
+// whereas a merge that builds its output outside the pool injects one per
+// rank per op into the circulation (330 → 698 over the same 40 ops).
+func TestGoroutinePoolsReachSteadyState(t *testing.T) {
+	const (
+		P    = 8
+		n    = 1 << 17
+		k    = n / 16
+		sets = 4
+		warm = 8
+		half = 20
+	)
+	rng := rand.New(rand.NewSource(91))
+	inputs := make([][]*stream.Vector, sets)
+	for s := range inputs {
+		inputs[s] = patterns[0].gen(rng, n, k, P)
+	}
+	w := comm.NewWorld(P, testProfile).UseGoroutineTransport()
+	scratches := perRankScratches(P)
+	op := 0
+	// run executes count ops and returns the bytes allocated per op.
+	run := func(count int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < count; i, op = i+1, op+1 {
+			in := inputs[op%sets]
+			comm.Run(w, func(p *comm.Proc) *stream.Vector {
+				return Allreduce(p, in[p.Rank()],
+					Options{Algorithm: SSARSplitAllgather, Scratch: scratches[p.Rank()]})
+			})
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(count)
+	}
+	pooled := func() int {
+		total := 0
+		for _, sc := range scratches {
+			total += sc.Buffers()
+		}
+		return total
+	}
+	run(warm)
+	settled := pooled()
+	first := run(half)
+	second := run(half)
+	if got := pooled(); got-settled >= 2*half {
+		t.Errorf("pools grew from %d to %d buffers over %d steady-state ops", settled, got, 2*half)
+	}
+	if second > 1.1*first {
+		t.Errorf("allocation per op rose from %.0f to %.0f bytes between ops %d–%d and %d–%d",
+			first, second, warm, warm+half, warm+half, warm+2*half)
+	}
+	t.Logf("%d → %d pooled buffers; %.0f then %.0f bytes allocated per op", settled, pooled(), first, second)
 }
 
 // TestAllreduceScratchKeepsResultsIntact: results returned from earlier

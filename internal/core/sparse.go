@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"strconv"
 
 	"repro/internal/comm"
@@ -95,19 +94,7 @@ func mergeKCharged(p *comm.Proc, acc *stream.Vector, ins []*stream.Vector, sc *s
 		pairs += in.NNZ()
 	}
 	p.Compute(prof.SparseMergeTime(pairs))
-	if p.Wall() && len(ins) >= 2 {
-		// Real transport: the rank runs on an OS thread with wall-clock
-		// time, so the all-sparse merge may fan out across spare cores.
-		// MergeKParallel is bit-identical to AddAll here (all inputs are
-		// sparse and the fan-in is ≥ 3 streams, the exact-δ k-way regime
-		// for both paths); the modeled Compute charges above are no-ops.
-		vs := make([]*stream.Vector, 0, len(ins)+1)
-		vs = append(vs, acc)
-		vs = append(vs, ins...)
-		acc.TakeFrom(stream.MergeKParallel(vs, runtime.GOMAXPROCS(0)), sc)
-	} else {
-		acc.AddAll(ins, sc)
-	}
+	acc.AddAll(ins, sc)
 	if acc.IsDense() {
 		p.Compute(prof.DenseReduceTime(acc.Dim())) // the mid-merge spill's dense fill
 	}

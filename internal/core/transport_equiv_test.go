@@ -16,12 +16,12 @@ import (
 // ragged tiers, quantized and not — must produce bit-identical results on
 // the simulator, the goroutine backend, and loopback TCP, at P ∈
 // {4, 12, 16, 32}; P = 12 is not a power of two, so the butterfly's fold
-// messages and the block allgather's folded lists cross both codecs.
-// Dyadic values make float addition exact, so any divergence
-// is a transport bug (payload codec corruption, reordering, or a merge
-// path that departed from the serial fold), never float noise. The
-// simulator is the reference; its result is also checked against the
-// plain chained reduction.
+// messages and the block allgather's folded lists cross the wire codec on
+// the TCP rows. Dyadic values make float addition exact, so any divergence
+// is a transport bug (payload codec corruption, reordering, two truly
+// concurrent ranks writing a vector they share by handover), never float
+// noise. The simulator is the reference; its result is also checked
+// against the plain chained reduction.
 func TestCrossTransportEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	// RanksPerNode 3 keeps the last node ragged at every tested P but 12

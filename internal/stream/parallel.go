@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -20,9 +19,13 @@ import (
 // Workers ≤ 1, a dense input, a fan-in past the heap's stream budget, or a
 // tiny total all fall back to the serial MergeK. Unlike the scratch-backed
 // serial path this variant allocates plainly: scratch pools are per-rank,
-// not goroutine-safe. Intended for the real transports, where ranks are OS
-// threads with idle cores to spare; the simulator's virtual-time accounting
-// never calls it.
+// not goroutine-safe.
+//
+// No collective calls it: at two cores it measures slower than the pooled
+// serial merge, and its plain-allocated outputs, once released into the
+// ranks' Scratch pools, only fill them. It stays solely because the frozen
+// bench/layers.go probes it as stream.merge_parallel_ns_per_nnz, and goes
+// with the benchmark change that retires that probe.
 func MergeKParallel(vs []*Vector, workers int) *Vector {
 	if len(vs) == 0 {
 		panic("stream: MergeKParallel needs at least one input")
@@ -113,27 +116,6 @@ func MergeKParallel(vs []*Vector, workers int) *Vector {
 		out.val = append(out.val, r.val...)
 	}
 	return out
-}
-
-// TakeFrom adopts o's representation (storage, δ, value-byte accounting)
-// into v, releasing v's superseded buffers into s (nil drops them), and
-// voids o. It is the splice step for merge paths that build their result in
-// a fresh vector — e.g. MergeKParallel — while the caller's accumulator
-// pointer must keep identifying the result. v and o must share dimension
-// and operation.
-func (v *Vector) TakeFrom(o *Vector, s *Scratch) {
-	if v.n != o.n {
-		panic(fmt.Sprintf("stream: dimension mismatch %d vs %d", v.n, o.n))
-	}
-	if v.op != o.op {
-		panic("stream: operation mismatch")
-	}
-	s.putIdx(v.idx)
-	s.putVal(v.val)
-	s.putDense(v.dns)
-	v.idx, v.val, v.dns = o.idx, o.val, o.dns
-	v.valueBytes, v.delta = o.valueBytes, o.delta
-	o.idx, o.val, o.dns = nil, nil, nil
 }
 
 // mergeCursors runs the k-way heap merge over the given cursors (already

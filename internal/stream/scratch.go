@@ -17,10 +17,15 @@ package stream
 //     received from a peer and already merged, or local temporaries);
 //     never release a vector that was returned to a caller or whose
 //     Pairs() slices may still be referenced elsewhere.
-//   - Buffers may migrate between ranks: a vector built from rank A's
-//     scratch and sent to rank B is owned by B on receipt and may be
-//     released into B's scratch. Collectives are symmetric, so pools reach
-//     a steady state where sends drain and receives replenish them.
+//   - Buffers may migrate between ranks: on both in-process backends
+//     (simulator and goroutine) a sent vector is handed over by reference,
+//     so one built from rank A's scratch and sent to rank B is owned by B
+//     on receipt and may be released into B's scratch. Collectives are
+//     symmetric, so pools reach a steady state where sends drain and
+//     receives replenish them; a buffer from outside that exchange (a
+//     plain-allocated merge output, say) released on every op only fills
+//     the free lists. Over TCP the sender's buffer dies with the frame and
+//     the receiver releases a freshly decoded one.
 //
 // The zero value is ready to use; all methods are nil-safe (a nil *Scratch
 // degrades to plain allocation, so every scratch-aware code path can take

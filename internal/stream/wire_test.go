@@ -141,22 +141,3 @@ func sortInt32s(xs []int32) {
 		}
 	}
 }
-
-// TestTakeFrom: the splice step moves storage and settings and voids the
-// source.
-func TestTakeFrom(t *testing.T) {
-	dst := NewSparse(100, []int32{1}, []float64{1}, OpSum)
-	src := NewSparse(100, []int32{2, 3}, []float64{5, 6}, OpSum)
-	src.SetDelta(7)
-	dst.TakeFrom(src, nil)
-	idx, val := dst.Pairs()
-	if len(idx) != 2 || idx[0] != 2 || val[1] != 6 {
-		t.Fatalf("TakeFrom result %v/%v", idx, val)
-	}
-	if dst.Delta() != 7 {
-		t.Fatalf("δ not adopted: %d", dst.Delta())
-	}
-	if src.NNZ() != 0 {
-		t.Fatalf("source not voided")
-	}
-}

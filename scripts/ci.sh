@@ -44,7 +44,7 @@ go run ./tools/doccheck . ./internal/simnet ./internal/comm ./internal/core ./in
 echo "== docdrift (docs tables must name real identifiers, sparbench invocations real sweeps)"
 go run ./tools/docdrift -root . README.md docs/COLLECTIVES.md docs/ARCHITECTURE.md
 
-echo "== go test -race (comm + core + adapt + stream + scenario + train + cluster + obs: real transports, parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks)"
+echo "== go test -race (comm + core + adapt + stream + scenario + train + cluster + obs: real transports, payloads handed between truly concurrent ranks and their scratch pools, parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks)"
 go test -race ./internal/comm/... ./internal/core/... ./internal/adapt/... ./internal/stream/... ./internal/scenario/... ./internal/train/... ./internal/cluster/... ./internal/obs/...
 
 echo "== fuzz the payload decoder (frames off a socket: never panics, never allocates past the frame, decode∘append round-trips)"

@@ -299,9 +299,10 @@ func NewWorldTCP(p int, profile Profile, cfg TCPConfig) (*World, error) {
 }
 
 // UseGoroutineTransport switches the world to the in-process goroutine
-// backend: ranks run truly concurrently, every payload is deep-copied
-// through the wire codec, and all times are measured wall-clock seconds.
-// Call before Run; returns the world for chaining.
+// backend: ranks run truly concurrently, every payload is handed to its
+// receiver by reference (as on the simulator — nothing is serialized, and
+// a sent vector belongs to the receiver), and all times are measured
+// wall-clock seconds. Call before Run; returns the world for chaining.
 func (w *World) UseGoroutineTransport() *World {
 	w.inner.UseGoroutineTransport()
 	return w
@@ -559,7 +560,9 @@ func (c *Comm) Scatter(v *Vector, root, n int, op Op) *Vector {
 }
 
 // Alltoall sends pieces[r] to rank r and returns the pieces received,
-// indexed by source.
+// indexed by source. A sent piece belongs to its receiver — on the
+// simulator and goroutine backends it is the same object — so do not
+// mutate or recycle pieces after the call.
 func (c *Comm) Alltoall(pieces []*Vector) []*Vector {
 	return core.AlltoallSparse(c.proc, pieces)
 }
