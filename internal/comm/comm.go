@@ -33,7 +33,10 @@ type Message struct {
 	// Tag disambiguates concurrent protocols (MPI-style).
 	Tag int
 	// Payload is the application data. Ownership transfers to the receiver:
-	// senders must not mutate a payload after sending.
+	// senders must not mutate a payload after sending. A block-allgather
+	// list transfers like any payload, but the blocks inside it are
+	// forwarded from rank to rank as they arrived: they are shared
+	// read-only by every rank that has seen them, not owned by the last.
 	Payload any
 	// Bytes is the modeled wire size used by the α–β cost model.
 	Bytes int

@@ -16,7 +16,9 @@ package comm
 //
 // Both in-process backends deliver the sender's payload object itself, under
 // the Message.Payload contract: ownership transfers on Send, the sender
-// neither mutates nor recycles what it sent.
+// neither mutates nor recycles what it sent. The blocks inside a
+// block-allgather list are the one thing several ranks hold at once: each
+// is forwarded as it arrived, read by all and written or recycled by none.
 //
 // The interface is sealed (its send/close methods are unexported):
 // backends live in this package because they are entangled with mailbox

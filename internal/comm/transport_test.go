@@ -41,6 +41,9 @@ func codecCases() []any {
 		[]*quant.Quantized{qv, nil, qv},
 		[]*quant.Quantized{nil, qw, nil, nil, qv, nil},
 		[]*quant.Quantized{},
+		[]*stream.Vector{sv, nil, dv},
+		[]*stream.Vector{nil, nil, stream.NewSparse(7, nil, nil, stream.OpSum), sv, nil},
+		[]*stream.Vector{},
 	}
 }
 
@@ -143,6 +146,7 @@ func TestPayloadCodecRejectsGarbage(t *testing.T) {
 		"unknown type id":         {250},
 		"hostile float list":      hostileCountFrame,
 		"hostile quant list":      {wireQuantSlice, 0xff, 0xff, 0xff, 0x7f},
+		"hostile vector list":     {wireVectors, 0xff, 0xff, 0xff, 0x7f},
 		"hostile float count":     {wireFloats, 0xff, 0xff, 0xff, 0x7f},
 		"hostile quant size":      {wireQuantized, 0xff, 0xff, 0xff, 0x7f},
 		"list one entry short":    {wireFloatss, 3, 0, 0, 0, 0, 0},

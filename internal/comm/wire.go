@@ -17,8 +17,8 @@ import (
 // dense slices, sparse stream vectors (reconstructed field-exact via
 // stream.AppendWire/DecodeWire, which is what keeps results bit-identical
 // across transports), quantized vectors (quant.AppendMarshal/Unmarshal), and the
-// block allgather's rank-indexed lists of dense or quantized blocks, whose
-// absent entries stay nil.
+// block allgather's rank-indexed lists of dense, quantized or sparse-stream
+// blocks, whose absent entries stay nil.
 //
 // Wire form (little endian): one type-id byte followed by a type-specific
 // body. A message frame carries exactly one payload, so decoders consume
@@ -36,6 +36,7 @@ const (
 	wireQuantized  byte = 5 // *quant.Quantized
 	wireQuantNil   byte = 6 // typed nil *quant.Quantized
 	wireQuantSlice byte = 7 // []*quant.Quantized (nil entries preserved)
+	wireVectors    byte = 8 // []*stream.Vector (nil entries preserved)
 )
 
 // appendPayload serializes one payload (type id + body) onto buf.
@@ -59,6 +60,8 @@ func appendPayload(buf []byte, v any) ([]byte, error) {
 		return appendQuantized(append(buf, wireQuantized), x), nil
 	case []*quant.Quantized:
 		return appendList(append(buf, wireQuantSlice), x, hasQuantized, appendQuantized), nil
+	case []*stream.Vector:
+		return appendList(append(buf, wireVectors), x, hasVector, appendVector), nil
 	default:
 		return nil, fmt.Errorf("comm: no payload codec for %T", v)
 	}
@@ -86,14 +89,18 @@ func payloadSize(v any) int {
 		return 1 + quantizedSize(x)
 	case []*quant.Quantized:
 		return 1 + listSize(x, hasQuantized, quantizedSize)
+	case []*stream.Vector:
+		return 1 + listSize(x, hasVector, (*stream.Vector).WireSize)
 	default:
 		return 1
 	}
 }
 
-// hasFloats and hasQuantized say whether a block-list entry is present.
+// hasFloats, hasQuantized and hasVector say whether a block-list entry is
+// present.
 func hasFloats(xs []float64) bool          { return xs != nil }
 func hasQuantized(q *quant.Quantized) bool { return q != nil }
+func hasVector(v *stream.Vector) bool      { return v != nil }
 
 // decodePayload reverses appendPayload, consuming the whole buffer.
 func decodePayload(data []byte) (any, error) {
@@ -130,6 +137,8 @@ func decodePayload(data []byte) (any, error) {
 		return q, checkDrained(body, n)
 	case wireQuantSlice:
 		return decodeList(body, decodeQuantized)
+	case wireVectors:
+		return decodeList(body, stream.DecodeWire)
 	default:
 		return nil, fmt.Errorf("comm: unknown payload type id %d", id)
 	}
@@ -231,6 +240,9 @@ func decodeFloats(data []byte) ([]float64, int, error) {
 	}
 	return out, size, nil
 }
+
+// appendVector writes a stream vector in its self-describing wire form.
+func appendVector(buf []byte, v *stream.Vector) []byte { return v.AppendWire(buf) }
 
 // appendQuantized writes a quantized vector as a length-prefixed
 // quant.AppendMarshal block, marshalled straight into the frame.

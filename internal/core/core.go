@@ -156,9 +156,11 @@ type Options struct {
 	// streams into, making steady-state allreduce calls nearly
 	// allocation-free. A Scratch belongs to ONE rank: never share one
 	// across ranks or across concurrently running collectives (overlapping
-	// IAllreduce calls must use distinct pools). Vectors returned by a
-	// collective are safe to keep — their storage is never recycled unless
-	// the caller explicitly releases them into the pool.
+	// IAllreduce calls must use distinct pools). Results are borrowed:
+	// a vector returned by a collective is safe to keep — no collective
+	// ever recycles it — and a caller that is done with it may hand it
+	// back with Scratch.Release, after which a later call builds its
+	// result in that storage instead of allocating one.
 	Scratch *stream.Scratch
 }
 

@@ -88,7 +88,7 @@ func AllreduceRabenseifner(p *comm.Proc, x []float64, op stream.Op, valueBytes, 
 			parts := make([][]float64, p2)
 			parts[rank] = append([]float64(nil), acc[lo:hi]...)
 			blockBytes := (hi-lo)*valueBytes + 8
-			allgatherBlocks(p, p2, parts, base+30, func([]float64) int { return blockBytes })
+			allgatherBlocks(p, p2, parts, base+30, func([]float64) int { return blockBytes }, nil, nil)
 			for r, v := range parts {
 				rLo, _ := halvedRange(n, p2, r)
 				copy(acc[rLo:], v)
@@ -153,7 +153,7 @@ func AllreduceRing(p *comm.Proc, x []float64, op stream.Op, valueBytes, base int
 func AllgatherDense(p *comm.Proc, mine []float64, valueBytes, base int) [][]float64 {
 	parts := make([][]float64, p.Size())
 	parts[p.Rank()] = append([]float64(nil), mine...)
-	allgatherBlocks(p, p.Size(), parts, base, func(v []float64) int { return len(v) * valueBytes })
+	allgatherBlocks(p, p.Size(), parts, base, func(v []float64) int { return len(v) * valueBytes }, nil, nil)
 	return parts
 }
 
@@ -171,7 +171,7 @@ func AllgatherDenseInto(p *comm.Proc, mine, dst []float64, valueBytes, base int)
 	}
 	parts := make([][]float64, P)
 	parts[rank] = mine
-	allgatherBlocks(p, P, parts, base, func(v []float64) int { return len(v) * valueBytes })
+	allgatherBlocks(p, P, parts, base, func(v []float64) int { return len(v) * valueBytes }, nil, nil)
 	for r, v := range parts {
 		lo, _ := partition(n, P, r)
 		copy(dst[lo:lo+len(v)], v)

@@ -92,17 +92,34 @@ func halvedRange(n, p2, r int) (lo, hi int) {
 // The blocks may differ in size. On the wire a fold-in carries the excess
 // rank's single block and every other message the same rank-indexed list
 // holding just the blocks being passed on, absent entries left zero (nil) —
-// the one container payload the transports' codec needs. bytes prices one
-// block; a message is modeled as the sum over the blocks it carries.
-// Received blocks are forwarded to later-stage partners as they arrived.
-// Cost: ~log2(n)·α + (n−1)/n·total·β.
-func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, base int, bytes func(T) int) {
+// the one container payload the transports' codec needs. Blocks travel by
+// reference and are forwarded to later-stage partners as they arrived: on
+// the in-process backends every rank ends up holding the same objects, so a
+// block is immutable from the moment it enters parts. A received list, by
+// contrast, belongs to its receiver, which tops it up with the blocks it
+// already held and passes it on at the next stage — one list allocation
+// per rank, not one per stage.
+//
+// Every message carries all its sender holds, so the cost model is a
+// function of weights: weigh gives one block's, a message from a rank
+// holding weight w is modeled as price(w) bytes (a nil price reads weights
+// as bytes), and absorb, when non-nil, charges for an arrival of weight
+// incoming joining blocks of weight held. The fold-out replaces nothing and
+// is adopted uncharged. Cost with byte weights: ~log2(n)·α + (n−1)/n·total·β.
+func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, base int,
+	weigh func(T) int, price func(w int) int, absorb func(held, incoming int)) {
 	rank := p.Rank()
 	p2 := largestPow2(n)
+	held := weigh(parts[rank])
+	var carry []T // the list received last
 	butterfly(p, n, base, false,
 		func(stage, dist int) (any, int) {
+			bytes := held
+			if price != nil {
+				bytes = price(held)
+			}
 			if stage == stageFoldIn {
-				return parts[rank], bytes(parts[rank])
+				return parts[rank], bytes
 			}
 			// Entering a stage this rank's dist-aligned group of core ranks
 			// has pooled its members' blocks and those folded onto them, and
@@ -112,31 +129,40 @@ func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, base int, bytes func
 			if stage == stageFoldOut {
 				g, dist = 0, p2
 			}
-			out := make([]T, n)
-			total := 0
+			out := carry
+			if out == nil {
+				out = make([]T, n)
+			}
+			carry = nil
 			for r := g; r < g+dist; r++ {
 				for b := r; b < n; b += p2 {
 					out[b] = parts[b]
-					total += bytes(parts[b])
 				}
 			}
-			return out, total
+			return out, bytes
 		},
 		func(stage, dist int, in any) {
+			incoming := 0
 			if stage == stageFoldIn {
 				parts[rank+p2] = in.(T)
-				return
-			}
-			g := rank&^(dist-1) ^ dist // the partner's group
-			if stage == stageFoldOut {
-				g, dist = 0, p2
-			}
-			got := in.([]T)
-			for r := g; r < g+dist; r++ {
-				for b := r; b < n; b += p2 {
-					parts[b] = got[b]
+				incoming = weigh(parts[rank+p2])
+			} else {
+				g := rank&^(dist-1) ^ dist // the partner's group
+				if stage == stageFoldOut {
+					g, dist = 0, p2
+				}
+				carry = in.([]T)
+				for r := g; r < g+dist; r++ {
+					for b := r; b < n; b += p2 {
+						parts[b] = carry[b]
+						incoming += weigh(parts[b])
+					}
 				}
 			}
+			if absorb != nil && stage != stageFoldOut {
+				absorb(held, incoming)
+			}
+			held += incoming
 		}, nil)
 }
 

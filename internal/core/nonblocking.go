@@ -39,6 +39,7 @@ func IAllreduce(p *comm.Proc, v *stream.Vector, opts Options) *Request {
 }
 
 // ISparseAllgather starts a nonblocking sparse concatenating allgather.
+// Like IAllreduce's input, mine must not be modified until Wait returns.
 func ISparseAllgather(p *comm.Proc, mine *stream.Vector) *Request {
 	base := p.NextTagBase()
 	f := p.Fork()

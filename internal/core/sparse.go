@@ -11,21 +11,13 @@ import (
 )
 
 // ssarRecDouble implements SSAR_Recursive_double (§5.3.1): log2(P) stages;
-// at stage t, ranks a distance 2^(t−1) apart exchange their accumulated
-// sparse streams and merge. Latency-optimal (log2(P)·α); the bandwidth
-// term grows with fill-in, between log2(P)·k·βs (full overlap) and
+// at stage t, ranks a distance 2^(t−1) apart exchange clones of their
+// accumulated sparse streams and merge. Latency-optimal (log2(P)·α); the
+// bandwidth term grows with fill-in, between log2(P)·k·βs (full overlap) and
 // (P−1)·k·βs (disjoint supports). Non-power-of-two worlds fold the excess
-// ranks onto the first P−2^⌊log2P⌋ ranks (Appendix A).
+// ranks onto the first P−2^⌊log2P⌋ ranks (Appendix A). Arrivals are
+// recycled into sc once merged.
 func ssarRecDouble(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base int) *stream.Vector {
-	return sparseRecDouble(p, v, sc, base, mergeCharged)
-}
-
-// sparseRecDouble is recursive doubling over sparse streams: every stage
-// exchanges clones of the accumulated stream and folds the arrival in with
-// combine (a merge for the allreduce, a concatenation for the allgather of
-// disjoint streams). Arrivals are recycled into sc once combined.
-func sparseRecDouble(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base int,
-	combine func(p *comm.Proc, acc, in *stream.Vector, sc *stream.Scratch)) *stream.Vector {
 	acc := v.CloneInto(sc)
 	butterfly(p, p.Size(), base, false,
 		func(stage, _ int) (any, int) {
@@ -40,7 +32,7 @@ func sparseRecDouble(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base in
 				return
 			}
 			x := in.(*stream.Vector)
-			combine(p, acc, x, sc)
+			mergeCharged(p, acc, x, sc)
 			sc.Release(x)
 		}, nil)
 	return acc
@@ -227,8 +219,8 @@ func splitPhasePipelined(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, bas
 }
 
 // ssarSplitAllgather implements SSAR_Split_allgather (§5.3.2): the split
-// phase above followed by a sparse concatenating allgather via recursive
-// doubling (partition contents are disjoint by construction, so merging is
+// phase above followed by a sparse concatenating allgather of the reduced
+// partitions (their contents are disjoint by construction, so merging is
 // concatenation — the "simple (concatenating) sparse allgather"). With
 // chunks ≥ 2 the split phase runs pipelined (splitPhasePipelined) and the
 // allgather's tag range shifts past the C·P chunk tags; chunks ≤ 1 is the
@@ -242,20 +234,61 @@ func ssarSplitAllgather(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base
 		acc = splitPhase(p, v, sc, base)
 	}
 	out := sparseAllgatherConcat(p, acc, sc, base+C*p.Size()+8)
-	sc.Release(acc) // the allgather cloned it; the partition slice is dead
+	sc.Release(acc) // the allgather copied it; the partition slice is dead
 	return out
 }
 
-// sparseAllgatherConcat gathers disjoint sparse vectors from all ranks via
-// recursive doubling with concatenation; every rank returns the union.
-// Also used directly for the SCD experiment (§8.2) where nodes contribute
-// disjoint coordinate blocks. Non-power-of-two worlds fold as usual.
+// sparseAllgatherConcat gathers disjoint sparse vectors from all ranks;
+// every rank returns the union. It is the block allgather (allgatherBlocks)
+// over one immutable block per rank: mine is copied once, at its exact size
+// and outside any pool, and that copy is what the ranks share — the
+// in-process backends hand it to every rank by reference, so it can never
+// go back to a pool, and therefore was never taken from one (mine itself
+// stays the caller's, to release where it was drawn). Stages forward lists
+// of blocks by reference, and each rank assembles its result once, at its
+// exact size, from sc (stream.ConcatChunks: end to end when the blocks
+// ascend by rank, as split-phase partitions do; merged when their supports
+// interleave; a shared coordinate panics). Also used directly for the SCD
+// experiment (§8.2) where nodes contribute disjoint coordinate blocks.
+//
+// The modeled cost is that of exchanging and concatenating the accumulated
+// stream itself at every stage, which depends on pair counts alone. A rank
+// holding `held` pairs — a dense block counts as δ+1 — sends them as one
+// stream: sparse while held ≤ δ, a dense array past it. An arrival is
+// absorbed at the sparse merge rate over held+incoming pairs while both
+// sides are still sparse, else at one dense pass. The assembly is the
+// copy those absorbs already paid for.
 func sparseAllgatherConcat(p *comm.Proc, mine *stream.Vector, sc *stream.Scratch, base int) *stream.Vector {
-	return sparseRecDouble(p, mine, sc, base, concatCharged)
+	parts := make([]*stream.Vector, p.Size())
+	parts[p.Rank()] = mine.Clone()
+	n, delta, valueBytes := mine.Dim(), mine.Delta(), mine.ValueBytes()
+	prof := p.Profile()
+	allgatherBlocks(p, p.Size(), parts, base,
+		func(b *stream.Vector) int {
+			if b.IsDense() {
+				return delta + 1
+			}
+			return b.NNZ()
+		},
+		func(held int) int {
+			if held > delta {
+				return stream.HeaderBytes + n*valueBytes
+			}
+			return stream.HeaderBytes + held*(stream.IndexBytes+valueBytes)
+		},
+		func(held, incoming int) {
+			if held > delta || incoming > delta {
+				p.Compute(prof.DenseReduceTime(n))
+			} else {
+				p.Compute(prof.SparseMergeTime(held + incoming))
+			}
+		})
+	return stream.ConcatChunks(parts, sc)
 }
 
 // concatCharged appends the disjoint stream in to acc, charged like
-// mergeCharged. It builds in place, so the pool is unused.
+// mergeCharged: the per-arrival concatenation of the ring and tree
+// gathers. It builds in place, so the pool is unused.
 func concatCharged(p *comm.Proc, acc, in *stream.Vector, _ *stream.Scratch) {
 	prof := p.Profile()
 	if acc.IsDense() || in.IsDense() {
@@ -268,7 +301,9 @@ func concatCharged(p *comm.Proc, acc, in *stream.Vector, _ *stream.Scratch) {
 }
 
 // SparseAllgather gathers disjoint sparse contributions from all ranks
-// (public wrapper allocating a tag range).
+// (public wrapper allocating a tag range). What the ranks share is a copy
+// of mine taken on entry, so the caller may modify its vector as soon as
+// the call returns.
 func SparseAllgather(p *comm.Proc, mine *stream.Vector) *stream.Vector {
 	return sparseAllgatherConcat(p, mine, nil, p.NextTagBase())
 }
@@ -332,7 +367,7 @@ func dsarSplitAllgather(p *comm.Proc, v *stream.Vector, opts Options, base int) 
 		p.SpanBegin("dsar:allgather")
 		gathered := make([]*quant.Quantized, P)
 		gathered[rank] = q
-		allgatherBlocks(p, P, gathered, agBase, (*quant.Quantized).WireBytes)
+		allgatherBlocks(p, P, gathered, agBase, (*quant.Quantized).WireBytes, nil, nil)
 		for r, qr := range gathered {
 			rLo, rHi := partition(n, P, r)
 			qr.DecodeInto(result[rLo:rHi])

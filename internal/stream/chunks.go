@@ -58,8 +58,10 @@ func (v *Vector) SplitChunks(c int, s *Scratch) []*Vector {
 // settings and δ, its header and buffers drawn from s (nil degrades to
 // plain allocation). The result is canonical: it is dense iff any chunk is
 // dense or the combined support exceeds δ (exact, since the supports are
-// disjoint). Sparse chunks must be in ascending key order; a detected
-// overlap or ordering violation panics, like Vector.Concat.
+// disjoint). Sparse chunks in ascending key order — key-range chunks,
+// split-phase partitions — are copied end to end into buffers taken once at
+// the exact size; chunks whose supports interleave are merged instead. A
+// coordinate two chunks share panics, like Vector.Concat.
 func ConcatChunks(chunks []*Vector, s *Scratch) *Vector {
 	if len(chunks) == 0 {
 		panic("stream: ConcatChunks needs at least one chunk")
@@ -113,7 +115,15 @@ func ConcatChunks(chunks []*Vector, s *Scratch) *Vector {
 			continue
 		}
 		if len(idx) > 0 && ch.idx[0] <= idx[len(idx)-1] {
-			panic("stream: ConcatChunks chunks out of order or overlapping")
+			// Not end to end: one k-way pass, in which a shared coordinate
+			// folds two entries into one (or none) and shows in the count.
+			s.putIdx(idx)
+			s.putVal(val)
+			out.AddAll(chunks, s)
+			if len(out.idx) != total {
+				panic("stream: ConcatChunks chunks overlap")
+			}
+			return out
 		}
 		idx = append(idx, ch.idx...)
 		val = append(val, ch.val...)

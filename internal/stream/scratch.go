@@ -14,9 +14,14 @@ package stream
 //     (e.g. overlapping nonblocking operations) — it performs no locking.
 //   - Release(v) hands v's backing buffers to the pool and voids v. Only
 //     release vectors this goroutine exclusively owns (typically vectors
-//     received from a peer and already merged, or local temporaries);
-//     never release a vector that was returned to a caller or whose
-//     Pairs() slices may still be referenced elsewhere.
+//     received from a peer and already merged, local temporaries, or a
+//     collective's result its caller is done with); never release a
+//     vector someone else may still read — one handed on to a caller, one
+//     whose Pairs() slices are referenced elsewhere, or a block gathered
+//     by an allgather, which every rank holds.
+//   - A grab takes the smallest pooled buffer that fits, so a large
+//     buffer — a released result — waits for a large request instead of
+//     leaving with the first small one.
 //   - Buffers may migrate between ranks: on both in-process backends
 //     (simulator and goroutine) a sent vector is handed over by reference,
 //     so one built from rank A's scratch and sent to rank B is owned by B
@@ -90,32 +95,42 @@ func (s *Scratch) grabVector(n int, op Op, valueBytes, delta int) *Vector {
 	return &Vector{n: n, op: op, valueBytes: valueBytes, delta: delta}
 }
 
-// grabIdx returns a zero-length index buffer with capacity ≥ c, reusing a
-// pooled buffer when one fits.
+// takeFit removes the smallest buffer of capacity ≥ c from a free list and
+// returns it emptied, or nil when none fits.
+func takeFit[T any](list *[][]T, c int) []T {
+	l := *list
+	best := -1
+	for i, b := range l {
+		if cap(b) >= c && (best < 0 || cap(b) < cap(l[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	b := l[best]
+	l[best] = l[len(l)-1]
+	*list = l[:len(l)-1]
+	return b[:0]
+}
+
+// grabIdx returns a zero-length index buffer with capacity ≥ c, reusing the
+// smallest pooled buffer that fits.
 func (s *Scratch) grabIdx(c int) []int32 {
 	if s != nil {
-		for i := len(s.idx) - 1; i >= 0; i-- {
-			if cap(s.idx[i]) >= c {
-				b := s.idx[i]
-				s.idx[i] = s.idx[len(s.idx)-1]
-				s.idx = s.idx[:len(s.idx)-1]
-				return b[:0]
-			}
+		if b := takeFit(&s.idx, c); b != nil {
+			return b
 		}
 	}
 	return make([]int32, 0, c)
 }
 
-// grabVal returns a zero-length value buffer with capacity ≥ c.
+// grabVal returns a zero-length value buffer with capacity ≥ c, reusing the
+// smallest pooled buffer that fits.
 func (s *Scratch) grabVal(c int) []float64 {
 	if s != nil {
-		for i := len(s.val) - 1; i >= 0; i-- {
-			if cap(s.val[i]) >= c {
-				b := s.val[i]
-				s.val[i] = s.val[len(s.val)-1]
-				s.val = s.val[:len(s.val)-1]
-				return b[:0]
-			}
+		if b := takeFit(&s.val, c); b != nil {
+			return b
 		}
 	}
 	return make([]float64, 0, c)

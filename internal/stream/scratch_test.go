@@ -160,3 +160,28 @@ func TestChainedAddAllocsBaseline(t *testing.T) {
 		t.Fatalf("k-way+scratch allocates %.1f/op vs chained %.1f/op — want ≥ 50%% reduction", kway, chained)
 	}
 }
+
+// TestScratchGrabTakesSmallestFit: a released result-sized buffer must
+// still be there when a result-sized request comes, however many small
+// requests were served first and whatever the release order.
+func TestScratchGrabTakesSmallestFit(t *testing.T) {
+	s := NewScratch()
+	for _, c := range []int{8, 4096, 64, 8} { // the big one is neither first nor last
+		s.putIdx(make([]int32, 0, c))
+		s.putVal(make([]float64, 0, c))
+	}
+	for _, want := range []int{8, 8, 64} {
+		if got := cap(s.grabIdx(5)); got != want {
+			t.Fatalf("grabIdx(5) took a buffer of capacity %d, want %d", got, want)
+		}
+		if got := cap(s.grabVal(5)); got != want {
+			t.Fatalf("grabVal(5) took a buffer of capacity %d, want %d", got, want)
+		}
+	}
+	if got := cap(s.grabIdx(4000)); got != 4096 {
+		t.Fatalf("grabIdx(4000) got capacity %d: the large buffer was not kept for it", got)
+	}
+	if got := cap(s.grabIdx(5)); got != 5 {
+		t.Fatalf("empty pool served capacity %d", got)
+	}
+}

@@ -130,8 +130,9 @@ func (v *Vector) Concat(other *Vector) {
 		return
 	}
 	if other.idx[len(other.idx)-1] < v.idx[0] {
-		v.idx = append(append([]int32(nil), other.idx...), v.idx...)
-		v.val = append(append([]float64(nil), other.val...), v.val...)
+		total := len(v.idx) + len(other.idx)
+		v.idx = append(append(make([]int32, 0, total), other.idx...), v.idx...)
+		v.val = append(append(make([]float64, 0, total), other.val...), v.val...)
 		return
 	}
 	// Interleaved but disjoint: merge, panicking on equality.

@@ -94,6 +94,30 @@ func NewSparse(n int, idx []int32, val []float64, op Op) *Vector {
 	return v
 }
 
+// WrapSparse builds a vector of dimension n that takes ownership of idx and
+// val without copying or sorting (the twin of NewSparse for producers that
+// emit pairs in order, as WrapDense is of NewDense). The indices must be
+// strictly ascending and in [0, n) and no value may be the operation's
+// neutral element; the first two are checked. Like NewSparse, the result is
+// dense when the pairs exceed δ. The caller must not use the slices
+// afterwards.
+func WrapSparse(n int, idx []int32, val []float64, op Op) *Vector {
+	if len(idx) != len(val) {
+		panic("stream: index/value length mismatch")
+	}
+	v := Zero(n, op)
+	prev := int32(-1)
+	for _, ix := range idx {
+		if ix <= prev || int(ix) >= n {
+			panic(fmt.Sprintf("stream: index %d out of order or out of range [0,%d)", ix, n))
+		}
+		prev = ix
+	}
+	v.idx, v.val = idx, val
+	v.maybeDensify()
+	return v
+}
+
 type pair struct {
 	ix int32
 	v  float64

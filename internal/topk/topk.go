@@ -14,7 +14,10 @@ import (
 
 // Select returns the indices of the k largest-magnitude entries of v, in
 // ascending index order. Ties are broken toward lower indices, making the
-// selection deterministic. If k >= len(v) all indices are returned.
+// selection deterministic. If k >= len(v) all indices are returned. Which
+// entries survive next to a NaN is unspecified. Select is the reference the
+// per-bucket scan of appendTopK is tested against, and what serves a k too
+// large for that scan.
 func Select(v []float64, k int) []int32 {
 	if k < 0 {
 		panic("topk: negative k")
@@ -119,15 +122,102 @@ func shellSort(a []int32) {
 	}
 }
 
+// insertScanMaxK is the largest k appendTopK keeps in its fixed array; the
+// paper selects 4 to 16 entries of every 512 (§8.3).
+const insertScanMaxK = 64
+
+// appendTopK appends the k largest-magnitude entries of v to idx and val as
+// (off+i, v[i]) pairs in ascending index order and returns the extended
+// slices: Select's choice, ties toward lower indices included, made
+// without a heap or an index slice of its own. The retained set lives in a
+// fixed array sorted by (magnitude descending, index ascending), so its
+// last slot holds the k-th magnitude — nearly every entry is rejected
+// against it with one comparison — and is the one an insertion evicts. A
+// selected entry equal to zero is left out: a stream holds no neutral
+// values. NaN inputs are unspecified, as for Select.
+func appendTopK(idx []int32, val []float64, v []float64, off int32, k int) ([]int32, []float64) {
+	emit := func(i int32) {
+		if x := v[i]; x != 0 {
+			idx = append(idx, off+i)
+			val = append(val, x)
+		}
+	}
+	switch {
+	case k < 0:
+		panic("topk: negative k")
+	case k == 0:
+		return idx, val
+	case k >= len(v):
+		for i := range v {
+			emit(int32(i))
+		}
+		return idx, val
+	case k > insertScanMaxK:
+		for _, i := range Select(v, k) {
+			emit(i)
+		}
+		return idx, val
+	}
+	var (
+		mag [insertScanMaxK]float64
+		pos [insertScanMaxK]int32
+	)
+	// insert places entry i of magnitude m into slots [0, last], shifting
+	// smaller magnitudes down; whatever sat in slot last falls out. Equal
+	// magnitudes stay ahead of it: they have lower indices.
+	insert := func(m float64, i, last int) {
+		j := last
+		for ; j > 0 && mag[j-1] < m; j-- {
+			mag[j], pos[j] = mag[j-1], pos[j-1]
+		}
+		mag[j], pos[j] = m, int32(i)
+	}
+	for i := 0; i < k; i++ {
+		insert(math.Abs(v[i]), i, i)
+	}
+	kth := mag[k-1]
+	for i := k; i < len(v); i++ {
+		if m := math.Abs(v[i]); m > kth {
+			insert(m, i, k-1)
+			kth = mag[k-1]
+		}
+	}
+	sel := pos[:k]
+	sortIdx(sel)
+	for _, i := range sel {
+		emit(i)
+	}
+	return idx, val
+}
+
+// selectBuckets appends the per-bucket TopK of v — the k largest-magnitude
+// entries of every `bucket` consecutive coordinates, min(k, len) of a short
+// last bucket — as (off+i, v[i]) pairs into one exactly pre-sized output
+// pair. bucket <= 0 selects the k largest of all of v.
+func selectBuckets(v []float64, off int32, bucket, k int) ([]int32, []float64) {
+	if bucket <= 0 || bucket > len(v) {
+		bucket = len(v)
+	}
+	var idx []int32
+	var val []float64
+	if bucket > 0 && k > 0 {
+		bound := len(v) / bucket * min(k, bucket)
+		bound += min(k, len(v)%bucket)
+		idx = make([]int32, 0, bound)
+		val = make([]float64, 0, bound)
+	}
+	for lo := 0; lo < len(v); lo += bucket {
+		hi := min(lo+bucket, len(v))
+		idx, val = appendTopK(idx, val, v[lo:hi], off+int32(lo), k)
+	}
+	return idx, val
+}
+
 // Sparsify returns a sparse stream holding the k largest-magnitude entries
 // of v (global selection).
 func Sparsify(v []float64, k int) *stream.Vector {
-	idx := Select(v, k)
-	val := make([]float64, len(idx))
-	for i, ix := range idx {
-		val[i] = v[ix]
-	}
-	return stream.NewSparse(len(v), idx, val, stream.OpSum)
+	idx, val := selectBuckets(v, 0, 0, k)
+	return stream.WrapSparse(len(v), idx, val, stream.OpSum)
 }
 
 // SparsifyBuckets splits v into buckets of `bucket` consecutive coordinates
@@ -138,20 +228,8 @@ func SparsifyBuckets(v []float64, bucket, k int) *stream.Vector {
 	if bucket <= 0 {
 		panic("topk: bucket must be positive")
 	}
-	idx := make([]int32, 0, (len(v)/bucket+1)*k)
-	val := make([]float64, 0, cap(idx))
-	for lo := 0; lo < len(v); lo += bucket {
-		hi := lo + bucket
-		if hi > len(v) {
-			hi = len(v)
-		}
-		for _, rel := range Select(v[lo:hi], k) {
-			ix := int32(lo) + rel
-			idx = append(idx, ix)
-			val = append(val, v[ix])
-		}
-	}
-	return stream.NewSparse(len(v), idx, val, stream.OpSum)
+	idx, val := selectBuckets(v, 0, bucket, k)
+	return stream.WrapSparse(len(v), idx, val, stream.OpSum)
 }
 
 // Residual is the error-feedback accumulator of Algorithm 1/2: components
@@ -187,44 +265,24 @@ func (r *Residual) Accumulate(grad []float64, lr float64) []float64 {
 // selected entries from the residual (eps_t = acc_t − TopK(acc_t)), and
 // returns them as a sparse stream. bucket<=0 selects globally.
 func (r *Residual) Extract(bucket, k int) *stream.Vector {
-	var out *stream.Vector
-	if bucket <= 0 {
-		out = Sparsify(r.acc, k)
-	} else {
-		out = SparsifyBuckets(r.acc, bucket, k)
-	}
-	idx, _ := out.Pairs()
-	for _, ix := range idx {
-		r.acc[ix] = 0
-	}
-	return out
+	return r.ExtractSpan(0, len(r.acc), bucket, k)
 }
 
 // ExtractSpan is Extract restricted to the coordinate range [lo, hi) — one
 // layer's slice of the flat parameter buffer. Used for layer-wise gradient
 // exchange (§8.3). The returned stream is over the full dimension with
-// global indices; selected entries are removed from the residual.
+// global indices; selected entries are removed from the residual. The
+// selection appends global pairs in index order into the stream's own
+// storage, so nothing is copied or sorted after it.
 func (r *Residual) ExtractSpan(lo, hi, bucket, k int) *stream.Vector {
 	if lo < 0 || hi > len(r.acc) || lo > hi {
 		panic("topk: bad span")
 	}
-	sub := r.acc[lo:hi]
-	var local *stream.Vector
-	if bucket <= 0 {
-		local = Sparsify(sub, k)
-	} else {
-		local = SparsifyBuckets(sub, bucket, k)
+	idx, val := selectBuckets(r.acc[lo:hi], int32(lo), bucket, k)
+	for _, ix := range idx {
+		r.acc[ix] = 0
 	}
-	// Tiny spans can trip the automatic dense switch; the pair view is
-	// needed regardless of representation.
-	local.Sparsify()
-	idx, val := local.Pairs()
-	global := make([]int32, len(idx))
-	for i, ix := range idx {
-		global[i] = ix + int32(lo)
-		r.acc[global[i]] = 0
-	}
-	return stream.NewSparse(len(r.acc), global, append([]float64(nil), val...), stream.OpSum)
+	return stream.WrapSparse(len(r.acc), idx, val, stream.OpSum)
 }
 
 // Norm returns the L2 norm of the residual, used to track error-feedback

@@ -3,8 +3,8 @@
 #   1. build, vet, gofmt; the documentation floor (godoc coverage on the
 #      exported API packages; docs tables name real identifiers and every
 #      `sparbench -sweep X` names a registered sweep).
-#   2. race-check the concurrency hot spots; fuzz the payload decoder and
-#      quant.Unmarshal.
+#   2. race-check the concurrency hot spots; fuzz the payload decoder,
+#      quant.Unmarshal and the TopK selection scan.
 #   3. the wall-clock benchmark's quick run: all six workloads on the
 #      goroutine and loopback-TCP backends, every op bit-checked against
 #      the simulator, goroutine/fd leaks fail the run. It measures nothing
@@ -52,6 +52,9 @@ go test ./internal/comm -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 10s | ta
 
 echo "== fuzz quant.Unmarshal (the block inside those frames: never panics, holds no more than the buffer, re-marshals to itself, decodes as the reference decoder)"
 go test ./internal/quant -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s | tail -n 4
+
+echo "== fuzz TopK selection (the per-bucket insertion scan picks what the reference Select picks: ties, signed zeros, infinities, denormals, any k and bucket width)"
+go test ./internal/topk -run '^$' -fuzz '^FuzzSelectEquivalence$' -fuzztime 5s | tail -n 4
 
 echo "== bench -quick (six workloads on goroutine + loopback TCP, every op checked, leaks fail)"
 go run ./bench -quick > /dev/null
