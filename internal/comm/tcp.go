@@ -23,6 +23,22 @@ import (
 // pair, which preserves the per-pair FIFO ordering the mailbox protocol
 // expects. Payloads travel as wire.go codec bytes; timestamps are measured
 // wall-clock seconds.
+//
+// Frame buffers are reused, not allocated per message. A sender encodes
+// each message frame into its endpoint's one write buffer, under the
+// endpoint lock that also serialises the Write, so forked Procs of one rank
+// (IAllreduce, BucketScheduler) take turns and a frame is never rewritten
+// before the kernel has copied it. A receiver reads every frame of one
+// connection into that connection's body buffer, which lives until the next
+// frame on the same connection: every decoder (wire.go, stream.DecodeWire,
+// quant.Unmarshal) copies what it keeps out of the body, so no delivered
+// payload may alias it (TestTCPPayloadsDoNotAliasFrames). Both buffers grow
+// to the largest frame seen and stay that size, up to maxRetainedFrameBytes
+// each (one per local rank for writes, one per inbound connection for
+// reads); a larger frame gets storage of its own that dies with it. A body
+// is grown as its bytes arrive — frameFirstChunk, then doubling, or at once
+// to the size of a frame the connection has already delivered whole — so a
+// length prefix alone buys no memory.
 
 // TCPConfig configures a TCP-transport world (NewWorldTCP).
 type TCPConfig struct {
@@ -61,6 +77,16 @@ const (
 // length prefixes.
 const maxFrameBytes = 1 << 30
 
+// maxRetainedFrameBytes is the ceiling on what a reused frame buffer keeps
+// between messages: 4 MiB, half of a dense 2^20-coordinate float64 vector.
+// A loopback world of P ranks holds P write buffers and P·(P−1) body
+// buffers, each no larger than the largest frame its connection carried.
+const maxRetainedFrameBytes = 4 << 20
+
+// frameFirstChunk bounds what a reader allocates for a body before any of
+// its bytes have arrived; from there the buffer doubles as they do.
+const frameFirstChunk = 64 << 10
+
 // frameLenBytes is the size of a frame's uint32 length prefix.
 const frameLenBytes = 4
 
@@ -82,19 +108,14 @@ type tcpTransport struct {
 }
 
 // tcpEndpoint is one local rank's socket presence: its data listener plus
-// the lazily dialed outbound connections.
+// the lazily dialed outbound connections and the write buffer they share.
 type tcpEndpoint struct {
 	rank  int
 	t     *tcpTransport
 	ln    net.Listener
-	mu    sync.Mutex
-	conns map[int]*tcpConn // destination world rank → outbound conn
-}
-
-// tcpConn serializes frame writes on one connection.
-type tcpConn struct {
-	mu sync.Mutex
-	c  net.Conn
+	mu    sync.Mutex       // serialises dials and message writes of this rank
+	conns map[int]net.Conn // destination world rank → outbound conn
+	wbuf  []byte           // the reused message frame, at most maxRetainedFrameBytes
 }
 
 // registrar is rank 0's rendezvous state: it collects every rank's data
@@ -138,28 +159,53 @@ func (t *tcpTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
 	if ep == nil {
 		panic(fmt.Sprintf("comm: rank %d is not local to this process", p.rank))
 	}
-	// The whole frame — length prefix, message header, payload — is built
-	// once in one buffer of its exact size and leaves in one Write.
-	frame := make([]byte, frameLenBytes, frameLenBytes+msgHeaderBytes+payloadSize(payload))
-	frame = append(frame, frameMsg)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(p.rank))
-	frame = binary.LittleEndian.AppendUint64(frame, uint64(int64(tag)))
-	frame = binary.LittleEndian.AppendUint64(frame, uint64(int64(bytes)))
-	frame, err := appendPayload(frame, payload)
-	if err != nil {
-		panic(fmt.Sprintf("comm: tcp transport payload: %v", err))
-	}
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-frameLenBytes))
-	c, err := ep.connTo(dst)
-	if err == nil {
-		err = c.write(frame)
-	}
-	if err != nil {
+	if err := ep.sendMsg(dst, tag, bytes, payload); err != nil {
 		t.w.poison()
 		panic(fmt.Sprintf("comm: tcp send %d→%d: %v", p.rank, dst, err))
 	}
 	arrival := t.w.wallNow()
 	p.recordSend(dst, tag, bytes, start, arrival, 1, p.sharedLevel(dst))
+}
+
+// sendMsg builds one whole message frame — length prefix, message header,
+// payload — at its exact size in the endpoint's write buffer and hands it
+// to the socket in one Write. The endpoint lock covers both, so the buffer
+// is rewritten only after Write has returned.
+func (ep *tcpEndpoint) sendMsg(dst, tag, modeled int, payload any) error {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	conn, err := ep.connTo(dst)
+	if err != nil {
+		return err
+	}
+	size := frameLenBytes + msgHeaderBytes + payloadSize(payload)
+	frame := ep.wbuf
+	if size > cap(frame) {
+		frame = make([]byte, 0, size)
+		if size <= maxRetainedFrameBytes {
+			ep.wbuf = frame
+		}
+	}
+	frame = appendMsgHeader(frame[:0], size-frameLenBytes, ep.rank, tag, modeled)
+	frame, err = appendPayload(frame, payload)
+	if err != nil {
+		return err
+	}
+	// The prefix is what the body came to, not what payloadSize foresaw: a
+	// disagreement costs a regrown frame, never a desynchronised stream.
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-frameLenBytes))
+	_, err = conn.Write(frame)
+	return err
+}
+
+// appendMsgHeader starts a message frame: the length prefix for a body of
+// bodyLen bytes, then the frameMsg header. parseMsg reads it back.
+func appendMsgHeader(frame []byte, bodyLen, src, tag, modeled int) []byte {
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(bodyLen))
+	frame = append(frame, frameMsg)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(src))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(int64(tag)))
+	return binary.LittleEndian.AppendUint64(frame, uint64(int64(modeled)))
 }
 
 // track remembers a connection for close-time teardown.
@@ -170,10 +216,9 @@ func (t *tcpTransport) track(c net.Conn) {
 }
 
 // connTo returns the endpoint's outbound connection to world rank dst,
-// dialing it (and introducing itself with a hello frame) on first use.
-func (ep *tcpEndpoint) connTo(dst int) (*tcpConn, error) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
+// dialing it (and introducing itself with a hello frame) on first use. The
+// caller holds ep.mu.
+func (ep *tcpEndpoint) connTo(dst int) (net.Conn, error) {
 	if c, ok := ep.conns[dst]; ok {
 		return c, nil
 	}
@@ -182,16 +227,15 @@ func (ep *tcpEndpoint) connTo(dst int) (*tcpConn, error) {
 		return nil, err
 	}
 	ep.t.track(conn)
-	c := &tcpConn{c: conn}
 	hello := make([]byte, 0, 5)
 	hello = append(hello, frameHello)
 	hello = binary.LittleEndian.AppendUint32(hello, uint32(ep.rank))
-	if err := c.writeFrame(hello); err != nil {
+	if err := writeFrame(conn, hello); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	ep.conns[dst] = c
-	return c, nil
+	ep.conns[dst] = conn
+	return conn, nil
 }
 
 func (t *tcpTransport) dialTimeout() time.Duration {
@@ -201,39 +245,67 @@ func (t *tcpTransport) dialTimeout() time.Duration {
 	return 10 * time.Second
 }
 
-// writeFrame prefixes a small control body with its length and writes it;
-// message frames are built with the prefix in place (see send).
-func (c *tcpConn) writeFrame(body []byte) error {
+// writeFrame prefixes a small control body with its length and writes both
+// as a single Write; message frames are built with the prefix in place (see
+// sendMsg).
+func writeFrame(c net.Conn, body []byte) error {
 	frame := make([]byte, frameLenBytes+len(body))
 	binary.LittleEndian.PutUint32(frame, uint32(len(body)))
 	copy(frame[frameLenBytes:], body)
-	return c.write(frame)
-}
-
-// write sends one complete frame, length prefix included, as a single
-// Write, serialized against the connection's other writers.
-func (c *tcpConn) write(frame []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, err := c.c.Write(frame)
+	_, err := c.Write(frame)
 	return err
 }
 
-// readFrame reads one length-prefixed frame body.
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	var lenBuf [frameLenBytes]byte
-	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+// frameReader reads the length-prefixed frames of one connection through one
+// reused body buffer.
+type frameReader struct {
+	br      *bufio.Reader
+	buf     []byte // the held body buffer, at most maxRetainedFrameBytes
+	largest int    // the largest body this connection has delivered whole
+}
+
+// next reads one frame body, into the held buffer when it fits; the body is
+// valid until the following call. A larger body gets, before any of it has
+// arrived, no more than frameFirstChunk or what the connection has already
+// delivered in one frame, and is grown from there as its bytes arrive: the
+// storage a peer can make this side allocate for a frame is bounded by
+// twice the bytes it sent for it plus frameFirstChunk, or by a frame it sent
+// whole before. Every step of the growth that stays within
+// maxRetainedFrameBytes becomes the held buffer; a connection whose frames
+// are larger gives each of them, once one has come through, one allocation
+// of its own size, as if nothing were reused.
+func (r *frameReader) next() ([]byte, error) {
+	prefix, err := r.br.Peek(frameLenBytes)
+	if err != nil {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
+	n := int(binary.LittleEndian.Uint32(prefix))
+	r.br.Discard(frameLenBytes) // cannot fail: Peek buffered these bytes
 	if n > maxFrameBytes {
 		return nil, fmt.Errorf("comm: tcp frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
+	body := r.buf[:0]
+	for got := 0; got < n; {
+		next := min(n, max(cap(body), 2*got+frameFirstChunk, r.largest))
+		if next > cap(body) {
+			body = append(make([]byte, 0, next), body[:got]...)
+			if next <= maxRetainedFrameBytes {
+				r.buf = body
+			}
+		}
+		if _, err := io.ReadFull(r.br, body[got:next]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the prefix promised more
+			}
+			return nil, err
+		}
+		got = next
 	}
-	return body, nil
+	r.largest = max(r.largest, n)
+	return body[:n], nil
 }
 
 // acceptLoop serves one endpoint's listener until the transport closes.
@@ -252,8 +324,8 @@ func (ep *tcpEndpoint) acceptLoop() {
 // rendezvous registration (rank 0 only) or a peer's data stream, whose
 // messages it decodes and delivers into this endpoint's mailbox.
 func (ep *tcpEndpoint) serveConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	first, err := readFrame(br)
+	fr := &frameReader{br: bufio.NewReader(conn)}
+	first, err := fr.next()
 	if err != nil || len(first) == 0 {
 		conn.Close()
 		return
@@ -272,7 +344,7 @@ func (ep *tcpEndpoint) serveConn(conn net.Conn) {
 			return
 		}
 		src := int(binary.LittleEndian.Uint32(first[1:]))
-		ep.readMessages(br, src)
+		ep.readMessages(fr, src)
 		conn.Close()
 	default:
 		conn.Close()
@@ -280,24 +352,25 @@ func (ep *tcpEndpoint) serveConn(conn net.Conn) {
 }
 
 // readMessages is the per-connection reader: each frame becomes a mailbox
-// delivery for this endpoint's rank. A mid-run transport error poisons the
-// world so blocked receivers fail fast instead of deadlocking.
-func (ep *tcpEndpoint) readMessages(br *bufio.Reader, src int) {
+// delivery for this endpoint's rank. Every frame is read into the one body
+// buffer this loop owns; decodePayload copies out of it. A mid-run
+// transport error poisons the world so blocked receivers fail fast instead
+// of deadlocking.
+func (ep *tcpEndpoint) readMessages(fr *frameReader, src int) {
 	for {
-		body, err := readFrame(br)
+		body, err := fr.next()
 		if err != nil {
 			if !ep.t.closed.Load() && err != io.EOF {
 				ep.t.w.poison()
 			}
 			return
 		}
-		if len(body) < msgHeaderBytes || body[0] != frameMsg {
+		tag, modeled, codec, ok := parseMsg(body)
+		if !ok {
 			ep.t.w.poison()
 			return
 		}
-		tag := int(int64(binary.LittleEndian.Uint64(body[5:])))
-		modeled := int(int64(binary.LittleEndian.Uint64(body[13:])))
-		payload, err := decodePayload(body[msgHeaderBytes:])
+		payload, err := decodePayload(codec)
 		if err != nil {
 			ep.t.w.poison()
 			return
@@ -307,6 +380,17 @@ func (ep *tcpEndpoint) readMessages(br *bufio.Reader, src int) {
 			Arrival: ep.t.w.wallNow(),
 		})
 	}
+}
+
+// parseMsg splits a frameMsg body into its header fields and the payload
+// codec bytes; ok is false for a body that is not a whole message header.
+func parseMsg(body []byte) (tag, modeled int, codec []byte, ok bool) {
+	if len(body) < msgHeaderBytes || body[0] != frameMsg {
+		return 0, 0, nil, false
+	}
+	tag = int(int64(binary.LittleEndian.Uint64(body[5:])))
+	modeled = int(int64(binary.LittleEndian.Uint64(body[13:])))
+	return tag, modeled, body[msgHeaderBytes:], true
 }
 
 // add records one rank's registration; the P-th completes the table and
@@ -336,8 +420,7 @@ func (r *registrar) add(rank int, addr string, conn net.Conn) {
 	if r.got == r.p {
 		table := encodeTable(r.addrs)
 		for _, c := range r.conns {
-			tc := &tcpConn{c: c}
-			tc.writeFrame(table)
+			writeFrame(c, table)
 			c.Close()
 		}
 		r.conns = nil
@@ -447,7 +530,7 @@ func NewWorldTCP(p int, profile simnet.Profile, cfg TCPConfig) (*World, error) {
 		if err != nil {
 			return fail(fmt.Errorf("comm: tcp listen for rank %d: %w", r, err))
 		}
-		ep := &tcpEndpoint{rank: r, t: t, ln: ln, conns: make(map[int]*tcpConn)}
+		ep := &tcpEndpoint{rank: r, t: t, ln: ln, conns: make(map[int]net.Conn)}
 		t.eps[r] = ep
 	}
 
@@ -481,8 +564,7 @@ func NewWorldTCP(p int, profile simnet.Profile, cfg TCPConfig) (*World, error) {
 		body = append(body, frameRegister)
 		body = binary.LittleEndian.AppendUint32(body, uint32(r))
 		body = append(body, t.eps[r].ln.Addr().String()...)
-		tc := &tcpConn{c: conn}
-		if err := tc.writeFrame(body); err != nil {
+		if err := writeFrame(conn, body); err != nil {
 			return fail(fmt.Errorf("comm: tcp rendezvous register rank %d: %w", r, err))
 		}
 		regConns[r] = conn
@@ -503,7 +585,7 @@ func NewWorldTCP(p int, profile simnet.Profile, cfg TCPConfig) (*World, error) {
 	}
 	for r, conn := range regConns {
 		conn.SetReadDeadline(time.Now().Add(t.dialTimeout()))
-		body, err := readFrame(bufio.NewReader(conn))
+		body, err := (&frameReader{br: bufio.NewReader(conn)}).next()
 		if err != nil {
 			return fail(fmt.Errorf("comm: tcp rendezvous reply for rank %d: %w", r, err))
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -99,9 +100,12 @@ func bucketInputs(rng *rand.Rand, n int, spans [][2]int, P int) [][]*stream.Vect
 }
 
 // TestBucketSchedulerIssueDrain: fusing + nonblocking issue + drain must
-// reproduce the sequential reference sum of each bucket's layers, on the
-// simulator and on the goroutine transport, with per-bucket and
-// replicated Options.
+// reproduce the sequential reference sum of each bucket's layers on the
+// simulator, and on the goroutine transport and loopback TCP the simulator's
+// results byte for byte (wire form: representation, indices, value bits),
+// with per-bucket and replicated Options. Two buckets are in flight at once,
+// so on TCP two forked Procs of every rank share the rank's connections and
+// its frame buffer; ci.sh runs this under -race.
 func TestBucketSchedulerIssueDrain(t *testing.T) {
 	const n = 900
 	spans := [][2]int{{0, 300}, {300, 340}, {340, 700}, {700, 900}}
@@ -123,23 +127,33 @@ func TestBucketSchedulerIssueDrain(t *testing.T) {
 		wantBucket[b] = refSum(fused)
 	}
 
+	tcp, err := comm.NewWorldTCP(P, simnet.Aries, comm.TCPConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
 	worlds := []struct {
 		name string
 		mk   func() *comm.World
 	}{
-		{"sim", func() *comm.World { return comm.NewWorld(P, testProfile) }},
+		{"sim", func() *comm.World { return comm.NewWorld(P, testProfile) }}, // first: the others are compared to it
 		{"goroutine", func() *comm.World { return comm.NewWorld(P, simnet.Aries).UseGoroutineTransport() }},
+		{"tcp", func() *comm.World { return tcp }},
 	}
 	optCases := [][]Options{
 		nil,
 		{{Algorithm: SSARSplitAllgather, Chunks: 2}},
 		{{Algorithm: SSARSplitAllgather, Chunks: 3}, {Algorithm: SSARRecDouble}},
 	}
-	for _, wc := range worlds {
-		for oi, opts := range optCases {
+	for oi, opts := range optCases {
+		var sim [][]*stream.Vector
+		for _, wc := range worlds {
 			results := comm.Run(wc.mk(), func(p *comm.Proc) []*stream.Vector {
 				return s.Drain(p, s.Issue(p, inputs[p.Rank()], opts))
 			})
+			if sim == nil {
+				sim = results
+			}
 			for r, sums := range results {
 				for b, sum := range sums {
 					got := sum.ToDense()
@@ -148,6 +162,9 @@ func TestBucketSchedulerIssueDrain(t *testing.T) {
 							t.Fatalf("%s opts=%d rank=%d bucket=%d coord=%d: got %g want %g",
 								wc.name, oi, r, b, i, got[i], want)
 						}
+					}
+					if !bytes.Equal(sum.AppendWire(nil), sim[r][b].AppendWire(nil)) {
+						t.Fatalf("%s opts=%d rank=%d bucket=%d: result differs from the simulator's in wire form", wc.name, oi, r, b)
 					}
 				}
 			}

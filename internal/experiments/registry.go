@@ -183,7 +183,7 @@ func Sweeps() []Sweep {
 				"two-way Add vs one-pass MergeK vs MergeK with a warm Scratch pool, bitwise equivalence, " +
 				"and the deterministic simulated time of SSAR_Split_allgather at each shape. " +
 				"Wall-clock snapshot at recording time (go1.24, one shared machine, k=2000, N=2^18): " +
-				"chained 1.48ms/op vs k-way+scratch 0.95ms/op at P=16; 17.5ms/op vs 5.9ms/op at P=64 " +
+				"chained 1.89ms/op vs k-way+scratch 0.22ms/op at P=16; 26.8ms/op vs 0.94ms/op at P=64 " +
 				"(see BenchmarkAblationKWayMerge).",
 			Defaults: DefaultParams(),
 			Run:      func(Params) ([]report.Section, error) { return cells(MergeSweep()) },

@@ -1,34 +1,57 @@
 package stream
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// This file implements the multi-stream reduction hot path: a k-way sorted
-// merge (MergeK / AddAll) that reduces P streams in one pass instead of
-// P−1 chained two-way merges, plus the scratch-buffer variants of the
-// mutating Vector operations (AddInto, DensifyInto, CloneInto,
-// ExtractRangeInto) that draw output buffers from a Scratch pool. The
-// split phase of the SSAR/DSAR algorithms (§5.3.2) receives P−1 partition
-// streams per rank and is the dominant wall-clock cost of an allreduce;
-// these paths cut both its O(P·k) re-merging work and its per-Add
-// allocations.
+// This file implements the multi-stream reduction hot path: a one-pass
+// reduction of P streams (MergeK / AddAll) instead of P−1 chained two-way
+// merges, plus the scratch-buffer variants of the mutating Vector
+// operations (AddInto, DensifyInto, CloneInto, ExtractRangeInto) that draw
+// output buffers from a Scratch pool. The split phase of the SSAR/DSAR
+// algorithms (§5.3.2) receives P−1 partition streams per rank and is the
+// dominant wall-clock cost of an allreduce; these paths cut both its O(P·k)
+// re-merging work and its per-Add allocations.
 //
 // Equivalence contract: AddAll's result is value-for-value bit-identical
 // to `for _, o := range others { v.Add(o) }`. When any input is dense it
 // literally performs the chained in-place folds (dense operands already
 // cost one pass each). In the all-sparse case — the split-phase hot path —
-// it runs a single k-way pass: for every coordinate the present values
-// fold in stream order with the same neutral-element cancellation
-// dropping the chained merges apply, and canonical sparse vectors cannot
-// carry signed zeros, so the folds agree bit-for-bit. The representation
-// may then be *more* canonical: chained Add densifies on a pessimistic
-// per-step upper bound (|H1|+|H2| > δ), while the k-way pass densifies
-// exactly when the merged size exceeds δ, so it can stay sparse where the
-// chain would have switched.
+// it runs a single pass: for every coordinate the present values fold in
+// stream order with the same neutral-element cancellation dropping the
+// chained merges apply, and canonical sparse vectors cannot carry signed
+// zeros, so the folds agree bit-for-bit. The representation may then be
+// *more* canonical: chained Add densifies on a pessimistic per-step upper
+// bound (|H1|+|H2| > δ), while the one-pass reduction densifies exactly
+// when the merged size exceeds δ, so it can stay sparse where the chain
+// would have switched.
+//
+// Two kernels, one contract. The all-sparse pass is either a k-way sorted
+// merge over a heap of stream cursors (addAllHeap) — Θ(log k) sift work per
+// input pair, indifferent to how the keys are spread — or a windowed
+// scatter (addAllWindowed): every stream is folded into a dense window
+// over the joint key range [min index, max index] with a presence bitmap,
+// and one sweep of the bitmap emits the result, a few nanoseconds per pair
+// plus a pass over the window. AddAll picks by what it reads off the
+// inputs: the scatter when it was handed a Scratch to draw the window from,
+// Σ nnz ≤ δ (so the result cannot spill to dense mid-way) and the window is
+// narrow against Σ nnz (windowMaxSpread, with its measured crossover), the
+// heap otherwise. The split phase, whose P
+// streams share a key range narrowed P-fold and are dense in it, lands on
+// the scatter; wide, very sparse merges keep the heap, which is also the
+// reference the scatter is tested against pair for pair
+// (TestWindowedKernelMatchesHeap, FuzzMergeKEquivalence); TestAddAllDigests
+// pins the result bytes of both across commits.
 
 // AddAll reduces every vector of others into v in a single pass,
 // semantically identical to calling v.Add(o) for each o in order (see the
 // equivalence contract above). All inputs must share v's dimension and
-// operation; others is not modified. A nil scratch is allowed.
+// operation; others is not modified. A nil scratch is allowed (and keeps
+// the heap kernel). Dense operands fold chained, two streams are one
+// AddInto, and three or more sparse streams run one of the two kernels
+// described above, chosen from their pair count and joint key window; the
+// result is the same bytes whichever runs.
 func (v *Vector) AddAll(others []*Vector, s *Scratch) {
 	anyDense := v.dns != nil
 	for _, o := range others {
@@ -63,19 +86,123 @@ func (v *Vector) AddAll(others []*Vector, s *Scratch) {
 		return
 	}
 
+	// Three or more sparse streams: one look at each stream's ends gives the
+	// pair count and the joint key window, which pick the kernel.
 	total := len(v.idx)
+	lo, hi := keyEnds(v.idx, int32(v.n), -1)
+	for _, o := range others {
+		total += len(o.idx)
+		lo, hi = keyEnds(o.idx, lo, hi)
+	}
+	if total == len(v.idx) {
+		return // every other stream is empty
+	}
+	if width := int(hi-lo) + 1; s != nil && total <= v.delta && width <= windowMaxSpread*total {
+		v.addAllWindowed(others, int(lo), width, s)
+		return
+	}
+	v.addAllHeap(others, total, s)
+}
+
+// keyEnds widens the key window [lo, hi] to cover a sorted index stream.
+func keyEnds(idx []int32, lo, hi int32) (int32, int32) {
+	if len(idx) == 0 {
+		return lo, hi
+	}
+	return min(lo, idx[0]), max(hi, idx[len(idx)-1])
+}
+
+// windowMaxSpread is the widest joint key window, as a multiple of the input
+// pair count Σ nnz, that AddAll reduces by windowed scatter; wider merges
+// keep the heap. It is a property read off the input, not a setting: the
+// scatter pays per pair plus per window slot, the heap per pair times log₂
+// fan-in. Measured (BenchmarkAddAllWindowCrossover: 2^16 pairs in k
+// streams, warm Scratch, ns per input pair, go1.24 on the 2-core sandbox,
+// medians of 3):
+//
+//	width/Σnnz      1     2     4     8    16    32    64
+//	k=3 window     7.7   6.3   6.2   9.7  12.8  14.0  16.8
+//	k=3 heap      17.7  17.2  16.7  16.7  16.1  16.4  16.9
+//	k=8 window     8.4   6.5   6.7  10.2  12.2  14.1  17.2
+//	k=8 heap      27.2  26.4  24.2  23.9  23.3  23.5  23.2
+//
+// The scatter still leads at 32 and ties the three-way heap at 64; 16 is
+// the last point where it leads by a quarter at every fan-in, and it keeps
+// the window under 128 bytes per input pair. The split phase sits at
+// width/Σnnz ≤ 2 on the volume workloads; recursive doubling's merges are
+// two-way (AddInto) and never come here. The rule holds only with a Scratch
+// to draw the window from: without one every call would pay for 8·width
+// bytes of fresh zeroed memory, so a nil Scratch keeps the heap.
+const windowMaxSpread = 16
+
+// addAllWindowed is AddAll's kernel for all-sparse inputs packed into a
+// narrow key window [lo, lo+width): a dense window of values plus a
+// presence bitmap, every stream scattered into it in stream order with the
+// heap kernel's fold — a present coordinate combines and is dropped when
+// the result is the neutral element, an absent one takes the incoming
+// value — then one sweep over the bitmap emits the surviving pairs in
+// index order into buffers of exactly their count. The caller guarantees
+// Σ nnz ≤ δ, so the result cannot need to densify.
+func (v *Vector) addAllWindowed(others []*Vector, lo, width int, s *Scratch) {
+	win := s.grabDenseRaw(width) // slots are read only where the bitmap says present
+	present := s.grabBits((width + 63) / 64)
+	scatterFold(win, present, lo, v.idx, v.val, v.op)
+	for _, o := range others {
+		scatterFold(win, present, lo, o.idx, o.val, v.op)
+	}
+	count := 0
+	for _, w := range present {
+		count += bits.OnesCount64(w)
+	}
+	// v's pairs are all in the window now, so its buffers may serve as the
+	// output.
+	s.putIdx(v.idx)
+	s.putVal(v.val)
+	outIdx := s.grabIdx(count)[:count]
+	outVal := s.grabVal(count)[:count]
+	k := 0
+	for wi, w := range present {
+		for base := wi << 6; w != 0; w &= w - 1 {
+			slot := base + bits.TrailingZeros64(w)
+			outIdx[k], outVal[k] = int32(lo+slot), win[slot]
+			k++
+		}
+	}
+	s.putDense(win)
+	v.idx, v.val = outIdx, outVal
+}
+
+// scatterFold folds one sparse stream into the window.
+func scatterFold(win []float64, present []uint64, lo int, idx []int32, val []float64, op Op) {
+	neutral := op.Neutral()
+	for i, ix := range idx {
+		slot := int(ix) - lo
+		w, bit := slot>>6, uint64(1)<<(slot&63)
+		if present[w]&bit == 0 {
+			win[slot] = val[i]
+			present[w] |= bit
+			continue
+		}
+		x := op.Combine(win[slot], val[i])
+		if x == neutral {
+			present[w] &^= bit
+		}
+		win[slot] = x
+	}
+}
+
+// addAllHeap is AddAll's general all-sparse kernel, and the reference the
+// windowed one is tested against: a k-way sorted merge over a heap of
+// stream cursors. total is Σ nnz over v and others.
+func (v *Vector) addAllHeap(others []*Vector, total int, s *Scratch) {
 	cur := make([]mergeCursor, 0, len(others)+1)
 	if len(v.idx) > 0 {
 		cur = append(cur, mergeCursor{idx: v.idx, val: v.val})
 	}
 	for _, o := range others {
-		total += len(o.idx)
 		if len(o.idx) > 0 {
 			cur = append(cur, mergeCursor{idx: o.idx, val: o.val})
 		}
-	}
-	if total == len(v.idx) {
-		return // every other stream is empty
 	}
 	if len(cur) > mergeMaxStreams {
 		// The packed heap keys reserve 16 bits for the stream order; a

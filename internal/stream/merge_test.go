@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -194,13 +195,24 @@ func TestQuickMergeKEquivalence(t *testing.T) {
 
 // FuzzMergeKEquivalence drives the equivalence from raw fuzz bytes:
 // index/value pairs are decoded from data, duplicated across a variable
-// number of streams with sign flips to provoke cancellation.
+// number of streams with sign flips to provoke cancellation. The high bit of
+// streams picks the key layout — clear: every index inside a window of at
+// most 254 coordinates, which AddAll reduces by windowed scatter; set: the
+// same bytes strewn over 2^16 coordinates, which keeps the heap — and
+// whenever the inputs qualify for the all-sparse kernels both are run on
+// them and compared pair for pair.
 func FuzzMergeKEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(int64(99), uint8(7), []byte{0, 0, 0, 0, 255, 255})
+	f.Add(int64(1), uint8(128+3), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(int64(5), uint8(128+11), []byte{0, 9, 200, 9, 0, 247, 64, 1, 63, 1})
 	f.Fuzz(func(t *testing.T, seed int64, streams uint8, data []byte) {
-		P := 1 + int(streams%12)
-		n := 64 + int((seed%191+191)%191)
+		P := 1 + int(streams&0x7f)%12
+		window := 64 + int((seed%191+191)%191)
+		n, stride := window, 1
+		if streams&0x80 != 0 {
+			n, stride = 1<<16, 257
+		}
 		rng := rand.New(rand.NewSource(seed))
 		vs := make([]*Vector, P)
 		for r := range vs {
@@ -208,7 +220,7 @@ func FuzzMergeKEquivalence(f *testing.F) {
 			var val []float64
 			seen := map[int32]bool{}
 			for i := 0; i+1 < len(data); i += 2 {
-				ix := int32(int(data[i]) % n)
+				ix := int32(int(data[i]) % window * stride)
 				if seen[ix] {
 					continue
 				}
@@ -239,7 +251,137 @@ func FuzzMergeKEquivalence(f *testing.F) {
 				t.Fatalf("coord %d: got %g want %g", i, g[i], w[i])
 			}
 		}
+		if windowed, heap, ok := bothKernels(vs, NewScratch()); ok {
+			assertSamePairs(t, windowed, heap, "windowed vs heap")
+		}
 	})
+}
+
+// bothKernels reduces vs with each all-sparse kernel of AddAll, whatever the
+// window rule would have picked, when the inputs allow both: every stream
+// sparse, at least one pair, Σ nnz ≤ δ.
+func bothKernels(vs []*Vector, s *Scratch) (windowed, heap *Vector, ok bool) {
+	total := 0
+	lo, hi := int32(vs[0].n), int32(-1)
+	for _, v := range vs {
+		if v.dns != nil {
+			return nil, nil, false
+		}
+		total += len(v.idx)
+		lo, hi = keyEnds(v.idx, lo, hi)
+	}
+	if total == 0 || total > vs[0].delta {
+		return nil, nil, false
+	}
+	windowed, heap = vs[0].Clone(), vs[0].Clone()
+	windowed.addAllWindowed(vs[1:], int(lo), int(hi-lo)+1, s)
+	heap.addAllHeap(vs[1:], total, s)
+	return windowed, heap, true
+}
+
+// assertSamePairs fails unless got and want are the same vector pair for
+// pair: representation, indices and value bits. ToDense equality is not
+// enough — a kernel that kept a cancelled coordinate as an explicit zero
+// would pass it.
+func assertSamePairs(t *testing.T, got, want *Vector, ctx string) {
+	t.Helper()
+	if got.IsDense() != want.IsDense() {
+		t.Fatalf("%s: dense=%v, want dense=%v", ctx, got.IsDense(), want.IsDense())
+	}
+	if len(got.idx) != len(want.idx) || len(got.val) != len(want.val) {
+		t.Fatalf("%s: %d pairs, want %d", ctx, len(got.idx), len(want.idx))
+	}
+	for i := range want.idx {
+		if got.idx[i] != want.idx[i] || math.Float64bits(got.val[i]) != math.Float64bits(want.val[i]) {
+			t.Fatalf("%s: pair %d is (%d, %x), want (%d, %x)", ctx, i,
+				got.idx[i], math.Float64bits(got.val[i]), want.idx[i], math.Float64bits(want.val[i]))
+		}
+	}
+	for i := range want.dns {
+		if math.Float64bits(got.dns[i]) != math.Float64bits(want.dns[i]) {
+			t.Fatalf("%s: dense coord %d is %x, want %x", ctx, i, math.Float64bits(got.dns[i]), math.Float64bits(want.dns[i]))
+		}
+	}
+}
+
+// TestWindowedKernelMatchesHeap runs both all-sparse kernels on the pinned
+// digest table (both sides of the window rule, word-boundary windows, every
+// operation, cancel-then-refill) with a nil, a cold and a warm Scratch —
+// AddAll keeps the heap without a pool, but the kernel itself stays
+// nil-safe — and on random windows of random width, and compares the
+// results pair for pair.
+func TestWindowedKernelMatchesHeap(t *testing.T) {
+	warm := NewScratch()
+	check := func(name string, vs []*Vector) (compared bool) {
+		t.Helper()
+		for _, s := range []*Scratch{nil, NewScratch(), warm} {
+			windowed, heap, ok := bothKernels(vs, s)
+			if !ok {
+				return false
+			}
+			assertSamePairs(t, windowed, heap, name)
+			if s == nil && cap(windowed.idx) != len(windowed.idx) {
+				t.Fatalf("%s: windowed output holds %d pairs in a buffer of %d, want an exact fit", name, len(windowed.idx), cap(windowed.idx))
+			}
+			s.Release(windowed)
+			s.Release(heap)
+		}
+		return true
+	}
+	compared := 0
+	for name, vs := range mergeDigestCases() {
+		if check(name, vs) {
+			compared++
+		}
+	}
+	if compared < 30 {
+		t.Fatalf("only %d table cases qualified for both kernels", compared)
+	}
+	rng := rand.New(rand.NewSource(83))
+	for trial := 0; trial < 300; trial++ {
+		n := 64 + rng.Intn(1<<14)
+		width := 1 + rng.Intn(n)
+		lo := rng.Intn(n - width + 1)
+		op := []Op{OpSum, OpMax, OpMin, OpProd}[rng.Intn(4)]
+		k := 3 + rng.Intn(10)
+		nnz := rng.Intn(min(width, n/(2*k)) + 1)
+		vs := windowStreams(rng, n, lo, width, k, nnz, op)
+		if rng.Intn(3) == 0 {
+			vs[rng.Intn(k)] = Zero(n, op)
+		}
+		check(fmt.Sprintf("trial %d (%s, %d streams of %d in %d)", trial, op, k, nnz, width), vs)
+	}
+}
+
+// TestAddAllPicksKernelByWindow shows the fork is taken where the doc says:
+// the windowed kernel leaves an exact-fit output (its sweep counts before
+// it emits), the heap a Σ nnz-sized buffer. 8×512 pairs run windowed when
+// packed into 4096 coordinates or spread over 2^15 (eight slots a pair), on
+// the heap when strewn over 2^20 — and on the heap at any width when there
+// is no Scratch to draw the window from.
+func TestAddAllPicksKernelByWindow(t *testing.T) {
+	const total = 8 << 9
+	rng := rand.New(rand.NewSource(89))
+	for _, c := range []struct {
+		width    int
+		pool     *Scratch
+		windowed bool
+	}{
+		{1 << 12, NewScratch(), true},
+		{1 << 15, NewScratch(), true},
+		{1 << 20, NewScratch(), false},
+		{1 << 12, nil, false},
+	} {
+		out := MergeK(windowStreams(rng, 1<<20, 0, c.width, 8, total/8, OpSum), c.pool)
+		wantCap := total
+		if c.windowed {
+			wantCap = len(out.idx)
+		}
+		if cap(out.idx) != wantCap {
+			t.Errorf("width %d, pooled=%v: %d pairs in a buffer of %d, want windowed=%v",
+				c.width, c.pool != nil, len(out.idx), cap(out.idx), c.windowed)
+		}
+	}
 }
 
 func TestAddIntoMatchesAddExactly(t *testing.T) {
@@ -337,5 +479,39 @@ func TestCloneIntoAndDensifyInto(t *testing.T) {
 		}
 		s.Release(c)
 		s.Release(d)
+	}
+}
+
+// BenchmarkAddAllWindowCrossover measures both all-sparse kernels of AddAll
+// on the same inputs — 3 streams (the narrowest fan-in AddAll's k-way case
+// sees, where the heap is cheapest) and 8 (the split phase at P = 8), 2^16
+// pairs in all, supports uniform over a joint key window of
+// width/total ∈ {1 … 64}, with a warm Scratch — and reports ns per input
+// pair. The table beside windowMaxSpread is read off this sweep.
+func BenchmarkAddAllWindowCrossover(b *testing.B) {
+	const total, lo = 1 << 16, 1 << 20
+	for _, streams := range []int{3, 8} {
+		for _, spread := range []int{1, 2, 4, 8, 16, 32, 64} {
+			width := spread * total
+			vs := windowStreams(rand.New(rand.NewSource(int64(spread))), 1<<23, lo, width, streams, total/streams, OpSum)
+			kernels := []struct {
+				name string
+				run  func(acc *Vector, s *Scratch)
+			}{
+				{"window", func(acc *Vector, s *Scratch) { acc.addAllWindowed(vs[1:], lo, width, s) }},
+				{"heap", func(acc *Vector, s *Scratch) { acc.addAllHeap(vs[1:], total, s) }},
+			}
+			for _, k := range kernels {
+				b.Run(fmt.Sprintf("streams=%d/spread=%d/%s", streams, spread, k.name), func(b *testing.B) {
+					sc := NewScratch()
+					for i := 0; i < b.N; i++ {
+						acc := vs[0].CloneInto(sc)
+						k.run(acc, sc)
+						sc.Release(acc)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/total, "ns/pair")
+				})
+			}
+		}
 	}
 }

@@ -29,8 +29,9 @@ package stream
 //     symmetric, so pools reach a steady state where sends drain and
 //     receives replenish them; a buffer from outside that exchange (a
 //     plain-allocated merge output, say) released on every op only fills
-//     the free lists. Over TCP the sender's buffer dies with the frame and
-//     the receiver releases a freshly decoded one.
+//     the free lists. Over TCP nothing migrates: the sender's vector is
+//     encoded into its endpoint's reused frame buffer and then left to the
+//     GC, and the receiver releases a freshly decoded copy.
 //
 // The zero value is ready to use; all methods are nil-safe (a nil *Scratch
 // degrades to plain allocation, so every scratch-aware code path can take
@@ -40,6 +41,9 @@ type Scratch struct {
 	val [][]float64
 	dns [][]float64
 	hdr []*Vector // voided Vector headers, recycled by grabVector
+	// bits is the one presence bitmap of the windowed merge kernel: AddAll
+	// calls never nest on one Scratch, so one reusable slice is the pool.
+	bits []uint64
 }
 
 // scratchPoolCap bounds each free list so a pathological release pattern
@@ -185,6 +189,21 @@ func (s *Scratch) grabDenseBuf(n int) ([]float64, bool) {
 		}
 	}
 	return make([]float64, n), true
+}
+
+// grabBits returns n zeroed bitmap words. With a pool they are the pool's
+// one bitmap, valid until the next grabBits; there is nothing to put back.
+func (s *Scratch) grabBits(n int) []uint64 {
+	if s == nil {
+		return make([]uint64, n)
+	}
+	if cap(s.bits) < n {
+		s.bits = make([]uint64, n)
+		return s.bits
+	}
+	b := s.bits[:n]
+	clear(b)
+	return b
 }
 
 // putIdx returns a loose index buffer to the pool.

@@ -4,7 +4,8 @@
 #      exported API packages; docs tables name real identifiers and every
 #      `sparbench -sweep X` names a registered sweep).
 #   2. race-check the concurrency hot spots; fuzz the payload decoder,
-#      quant.Unmarshal and the TopK selection scan.
+#      quant.Unmarshal, the TCP frame reader, the two merge kernels and the
+#      TopK selection scan.
 #   3. the wall-clock benchmark's quick run: all six workloads on the
 #      goroutine and loopback-TCP backends, every op bit-checked against
 #      the simulator, goroutine/fd leaks fail the run. It measures nothing
@@ -52,6 +53,12 @@ go test ./internal/comm -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 10s | ta
 
 echo "== fuzz quant.Unmarshal (the block inside those frames: never panics, holds no more than the buffer, re-marshals to itself, decodes as the reference decoder)"
 go test ./internal/quant -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s | tail -n 4
+
+echo "== fuzz the TCP frame reader (length prefix + message header through one reused body buffer: never panics, never holds more than twice the bytes supplied plus the first chunk, a well-formed stream reads back)"
+go test ./internal/comm -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 5s | tail -n 4
+
+echo "== fuzz the merge kernels (MergeK ≡ chained Add on packed and on strewn keys; windowed scatter ≡ heap pair for pair)"
+go test ./internal/stream -run '^$' -fuzz '^FuzzMergeKEquivalence$' -fuzztime 5s | tail -n 4
 
 echo "== fuzz TopK selection (the per-bucket insertion scan picks what the reference Select picks: ties, signed zeros, infinities, denormals, any k and bucket width)"
 go test ./internal/topk -run '^$' -fuzz '^FuzzSelectEquivalence$' -fuzztime 5s | tail -n 4
