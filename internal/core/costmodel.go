@@ -16,8 +16,10 @@ import (
 // egress serialization factor of every hierarchy level a message escapes,
 // see simnet.Hierarchy.SerialFactor), and per-element compute γ. Fill-in
 // follows the paper's uniform-support expectation E[K] (§5.2, Figure 7);
-// non-uniform (clustered) supports are priced by the Support knob. The
-// exact formulas, one per algorithm, are documented in
+// non-uniform (clustered) supports are priced by the Support knob. Every
+// priced algorithm is one scheme — up sweep, top phase, down sweep, the
+// flat algorithms being its depth-1 case (see predict) — so each phase is
+// priced once; the exact formulas, one per phase, are documented in
 // docs/ARCHITECTURE.md and must be kept in sync with this file.
 
 // CostScenario describes one allreduce instance for the analytic cost
@@ -130,24 +132,9 @@ func PredictSeconds(alg Algorithm, s CostScenario) float64 {
 	if s.N <= 0 || s.P <= 0 || s.K < 0 {
 		panic("core: CostScenario needs N > 0, P > 0, K >= 0")
 	}
-	h := s.hierarchy()
 	switch alg {
-	case SSARRecDouble:
-		return s.predictRecDouble(h)
-	case SSARSplitAllgather:
-		return s.predictSplitAllgather(h)
-	case DSARSplitAllgather:
-		return s.predictDSAR(h)
-	case HierSSAR:
-		if L, ok := s.hierAt(h); ok {
-			return s.predictHierSSAR(h, L)
-		}
-		return s.predictSplitAllgather(h)
-	case HierDSAR:
-		if L, ok := s.hierAt(h); ok {
-			return s.predictHierDSAR(h, L)
-		}
-		return s.predictDSAR(h)
+	case SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather, HierSSAR, HierDSAR:
+		return s.predict(alg, s.hierarchy())
 	default:
 		panic("core: no cost model for " + alg.String())
 	}
@@ -269,14 +256,6 @@ func (s CostScenario) hierarchy() simnet.Hierarchy {
 	return *s.Hier
 }
 
-// hierAt returns the effective recursion depth of the hierarchical
-// algorithms on h under the scenario's Levels cap, and whether the scheme
-// at that depth is exploitable (differs from the flat algorithm).
-func (s CostScenario) hierAt(h simnet.Hierarchy) (L int, ok bool) {
-	L = hierDepth(h, s.Levels)
-	return L, hierExploitable(h, L, s.P)
-}
-
 // fill returns E[K] for the union of `groups` rank supports under the
 // scenario's support model, capped at P groups and N entries.
 func (s CostScenario) fill(groups int) float64 {
@@ -338,51 +317,53 @@ func (s CostScenario) spanCapped(h simnet.Hierarchy, l int) int {
 	return span
 }
 
-// ext returns the modeled external (co-tenant) flow count at level l.
-func (s CostScenario) ext(l int) int {
-	if l < len(s.External) {
-		return s.External[l]
-	}
-	return 0
-}
-
 // levelFactor returns the contention factor one flow pays crossing level l
 // when `own` of this job's flows share the group's boundary: the egress
-// serialization factor for own plus External co-tenant flows, times the
-// matching ingress factor on ingress-capped levels (1 elsewhere, so
-// sole-tenant scenarios on cap-free hierarchies price exactly as before).
+// serialization factor for own plus External[l] co-tenant flows (a missing
+// entry means none), times the matching ingress factor on ingress-capped
+// levels (1 elsewhere, so sole-tenant scenarios on cap-free hierarchies
+// price exactly as before).
 func (s CostScenario) levelFactor(h simnet.Hierarchy, l, own int) float64 {
-	active := own + s.ext(l)
+	active := own
+	if l < len(s.External) {
+		active += s.External[l]
+	}
 	if active < 1 {
 		active = 1
 	}
 	return h.SerialFactor(l, active) * h.IngressFactor(l, active)
 }
 
-// topLink returns the profile and contention factor pricing an exchange
-// between leaders `d` leader-slots apart when the leaders are one per
-// `stride` ranks — the profile of the innermost level spanning the
-// distance, times each crossed level's serialization factor: the
-// communicator places ⌈span/stride⌉ ranks in each crossed level's group,
-// so a full-depth top phase (stride = the outermost grouped span) pays
-// factor 1 while a truncated one still pays the caps of the levels it
-// ignores — the cost that makes deeper recursion win. stride 1 is the
-// whole world communicator, all of the sender's group-mates contending.
-func (s CostScenario) topLink(h simnet.Hierarchy, d, stride int) (simnet.Profile, float64) {
-	dist := d * stride
-	l := 0
-	for l < h.Depth()-1 && dist >= h.Span(l) {
-		l++
-	}
+// crossFactor returns the contention factor of a message escaping levels
+// 0..l−1 sent by a phase whose participants are one per `stride` ranks:
+// the product of each crossed level's levelFactor with the ⌈span/stride⌉
+// participants the phase places in that level's group all sending at once.
+// stride 1 is the whole world communicator, every group-mate contending; a
+// top phase with one participant per crossed group pays factor 1 as the
+// sole tenant and the External co-tenants' share otherwise — the simulator
+// charges a lone sender for whoever else is on its group's egress
+// (TestExternalFlowsRaisePredictedCost).
+func (s CostScenario) crossFactor(h simnet.Hierarchy, l, stride int) float64 {
 	f := 1.0
 	for j := 0; j < l; j++ {
-		active := (s.spanCapped(h, j) + stride - 1) / stride
-		if active < 1 {
-			active = 1
-		}
-		f *= s.levelFactor(h, j, active)
+		f *= s.levelFactor(h, j, (s.spanCapped(h, j)+stride-1)/stride)
 	}
-	return h.Levels[l].Profile, f
+	return f
+}
+
+// linkMsg prices one message of `bytes` wire bytes between top-phase
+// participants `d` slots apart when the participants are one per `stride`
+// ranks: the profile of the innermost level spanning the distance, at the
+// crossFactor of the levels below it — a full-depth top phase (stride =
+// the outermost grouped span) pays factor 1 while a truncated one still
+// pays the caps of the levels it ignores, the cost that makes deeper
+// recursion win.
+func (s CostScenario) linkMsg(h simnet.Hierarchy, d, stride int, bytes float64) float64 {
+	l := 0
+	for l < h.Depth()-1 && d*stride >= h.Span(l) {
+		l++
+	}
+	return modelMsg(h.Levels[l].Profile, bytes, s.crossFactor(h, l, stride))
 }
 
 // mergeCost prices combining `pairs` sparse index–value pairs, or one
@@ -392,19 +373,6 @@ func (s CostScenario) mergeCost(pairs float64, dense bool) float64 {
 		return s.Profile.GammaPerElem * float64(s.N)
 	}
 	return s.Profile.GammaPerElem * s.Profile.SparseComputeFactor * pairs
-}
-
-// chunksOr returns the pipelining degree the scenario actually prices: the
-// requested Chunks clamped exactly as execution clamps it. The AutoChunks
-// sentinel prices as unchunked (the search layers resolve it first).
-func (s CostScenario) chunksOr() int {
-	return clampChunks(s.Chunks, s.N, s.P)
-}
-
-// topChunks is chunksOr for the hierarchical top phase, where the split
-// runs over the m leaders instead of the full world.
-func (s CostScenario) topChunks(m int) int {
-	return clampChunks(s.Chunks, s.N, m)
 }
 
 // pipe returns the completion time of the two-stage chunk pipeline: C
@@ -423,130 +391,185 @@ func pipe(S, M float64, C int) float64 {
 	return S + M/float64(C)
 }
 
-// predictRecDouble prices SSAR_Recursive_double: log2(P) exchange+merge
-// stages whose payload is the accumulated union E[K_d], plus — on
-// non-power-of-two worlds — the fold of the excess ranks onto the first
-// ones (their input in, the full result back, at rank distance 2^⌊log2 P⌋).
-func (s CostScenario) predictRecDouble(h simnet.Hierarchy) float64 {
+// predict prices one allreduce as the one scheme all five priced
+// algorithms are instances of: up-sweep reduces over hierarchy levels
+// 0..L−2, a top phase among m = ⌈P/stride⌉ participants — one per `stride`
+// consecutive ranks, each entering with the union of its stride inputs —
+// and the mirrored down-sweep broadcasts of the result. The flat algorithms
+// are the depth-1 case: L = 1, stride = 1, m = P, no sweeps, every rank a
+// participant holding its own K non-zeros. HierSSAR and HierDSAR take
+// L = the scenario's depth and stride = Span(L−2), and are priced as that
+// same depth-1 case (split allgather, DSAR) when that depth has nothing to
+// exploit (hierExploitable), exactly as execution degrades them. HierSSAR's
+// top phase is recursive doubling or split allgather by the wire-size rule
+// the implementation applies to the leaders' agreed size.
+//
+// The top-phase helpers take the running total t and return it advanced,
+// rather than returning a subtotal to add: every term then joins the sum in
+// one fixed left-to-right order whatever the depth, and since float
+// addition is not associative that order is part of the contract — every
+// rank must compute the same bits to resolve Auto identically, and the
+// gated BENCH files record them (TestPredictDigests pins the order).
+func (s CostScenario) predict(alg Algorithm, h simnet.Hierarchy) float64 {
+	L, stride := 1, 1
+	if alg == HierSSAR || alg == HierDSAR {
+		if d := hierDepth(h, s.Levels); hierExploitable(h, d, s.P) {
+			L, stride = d, h.Span(d-2)
+		}
+	}
+	m := (s.P + stride - 1) / stride
+	// Per-participant non-zeros entering the top phase: K itself at stride
+	// 1, which fill(1) equals only up to rounding.
+	kp := float64(s.K)
+	if stride > 1 {
+		kp = s.fill(stride)
+	}
 	t := 0.0
-	p2 := largestPow2(s.P)
-	if s.P > p2 {
-		prof, f := s.topLink(h, p2, 1)
-		t += modelMsg(prof, s.wire(float64(s.K)), f)
-		t += s.mergeCost(2*float64(s.K), s.fill(2) > float64(s.deltaOr()))
+	for l := 0; l <= L-2; l++ {
+		t += s.stageReduceCost(h, l)
+	}
+	dsar := alg == DSARSplitAllgather || alg == HierDSAR
+	switch {
+	case dsar:
+		t = s.topSplit(t, h, m, stride, kp)
+		t = s.topDenseAllgather(t, h, m, stride)
+	case alg == SSARRecDouble ||
+		L > 1 && stream.HeaderBytes+int(kp)*(stream.IndexBytes+s.valueBytesOr()) <= DefaultSmallDataBytes:
+		t = s.topRecDouble(t, h, m, stride, kp)
+	default:
+		t = s.topSplit(t, h, m, stride, kp)
+		t = s.topSparseAllgather(t, h, m, stride)
+	}
+	if L == 1 {
+		return t
+	}
+	result := s.wire(s.fill(s.P)) // wire bytes of what the down sweep broadcasts
+	if dsar {
+		result = float64(stream.HeaderBytes) + float64(s.N)*float64(s.valueBytesOr())
+	}
+	for l := L - 2; l >= 0; l-- {
+		t += s.stageBcastCost(h, l, result)
+	}
+	return t
+}
+
+// topRecDouble adds to t a top phase run as SSAR_Recursive_double among m
+// participants one per `stride` ranks, each entering with kp non-zeros:
+// log2 of p2 = 2^⌊log2 m⌋ exchange+merge stages whose payload is the
+// accumulated union, plus — when m is not a power of two — the Appendix A
+// fold of the m−p2 excess participants onto the first ones (their input in,
+// the full result back, p2 slots away). After the fold a participant
+// stands for m/p2 inputs on average, so the stage-d payload is the union of
+// ⌈stride·d·m/p2⌉ rank supports — stride·d exactly when m is a power of two.
+func (s CostScenario) topRecDouble(t float64, h simnet.Hierarchy, m, stride int, kp float64) float64 {
+	p2 := largestPow2(m)
+	delta := float64(s.deltaOr())
+	if m > p2 {
+		t += s.linkMsg(h, p2, stride, s.wire(kp))
+		t += s.mergeCost(2*kp, s.fill(2*stride) > delta)
 	}
 	for d := 1; d < p2; d *= 2 {
-		kt := s.fill(d)
-		prof, f := s.topLink(h, d, 1)
-		t += modelMsg(prof, s.wire(kt), f)
-		t += s.mergeCost(2*kt, s.fill(2*d) > float64(s.deltaOr()))
+		groups := (stride*d*m + p2 - 1) / p2
+		kt := s.fill(groups)
+		t += s.linkMsg(h, d, stride, s.wire(kt))
+		t += s.mergeCost(2*kt, s.fill(2*groups) > delta)
 	}
-	if s.P > p2 {
-		prof, f := s.topLink(h, p2, 1)
-		t += modelMsg(prof, s.wire(s.fill(s.P)), f)
+	if m > p2 {
+		t += s.linkMsg(h, p2, stride, s.wire(s.fill(s.P)))
 	}
 	return t
 }
 
-// splitSendCost prices the direct-exchange half of the split phase:
-// perDest messages to each of the P−1 other ranks, each carrying `slice`
-// non-zeros — serialized at the sender, which is the (P−1)·perDest·α
-// term — bucketed by the hierarchy level each destination sits at (each
-// bucket paying the egress factors of the levels it crosses). The caller
-// adds the k-way merge separately. perDest = 1 with the full K/P slice
-// reproduces the unchunked split phase; the chunked caller passes
-// perDest = C with a slice/C payload.
-func (s CostScenario) splitSendCost(h simnet.Hierarchy, perDest int, slice float64) float64 {
-	t := 0.0
-	prev := 1
-	f := 1.0
-	for l := 0; l < h.Depth(); l++ {
-		span := s.spanCapped(h, l)
-		if cnt := span - prev; cnt > 0 {
-			t += float64(cnt*perDest) * modelMsg(h.Levels[l].Profile, s.wire(slice), f)
+// splitSend prices the direct-exchange half of the split phase among m
+// participants one per `stride` ranks: perDest messages to each of the m−1
+// others, each carrying `slice` non-zeros — serialized at the sender, which
+// is the (m−1)·perDest·α term — bucketed by the innermost hierarchy level
+// spanning each destination: a level-l group holds u = ⌈span/stride⌉
+// participants, the ones not already in a smaller group are priced on
+// level l's profile at the crossFactor of the levels below it. perDest = 1
+// with the full slice is the unchunked phase; perDest = C with a slice/C
+// payload the chunked one.
+func (s CostScenario) splitSend(h simnet.Hierarchy, m, stride, perDest int, slice float64) float64 {
+	t, prev := 0.0, 1
+	for l := 0; l < h.Depth() && prev < m; l++ {
+		u := (s.spanCapped(h, l) + stride - 1) / stride
+		if u > prev {
+			t += float64((u-prev)*perDest) * modelMsg(h.Levels[l].Profile, s.wire(slice), s.crossFactor(h, l, stride))
 		}
-		if span >= s.P {
-			break
-		}
-		f *= s.levelFactor(h, l, span)
-		prev = span
+		prev = u
 	}
 	return t
 }
 
-// splitPhaseCost prices the shared split phase: P−1 direct sends of one
-// dimension-partition slice (≈ K/P non-zeros) each — serialized at the
-// sender, which is the (P−1)·α term — bucketed by the hierarchy level each
-// destination sits at (each bucket paying the egress factors of the levels
-// it crosses), plus the single k-way merge reducing this rank's partition:
-// every received pair is touched once, so the charge is the P·K/P ≈ K
-// total input pairs rather than the chained two-way merges' Σᵢ(|accᵢ|+|Hᵢ|).
-// At Chunks ≥ 2 the phase is the chunk pipeline instead: C·(P−1) sends of
-// a 1/C slice each (more α, same β volume) with the merge
-// overlap-discounted behind the send stage per pipe.
-func (s CostScenario) splitPhaseCost(h simnet.Hierarchy) float64 {
-	slice := float64(s.K) / float64(s.P)
-	if C := s.chunksOr(); C > 1 {
-		S := s.splitSendCost(h, C, slice/float64(C))
-		M := s.mergeCost(float64(s.P)*slice, false)
-		return pipe(S, M, C)
+// topSplit adds to t the split phase shared by the split-allgather and DSAR
+// top phases among m participants (one per `stride` ranks, kp non-zeros
+// each): splitSend of one dimension-partition slice (≈ kp/m non-zeros) to
+// every other participant, plus the single k-way merge reducing the owned
+// partition — every received pair is touched once, so the charge is the
+// m·kp/m ≈ kp input pairs rather than the chained two-way merges'
+// Σᵢ(|accᵢ|+|Hᵢ|). At Chunks ≥ 2 (clamped over the m participants exactly
+// as execution clamps it; AutoChunks prices as unchunked) the phase is the
+// chunk pipeline instead: C·(m−1) sends of a 1/C slice each — more α, same
+// β volume — with the merge overlap-discounted behind the send stage per
+// pipe.
+func (s CostScenario) topSplit(t float64, h simnet.Hierarchy, m, stride int, kp float64) float64 {
+	slice := kp / float64(m)
+	merge := s.mergeCost(float64(m)*slice, false)
+	if C := clampChunks(s.Chunks, s.N, m); C > 1 {
+		return t + pipe(s.splitSend(h, m, stride, C, slice/float64(C)), merge, C)
 	}
-	t := s.splitSendCost(h, 1, slice)
-	t += s.mergeCost(float64(s.P)*slice, false)
-	return t
+	t += s.splitSend(h, m, stride, 1, slice)
+	return t + merge
 }
 
-// predictSplitAllgather prices SSAR_Split_allgather: the split phase plus
-// a concatenating sparse allgather whose payload doubles each stage up to
-// the reduced size E[K_P] (with the non-power-of-two fold in and out of
-// the allgather priced like predictRecDouble's).
-func (s CostScenario) predictSplitAllgather(h simnet.Hierarchy) float64 {
-	t := s.splitPhaseCost(h)
-	p2 := largestPow2(s.P)
-	part := s.fill(s.P) / float64(p2)
-	if s.P > p2 {
-		slice := s.fill(s.P) / float64(s.P)
-		prof, f := s.topLink(h, p2, 1)
-		t += modelMsg(prof, s.wire(slice), f)
+// topSparseAllgather adds to t the concatenating sparse allgather that
+// finishes a split-allgather top phase among m participants one per
+// `stride` ranks: the payload doubles each stage up to the reduced size
+// E[K_P], each arrival merged in; when m is not a power of two the excess
+// participants' reduced slices fold in first and the full result folds
+// back out, p2 = 2^⌊log2 m⌋ slots away.
+func (s CostScenario) topSparseAllgather(t float64, h simnet.Hierarchy, m, stride int) float64 {
+	p2 := largestPow2(m)
+	full := s.fill(s.P)
+	part := full / float64(p2)
+	if m > p2 {
+		slice := full / float64(m)
+		t += s.linkMsg(h, p2, stride, s.wire(slice))
 		t += s.mergeCost(2*slice, false)
 	}
 	for d := 1; d < p2; d *= 2 {
 		kt := part * float64(d)
-		prof, f := s.topLink(h, d, 1)
-		t += modelMsg(prof, s.wire(kt), f)
+		t += s.linkMsg(h, d, stride, s.wire(kt))
 		t += s.mergeCost(2*kt, 2*kt > float64(s.deltaOr()))
 	}
-	if s.P > p2 {
-		prof, f := s.topLink(h, p2, 1)
-		t += modelMsg(prof, s.wire(s.fill(s.P)), f)
+	if m > p2 {
+		t += s.linkMsg(h, p2, stride, s.wire(full))
 	}
 	return t
 }
 
-// predictDSAR prices DSAR_Split_allgather: the sparse split phase, a
-// densify pass over the local partition (plus QSGD encode/decode passes
-// when quantizing), and a dense allgather whose per-stage volume doubles.
-func (s CostScenario) predictDSAR(h simnet.Hierarchy) float64 {
-	t := s.splitPhaseCost(h)
+// topDenseAllgather adds to t the tail of a DSAR top phase among m
+// participants one per `stride` ranks: a densify pass over the owned N/m
+// partition (plus QSGD encode/decode passes when quantizing) and a dense
+// allgather whose per-stage volume doubles, with the non-power-of-two fold
+// of one block in and the whole vector back out.
+func (s CostScenario) topDenseAllgather(t float64, h simnet.Hierarchy, m, stride int) float64 {
 	g := s.Profile.GammaPerElem
-	block := float64(s.N) / float64(s.P)
+	block := float64(s.N) / float64(m)
 	t += g * block // densify the owned partition
 	if s.Quant != nil {
 		t += g*block + g*float64(s.N) // encode own block, decode all
 	}
-	p2 := largestPow2(s.P)
-	if s.P > p2 {
-		prof, f := s.topLink(h, p2, 1)
-		t += modelMsg(prof, block*s.densePerElem()+float64(stream.HeaderBytes), f)
+	p2 := largestPow2(m)
+	hdr := float64(stream.HeaderBytes)
+	if m > p2 {
+		t += s.linkMsg(h, p2, stride, block*s.densePerElem()+hdr)
 	}
 	for d := 1; d < p2; d *= 2 {
-		bytes := float64(d)*(float64(s.N)/float64(p2))*s.densePerElem() + float64(stream.HeaderBytes)
-		prof, f := s.topLink(h, d, 1)
-		t += modelMsg(prof, bytes, f)
+		t += s.linkMsg(h, d, stride, float64(d)*(float64(s.N)/float64(p2))*s.densePerElem()+hdr)
 	}
-	if s.P > p2 {
-		prof, f := s.topLink(h, p2, 1)
-		t += modelMsg(prof, float64(s.N)*s.densePerElem()+float64(stream.HeaderBytes), f)
+	if m > p2 {
+		t += s.linkMsg(h, p2, stride, float64(s.N)*s.densePerElem()+hdr)
 	}
 	return t
 }
@@ -568,7 +591,10 @@ func (s CostScenario) stageChildren(h simnet.Hierarchy, l int) (c, base int) {
 // participants to the group leader — ⌈log2 c⌉ rounds on the level's
 // profile with payloads growing as the union E[K_(d·base)] of the ranks
 // already aggregated below. One participant per subgroup drives the
-// exchange, so no egress factor applies.
+// exchange, so the job does not contend with itself and no factor is
+// applied. (Nor are External co-tenants on the crossed levels charged in
+// the sweeps, though the simulator does: crossFactor(h, l, base) would,
+// and moves predictions BENCH_8 records.)
 func (s CostScenario) stageReduceCost(h simnet.Hierarchy, l int) float64 {
 	c, base := s.stageChildren(h, l)
 	t := 0.0
@@ -590,154 +616,4 @@ func (s CostScenario) stageBcastCost(h simnet.Hierarchy, l int, bytes float64) f
 		rounds++
 	}
 	return float64(rounds) * modelMsg(h.Levels[l].Profile, bytes, 1)
-}
-
-// topSplitSendCost prices the direct-exchange half of a top-phase split
-// over m leaders (one per `stride` ranks): perDest sends to each of the
-// m−1 other leaders, each carrying `slice` non-zeros, bucketed by the
-// innermost level spanning each destination, every bucket paying the
-// egress factors of the levels it crosses with one contending flow per
-// co-located leader. The caller adds the k-way merge of the m slices
-// separately; perDest = 1 is the unchunked phase, perDest = C with a
-// slice/C payload the chunked one.
-func (s CostScenario) topSplitSendCost(h simnet.Hierarchy, m, stride int, slice float64, perDest int) float64 {
-	t := 0.0
-	prev := 1
-	f := 1.0
-	for l := 0; l < h.Depth(); l++ {
-		span := s.spanCapped(h, l)
-		if span <= stride {
-			continue // one leader per group here and below: no destinations
-		}
-		u := (span + stride - 1) / stride // leaders per level-l group
-		if u > m {
-			u = m
-		}
-		if cnt := u - prev; cnt > 0 {
-			t += float64(cnt*perDest) * modelMsg(h.Levels[l].Profile, s.wire(slice), f)
-		}
-		if u >= m {
-			break
-		}
-		f *= s.levelFactor(h, l, u)
-		prev = u
-	}
-	return t
-}
-
-// predictHierSSAR prices the recursive SSAR_Hierarchical at depth L:
-// per-level up-sweep reduces, a top-phase sparse allreduce among the
-// level-(L-2) leaders (rec-double or split allgather by the same wire-size
-// rule the implementation applies), and the mirrored down-sweep broadcast.
-func (s CostScenario) predictHierSSAR(h simnet.Hierarchy, L int) float64 {
-	stride := h.Span(L - 2)
-	m := (s.P + stride - 1) / stride
-	t := 0.0
-	for l := 0; l <= L-2; l++ {
-		t += s.stageReduceCost(h, l)
-	}
-	kp := s.fill(stride) // per-leader non-zeros after the up sweep
-	wireK := stream.HeaderBytes + int(kp)*(stream.IndexBytes+s.valueBytesOr())
-	p2m := largestPow2(m)
-	if wireK <= DefaultSmallDataBytes {
-		// Top-phase recursive doubling: payload is the union of stride·d
-		// inputs, with the non-power-of-two leader fold in and out.
-		if m > p2m {
-			prof, f := s.topLink(h, p2m, stride)
-			t += modelMsg(prof, s.wire(kp), f)
-			t += s.mergeCost(2*kp, s.fill(2*stride) > float64(s.deltaOr()))
-		}
-		for d := 1; d < p2m; d *= 2 {
-			groups := (stride*d*m + p2m - 1) / p2m // folded leaders aggregate m/p2m inputs
-			kt := s.fill(groups)
-			prof, f := s.topLink(h, d, stride)
-			t += modelMsg(prof, s.wire(kt), f)
-			t += s.mergeCost(2*kt, s.fill(2*groups) > float64(s.deltaOr()))
-		}
-		if m > p2m {
-			prof, f := s.topLink(h, p2m, stride)
-			t += modelMsg(prof, s.wire(s.fill(s.P)), f)
-		}
-	} else {
-		// Top-phase split allgather over m partitions (k-way merge: the m
-		// slices of one leader partition are touched once each), pipelined
-		// like splitPhaseCost when the scenario chunks.
-		slice := kp / float64(m)
-		part := s.fill(s.P) / float64(p2m)
-		if C := s.topChunks(m); C > 1 {
-			S := s.topSplitSendCost(h, m, stride, slice/float64(C), C)
-			t += pipe(S, s.mergeCost(float64(m)*slice, false), C)
-		} else {
-			t += s.topSplitSendCost(h, m, stride, slice, 1)
-			t += s.mergeCost(float64(m)*slice, false)
-		}
-		if m > p2m {
-			fslice := s.fill(s.P) / float64(m)
-			prof, f := s.topLink(h, p2m, stride)
-			t += modelMsg(prof, s.wire(fslice), f)
-			t += s.mergeCost(2*fslice, false)
-		}
-		for d := 1; d < p2m; d *= 2 {
-			kt := part * float64(d)
-			prof, f := s.topLink(h, d, stride)
-			t += modelMsg(prof, s.wire(kt), f)
-			t += s.mergeCost(2*kt, 2*kt > float64(s.deltaOr()))
-		}
-		if m > p2m {
-			prof, f := s.topLink(h, p2m, stride)
-			t += modelMsg(prof, s.wire(s.fill(s.P)), f)
-		}
-	}
-	bytes := s.wire(s.fill(s.P))
-	for l := L - 2; l >= 0; l-- {
-		t += s.stageBcastCost(h, l, bytes)
-	}
-	return t
-}
-
-// predictHierDSAR prices the recursive DSAR_Hierarchical at depth L:
-// per-level up-sweep reduces, a top-phase DSAR over the m leader
-// partitions (sparse split, densify, dense/quantized allgather), and the
-// down-sweep broadcast of the dense result.
-func (s CostScenario) predictHierDSAR(h simnet.Hierarchy, L int) float64 {
-	stride := h.Span(L - 2)
-	m := (s.P + stride - 1) / stride
-	t := 0.0
-	for l := 0; l <= L-2; l++ {
-		t += s.stageReduceCost(h, l)
-	}
-	kp := s.fill(stride)
-	slice := kp / float64(m)
-	if C := s.topChunks(m); C > 1 {
-		S := s.topSplitSendCost(h, m, stride, slice/float64(C), C)
-		t += pipe(S, s.mergeCost(float64(m)*slice, false), C)
-	} else {
-		t += s.topSplitSendCost(h, m, stride, slice, 1)
-		t += s.mergeCost(float64(m)*slice, false)
-	}
-	g := s.Profile.GammaPerElem
-	block := float64(s.N) / float64(m)
-	t += g * block
-	if s.Quant != nil {
-		t += g*block + g*float64(s.N)
-	}
-	p2m := largestPow2(m)
-	if m > p2m {
-		prof, f := s.topLink(h, p2m, stride)
-		t += modelMsg(prof, block*s.densePerElem()+float64(stream.HeaderBytes), f)
-	}
-	for d := 1; d < p2m; d *= 2 {
-		bytes := float64(d)*(float64(s.N)/float64(p2m))*s.densePerElem() + float64(stream.HeaderBytes)
-		prof, f := s.topLink(h, d, stride)
-		t += modelMsg(prof, bytes, f)
-	}
-	if m > p2m {
-		prof, f := s.topLink(h, p2m, stride)
-		t += modelMsg(prof, float64(s.N)*s.densePerElem()+float64(stream.HeaderBytes), f)
-	}
-	dense := float64(stream.HeaderBytes) + float64(s.N)*float64(s.valueBytesOr())
-	for l := L - 2; l >= 0; l-- {
-		t += s.stageBcastCost(h, l, dense)
-	}
-	return t
 }

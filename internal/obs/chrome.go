@@ -157,7 +157,11 @@ func EncodeChromeTrace(t ChromeTrace) ([]byte, error) {
 	var b bytes.Buffer
 	b.WriteString("{\n")
 	if t.DisplayTimeUnit != "" {
-		fmt.Fprintf(&b, "  \"displayTimeUnit\": %q,\n", t.DisplayTimeUnit)
+		unit, err := json.Marshal(t.DisplayTimeUnit) // not %q: Go escapes (\a, \x00) are not JSON
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(&b, "  \"displayTimeUnit\": %s,\n", unit)
 	}
 	if len(t.OtherData) > 0 {
 		od, err := json.Marshal(t.OtherData)

@@ -81,6 +81,44 @@ func TestChromeDecodeEncodeIdentity(t *testing.T) {
 	}
 }
 
+// FuzzDecodeChromeTrace: whatever bytes a trace file holds,
+// DecodeChromeTrace returns a document or an error — it never panics — and
+// an accepted document re-encodes to JSON that decodes again and encodes
+// to the same bytes (the identity the Perfetto golden relies on, for any
+// input rather than the encoder's own output).
+func FuzzDecodeChromeTrace(f *testing.F) {
+	enc, err := EncodeChromeTrace(sampleHub().ChromeTrace())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Add([]byte("{\n  \"traceEvents\": [\n  ]\n}\n"))
+	f.Add([]byte(`{"displayTimeUnit":"\u0007<ns>","otherData":{"clock":"wall"},"traceEvents":[{"name":"\ufffd","ph":"X","ts":-0,"dur":1e300,"pid":1,"tid":-2,"args":{}}]}`))
+	f.Add([]byte(`{"traceEvents":[{"ts":1e999}]}`))
+	f.Add([]byte(`{"traceEvents":null,"TRACEEVENTS":[{"PH":"i","s":"t"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		doc, err := DecodeChromeTrace(data)
+		if err != nil {
+			return
+		}
+		first, err := EncodeChromeTrace(doc)
+		if err != nil {
+			t.Fatalf("an accepted document does not encode: %v", err)
+		}
+		again, err := DecodeChromeTrace(first)
+		if err != nil {
+			t.Fatalf("an accepted document re-encodes to JSON that does not decode: %v\n%s", err, first)
+		}
+		second, err := EncodeChromeTrace(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("decode∘encode not identity:\n--- first\n%s\n--- second\n%s", first, second)
+		}
+	})
+}
+
 func TestWriteChromeNilHub(t *testing.T) {
 	var o *Obs
 	var b bytes.Buffer

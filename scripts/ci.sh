@@ -4,8 +4,8 @@
 #      exported API packages; docs tables name real identifiers and every
 #      `sparbench -sweep X` names a registered sweep).
 #   2. race-check the concurrency hot spots; fuzz the payload decoder,
-#      quant.Unmarshal, the TCP frame reader, the two merge kernels and the
-#      TopK selection scan.
+#      quant.Unmarshal, the TCP frame reader, the two merge kernels, the
+#      TopK selection scan and the Chrome-trace decoder.
 #   3. the wall-clock benchmark's quick run: all six workloads on the
 #      goroutine and loopback-TCP backends, every op bit-checked against
 #      the simulator, goroutine/fd leaks fail the run. It measures nothing
@@ -62,6 +62,9 @@ go test ./internal/stream -run '^$' -fuzz '^FuzzMergeKEquivalence$' -fuzztime 5s
 
 echo "== fuzz TopK selection (the per-bucket insertion scan picks what the reference Select picks: ties, signed zeros, infinities, denormals, any k and bucket width)"
 go test ./internal/topk -run '^$' -fuzz '^FuzzSelectEquivalence$' -fuzztime 5s | tail -n 4
+
+echo "== fuzz the Chrome-trace decoder (trace files off a disk: never panics, an accepted document re-encodes to JSON that decodes back to itself)"
+go test ./internal/obs -run '^$' -fuzz '^FuzzDecodeChromeTrace$' -fuzztime 5s | tail -n 4
 
 echo "== bench -quick (six workloads on goroutine + loopback TCP, every op checked, leaks fail)"
 go run ./bench -quick > /dev/null
