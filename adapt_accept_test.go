@@ -131,7 +131,7 @@ func TestFacadeAdaptive(t *testing.T) {
 		t.Fatal("controller should hold a concrete algorithm after warm-up")
 	}
 	if w.Adapt(0).Calibrator().Samples(0) == 0 {
-		t.Fatal("calibration should have consumed traced transfers")
+		t.Fatal("calibration should have folded the sends")
 	}
 }
 

@@ -33,13 +33,33 @@ func TestRunHierSweepTiny(t *testing.T) {
 	}
 }
 
+// TestRunTraceTiny: -trace prints the header, one line per send carrying
+// every send-span field, and the rounds summary — recursive doubling at
+// P = 4 is two rounds of four messages, the payload growing between them.
 func TestRunTraceTiny(t *testing.T) {
 	var buf strings.Builder
 	if err := run([]string{"-trace", "-n", "1024", "-p", "4"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "message timeline") {
-		t.Fatalf("unexpected output:\n%s", buf.String())
+	out := buf.String()
+	if !strings.HasPrefix(out, "# SSAR_Recursive_double message timeline: N=1024") ||
+		!strings.Contains(out, "\n# rounds: 2; per-round messages [4 4]\n") {
+		t.Fatalf("unexpected output:\n%s", out)
+	}
+	sends := 0
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.Contains(line, "→") {
+			continue
+		}
+		sends++
+		for _, field := range []string{"µs", "tag=", "B  lvl=0 arrives"} {
+			if !strings.Contains(line, field) {
+				t.Errorf("send line %q lacks %q", line, field)
+			}
+		}
+	}
+	if sends != 8 {
+		t.Fatalf("%d send lines, want 8:\n%s", sends, out)
 	}
 }
 

@@ -112,8 +112,7 @@ func (c Config) withDefaults() Config {
 type Controller struct {
 	cfg    Config
 	sketch *ShapeSketch
-	calib  *LinkCalibrator
-	tracer *comm.Tracer
+	calib  *LinkCalibrator // nil until Calibrate
 
 	// hold is the blocking path's (Allreduce, Plan) hysteresis state; the
 	// bucketed path keeps one per bucket in buckets.
@@ -125,11 +124,6 @@ type Controller struct {
 
 	buckets        []bucketHold
 	bucketSwitches int
-
-	// decisions is the structured decision history (see DecisionEvent),
-	// capped at maxDecisionHistory; calls counts decided calls.
-	decisions []DecisionEvent
-	calls     int
 }
 
 // bucketHold is one hysteresis state machine: the margin/hold filter every
@@ -192,22 +186,11 @@ func NewController(cfg Config) *Controller {
 	return &Controller{cfg: cfg, sketch: NewShapeSketch(cfg.MaxSamples, cfg.Decay)}
 }
 
-// AttachTracer enables link calibration: the controller will consume this
-// rank's own sends from tr before each decision. Call once, before the
-// first Allreduce; the tracer is typically the world's
-// (comm.World.EnableTrace), shared by all ranks' controllers — each reads
-// only its own events. Bound the tracer's memory with
-// Tracer.LimitPerRank when the workload is long-running.
-func (a *Controller) AttachTracer(tr *comm.Tracer, worldRank int) {
-	a.tracer = tr
-	a.calib = NewLinkCalibrator(worldRank)
-}
-
 // Sketch returns the controller's shape sketch (for inspection).
 func (a *Controller) Sketch() *ShapeSketch { return a.sketch }
 
-// Calibrator returns the controller's link calibrator, nil until a tracer
-// is attached.
+// Calibrator returns the controller's link calibrator, nil until
+// Calibrate enables calibration.
 func (a *Controller) Calibrator() *LinkCalibrator { return a.calib }
 
 // Choice returns the current algorithm/depth the controller is holding
@@ -260,26 +243,25 @@ func (a *Controller) Plan(p *comm.Proc, vs []*stream.Vector, opts core.Options) 
 	if opts.Algorithm != core.Auto || len(vs) == 0 {
 		return opts
 	}
-	if a.calib != nil {
-		a.calib.ConsumeOwn(a.tracer)
-	}
+	// The fits are read before the agreement collectives, so a decision
+	// prices with the sends made before it, never with its own.
+	links := a.calib.snapshot()
 	rep := vs[0]
 	for _, v := range vs[1:] {
 		if v.NNZ() > rep.NNZ() {
 			rep = v
 		}
 	}
-	s := a.agreeScenario(p, rep, opts)
+	s := a.agreeScenario(p, rep, opts, links)
 	candAlg, candLevels, _ := core.ChooseAutoLevels(s)
 	// This path does not own the chunk degree (opts.Chunks passes through),
 	// so incumbent and candidate are both priced at this call's.
 	a.hold.curChunks = s.Chunks
 	alg, levels, _, switched, reason := a.hold.decide(a.cfg, candAlg, candLevels, s.Chunks, s, &a.switches)
-	a.recordDecision(p, DecisionEvent{Call: a.calls, Bucket: -1,
+	recordDecision(p, decisionEvent{Bucket: -1,
 		Algorithm: alg, Levels: levels, Support: s.Support,
 		PredictedSeconds: predictFor(alg, levels, 0, s),
 		Switched:         switched, Reason: reason})
-	a.calls++
 	opts.Algorithm, opts.Levels = alg, levels
 	opts.Support, opts.HotFraction, opts.HotMass = s.Support, s.HotFraction, s.HotMass
 	return opts
@@ -313,9 +295,7 @@ func (a *Controller) PlanBuckets(p *comm.Proc, sched *core.BucketScheduler, cont
 	if opts.Algorithm != core.Auto && opts.Chunks != core.AutoChunks {
 		return out
 	}
-	if a.calib != nil {
-		a.calib.ConsumeOwn(a.tracer)
-	}
+	links := a.calib.snapshot() // before the agreements, as in Plan
 	ks := make([]float64, B)
 	for b := range ks {
 		n := 0
@@ -325,7 +305,7 @@ func (a *Controller) PlanBuckets(p *comm.Proc, sched *core.BucketScheduler, cont
 		ks[b] = float64(n)
 	}
 	agreedK := core.AllreduceDense(p, ks, stream.OpMax)
-	agreed := a.agreeStats(p)
+	agreed := a.agreeStats(p, links)
 	if len(a.buckets) != B {
 		a.buckets = make([]bucketHold, B)
 	}
@@ -340,14 +320,13 @@ func (a *Controller) PlanBuckets(p *comm.Proc, sched *core.BucketScheduler, cont
 			continue
 		}
 		alg, levels, chunks, switched, reason := a.buckets[b].decide(a.cfg, candAlg, candLevels, candChunks, s, &a.bucketSwitches)
-		a.recordDecision(p, DecisionEvent{Call: a.calls, Bucket: b,
+		recordDecision(p, decisionEvent{Bucket: b,
 			Algorithm: alg, Levels: levels, Chunks: chunks, Support: s.Support,
 			PredictedSeconds: predictFor(alg, levels, chunks, s),
 			Switched:         switched, Reason: reason})
 		out[b].Algorithm, out[b].Levels, out[b].Chunks = alg, levels, chunks
 		out[b].Support, out[b].HotFraction, out[b].HotMass = s.Support, s.HotFraction, s.HotMass
 	}
-	a.calls++
 	return out
 }
 
@@ -360,30 +339,30 @@ func (a *Controller) BucketSwitches() int { return a.bucketSwitches }
 // the globally maximal per-rank non-zero count (one max-allreduce, as
 // core's static Auto performs), plus the mean sketch shape and the mean
 // fitted link constants (one sum-allreduce), substituted into
-// core.ScenarioFor's scenario.
-func (a *Controller) agreeScenario(p *comm.Proc, v *stream.Vector, opts core.Options) core.CostScenario {
+// core.ScenarioFor's scenario. links is the calibrator snapshot the
+// decision prices with.
+func (a *Controller) agreeScenario(p *comm.Proc, v *stream.Vector, opts core.Options, links []linkFit) core.CostScenario {
 	kmax := core.AllreduceDense(p, []float64{float64(v.NNZ())}, stream.OpMax)[0]
-	return a.scenarioFromAgreed(p, v, opts, kmax, a.agreeStats(p))
+	return a.scenarioFromAgreed(p, v, opts, kmax, a.agreeStats(p, links))
 }
 
 // agreeStats runs the one sum-allreduce agreeing on the sketch shape and
 // calibration statistics — the K-independent half of agreeScenario, shared
 // with the per-bucket path, which agrees on all bucket counts in a single
 // separate collective. Returns the agreed sums, laid out per level of the
-// communicator's hierarchy.
-func (a *Controller) agreeStats(p *comm.Proc) []float64 {
+// communicator's hierarchy. A level contributes its fit from links only
+// when usable over at least MinCalibSamples transfers.
+func (a *Controller) agreeStats(p *comm.Proc, links []linkFit) []float64 {
 	depth := p.Hierarchy().Depth()
 	st := a.sketch.Stats()
 	// Layout: [hotFrac, hotMass, div, then per level: okFlag, alpha, beta].
 	local := make([]float64, 3+3*depth)
 	local[0], local[1], local[2] = st.HotFraction, st.HotMass, st.Divergence
-	if a.calib != nil {
-		for l := 0; l < depth; l++ {
-			if alpha, beta, ok := a.calib.Fit(l); ok && a.calib.Samples(l) >= a.cfg.MinCalibSamples {
-				local[3+3*l] = 1
-				local[4+3*l] = alpha
-				local[5+3*l] = beta
-			}
+	for l := 0; l < depth && l < len(links); l++ {
+		if alpha, beta, ok := links[l].fit(); ok && int(links[l].n) >= a.cfg.MinCalibSamples {
+			local[3+3*l] = 1
+			local[4+3*l] = alpha
+			local[5+3*l] = beta
 		}
 	}
 	return core.AllreduceDense(p, local, stream.OpSum)

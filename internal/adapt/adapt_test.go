@@ -16,14 +16,11 @@ import (
 // call's per-rank results.
 func runAdaptive(t *testing.T, w *comm.World, cfg Config, schedule [][]*stream.Vector) ([]*Controller, []*stream.Vector) {
 	t.Helper()
-	tr := w.EnableTrace()
-	tr.LimitPerRank(4096)
-	P := w.Size()
-	ctrls := make([]*Controller, P)
+	ctrls := make([]*Controller, w.Size())
 	for r := range ctrls {
 		ctrls[r] = NewController(cfg)
-		ctrls[r].AttachTracer(tr, r)
 	}
+	Calibrate(w, ctrls)
 	results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
 		var last *stream.Vector
 		for _, inputs := range schedule {

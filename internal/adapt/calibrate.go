@@ -1,8 +1,9 @@
 package adapt
 
 import (
+	"sync"
+
 	"repro/internal/comm"
-	"repro/internal/simnet"
 )
 
 // LinkCalibrator fits per-hierarchy-level α–β link constants online from
@@ -16,21 +17,20 @@ import (
 // with α' = α + per-message software overhead and β' = β + per-byte
 // software cost — exactly the (Alpha, BetaPerByte) pair the cost model's
 // message pricing consumes once the software terms are folded in. The
-// calibrator accumulates the running least-squares sums per level, so the
-// fit is O(1) per event and exact whenever the observed level really is
-// priced by one affine law (which the simulator guarantees; on a real
-// network the fit is the usual noisy regression).
+// calibrator keeps only the running least-squares sums per level, so the
+// fit is O(1) per event, its memory is O(levels) however long the run,
+// and it is exact whenever the observed level really is priced by one
+// affine law (which the simulator guarantees; on a real network the fit
+// is the usual noisy regression).
 //
-// A calibrator belongs to one rank and consumes only that rank's own
-// sends (comm.Tracer.EventsOf): a rank's own events are always a complete,
-// deterministic prefix of its send history, regardless of what other
-// ranks are doing concurrently, which keeps per-rank fits reproducible.
-// Cross-rank agreement on the fitted constants is the Controller's job.
+// A calibrator belongs to one rank and is fed that rank's own sends as
+// they are made (Calibrate installs the world's send hook). It locks
+// because a rank's forked Procs — a nonblocking collective in flight —
+// fold their sends from their own goroutines while the rank reads its
+// fit. The zero value is an empty calibrator, ready to use.
 type LinkCalibrator struct {
-	src      int // world rank whose sends are consumed
-	consumed int // own events already folded into the sums
-	gen      int // tracer reset generation the cursor belongs to
-	fits     []linkFit
+	mu   sync.Mutex
+	fits []linkFit
 }
 
 // linkFit holds one level's running least-squares sums over samples
@@ -39,56 +39,62 @@ type linkFit struct {
 	n, sx, sy, sxx, sxy float64
 }
 
-// NewLinkCalibrator returns an empty calibrator for the given world rank.
-func NewLinkCalibrator(worldRank int) *LinkCalibrator {
-	return &LinkCalibrator{src: worldRank}
+// Calibrate enables link calibration on every controller of w: each gets
+// an empty LinkCalibrator, and w's send hook (comm.World.OnSend) folds
+// every send into the calibrator of its source rank. ctrls must hold one
+// controller per world rank, indexed by rank; the hook keeps reading it,
+// so it must not be modified afterwards. Call once, from the driving
+// goroutine, before Run — it replaces any send hook already installed.
+func Calibrate(w *comm.World, ctrls []*Controller) {
+	for _, c := range ctrls {
+		c.calib = &LinkCalibrator{}
+	}
+	w.OnSend(func(e comm.TraceEvent) { ctrls[e.Src].calib.Observe(e) })
 }
 
-// ConsumeOwn folds this rank's not-yet-consumed sends from the tracer
-// into the per-level fits — an O(new events) incremental read
-// (comm.Tracer.EventsOfSince), not a rescan of the history. Safe to call
-// at any point of a collective schedule: only events the calibrator's
-// own rank produced are read. A Tracer.Reset in between (detected by the
-// reset generation, however many events were re-recorded since) discards
-// the fits along with the cursor, so epochs are never mixed.
-func (c *LinkCalibrator) ConsumeOwn(tr *comm.Tracer) {
-	if tr == nil {
-		return
+// Observe folds one transfer into its level's fit. Safe for concurrent
+// use; events of one goroutine fold in the order they are observed.
+func (c *LinkCalibrator) Observe(e comm.TraceEvent) {
+	x := float64(e.Bytes) * e.NICFactor
+	y := e.Arrival - e.SendTime
+	c.mu.Lock()
+	for e.Level >= len(c.fits) {
+		c.fits = append(c.fits, linkFit{})
 	}
-	events, gen := tr.EventsOfSince(c.src, c.consumed)
-	if gen != c.gen {
-		c.gen, c.consumed, c.fits = gen, 0, nil
-		events, _ = tr.EventsOfSince(c.src, 0)
-	}
-	c.ObserveEvents(events)
-	c.consumed += len(events)
+	f := &c.fits[e.Level]
+	f.n++
+	f.sx += x
+	f.sy += y
+	f.sxx += x * x
+	f.sxy += x * y
+	c.mu.Unlock()
 }
 
-// ObserveEvents folds the given trace events into the per-level fits
-// (no ownership filtering — callers that already hold a coherent event
-// set, e.g. a post-run analysis, can feed it directly).
-func (c *LinkCalibrator) ObserveEvents(events []comm.TraceEvent) {
-	for _, e := range events {
-		for e.Level >= len(c.fits) {
-			c.fits = append(c.fits, linkFit{})
-		}
-		f := &c.fits[e.Level]
-		x := float64(e.Bytes) * e.NICFactor
-		y := e.Arrival - e.SendTime
-		f.n++
-		f.sx += x
-		f.sy += y
-		f.sxx += x * x
-		f.sxy += x * y
+// snapshot copies the per-level sums: one consistent view of every send
+// folded so far, which a decision prices with while forked Procs go on
+// folding. Nil for a nil calibrator (calibration off).
+func (c *LinkCalibrator) snapshot() []linkFit {
+	if c == nil {
+		return nil
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]linkFit(nil), c.fits...)
+}
+
+// level returns the level's sums (zero when unobserved).
+func (c *LinkCalibrator) level(level int) linkFit {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if level < 0 || level >= len(c.fits) {
+		return linkFit{}
+	}
+	return c.fits[level]
 }
 
 // Samples returns how many transfers have been observed at the level.
 func (c *LinkCalibrator) Samples(level int) int {
-	if level < 0 || level >= len(c.fits) {
-		return 0
-	}
-	return int(c.fits[level].n)
+	return int(c.level(level).n)
 }
 
 // Fit returns the fitted (alpha, beta) of the level in seconds and
@@ -103,10 +109,11 @@ func (c *LinkCalibrator) Samples(level int) int {
 // The rejection line is an intercept below a quarter of the mean observed
 // transfer time, which no amount of honest timing noise produces.
 func (c *LinkCalibrator) Fit(level int) (alpha, beta float64, ok bool) {
-	if level < 0 || level >= len(c.fits) {
-		return 0, 0, false
-	}
-	f := c.fits[level]
+	return c.level(level).fit()
+}
+
+// fit solves the sums for (alpha, beta); see Fit.
+func (f linkFit) fit() (alpha, beta float64, ok bool) {
 	if f.n < 2 {
 		return 0, 0, false
 	}
@@ -126,25 +133,4 @@ func (c *LinkCalibrator) Fit(level int) (alpha, beta float64, ok bool) {
 		return 0, 0, false
 	}
 	return alpha, beta, true
-}
-
-// CalibratedProfile returns base with its message terms replaced by the
-// level's fitted constants: Alpha and BetaPerByte carry the measured
-// values (software overheads are folded into them, so those fields are
-// zeroed) while the compute terms (γ, sparse factor), which transfers
-// cannot reveal, are kept from base. ok is false — and base returned
-// unchanged — while the level has fewer than minSamples usable samples or
-// no valid fit. This is the deliberate single-rank convenience (post-run
-// analysis, custom decision layers); the Controller does not call it —
-// its decisions substitute the raw fitted constants only after averaging
-// them across ranks, so no rank ever prices with its own unagreed fit.
-func (c *LinkCalibrator) CalibratedProfile(base simnet.Profile, level, minSamples int) (simnet.Profile, bool) {
-	if c.Samples(level) < minSamples {
-		return base, false
-	}
-	alpha, beta, ok := c.Fit(level)
-	if !ok {
-		return base, false
-	}
-	return calibrated(base, alpha, beta), true
 }

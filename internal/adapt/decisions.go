@@ -8,8 +8,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Decision reasons, recorded on every DecisionEvent: why the hysteresis
-// state machine produced the choice it did.
+// Decision reasons, the reason attr of every adapt:decision instant: why
+// the hysteresis state machine produced the choice it did.
 const (
 	// ReasonAdopt is the first decision: the candidate is adopted
 	// unconditionally.
@@ -28,14 +28,11 @@ const (
 	ReasonMargin = "margin"
 )
 
-// DecisionEvent is one entry of a Controller's structured decision
-// history: what ran, what the model predicted for it, and why the
-// hysteresis resolved that way. The obs layer exports each event as an
-// "adapt:decision" instant on the deciding rank's timeline.
-type DecisionEvent struct {
-	// Call is the decided-call index on this controller (Plan and
-	// Allreduce each count one; PlanBuckets counts one for the batch).
-	Call int
+// decisionEvent is one adaptive decision: what ran, what the model
+// predicted for it, and why the hysteresis resolved that way. The obs
+// layer's "adapt:decision" instants on the deciding rank's timeline are
+// its only record.
+type decisionEvent struct {
 	// Bucket is the scheduler bucket the decision was for, or -1 for a
 	// whole-call decision (Allreduce, Plan).
 	Bucket int
@@ -57,53 +54,40 @@ type DecisionEvent struct {
 	Reason string
 }
 
-// maxDecisionHistory caps a controller's recorded history so long-running
-// training loops stay at bounded memory; decisions past the cap still
-// happen and still reach the obs layer, they are just not retained here.
-const maxDecisionHistory = 4096
-
-// Decisions returns a copy of this controller's decision history, oldest
-// first (at most maxDecisionHistory entries).
-func (a *Controller) Decisions() []DecisionEvent {
-	return append([]DecisionEvent(nil), a.decisions...)
-}
-
-// recordDecision appends e to the history and, when the world is
-// observed, emits it as an "adapt:decision" instant with the decision
-// counters bumped.
-func (a *Controller) recordDecision(p *comm.Proc, e DecisionEvent) {
-	if len(a.decisions) < maxDecisionHistory {
-		a.decisions = append(a.decisions, e)
+// recordDecision emits e, when the world is observed, as an
+// "adapt:decision" instant with the decision counters bumped.
+func recordDecision(p *comm.Proc, e decisionEvent) {
+	o := p.Obs()
+	if o == nil {
+		return
 	}
-	if o := p.Obs(); o != nil {
-		rank := p.WorldRank()
-		reg := o.Metrics()
-		reg.Counter("adapt.decisions").Inc(rank)
-		if e.Switched {
-			reg.Counter("adapt.switches").Inc(rank)
-		}
-		support := "uniform"
-		if e.Support == core.SupportClustered {
-			support = "clustered"
-		}
-		attrs := []obs.Attr{
-			{Key: "alg", Value: e.Algorithm.String()},
-			{Key: "levels", Value: strconv.Itoa(e.Levels)},
-			{Key: "support", Value: support},
-			{Key: "predicted_s", Value: strconv.FormatFloat(e.PredictedSeconds, 'g', -1, 64)},
-			{Key: "reason", Value: e.Reason},
-		}
-		if e.Bucket >= 0 {
-			attrs = append(attrs,
-				obs.Attr{Key: "bucket", Value: strconv.Itoa(e.Bucket)},
-				obs.Attr{Key: "chunks", Value: strconv.Itoa(e.Chunks)})
-		}
-		o.Instant("adapt:decision", p.Now(), attrs...)
+	rank := p.WorldRank()
+	reg := o.Metrics()
+	reg.Counter("adapt.decisions").Inc(rank)
+	if e.Switched {
+		reg.Counter("adapt.switches").Inc(rank)
 	}
+	support := "uniform"
+	if e.Support == core.SupportClustered {
+		support = "clustered"
+	}
+	attrs := []obs.Attr{
+		{Key: "alg", Value: e.Algorithm.String()},
+		{Key: "levels", Value: strconv.Itoa(e.Levels)},
+		{Key: "support", Value: support},
+		{Key: "predicted_s", Value: strconv.FormatFloat(e.PredictedSeconds, 'g', -1, 64)},
+		{Key: "reason", Value: e.Reason},
+	}
+	if e.Bucket >= 0 {
+		attrs = append(attrs,
+			obs.Attr{Key: "bucket", Value: strconv.Itoa(e.Bucket)},
+			obs.Attr{Key: "chunks", Value: strconv.Itoa(e.Chunks)})
+	}
+	o.Instant("adapt:decision", p.Now(), attrs...)
 }
 
 // predictFor prices the decided choice under the agreed scenario — the
-// number a DecisionEvent carries as PredictedSeconds.
+// number a decisionEvent carries as PredictedSeconds.
 func predictFor(alg core.Algorithm, levels, chunks int, s core.CostScenario) float64 {
 	s.Levels = levels
 	if chunks != 0 {

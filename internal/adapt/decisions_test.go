@@ -1,17 +1,20 @@
 package adapt
 
 import (
+	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
 // TestDecisionHistoryStructure drives a drifting workload (uniform →
-// clustered) and checks the structured history: one event per decided
-// call, reasons drawn from the Reason* constants, the first event an
-// adoption, Switched events matching Switches(), and predictions
-// populated.
+// clustered) and checks the decision record the obs instants carry: one
+// "adapt:decision" per decided call, reasons drawn from the Reason*
+// constants, the first an adoption, switch reasons matching Switches(),
+// predictions populated, and every rank's record equal to rank 0's.
 func TestDecisionHistoryStructure(t *testing.T) {
 	P, n := 8, 1<<16
 	calls := 10
@@ -24,47 +27,50 @@ func TestDecisionHistoryStructure(t *testing.T) {
 			return "clustered"
 		})
 	w := comm.NewWorldHier(P, simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0))
+	hub := w.EnableObservability()
 	ctrls, _ := runAdaptive(t, w, Config{}, sched)
 
+	byRank := map[int][]obs.Span{}
+	for _, s := range hub.Spans() {
+		if s.Name == "adapt:decision" {
+			byRank[s.Rank] = append(byRank[s.Rank], s)
+		}
+	}
 	for r, c := range ctrls {
-		events := c.Decisions()
+		events := byRank[r]
 		if len(events) != calls {
-			t.Fatalf("rank %d: %d events, want %d", r, len(events), calls)
+			t.Fatalf("rank %d: %d decisions, want %d", r, len(events), calls)
 		}
 		switched := 0
 		for i, e := range events {
-			if e.Call != i {
-				t.Fatalf("rank %d event %d: Call=%d", r, i, e.Call)
+			attrs := map[string]string{}
+			for _, a := range e.Attrs {
+				attrs[a.Key] = a.Value
 			}
-			if e.Bucket != -1 {
-				t.Fatalf("whole-call decision carries bucket %d", e.Bucket)
+			if b, ok := attrs["bucket"]; ok {
+				t.Fatalf("whole-call decision carries bucket %s", b)
 			}
-			if e.PredictedSeconds <= 0 {
-				t.Fatalf("event %d: non-positive prediction %g", i, e.PredictedSeconds)
+			if pred, err := strconv.ParseFloat(attrs["predicted_s"], 64); err != nil || pred <= 0 {
+				t.Fatalf("decision %d: prediction %q", i, attrs["predicted_s"])
 			}
-			switch e.Reason {
+			switch attrs["reason"] {
 			case ReasonAdopt, ReasonKeep, ReasonHold, ReasonSwitch, ReasonMargin:
 			default:
-				t.Fatalf("event %d: unknown reason %q", i, e.Reason)
+				t.Fatalf("decision %d: unknown reason %q", i, attrs["reason"])
 			}
-			if (e.Reason == ReasonSwitch) != e.Switched {
-				t.Fatalf("event %d: reason %q vs Switched=%v", i, e.Reason, e.Switched)
+			if (i == 0) != (attrs["reason"] == ReasonAdopt) {
+				t.Fatalf("decision %d: reason %q, want adopt first and only first", i, attrs["reason"])
 			}
-			if e.Switched {
+			if attrs["reason"] == ReasonSwitch {
 				switched++
 			}
-		}
-		if events[0].Reason != ReasonAdopt {
-			t.Fatalf("first event reason = %q, want adopt", events[0].Reason)
+			// Ranks decide in lockstep: every record must match rank 0's.
+			if !reflect.DeepEqual(e.Attrs, byRank[0][i].Attrs) {
+				t.Fatalf("rank %d decision %d diverges from rank 0: %+v", r, i, e.Attrs)
+			}
 		}
 		if switched != c.Switches() {
-			t.Fatalf("rank %d: %d Switched events vs Switches()=%d", r, switched, c.Switches())
-		}
-		// Ranks decide in lockstep: every history must match rank 0's.
-		for i, e := range events {
-			if e != ctrls[0].Decisions()[i] {
-				t.Fatalf("rank %d event %d diverges from rank 0: %+v", r, i, e)
-			}
+			t.Fatalf("rank %d: %d switch decisions vs Switches()=%d", r, switched, c.Switches())
 		}
 	}
 }

@@ -10,11 +10,12 @@ import (
 	"repro/internal/stream"
 )
 
-// tracedRing runs 24 ring rounds alternating ~4 MB and ~100 B messages on
-// w and returns the trace of them: the size spread that makes a measured
-// slope's sign robust to scheduler noise.
-func tracedRing(w *comm.World) *comm.Tracer {
-	tr := w.EnableTrace()
+// calibratedRing runs 24 ring rounds alternating ~4 MB and ~100 B messages
+// on w with calibration enabled and returns the per-rank calibrators the
+// send hook fed: the size spread that makes a measured slope's sign robust
+// to scheduler noise.
+func calibratedRing(w *comm.World) []*LinkCalibrator {
+	calibs := calibrators(w)
 	big := make([]float64, 1<<19)
 	comm.Run(w, func(p *comm.Proc) int {
 		rank, n := p.Rank(), p.Size()
@@ -28,13 +29,14 @@ func tracedRing(w *comm.World) *comm.Tracer {
 		}
 		return 0
 	})
-	return tr
+	return calibs
 }
 
 // TestWallClockLinkFit: measured α–β belongs to the transport that moves
-// bytes. On loopback TCP the trace carries the wall duration of framing
-// and writing every message, and the calibrator must recover a usable
-// affine fit from them — positive per-byte slope, non-negative intercept.
+// bytes. On loopback TCP the send hook reports the wall duration of
+// framing and writing every message, and the calibrator must recover a
+// usable affine fit from them — positive per-byte slope, non-negative
+// intercept.
 func TestWallClockLinkFit(t *testing.T) {
 	const P = 4
 	w, err := comm.NewWorldTCP(P, simnet.Aries, comm.TCPConfig{})
@@ -42,10 +44,7 @@ func TestWallClockLinkFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	tr := tracedRing(w)
-	for r := 0; r < P; r++ {
-		c := NewLinkCalibrator(r)
-		c.ConsumeOwn(tr)
+	for r, c := range calibratedRing(w) {
 		if got := c.Samples(0); got != 24 {
 			t.Fatalf("rank %d: %d samples, want 24", r, got)
 		}
@@ -56,34 +55,22 @@ func TestWallClockLinkFit(t *testing.T) {
 		if beta <= 0 || alpha < 0 {
 			t.Fatalf("rank %d: fit alpha=%g beta=%g", r, alpha, beta)
 		}
-		// The measured constants must be substitutable into a profile for
-		// the cost model.
-		prof, ok := c.CalibratedProfile(simnet.Aries, 0, 8)
-		if !ok || prof.BetaPerByte != beta || prof.Alpha != alpha {
-			t.Fatalf("rank %d: CalibratedProfile (%v, ok=%v)", r, prof, ok)
-		}
 	}
 }
 
 // TestGoroutineHandoverHasNoLinkFit: the goroutine backend hands payloads
-// over by reference, so every traced transfer has zero duration and there
-// is no link to measure — Fit must refuse and CalibratedProfile return the
-// base profile, which is what makes a Controller on this backend price
-// with its static profile (TestControllerOnGoroutineTransport).
+// over by reference, so every reported transfer has zero duration and
+// there is no link to measure — Fit must refuse, which is what makes a
+// Controller on this backend price with its static profile
+// (TestControllerOnGoroutineTransport).
 func TestGoroutineHandoverHasNoLinkFit(t *testing.T) {
 	const P = 4
-	tr := tracedRing(comm.NewWorld(P, simnet.Aries).UseGoroutineTransport())
-	for r := 0; r < P; r++ {
-		c := NewLinkCalibrator(r)
-		c.ConsumeOwn(tr)
+	for r, c := range calibratedRing(comm.NewWorld(P, simnet.Aries).UseGoroutineTransport()) {
 		if got := c.Samples(0); got != 24 {
 			t.Fatalf("rank %d: %d samples, want 24", r, got)
 		}
 		if alpha, beta, ok := c.Fit(0); ok {
 			t.Fatalf("rank %d: fitted alpha=%g beta=%g from zero-duration handovers", r, alpha, beta)
-		}
-		if prof, ok := c.CalibratedProfile(simnet.Aries, 0, 8); ok || prof != simnet.Aries {
-			t.Fatalf("rank %d: CalibratedProfile (%v, ok=%v), want the base profile", r, prof, ok)
 		}
 	}
 }
@@ -100,12 +87,11 @@ func TestControllerOnGoroutineTransport(t *testing.T) {
 		k = 400
 	)
 	w := comm.NewWorld(P, simnet.Aries).UseGoroutineTransport()
-	tr := w.EnableTrace()
 	controllers := make([]*Controller, P)
 	for r := range controllers {
 		controllers[r] = NewController(Config{})
-		controllers[r].AttachTracer(tr, r)
 	}
+	Calibrate(w, controllers)
 	rng := rand.New(rand.NewSource(21))
 	inputs := make([]*stream.Vector, P)
 	for r := range inputs {
@@ -158,5 +144,45 @@ func sortInts(xs []int) {
 		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
+	}
+}
+
+// TestCalibrationUnderForkedSends: a rank's forked Procs — two IAllreduce
+// in flight on the goroutine transport — fold their sends into the rank's
+// calibrator from their own goroutines while the rank's controller reads
+// its fit (Fit, and the snapshot a Plan decision prices with). Under -race
+// this fails as soon as LinkCalibrator stops locking. Every send is folded
+// exactly once.
+func TestCalibrationUnderForkedSends(t *testing.T) {
+	const P = 4
+	w := comm.NewWorld(P, simnet.Aries).UseGoroutineTransport()
+	ctrls := make([]*Controller, P)
+	for r := range ctrls {
+		ctrls[r] = NewController(Config{})
+	}
+	Calibrate(w, ctrls)
+	inputs := calibInputs(23, 1<<14, 400, P)
+	comm.Run(w, func(p *comm.Proc) any {
+		a := ctrls[p.Rank()]
+		v := inputs[p.Rank()]
+		reqs := []*core.Request{
+			core.IAllreduce(p, v, core.Options{Algorithm: core.SSARSplitAllgather}),
+			core.IAllreduce(p, v, core.Options{Algorithm: core.SSARRecDouble}),
+		}
+		for i := 0; i < 64; i++ {
+			a.Calibrator().Fit(0)
+		}
+		a.Plan(p, []*stream.Vector{v}, core.Options{})
+		for _, r := range reqs {
+			r.Wait(p)
+		}
+		return nil
+	})
+	folded := 0
+	for _, a := range ctrls {
+		folded += a.Calibrator().Samples(0)
+	}
+	if int64(folded) != w.TotalMessages() {
+		t.Fatalf("calibrators folded %d sends, the world sent %d", folded, w.TotalMessages())
 	}
 }

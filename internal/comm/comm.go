@@ -86,8 +86,9 @@ type World struct {
 	// will never arrive.
 	poisoned atomic.Bool
 
-	// tracer, when non-nil, records every Send (see trace.go).
-	tracer atomic.Pointer[Tracer]
+	// onSend, when non-nil, is called with every Send (see OnSend).
+	// Install before Run; reads happen on rank goroutines.
+	onSend func(TraceEvent)
 
 	// obs, when non-nil, is the observability hub plus the cached
 	// hot-path metric handles (see obs.go). Installed by
@@ -554,7 +555,7 @@ func (p *Proc) activeAt(l int) int {
 // communicator-size proxy of activeAt — on a simnet.TwoLevel world exactly
 // the per-node NIC factor.
 //
-// On real transports the recorded trace times are measured and contention
+// On real transports the recorded send times are measured and contention
 // is physical, so no factor is modeled: the goroutine backend hands the
 // payload over by reference like the simulator, the TCP backend serializes
 // it through the wire codec onto a socket.
@@ -598,13 +599,13 @@ func (p *Proc) sharedLevel(dst int) int {
 	return w.pricingHier().SharedLevel(w.slotOf(p.rank), w.slotOf(dst))
 }
 
-// recordSend updates the world counters and, when tracing is enabled,
-// records the message — shared bookkeeping of every transport's send path.
+// recordSend updates the world counters, calls the send hook and records
+// the obs send span — shared bookkeeping of every transport's send path.
 func (p *Proc) recordSend(dst, tag, bytes int, start, arrival, factor float64, level int) {
 	p.world.msgs.Add(1)
 	p.world.bytes.Add(int64(bytes))
-	if tr := p.world.tracer.Load(); tr != nil {
-		tr.record(TraceEvent{Src: p.rank, Dst: dst, Tag: tag, Bytes: bytes,
+	if fn := p.world.onSend; fn != nil {
+		fn(TraceEvent{Src: p.rank, Dst: dst, Tag: tag, Bytes: bytes,
 			SendTime: start, Arrival: arrival, NICFactor: factor, Level: level})
 	}
 	if ob := p.world.obs; ob != nil {

@@ -115,11 +115,11 @@ func TestNICContentionRaggedLastNode(t *testing.T) {
 	}
 }
 
-// TestTraceRecordsNICFactor: the tracer must expose the contention factor
-// each message was priced with.
+// TestTraceRecordsNICFactor: the send hook must expose the contention
+// factor each message was priced with.
 func TestTraceRecordsNICFactor(t *testing.T) {
 	w := NewWorldHier(4, simnet.TwoLevel(2, cheapIntra, costlyInter, 1))
-	tr := w.EnableTrace()
+	l := logSends(w)
 	Run(w, func(p *Proc) any {
 		switch p.Rank() {
 		case 0:
@@ -133,7 +133,7 @@ func TestTraceRecordsNICFactor(t *testing.T) {
 		return nil
 	})
 	byTag := map[int]TraceEvent{}
-	for _, ev := range tr.Events() {
+	for _, ev := range l.all() {
 		byTag[ev.Tag] = ev
 	}
 	if got := byTag[1].NICFactor; got != 1 {

@@ -122,11 +122,11 @@ func TestSubLevelGroups(t *testing.T) {
 	})
 }
 
-// TestTraceRecordsLevel: the tracer must record each message's shared
+// TestTraceRecordsLevel: the send hook must report each message's shared
 // level and total contention factor.
 func TestTraceRecordsLevel(t *testing.T) {
 	w := NewWorldHier(8, testHier)
-	tr := w.EnableTrace()
+	l := logSends(w)
 	Run(w, func(p *Proc) any {
 		switch p.Rank() {
 		case 0:
@@ -142,13 +142,17 @@ func TestTraceRecordsLevel(t *testing.T) {
 		level  int
 		factor float64
 	}{1: {0, 1}, 2: {1, 2}, 4: {2, 8}}
-	for _, ev := range tr.Events() {
+	events := l.all()
+	if len(events) != len(want) {
+		t.Fatalf("%d sends reported, want %d", len(events), len(want))
+	}
+	for _, ev := range events {
 		w, ok := want[ev.Dst]
 		if !ok {
-			t.Fatalf("unexpected traced destination %d", ev.Dst)
+			t.Fatalf("unexpected destination %d", ev.Dst)
 		}
 		if ev.Level != w.level || ev.NICFactor != w.factor {
-			t.Fatalf("dst %d traced level=%d factor=%g, want level=%d factor=%g",
+			t.Fatalf("dst %d reported level=%d factor=%g, want level=%d factor=%g",
 				ev.Dst, ev.Level, ev.NICFactor, w.level, w.factor)
 		}
 	}

@@ -1,63 +1,148 @@
 package comm
 
 import (
-	"bytes"
-	"strings"
+	"sort"
+	"strconv"
+	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
+// sendLog gathers every TraceEvent the send hook reports, per source rank.
+type sendLog struct {
+	mu    sync.Mutex
+	bySrc map[int][]TraceEvent
+}
+
+// logSends installs a send hook on w that records into a fresh sendLog.
+func logSends(w *World) *sendLog {
+	l := &sendLog{bySrc: map[int][]TraceEvent{}}
+	w.OnSend(func(e TraceEvent) {
+		l.mu.Lock()
+		l.bySrc[e.Src] = append(l.bySrc[e.Src], e)
+		l.mu.Unlock()
+	})
+	return l
+}
+
+// of returns a copy of src's events in its send order.
+func (l *sendLog) of(src int) []TraceEvent {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]TraceEvent(nil), l.bySrc[src]...)
+}
+
+// all returns every event (sources in no particular order).
+func (l *sendLog) all() []TraceEvent {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []TraceEvent
+	for _, events := range l.bySrc {
+		out = append(out, events...)
+	}
+	return out
+}
+
+// sendSpans returns hub's send spans ordered by send time; the stable sort
+// keeps each rank's own send order on ties.
+func sendSpans(hub *obs.Obs) []obs.Span {
+	var out []obs.Span
+	for _, s := range hub.Spans() {
+		if s.Lane == obs.LaneNet && s.Name == "send" {
+			out = append(out, s)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	return out
+}
+
+// attrInt returns s's integer attr named key, failing t when absent.
+func attrInt(t *testing.T, s obs.Span, key string) int {
+	t.Helper()
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			v, err := strconv.Atoi(a.Value)
+			if err != nil {
+				t.Fatalf("span %+v: attr %s=%q is not an integer", s, key, a.Value)
+			}
+			return v
+		}
+	}
+	t.Fatalf("span %+v lacks attr %q", s, key)
+	return 0
+}
+
+// TestTracerRecordsAllSends: the send hook sees every send once, with its
+// tag, size and causal times, and its byte total matches the world's.
 func TestTracerRecordsAllSends(t *testing.T) {
 	w := NewWorld(2, simnet.Profile{Alpha: 1e-6})
-	tr := w.EnableTrace()
+	l := logSends(w)
 	Run(w, func(p *Proc) any {
 		p.Send(1-p.Rank(), 3, nil, 64)
 		p.Recv(1-p.Rank(), 3)
 		return nil
 	})
-	events := tr.Events()
+	events := l.all()
 	if len(events) != 2 {
-		t.Fatalf("recorded %d events, want 2", len(events))
+		t.Fatalf("hook saw %d events, want 2", len(events))
 	}
+	total := 0
 	for _, e := range events {
-		if e.Bytes != 64 || e.Tag != 3 {
+		if e.Bytes != 64 || e.Tag != 3 || e.Dst != 1-e.Src {
 			t.Fatalf("bad event %+v", e)
 		}
 		if e.Arrival <= e.SendTime {
 			t.Fatal("arrival must follow send")
 		}
+		total += e.Bytes
 	}
-	if tr.TotalBytes() != 128 {
-		t.Fatalf("TotalBytes = %d, want 128", tr.TotalBytes())
+	if total != 128 || w.TotalBytes() != 128 {
+		t.Fatalf("hook bytes %d, world TotalBytes %d, want 128", total, w.TotalBytes())
 	}
 }
 
+// TestTracerDisable: OnSend(nil) removes the hook — nothing reaches it,
+// while the world's own counters keep counting.
 func TestTracerDisable(t *testing.T) {
 	w := NewWorld(2, simnet.Profile{})
-	tr := w.EnableTrace()
-	w.DisableTrace()
+	l := logSends(w)
+	w.OnSend(nil)
 	Run(w, func(p *Proc) any {
 		p.Send(1-p.Rank(), 0, nil, 8)
 		p.Recv(1-p.Rank(), 0)
 		return nil
 	})
-	if len(tr.Events()) != 0 {
-		t.Fatal("tracer recorded after disable")
+	if got := len(l.all()); got != 0 {
+		t.Fatalf("removed hook saw %d events", got)
+	}
+	if w.TotalMessages() != 2 {
+		t.Fatalf("TotalMessages = %d, want 2", w.TotalMessages())
 	}
 }
 
+// TestTracerRoundsShowPayloadDoubling: recursive-doubling style traffic —
+// every rank exchanges 100B, then 200B — leaves send spans that cluster
+// into two rounds by virtual send time, the bytes doubling between them.
+// This is the grouping sparbench -trace prints from the same spans.
 func TestTracerRoundsShowPayloadDoubling(t *testing.T) {
-	// Recursive-doubling style traffic: every rank exchanges 100B, then
-	// 200B. Rounds must cluster by virtual send time with doubling bytes.
 	w := NewWorld(4, simnet.Profile{Alpha: 1e-6})
-	tr := w.EnableTrace()
+	hub := w.EnableObservability()
 	Run(w, func(p *Proc) any {
 		p.SendRecv(p.Rank()^1, 0, nil, 100)
 		p.SendRecv(p.Rank()^2, 1, nil, 200)
 		return nil
 	})
-	counts, byteTotals := tr.Rounds()
+	var counts, byteTotals []int
+	sends := sendSpans(hub)
+	for i, s := range sends {
+		if i == 0 || s.Start != sends[i-1].Start {
+			counts, byteTotals = append(counts, 0), append(byteTotals, 0)
+		}
+		counts[len(counts)-1]++
+		byteTotals[len(byteTotals)-1] += attrInt(t, s, "bytes")
+	}
 	if len(counts) != 2 {
 		t.Fatalf("got %d rounds, want 2: %v", len(counts), counts)
 	}
@@ -69,46 +154,54 @@ func TestTracerRoundsShowPayloadDoubling(t *testing.T) {
 	}
 }
 
+// TestTracerDumpAndReset: a one-way send leaves one send span carrying
+// its edge, tag and size — what the timeline dump prints — and installing
+// a fresh hook starts a fresh record: the old one sees nothing more.
 func TestTracerDumpAndReset(t *testing.T) {
 	w := NewWorld(2, simnet.Profile{Alpha: 1e-6})
-	tr := w.EnableTrace()
-	Run(w, func(p *Proc) any {
+	hub := w.EnableObservability()
+	old := logSends(w)
+	oneWay := func(p *Proc) any {
 		if p.Rank() == 0 {
 			p.Send(1, 7, nil, 32)
 		} else {
 			p.Recv(0, 7)
 		}
 		return nil
-	})
-	var buf bytes.Buffer
-	tr.Dump(&buf)
-	if !strings.Contains(buf.String(), "0 →  1") {
-		t.Fatalf("dump missing edge: %q", buf.String())
 	}
-	tr.Reset()
-	if len(tr.Events()) != 0 {
-		t.Fatal("reset failed")
+	Run(w, oneWay)
+	sends := sendSpans(hub)
+	if len(sends) != 1 {
+		t.Fatalf("%d send spans, want 1", len(sends))
+	}
+	s := sends[0]
+	if s.Rank != 0 || attrInt(t, s, "dst") != 1 || attrInt(t, s, "tag") != 7 || attrInt(t, s, "bytes") != 32 {
+		t.Fatalf("send span %+v, want 0 → 1 tag 7 32B", s)
+	}
+	fresh := logSends(w)
+	Run(w, oneWay)
+	if len(old.all()) != 1 || len(fresh.all()) != 1 {
+		t.Fatalf("old hook %d events, fresh hook %d, want 1 and 1", len(old.all()), len(fresh.all()))
 	}
 }
 
-// TestTracerEventsOf: per-source filtering returns a rank's sends in send
-// order, complete regardless of other ranks' concurrent activity.
+// TestTracerEventsOf: each rank's sends reach the hook in its send order,
+// complete regardless of the other ranks' concurrent activity.
 func TestTracerEventsOf(t *testing.T) {
 	w := NewWorld(3, simnet.Profile{Alpha: 1e-6})
-	tr := w.EnableTrace()
+	l := logSends(w)
 	Run(w, func(p *Proc) any {
-		peer := (p.Rank() + 1) % 3
+		peer, from := (p.Rank()+1)%3, (p.Rank()+2)%3
 		for i := 0; i < 4; i++ {
 			p.Send(peer, 100+i, nil, 8*(i+1))
 		}
-		from := (p.Rank() + 2) % 3
 		for i := 0; i < 4; i++ {
 			p.Recv(from, 100+i)
 		}
 		return nil
 	})
 	for src := 0; src < 3; src++ {
-		own := tr.EventsOf(src)
+		own := l.of(src)
 		if len(own) != 4 {
 			t.Fatalf("src %d: %d events, want 4", src, len(own))
 		}
@@ -116,169 +209,121 @@ func TestTracerEventsOf(t *testing.T) {
 			if e.Src != src {
 				t.Fatalf("src %d: foreign event %+v", src, e)
 			}
-			if e.Bytes != 8*(i+1) {
+			if e.Dst != (src+1)%3 || e.Tag != 100+i || e.Bytes != 8*(i+1) {
 				t.Fatalf("src %d: events out of send order: %+v", src, own)
 			}
 		}
 	}
-	if got := tr.EventsOf(99); got != nil {
+	if got := l.of(99); got != nil {
 		t.Fatalf("unknown source should have no events, got %v", got)
 	}
 }
 
-// TestTracerLimitPerRank: the per-rank cap keeps exactly the first limit
-// sends of each rank — a deterministic prefix, unlike a global cap.
-func TestTracerLimitPerRank(t *testing.T) {
-	w := NewWorld(2, simnet.Profile{Alpha: 1e-6})
-	tr := w.EnableTrace()
-	tr.LimitPerRank(3)
-	Run(w, func(p *Proc) any {
-		peer := 1 - p.Rank()
-		for i := 0; i < 10; i++ {
-			p.Send(peer, 200+i, nil, 8*(i+1))
+// TestTracerConcurrentAppendsAndReads: sixteen truly concurrent ranks on
+// the goroutine transport call the hook and append send spans while a
+// reader scans the spans and counters — obs, the only send history, must
+// hold up under -race, and each rank's own record must stay a stable,
+// complete prefix in send order.
+func TestTracerConcurrentAppendsAndReads(t *testing.T) {
+	const P, rounds = 16, 200
+	w := NewWorld(P, simnet.Aries).UseGoroutineTransport()
+	hub := w.EnableObservability()
+	l := logSends(w)
+	done := make(chan struct{})
+	var rg sync.WaitGroup
+	rg.Add(1)
+	go func() {
+		defer rg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			hub.Spans()
+			w.TotalBytes()
+			l.all()
 		}
-		for i := 0; i < 10; i++ {
-			p.Recv(peer, 200+i)
+	}()
+	Run(w, func(p *Proc) int {
+		rank := p.Rank()
+		for i := 0; i < rounds; i++ {
+			p.Send((rank+1)%P, i, nil, i)
+			if own := l.of(rank); len(own) != i+1 || own[i].Tag != i {
+				panic("own prefix not stable")
+			}
+			p.Recv((rank-1+P)%P, i)
 		}
-		return nil
+		return 0
 	})
-	for src := 0; src < 2; src++ {
-		own := tr.EventsOf(src)
-		if len(own) != 3 {
-			t.Fatalf("src %d: %d events recorded, want the capped 3", src, len(own))
+	close(done)
+	rg.Wait()
+	if got := len(l.all()); got != P*rounds {
+		t.Fatalf("hook saw %d events, want %d", got, P*rounds)
+	}
+	next := make([]int, P)
+	for _, s := range hub.Spans() {
+		if s.Lane != obs.LaneNet {
+			continue
 		}
-		for i, e := range own {
-			if e.Bytes != 8*(i+1) {
-				t.Fatalf("src %d: cap must keep the FIRST sends, got %+v", src, own)
-			}
+		if tag := attrInt(t, s, "tag"); tag != next[s.Rank] {
+			t.Fatalf("rank %d: send span tag %d, want %d (send order)", s.Rank, tag, next[s.Rank])
+		}
+		next[s.Rank]++
+	}
+	for r, n := range next {
+		if n != rounds {
+			t.Fatalf("rank %d: %d send spans, want %d", r, n, rounds)
 		}
 	}
-	// Reset clears the per-rank counts too: recording resumes.
-	tr.Reset()
-	Run(w, func(p *Proc) any {
-		peer := 1 - p.Rank()
-		p.Send(peer, 300, nil, 8)
-		p.Recv(peer, 300)
-		return nil
-	})
-	if got := len(tr.EventsOf(0)); got != 1 {
-		t.Fatalf("after reset: %d events, want 1", got)
-	}
 }
 
-// TestTracerLimitReEnable: disabling the cap and re-enabling it later
-// must enforce against the true recorded counts, not counts from the
-// first capped epoch.
-func TestTracerLimitReEnable(t *testing.T) {
-	w := NewWorld(2, simnet.Profile{Alpha: 1e-6})
-	tr := w.EnableTrace()
-	send := func(rounds, tagBase int) {
-		Run(w, func(p *Proc) any {
-			peer := 1 - p.Rank()
-			for i := 0; i < rounds; i++ {
-				p.Send(peer, tagBase+i, nil, 8)
-			}
-			for i := 0; i < rounds; i++ {
-				p.Recv(peer, tagBase+i)
-			}
-			return nil
-		})
-	}
-	tr.LimitPerRank(2)
-	send(5, 100) // capped at 2
-	tr.LimitPerRank(0)
-	send(5, 200) // uncapped: 5 more
-	tr.LimitPerRank(3)
-	send(5, 300) // already 7 >= 3 recorded: nothing more
-	if got := len(tr.EventsOf(0)); got != 7 {
-		t.Fatalf("recorded %d events for rank 0, want 2 capped + 5 uncapped = 7", got)
-	}
-}
-
-// TestTracerEventsOfSince: the incremental read hands out only the new
-// suffix, and the generation exposes Resets even after the source has
-// re-recorded more events than the caller's cursor.
-func TestTracerEventsOfSince(t *testing.T) {
-	w := NewWorld(2, simnet.Profile{Alpha: 1e-6})
-	tr := w.EnableTrace()
-	send := func(rounds, tagBase int) {
-		Run(w, func(p *Proc) any {
-			peer := 1 - p.Rank()
-			for i := 0; i < rounds; i++ {
-				p.Send(peer, tagBase+i, nil, 8*(i+1))
-			}
-			for i := 0; i < rounds; i++ {
-				p.Recv(peer, tagBase+i)
-			}
-			return nil
-		})
-	}
-	send(3, 100)
-	first, gen0 := tr.EventsOfSince(0, 0)
-	if len(first) != 3 {
-		t.Fatalf("initial read: %d events, want 3", len(first))
-	}
-	rest, gen1 := tr.EventsOfSince(0, 3)
-	if len(rest) != 0 || gen1 != gen0 {
-		t.Fatalf("cursor read should be empty at the same generation, got %d events gen %d", len(rest), gen1)
-	}
-	tr.Reset()
-	send(5, 200) // MORE events than the old cursor: a naive len check would miss the reset
-	after, gen2 := tr.EventsOfSince(0, 3)
-	if gen2 == gen0 {
-		t.Fatal("reset must bump the generation")
-	}
-	if len(after) != 2 {
-		t.Fatalf("post-reset read from stale cursor 3: %d events, want 2 (of the 5 new)", len(after))
-	}
-	all, _ := tr.EventsOfSince(0, 0)
-	if len(all) != 5 {
-		t.Fatalf("post-reset full read: %d events, want 5", len(all))
-	}
-}
-
+// TestDumpPrintsAllFields: the timeline dump prints straight from the send
+// spans, so every field it prints — send time, endpoints, tag, size,
+// level, arrival — must be on each span and equal what the hook reported
+// for that send. NICFactor is the hook's alone (see TraceEvent).
 func TestDumpPrintsAllFields(t *testing.T) {
-	// Dump was lossy for a while (it predates Level and NICFactor):
-	// every TraceEvent field must appear on its line.
-	cases := []struct {
-		event TraceEvent
-		want  []string
-	}{
-		{
-			event: TraceEvent{Src: 0, Dst: 1, Tag: 5, Bytes: 256,
-				SendTime: 1e-6, Arrival: 3.5e-6, NICFactor: 2, Level: 1},
-			want: []string{"1.000µs", "0 →  1", "tag=5", "256B",
-				"lvl=1", "nic=2", "arrives", "3.500µs"},
-		},
-		{
-			event: TraceEvent{Src: 3, Dst: 2, Tag: 40, Bytes: 1024,
-				SendTime: 2e-6, Arrival: 9e-6, NICFactor: 1.25, Level: 2},
-			want: []string{"2.000µs", "3 →  2", "tag=40", "1024B",
-				"lvl=2", "nic=1.25", "arrives", "9.000µs"},
-		},
-		{
-			event: TraceEvent{Src: 1, Dst: 0, Tag: 7, Bytes: 8,
-				SendTime: 4e-6, Arrival: 4.1e-6, NICFactor: 1, Level: 0},
-			want: []string{"4.000µs", "1 →  0", "tag=7", "8B",
-				"lvl=0", "nic=1", "arrives", "4.100µs"},
-		},
-	}
-	tr := &Tracer{shards: make([]traceShard, 4)}
-	for _, c := range cases {
-		tr.record(c.event)
-	}
-	var buf bytes.Buffer
-	tr.Dump(&buf)
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != len(cases) {
-		t.Fatalf("dumped %d lines, want %d:\n%s", len(lines), len(cases), buf.String())
-	}
-	// Events (and hence lines) come out sorted by send time.
-	for i, c := range cases {
-		for _, want := range c.want {
-			if !strings.Contains(lines[i], want) {
-				t.Errorf("line %d = %q: missing %q", i, lines[i], want)
+	w := NewWorldHier(8, testHier)
+	hub := w.EnableObservability()
+	l := logSends(w)
+	Run(w, func(p *Proc) any {
+		switch p.Rank() {
+		case 0:
+			p.Send(1, 1, nil, 256)
+			p.Send(2, 2, nil, 1024)
+			p.Send(4, 4, nil, 8)
+		case 1, 2, 4:
+			p.Recv(0, p.Rank())
+			p.Send(0, 10+p.Rank(), nil, 16*p.Rank())
+		}
+		if p.Rank() == 0 {
+			for _, src := range []int{1, 2, 4} {
+				p.Recv(src, 10+src)
 			}
 		}
+		return nil
+	})
+	byKey := map[[2]int]TraceEvent{}
+	for _, e := range l.all() {
+		byKey[[2]int{e.Src, e.Tag}] = e
+	}
+	sends := sendSpans(hub)
+	if len(sends) != 6 || len(byKey) != 6 {
+		t.Fatalf("%d send spans, %d hook events, want 6 and 6", len(sends), len(byKey))
+	}
+	levels := map[int]bool{}
+	for _, s := range sends {
+		e, ok := byKey[[2]int{s.Rank, attrInt(t, s, "tag")}]
+		if !ok {
+			t.Fatalf("span %+v matches no hook event", s)
+		}
+		if attrInt(t, s, "dst") != e.Dst || attrInt(t, s, "bytes") != e.Bytes ||
+			attrInt(t, s, "level") != e.Level || s.Start != e.SendTime || s.End != e.Arrival {
+			t.Fatalf("span %+v disagrees with hook event %+v", s, e)
+		}
+		levels[e.Level] = true
+	}
+	if len(levels) != 3 {
+		t.Fatalf("levels seen %v, want all three of the hierarchy", levels)
 	}
 }

@@ -22,7 +22,7 @@ package comm
 //
 // The interface is sealed (its send/close methods are unexported):
 // backends live in this package because they are entangled with mailbox
-// delivery, tracing, and poisoning invariants.
+// delivery, send-record, and poisoning invariants.
 type Transport interface {
 	// Name identifies the backend: "sim", "goroutine", or "tcp".
 	Name() string
@@ -86,7 +86,7 @@ func (goroutineTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
 // UseGoroutineTransport switches the world to the in-process goroutine
 // backend: ranks run as truly concurrent goroutines, payloads are handed
 // to the receiver by reference (a sent payload belongs to the receiver),
-// and all times (Times, MaxTime, Proc.Now, trace timestamps) are measured
+// and all times (Times, MaxTime, Proc.Now, send timestamps) are measured
 // wall-clock seconds. Call it before Run; the virtual clocks are never
 // advanced on this backend. Returns the world for chaining.
 func (w *World) UseGoroutineTransport() *World {

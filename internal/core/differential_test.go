@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 	"repro/internal/quant"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
@@ -130,10 +131,32 @@ func TestDifferentialRandomMachines(t *testing.T) {
 	}
 }
 
+// sendSpans returns hub's obs send spans (one per message), rank by rank,
+// each rank's in send order.
+func sendSpans(hub *obs.Obs) []obs.Span {
+	var out []obs.Span
+	for _, s := range hub.Spans() {
+		if s.Lane == obs.LaneNet {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// sendAttr returns the value of a send span's attr named key.
+func sendAttr(s obs.Span, key string) string {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
 // TestFlatWorldIsDepthOneHierarchy pins the identity the single machine
 // type rests on: NewWorld(P, profile) and a depth-1 hierarchy world — with
 // the idiomatic GroupSize 0 or a positive one — are the same world in every
-// traced message, every result bit and every per-rank time, and the cost
+// send span, every result bit and every per-rank time, and the cost
 // model prices and chooses identically with Hier nil or depth 1.
 func TestFlatWorldIsDepthOneHierarchy(t *testing.T) {
 	spellings := []simnet.Hierarchy{
@@ -143,18 +166,16 @@ func TestFlatWorldIsDepthOneHierarchy(t *testing.T) {
 	type outcome struct {
 		results [][]float64
 		times   []float64
-		events  [][]comm.TraceEvent
+		sends   []obs.Span
 	}
 	run := func(w *comm.World, inputs []*stream.Vector, opts Options) outcome {
-		tr := w.EnableTrace()
+		hub := w.EnableObservability()
 		var o outcome
 		o.results = comm.Run(w, func(p *comm.Proc) []float64 {
 			return Allreduce(p, inputs[p.Rank()], opts).ToDense()
 		})
 		o.times = append([]float64(nil), w.Times()...)
-		for r := 0; r < w.Size(); r++ {
-			o.events = append(o.events, tr.EventsOf(r))
-		}
+		o.sends = sendSpans(hub)
 		return o
 	}
 	rng := rand.New(rand.NewSource(1440))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/comm"
@@ -349,22 +350,24 @@ func TestHierDSARBeatsFlatUnderContention(t *testing.T) {
 		times[DSARSplitAllgather]/times[HierDSAR])
 }
 
-// TestHierSSARMessageLocality: with tracing enabled, every phase-2 message
-// must connect leader ranks and the bulk direct-exchange latency must be
-// paid by only nodes−1 inter-node partners per leader, not P−1.
+// TestHierSSARMessageLocality: counted off the obs send spans, every
+// phase-2 message must connect leader ranks and the bulk direct-exchange
+// latency must be paid by only nodes−1 inter-node partners per leader,
+// not P−1.
 func TestHierSSARInterNodeMessageCount(t *testing.T) {
 	const P = 16
 	rng := rand.New(rand.NewSource(41))
 	inputs := patterns[0].gen(rng, 1000, 30, P)
 
 	countInter := func(w *comm.World, alg Algorithm) int {
-		tr := w.EnableTrace()
+		hub := w.EnableObservability()
 		comm.Run(w, func(p *comm.Proc) any {
 			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: alg})
 		})
 		inter := 0
-		for _, ev := range tr.Events() {
-			if testTopo.SharedLevel(ev.Src, ev.Dst) != 0 {
+		for _, s := range sendSpans(hub) {
+			dst, _ := strconv.Atoi(sendAttr(s, "dst"))
+			if testTopo.SharedLevel(s.Rank, dst) != 0 {
 				inter++
 			}
 		}

@@ -181,10 +181,10 @@ func TestHierDSARQuantizedConsistentOn3Levels(t *testing.T) {
 	}
 }
 
-// TestHierInterGroupMessageLocality: with tracing enabled on a 3-level
-// world, the recursive scheme must send strictly fewer top-level (global)
-// messages than the 2-level truncation, which in turn sends fewer than
-// flat — the locality the recursion exists to create.
+// TestHierInterGroupMessageLocality: counted off the obs send spans of a
+// 3-level world, the recursive scheme must send strictly fewer top-level
+// (global) messages than the 2-level truncation, which in turn sends fewer
+// than flat — the locality the recursion exists to create.
 func TestHierInterGroupMessageLocality(t *testing.T) {
 	const P = 24
 	rng := rand.New(rand.NewSource(43))
@@ -192,13 +192,13 @@ func TestHierInterGroupMessageLocality(t *testing.T) {
 
 	countGlobal := func(levels int) int {
 		w := comm.NewWorldHier(P, testHier3)
-		tr := w.EnableTrace()
+		hub := w.EnableObservability()
 		comm.Run(w, func(p *comm.Proc) any {
 			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierSSAR, Levels: levels})
 		})
 		global := 0
-		for _, ev := range tr.Events() {
-			if ev.Level == 2 {
+		for _, s := range sendSpans(hub) {
+			if sendAttr(s, "level") == "2" {
 				global++
 			}
 		}

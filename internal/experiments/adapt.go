@@ -84,13 +84,11 @@ func RunAdaptCell(rpn, nic int, tr *scenario.Trace, observe bool) (AdaptRow, *ob
 	if observe {
 		hub = w.EnableObservability()
 	}
-	tracer := w.EnableTrace()
-	tracer.LimitPerRank(4096)
 	ctrls := make([]*adapt.Controller, P)
 	for r := range ctrls {
 		ctrls[r] = adapt.NewController(adapt.Config{})
-		ctrls[r].AttachTracer(tracer, r)
 	}
+	adapt.Calibrate(w, ctrls)
 	row.AdaptiveSim = measure(w, sched, func(p *comm.Proc, in *stream.Vector) *stream.Vector {
 		return ctrls[p.Rank()].Allreduce(p, in, core.Options{})
 	}).seconds

@@ -9,9 +9,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
+	"strconv"
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
@@ -169,19 +172,51 @@ func RunMicrobench(cfg MicrobenchConfig, alg core.Algorithm) MicrobenchRow {
 	return row
 }
 
-// DumpTrace runs one recursive-doubling sparse allreduce of the cell with
-// tracing enabled and prints the virtual-time message timeline (the
-// Figure 2 schedule, observable directly).
+// DumpTrace runs one recursive-doubling sparse allreduce of the cell on an
+// observed world and prints the virtual-time message timeline from its obs
+// send spans (the Figure 2 schedule, observable directly): one line per
+// send, ordered by send time, then the per-round message and byte totals.
 func DumpTrace(w io.Writer, cfg MicrobenchConfig) {
 	world := comm.NewWorld(cfg.P, cfg.Profile)
-	tr := world.EnableTrace()
+	hub := world.EnableObservability()
 	measure(world, once(microbenchInputs(cfg, 0)), allreduce(core.Options{Algorithm: core.SSARRecDouble}))
 	fmt.Fprintf(w, "# SSAR_Recursive_double message timeline: N=%d d=%.4f%% P=%d profile=%s\n",
 		cfg.N, cfg.Density*100, cfg.P, cfg.Profile.Name)
-	tr.Dump(w)
-	counts, bytes := tr.Rounds()
+	var sends []obs.Span
+	for _, s := range hub.Spans() {
+		if s.Lane == obs.LaneNet {
+			sends = append(sends, s)
+		}
+	}
+	// Spans come rank by rank; the stable sort keeps rank order on ties.
+	sort.SliceStable(sends, func(i, j int) bool { return sends[i].Start < sends[j].Start })
+	// Rounds group sends by distinct send time: the simulator's
+	// synchronous stages start every message of a round at one instant.
+	var counts []int
+	var bytes []int64
+	for i, s := range sends {
+		fmt.Fprintf(w, "%12.3fµs  %2d → %2s  tag=%-8s %8sB  lvl=%s arrives %12.3fµs\n",
+			s.Start*1e6, s.Rank, spanAttr(s, "dst"), spanAttr(s, "tag"), spanAttr(s, "bytes"),
+			spanAttr(s, "level"), s.End*1e6)
+		if i == 0 || s.Start != sends[i-1].Start {
+			counts, bytes = append(counts, 0), append(bytes, 0)
+		}
+		b, _ := strconv.ParseInt(spanAttr(s, "bytes"), 10, 64)
+		counts[len(counts)-1]++
+		bytes[len(bytes)-1] += b
+	}
 	fmt.Fprintf(w, "\n# rounds: %d; per-round messages %v\n", len(counts), counts)
 	fmt.Fprintf(w, "# per-round bytes %v (geometric growth under low overlap)\n", bytes)
+}
+
+// spanAttr returns the value of s's attr named key ("" when absent).
+func spanAttr(s obs.Span, key string) string {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
 }
 
 // Fig3NodeSweep reproduces the left panel of Figure 3: reduction time

@@ -313,13 +313,11 @@ func TestScheduledTrainingConverges(t *testing.T) {
 func TestTopKAdaptiveTraining(t *testing.T) {
 	P := 4
 	w := comm.NewWorldHier(P, simnet.TwoLevel(2, simnet.NVLinkLike, simnet.Aries, 1))
-	tr := w.EnableTrace()
-	tr.LimitPerRank(4096)
 	ctrls := make([]*adapt.Controller, P)
 	for r := range ctrls {
 		ctrls[r] = adapt.NewController(adapt.Config{})
-		ctrls[r].AttachTracer(tr, r)
 	}
+	adapt.Calibrate(w, ctrls)
 	hist := comm.Run(w, func(p *comm.Proc) []Point {
 		cfg := Config{
 			Method: MethodTopK, LR: 0.05 / 4,
@@ -364,13 +362,11 @@ func TestTopKAdaptiveTraining(t *testing.T) {
 func TestLayerWiseAdaptiveTraining(t *testing.T) {
 	P := 4
 	w := comm.NewWorldHier(P, simnet.TwoLevel(2, simnet.NVLinkLike, simnet.Aries, 1))
-	tr := w.EnableTrace()
-	tr.LimitPerRank(4096)
 	ctrls := make([]*adapt.Controller, P)
 	for r := range ctrls {
 		ctrls[r] = adapt.NewController(adapt.Config{})
-		ctrls[r].AttachTracer(tr, r)
 	}
+	adapt.Calibrate(w, ctrls)
 	hist := comm.Run(w, func(p *comm.Proc) []Point {
 		cfg := Config{
 			Method: MethodTopK, LR: 0.0125,

@@ -339,11 +339,13 @@ func (w *World) Scratch(rank int) *Scratch {
 }
 
 // EnableAdaptation switches the world to runtime-adaptive Auto selection:
-// message tracing is enabled (capped per rank, so long-running workloads
-// stay at bounded memory) and one Adaptive controller per rank is built
-// from cfg — all identical, which is what keeps the per-rank decision
-// state machines in lockstep. Call it once, from the driving goroutine,
-// before Run; it is idempotent (later calls keep the first configuration).
+// one Adaptive controller per rank is built from cfg — all identical,
+// which is what keeps the per-rank decision state machines in lockstep —
+// and the world's send hook folds every send into its rank's link
+// calibrator (a few running sums per hierarchy level, so long-running
+// workloads stay at constant memory). Call it once, from the driving
+// goroutine, before Run; it is idempotent (later calls keep the first
+// configuration).
 // Then route collectives through the controllers:
 //
 //	world.EnableAdaptation(sparcml.AdaptConfig{})
@@ -355,14 +357,11 @@ func (w *World) EnableAdaptation(cfg AdaptConfig) {
 	if w.adapts != nil {
 		return
 	}
-	tr := w.inner.EnableTrace()
-	tr.LimitPerRank(adaptTraceLimit)
 	w.adapts = make([]*Adaptive, w.Size())
 	for r := range w.adapts {
-		a := adapt.NewController(cfg)
-		a.AttachTracer(tr, r)
-		w.adapts[r] = a
+		w.adapts[r] = adapt.NewController(cfg)
 	}
+	adapt.Calibrate(w.inner, w.adapts)
 }
 
 // Observability is the per-world observation hub: a low-overhead metrics
@@ -384,12 +383,6 @@ type Observability = obs.Obs
 func (w *World) EnableObservability() *Observability {
 	return w.inner.EnableObservability()
 }
-
-// adaptTraceLimit bounds the shared trace at EnableAdaptation to this
-// many recorded sends per rank — far more than the link calibrator needs
-// for an exact fit, small enough that week-long training loops do not
-// accumulate unbounded trace memory.
-const adaptTraceLimit = 4096
 
 // Adapt returns rank's adaptation controller. Like Scratch, each
 // controller belongs to exactly one rank and persists across Run calls
