@@ -129,11 +129,18 @@ func (s *BucketScheduler) Fuse(b int, contribs []*stream.Vector, sc *stream.Scra
 // the per-bucket collective options: nil means zero Options for all, a
 // single element is replicated, otherwise the length must equal
 // NumBuckets (the per-bucket decisions of adapt.Controller.PlanBuckets).
-// Scratch is stripped from every bucket's Options — outstanding
-// collectives must not share a pool (see IAllreduce) — and the fused
-// inputs are allocated unpooled for the same reason; like all collectives,
-// every rank must Issue with the same bucket composition in the same
-// program order.
+// Like all collectives, every rank must Issue with the same bucket
+// composition in the same program order.
+//
+// Outstanding collectives must not share a pool (see IAllreduce), so a
+// Scratch is honoured only when opts has one entry per bucket and no two
+// entries name the same pool; otherwise it is stripped from every bucket.
+// An honoured pool belongs to its bucket's collective until Drain: the
+// bucket is fused into it, the collective owns the fused input and
+// releases it there when it finishes, and the result is built there — the
+// caller may release it into the same pool once applied. The
+// contributions are only read, so they may be released as soon as Issue
+// returns. The scheduler itself holds no pool and stays shareable.
 func (s *BucketScheduler) Issue(p *comm.Proc, contribs []*stream.Vector, opts []Options) []*Request {
 	if len(contribs) != len(s.spans) {
 		panic(fmt.Sprintf("core: %d contributions for %d layers", len(contribs), len(s.spans)))
@@ -150,17 +157,34 @@ func (s *BucketScheduler) Issue(p *comm.Proc, contribs []*stream.Vector, opts []
 			panic(fmt.Sprintf("core: %d options for %d buckets", len(opts), len(s.buckets)))
 		}
 	}
+	pooled := len(opts) == len(s.buckets) && distinctPools(opts)
 	reqs := make([]*Request, len(s.buckets))
 	for b := range s.buckets {
 		o := optAt(b)
-		o.Scratch = nil
-		reqs[b] = IAllreduce(p, s.Fuse(b, contribs, nil), o)
+		if !pooled {
+			o.Scratch = nil
+		}
+		reqs[b] = iallreduce(p, s.Fuse(b, contribs, o.Scratch), o, true)
 	}
 	return reqs
 }
 
+// distinctPools reports whether no two of the options name the same
+// non-nil Scratch.
+func distinctPools(opts []Options) bool {
+	for i, o := range opts {
+		for _, q := range opts[i+1:] {
+			if o.Scratch != nil && o.Scratch == q.Scratch {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Drain waits on Issue's requests in issue order and returns the summed
-// bucket vectors in the same order.
+// bucket vectors in the same order. A bucket issued on its own pool
+// returns the pool with its result (see Issue).
 func (s *BucketScheduler) Drain(p *comm.Proc, reqs []*Request) []*stream.Vector {
 	out := make([]*stream.Vector, len(reqs))
 	for i, r := range reqs {

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/quant"
 	"repro/internal/simnet"
 	"repro/internal/stream"
 )
@@ -167,6 +169,126 @@ func TestBucketSchedulerIssueDrain(t *testing.T) {
 						t.Fatalf("%s opts=%d rank=%d bucket=%d: result differs from the simulator's in wire form", wc.name, oi, r, b)
 					}
 				}
+			}
+		}
+	}
+}
+
+// poison empties sc, overwriting every buffer it held — to its full
+// capacity — with NaN values and out-of-range indices, so that a result
+// still sharing storage with anything released into the pool changes.
+func poison(sc *stream.Scratch) {
+	empty := stream.Zero(1, stream.OpSum)
+	for sc.Buffers() > 0 {
+		idx, val := empty.CloneInto(sc).Pairs() // a header and the smallest idx and val buffers
+		fillCap(idx, -1)
+		fillCap(val, math.NaN())
+		fillCap(sc.GrabDense(0, 0), math.NaN())
+	}
+}
+
+// fillCap sets every element of b's backing array up to its capacity.
+func fillCap[T any](b []T, x T) {
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = x
+	}
+}
+
+// TestBucketIssueOwnsFusedInput: with one pool per bucket, Issue fuses
+// each bucket into its pool and the bucket's collective releases the fused
+// input there when it finishes. Over every algorithm, world size and
+// in-process backend, pooled buckets must return exactly what a blocking
+// unpooled allreduce of each fused bucket does — on a second step, too,
+// after the first step's results were released into the pools and rebuilt
+// from them — and must keep returning it after every buffer left in the
+// pools is overwritten with NaN, which no result may share storage with.
+func TestBucketIssueOwnsFusedInput(t *testing.T) {
+	const n = 600
+	spans := [][2]int{{0, 150}, {150, 200}, {200, 420}, {420, 600}}
+	s := NewBucketScheduler(spans, 200) // {2,3} and {0,1}
+	B := s.NumBuckets()
+	mach := simnet.TwoLevel(2, simnet.NVLinkLike, simnet.Aries, 1)
+	backends := []struct {
+		name string
+		mk   func(P int) *comm.World
+	}{
+		{"sim", func(P int) *comm.World { return comm.NewWorldHier(P, mach) }},
+		{"goroutine", func(P int) *comm.World { return comm.NewWorldHier(P, mach).UseGoroutineTransport() }},
+	}
+	rng := rand.New(rand.NewSource(8106))
+	for alg := Auto; alg <= HierDSAR; alg++ {
+		opts := []Options{
+			{Algorithm: alg, Chunks: 2, Seed: 3},
+			{Algorithm: alg, Quant: &quant.Config{Bits: 4, Bucket: 64, Norm: quant.NormMax}, Seed: 4},
+		}
+		for _, P := range []int{1, 2, 3, 8} {
+			inputs := bucketInputs(rng, n, spans, P)
+			for _, be := range backends {
+				plain := comm.Run(be.mk(P), func(p *comm.Proc) []*stream.Vector {
+					sums := make([]*stream.Vector, B)
+					for b := range sums {
+						sums[b] = Allreduce(p, s.Fuse(b, inputs[p.Rank()], nil), opts[b])
+					}
+					return sums
+				})
+				pools := make([][]*stream.Scratch, P)
+				pooled := comm.Run(be.mk(P), func(p *comm.Proc) []*stream.Vector {
+					pools[p.Rank()] = make([]*stream.Scratch, B)
+					o := append([]Options(nil), opts...)
+					for b := range o {
+						o[b].Scratch = stream.NewScratch()
+						pools[p.Rank()][b] = o[b].Scratch
+					}
+					for b, sum := range s.Drain(p, s.Issue(p, inputs[p.Rank()], o)) {
+						o[b].Scratch.Release(sum)
+					}
+					return s.Drain(p, s.Issue(p, inputs[p.Rank()], o))
+				})
+				check := func(when string) {
+					for r := range plain {
+						for b := range plain[r] {
+							if !bytes.Equal(pooled[r][b].AppendWire(nil), plain[r][b].AppendWire(nil)) {
+								t.Fatalf("%s P=%d %s rank %d bucket %d: pooled result differs from unpooled %s",
+									alg, P, be.name, r, b, when)
+							}
+						}
+					}
+				}
+				check("as returned")
+				for _, ps := range pools {
+					for _, sc := range ps {
+						poison(sc)
+					}
+				}
+				check("once the pools were overwritten")
+			}
+		}
+	}
+}
+
+// TestBucketIssueStripsSharedPool: buckets in flight together must not
+// share a pool, so a Scratch that two buckets' options name — or that one
+// replicated Options carries to every bucket — is never touched.
+func TestBucketIssueStripsSharedPool(t *testing.T) {
+	spans := [][2]int{{0, 10}, {10, 20}, {20, 30}}
+	s := NewBucketScheduler(spans, 1) // one bucket per layer
+	inputs := bucketInputs(rand.New(rand.NewSource(8107)), 30, spans, 2)
+	for _, shared := range [][]int{{0, 0, 1}, {0}} {
+		pools := []*stream.Scratch{stream.NewScratch(), stream.NewScratch()}
+		comm.Run(comm.NewWorld(2, testProfile).UseGoroutineTransport(), func(p *comm.Proc) any {
+			if p.Rank() != 0 {
+				return s.Drain(p, s.Issue(p, inputs[1], nil))
+			}
+			opts := make([]Options, len(shared))
+			for b, i := range shared {
+				opts[b].Scratch = pools[i]
+			}
+			return s.Drain(p, s.Issue(p, inputs[0], opts))
+		})
+		for i, sc := range pools {
+			if sc.Buffers() != 0 {
+				t.Errorf("pools %v: pool %d was used although buckets shared it", shared, i)
 			}
 		}
 	}

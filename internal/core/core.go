@@ -156,7 +156,8 @@ type Options struct {
 	// streams into, making steady-state allreduce calls nearly
 	// allocation-free. A Scratch belongs to ONE rank: never share one
 	// across ranks or across concurrently running collectives (overlapping
-	// IAllreduce calls must use distinct pools). Results are borrowed:
+	// IAllreduce calls must use distinct pools, and BucketScheduler.Issue
+	// strips pools its buckets would share). Results are borrowed:
 	// a vector returned by a collective is safe to keep — no collective
 	// ever recycles it — and a caller that is done with it may hand it
 	// back with Scratch.Release, after which a later call builds its

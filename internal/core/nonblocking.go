@@ -22,18 +22,31 @@ type Request struct {
 }
 
 // IAllreduce starts a nonblocking sparse allreduce. The input vector must
-// not be modified until Wait returns. Ranks must issue nonblocking
-// collectives in identical program order (as MPI requires). If
-// opts.Scratch is set, that pool belongs to this operation until Wait:
-// it must not be used by the issuing thread or by another outstanding
-// collective in the meantime.
+// not be modified until Wait returns, and stays the caller's. Ranks must
+// issue nonblocking collectives in identical program order (as MPI
+// requires). If opts.Scratch is set, that pool belongs to this operation
+// until Wait: it must not be used by the issuing thread or by another
+// outstanding collective in the meantime. After Wait it is the caller's
+// again, and the result — which never shares storage with the input — may
+// be released into it.
 func IAllreduce(p *comm.Proc, v *stream.Vector, opts Options) *Request {
+	return iallreduce(p, v, opts, false)
+}
+
+// iallreduce is IAllreduce; with owned set the operation also owns v and
+// releases it into opts.Scratch once the result is built. Every algorithm
+// reads its input only through copies, so on return no rank still holds v's
+// storage.
+func iallreduce(p *comm.Proc, v *stream.Vector, opts Options, owned bool) *Request {
 	base := p.NextTagBase()
 	f := p.Fork()
 	r := &Request{forked: f, done: make(chan struct{})}
 	go func() {
 		defer close(r.done)
 		r.result = allreduceTagged(f, v, opts, base)
+		if owned {
+			opts.Scratch.Release(v)
+		}
 	}()
 	return r
 }

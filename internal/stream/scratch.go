@@ -22,6 +22,17 @@ package stream
 //   - A grab takes the smallest pooled buffer that fits, so a large
 //     buffer — a released result — waits for a large request instead of
 //     leaving with the first small one.
+//   - An index or value grab that narrowly misses replaces the buffer it
+//     missed: when no pooled buffer fits c — or the only ones that fit are
+//     more than twice c, which a larger request is likely to need — the
+//     largest buffer of capacity ≥ c/2 is dropped and the new one gets
+//     capacity c + c/4, so a request that grows by a few percent costs one
+//     allocation rather than one more pooled buffer for good. A miss with
+//     nothing that close allocates exactly c and keeps every buffer: a
+//     pool whose results never come back lives on its small ones. Without
+//     the rule, pools whose results are released (one per bucket of a
+//     training step) climb toward scratchPoolCap, as the clones that pass
+//     between ranks keep arriving a little too small.
 //   - Buffers may migrate between ranks: on both in-process backends
 //     (simulator and goroutine) a sent vector is handed over by reference,
 //     so one built from rank A's scratch and sent to rank B is owned by B
@@ -100,44 +111,60 @@ func (s *Scratch) grabVector(n int, op Op, valueBytes, delta int) *Vector {
 }
 
 // takeFit removes the smallest buffer of capacity ≥ c from a free list and
-// returns it emptied, or nil when none fits.
+// returns it emptied. On a miss it allocates: exactly c when nothing in the
+// list comes close, and c + c/4 in place of a near miss — the largest
+// buffer of capacity ≥ c/2, which it drops from the list. A near miss is
+// also replaced rather than spending a buffer more than twice c: recursive
+// doubling sends each stage a clone about half the size of its next merge,
+// and a clone that took the pool's one result-sized buffer along would
+// leave that merge to miss.
 func takeFit[T any](list *[][]T, c int) []T {
 	l := *list
-	best := -1
+	best, near := -1, -1
 	for i, b := range l {
-		if cap(b) >= c && (best < 0 || cap(b) < cap(l[best])) {
-			best = i
+		switch {
+		case cap(b) >= c:
+			if best < 0 || cap(b) < cap(l[best]) {
+				best = i
+			}
+		case 2*cap(b) >= c:
+			if near < 0 || cap(b) > cap(l[near]) {
+				near = i
+			}
 		}
 	}
-	if best < 0 {
-		return nil
+	take := func(i int) []T {
+		b := l[i]
+		l[i] = l[len(l)-1]
+		*list = l[:len(l)-1]
+		return b[:0]
 	}
-	b := l[best]
-	l[best] = l[len(l)-1]
-	*list = l[:len(l)-1]
-	return b[:0]
+	switch {
+	case best >= 0 && (near < 0 || cap(l[best]) <= 2*c):
+		return take(best)
+	case near >= 0:
+		take(near)
+		return make([]T, 0, c+c/4)
+	}
+	return make([]T, 0, c)
 }
 
-// grabIdx returns a zero-length index buffer with capacity ≥ c, reusing the
-// smallest pooled buffer that fits.
+// grabIdx returns a zero-length index buffer with capacity ≥ c from the
+// pool (see takeFit).
 func (s *Scratch) grabIdx(c int) []int32 {
-	if s != nil {
-		if b := takeFit(&s.idx, c); b != nil {
-			return b
-		}
+	if s == nil {
+		return make([]int32, 0, c)
 	}
-	return make([]int32, 0, c)
+	return takeFit(&s.idx, c)
 }
 
-// grabVal returns a zero-length value buffer with capacity ≥ c, reusing the
-// smallest pooled buffer that fits.
+// grabVal returns a zero-length value buffer with capacity ≥ c from the
+// pool (see takeFit).
 func (s *Scratch) grabVal(c int) []float64 {
-	if s != nil {
-		if b := takeFit(&s.val, c); b != nil {
-			return b
-		}
+	if s == nil {
+		return make([]float64, 0, c)
 	}
-	return make([]float64, 0, c)
+	return takeFit(&s.val, c)
 }
 
 // GrabDense returns a length-n dense float64 buffer filled with the given

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"math"
 	"testing"
+
+	"repro/internal/stream"
 )
 
 // digestGrad is a deterministic gradient with what selection has to get
@@ -43,7 +45,9 @@ func digestGrad(n, round int) []float64 {
 // magnitudes survives (the lower index) and what happens to a selected
 // zero (it is neither sent nor touched) are part of the bit-identity
 // contract of TopK-SGD; the digests were recorded while selection still ran
-// the heap of Select per bucket and re-sorted its output in NewSparse.
+// the heap of Select per bucket and re-sorted its output in NewSparse. A
+// second pass extracts every span through ExtractSpanInto from a pool each
+// stream is released back into, and must hash the same.
 func TestExtractDigests(t *testing.T) {
 	const n = 4139 // eight buckets of 512 and a short ninth
 	for _, tc := range []struct {
@@ -60,23 +64,31 @@ func TestExtractDigests(t *testing.T) {
 		{"spans-512-8", 512, 8, [][2]int{{0, 1000}, {1000, 1003}, {1003, 3200}, {3200, n}}, "08e279c202c3369684cc74bcc93fe29d3118048c2987e6d4998b7cb83e60971f"},
 		{"spans-global-5", 0, 5, [][2]int{{0, 2000}, {2000, 2003}, {2003, n}}, "61d4bdc0e0b3e50d59895f67b46a1fb2da0bd0fc5c14af7d696cdc37e0ff2f55"},
 	} {
-		r := NewResidual(n)
-		h := sha256.New()
-		for round := 0; round < 3; round++ {
-			r.Accumulate(digestGrad(n, round), 0.5)
-			if tc.spans == nil {
-				h.Write(r.Extract(tc.bucket, tc.k).AppendWire(nil))
-				continue
+		for _, sc := range []*stream.Scratch{nil, stream.NewScratch()} {
+			r := NewResidual(n)
+			h := sha256.New()
+			for round := 0; round < 3; round++ {
+				r.Accumulate(digestGrad(n, round), 0.5)
+				if tc.spans == nil && sc == nil {
+					h.Write(r.Extract(tc.bucket, tc.k).AppendWire(nil))
+					continue
+				}
+				spans := tc.spans
+				if spans == nil {
+					spans = [][2]int{{0, n}}
+				}
+				for _, sp := range spans {
+					v := r.ExtractSpanInto(sp[0], sp[1], tc.bucket, tc.k, sc)
+					h.Write(v.AppendWire(nil))
+					sc.Release(v) // the next extraction reuses its storage
+				}
 			}
-			for _, sp := range tc.spans {
-				h.Write(r.ExtractSpan(sp[0], sp[1], tc.bucket, tc.k).AppendWire(nil))
+			for _, x := range r.acc {
+				h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
 			}
-		}
-		for _, x := range r.acc {
-			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
-			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("%s (pooled %v): digest %s, want %s", tc.name, sc != nil, got, tc.want)
+			}
 		}
 	}
 }

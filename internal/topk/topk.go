@@ -192,19 +192,22 @@ func appendTopK(idx []int32, val []float64, v []float64, off int32, k int) ([]in
 
 // selectBuckets appends the per-bucket TopK of v — the k largest-magnitude
 // entries of every `bucket` consecutive coordinates, min(k, len) of a short
-// last bucket — as (off+i, v[i]) pairs into one exactly pre-sized output
-// pair. bucket <= 0 selects the k largest of all of v.
-func selectBuckets(v []float64, off int32, bucket, k int) ([]int32, []float64) {
+// last bucket — as (off+i, v[i]) pairs, into the zero-length idx and val
+// when their capacity holds the selection and into exactly pre-sized new
+// slices otherwise. bucket <= 0 selects the k largest of all of v.
+func selectBuckets(idx []int32, val []float64, v []float64, off int32, bucket, k int) ([]int32, []float64) {
 	if bucket <= 0 || bucket > len(v) {
 		bucket = len(v)
 	}
-	var idx []int32
-	var val []float64
 	if bucket > 0 && k > 0 {
 		bound := len(v) / bucket * min(k, bucket)
 		bound += min(k, len(v)%bucket)
-		idx = make([]int32, 0, bound)
-		val = make([]float64, 0, bound)
+		if cap(idx) < bound {
+			idx = make([]int32, 0, bound)
+		}
+		if cap(val) < bound {
+			val = make([]float64, 0, bound)
+		}
 	}
 	for lo := 0; lo < len(v); lo += bucket {
 		hi := min(lo+bucket, len(v))
@@ -216,7 +219,7 @@ func selectBuckets(v []float64, off int32, bucket, k int) ([]int32, []float64) {
 // Sparsify returns a sparse stream holding the k largest-magnitude entries
 // of v (global selection).
 func Sparsify(v []float64, k int) *stream.Vector {
-	idx, val := selectBuckets(v, 0, 0, k)
+	idx, val := selectBuckets(nil, nil, v, 0, 0, k)
 	return stream.WrapSparse(len(v), idx, val, stream.OpSum)
 }
 
@@ -228,7 +231,7 @@ func SparsifyBuckets(v []float64, bucket, k int) *stream.Vector {
 	if bucket <= 0 {
 		panic("topk: bucket must be positive")
 	}
-	idx, val := selectBuckets(v, 0, bucket, k)
+	idx, val := selectBuckets(nil, nil, v, 0, bucket, k)
 	return stream.WrapSparse(len(v), idx, val, stream.OpSum)
 }
 
@@ -238,6 +241,10 @@ func SparsifyBuckets(v []float64, bucket, k int) *stream.Vector {
 // accumulated, and added to the gradient vector of the next iteration").
 type Residual struct {
 	acc []float64
+	// idx and val hold ExtractSpanInto's selection until it is copied into
+	// the caller's pool; the next call reuses them.
+	idx []int32
+	val []float64
 }
 
 // NewResidual creates a zeroed accumulator of dimension n.
@@ -275,14 +282,34 @@ func (r *Residual) Extract(bucket, k int) *stream.Vector {
 // selection appends global pairs in index order into the stream's own
 // storage, so nothing is copied or sorted after it.
 func (r *Residual) ExtractSpan(lo, hi, bucket, k int) *stream.Vector {
+	return r.ExtractSpanInto(lo, hi, bucket, k, nil)
+}
+
+// ExtractSpanInto is ExtractSpan with the returned stream's header and
+// buffers drawn from sc; a nil sc is ExtractSpan. The selection is made into
+// storage the residual keeps for the next call and then copied into the
+// pool, so a caller that releases every stream back into sc once it is done
+// with it extracts from recycled storage step after step. The stream is
+// the same, bit for bit, with or without a pool.
+func (r *Residual) ExtractSpanInto(lo, hi, bucket, k int, sc *stream.Scratch) *stream.Vector {
 	if lo < 0 || hi > len(r.acc) || lo > hi {
 		panic("topk: bad span")
 	}
-	idx, val := selectBuckets(r.acc[lo:hi], int32(lo), bucket, k)
+	var idx []int32
+	var val []float64
+	if sc != nil {
+		idx, val = r.idx[:0], r.val[:0]
+	}
+	idx, val = selectBuckets(idx, val, r.acc[lo:hi], int32(lo), bucket, k)
 	for _, ix := range idx {
 		r.acc[ix] = 0
 	}
-	return stream.WrapSparse(len(r.acc), idx, val, stream.OpSum)
+	v := stream.WrapSparse(len(r.acc), idx, val, stream.OpSum)
+	if sc == nil {
+		return v
+	}
+	r.idx, r.val = idx, val
+	return v.CloneInto(sc)
 }
 
 // Norm returns the L2 norm of the residual, used to track error-feedback

@@ -210,13 +210,9 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 	if steps <= 0 {
 		steps = (task.NumSamples() + cfg.BatchPerNode - 1) / cfg.BatchPerNode
 	}
-	// Bucket composition depends only on the static layer spans, so the
-	// scheduler is built once; every rank derives the same buckets.
-	var sched *core.BucketScheduler
-	if cfg.BucketCoords > 0 {
-		if spans := layerSpans(task, cfg); spans != nil {
-			sched = core.NewBucketScheduler(spans, cfg.BucketCoords)
-		}
+	var layers *layerExchange
+	if cfg.Method == MethodTopK {
+		layers = newLayerExchange(task, cfg)
 	}
 	var history []Point
 	commTime := 0.0
@@ -254,44 +250,10 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 				// TopK selection cost: one pass over the parameters.
 				p.Compute(cfg.Device.ComputeTime(float64(len(params)) * 2))
 
-				spans := layerSpans(task, cfg)
-				if spans != nil {
-					// Layer-wise: one nonblocking allreduce per layer,
-					// overlapped with each other — or, with a scheduler,
-					// one per fused bucket in backprop order. With
-					// adaptation enabled the parent proc decides once for
-					// the whole step (Controller.Plan fuses every layer's
-					// sketch; Controller.PlanBuckets decides per bucket)
-					// and the resolved concrete choices are applied to the
-					// step's nonblocking calls, so neither path bypasses
-					// the controller.
+				if layers != nil {
 					t0 := p.Now()
-					contribs := make([]*stream.Vector, len(spans))
-					for si, span := range spans {
-						contribs[si] = residual.ExtractSpan(span[0], span[1], cfg.Bucket, cfg.K)
-						bytesSent += int64(contribs[si].WireBytes())
-					}
-					if sched != nil {
-						bopts := []core.Options{opts}
-						if cfg.Adapt != nil {
-							bopts = cfg.Adapt.PlanBuckets(p, sched, contribs, opts)
-						}
-						for _, sum := range sched.Drain(p, sched.Issue(p, contribs, bopts)) {
-							applyUpdateVec(params, sum)
-						}
-					} else {
-						lopts := opts
-						if cfg.Adapt != nil {
-							lopts = cfg.Adapt.Plan(p, contribs, lopts)
-						}
-						reqs := make([]*core.Request, len(spans))
-						for si := range contribs {
-							reqs[si] = core.IAllreduce(p, contribs[si], lopts)
-						}
-						for _, req := range reqs {
-							applyUpdateVec(params, req.Wait(p))
-						}
-					}
+					bytesSent += layers.extract(residual, cfg)
+					layers.apply(p, layers.issue(p, opts, cfg.Adapt), params)
 					commTime += p.Now() - t0
 				} else {
 					contrib := residual.Extract(cfg.Bucket, cfg.K)
@@ -416,19 +378,6 @@ func globalEval(p *comm.Proc, task Task, cfg Config) (loss, top1, top5 float64) 
 // spans for layer-wise exchange.
 type Spanner interface {
 	LayerSpans() [][2]int
-}
-
-// layerSpans returns the task's layer spans when layer-wise or bucketed
-// exchange is requested and supported, nil otherwise.
-func layerSpans(task Task, cfg Config) [][2]int {
-	if !cfg.LayerWise && cfg.BucketCoords <= 0 {
-		return nil
-	}
-	s, ok := task.(Spanner)
-	if !ok {
-		return nil
-	}
-	return s.LayerSpans()
 }
 
 // StepDecay returns a schedule that divides the learning rate by

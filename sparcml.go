@@ -482,6 +482,11 @@ func BucketCoords(s CostScenario) int { return core.BucketCoords(s) }
 // BucketIssue fuses every bucket of the scheduler and starts its
 // nonblocking allreduce, in issue (backprop) order. opts follows
 // BucketScheduler.Issue: nil, one replicated element, or one per bucket.
+// Buckets in flight never share a pool: a Scratch is used only when every
+// bucket's Options names its own (NewScratch, not the rank's
+// World.Scratch, which the caller keeps using meanwhile), and then it
+// belongs to that bucket until BucketDrain. The contributions are only
+// read and may be released as soon as BucketIssue returns.
 func (c *Comm) BucketIssue(s *BucketScheduler, contribs []*Vector, opts []Options) []*Request {
 	inner := s.Issue(c.proc, contribs, opts)
 	out := make([]*Request, len(inner))
@@ -492,7 +497,9 @@ func (c *Comm) BucketIssue(s *BucketScheduler, contribs []*Vector, opts []Option
 }
 
 // BucketDrain waits on BucketIssue's requests in issue order and returns
-// the summed bucket vectors.
+// the summed bucket vectors. A bucket issued on its own pool hands the
+// pool back with its sum, built in it: release the sum there once it is
+// applied and the next step reuses the storage.
 func (c *Comm) BucketDrain(reqs []*Request) []*Vector {
 	out := make([]*Vector, len(reqs))
 	for i, r := range reqs {
