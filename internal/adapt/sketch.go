@@ -1,7 +1,7 @@
 package adapt
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/stream"
 )
@@ -168,7 +168,8 @@ func bucketsFor(sampled int) int {
 func (s *ShapeSketch) decompose(sampled, b int) (hotFrac, hotMass, div float64) {
 	s.sorted = s.hist
 	buckets := s.sorted[:b]
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i] > buckets[j] })
+	slices.Sort(buckets)
+	slices.Reverse(buckets)
 	cum := 0
 	bestJ, bestMass, bestDiv := 1, 0.0, -1.0
 	for j := 1; j <= b; j++ {

@@ -230,6 +230,26 @@ func TestSketchEmptyAndTiny(t *testing.T) {
 	}
 }
 
+// TestSketchObserveAllocatesNothing: the sketch rides along with every
+// collective call, so observing a sparse or a dense support allocates
+// nothing — the histogram sort included.
+func TestSketchObserveAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := NewShapeSketch(0, 0)
+	dense := make([]float64, 1<<12)
+	for i := range dense[:1<<10] {
+		dense[i] = rng.NormFloat64()
+	}
+	for _, v := range []*stream.Vector{
+		genSupport(rng, 1<<16, 3000, "clustered"),
+		stream.NewDense(dense, stream.OpSum),
+	} {
+		if allocs := testing.AllocsPerRun(20, func() { s.Observe(v) }); allocs != 0 {
+			t.Errorf("Observe of a %d-nnz vector allocates %.1f times, want 0", v.NNZ(), allocs)
+		}
+	}
+}
+
 // FuzzSketchObserveOnly: observing any vector never panics, never mutates
 // it, and never changes merge results — sketching is strictly
 // observe-only.

@@ -23,6 +23,12 @@ import (
 // Layer is one differentiable stage of a feedforward Net. Layers are
 // stateful across Forward/Backward (they cache activations) and are owned
 // by exactly one Net on one rank.
+//
+// A batch a layer returns belongs to the layer: it is one of the layer's
+// reused workspaces and stays valid only until that layer's next call.
+// Forward keeps its input x until the matching Backward, so the caller
+// leaves x unchanged until then. Every row of a batch has the same width;
+// a ragged batch panics.
 type Layer interface {
 	// NumParams returns the layer's parameter count.
 	NumParams() int
@@ -38,6 +44,58 @@ type Layer interface {
 	// FlopsPerSample estimates multiply-add work per sample for one
 	// forward+backward pass (compute-time modeling).
 	FlopsPerSample() float64
+}
+
+// Workspace is a reusable [batch][width] buffer: one backing array that
+// grows to the largest batch it has seen. The zero value is ready.
+type Workspace struct {
+	buf  []float64
+	rows [][]float64
+}
+
+// Rows returns n rows of the given width over the workspace's storage,
+// valid until the next Rows call. Their contents are whatever the last
+// caller left there.
+func (w *Workspace) Rows(n, width int) [][]float64 {
+	if n*width > len(w.buf) {
+		w.buf = make([]float64, n*width)
+	}
+	if n > len(w.rows) {
+		w.rows = make([][]float64, n)
+	}
+	rows := w.rows[:n]
+	for s := range rows {
+		rows[s] = w.buf[s*width : (s+1)*width : (s+1)*width]
+	}
+	return rows
+}
+
+// width returns the common row width of a batch (0 for an empty one) and
+// panics, naming the layer, if the rows differ.
+func width(layer string, x [][]float64) int {
+	if len(x) == 0 {
+		return 0
+	}
+	w := len(x[0])
+	for s, xs := range x {
+		if len(xs) != w {
+			panic(fmt.Sprintf("nn: %s got a ragged batch: row %d has width %d, row 0 has %d", layer, s, len(xs), w))
+		}
+	}
+	return w
+}
+
+// checkGrad panics, naming the layer, unless dOut has one row per sample of
+// the forward batch x and every row has width w.
+func checkGrad(layer string, dOut, x [][]float64, w int) {
+	if len(dOut) != len(x) {
+		panic(fmt.Sprintf("nn: %s backward got %d rows for a forward batch of %d", layer, len(dOut), len(x)))
+	}
+	for s, dy := range dOut {
+		if len(dy) != w {
+			panic(fmt.Sprintf("nn: %s backward row %d has width %d, want %d", layer, s, len(dy), w))
+		}
+	}
 }
 
 // Net is a feedforward network over flat parameter and gradient buffers.
@@ -102,7 +160,9 @@ func (n *Net) LayerSpans() [][2]int {
 // FlopsPerSample estimates forward+backward work per sample.
 func (n *Net) FlopsPerSample() float64 { return n.flops }
 
-// Forward runs the batch through all layers and returns the logits.
+// Forward runs the batch through all layers and returns the logits. Under
+// the Layer contract the logits stay valid until the next Forward, and x
+// must stay unchanged until the matching Backward.
 func (n *Net) Forward(x [][]float64) [][]float64 {
 	for i, l := range n.layers {
 		x = l.Forward(n.params[n.offs[i]:n.offs[i]+l.NumParams()], x)
@@ -121,8 +181,9 @@ func (n *Net) Backward(dOut [][]float64) {
 
 // Dense is a fully connected layer y = W·x + b with W ∈ R^{out×in}.
 type Dense struct {
-	In, Out int
-	lastX   [][]float64
+	In, Out  int
+	lastX    [][]float64
+	fwd, bwd Workspace
 }
 
 // NewDense constructs a Dense layer.
@@ -145,53 +206,80 @@ func (d *Dense) Init(params []float64, rng *rand.Rand) {
 	// Biases start at zero (already zeroed).
 }
 
-// Forward computes the affine map for each sample.
+// Forward computes the affine map for each sample, four output rows per
+// pass over the sample's input. Each row keeps its own accumulator, summed
+// over i = 0…In−1 in order, so every output is bit-identical to a
+// one-row-at-a-time dot product.
 func (d *Dense) Forward(params []float64, x [][]float64) [][]float64 {
 	d.lastX = x
-	w := params[:d.Out*d.In]
-	b := params[d.Out*d.In:]
-	out := make([][]float64, len(x))
+	in := d.In
+	w := params[:d.Out*in]
+	b := params[d.Out*in:]
+	out := d.fwd.Rows(len(x), d.Out)
 	for s, xs := range x {
-		if len(xs) != d.In {
-			panic(fmt.Sprintf("nn: Dense expects %d inputs, got %d", d.In, len(xs)))
+		if len(xs) != in {
+			panic(fmt.Sprintf("nn: Dense expects %d inputs, got %d", in, len(xs)))
 		}
-		ys := make([]float64, d.Out)
-		for o := 0; o < d.Out; o++ {
-			row := w[o*d.In : (o+1)*d.In]
+		xs = xs[:in]
+		ys := out[s]
+		o := 0
+		for ; o+4 <= d.Out; o += 4 {
+			r0 := w[o*in:][:in]
+			r1 := w[(o+1)*in:][:in]
+			r2 := w[(o+2)*in:][:in]
+			r3 := w[(o+3)*in:][:in]
+			s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+			for i, xi := range xs {
+				s0 += r0[i] * xi
+				s1 += r1[i] * xi
+				s2 += r2[i] * xi
+				s3 += r3[i] * xi
+			}
+			ys[o], ys[o+1], ys[o+2], ys[o+3] = s0, s1, s2, s3
+		}
+		for ; o < d.Out; o++ {
+			row := w[o*in:][:in]
 			sum := b[o]
 			for i, xi := range xs {
 				sum += row[i] * xi
 			}
 			ys[o] = sum
 		}
-		out[s] = ys
 	}
 	return out
 }
 
 // Backward accumulates dW += dOutᵀ·x, db += dOut and returns dX = Wᵀ·dOut.
+// Outputs are the outer loop and samples the inner one, so a weight row and
+// its gradient row are loaded once per batch. Each gradient element still
+// sums its samples in order and each dX element its outputs in order, so
+// the result is bit-identical to the sample-major loop.
 func (d *Dense) Backward(params, grads []float64, dOut [][]float64) [][]float64 {
-	w := params[:d.Out*d.In]
-	gw := grads[:d.Out*d.In]
-	gb := grads[d.Out*d.In:]
-	dX := make([][]float64, len(dOut))
-	for s, dy := range dOut {
-		xs := d.lastX[s]
-		dx := make([]float64, d.In)
-		for o := 0; o < d.Out; o++ {
+	checkGrad("Dense", dOut, d.lastX, d.Out)
+	in := d.In
+	w := params[:d.Out*in]
+	gw := grads[:d.Out*in]
+	gb := grads[d.Out*in:]
+	dX := d.bwd.Rows(len(dOut), in)
+	for _, dx := range dX {
+		clear(dx)
+	}
+	for o := 0; o < d.Out; o++ {
+		row := w[o*in:][:in]
+		grow := gw[o*in:][:in]
+		for s, dy := range dOut {
 			g := dy[o]
 			if g == 0 {
 				continue
 			}
-			row := w[o*d.In : (o+1)*d.In]
-			grow := gw[o*d.In : (o+1)*d.In]
-			for i := range xs {
-				grow[i] += g * xs[i]
+			xs := d.lastX[s][:in]
+			dx := dX[s][:in]
+			for i, xi := range xs {
+				grow[i] += g * xi
 				dx[i] += g * row[i]
 			}
 			gb[o] += g
 		}
-		dX[s] = dx
 	}
 	return dX
 }
@@ -201,7 +289,8 @@ func (d *Dense) FlopsPerSample() float64 { return 6 * float64(d.Out*d.In) }
 
 // ReLU is the rectifier activation.
 type ReLU struct {
-	lastX [][]float64
+	lastX    [][]float64
+	fwd, bwd Workspace
 }
 
 // NewReLU constructs a ReLU layer.
@@ -216,31 +305,35 @@ func (r *ReLU) Init([]float64, *rand.Rand) {}
 // Forward applies max(0, x).
 func (r *ReLU) Forward(_ []float64, x [][]float64) [][]float64 {
 	r.lastX = x
-	out := make([][]float64, len(x))
+	out := r.fwd.Rows(len(x), width("ReLU", x))
 	for s, xs := range x {
-		ys := make([]float64, len(xs))
+		ys := out[s][:len(xs)]
 		for i, v := range xs {
 			if v > 0 {
 				ys[i] = v
+			} else {
+				ys[i] = 0
 			}
 		}
-		out[s] = ys
 	}
 	return out
 }
 
 // Backward masks the incoming gradient by the activation pattern.
 func (r *ReLU) Backward(_, _ []float64, dOut [][]float64) [][]float64 {
-	dX := make([][]float64, len(dOut))
+	w := width("ReLU", r.lastX)
+	checkGrad("ReLU", dOut, r.lastX, w)
+	dX := r.bwd.Rows(len(dOut), w)
 	for s, dy := range dOut {
-		xs := r.lastX[s]
-		dx := make([]float64, len(dy))
-		for i := range dy {
+		xs := r.lastX[s][:len(dy)]
+		dx := dX[s][:len(dy)]
+		for i, g := range dy {
 			if xs[i] > 0 {
-				dx[i] = dy[i]
+				dx[i] = g
+			} else {
+				dx[i] = 0
 			}
 		}
-		dX[s] = dx
 	}
 	return dX
 }
@@ -252,9 +345,10 @@ func (r *ReLU) FlopsPerSample() float64 { return 0 }
 // y = x + f(x), the defining structure of ResNets. Inner input and output
 // dimensions must match.
 type Residual struct {
-	inner []Layer
-	offs  []int
-	total int
+	inner    []Layer
+	offs     []int
+	total    int
+	fwd, bwd Workspace
 }
 
 // NewResidual constructs a residual block over the inner layers.
@@ -279,20 +373,21 @@ func (r *Residual) Init(params []float64, rng *rand.Rand) {
 
 // Forward computes x + f(x).
 func (r *Residual) Forward(params []float64, x [][]float64) [][]float64 {
+	w := width("Residual", x)
 	y := x
 	for i, l := range r.inner {
 		y = l.Forward(params[r.offs[i]:r.offs[i]+l.NumParams()], y)
 	}
-	out := make([][]float64, len(x))
-	for s := range x {
-		if len(y[s]) != len(x[s]) {
+	out := r.fwd.Rows(len(x), w)
+	for s, xs := range x {
+		if len(y[s]) != w {
 			panic("nn: residual inner output dimension mismatch")
 		}
-		ys := make([]float64, len(x[s]))
-		for i := range ys {
-			ys[i] = x[s][i] + y[s][i]
+		ys := y[s][:len(xs)]
+		zs := out[s][:len(xs)]
+		for i, v := range xs {
+			zs[i] = v + ys[i]
 		}
-		out[s] = ys
 	}
 	return out
 }
@@ -304,13 +399,13 @@ func (r *Residual) Backward(params, grads []float64, dOut [][]float64) [][]float
 		l := r.inner[i]
 		dInner = l.Backward(params[r.offs[i]:r.offs[i]+l.NumParams()], grads[r.offs[i]:r.offs[i]+l.NumParams()], dInner)
 	}
-	dX := make([][]float64, len(dOut))
-	for s := range dOut {
-		dx := make([]float64, len(dOut[s]))
-		for i := range dx {
-			dx[i] = dOut[s][i] + dInner[s][i]
+	dX := r.bwd.Rows(len(dOut), width("Residual", dOut))
+	for s, dy := range dOut {
+		di := dInner[s][:len(dy)]
+		dx := dX[s][:len(dy)]
+		for i, g := range dy {
+			dx[i] = g + di[i]
 		}
-		dX[s] = dx
 	}
 	return dX
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -287,6 +288,67 @@ func TestDenseRejectsWrongInputSize(t *testing.T) {
 	}()
 	n := NewNet(1, NewDense(3, 2))
 	n.Forward([][]float64{{1, 2}})
+}
+
+func TestEmptyBatchGivesEmptyResults(t *testing.T) {
+	// A rank whose data shard is empty still runs a zero-sample batch, after
+	// workspaces have been sized by earlier batches and before any has.
+	n := NewNet(1, NewDense(3, 4), NewReLU(), NewResidual(NewDense(4, 4), NewReLU(), NewDense(4, 4)), NewDense(4, 2))
+	for _, warm := range []bool{false, true} {
+		if warm {
+			x := [][]float64{{1, -2, 3}, {0.5, 0, -1}}
+			_, d, _ := SoftmaxCE(n.Forward(x), []int{0, 1})
+			n.Backward(d)
+		}
+		logits := n.Forward(nil)
+		loss, d, correct := SoftmaxCE(logits, nil)
+		n.Backward(d)
+		if len(logits) != 0 || len(d) != 0 || loss != 0 || correct != 0 {
+			t.Fatalf("warm=%v: empty batch gave %d logits, %d gradient rows, loss %g, %d correct", warm, len(logits), len(d), loss, correct)
+		}
+	}
+}
+
+func TestRaggedBatchesPanic(t *testing.T) {
+	ragged := [][]float64{{1, 2, 3, 4}, {1, 2}}
+	cases := map[string]func(){
+		"Dense forward":    func() { NewDense(4, 2).Forward(make([]float64, 10), ragged) },
+		"ReLU forward":     func() { NewReLU().Forward(nil, ragged) },
+		"Residual forward": func() { NewResidual(NewReLU()).Forward(nil, ragged) },
+		"SoftmaxCE":        func() { SoftmaxCE(ragged, []int{0, 0}) },
+		"Dense backward": func() {
+			d := NewDense(2, 4)
+			params := make([]float64, d.NumParams())
+			d.Forward(params, [][]float64{{1, 2}, {3, 4}})
+			d.Backward(params, make([]float64, d.NumParams()), ragged)
+		},
+		"ReLU backward": func() {
+			r := NewReLU()
+			r.Forward(nil, [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}})
+			r.Backward(nil, nil, ragged)
+		},
+		"Residual backward": func() {
+			r := NewResidual(NewReLU())
+			r.Forward(nil, [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}})
+			r.Backward(nil, nil, ragged)
+		},
+		"batch mismatch": func() {
+			r := NewReLU()
+			r.Forward(nil, [][]float64{{1, 2}})
+			r.Backward(nil, nil, [][]float64{{1, 2}, {3, 4}})
+		},
+	}
+	for name, call := range cases {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "nn: ") {
+					t.Errorf("%s: panic %q, want an nn: message", name, msg)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 func TestFlopsAccounting(t *testing.T) {

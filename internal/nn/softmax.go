@@ -9,10 +9,16 @@ import (
 // logits against integer labels, the gradient dL/dLogits (already averaged
 // over the batch), and the top-1 correct count.
 func SoftmaxCE(logits [][]float64, labels []int) (loss float64, dLogits [][]float64, correct int) {
+	return SoftmaxCEInto(new(Workspace), logits, labels)
+}
+
+// SoftmaxCEInto is SoftmaxCE with dL/dLogits written to rows of ws, which
+// stay valid until ws is next used.
+func SoftmaxCEInto(ws *Workspace, logits [][]float64, labels []int) (loss float64, dLogits [][]float64, correct int) {
 	if len(logits) != len(labels) {
 		panic("nn: batch size mismatch")
 	}
-	dLogits = make([][]float64, len(logits))
+	dLogits = ws.Rows(len(logits), width("SoftmaxCE", logits))
 	batch := float64(len(logits))
 	for s, z := range logits {
 		y := labels[s]
@@ -36,12 +42,11 @@ func SoftmaxCE(logits [][]float64, labels []int) (loss float64, dLogits [][]floa
 		if argmax == y {
 			correct++
 		}
-		d := make([]float64, len(z))
+		d := dLogits[s]
 		for i, v := range z {
 			d[i] = math.Exp(v-logSum) / batch
 		}
 		d[y] -= 1 / batch
-		dLogits[s] = d
 	}
 	return loss, dLogits, correct
 }

@@ -6,10 +6,16 @@ import (
 )
 
 // MLPTask adapts a residual MLP over a dense dataset shard to the Task
-// interface (the CIFAR-10 and ImageNet-shaped experiments).
+// interface (the CIFAR-10 and ImageNet-shaped experiments). Step and Eval
+// reuse the task's batch rows, labels and dL/dLogits, so once they have
+// seen the largest batch a training step allocates nothing.
 type MLPTask struct {
 	Net   *nn.Net
 	Shard *data.DenseDataset
+
+	x       [][]float64
+	y       []int
+	dLogits nn.Workspace
 }
 
 // NumSamples returns the shard size.
@@ -24,30 +30,33 @@ func (t *MLPTask) Grads() []float64 { return t.Net.Grads() }
 // ZeroGrads clears the gradient buffer.
 func (t *MLPTask) ZeroGrads() { t.Net.ZeroGrads() }
 
-// Step runs one forward+backward pass over the given shard rows.
-func (t *MLPTask) Step(idx []int) (float64, int) {
-	x := make([][]float64, len(idx))
-	y := make([]int, len(idx))
+// batch points the task's reused rows and labels at the given shard rows.
+func (t *MLPTask) batch(idx []int) ([][]float64, []int) {
+	if cap(t.x) < len(idx) {
+		t.x = make([][]float64, len(idx))
+		t.y = make([]int, len(idx))
+	}
+	x, y := t.x[:len(idx)], t.y[:len(idx)]
 	for i, s := range idx {
 		x[i] = t.Shard.X[s]
 		y[i] = t.Shard.Y[s]
 	}
-	logits := t.Net.Forward(x)
-	loss, dLogits, correct := nn.SoftmaxCE(logits, y)
+	return x, y
+}
+
+// Step runs one forward+backward pass over the given shard rows.
+func (t *MLPTask) Step(idx []int) (float64, int) {
+	x, y := t.batch(idx)
+	loss, dLogits, correct := nn.SoftmaxCEInto(&t.dLogits, t.Net.Forward(x), y)
 	t.Net.Backward(dLogits)
 	return loss, correct
 }
 
 // Eval runs forward only, returning summed loss and top-1/top-5 counts.
 func (t *MLPTask) Eval(idx []int) (float64, int, int) {
-	x := make([][]float64, len(idx))
-	y := make([]int, len(idx))
-	for i, s := range idx {
-		x[i] = t.Shard.X[s]
-		y[i] = t.Shard.Y[s]
-	}
+	x, y := t.batch(idx)
 	logits := t.Net.Forward(x)
-	loss, _, top1 := nn.SoftmaxCE(logits, y)
+	loss, _, top1 := nn.SoftmaxCEInto(&t.dLogits, logits, y)
 	top5 := nn.TopKCorrect(logits, y, 5)
 	return loss * float64(len(idx)), top1, top5
 }
