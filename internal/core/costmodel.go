@@ -169,8 +169,12 @@ func ChooseAutoLevels(s CostScenario) (Algorithm, int, int) {
 		alg    Algorithm
 		levels int
 	}
-	var candidates []cand
-	var depths []int
+	// Depths run 2..L ≤ simnet.MaxLevels and a regime adds at most two flat
+	// candidates, so both lists fit arrays on the stack: Auto prices every
+	// call without allocating.
+	var depthBuf [simnet.MaxLevels]int
+	var candBuf [simnet.MaxLevels + 1]cand
+	candidates, depths := candBuf[:0], depthBuf[:0]
 	h := s.hierarchy()
 	for d := 2; d <= hierDepth(h, s.Levels); d++ {
 		if hierExploitable(h, d, s.P) {

@@ -240,6 +240,19 @@ func TestChooseAutoDeterministicAndFlatSafe(t *testing.T) {
 	}
 }
 
+// TestChooseAutoLevelsDoesNotAllocate: Auto prices every call, so its
+// candidate and depth lists live on the stack — on a three-level machine
+// (the longest lists), in both regimes, with the chunk search on.
+func TestChooseAutoLevelsDoesNotAllocate(t *testing.T) {
+	topo := simnet.DragonflyLike(4, 4)
+	for _, k := range []int{64, 1 << 15} {
+		s := CostScenario{N: 1 << 16, P: 64, K: k, Profile: simnet.Aries, Hier: &topo, Chunks: AutoChunks}
+		if allocs := testing.AllocsPerRun(50, func() { ChooseAutoLevels(s) }); allocs != 0 {
+			t.Errorf("K=%d: ChooseAutoLevels made %.0f allocations, want 0", k, allocs)
+		}
+	}
+}
+
 // TestPredictSeconds panics on unpriced algorithms and bad scenarios.
 func TestPredictSecondsValidation(t *testing.T) {
 	s := CostScenario{N: 100, P: 4, K: 10, Profile: simnet.Aries}

@@ -25,22 +25,40 @@ func AllreduceDense(p *comm.Proc, x []float64, op stream.Op) []float64 {
 // AllreduceDenseRecDouble implements dense recursive doubling: log2(P)
 // exchange-and-combine stages (with a pre/post fold when P is not a power
 // of two). Cost: ~log2(P)·(α + N·isize·β).
+//
+// Only the first send allocates. An arrival belongs to its receiver (the
+// Message ownership rule), so absorbing one combines it into acc and writes
+// the sum back into the arrival, and the next stage — or the fold-out —
+// sends the arrival on in the same interface value it came in, with
+// nothing allocated or re-boxed. A rank that received a fold-in sends that
+// at stage 0, and a fold-out receiver adopts its arrival as its result.
+// Every rank's result is its own acc or its own arrival, never an array
+// another rank still holds.
 func AllreduceDenseRecDouble(p *comm.Proc, x []float64, op stream.Op, valueBytes, base int) []float64 {
 	acc := append([]float64(nil), x...)
 	bytes := len(acc) * valueBytes
+	var spare any // the last arrival, holding acc's values; this rank's to send on
 	butterfly(p, p.Size(), base, false,
 		func(stage, _ int) (any, int) {
-			if stage == stageFoldIn {
-				return acc, bytes // handed off: this rank's result arrives with the fold-out
+			out := spare
+			switch {
+			case stage == stageFoldIn:
+				out = acc // handed off: this rank's result arrives with the fold-out
+			case out == nil:
+				out = append([]float64(nil), acc...)
 			}
-			return append([]float64(nil), acc...), bytes
+			spare = nil
+			return out, bytes
 		},
 		func(stage, _ int, in any) {
+			arrival := in.([]float64)
 			if stage == stageFoldOut {
-				acc = append([]float64(nil), in.([]float64)...)
+				acc = arrival
 				return
 			}
-			combineDense(p, acc, in.([]float64), op)
+			combineDense(p, acc, arrival, op)
+			copy(arrival, acc)
+			spare = in
 		}, nil)
 	return acc
 }

@@ -1,6 +1,9 @@
 package stream
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Add reduces other into v coordinate-wise under v's operation, mutating v
 // and possibly switching it to the dense representation. This implements
@@ -59,40 +62,74 @@ func (v *Vector) mergeSparse(other *Vector) {
 		make([]int32, 0, bound), make([]float64, 0, bound))
 }
 
-// mergeSparseInto appends the sorted two-way merge of v and other into the
-// provided buffers and returns them (the scratch-pooled twin of
-// mergeSparse; see AddInto).
+// mergeSparseInto writes the sorted two-way merge of v and other into the
+// provided buffers, whose capacity must be at least |v|+|other|, and returns
+// them cut to the merged length (the scratch-pooled twin of mergeSparse; see
+// AddInto). Distinct keys go through the branch-free mergeDistinct; a run
+// of equal keys is folded here with Combine, dropping the neutral element
+// exactly as a three-way merge does, so the output is bit-identical to one
+// (FuzzTwoWayMergeEquivalence). The equal-key branch is rare on random
+// supports and always taken on identical ones, so it predicts well either
+// way.
 func (v *Vector) mergeSparseInto(other *Vector, idx []int32, val []float64) ([]int32, []float64) {
 	a, av := v.idx, v.val
 	b, bv := other.idx, other.val
-	i, j := 0, 0
+	idx, val = idx[:len(a)+len(b)], val[:len(a)+len(b)]
+	neutral := v.op.Neutral()
+	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			idx = append(idx, a[i])
-			val = append(val, av[i])
-			i++
-		case a[i] > b[j]:
-			idx = append(idx, b[j])
-			val = append(val, bv[j])
-			j++
-		default:
-			combined := v.op.Combine(av[i], bv[j])
+		i, j, k = mergeDistinct(a, av, b, bv, idx, val, i, j, k)
+		for i < len(a) && j < len(b) && a[i] == b[j] {
 			// Cancellation can re-create the neutral element; drop it to
 			// keep the representation canonical.
-			if combined != v.op.Neutral() {
-				idx = append(idx, a[i])
-				val = append(val, combined)
+			if c := v.op.Combine(av[i], bv[j]); c != neutral {
+				idx[k], val[k] = a[i], c
+				k++
 			}
 			i++
 			j++
 		}
 	}
-	idx = append(idx, a[i:]...)
-	val = append(val, av[i:]...)
-	idx = append(idx, b[j:]...)
-	val = append(val, bv[j:]...)
-	return idx, val
+	copy(val[k:], av[i:])
+	k += copy(idx[k:], a[i:])
+	copy(val[k:], bv[j:])
+	k += copy(idx[k:], b[j:])
+	return idx[:k], val[:k]
+}
+
+// mergeDistinct merges a[i:] and b[j:] into idx/val from position k until
+// one side runs out or the two cursors meet equal keys, and returns the
+// three positions. Recursive doubling merges supports that interleave at
+// random, so a three-way compare would guess wrong on about half the keys;
+// here nothing branches on the comparison. The smaller key and its value
+// are picked with conditional moves — the value as raw bits, because the
+// compiler selects integers without a branch but not floats — and the
+// cursor that advances is the comparison's sign bit. The function holds no
+// call, so its cursors stay in registers (k is i+j plus a constant here),
+// and the loop runs at the latency of one load and compare per output.
+// Small rewrites of the select quietly compile back into branches and then
+// run as slowly as a mispredicting merge: check the disassembly for CMOVs
+// (go build -gcflags=-S ./internal/stream) after touching it.
+func mergeDistinct(a []int32, av []float64, b []int32, bv []float64, idx []int32, val []float64, i, j, k int) (int, int, int) {
+	av, bv = av[:len(a)], bv[:len(b)] // equal lengths drop the value bounds checks
+	val = val[:len(idx)]
+	off := k - i - j
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		if x == y {
+			break
+		}
+		key, bits := y, math.Float64bits(bv[j])
+		if xb := math.Float64bits(av[i]); x < y {
+			key, bits = x, xb
+		}
+		w := i + j + off
+		idx[w], val[w] = key, math.Float64frombits(bits)
+		fromA := int(uint64(int64(x)-int64(y)) >> 63)
+		i += fromA
+		j += 1 - fromA
+	}
+	return i, j, i + j + off
 }
 
 // Concat merges two vectors whose index sets are guaranteed disjoint (the

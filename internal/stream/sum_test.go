@@ -327,15 +327,16 @@ func TestQuickAddIdentity(t *testing.T) {
 	}
 }
 
+// BenchmarkAddSparseSparseMerge times Clone plus Add over 256 distinct
+// random pairs in turn (see BenchmarkAddIntoRotating for why they rotate).
 func BenchmarkAddSparseSparseMerge(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 1 << 20
-	a := randSparseExact(rng, n, 1000)
-	c := randSparseExact(rng, n, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x := a.Clone()
-		x.Add(c)
+	pairs := rotatingPairs(256, 1<<20, 1000)
+	i := 0
+	for b.Loop() {
+		p := pairs[i%len(pairs)]
+		x := p[0].Clone()
+		x.Add(p[1])
+		i++
 	}
 }
 

@@ -4,9 +4,9 @@
 #      exported API packages; docs tables name real identifiers and every
 #      `sparbench -sweep X` names a registered sweep).
 #   2. race-check the concurrency hot spots; fuzz the payload decoder,
-#      quant.Unmarshal, the TCP frame reader, the two merge kernels, the
-#      TopK selection scan, the dense-layer kernels and the Chrome-trace
-#      decoder.
+#      quant.Unmarshal, the TCP frame reader, the two k-way merge kernels,
+#      the two-way merge, the TopK selection scan, the dense-layer kernels
+#      and the Chrome-trace decoder.
 #   3. the wall-clock benchmark's quick run: all six workloads on the
 #      goroutine and loopback-TCP backends, every op bit-checked against
 #      the simulator, goroutine/fd leaks fail the run. It measures nothing
@@ -62,6 +62,9 @@ go test ./internal/comm -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 5s | tail -n
 
 echo "== fuzz the merge kernels (MergeK ≡ chained Add on packed and on strewn keys; windowed scatter ≡ heap pair for pair)"
 go test ./internal/stream -run '^$' -fuzz '^FuzzMergeKEquivalence$' -fuzztime 5s | tail -n 4
+
+echo "== fuzz the two-way merge (the branch-free kernel behind Add/AddInto ≡ the branchy reference, bit for bit and length for length: every Op, cancellation, infinities, NaN, denormals, empty, one-sided, disjoint and identical supports)"
+go test ./internal/stream -run '^$' -fuzz '^FuzzTwoWayMergeEquivalence$' -fuzztime 5s | tail -n 4
 
 echo "== fuzz TopK selection (the per-bucket insertion scan picks what the reference Select picks: ties, signed zeros, infinities, denormals, any k and bucket width)"
 go test ./internal/topk -run '^$' -fuzz '^FuzzSelectEquivalence$' -fuzztime 5s | tail -n 4
