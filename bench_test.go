@@ -104,8 +104,8 @@ func BenchmarkFig3PerAlgorithm(b *testing.B) {
 // BenchmarkHierVsFlat measures the issue's acceptance scenario: a sparse
 // allreduce at N=2^20, d=0.01% on P=32 ranks, once with flat
 // SSAR_Split_allgather on a world priced entirely by the Aries inter-node
-// profile and once with SSAR_Hierarchical on a two-level topology (4
-// ranks/node, NVLink-like intra + Aries inter). The simulated time of the
+// profile and once with the same algorithm at the full depth of a
+// two-level topology (4 ranks/node, NVLink-like intra + Aries inter). The simulated time of the
 // hierarchical variant must come out lower.
 func BenchmarkHierVsFlat(b *testing.B) {
 	const n, P, rpn = 1 << 20, 32, 4
@@ -141,7 +141,7 @@ func BenchmarkHierVsFlat(b *testing.B) {
 		w := comm.NewWorldHier(P, topo)
 		for i := 0; i < b.N; i++ {
 			comm.Run(w, func(p *comm.Proc) any {
-				return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: core.HierSSAR})
+				return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: core.SSARSplitAllgather, Levels: core.AllLevels})
 			})
 		}
 		b.ReportMetric(w.MaxTime()*1e6, "simµs/op")
@@ -163,7 +163,7 @@ func BenchmarkHierSweep(b *testing.B) {
 // --- NIC contention (PR 2) --------------------------------------------------
 
 // BenchmarkHierDSARVsFlatContended measures the dense-regime tentpole
-// scenario: flat DSAR versus DSAR_Hierarchical on the same NIC-serialized
+// scenario: DSAR flat versus at depth 2 on the same NIC-serialized
 // two-level world (P=16, 4 ranks/node, NICSerial=1, d=60%). The
 // hierarchical variant's simulated time must come out lower.
 func BenchmarkHierDSARVsFlatContended(b *testing.B) {
@@ -187,12 +187,12 @@ func BenchmarkHierDSARVsFlatContended(b *testing.B) {
 		inputs[r] = stream.NewSparse(n, idx, val, stream.OpSum)
 	}
 	topo := simnet.TwoLevel(rpn, simnet.NVLinkLike, simnet.Aries, 1)
-	for _, alg := range []core.Algorithm{core.DSARSplitAllgather, core.HierDSAR} {
-		b.Run(alg.String(), func(b *testing.B) {
+	for _, levels := range []int{0, 2} {
+		b.Run(core.ChoiceName(core.DSARSplitAllgather, levels), func(b *testing.B) {
 			w := comm.NewWorldHier(P, topo)
 			for i := 0; i < b.N; i++ {
 				comm.Run(w, func(p *comm.Proc) any {
-					return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: alg})
+					return core.Allreduce(p, inputs[p.Rank()], core.Options{Algorithm: core.DSARSplitAllgather, Levels: levels})
 				})
 			}
 			b.ReportMetric(w.MaxTime()*1e6, "simµs/op")

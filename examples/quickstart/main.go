@@ -70,14 +70,15 @@ func run(out io.Writer, P, n, k int) error {
 	fmt.Fprintf(out, "sparse speedup: %.1fx\n", denseTime/sparseTime)
 
 	// The same sparse reduction on a two-level machine (4 ranks per
-	// node, NVLink-like intra + Aries inter): Auto routes through the
-	// hierarchical algorithm.
+	// node, NVLink-like intra + Aries inter): Auto prices every candidate
+	// flat and at depth 2 (reduce to node leaders, the algorithm among the
+	// leaders, broadcast back) and runs the cheapest.
 	if P >= 8 {
 		nodes := sparcml.NewWorldHier(P, sparcml.TwoLevel(4, sparcml.NVLinkLike, sparcml.Aries, 0))
 		sparcml.Run(nodes, func(c *sparcml.Comm) *sparcml.Vector {
 			return c.Allreduce(rankInput(c.Rank(), n, k), sparcml.Options{})
 		})
-		fmt.Fprintf(out, "simulated time on 4-GPU nodes (hierarchical): %.1fµs\n", nodes.SimTime()*1e6)
+		fmt.Fprintf(out, "simulated time on 4-GPU nodes (Auto, flat or hierarchical): %.1fµs\n", nodes.SimTime()*1e6)
 	}
 
 	// Steady-state training loops reuse per-rank buffer pools: after a

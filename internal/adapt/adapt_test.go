@@ -56,7 +56,7 @@ func TestAdaptiveMatchesStaticOnStationaryUniform(t *testing.T) {
 	w := comm.NewWorld(P, simnet.Aries)
 	ctrls, got := runAdaptive(t, w, Config{}, sched)
 
-	wantAlg := core.ChooseAuto(core.CostScenario{N: n, P: P, K: sched[5][0].NNZ(), Profile: simnet.Aries})
+	wantAlg, _, _ := core.ChooseAutoLevels(core.CostScenario{N: n, P: P, K: sched[5][0].NNZ(), Profile: simnet.Aries})
 	alg, levels := ctrls[0].Choice()
 	if alg != wantAlg || levels != 0 {
 		t.Fatalf("adaptive settled on %s@%d, static Auto picks %s", alg, levels, wantAlg)
@@ -89,7 +89,7 @@ func TestAdaptiveDetectsClusteredGateFlip(t *testing.T) {
 	P, n, k := 16, 1<<16, 5000
 	sched := scheduleOf(37, n, P, 8, func(int) int { return k }, func(int) string { return "clustered" })
 
-	staticAlg := core.ChooseAuto(core.CostScenario{N: n, P: P, K: k, Profile: simnet.Aries})
+	staticAlg, _, _ := core.ChooseAutoLevels(core.CostScenario{N: n, P: P, K: k, Profile: simnet.Aries})
 	if staticAlg != core.DSARSplitAllgather {
 		t.Fatalf("precondition: static uniform Auto should pick the dense family here, got %s", staticAlg)
 	}
@@ -252,7 +252,7 @@ func runAdaptiveWithOpts(t *testing.T, w *comm.World, schedule [][]*stream.Vecto
 }
 
 // TestAdaptiveOnHierarchyWorld: the controller must run (and agree) on an
-// N-level hierarchy world, picking a hierarchical algorithm with a depth,
+// N-level hierarchy world, picking a sparse-result algorithm with a depth,
 // and the calibrator must see per-level samples.
 func TestAdaptiveOnHierarchyWorld(t *testing.T) {
 	P := 32
@@ -262,8 +262,8 @@ func TestAdaptiveOnHierarchyWorld(t *testing.T) {
 	ctrls, results := runAdaptive(t, w, Config{}, sched)
 
 	alg, levels := ctrls[0].Choice()
-	if alg != core.HierSSAR {
-		t.Fatalf("latency-bound sparse instance on a Dragonfly world should pick HierSSAR, got %s@%d", alg, levels)
+	if alg != core.SSARRecDouble && alg != core.SSARSplitAllgather {
+		t.Fatalf("latency-bound sparse instance on a Dragonfly world should pick an SSAR algorithm, got %s@%d", alg, levels)
 	}
 	if levels < 2 {
 		t.Fatalf("hierarchical pick should carry a depth >= 2, got %d", levels)

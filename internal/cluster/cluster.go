@@ -452,10 +452,7 @@ func (c *Cluster) startStep(js *jobState) {
 		js.stats.Switches++
 	}
 	js.alg, js.levels, js.chunks, js.decided = alg, levels, chunks, true
-	js.stats.Algorithm = alg.String()
-	if levels > 0 {
-		js.stats.Algorithm = fmt.Sprintf("%s@%d", alg, levels)
-	}
+	js.stats.Algorithm = core.ChoiceName(alg, levels)
 
 	c.adjustFlows(js.slots, +1)
 	opts := core.Options{Algorithm: alg, Levels: levels, Chunks: chunks}

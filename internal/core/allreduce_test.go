@@ -161,8 +161,7 @@ func runAllreduce(t *testing.T, P int, inputs []*stream.Vector, opts Options) []
 
 var allAlgorithms = []Algorithm{
 	SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather,
-	DenseRecDouble, DenseRabenseifner, DenseRing, RingSparse,
-	HierSSAR, HierDSAR, Auto,
+	DenseRecDouble, DenseRabenseifner, DenseRing, RingSparse, Auto,
 }
 
 func TestAllreduceAllAlgorithmsAllPatterns(t *testing.T) {

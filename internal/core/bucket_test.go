@@ -198,7 +198,7 @@ func fillCap[T any](b []T, x T) {
 // TestBucketIssueOwnsFusedInput: with one pool per bucket, Issue fuses
 // each bucket into its pool and the bucket's collective releases the fused
 // input there when it finishes. Over every algorithm, world size and
-// in-process backend, pooled buckets must return exactly what a blocking
+// in-process backend, flat and at full depth, pooled buckets must return exactly what a blocking
 // unpooled allreduce of each fused bucket does — on a second step, too,
 // after the first step's results were released into the pools and rebuilt
 // from them — and must keep returning it after every buffer left in the
@@ -217,51 +217,53 @@ func TestBucketIssueOwnsFusedInput(t *testing.T) {
 		{"goroutine", func(P int) *comm.World { return comm.NewWorldHier(P, mach).UseGoroutineTransport() }},
 	}
 	rng := rand.New(rand.NewSource(8106))
-	for alg := Auto; alg <= HierDSAR; alg++ {
-		opts := []Options{
-			{Algorithm: alg, Chunks: 2, Seed: 3},
-			{Algorithm: alg, Quant: &quant.Config{Bits: 4, Bucket: 64, Norm: quant.NormMax}, Seed: 4},
-		}
-		for _, P := range []int{1, 2, 3, 8} {
-			inputs := bucketInputs(rng, n, spans, P)
-			for _, be := range backends {
-				plain := comm.Run(be.mk(P), func(p *comm.Proc) []*stream.Vector {
-					sums := make([]*stream.Vector, B)
-					for b := range sums {
-						sums[b] = Allreduce(p, s.Fuse(b, inputs[p.Rank()], nil), opts[b])
-					}
-					return sums
-				})
-				pools := make([][]*stream.Scratch, P)
-				pooled := comm.Run(be.mk(P), func(p *comm.Proc) []*stream.Vector {
-					pools[p.Rank()] = make([]*stream.Scratch, B)
-					o := append([]Options(nil), opts...)
-					for b := range o {
-						o[b].Scratch = stream.NewScratch()
-						pools[p.Rank()][b] = o[b].Scratch
-					}
-					for b, sum := range s.Drain(p, s.Issue(p, inputs[p.Rank()], o)) {
-						o[b].Scratch.Release(sum)
-					}
-					return s.Drain(p, s.Issue(p, inputs[p.Rank()], o))
-				})
-				check := func(when string) {
-					for r := range plain {
-						for b := range plain[r] {
-							if !bytes.Equal(pooled[r][b].AppendWire(nil), plain[r][b].AppendWire(nil)) {
-								t.Fatalf("%s P=%d %s rank %d bucket %d: pooled result differs from unpooled %s",
-									alg, P, be.name, r, b, when)
+	for alg := Auto; alg <= RingSparse; alg++ {
+		for _, levels := range []int{0, AllLevels} {
+			opts := []Options{
+				{Algorithm: alg, Levels: levels, Chunks: 2, Seed: 3},
+				{Algorithm: alg, Levels: levels, Quant: &quant.Config{Bits: 4, Bucket: 64, Norm: quant.NormMax}, Seed: 4},
+			}
+			for _, P := range []int{1, 2, 3, 8} {
+				inputs := bucketInputs(rng, n, spans, P)
+				for _, be := range backends {
+					plain := comm.Run(be.mk(P), func(p *comm.Proc) []*stream.Vector {
+						sums := make([]*stream.Vector, B)
+						for b := range sums {
+							sums[b] = Allreduce(p, s.Fuse(b, inputs[p.Rank()], nil), opts[b])
+						}
+						return sums
+					})
+					pools := make([][]*stream.Scratch, P)
+					pooled := comm.Run(be.mk(P), func(p *comm.Proc) []*stream.Vector {
+						pools[p.Rank()] = make([]*stream.Scratch, B)
+						o := append([]Options(nil), opts...)
+						for b := range o {
+							o[b].Scratch = stream.NewScratch()
+							pools[p.Rank()][b] = o[b].Scratch
+						}
+						for b, sum := range s.Drain(p, s.Issue(p, inputs[p.Rank()], o)) {
+							o[b].Scratch.Release(sum)
+						}
+						return s.Drain(p, s.Issue(p, inputs[p.Rank()], o))
+					})
+					check := func(when string) {
+						for r := range plain {
+							for b := range plain[r] {
+								if !bytes.Equal(pooled[r][b].AppendWire(nil), plain[r][b].AppendWire(nil)) {
+									t.Fatalf("%s P=%d %s rank %d bucket %d: pooled result differs from unpooled %s",
+										ChoiceName(alg, levels), P, be.name, r, b, when)
+								}
 							}
 						}
 					}
-				}
-				check("as returned")
-				for _, ps := range pools {
-					for _, sc := range ps {
-						poison(sc)
+					check("as returned")
+					for _, ps := range pools {
+						for _, sc := range ps {
+							poison(sc)
+						}
 					}
+					check("once the pools were overwritten")
 				}
-				check("once the pools were overwritten")
 			}
 		}
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // TestChunkedEqualsUnchunked is the chunked-pipeline property test: for
-// every algorithm, on flat, ragged two-level, and ragged three-level
-// worlds, with plain and QSGD-quantized payloads, the pipelined execution
+// every algorithm, flat and at full depth, on flat, ragged two-level, and
+// ragged three-level worlds, with plain and QSGD-quantized payloads, the pipelined execution
 // at Chunks ∈ {2, 4, 8} must produce results bit-identical to the
 // unchunked (Chunks=1) pass on every rank. Dyadic values make float
 // addition exact, so the chunk merges' different fold order cannot hide
@@ -49,23 +49,25 @@ func TestChunkedEqualsUnchunked(t *testing.T) {
 					}
 				}
 				for _, alg := range allAlgorithms {
-					if qc != nil && alg != DSARSplitAllgather && alg != HierDSAR {
+					if qc != nil && alg != DSARSplitAllgather {
 						continue // quantization applies to the dense-allgather family
 					}
-					run := func(chunks int) []*stream.Vector {
-						w := wc.mk(wc.P)
-						return comm.Run(w, func(p *comm.Proc) *stream.Vector {
-							return Allreduce(p, inputs[p.Rank()],
-								Options{Algorithm: alg, Chunks: chunks, Quant: qc, Seed: 7})
-						})
-					}
-					base := run(1)
-					for _, C := range []int{2, 4, 8} {
-						got := run(C)
-						for r := range got {
-							if !vectorsEqual(base[r], got[r]) {
-								t.Fatalf("%s chunks=%d quant=%d rank=%d: result differs from unchunked",
-									alg, C, qi, r)
+					for _, levels := range []int{0, AllLevels} {
+						run := func(chunks int) []*stream.Vector {
+							w := wc.mk(wc.P)
+							return comm.Run(w, func(p *comm.Proc) *stream.Vector {
+								return Allreduce(p, inputs[p.Rank()],
+									Options{Algorithm: alg, Levels: levels, Chunks: chunks, Quant: qc, Seed: 7})
+							})
+						}
+						base := run(1)
+						for _, C := range []int{2, 4, 8} {
+							got := run(C)
+							for r := range got {
+								if !vectorsEqual(base[r], got[r]) {
+									t.Fatalf("%s chunks=%d quant=%d rank=%d: result differs from unchunked",
+										ChoiceName(alg, levels), C, qi, r)
+								}
 							}
 						}
 					}

@@ -49,9 +49,11 @@ type CostScenario struct {
 	// every level it escapes. Nil means the flat network of Profile
 	// (simnet.Flat). Read-only: scenarios share their world's value.
 	Hier *simnet.Hierarchy
-	// Levels caps the hierarchical algorithms' modeled recursion depth,
-	// mirroring Options.Levels: 0 prices the full hierarchy; d >= 2 prices
-	// the depth-d truncation (ChooseAutoLevels searches the depths).
+	// Levels is the depth the algorithm is priced at, mirroring
+	// Options.Levels: 0 and 1 price it flat, d >= 2 at depth d (capped at
+	// the machine's, flat when that depth has nothing to exploit).
+	// ChooseAutoLevels reads it as Auto does, as the cap on the depths it
+	// searches (0: every depth).
 	Levels int
 	// Chunks is the split-phase pipelining degree, mirroring
 	// Options.Chunks: values ≤ 1 price the unchunked split phase; C ≥ 2
@@ -121,89 +123,99 @@ const DefaultHotFraction = 0.1
 const DefaultHotMass = 0.7
 
 // PredictSeconds returns the modeled completion time in simulated seconds
-// of one allreduce under the scenario. Supported algorithms are the Auto
-// candidates: SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather,
-// HierSSAR, and HierDSAR (the hierarchical two — priced at the scenario's
-// Levels depth — degrade to their flat counterparts when the scenario has
-// no exploitable hierarchy); other algorithms panic. The estimate tracks
-// the simulator's charging rules on uniform supports and is intended for
-// ranking algorithms, not for exact time prediction.
+// of one allreduce under the scenario, at the scenario's Levels depth.
+// Supported algorithms are the Auto candidates: SSARRecDouble,
+// SSARSplitAllgather and DSARSplitAllgather; other algorithms panic. The
+// estimate tracks the simulator's charging rules on uniform supports and is
+// intended for ranking algorithms, not for exact time prediction.
 func PredictSeconds(alg Algorithm, s CostScenario) float64 {
 	if s.N <= 0 || s.P <= 0 || s.K < 0 {
 		panic("core: CostScenario needs N > 0, P > 0, K >= 0")
 	}
 	switch alg {
-	case SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather, HierSSAR, HierDSAR:
+	case SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather:
 		return s.predict(alg, s.hierarchy())
 	default:
 		panic("core: no cost model for " + alg.String())
 	}
 }
 
-// ChooseAuto returns the algorithm Auto resolves to under the scenario;
-// see ChooseAutoLevels for the depth and chunk count it pairs with it.
-func ChooseAuto(s CostScenario) Algorithm {
-	alg, _, _ := ChooseAutoLevels(s)
-	return alg
+// ChooseAutoLevels returns the algorithm Auto resolves to under the
+// scenario together with the hierarchy depth it should run at (0 for flat
+// choices) and the split-phase chunk count it should pipeline at (1 when
+// the scenario does not opt into the chunk search). The paper's δ gate
+// first fixes the result representation — expected fill-in E[K] ≥ δ means
+// the reduced vector densifies, so only the DSAR family (which also honors
+// quantization) is eligible; below δ only the sparse-result SSAR family
+// is. The family's algorithms are then priced by PredictSeconds flat and,
+// when the machine hierarchy is exploitable, at every usable depth from 2
+// tiers up to the full hierarchy (or the scenario's Levels, when set) —
+// at a depth, the sparse family by the one algorithm AutoSSARAtDepth names
+// — and the cheapest wins. Ties keep the earliest candidate: shallower
+// before deeper, and flat recursive doubling before flat split allgather.
+// When the scenario's Chunks is the AutoChunks sentinel, each candidate is
+// priced at its ChooseChunks-best pipelining degree and the returned chunk
+// count is the winner's; any other Chunks value is passed through
+// unchanged, so the default 0 prices every candidate unchunked. Nothing is
+// allocated: Auto prices every call.
+func ChooseAutoLevels(s CostScenario) (Algorithm, int, int) {
+	family := []Algorithm{SSARRecDouble, SSARSplitAllgather}
+	dense := s.fill(s.P) >= float64(s.deltaOr())
+	if dense {
+		family = []Algorithm{DSARSplitAllgather}
+	}
+	h := s.hierarchy()
+	maxDepth := h.Depth()
+	if s.Levels > 0 {
+		maxDepth = min(s.Levels, maxDepth)
+	}
+	bestAlg, bestLevels, bestChunks, bestT := family[0], 0, s.Chunks, math.Inf(1)
+	for levels := 0; levels <= maxDepth; levels++ {
+		if levels == 1 || levels > 1 && !hierExploitable(h, levels, s.P) {
+			continue // 0 already priced flat
+		}
+		for _, alg := range family {
+			if levels > 1 && !dense && alg != s.autoSSARAtDepth(h, levels) {
+				continue
+			}
+			sc := s
+			sc.Levels = levels
+			if s.Chunks == AutoChunks {
+				sc.Chunks = ChooseChunks(alg, sc)
+			}
+			if t := PredictSeconds(alg, sc); t < bestT {
+				bestAlg, bestLevels, bestChunks, bestT = alg, levels, sc.Chunks, t
+			}
+		}
+	}
+	return bestAlg, bestLevels, bestChunks
 }
 
-// ChooseAutoLevels returns the algorithm Auto resolves to under the
-// scenario together with the hierarchy depth the hierarchical algorithms
-// should run at (0 for flat choices) and the split-phase chunk count the
-// winner should pipeline at (1 when the scenario does not opt into the
-// chunk search). The paper's δ gate first fixes the result
-// representation — expected fill-in E[K] ≥ δ means the reduced vector
-// densifies, so only the DSAR family (which also honors quantization) is
-// eligible; below δ only the sparse-result SSAR family is. Within the
-// regime the candidates — the flat algorithm plus, when the machine
-// hierarchy is exploitable, the hierarchical algorithm at every usable
-// depth from 2 tiers up to the full hierarchy — are priced by
-// PredictSeconds and the cheapest wins (ties keep the earliest candidate:
-// flat before hierarchical, shallower before deeper). When the scenario's
-// Chunks is the AutoChunks sentinel, each candidate is priced at its
-// ChooseChunks-best pipelining degree and the returned chunk count is the
-// winner's; any other Chunks value is passed through unchanged, so the
-// default 0 prices every candidate unchunked exactly as before.
-func ChooseAutoLevels(s CostScenario) (Algorithm, int, int) {
-	type cand struct {
-		alg    Algorithm
-		levels int
+// smallTopBytes is the wire size of a top-phase participant's input up to
+// which Auto prices the sparse family at depth ≥ 2 as recursive doubling,
+// and as split allgather past it.
+const smallTopBytes = 64 << 10
+
+// AutoSSARAtDepth returns the one sparse-result algorithm Auto prices at
+// depth levels ≥ 2 of the scenario's machine: SSARRecDouble when the
+// expected union a top-phase participant enters with — the inputs of one
+// level-(levels−2) group — fits smallTopBytes on the wire, and
+// SSARSplitAllgather otherwise. This is the rule the leaders once applied
+// at run time to their agreed accumulation, before the top phase became
+// the pinned algorithm itself, so Auto's decisions are the ones it made
+// then. Pricing both algorithms at every depth is the wider search ROADMAP
+// item 3 keeps open: the model then picks split allgather at depth 3 on
+// DragonflyLike spread placements that the simulator charges more.
+func AutoSSARAtDepth(s CostScenario, levels int) Algorithm {
+	return s.autoSSARAtDepth(s.hierarchy(), levels)
+}
+
+func (s CostScenario) autoSSARAtDepth(h simnet.Hierarchy, levels int) Algorithm {
+	kp := s.fill(h.Span(levels - 2))
+	if stream.HeaderBytes+int(kp)*(stream.IndexBytes+s.valueBytesOr()) <= smallTopBytes {
+		return SSARRecDouble
 	}
-	// Depths run 2..L ≤ simnet.MaxLevels and a regime adds at most two flat
-	// candidates, so both lists fit arrays on the stack: Auto prices every
-	// call without allocating.
-	var depthBuf [simnet.MaxLevels]int
-	var candBuf [simnet.MaxLevels + 1]cand
-	candidates, depths := candBuf[:0], depthBuf[:0]
-	h := s.hierarchy()
-	for d := 2; d <= hierDepth(h, s.Levels); d++ {
-		if hierExploitable(h, d, s.P) {
-			depths = append(depths, d)
-		}
-	}
-	if s.fill(s.P) >= float64(s.deltaOr()) {
-		candidates = append(candidates, cand{DSARSplitAllgather, 0})
-		for _, d := range depths {
-			candidates = append(candidates, cand{HierDSAR, d})
-		}
-	} else {
-		candidates = append(candidates, cand{SSARRecDouble, 0}, cand{SSARSplitAllgather, 0})
-		for _, d := range depths {
-			candidates = append(candidates, cand{HierSSAR, d})
-		}
-	}
-	best, bestChunks, bestT := candidates[0], s.Chunks, math.Inf(1)
-	for _, c := range candidates {
-		sc := s
-		sc.Levels = c.levels
-		if s.Chunks == AutoChunks {
-			sc.Chunks = ChooseChunks(c.alg, sc)
-		}
-		if t := PredictSeconds(c.alg, sc); t < bestT {
-			best, bestChunks, bestT = c, sc.Chunks, t
-		}
-	}
-	return best.alg, best.levels, bestChunks
+	return SSARSplitAllgather
 }
 
 // chunkCandidates are the pipelining degrees the chunk search prices.
@@ -216,12 +228,12 @@ var chunkCandidates = [...]int{1, 2, 4, 8}
 // each candidate degree in chunkCandidates is priced by PredictSeconds
 // with CostScenario.Chunks pinned to it and the strictly cheapest wins,
 // so ties keep the smaller count and algorithms whose price ignores
-// Chunks (the rec-double family, or a hier top phase that resolves to
-// rec-double) return 1. Like every Auto decision the result depends only
-// on the agreed scenario, so all ranks pick the same degree.
+// Chunks (recursive doubling, at any depth) return 1. Like every Auto
+// decision the result depends only on the agreed scenario, so all ranks
+// pick the same degree.
 func ChooseChunks(alg Algorithm, s CostScenario) int {
 	switch alg {
-	case SSARSplitAllgather, DSARSplitAllgather, HierSSAR, HierDSAR:
+	case SSARSplitAllgather, DSARSplitAllgather:
 	default:
 		return 1
 	}
@@ -395,18 +407,16 @@ func pipe(S, M float64, C int) float64 {
 	return S + M/float64(C)
 }
 
-// predict prices one allreduce as the one scheme all five priced
-// algorithms are instances of: up-sweep reduces over hierarchy levels
-// 0..L−2, a top phase among m = ⌈P/stride⌉ participants — one per `stride`
-// consecutive ranks, each entering with the union of its stride inputs —
-// and the mirrored down-sweep broadcasts of the result. The flat algorithms
+// predict prices one allreduce as the one scheme every priced algorithm
+// runs at every depth: up-sweep reduces over hierarchy levels 0..L−2, the
+// algorithm itself as the top phase among m = ⌈P/stride⌉ participants —
+// one per `stride` consecutive ranks, each entering with the union of its
+// stride inputs — and the mirrored down-sweep broadcasts of the result.
+// L is the scenario's depth and stride = Span(L−2); the flat algorithms
 // are the depth-1 case: L = 1, stride = 1, m = P, no sweeps, every rank a
-// participant holding its own K non-zeros. HierSSAR and HierDSAR take
-// L = the scenario's depth and stride = Span(L−2), and are priced as that
-// same depth-1 case (split allgather, DSAR) when that depth has nothing to
-// exploit (hierExploitable), exactly as execution degrades them. HierSSAR's
-// top phase is recursive doubling or split allgather by the wire-size rule
-// the implementation applies to the leaders' agreed size.
+// participant holding its own K non-zeros — which is also how a depth with
+// nothing to exploit (hierExploitable) is priced, exactly as execution
+// runs it.
 //
 // The top-phase helpers take the running total t and return it advanced,
 // rather than returning a subtotal to add: every term then joins the sum in
@@ -416,10 +426,8 @@ func pipe(S, M float64, C int) float64 {
 // gated BENCH files record them (TestPredictDigests pins the order).
 func (s CostScenario) predict(alg Algorithm, h simnet.Hierarchy) float64 {
 	L, stride := 1, 1
-	if alg == HierSSAR || alg == HierDSAR {
-		if d := hierDepth(h, s.Levels); hierExploitable(h, d, s.P) {
-			L, stride = d, h.Span(d-2)
-		}
+	if d := hierDepth(h, s.Levels); hierExploitable(h, d, s.P) {
+		L, stride = d, h.Span(d-2)
 	}
 	m := (s.P + stride - 1) / stride
 	// Per-participant non-zeros entering the top phase: K itself at stride
@@ -432,13 +440,12 @@ func (s CostScenario) predict(alg Algorithm, h simnet.Hierarchy) float64 {
 	for l := 0; l <= L-2; l++ {
 		t += s.stageReduceCost(h, l)
 	}
-	dsar := alg == DSARSplitAllgather || alg == HierDSAR
-	switch {
-	case dsar:
+	dsar := alg == DSARSplitAllgather
+	switch alg {
+	case DSARSplitAllgather:
 		t = s.topSplit(t, h, m, stride, kp)
 		t = s.topDenseAllgather(t, h, m, stride)
-	case alg == SSARRecDouble ||
-		L > 1 && stream.HeaderBytes+int(kp)*(stream.IndexBytes+s.valueBytesOr()) <= DefaultSmallDataBytes:
+	case SSARRecDouble:
 		t = s.topRecDouble(t, h, m, stride, kp)
 	default:
 		t = s.topSplit(t, h, m, stride, kp)

@@ -12,14 +12,17 @@ import (
 )
 
 // TestPredictDigests pins the bits of the cost model across commits:
-// per machine, SHA-256 over math.Float64bits of PredictSeconds for the five
-// priced algorithms followed by the ChooseAutoLevels triple, over the grid
-// P × N × K × Chunks × quant × support model × Levels below. Every world is
-// a power of two and External is empty — the region where the closed forms
-// may never move, because every replica-consistent Auto decision and every
-// gated BENCH byte is a function of these floats. Recorded at the commit
-// before the flat and level-aware forms were folded into one predict; a
-// change in the order of one float addition fails here.
+// per machine, SHA-256 over math.Float64bits of PredictSeconds for the three
+// priced algorithms at the scenario's depth followed by the
+// ChooseAutoLevels triple, over the grid P × N × K × Chunks × quant ×
+// support model × Levels below. Every world is a power of two and External
+// is empty — the region where the closed forms may never move, because
+// every replica-consistent Auto decision and every gated BENCH byte is a
+// function of these floats; a change in the order of one float addition
+// fails here. Recorded when the hierarchical algorithms became depths of
+// the flat ones: every price and every Auto decision of the previous
+// digests was then reproduced bit for bit at the matching algorithm and
+// depth; only the algorithm numbers hashed for depth choices changed.
 func TestPredictDigests(t *testing.T) {
 	two, nic := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0), simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1)
 	flat := simnet.Flat(simnet.Aries)
@@ -30,14 +33,14 @@ func TestPredictDigests(t *testing.T) {
 		prof simnet.Profile
 		want string
 	}{
-		{"nil", nil, testProfile, "ec73e51611d5d8d8959a11d04dfc020eb77bdf80181de6579a1ccd929afe5122"},
-		{"flat", &flat, simnet.Aries, "e88554ec84b06c2c525287e0ec00525ef2bd846633324f7c557579974fd6765f"},
-		{"twolevel", &two, simnet.Aries, "f8281460df130f48602a287f60239dd7ec40ba1f4d9b068707e0d2ed60b8077b"},
-		{"twolevel-nic", &nic, simnet.Aries, "c6ca3dd28f88f66725e86942d88fb66a4624b1ae9f6bd9d51fcc4aa00a62d345"},
-		{"dragonfly-4x4", &dfly, simnet.AriesGlobal, "22a44bba014124baa5f87655410570691114f4443803eb9ca2e6f8a939ddd63e"},
-		{"dragonfly-4x2", &dfly2, simnet.AriesGlobal, "4c43ffe298557cbd4458b77ebf871f05487183f5a183a270b5d8581e7e5edd56"},
+		{"nil", nil, testProfile, "bd5f36e4aeed585ca2c2b9774d94ead0863a03550dded27c4cd186e983d1eaf3"},
+		{"flat", &flat, simnet.Aries, "7b54fa7543e5fb5b0e0c02277298c5e72b50a5c70a666ea128bae8b76e8975ab"},
+		{"twolevel", &two, simnet.Aries, "6e15ddf48d9df9b61a3c1100b7d413a3d4e35d276f549b7bf25fadad3260c580"},
+		{"twolevel-nic", &nic, simnet.Aries, "a7c4e0ead5288b089cb833e8945d68eadb1ab7e0ffe27c61b27f08f4f4700c7c"},
+		{"dragonfly-4x4", &dfly, simnet.AriesGlobal, "8baae7d70149111838064c5a6f1a81d7ab84533b233691379efd2c5edf80c2c1"},
+		{"dragonfly-4x2", &dfly2, simnet.AriesGlobal, "65f6b19aaec0fe0f826f553b2ce92bc56cdc30f37561e65182a95075565021aa"},
 	}
-	algs := []Algorithm{SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather, HierSSAR, HierDSAR}
+	algs := []Algorithm{SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather}
 	q4 := &quant.Config{Bits: 4, Bucket: 512}
 	for _, m := range machines {
 		h := sha256.New()

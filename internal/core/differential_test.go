@@ -52,16 +52,17 @@ func drawMachine(rng *rand.Rand, depth int) simnet.Hierarchy {
 // honorsQuant reports whether the algorithm's result may be quantized:
 // the DSAR family, and Auto when it routes to it.
 func honorsQuant(alg Algorithm) bool {
-	return alg == DSARSplitAllgather || alg == HierDSAR || alg == Auto
+	return alg == DSARSplitAllgather || alg == Auto
 }
 
 // diffCells enumerates the option cells of one algorithm on a machine of
-// the given depth: every Levels truncation for the hierarchical two (0 =
-// full depth, 1 = flat), every chunking, quantization where it is honored.
+// the given depth: every depth for a pinned algorithm (0 = flat, then 2 up
+// to the machine's), Auto's own search, every chunking, quantization where
+// it is honored.
 func diffCells(alg Algorithm, depth int) []Options {
 	levels := []int{0}
-	if alg == HierSSAR || alg == HierDSAR {
-		for d := 1; d <= depth; d++ {
+	if alg != Auto {
+		for d := 2; d <= depth; d++ {
 			levels = append(levels, d)
 		}
 	}
@@ -198,11 +199,15 @@ func TestFlatWorldIsDepthOneHierarchy(t *testing.T) {
 				flat := CostScenario{N: n, P: P, K: k, Profile: simnet.Aries, Chunks: AutoChunks, Quant: diffQuant}
 				deep := flat
 				deep.Hier = &spellings[i]
-				for _, alg := range []Algorithm{SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather, HierSSAR, HierDSAR} {
-					if a, b := PredictSeconds(alg, flat), PredictSeconds(alg, deep); a != b {
-						t.Fatalf("P=%d k=%d %s: model %g with Hier nil, %g with %+v", P, k, alg, a, b, spellings[i].Levels)
+				for _, alg := range pricedAlgorithms {
+					for _, levels := range []int{0, AllLevels} {
+						flat.Levels, deep.Levels = levels, levels
+						if a, b := PredictSeconds(alg, flat), PredictSeconds(alg, deep); a != b {
+							t.Fatalf("P=%d k=%d %s: model %g with Hier nil, %g with %+v", P, k, ChoiceName(alg, levels), a, b, spellings[i].Levels)
+						}
 					}
 				}
+				flat.Levels, deep.Levels = 0, 0
 				fa, fl, fc := ChooseAutoLevels(flat)
 				da, dl, dc := ChooseAutoLevels(deep)
 				if fa != da || fl != dl || fc != dc {

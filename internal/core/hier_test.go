@@ -14,9 +14,10 @@ import (
 var testTopo = simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0)
 
 // TestHierSSARMatchesFlat is the acceptance-criterion correctness check:
-// HierSSAR on a topology world must produce bit-identical reductions to
-// flat SSAR_Split_allgather on identical inputs (dyadic values make float
-// addition exact, so any reduction order must agree bit-for-bit).
+// both SSAR algorithms at full depth on a topology world must produce
+// bit-identical reductions to flat SSAR_Split_allgather on identical inputs
+// (dyadic values make float addition exact, so any reduction order must
+// agree bit-for-bit).
 func TestHierSSARMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for _, tc := range []struct{ P, rpn int }{
@@ -36,15 +37,17 @@ func TestHierSSARMatchesFlat(t *testing.T) {
 				return Allreduce(p, inputs[p.Rank()], Options{Algorithm: SSARSplitAllgather}).ToDense()
 			})
 
-			w := comm.NewWorldHier(tc.P, topo)
-			results := comm.Run(w, func(p *comm.Proc) []float64 {
-				return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierSSAR}).ToDense()
-			})
-			for r, got := range results {
-				for i := range want[0] {
-					if got[i] != want[0][i] {
-						t.Fatalf("P=%d rpn=%d pattern=%s rank=%d coord=%d: hier %g, flat %g",
-							tc.P, tc.rpn, pat.name, r, i, got[i], want[0][i])
+			for _, alg := range []Algorithm{SSARRecDouble, SSARSplitAllgather} {
+				w := comm.NewWorldHier(tc.P, topo)
+				results := comm.Run(w, func(p *comm.Proc) []float64 {
+					return Allreduce(p, inputs[p.Rank()], Options{Algorithm: alg, Levels: AllLevels}).ToDense()
+				})
+				for r, got := range results {
+					for i := range want[0] {
+						if got[i] != want[0][i] {
+							t.Fatalf("P=%d rpn=%d pattern=%s %s rank=%d coord=%d: hier %g, flat %g",
+								tc.P, tc.rpn, pat.name, alg, r, i, got[i], want[0][i])
+						}
 					}
 				}
 			}
@@ -54,8 +57,8 @@ func TestHierSSARMatchesFlat(t *testing.T) {
 
 // TestHierSSARBeatsFlatOnTopology is the acceptance-criterion performance
 // check: on the 2-level topology named in the issue (P=32, 4 ranks/node,
-// NVLink-like intra + Aries inter), HierSSAR's simulated time must beat
-// flat SSAR_Split_allgather run entirely on the inter-node profile.
+// NVLink-like intra + Aries inter), SSAR_Split_allgather at full depth must
+// beat the same algorithm run flat entirely on the inter-node profile.
 func TestHierSSARBeatsFlatOnTopology(t *testing.T) {
 	const (
 		P       = 32
@@ -78,7 +81,7 @@ func TestHierSSARBeatsFlatOnTopology(t *testing.T) {
 
 	w := comm.NewWorldHier(P, testTopo)
 	comm.Run(w, func(p *comm.Proc) any {
-		return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierSSAR})
+		return Allreduce(p, inputs[p.Rank()], Options{Algorithm: SSARSplitAllgather, Levels: AllLevels})
 	})
 	hierTime := w.MaxTime()
 
@@ -86,26 +89,28 @@ func TestHierSSARBeatsFlatOnTopology(t *testing.T) {
 		t.Fatal("simulated times must be positive")
 	}
 	if hierTime >= flatTime {
-		t.Fatalf("HierSSAR (%.2fµs) must beat flat SSAR_Split_allgather (%.2fµs) on a 2-level topology",
+		t.Fatalf("depth 2 (%.2fµs) must beat flat SSAR_Split_allgather (%.2fµs) on a 2-level topology",
 			hierTime*1e6, flatTime*1e6)
 	}
 	t.Logf("P=%d n=%d d=%g: hier %.2fµs vs flat %.2fµs (%.2fx)",
 		P, n, density, hierTime*1e6, flatTime*1e6, flatTime/hierTime)
 }
 
-// TestHierSSARFlatFallback: requesting HierSSAR on a world with no
-// topology must still be correct (degrades to split allgather).
+// TestHierSSARFlatFallback: asking for the full depth on a world with no
+// topology must still be correct (it is the flat algorithm).
 func TestHierSSARFlatFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, P := range []int{1, 2, 5, 8} {
 		inputs := patterns[0].gen(rng, 400, 30, P)
 		want := refSum(inputs)
-		results := runAllreduce(t, P, inputs, Options{Algorithm: HierSSAR})
-		for r, res := range results {
-			got := res.ToDense()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("P=%d rank=%d coord=%d: got %g want %g", P, r, i, got[i], want[i])
+		for _, alg := range []Algorithm{SSARRecDouble, SSARSplitAllgather} {
+			results := runAllreduce(t, P, inputs, Options{Algorithm: alg, Levels: AllLevels})
+			for r, res := range results {
+				got := res.ToDense()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("P=%d %s rank=%d coord=%d: got %g want %g", P, alg, r, i, got[i], want[i])
+					}
 				}
 			}
 		}
@@ -122,12 +127,12 @@ var contendedTopo = simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1)
 func TestAutoCostModelOnTopology(t *testing.T) {
 	// Latency-bound sparse instance on a NIC-capped topology: the flat
 	// split/rec-double phases pay the contention factor, the hierarchical
-	// leader phase (one flow per node) does not → HierSSAR.
+	// leader phase (one flow per node) does not → an SSAR at depth 2.
 	w := comm.NewWorldHier(32, contendedTopo)
 	comm.Run(w, func(p *comm.Proc) any {
 		v := randSparse(rand.New(rand.NewSource(int64(p.Rank()))), 1<<20, 100)
-		if got, _, _ := resolve(p, v, Options{}, p.NextTagBase()); got != HierSSAR {
-			panic("Auto on a contended topology should resolve to HierSSAR, got " + got.String())
+		if got, levels, _ := resolve(p, v, Options{}, p.NextTagBase()); got == DSARSplitAllgather || levels != 2 {
+			panic("Auto on a contended topology should resolve to an SSAR at depth 2, got " + ChoiceName(got, levels))
 		}
 		return nil
 	})
@@ -135,12 +140,12 @@ func TestAutoCostModelOnTopology(t *testing.T) {
 	// Tiny instance on an uncontended topology: flat rec-double's first
 	// stages are already intra-priced and it skips the hierarchical
 	// broadcast entirely, so it is empirically cheaper — the old
-	// topology-presence heuristic would have picked HierSSAR here.
+	// topology-presence heuristic would have gone hierarchical here.
 	tiny := comm.NewWorldHier(8, testTopo)
 	comm.Run(tiny, func(p *comm.Proc) any {
 		v := randSparse(rand.New(rand.NewSource(int64(p.Rank()))), 1000, 20)
-		if got, _, _ := resolve(p, v, Options{}, p.NextTagBase()); got != SSARRecDouble {
-			panic("Auto on a tiny uncontended instance should resolve to SSARRecDouble, got " + got.String())
+		if got, levels, _ := resolve(p, v, Options{}, p.NextTagBase()); got != SSARRecDouble || levels != 0 {
+			panic("Auto on a tiny uncontended instance should resolve to flat SSARRecDouble, got " + ChoiceName(got, levels))
 		}
 		return nil
 	})
@@ -149,31 +154,31 @@ func TestAutoCostModelOnTopology(t *testing.T) {
 	single := comm.NewWorldHier(4, testTopo)
 	comm.Run(single, func(p *comm.Proc) any {
 		v := randSparse(rand.New(rand.NewSource(int64(p.Rank()))), 1<<20, 100)
-		if got, _, _ := resolve(p, v, Options{}, p.NextTagBase()); got != SSARRecDouble {
-			panic("Auto on a single-node topology should price flat algorithms, got " + got.String())
+		if got, levels, _ := resolve(p, v, Options{}, p.NextTagBase()); got != SSARRecDouble || levels != 0 {
+			panic("Auto on a single-node topology should price flat algorithms, got " + ChoiceName(got, levels))
 		}
 		return nil
 	})
 
 	// Dense regime on a NIC-capped topology: the dense allgather volume
-	// through a serialized NIC is what hurts, so the hierarchical DSAR
-	// (one flow per node) wins — the old heuristic always chose flat DSAR.
+	// through a serialized NIC is what hurts, so DSAR at depth 2 (one flow
+	// per node) wins — the old heuristic always chose flat DSAR.
 	denseNIC := comm.NewWorldHier(16, contendedTopo)
 	comm.Run(denseNIC, func(p *comm.Proc) any {
 		v := randSparse(rand.New(rand.NewSource(int64(p.Rank()))), 1<<16, 40000)
-		if got, _, _ := resolve(p, v, Options{}, p.NextTagBase()); got != HierDSAR {
-			panic("Auto in the contended dense regime should resolve to HierDSAR, got " + got.String())
+		if got, levels, _ := resolve(p, v, Options{}, p.NextTagBase()); got != DSARSplitAllgather || levels != 2 {
+			panic("Auto in the contended dense regime should resolve to DSAR at depth 2, got " + ChoiceName(got, levels))
 		}
 		return nil
 	})
 
 	// Dense regime without contention: flat DSAR stays cheapest (the
-	// hierarchical variant pays an extra dense intra-node broadcast).
+	// depth-2 run pays an extra dense intra-node broadcast).
 	denseW := comm.NewWorldHier(16, testTopo)
 	comm.Run(denseW, func(p *comm.Proc) any {
 		v := randSparse(rand.New(rand.NewSource(int64(p.Rank()))), 1<<16, 40000)
-		if got, _, _ := resolve(p, v, Options{}, p.NextTagBase()); got != DSARSplitAllgather {
-			panic("Auto in the uncontended dense regime should resolve to DSAR, got " + got.String())
+		if got, levels, _ := resolve(p, v, Options{}, p.NextTagBase()); got != DSARSplitAllgather || levels != 0 {
+			panic("Auto in the uncontended dense regime should resolve to flat DSAR, got " + ChoiceName(got, levels))
 		}
 		return nil
 	})
@@ -200,44 +205,47 @@ func TestAutoCostModelOnTopology(t *testing.T) {
 	}
 }
 
-// TestHierSSARLeaderPhaseSelectsBySize: leader accumulations within
-// DefaultSmallDataBytes on the wire must take the recursive-doubling
-// leader phase, larger ones the split allgather; both must be correct. The
-// input size carries the agreed size across the boundary, and the message
-// count tells the branches apart: 4 nodes of 4 ranks spend 12 messages on
-// each sweep and 8 on the leaders' size agreement, then 8 on recursive
-// doubling or 12 + 8 on split + allgather.
-func TestHierSSARLeaderPhaseSelectsBySize(t *testing.T) {
+// TestLeaderPhaseRunsPinnedAlgorithm: at depth 2 the leaders' top phase is
+// the pinned algorithm itself, whatever the data size — there is no size
+// agreement and no size rule. 4 nodes of 4 ranks spend 12 messages on each
+// sweep, so every algorithm sends 24 plus what it sends flat on a world of
+// the 4 leaders, at a leader accumulation below and above 64 KiB on the
+// wire; and every result is the exact sum.
+func TestLeaderPhaseRunsPinnedAlgorithm(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	P := 16
-	for _, tc := range []struct {
-		n, k int
-		msgs int64
-	}{
-		{2000, 100, 40},    // ≤ 2000 non-zeros per leader: 24 KB on the wire
-		{100000, 3000, 52}, // ~11.6k non-zeros per leader: ~140 KB
-	} {
-		inputs := patterns[0].gen(rng, tc.n, tc.k, P)
-		want := refSum(inputs)
-		w := comm.NewWorldHier(P, testTopo)
-		results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
-			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierSSAR})
+	const P = 16
+	for alg := SSARRecDouble; alg <= RingSparse; alg++ {
+		leaders := comm.NewWorld(4, simnet.Aries)
+		comm.Run(leaders, func(p *comm.Proc) any {
+			return Allreduce(p, randSparse(rand.New(rand.NewSource(int64(p.Rank()))), 2000, 100), Options{Algorithm: alg})
 		})
-		if got := w.TotalMessages(); got != tc.msgs {
-			t.Fatalf("n=%d k=%d: %d messages, want %d (wrong leader phase)", tc.n, tc.k, got, tc.msgs)
-		}
-		for r, res := range results {
-			got := res.ToDense()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d k=%d rank=%d coord=%d: got %g want %g", tc.n, tc.k, r, i, got[i], want[i])
+		for _, size := range []struct{ n, k int }{
+			{2000, 100},    // ≤ 2000 non-zeros per leader: 24 KB on the wire
+			{100000, 3000}, // ~11.6k non-zeros per leader: ~140 KB
+		} {
+			inputs := patterns[0].gen(rng, size.n, size.k, P)
+			want := refSum(inputs)
+			w := comm.NewWorldHier(P, testTopo)
+			results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
+				return Allreduce(p, inputs[p.Rank()], Options{Algorithm: alg, Levels: 2})
+			})
+			if got, flat := w.TotalMessages(), leaders.TotalMessages(); got != 24+flat {
+				t.Fatalf("%s n=%d k=%d: %d messages, want 24 + %d (the leaders' phase is not %s)",
+					alg, size.n, size.k, got, flat, alg)
+			}
+			for r, res := range results {
+				got := res.ToDense()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s n=%d k=%d rank=%d coord=%d: got %g want %g", alg, size.n, size.k, r, i, got[i], want[i])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestHierDSARMatchesFlatDSAR: HierDSAR must produce bit-identical dense
+// TestHierDSARMatchesFlatDSAR: DSAR at full depth must produce bit-identical dense
 // reductions to flat DSAR_Split_allgather on identical inputs, across
 // divisible, ragged, degenerate, and NIC-contended node shapes (contention
 // only reprices messages; data must be untouched).
@@ -262,11 +270,11 @@ func TestHierDSARMatchesFlatDSAR(t *testing.T) {
 
 			w := comm.NewWorldHier(tc.P, topo)
 			results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
-				return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierDSAR})
+				return Allreduce(p, inputs[p.Rank()], Options{Algorithm: DSARSplitAllgather, Levels: AllLevels})
 			})
 			for r, res := range results {
 				if !res.IsDense() {
-					t.Fatalf("P=%d rpn=%d rank=%d: HierDSAR must return a dense vector", tc.P, tc.rpn, r)
+					t.Fatalf("P=%d rpn=%d rank=%d: DSAR at full depth must return a dense vector", tc.P, tc.rpn, r)
 				}
 				got := res.ToDense()
 				for i := range want[0] {
@@ -294,7 +302,8 @@ func TestHierDSARQuantizedConsistent(t *testing.T) {
 		w := comm.NewWorldHier(P, testTopo)
 		results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
 			return Allreduce(p, inputs[p.Rank()], Options{
-				Algorithm: HierDSAR,
+				Algorithm: DSARSplitAllgather,
+				Levels:    AllLevels,
 				Quant:     &quant.Config{Bits: 4, Bucket: 512, Norm: quant.NormMax},
 				Seed:      9,
 			})
@@ -319,10 +328,10 @@ func TestHierDSARQuantizedConsistent(t *testing.T) {
 }
 
 // TestHierDSARBeatsFlatUnderContention is the tentpole performance check:
-// in the dense regime on a NIC-serialized topology, HierDSAR's simulated
-// time must beat flat DSAR on the same world — the flat dense allgather
-// pushes rpn concurrent flows through each NIC while the hierarchical
-// variant pushes one.
+// in the dense regime on a NIC-serialized topology, DSAR at depth 2 must
+// beat flat DSAR in simulated time on the same world — the flat dense
+// allgather pushes rpn concurrent flows through each NIC while the leaders'
+// top phase pushes one.
 func TestHierDSARBeatsFlatUnderContention(t *testing.T) {
 	const P, n, k = 16, 1 << 16, 40000
 	rng := rand.New(rand.NewSource(5))
@@ -330,24 +339,23 @@ func TestHierDSARBeatsFlatUnderContention(t *testing.T) {
 	for r := range inputs {
 		inputs[r] = randSparse(rng, n, k)
 	}
-	times := map[Algorithm]float64{}
-	for _, alg := range []Algorithm{DSARSplitAllgather, HierDSAR} {
+	times := map[int]float64{}
+	for _, levels := range []int{0, 2} {
 		w := comm.NewWorldHier(P, contendedTopo)
 		comm.Run(w, func(p *comm.Proc) any {
-			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: alg})
+			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: DSARSplitAllgather, Levels: levels})
 		})
-		times[alg] = w.MaxTime()
+		times[levels] = w.MaxTime()
 	}
-	if times[HierDSAR] <= 0 || times[DSARSplitAllgather] <= 0 {
+	if times[2] <= 0 || times[0] <= 0 {
 		t.Fatal("simulated times must be positive")
 	}
-	if times[HierDSAR] >= times[DSARSplitAllgather] {
-		t.Fatalf("HierDSAR (%.2fµs) must beat flat DSAR (%.2fµs) under NIC contention",
-			times[HierDSAR]*1e6, times[DSARSplitAllgather]*1e6)
+	if times[2] >= times[0] {
+		t.Fatalf("DSAR at depth 2 (%.2fµs) must beat flat DSAR (%.2fµs) under NIC contention",
+			times[2]*1e6, times[0]*1e6)
 	}
 	t.Logf("P=%d n=%d k=%d nic=1: hier %.2fµs vs flat %.2fµs (%.2fx)", P, n, k,
-		times[HierDSAR]*1e6, times[DSARSplitAllgather]*1e6,
-		times[DSARSplitAllgather]/times[HierDSAR])
+		times[2]*1e6, times[0]*1e6, times[0]/times[2])
 }
 
 // TestHierSSARMessageLocality: counted off the obs send spans, every
@@ -359,10 +367,10 @@ func TestHierSSARInterNodeMessageCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	inputs := patterns[0].gen(rng, 1000, 30, P)
 
-	countInter := func(w *comm.World, alg Algorithm) int {
+	countInter := func(w *comm.World, levels int) int {
 		hub := w.EnableObservability()
 		comm.Run(w, func(p *comm.Proc) any {
-			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: alg})
+			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: SSARSplitAllgather, Levels: levels})
 		})
 		inter := 0
 		for _, s := range sendSpans(hub) {
@@ -374,8 +382,8 @@ func TestHierSSARInterNodeMessageCount(t *testing.T) {
 		return inter
 	}
 
-	flatInter := countInter(comm.NewWorld(P, simnet.Aries), SSARSplitAllgather)
-	hierInter := countInter(comm.NewWorldHier(P, testTopo), HierSSAR)
+	flatInter := countInter(comm.NewWorld(P, simnet.Aries), 0)
+	hierInter := countInter(comm.NewWorldHier(P, testTopo), AllLevels)
 	if hierInter >= flatInter {
 		t.Fatalf("hier must send fewer inter-node messages: hier=%d flat=%d", hierInter, flatInter)
 	}

@@ -20,7 +20,7 @@ var testHier3 = simnet.Hierarchy{Levels: []simnet.Level{
 }}
 
 // TestHierRecursiveMatchesFlatOn3Levels is the tentpole acceptance check:
-// the recursive HierSSAR and HierDSAR on a 3-level world must produce
+// the three priced algorithms at full depth on a 3-level world must produce
 // bit-identical reductions to the flat algorithms on identical inputs
 // (dyadic values make float addition exact), across divisible shapes and
 // ragged tails at every tier — last node short, last group short, both.
@@ -47,10 +47,10 @@ func TestHierRecursiveMatchesFlatOn3Levels(t *testing.T) {
 				return Allreduce(p, inputs[p.Rank()], Options{Algorithm: DSARSplitAllgather}).ToDense()
 			})
 
-			for alg, want := range map[Algorithm][][]float64{HierSSAR: wantS, HierDSAR: wantD} {
+			for alg, want := range map[Algorithm][][]float64{SSARRecDouble: wantS, SSARSplitAllgather: wantS, DSARSplitAllgather: wantD} {
 				w := comm.NewWorldHier(P, testHier3)
 				results := comm.Run(w, func(p *comm.Proc) []float64 {
-					return Allreduce(p, inputs[p.Rank()], Options{Algorithm: alg}).ToDense()
+					return Allreduce(p, inputs[p.Rank()], Options{Algorithm: alg, Levels: AllLevels}).ToDense()
 				})
 				for r, got := range results {
 					for i := range want[0] {
@@ -80,7 +80,7 @@ func TestHierLevelsOptionTruncates(t *testing.T) {
 	for _, levels := range []int{1, 2, 3} {
 		w := comm.NewWorldHier(P, h)
 		results := comm.Run(w, func(p *comm.Proc) []float64 {
-			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierSSAR, Levels: levels}).ToDense()
+			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: SSARSplitAllgather, Levels: levels}).ToDense()
 		})
 		for r, got := range results {
 			for i := range want {
@@ -100,31 +100,33 @@ func TestHierLevelsOptionTruncates(t *testing.T) {
 }
 
 // TestAutoPicksDepthOnDragonfly: on the DragonflyLike preset Auto must
-// resolve to a hierarchical algorithm at the depth the level-aware model
-// prices cheapest, and the end-to-end Auto allreduce must stay correct —
-// including on worlds with ragged tiers.
+// resolve to the algorithm and depth the level-aware model prices
+// cheapest — a hierarchical one — and the end-to-end Auto allreduce must
+// stay correct, including on worlds with ragged tiers.
 func TestAutoPicksDepthOnDragonfly(t *testing.T) {
 	h := simnet.DragonflyLike(4, 4)
 	s := CostScenario{N: 1 << 20, P: 64, K: 104, Profile: simnet.AriesGlobal, Hier: &h}
 	alg, levels, _ := ChooseAutoLevels(s)
-	if alg != HierSSAR {
-		t.Fatalf("sparse regime on DragonflyLike should resolve hierarchical, got %s", alg)
+	if levels < 2 {
+		t.Fatalf("sparse regime on DragonflyLike should resolve hierarchical, got %s", ChoiceName(alg, levels))
 	}
-	cheapest, cheapestT := 0, math.Inf(1)
-	for d := 2; d <= 3; d++ {
-		sc := s
-		sc.Levels = d
-		if pt := PredictSeconds(HierSSAR, sc); pt < cheapestT {
-			cheapest, cheapestT = d, pt
+	cheapest, cheapestT := "", math.Inf(1)
+	for _, a := range []Algorithm{SSARRecDouble, SSARSplitAllgather} {
+		for _, d := range []int{0, 2, 3} {
+			sc := s
+			sc.Levels = d
+			if pt := PredictSeconds(a, sc); pt < cheapestT {
+				cheapest, cheapestT = ChoiceName(a, d), pt
+			}
 		}
 	}
-	if levels != cheapest {
-		t.Fatalf("Auto picked depth %d but the model prices depth %d cheapest", levels, cheapest)
+	if got := ChoiceName(alg, levels); got != cheapest {
+		t.Fatalf("Auto picked %s but the model prices %s cheapest", got, cheapest)
 	}
 
 	dense := CostScenario{N: 1 << 16, P: 64, K: 40000, Profile: simnet.AriesGlobal, Hier: &h}
-	if alg, lv, _ := ChooseAutoLevels(dense); alg != HierDSAR || lv != 3 {
-		t.Fatalf("dense regime on DragonflyLike should resolve to HierDSAR at depth 3, got %s@%d", alg, lv)
+	if alg, lv, _ := ChooseAutoLevels(dense); alg != DSARSplitAllgather || lv != 3 {
+		t.Fatalf("dense regime on DragonflyLike should resolve to DSAR at depth 3, got %s", ChoiceName(alg, lv))
 	}
 
 	for _, P := range []int{64, 27} { // divisible and ragged at both tiers
@@ -158,7 +160,8 @@ func TestHierDSARQuantizedConsistentOn3Levels(t *testing.T) {
 		w := comm.NewWorldHier(P, testHier3)
 		results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
 			return Allreduce(p, inputs[p.Rank()], Options{
-				Algorithm: HierDSAR,
+				Algorithm: DSARSplitAllgather,
+				Levels:    AllLevels,
 				Quant:     &quant.Config{Bits: 4, Bucket: 512, Norm: quant.NormMax},
 				Seed:      13,
 			})
@@ -194,7 +197,7 @@ func TestHierInterGroupMessageLocality(t *testing.T) {
 		w := comm.NewWorldHier(P, testHier3)
 		hub := w.EnableObservability()
 		comm.Run(w, func(p *comm.Proc) any {
-			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: HierSSAR, Levels: levels})
+			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: SSARSplitAllgather, Levels: levels})
 		})
 		global := 0
 		for _, s := range sendSpans(hub) {

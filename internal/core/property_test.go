@@ -56,9 +56,9 @@ func TestQuickAllAlgorithmsAgree(t *testing.T) {
 }
 
 // TestCrossAlgorithmEquivalence is the table-driven equivalence check: for
-// every Algorithm (including HierSSAR, both on flat and on topology
-// worlds), the same randomized sparse inputs across several world sizes
-// must produce bit-identical reductions on every rank. Values are dyadic
+// every Algorithm, flat and at full depth, on flat and on topology worlds,
+// the same randomized sparse inputs across several world sizes must
+// produce bit-identical reductions on every rank. Values are dyadic
 // rationals, so float addition is exact and any reduction order must agree
 // bit-for-bit with the sequential reference.
 func TestCrossAlgorithmEquivalence(t *testing.T) {
@@ -104,16 +104,18 @@ func TestCrossAlgorithmEquivalence(t *testing.T) {
 				}
 				want := refSum(inputs)
 				for _, alg := range allAlgorithms {
-					w := wc.mk(wc.P)
-					results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
-						return Allreduce(p, inputs[p.Rank()], Options{Algorithm: alg})
-					})
-					for r, res := range results {
-						got := res.ToDense()
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("trial=%d n=%d alg=%s rank=%d coord=%d: got %g want %g",
-									trial, n, alg, r, i, got[i], want[i])
+					for _, levels := range []int{0, AllLevels} {
+						w := wc.mk(wc.P)
+						results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
+							return Allreduce(p, inputs[p.Rank()], Options{Algorithm: alg, Levels: levels})
+						})
+						for r, res := range results {
+							got := res.ToDense()
+							for i := range want {
+								if got[i] != want[i] {
+									t.Fatalf("trial=%d n=%d alg=%s levels=%d rank=%d coord=%d: got %g want %g",
+										trial, n, alg, levels, r, i, got[i], want[i])
+								}
 							}
 						}
 					}

@@ -141,13 +141,13 @@ func TestQuantizedResultDigests(t *testing.T) {
 		"tcp":       tcp,
 	}
 	for _, tc := range []struct {
-		alg  Algorithm
-		want string
+		levels int
+		want   string
 	}{
-		{DSARSplitAllgather, "983efe4cd3a629fe576ffc8e52afff4b33abc100608506ab49a086e02ed2b9a9"},
-		{HierDSAR, "db99dd5750b51c0254bf589a2c01d4acd19e78ea976713e7e86591ad7d06c248"},
+		{0, "983efe4cd3a629fe576ffc8e52afff4b33abc100608506ab49a086e02ed2b9a9"},
+		{AllLevels, "db99dd5750b51c0254bf589a2c01d4acd19e78ea976713e7e86591ad7d06c248"},
 	} {
-		opts := Options{Algorithm: tc.alg, Seed: 20261002,
+		opts := Options{Algorithm: DSARSplitAllgather, Levels: tc.levels, Seed: 20261002,
 			Quant: &quant.Config{Bits: 4, Bucket: 128, Norm: quant.NormMax}}
 		for backend, w := range worlds {
 			results := comm.Run(w, func(p *comm.Proc) []float64 {
@@ -160,7 +160,7 @@ func TestQuantizedResultDigests(t *testing.T) {
 				}
 				sum := sha256.Sum256(bits)
 				if got := hex.EncodeToString(sum[:]); got != tc.want {
-					t.Errorf("%v on %s, rank %d: result digest %s, want %s", tc.alg, backend, r, got, tc.want)
+					t.Errorf("%s on %s, rank %d: result digest %s, want %s", ChoiceName(DSARSplitAllgather, tc.levels), backend, r, got, tc.want)
 				}
 			}
 		}

@@ -12,8 +12,8 @@ import (
 )
 
 // TestCrossTransportEquivalence is the cross-transport equivalence table:
-// every collective — SSAR/DSAR variants, the hierarchical algorithms on
-// ragged tiers, quantized and not — must produce bit-identical results on
+// every collective — SSAR/DSAR variants, flat and at full depth on ragged
+// tiers, quantized and not — must produce bit-identical results on
 // the simulator, the goroutine backend, and loopback TCP, at P ∈
 // {4, 12, 16, 32}; P = 12 is not a power of two, so the butterfly's fold
 // messages and the block allgather's folded lists cross the wire codec on
@@ -28,20 +28,21 @@ func TestCrossTransportEquivalence(t *testing.T) {
 	// (4 = 3+1, 16 = 5·3+1, 32 = 10·3+2).
 	topo := simnet.TwoLevel(3, simnet.NVLinkLike, simnet.Aries, 0)
 	algs := []struct {
-		name  string
-		alg   Algorithm
-		hier  bool
-		quant bool // exercised with quantization too
+		name   string
+		alg    Algorithm
+		levels int  // > 0 runs on the hierarchy world
+		quant  bool // exercised with quantization too
 	}{
-		{"ssar-recdouble", SSARRecDouble, false, false},
-		{"ssar-split", SSARSplitAllgather, false, false},
-		{"dsar-split", DSARSplitAllgather, false, true},
-		{"hier-ssar", HierSSAR, true, false},
-		{"hier-dsar", HierDSAR, true, true},
-		{"dense-raben", DenseRabenseifner, false, false},
-		{"dense-recdouble", DenseRecDouble, false, false},
-		{"dense-ring", DenseRing, false, false},
-		{"ring-sparse", RingSparse, false, false},
+		{"ssar-recdouble", SSARRecDouble, 0, false},
+		{"ssar-split", SSARSplitAllgather, 0, false},
+		{"dsar-split", DSARSplitAllgather, 0, true},
+		{"hier-ssar-recdouble", SSARRecDouble, AllLevels, false},
+		{"hier-ssar-split", SSARSplitAllgather, AllLevels, false},
+		{"hier-dsar", DSARSplitAllgather, AllLevels, true},
+		{"dense-raben", DenseRabenseifner, 0, false},
+		{"dense-recdouble", DenseRecDouble, 0, false},
+		{"dense-ring", DenseRing, 0, false},
+		{"ring-sparse", RingSparse, 0, false},
 	}
 
 	for _, P := range []int{4, 12, 16, 32} {
@@ -71,7 +72,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 					quantModes = append(quantModes, true)
 				}
 				for _, quantized := range quantModes {
-					opts := Options{Algorithm: tc.alg, Seed: 42}
+					opts := Options{Algorithm: tc.alg, Levels: tc.levels, Seed: 42}
 					if quantized {
 						opts.Quant = &quant.Config{Bits: 4, Bucket: 256, Norm: quant.NormMax}
 					}
@@ -81,7 +82,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 						})
 					}
 					simW, goW, tcpW := simFlat, goFlat, tcpFlat
-					if tc.hier {
+					if tc.levels > 0 {
 						simW, goW, tcpW = simHier, goHier, tcpHier
 					}
 					want := run(simW)
@@ -127,10 +128,9 @@ func chainReduce(inputs []*stream.Vector) []float64 {
 	return out
 }
 
-// TestCrossTransportRaggedLevels drives the N-level recursive collectives
-// over a ragged three-level hierarchy on both real backends and checks
-// bit-identity against the simulator, at the depth Auto would exploit and
-// at a truncated depth.
+// TestCrossTransportRaggedLevels drives the N-level recursion over a
+// ragged three-level hierarchy on both real backends and checks
+// bit-identity against the simulator, at the full and at a truncated depth.
 func TestCrossTransportRaggedLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := simnet.Hierarchy{Levels: []simnet.Level{
@@ -151,8 +151,8 @@ func TestCrossTransportRaggedLevels(t *testing.T) {
 	}
 	defer tcp.Close()
 
-	for _, levels := range []int{0, 2} {
-		for _, alg := range []Algorithm{HierSSAR, HierDSAR} {
+	for _, levels := range []int{AllLevels, 2} {
+		for _, alg := range []Algorithm{SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather} {
 			opts := Options{Algorithm: alg, Levels: levels, Seed: 3}
 			run := func(w *comm.World) [][]float64 {
 				return comm.Run(w, func(p *comm.Proc) []float64 {

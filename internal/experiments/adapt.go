@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/adapt"
@@ -94,11 +93,7 @@ func RunAdaptCell(rpn, nic int, tr *scenario.Trace, observe bool) (AdaptRow, *ob
 	}).seconds
 	row.AdaptiveSwitches = ctrls[0].Switches()
 	row.AdaptiveClusteredCalls = ctrls[0].ClusteredCalls()
-	alg, levels := ctrls[0].Choice()
-	row.FinalChoice = alg.String()
-	if levels > 0 {
-		row.FinalChoice = fmt.Sprintf("%s@%d", alg, levels)
-	}
+	row.FinalChoice = core.ChoiceName(ctrls[0].Choice())
 
 	if row.AdaptiveSim > 0 {
 		row.AdaptiveVsUniform = row.StaticUniformSim / row.AdaptiveSim

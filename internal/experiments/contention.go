@@ -37,7 +37,7 @@ type ContentionRow struct {
 	Costs        []AlgCost `json:"costs"`
 	// AutoChoice is what the cost-model Auto resolves to; OldChoice is
 	// what the replaced topology-presence heuristic would have picked;
-	// CheapestSim is the empirically cheapest algorithm in simulation.
+	// CheapestSim is the empirically cheapest candidate in simulation.
 	AutoChoice  string `json:"auto_choice"`
 	OldChoice   string `json:"old_heuristic_choice"`
 	CheapestSim string `json:"cheapest_sim"`
@@ -48,28 +48,50 @@ type ContentionRow struct {
 	OldMatchesCheapest  bool `json:"old_matches_cheapest"`
 }
 
-// contentionCandidates are the algorithms Auto chooses between.
-var contentionCandidates = []core.Algorithm{
-	core.SSARRecDouble, core.SSARSplitAllgather, core.DSARSplitAllgather,
-	core.HierSSAR, core.HierDSAR,
+// choice is one Auto candidate: an algorithm and the depth it runs at.
+type choice struct {
+	alg    core.Algorithm
+	levels int
 }
 
-// oldHeuristicChoice reproduces the PR-1 Auto rule this PR replaced: δ
-// gate to DSAR, otherwise HierSSAR whenever a multi-node topology exists,
-// otherwise the DefaultSmallDataBytes wire-size threshold.
-func oldHeuristicChoice(n, k, P, rpn int) core.Algorithm {
+func (c choice) String() string { return core.ChoiceName(c.alg, c.levels) }
+
+// contentionCandidates are what Auto prices on a cell's two-level
+// machine, in both families: each algorithm flat, DSAR at depth 2, and the
+// one sparse algorithm Auto prices at depth 2 (core.AutoSSARAtDepth).
+func contentionCandidates(s core.CostScenario) []choice {
+	return []choice{
+		{core.SSARRecDouble, 0}, {core.SSARSplitAllgather, 0}, {core.DSARSplitAllgather, 0},
+		{core.AutoSSARAtDepth(s, 2), 2}, {core.DSARSplitAllgather, 2},
+	}
+}
+
+// oldSmallDataBytes is the old rule's small/large message boundary,
+// mirroring MPI's long-message switch (Thakur & Gropp use 64 KiB⋅class
+// thresholds).
+const oldSmallDataBytes = 64 << 10
+
+// oldHeuristicChoice reproduces the PR-1 Auto rule the cost model
+// replaced: δ gate to flat DSAR; otherwise depth 2 whenever a multi-node
+// topology exists, and flat when none does. The oldSmallDataBytes
+// wire-size threshold then picks recursive doubling or split allgather for
+// the phase among the top participants, applied to what each enters with:
+// k when flat, and at depth 2 the leaders' accumulation, the union of rpn
+// inputs. The old rule measured that union at run time; this reproduction
+// takes its uniform-support expectation.
+func oldHeuristicChoice(n, k, P, rpn int) choice {
 	delta := stream.Delta(n, stream.DefaultValueBytes)
 	if density.ExpectedKUniform(n, k, P) >= float64(delta) {
-		return core.DSARSplitAllgather
+		return choice{core.DSARSplitAllgather, 0}
 	}
+	c, kTop := choice{core.SSARSplitAllgather, 0}, float64(k)
 	if rpn > 1 && rpn < P {
-		return core.HierSSAR
+		c.levels, kTop = 2, density.ExpectedKUniform(n, k, rpn)
 	}
-	wire := stream.HeaderBytes + k*(stream.IndexBytes+stream.DefaultValueBytes)
-	if wire <= core.DefaultSmallDataBytes {
-		return core.SSARRecDouble
+	if stream.HeaderBytes+int(kTop)*(stream.IndexBytes+stream.DefaultValueBytes) <= oldSmallDataBytes {
+		c.alg = core.SSARRecDouble
 	}
-	return core.SSARSplitAllgather
+	return c
 }
 
 // RunContentionCell measures one contention cell: every Auto candidate on
@@ -84,19 +106,22 @@ func RunContentionCell(n int, d float64, P, rpn, nic int, intra, inter simnet.Pr
 	row := ContentionRow{N: n, P: P, RanksPerNode: rpn, NICSerial: nic, Density: d, K: k}
 
 	scenario := core.CostScenario{N: n, P: P, K: k, Profile: inter, Hier: &machine}
+	alg, levels, _ := core.ChooseAutoLevels(scenario)
+	row.AutoChoice = core.ChoiceName(alg, levels)
 	cheapest, cheapestT := "", 0.0
-	for _, alg := range contentionCandidates {
-		sim := measure(comm.NewWorldHier(P, machine), once(inputs), allreduce(core.Options{Algorithm: alg})).seconds
+	for _, c := range contentionCandidates(scenario) {
+		sim := measure(comm.NewWorldHier(P, machine), once(inputs), allreduce(core.Options{Algorithm: c.alg, Levels: c.levels})).seconds
+		priced := scenario
+		priced.Levels = c.levels
 		row.Costs = append(row.Costs, AlgCost{
-			Algorithm:    alg.String(),
-			ModelSeconds: core.PredictSeconds(alg, scenario),
+			Algorithm:    c.String(),
+			ModelSeconds: core.PredictSeconds(c.alg, priced),
 			SimSeconds:   sim,
 		})
 		if cheapest == "" || sim < cheapestT {
-			cheapest, cheapestT = alg.String(), sim
+			cheapest, cheapestT = c.String(), sim
 		}
 	}
-	row.AutoChoice = core.ChooseAuto(scenario).String()
 	row.OldChoice = oldHeuristicChoice(n, k, P, rpn).String()
 	row.CheapestSim = cheapest
 	row.AutoMatchesCheapest = row.AutoChoice == cheapest

@@ -8,15 +8,15 @@ import (
 )
 
 func TestHierDSARCellBeatsFlatUnderContention(t *testing.T) {
-	// Dense regime, fully serialized NICs, 4 nodes of 4: the hierarchical
-	// DSAR's single leader flow per node must beat flat DSAR's four.
+	// Dense regime, fully serialized NICs, 4 nodes of 4: DSAR at depth 2,
+	// one leader flow per node, must beat flat DSAR's four.
 	flat, hier := hierArms(simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1), true)
 	row := runABCell(1<<16, 0.6, 16, 4, flat, hier, 1, 1, 1)
 	if row.FlatMedian <= 0 || row.HierMedian <= 0 {
 		t.Fatal("medians must be positive")
 	}
 	if row.Speedup <= 1 {
-		t.Fatalf("HierDSAR must beat flat DSAR under contention, got speedup %.2f", row.Speedup)
+		t.Fatalf("DSAR at depth 2 must beat flat DSAR under contention, got speedup %.2f", row.Speedup)
 	}
 	if row.HierMsgs >= row.FlatMsgs {
 		t.Fatalf("hier must send fewer messages: hier=%d flat=%d", row.HierMsgs, row.FlatMsgs)
@@ -43,8 +43,8 @@ func TestContentionSweepDemonstratesAcceptance(t *testing.T) {
 	}
 	oldWrongAutoRight := 0
 	for _, r := range rows {
-		if len(r.Costs) != len(contentionCandidates) {
-			t.Fatalf("cell %+v: want %d algorithm costs", r, len(contentionCandidates))
+		if len(r.Costs) != 5 {
+			t.Fatalf("cell %+v: want 5 candidate costs", r)
 		}
 		for _, c := range r.Costs {
 			if c.SimSeconds <= 0 || c.ModelSeconds <= 0 {
@@ -68,17 +68,20 @@ func TestContentionSweepDemonstratesAcceptance(t *testing.T) {
 }
 
 func TestOldHeuristicChoiceReproducesPR1Rules(t *testing.T) {
-	// δ gate to DSAR, topology presence to HierSSAR, size threshold below.
-	if got := oldHeuristicChoice(1000, 600, 8, 4); got != core.DSARSplitAllgather {
-		t.Fatalf("dense regime: got %s", got)
-	}
-	if got := oldHeuristicChoice(1<<20, 100, 32, 4); got != core.HierSSAR {
-		t.Fatalf("topology presence: got %s", got)
-	}
-	if got := oldHeuristicChoice(1<<20, 100, 32, 1); got != core.SSARRecDouble {
-		t.Fatalf("small flat: got %s", got)
-	}
-	if got := oldHeuristicChoice(1<<20, 50000, 4, 1); got != core.SSARSplitAllgather {
-		t.Fatalf("large flat: got %s", got)
+	// δ gate to DSAR, size threshold below, topology presence to depth 2.
+	for _, tc := range []struct {
+		name         string
+		n, k, P, rpn int
+		want         choice
+	}{
+		{"dense regime", 1000, 600, 8, 4, choice{core.DSARSplitAllgather, 0}},
+		{"topology presence", 1 << 20, 100, 32, 4, choice{core.SSARRecDouble, 2}},
+		{"large leader accumulation", 1 << 20, 3000, 32, 4, choice{core.SSARSplitAllgather, 2}},
+		{"small flat", 1 << 20, 100, 32, 1, choice{core.SSARRecDouble, 0}},
+		{"large flat", 1 << 20, 50000, 4, 1, choice{core.SSARSplitAllgather, 0}},
+	} {
+		if got := oldHeuristicChoice(tc.n, tc.k, tc.P, tc.rpn); got != tc.want {
+			t.Fatalf("%s: got %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

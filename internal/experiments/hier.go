@@ -12,8 +12,8 @@ import (
 // The hierarchical micro-benchmark measures the flat-vs-hierarchical
 // crossover the paper's flat α–β analysis cannot see: the same sparse
 // allreduce instance run once with flat SSAR_Split_allgather on a world
-// priced entirely by the inter-node profile, and once with HierSSAR on a
-// two-level topology (cheap intra-node links, same inter-node network).
+// priced entirely by the inter-node profile, and once at the full depth of
+// a two-level topology (cheap intra-node links, same inter-node network).
 // The flat latency term (P−1)·α shrinks to (P/r−1)·α, so the hierarchical
 // scheme wins in the latency-bound regime and converges to flat as the
 // data grows bandwidth-bound.
@@ -34,26 +34,29 @@ type HierRow struct {
 	HierMsgs int64 `json:"hier_msgs"`
 }
 
-// arm is one side of an A/B cell: an algorithm and the fresh world it runs
-// on.
+// arm is one side of an A/B cell: the options it runs and the fresh world
+// it runs on.
 type arm struct {
-	alg   core.Algorithm
+	opts  core.Options
 	world func(P int) *comm.World
 }
 
 // hierArms returns the two arms of a flat-vs-hierarchical cell on the
 // two-level machine. Sparse regime: flat SSAR_Split_allgather on a world
-// priced entirely by the inter-node profile versus HierSSAR on the
-// machine. Dense regime: flat DSAR versus HierDSAR, both on the NIC-capped
-// machine, so the question is purely algorithmic — does one leader flow
-// per node beat P concurrent flows through capped NICs.
+// priced entirely by the inter-node profile versus the same algorithm at
+// the machine's full depth. Dense regime: DSAR flat versus at full depth,
+// both on the NIC-capped machine, so the question is purely algorithmic —
+// does one leader flow per node beat P concurrent flows through capped
+// NICs.
 func hierArms(machine simnet.Hierarchy, dense bool) (flat, hier arm) {
 	onMachine := func(P int) *comm.World { return comm.NewWorldHier(P, machine) }
 	if dense {
-		return arm{core.DSARSplitAllgather, onMachine}, arm{core.HierDSAR, onMachine}
+		return arm{core.Options{Algorithm: core.DSARSplitAllgather}, onMachine},
+			arm{core.Options{Algorithm: core.DSARSplitAllgather, Levels: core.AllLevels}, onMachine}
 	}
 	onInter := func(P int) *comm.World { return comm.NewWorld(P, machine.Levels[1].Profile) }
-	return arm{core.SSARSplitAllgather, onInter}, arm{core.HierSSAR, onMachine}
+	return arm{core.Options{Algorithm: core.SSARSplitAllgather}, onInter},
+		arm{core.Options{Algorithm: core.SSARSplitAllgather, Levels: core.AllLevels}, onMachine}
 }
 
 // runABCell measures the two arms on the same seeded inputs: gens data
@@ -65,8 +68,8 @@ func runABCell(n int, density float64, P, rpn int, flat, hier arm, gens, runs in
 		rng := rand.New(rand.NewSource(seed + int64(g)*6151))
 		sched := once(uniformInputs(rng, n, density, P))
 		for r := 0; r < runs; r++ {
-			f := measure(flat.world(P), sched, allreduce(core.Options{Algorithm: flat.alg}))
-			h := measure(hier.world(P), sched, allreduce(core.Options{Algorithm: hier.alg}))
+			f := measure(flat.world(P), sched, allreduce(flat.opts))
+			h := measure(hier.world(P), sched, allreduce(hier.opts))
 			flatT.Add(f.seconds)
 			hierT.Add(h.seconds)
 			row.FlatMsgs, row.HierMsgs = f.msgs, h.msgs

@@ -8,8 +8,9 @@ import (
 
 func TestHierCellAcceptanceScenario(t *testing.T) {
 	// The issue's acceptance scenario: P=32, 4 ranks/node, NVLink-like
-	// intra + Aries inter, latency-bound density. HierSSAR must beat flat
-	// SSAR_Split_allgather run entirely on the inter-node profile.
+	// intra + Aries inter, latency-bound density. SSAR_Split_allgather at
+	// full depth must beat the same algorithm run flat entirely on the
+	// inter-node profile.
 	flat, hier := hierArms(simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0), false)
 	row := runABCell(1<<20, 1e-4, 32, 4, flat, hier, 1, 1, 1)
 	if row.FlatMedian <= 0 || row.HierMedian <= 0 {

@@ -12,8 +12,8 @@ import (
 // on a three-tier DragonflyLike machine (nodes behind serialized NICs,
 // Dragonfly groups behind tapered uplinks, expensive global links), the
 // same allreduce instance is run flat, with the two-level hierarchical
-// scheme (nodes only — yesterday's HierSSAR/HierDSAR), and with the full
-// three-level recursion, on the *same* world. Every metric is simulated
+// scheme (nodes only), and with the full three-level recursion, on the
+// *same* world — one algorithm at depths 1, 2 and 3. Every metric is simulated
 // virtual time on seeded inputs, so the document is reproducible
 // byte-for-byte and scripts/ci.sh drift-gates it like BENCH_2/BENCH_3.
 
@@ -29,8 +29,10 @@ type HierLevelsRow struct {
 	// "dsar" (dense result).
 	Family string `json:"family"`
 	// FlatSim, TwoLevelSim, and ThreeLevelSim are simulated allreduce
-	// times in seconds for the flat algorithm and the hierarchical one
-	// truncated to 2 levels and run at the full 3 levels.
+	// times in seconds flat, at depth 2 and at the full depth 3: DSAR for
+	// the dsar family; for the ssar family SSAR_Split_allgather flat and,
+	// at depth, the sparse algorithm Auto prices there
+	// (core.AutoSSARAtDepth).
 	FlatSim       float64 `json:"flat_sim_seconds"`
 	TwoLevelSim   float64 `json:"two_level_sim_seconds"`
 	ThreeLevelSim float64 `json:"three_level_sim_seconds"`
@@ -66,25 +68,26 @@ func RunHierLevelsCell(n int, d float64, P, rpn, npg int, family string, seed in
 	row := HierLevelsRow{N: n, P: P, RanksPerNode: rpn, NodesPerGroup: npg,
 		Density: d, K: k, Family: family}
 
-	flat, hier := core.SSARSplitAllgather, core.HierSSAR
-	if family == "dsar" {
-		flat, hier = core.DSARSplitAllgather, core.HierDSAR
+	scenario := core.CostScenario{N: n, P: P, K: k, Profile: h.Levels[2].Profile, Hier: &h}
+	at := func(levels int) core.Algorithm {
+		switch {
+		case family == "dsar":
+			return core.DSARSplitAllgather
+		case levels > 1:
+			return core.AutoSSARAtDepth(scenario, levels)
+		}
+		return core.SSARSplitAllgather
 	}
 	run := func(alg core.Algorithm, levels int) float64 {
 		return measure(comm.NewWorldHier(P, h), once(inputs), allreduce(core.Options{Algorithm: alg, Levels: levels})).seconds
 	}
-	row.FlatSim = run(flat, 0)
-	row.TwoLevelSim = run(hier, 2)
-	row.ThreeLevelSim = run(hier, 3)
-
-	scenario := core.CostScenario{N: n, P: P, K: k, Profile: h.Levels[2].Profile, Hier: &h}
-	row.FlatModel = core.PredictSeconds(flat, scenario)
-	two := scenario
-	two.Levels = 2
-	row.TwoLevelModel = core.PredictSeconds(hier, two)
-	three := scenario
-	three.Levels = 3
-	row.ThreeLevelModel = core.PredictSeconds(hier, three)
+	model := func(levels int) float64 {
+		sc := scenario
+		sc.Levels = levels
+		return core.PredictSeconds(at(levels), sc)
+	}
+	row.FlatSim, row.TwoLevelSim, row.ThreeLevelSim = run(at(0), 0), run(at(2), 2), run(at(3), 3)
+	row.FlatModel, row.TwoLevelModel, row.ThreeLevelModel = model(0), model(2), model(3)
 
 	if row.ThreeLevelSim > 0 {
 		row.SpeedupOverFlat = row.FlatSim / row.ThreeLevelSim

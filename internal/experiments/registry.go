@@ -156,14 +156,14 @@ func Sweeps() []Sweep {
 		{
 			Name: "hier",
 			Note: "hierarchical crossover: flat SSAR_Split_allgather on the network profile versus " +
-				"SSAR_Hierarchical on -rpn ranks per node of -intra links, at a latency-bound density",
+				"the same algorithm at full depth on -rpn ranks per node of -intra links, at a latency-bound density",
 			Defaults: with(func(p *Params) { p.Density = 1e-4 }),
 			Run:      func(p Params) ([]report.Section, error) { return hierSweep(p, false) },
 		},
 		{
 			Name: "hierdsar",
-			Note: "hierarchical DSAR under NIC contention: flat DSAR_Split_allgather versus " +
-				"DSAR_Hierarchical on the same two-level world capped at -nic concurrent inter-node " +
+			Note: "hierarchical DSAR under NIC contention: DSAR_Split_allgather flat versus at full " +
+				"depth on the same two-level world capped at -nic concurrent inter-node " +
 				"sends per node, at a dense-regime density",
 			Defaults: with(func(p *Params) { p.N, p.Density = 1<<18, 0.6 }),
 			Run:      func(p Params) ([]report.Section, error) { return hierSweep(p, true) },
@@ -171,9 +171,10 @@ func Sweeps() []Sweep {
 		{
 			Name: "contention", Bench: "BENCH_2",
 			Note: "contention-model sweep: per-algorithm modeled vs simulated time on two-level " +
-				"topologies with the per-node NIC serialization cap on/off; auto_choice is the " +
-				"cost-model Auto, old_heuristic_choice the replaced topology-presence rule, " +
-				"cheapest_sim the empirically cheapest algorithm",
+				"topologies with the per-node NIC serialization cap on/off, for every candidate Auto " +
+				"prices (each algorithm flat, DSAR and Auto's sparse algorithm at depth 2, @2); " +
+				"auto_choice is the cost-model Auto, old_heuristic_choice the replaced " +
+				"topology-presence rule, cheapest_sim the empirically cheapest candidate",
 			Defaults: DefaultParams(),
 			Run:      func(p Params) ([]report.Section, error) { return cells(ContentionSweep(p.Intra, p.Profile)) },
 		},
@@ -191,9 +192,11 @@ func Sweeps() []Sweep {
 		{
 			Name: "hierlevels", Bench: "BENCH_4",
 			Note: "hierarchy-depth ablation on DragonflyLike(4,4): the same allreduce instance run " +
-				"flat, with the 2-level (node-only) hierarchical scheme, and with the full 3-level " +
-				"recursion on one world; auto_choice/auto_levels is what the level-aware cost model " +
-				"(ChooseAutoLevels) resolves to, cheapest_sim the empirically cheapest depth",
+				"flat, at depth 2 (node-only) and at the full depth 3 on one world (DSAR, or " +
+				"SSAR_Split_allgather flat and the sparse algorithm Auto prices at each depth); " +
+				"auto_choice/auto_levels is " +
+				"the algorithm and depth the level-aware cost model (ChooseAutoLevels) resolves to, " +
+				"cheapest_sim the empirically cheapest depth",
 			Defaults: DefaultParams(),
 			Run:      func(Params) ([]report.Section, error) { return cells(HierLevelsSweep()) },
 		},

@@ -56,7 +56,8 @@ const (
 // Algorithm selects an allreduce implementation.
 type Algorithm = core.Algorithm
 
-// Allreduce algorithms (§5.3), dense baselines, and Auto selection.
+// Allreduce algorithms (§5.3), dense baselines, and Auto selection. Each
+// runs at any depth of a machine hierarchy through Options.Levels.
 const (
 	Auto               = core.Auto
 	SSARRecDouble      = core.SSARRecDouble
@@ -66,19 +67,15 @@ const (
 	DenseRabenseifner  = core.DenseRabenseifner
 	DenseRing          = core.DenseRing
 	RingSparse         = core.RingSparse
-	// HierSSAR is the hierarchical sparse allreduce for multi-level
-	// machines: intra-node reduce → inter-node SSAR among node leaders →
-	// intra-node broadcast. Auto selects it on NewWorldHier worlds when the
-	// cost model prices it cheapest in the sparse-result regime.
-	HierSSAR = core.HierSSAR
-	// HierDSAR is the hierarchical dynamic sparse allreduce: intra-node
-	// reduce → DSAR among node leaders (densify at the leader, dense or
-	// QSGD-quantized inter-node allgather) → intra-node broadcast of the
-	// dense result. Auto selects it in the dense-result regime when the
-	// cost model prices it cheapest — typically when a per-node NIC cap
-	// (a Level's Serial) makes concurrent flat flows expensive.
-	HierDSAR = core.HierDSAR
 )
+
+// AllLevels, set as Options.Levels, runs a pinned algorithm at the world's
+// full hierarchy depth: intra-group reduces to the group leaders, the
+// algorithm itself among the outermost leaders, and broadcasts back. Auto
+// picks the depth itself whenever the cost model prices one cheapest —
+// typically when a per-node NIC cap (a Level's Serial) makes concurrent
+// flat flows expensive.
+const AllLevels = core.AllLevels
 
 // Options configures an allreduce; see core.Options. Setting the Scratch
 // field (one pool per rank — see World.Scratch) makes steady-state
@@ -150,8 +147,8 @@ type Profile = simnet.Profile
 //
 //	world := sparcml.NewWorldHier(64, sparcml.DragonflyLike(4, 4))
 //
-// Auto selects the recursive hierarchical collectives — and their depth —
-// on such worlds whenever the level-aware cost model prices them cheapest.
+// Auto runs its algorithm hierarchically — and picks the depth — on such
+// worlds whenever the level-aware cost model prices that cheapest.
 // A flat network is the depth-1 hierarchy, which is what NewWorld builds.
 type Hierarchy = simnet.Hierarchy
 
@@ -191,19 +188,15 @@ func PredictSeconds(alg Algorithm, s CostScenario) float64 {
 	return core.PredictSeconds(alg, s)
 }
 
-// ChooseAuto returns the algorithm Auto resolves to for a scenario: the
+// ChooseAutoLevels returns what Auto resolves to for a scenario — the
 // paper's δ representation gate followed by a modeled-cost comparison of
-// the candidates (hierarchical ones included on multi-node topologies).
-func ChooseAuto(s CostScenario) Algorithm {
-	return core.ChooseAuto(s)
-}
-
-// ChooseAutoLevels is ChooseAuto returning additionally the hierarchy
-// depth the chosen algorithm should run at (Options.Levels; 0 for flat
-// choices) and the split-phase chunk count it should pipeline at
-// (Options.Chunks; 1 unless the scenario's Chunks is AutoChunks): on a
-// multi-tier Hierarchy world the cost model prices the hierarchical
-// algorithms at every usable depth and picks the cheapest.
+// the candidates: the algorithm, the hierarchy depth it runs at
+// (Options.Levels; 0 for flat choices) and the split-phase chunk count it
+// pipelines at (Options.Chunks; 1 unless the scenario's Chunks is
+// AutoChunks). On a multi-tier Hierarchy world the cost model also prices
+// candidates at every usable depth — DSAR, or the one sparse algorithm a
+// 64 KiB rule on a leader's expected accumulation names for that depth —
+// and picks the cheapest.
 func ChooseAutoLevels(s CostScenario) (Algorithm, int, int) {
 	return core.ChooseAutoLevels(s)
 }

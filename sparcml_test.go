@@ -35,8 +35,8 @@ func TestFacadeTopologyWorld(t *testing.T) {
 	if got := w.Hierarchy(); got.Depth() != 2 || got.Span(0) != 2 {
 		t.Fatal("two-level world must report its hierarchy")
 	}
-	// Auto on a topology world routes through HierSSAR; the reduction must
-	// still be exact.
+	// Auto on a topology world may run at depth 2; the reduction must still
+	// be exact.
 	results := Run(w, func(c *Comm) *Vector {
 		v := NewSparse(100, []int32{int32(c.Rank()), 50}, []float64{1, 2})
 		return c.Allreduce(v, Options{})
@@ -49,14 +49,14 @@ func TestFacadeTopologyWorld(t *testing.T) {
 	if w.SimTime() <= 0 {
 		t.Fatal("simulated time must be positive")
 	}
-	// Explicit HierSSAR must agree with the flat algorithm on a flat world.
+	// The full depth on a flat world is the flat algorithm itself.
 	flat := NewWorld(8, Aries)
 	flatRes := Run(flat, func(c *Comm) *Vector {
 		v := NewSparse(100, []int32{int32(c.Rank()), 50}, []float64{1, 2})
-		return c.Allreduce(v, Options{Algorithm: HierSSAR})
+		return c.Allreduce(v, Options{Algorithm: SSARSplitAllgather, Levels: AllLevels})
 	})
 	if !flatRes[0].Equal(results[0]) {
-		t.Fatal("HierSSAR on flat world must match topology result")
+		t.Fatal("AllLevels on a flat world must match the topology result")
 	}
 }
 
@@ -87,12 +87,12 @@ func TestFacadeHierarchyWorld(t *testing.T) {
 	if w.SimTime() <= 0 {
 		t.Fatal("simulated time must be positive")
 	}
-	// The level-aware cost model must resolve Auto to a hierarchical
-	// algorithm with an explicit depth on this machine.
+	// The level-aware cost model must resolve Auto to a sparse-result
+	// algorithm at an explicit depth on this machine.
 	alg, levels, _ := ChooseAutoLevels(CostScenario{
 		N: 100000, P: 64, K: 2, Profile: AriesGlobal, Hier: &h,
 	})
-	if alg != HierSSAR || levels < 2 {
+	if alg == DSARSplitAllgather || levels < 2 {
 		t.Fatalf("ChooseAutoLevels on DragonflyLike = %v@%d, want a hierarchical pick", alg, levels)
 	}
 	// A hand-written 2-level hierarchy must behave like the TwoLevel preset.

@@ -8,7 +8,7 @@
 //     least one lower-case letter, only letters, digits and underscores —
 //     must be declared by non-test Go source: a top-level declaration, a
 //     method, a struct field or an interface method. Dotted selectors like
-//     `core.HierDSAR` are checked by their final element. A word that only
+//     `core.DSARSplitAllgather` are checked by their final element. A word that only
 //     survives in a comment, a string or a test does not count.
 //   - Every `sparcml.X` selector inside a fenced Go block must name an
 //     exported top-level identifier of the facade package at the root.
