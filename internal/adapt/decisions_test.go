@@ -43,25 +43,22 @@ func TestDecisionHistoryStructure(t *testing.T) {
 		}
 		switched := 0
 		for i, e := range events {
-			attrs := map[string]string{}
-			for _, a := range e.Attrs {
-				attrs[a.Key] = a.Value
-			}
-			if b, ok := attrs["bucket"]; ok {
+			if b := e.Attr("bucket"); b != "" {
 				t.Fatalf("whole-call decision carries bucket %s", b)
 			}
-			if pred, err := strconv.ParseFloat(attrs["predicted_s"], 64); err != nil || pred <= 0 {
-				t.Fatalf("decision %d: prediction %q", i, attrs["predicted_s"])
+			if pred, err := strconv.ParseFloat(e.Attr("predicted_s"), 64); err != nil || pred <= 0 {
+				t.Fatalf("decision %d: prediction %q", i, e.Attr("predicted_s"))
 			}
-			switch attrs["reason"] {
+			reason := e.Attr("reason")
+			switch reason {
 			case ReasonAdopt, ReasonKeep, ReasonHold, ReasonSwitch, ReasonMargin:
 			default:
-				t.Fatalf("decision %d: unknown reason %q", i, attrs["reason"])
+				t.Fatalf("decision %d: unknown reason %q", i, reason)
 			}
-			if (i == 0) != (attrs["reason"] == ReasonAdopt) {
-				t.Fatalf("decision %d: reason %q, want adopt first and only first", i, attrs["reason"])
+			if (i == 0) != (reason == ReasonAdopt) {
+				t.Fatalf("decision %d: reason %q, want adopt first and only first", i, reason)
 			}
-			if attrs["reason"] == ReasonSwitch {
+			if reason == ReasonSwitch {
 				switched++
 			}
 			// Ranks decide in lockstep: every record must match rank 0's.
@@ -95,16 +92,7 @@ func TestDecisionEventsReachObs(t *testing.T) {
 				t.Fatal("adapt:decision must be an instant")
 			}
 			instants[s.Rank]++
-			var alg, reason bool
-			for _, a := range s.Attrs {
-				switch a.Key {
-				case "alg":
-					alg = a.Value != ""
-				case "reason":
-					reason = a.Value != ""
-				}
-			}
-			if !alg || !reason {
+			if s.Attr("alg") == "" || s.Attr("reason") == "" {
 				t.Fatalf("decision instant missing attrs: %+v", s.Attrs)
 			}
 		}

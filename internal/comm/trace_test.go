@@ -58,20 +58,15 @@ func sendSpans(hub *obs.Obs) []obs.Span {
 	return out
 }
 
-// attrInt returns s's integer attr named key, failing t when absent.
+// attrInt returns s's integer attr named key, failing t when it is absent
+// or not an integer.
 func attrInt(t *testing.T, s obs.Span, key string) int {
 	t.Helper()
-	for _, a := range s.Attrs {
-		if a.Key == key {
-			v, err := strconv.Atoi(a.Value)
-			if err != nil {
-				t.Fatalf("span %+v: attr %s=%q is not an integer", s, key, a.Value)
-			}
-			return v
-		}
+	v, err := strconv.Atoi(s.Attr(key))
+	if err != nil {
+		t.Fatalf("span %+v: attr %s: %v", s, key, err)
 	}
-	t.Fatalf("span %+v lacks attr %q", s, key)
-	return 0
+	return v
 }
 
 // TestTracerRecordsAllSends: the send hook sees every send once, with its

@@ -144,16 +144,6 @@ func sendSpans(hub *obs.Obs) []obs.Span {
 	return out
 }
 
-// sendAttr returns the value of a send span's attr named key.
-func sendAttr(s obs.Span, key string) string {
-	for _, a := range s.Attrs {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return ""
-}
-
 // TestFlatWorldIsDepthOneHierarchy pins the identity the single machine
 // type rests on: NewWorld(P, profile) and a depth-1 hierarchy world — with
 // the idiomatic GroupSize 0 or a positive one — are the same world in every

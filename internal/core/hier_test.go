@@ -374,7 +374,7 @@ func TestHierSSARInterNodeMessageCount(t *testing.T) {
 		})
 		inter := 0
 		for _, s := range sendSpans(hub) {
-			dst, _ := strconv.Atoi(sendAttr(s, "dst"))
+			dst, _ := strconv.Atoi(s.Attr("dst"))
 			if testTopo.SharedLevel(s.Rank, dst) != 0 {
 				inter++
 			}

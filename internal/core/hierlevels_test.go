@@ -201,7 +201,7 @@ func TestHierInterGroupMessageLocality(t *testing.T) {
 		})
 		global := 0
 		for _, s := range sendSpans(hub) {
-			if sendAttr(s, "level") == "2" {
+			if s.Attr("level") == "2" {
 				global++
 			}
 		}

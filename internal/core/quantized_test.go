@@ -1,14 +1,13 @@
 package core
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/pin"
 	"repro/internal/quant"
 	"repro/internal/simnet"
 	"repro/internal/stream"
@@ -111,10 +110,11 @@ var bandwidthBound = simnet.Profile{
 // TestQuantizedResultDigests pins the §6 path across commits: the
 // equivalence tables compare transports within one commit, so a change to
 // the quantizer's draw order, the decoder's arithmetic or the block
-// placement would pass them on every backend at once. The digests are the
-// SHA-256 of the result's float bits, recorded before DecodeInto replaced
-// the per-coordinate decoder. P = 6 and three 2-rank nodes make both the
-// flat allgather and the hierarchical top phase fold.
+// placement would pass them on every backend at once. The ledger entries
+// core/quantized/{flat,full-depth} are the SHA-256 of the result's float
+// bits on every backend and rank, recorded before DecodeInto replaced the
+// per-coordinate decoder. P = 6 and three 2-rank nodes make both the flat
+// allgather and the hierarchical top phase fold.
 func TestQuantizedResultDigests(t *testing.T) {
 	const P, n = 6, 3000
 	inputs := make([]*stream.Vector, P)
@@ -140,28 +140,24 @@ func TestQuantizedResultDigests(t *testing.T) {
 		"goroutine": comm.NewWorldHier(P, topo).UseGoroutineTransport(),
 		"tcp":       tcp,
 	}
+	pin.Prefix(t, "core/quantized")
 	for _, tc := range []struct {
+		name   string
 		levels int
-		want   string
 	}{
-		{0, "983efe4cd3a629fe576ffc8e52afff4b33abc100608506ab49a086e02ed2b9a9"},
-		{AllLevels, "db99dd5750b51c0254bf589a2c01d4acd19e78ea976713e7e86591ad7d06c248"},
+		{"flat", 0},
+		{"full-depth", AllLevels},
 	} {
 		opts := Options{Algorithm: DSARSplitAllgather, Levels: tc.levels, Seed: 20261002,
 			Quant: &quant.Config{Bits: 4, Bucket: 128, Norm: quant.NormMax}}
-		for backend, w := range worlds {
+		for _, w := range worlds {
 			results := comm.Run(w, func(p *comm.Proc) []float64 {
 				return Allreduce(p, inputs[p.Rank()], opts).ToDense()
 			})
-			for r, res := range results {
-				bits := make([]byte, 0, 8*len(res))
-				for _, x := range res {
-					bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(x))
-				}
-				sum := sha256.Sum256(bits)
-				if got := hex.EncodeToString(sum[:]); got != tc.want {
-					t.Errorf("%s on %s, rank %d: result digest %s, want %s", ChoiceName(DSARSplitAllgather, tc.levels), backend, r, got, tc.want)
-				}
+			for _, res := range results {
+				h := pin.New()
+				binary.Write(h, binary.LittleEndian, res)
+				pin.Check(t, "core/quantized/"+tc.name, h)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/pin"
 	"repro/internal/quant"
 	"repro/internal/simnet"
 	"repro/internal/stream"
@@ -21,7 +22,8 @@ import (
 // is a transport bug (payload codec corruption, reordering, two truly
 // concurrent ranks writing a vector they share by handover), never float
 // noise. The simulator is the reference; its result is also checked
-// against the plain chained reduction.
+// against the plain chained reduction, and its results in wire form, every
+// row of one world size, are the ledger entry core/transport-equiv/P=<P>.
 func TestCrossTransportEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	// RanksPerNode 3 keeps the last node ragged at every tested P but 12
@@ -45,6 +47,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 		{"ring-sparse", RingSparse, 0, false},
 	}
 
+	pin.Prefix(t, "core/transport-equiv")
 	for _, P := range []int{4, 12, 16, 32} {
 		simFlat := comm.NewWorld(P, simnet.Aries)
 		simHier := comm.NewWorldHier(P, topo)
@@ -61,6 +64,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 		defer tcpFlat.Close()
 		defer tcpHier.Close()
 
+		simWire := pin.New()
 		for _, pat := range patterns {
 			n := 600 + rng.Intn(300)
 			k := 1 + rng.Intn(n/5)
@@ -76,40 +80,56 @@ func TestCrossTransportEquivalence(t *testing.T) {
 					if quantized {
 						opts.Quant = &quant.Config{Bits: 4, Bucket: 256, Norm: quant.NormMax}
 					}
-					run := func(w *comm.World) [][]float64 {
-						return comm.Run(w, func(p *comm.Proc) []float64 {
-							return Allreduce(p, inputs[p.Rank()], opts).ToDense()
-						})
-					}
 					simW, goW, tcpW := simFlat, goFlat, tcpFlat
 					if tc.levels > 0 {
 						simW, goW, tcpW = simHier, goHier, tcpHier
 					}
-					want := run(simW)
+					want := runResults(simW, inputs, opts)
 					label := fmt.Sprintf("P=%d pattern=%s alg=%s quant=%v", P, pat.name, tc.name, quantized)
-					for backend, got := range map[string][][]float64{
-						"goroutine": run(goW),
-						"tcp":       run(tcpW),
-					} {
-						for r := range got {
-							for i := range want[r] {
-								if got[r][i] != want[r][i] {
-									t.Fatalf("%s backend=%s rank=%d coord=%d: got %g, sim %g",
-										label, backend, r, i, got[r][i], want[r][i])
-								}
-							}
-						}
+					matchSim(t, label, want, runResults(goW, inputs, opts), runResults(tcpW, inputs, opts))
+					for _, r := range want {
+						simWire.Write(r.wire)
 					}
 					if !quantized && tc.alg != DenseRabenseifner {
 						// Cross-check the simulator itself against the
 						// chained reference reduction.
-						ref := chainReduce(inputs)
-						for i, x := range ref {
-							if want[0][i] != x {
-								t.Fatalf("%s: sim rank 0 coord %d: got %g, reference %g", label, i, want[0][i], x)
+						for i, x := range chainReduce(inputs) {
+							if want[0].dense[i] != x {
+								t.Fatalf("%s: sim rank 0 coord %d: got %g, reference %g", label, i, want[0].dense[i], x)
 							}
 						}
 					}
+				}
+			}
+		}
+		pin.Check(t, fmt.Sprintf("core/transport-equiv/P=%d", P), simWire)
+	}
+}
+
+// rankResult is one rank's allreduce result: dense for comparing
+// backends, in wire form for the ledger.
+type rankResult struct {
+	dense []float64
+	wire  []byte
+}
+
+// runResults runs opts' allreduce of inputs on w.
+func runResults(w *comm.World, inputs []*stream.Vector, opts Options) []rankResult {
+	return comm.Run(w, func(p *comm.Proc) rankResult {
+		res := Allreduce(p, inputs[p.Rank()], opts)
+		return rankResult{res.ToDense(), res.AppendWire(nil)}
+	})
+}
+
+// matchSim fails t at the first coordinate where the goroutine or TCP
+// result differs from the simulator's.
+func matchSim(t *testing.T, label string, sim, gor, tcp []rankResult) {
+	t.Helper()
+	for backend, got := range map[string][]rankResult{"goroutine": gor, "tcp": tcp} {
+		for r := range got {
+			for i, x := range sim[r].dense {
+				if got[r].dense[i] != x {
+					t.Fatalf("%s backend=%s rank=%d coord=%d: got %g, sim %g", label, backend, r, i, got[r].dense[i], x)
 				}
 			}
 		}
@@ -130,7 +150,9 @@ func chainReduce(inputs []*stream.Vector) []float64 {
 
 // TestCrossTransportRaggedLevels drives the N-level recursion over a
 // ragged three-level hierarchy on both real backends and checks
-// bit-identity against the simulator, at the full and at a truncated depth.
+// bit-identity against the simulator, at the full and at a truncated
+// depth; the simulator's results in wire form are the ledger entry
+// core/transport-ragged/P=26.
 func TestCrossTransportRaggedLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := simnet.Hierarchy{Levels: []simnet.Level{
@@ -151,25 +173,17 @@ func TestCrossTransportRaggedLevels(t *testing.T) {
 	}
 	defer tcp.Close()
 
+	pin.Prefix(t, "core/transport-ragged")
+	simWire := pin.New()
 	for _, levels := range []int{AllLevels, 2} {
 		for _, alg := range []Algorithm{SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather} {
 			opts := Options{Algorithm: alg, Levels: levels, Seed: 3}
-			run := func(w *comm.World) [][]float64 {
-				return comm.Run(w, func(p *comm.Proc) []float64 {
-					return Allreduce(p, inputs[p.Rank()], opts).ToDense()
-				})
-			}
-			want := run(sim)
-			for backend, got := range map[string][][]float64{"goroutine": run(gor), "tcp": run(tcp)} {
-				for r := range got {
-					for i := range want[r] {
-						if got[r][i] != want[r][i] {
-							t.Fatalf("alg=%v levels=%d backend=%s rank=%d coord=%d: got %g, sim %g",
-								alg, levels, backend, r, i, got[r][i], want[r][i])
-						}
-					}
-				}
+			want := runResults(sim, inputs, opts)
+			matchSim(t, fmt.Sprintf("alg=%v levels=%d", alg, levels), want, runResults(gor, inputs, opts), runResults(tcp, inputs, opts))
+			for _, r := range want {
+				simWire.Write(r.wire)
 			}
 		}
 	}
+	pin.Check(t, fmt.Sprintf("core/transport-ragged/P=%d", P), simWire)
 }

@@ -196,27 +196,17 @@ func DumpTrace(w io.Writer, cfg MicrobenchConfig) {
 	var bytes []int64
 	for i, s := range sends {
 		fmt.Fprintf(w, "%12.3fµs  %2d → %2s  tag=%-8s %8sB  lvl=%s arrives %12.3fµs\n",
-			s.Start*1e6, s.Rank, spanAttr(s, "dst"), spanAttr(s, "tag"), spanAttr(s, "bytes"),
-			spanAttr(s, "level"), s.End*1e6)
+			s.Start*1e6, s.Rank, s.Attr("dst"), s.Attr("tag"), s.Attr("bytes"),
+			s.Attr("level"), s.End*1e6)
 		if i == 0 || s.Start != sends[i-1].Start {
 			counts, bytes = append(counts, 0), append(bytes, 0)
 		}
-		b, _ := strconv.ParseInt(spanAttr(s, "bytes"), 10, 64)
+		b, _ := strconv.ParseInt(s.Attr("bytes"), 10, 64)
 		counts[len(counts)-1]++
 		bytes[len(bytes)-1] += b
 	}
 	fmt.Fprintf(w, "\n# rounds: %d; per-round messages %v\n", len(counts), counts)
 	fmt.Fprintf(w, "# per-round bytes %v (geometric growth under low overlap)\n", bytes)
-}
-
-// spanAttr returns the value of s's attr named key ("" when absent).
-func spanAttr(s obs.Span, key string) string {
-	for _, a := range s.Attrs {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return ""
 }
 
 // Fig3NodeSweep reproduces the left panel of Figure 3: reduction time

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/pin"
 	"repro/internal/scenario"
 )
 
@@ -38,7 +39,7 @@ func TestGoldenObsExport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if *updateGolden {
+	if pin.Updating() {
 		if err := os.WriteFile(goldenPath, live.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}

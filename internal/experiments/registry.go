@@ -109,14 +109,23 @@ func cells(rows any) ([]report.Section, error) {
 	return []report.Section{{Name: "cells", Rows: rows}}, nil
 }
 
+// pow2Ranks is the power-of-two rank counts from `from` up to -maxp that a
+// node-count sweep runs; none is an error naming -maxp, not an empty table.
+func pow2Ranks(from, maxP int, what string) ([]int, error) {
+	ranks := report.Pow2Range(from, maxP)
+	if len(ranks) == 0 {
+		return nil, fmt.Errorf("-maxp %d yields no %s (need at least %d ranks)", maxP, what, from)
+	}
+	return ranks, nil
+}
+
 // hierSweep is the body of the hier and hierdsar entries: the
 // flat-vs-hierarchical cell across power-of-two rank counts from two nodes
 // up (single-node shapes carry no hierarchy).
 func hierSweep(p Params, dense bool) ([]report.Section, error) {
-	ranks := report.Pow2Range(2*p.RPN, p.MaxP)
-	if len(ranks) == 0 {
-		return nil, fmt.Errorf("-maxp %d yields no multi-node shapes (need at least %d ranks for 2 nodes of %d)",
-			p.MaxP, 2*p.RPN, p.RPN)
+	ranks, err := pow2Ranks(2*p.RPN, p.MaxP, fmt.Sprintf("multi-node shapes of -rpn %d", p.RPN))
+	if err != nil {
+		return nil, err
 	}
 	nic := 0
 	if dense {
@@ -140,7 +149,11 @@ func Sweeps() []Sweep {
 				"all six algorithms (paper: Piz Daint, N=16M, d=0.781%)",
 			Defaults: DefaultParams(),
 			Run: func(p Params) ([]report.Section, error) {
-				return cells(Fig3NodeSweep(p.N, p.Density, report.Pow2Range(2, p.MaxP), p.Profile, p.Gens, p.Runs))
+				ranks, err := pow2Ranks(2, p.MaxP, "node counts")
+				if err != nil {
+					return nil, err
+				}
+				return cells(Fig3NodeSweep(p.N, p.Density, ranks, p.Profile, p.Gens, p.Runs))
 			},
 		},
 		{

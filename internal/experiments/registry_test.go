@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pin"
 	"repro/internal/report"
 )
 
@@ -86,9 +87,12 @@ func TestRegistryMatchesCommittedDocuments(t *testing.T) {
 
 // TestRegistryEntriesRunAndRender runs every registered sweep — the
 // CLI-shaped ones at tiny parameters, the fixed-cell ones as recorded —
-// and renders the result in all three formats.
+// and renders the result in all three formats. The ungated simulated
+// sweeps are pinned as run here (pinSweep); overlapwall is wall-clock and
+// merge is BENCH_3.
 func TestRegistryEntriesRunAndRender(t *testing.T) {
 	slow := map[string]bool{"adapt": true, "adaptdiv": true, "cluster": true} // 20 s each
+	pinned := map[string]bool{"nodes": true, "density": true, "hier": true, "hierdsar": true, "adaptdiv": true}
 	for _, sw := range Sweeps() {
 		t.Run(sw.Name, func(t *testing.T) {
 			if slow[sw.Name] {
@@ -123,8 +127,31 @@ func TestRegistryEntriesRunAndRender(t *testing.T) {
 				if back.ID != sw.Bench || len(back.Sections) != len(doc.Sections) {
 					t.Fatalf("-json round trip lost structure: id %q, %d sections", back.ID, len(back.Sections))
 				}
+				if pinned[sw.Name] {
+					pinSweep(t, sw.Name, doc, out.Bytes())
+				}
 			}
 		})
+	}
+}
+
+// pinSweep checks an ungated sweep against the ledger: one entry over its
+// -json bytes, or one per row for adaptdiv, whose rows grow with the
+// scenario library.
+func pinSweep(t *testing.T, name string, doc report.Document, js []byte) {
+	t.Helper()
+	prefix := "experiments/sweep/" + name
+	pin.Prefix(t, prefix)
+	if name != "adaptdiv" {
+		h := pin.New()
+		h.Write(js)
+		pin.Check(t, prefix, h)
+		return
+	}
+	for _, row := range doc.Sections[0].Rows.([]AdaptRow) {
+		h := pin.New()
+		json.NewEncoder(h).Encode(row)
+		pin.Check(t, prefix+"/"+row.Workload, h)
 	}
 }
 
@@ -147,6 +174,16 @@ func TestParamsValidate(t *testing.T) {
 		edit(&p)
 		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), flag+" ") {
 			t.Errorf("bad %s: got error %v, want one naming the flag", flag, err)
+		}
+	}
+	// A -maxp that leaves a node-count sweep no rank count is an error too,
+	// not a header-only table.
+	for _, name := range []string{"nodes", "hier", "hierdsar"} {
+		sw, _ := Lookup(name)
+		p := sw.Defaults
+		p.MaxP = 1
+		if _, err := sw.Document(p); err == nil || !strings.Contains(err.Error(), "-maxp 1 ") {
+			t.Errorf("%s -maxp 1: got error %v, want one naming the flag", name, err)
 		}
 	}
 }

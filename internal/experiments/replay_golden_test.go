@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"encoding/json"
-	"flag"
 	"os"
 	"testing"
 
+	"repro/internal/pin"
 	"repro/internal/scenario"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files (testdata/)")
 
 // goldenAdaptScenario is the committed-trace workload: the clustered
 // shape at a size that keeps the trace file small enough to commit.
@@ -29,7 +27,7 @@ func TestGoldenTraceReplay(t *testing.T) {
 		tracePath = "testdata/clustered-small.trace"
 		rowPath   = "testdata/clustered-small.row.json"
 	)
-	if *updateGolden {
+	if pin.Updating() {
 		tr := scenario.Record(goldenAdaptScenario, scenario.NewKey(AdaptSeed))
 		if err := tr.WriteFile(tracePath); err != nil {
 			t.Fatal(err)

@@ -1,13 +1,13 @@
 package nn
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/pin"
 )
 
 // refDenseForward is Dense.Forward as first written: one output row per
@@ -200,14 +200,14 @@ func FuzzDenseKernelEquivalence(f *testing.F) {
 // TestResidualMLPDigest pins three accumulated forward+backward passes of a
 // ResidualMLP whose widths cover every Out mod 4, at batches that shrink and
 // grow its workspaces: the loss bits of each pass and the final gradient.
-// The digest was recorded with the one-row-per-pass, sample-major kernels
-// and per-call allocations, so it holds the blocked kernels and reused
-// workspaces to the same bits.
+// The ledger entry nn/residual-mlp was recorded with the one-row-per-pass,
+// sample-major kernels and per-call allocations, so it holds the blocked
+// kernels and reused workspaces to the same bits.
 func TestResidualMLPDigest(t *testing.T) {
-	const want = "7da6e5fbb2257ce11795469fc2bd936cab2ceae42c98d8199f00cfe804504927"
+	pin.Prefix(t, "nn/residual-mlp")
 	net := ResidualMLP(11, 13, 10, 2, 7, 1)
 	rng := rand.New(rand.NewSource(12))
-	h := sha256.New()
+	h := pin.New()
 	for _, batch := range []int{5, 2, 8} {
 		x := make([][]float64, batch)
 		y := make([]int, batch)
@@ -223,7 +223,5 @@ func TestResidualMLPDigest(t *testing.T) {
 		binary.Write(h, binary.LittleEndian, loss)
 	}
 	binary.Write(h, binary.LittleEndian, net.Grads())
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Fatalf("digest %s, want %s", got, want)
-	}
+	pin.Check(t, "nn/residual-mlp", h)
 }

@@ -101,6 +101,17 @@ type Span struct {
 	Attrs []Attr
 }
 
+// Attr returns the value of the span's attr named key, or "" when it has
+// none.
+func (s Span) Attr(key string) string {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
 // openSpan is a stack entry for Begin/End bracket tracing.
 type openSpan struct {
 	name  string

@@ -2,11 +2,12 @@ package quant
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/pin"
 )
 
 // referenceDecode is the per-coordinate decoder DecodeInto replaced, kept
@@ -173,24 +174,22 @@ func pinInput() []float64 {
 	return v
 }
 
-// TestEncodeMarshalDigests pins the encoder's bytes across commits: one
-// rng.Float64() per coordinate of a non-zero bucket, in coordinate order,
-// is part of the bit-identity contract, and nothing else would notice a
-// reordering that every transport applies alike. Recorded before the
-// decoder and the framing were rewritten.
+// TestEncodeMarshalDigests pins the encoder's bytes across commits as the
+// ledger entries quant/encode/<bits>-bit/<norm>: one rng.Float64() per
+// coordinate of a non-zero bucket, in coordinate order, is part of the
+// bit-identity contract, and nothing else would notice a reordering that
+// every transport applies alike. Recorded before the decoder and the
+// framing were rewritten.
 func TestEncodeMarshalDigests(t *testing.T) {
-	for _, tc := range []struct {
-		cfg  Config
-		want string
-	}{
-		{Config{Bits: 2, Bucket: 512, Norm: NormMax}, "83afe1c97dac440ca348de95e4ccb432ab50ee2f81d8cdcede7400b8792a9f9d"},
-		{Config{Bits: 4, Bucket: 512, Norm: NormMax}, "b35ed3631fa973d2dcb023a5ac2ec8e077d029ce6542aeb0552f7c6731423cec"},
-		{Config{Bits: 8, Bucket: 512, Norm: NormMax}, "12bc232416ee64349f3482196d3b4846d1abe06324ab257c8ade82c5fa7c4f1c"},
-		{Config{Bits: 4, Bucket: 512, Norm: NormL2}, "f523d08cf0953113fef04534e3530b02349fe30e18ab2ffe99f4f565f8b3afb6"},
+	pin.Prefix(t, "quant/encode")
+	for _, cfg := range []Config{
+		{Bits: 2, Bucket: 512, Norm: NormMax},
+		{Bits: 4, Bucket: 512, Norm: NormMax},
+		{Bits: 8, Bucket: 512, Norm: NormMax},
+		{Bits: 4, Bucket: 512, Norm: NormL2},
 	} {
-		sum := sha256.Sum256(Encode(pinInput(), tc.cfg, rand.New(rand.NewSource(20261002))).AppendMarshal(nil))
-		if got := hex.EncodeToString(sum[:]); got != tc.want {
-			t.Errorf("%+v: marshalled Encode(...) digest %s, want %s", tc.cfg, got, tc.want)
-		}
+		h := pin.New()
+		h.Write(Encode(pinInput(), cfg, rand.New(rand.NewSource(20261002))).AppendMarshal(nil))
+		pin.Check(t, fmt.Sprintf("quant/encode/%d-bit/%v", cfg.Bits, cfg.Norm), h)
 	}
 }

@@ -1,35 +1,34 @@
 package scenario
 
 import (
-	"encoding/json"
-	"flag"
-	"fmt"
+	"hash"
 	"hash/fnv"
-	"os"
 	"sort"
 	"testing"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files (testdata/digests.json)")
 
 // digestCalls caps how many calls a digest covers, keeping the BENCH-sized
 // cells fast while still hashing every rank's full byte stream.
 const digestCalls = 2
 
-// digestScenario hashes the wire bytes of a scenario's first calls: any
+// digestScenario hashes, with FNV-64a, the wire bytes of a scenario's
+// first calls, running between (when non-nil) before each call: any
 // change to any rank's support or values anywhere in the prefix changes
 // the digest.
-func digestScenario(sc Scenario, key SimulationKey) string {
+func digestScenario(sc Scenario, key SimulationKey, between func()) hash.Hash64 {
 	g := sc.Generator(key)
 	h := fnv.New64a()
 	var buf []byte
 	for c := 0; c < digestCalls && c < sc.Calls; c++ {
+		if between != nil {
+			between()
+		}
 		for _, v := range g.Next() {
 			buf = v.AppendWire(buf[:0])
 			h.Write(buf)
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return h
 }
 
 // TestSeedIsolationAddingScenario is the PartitionedRNG contract's
@@ -41,9 +40,9 @@ func digestScenario(sc Scenario, key SimulationKey) string {
 // documents.
 func TestSeedIsolationAddingScenario(t *testing.T) {
 	key := NewKey(701)
-	baseline := map[string]string{}
+	baseline := map[string]uint64{}
 	for _, sc := range Library() {
-		baseline[sc.Name] = digestScenario(sc, key)
+		baseline[sc.Name] = digestScenario(sc, key, nil).Sum64()
 	}
 
 	// The "new scenario" a future PR might add.
@@ -59,20 +58,10 @@ func TestSeedIsolationAddingScenario(t *testing.T) {
 	names := Names()
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	for _, name := range names {
-		sc := library[name]
 		inter := added.Generator(key)
-		g := sc.Generator(key)
-		h := fnv.New64a()
-		var buf []byte
-		for c := 0; c < digestCalls && c < sc.Calls; c++ {
-			inter.Next() // a foreign scenario generating mid-flight
-			for _, v := range g.Next() {
-				buf = v.AppendWire(buf[:0])
-				h.Write(buf)
-			}
-		}
-		if got := fmt.Sprintf("%016x", h.Sum64()); got != baseline[name] {
-			t.Errorf("scenario %s: byte stream changed when another scenario generated alongside (%s -> %s)", name, baseline[name], got)
+		// A foreign scenario generates mid-flight, before every call.
+		if got := digestScenario(library[name], key, func() { inter.Next() }).Sum64(); got != baseline[name] {
+			t.Errorf("scenario %s: byte stream changed when another scenario generated alongside (%016x -> %016x)", name, baseline[name], got)
 		}
 	}
 }
@@ -208,51 +197,6 @@ func TestSeedIsolationCallPrefix(t *testing.T) {
 			if !a[c][r].Equal(b[c][r]) {
 				t.Fatalf("call %d rank %d: prefix changed when Calls grew", c, r)
 			}
-		}
-	}
-}
-
-// TestGoldenDigests pins every library scenario's generated bytes to the
-// committed digests: any change to the generator, the key derivation, or
-// a scenario definition fails here before it silently invalidates the
-// drift-gated BENCH documents. Regenerate with
-// `go test ./internal/scenario -run TestGoldenDigests -update`.
-func TestGoldenDigests(t *testing.T) {
-	key := NewKey(701)
-	got := map[string]string{}
-	for _, sc := range Library() {
-		got[sc.Name] = digestScenario(sc, key)
-	}
-	const path = "testdata/digests.json"
-	if *updateGolden {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden digests (regenerate with -update): %v", err)
-	}
-	want := map[string]string{}
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatalf("parse %s: %v", path, err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("library has %d scenarios, golden file %d (run -update after adding one)", len(got), len(want))
-	}
-	for name, d := range got {
-		if want[name] == "" {
-			t.Errorf("scenario %s has no golden digest (run -update)", name)
-			continue
-		}
-		if want[name] != d {
-			t.Errorf("scenario %s: digest %s, golden %s — generated bytes changed", name, d, want[name])
 		}
 	}
 }

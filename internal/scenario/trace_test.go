@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/pin"
 )
 
 // smallTrace is a compact scenario used by the codec tests: multi-modal,
@@ -121,7 +123,7 @@ func TestGoldenTrace(t *testing.T) {
 	const path = "testdata/trace-small.trace"
 	key := NewKey(701)
 	fresh := Record(smallTrace, key).Encode()
-	if *updateGolden {
+	if pin.Updating() {
 		if err := os.WriteFile(path, fresh, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -137,6 +139,19 @@ func TestGoldenTrace(t *testing.T) {
 	}
 	if !bytes.Equal(committed, fresh) {
 		t.Fatal("regenerating the golden trace produced different bytes — generator or codec drifted")
+	}
+}
+
+// TestGoldenDigests pins every library scenario's generated bytes — the
+// FNV-64a digestScenario takes — as the ledger entries
+// scenario/library/<name>: a change to the generator, the key derivation
+// or a scenario definition fails here before it silently invalidates the
+// drift-gated BENCH documents, and a scenario added to or dropped from the
+// library fails until its entry is recorded or deleted with -update.
+func TestGoldenDigests(t *testing.T) {
+	pin.Prefix(t, "scenario/library")
+	for _, sc := range Library() {
+		pin.Check(t, "scenario/library/"+sc.Name, digestScenario(sc, NewKey(701), nil))
 	}
 }
 

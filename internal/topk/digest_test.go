@@ -1,12 +1,11 @@
 package topk
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"math"
 	"testing"
 
+	"repro/internal/pin"
 	"repro/internal/stream"
 )
 
@@ -40,33 +39,34 @@ func digestGrad(n, round int) []float64 {
 }
 
 // TestExtractDigests pins Extract and ExtractSpan across commits: the
-// SHA-256 of every returned stream's wire form, call after call, followed
-// by the bits of the residual left behind. Which of several equal
-// magnitudes survives (the lower index) and what happens to a selected
-// zero (it is neither sent nor touched) are part of the bit-identity
-// contract of TopK-SGD; the digests were recorded while selection still ran
-// the heap of Select per bucket and re-sorted its output in NewSparse. A
-// second pass extracts every span through ExtractSpanInto from a pool each
-// stream is released back into, and must hash the same.
+// ledger entry topk/extract/<case> is the SHA-256 of every returned
+// stream's wire form, call after call, followed by the bits of the
+// residual left behind. Which of several equal magnitudes survives (the
+// lower index) and what happens to a selected zero (it is neither sent nor
+// touched) are part of the bit-identity contract of TopK-SGD; the digests
+// were recorded while selection still ran the heap of Select per bucket
+// and re-sorted its output in NewSparse. A second pass extracts every span
+// through ExtractSpanInto from a pool each stream is released back into,
+// and must hash the same.
 func TestExtractDigests(t *testing.T) {
 	const n = 4139 // eight buckets of 512 and a short ninth
+	pin.Prefix(t, "topk/extract")
 	for _, tc := range []struct {
 		name      string
 		bucket, k int
 		spans     [][2]int // nil: Extract over the whole vector
-		want      string
 	}{
-		{"buckets-512-8", 512, 8, nil, "96c64e781428683a639e2b5c0cb854c6ba265dfb5c0ccdb7c71e11a429c9dc12"},
-		{"buckets-512-16", 512, 16, nil, "ac6c9f751b66bde15d39fc6b8ddfe7aa7a557f9d34e0de1b9718b459f6f76702"},
-		{"buckets-64-1", 64, 1, nil, "68b5073b917c4241ea1e879ba9eb95073694d15a815133629101a6e154e81563"},
-		{"buckets-100-60", 100, 60, nil, "5cdca08d9654938d40e0ce87a6922adce2c09dccce0330e5338d0bd9c4f34fbd"},
-		{"global-50", 0, 50, nil, "f6b5699a556187bd5d29473cbd73a69487554fe25932286b8cd5efb864bc3207"},
-		{"spans-512-8", 512, 8, [][2]int{{0, 1000}, {1000, 1003}, {1003, 3200}, {3200, n}}, "08e279c202c3369684cc74bcc93fe29d3118048c2987e6d4998b7cb83e60971f"},
-		{"spans-global-5", 0, 5, [][2]int{{0, 2000}, {2000, 2003}, {2003, n}}, "61d4bdc0e0b3e50d59895f67b46a1fb2da0bd0fc5c14af7d696cdc37e0ff2f55"},
+		{"buckets-512-8", 512, 8, nil},
+		{"buckets-512-16", 512, 16, nil},
+		{"buckets-64-1", 64, 1, nil},
+		{"buckets-100-60", 100, 60, nil},
+		{"global-50", 0, 50, nil},
+		{"spans-512-8", 512, 8, [][2]int{{0, 1000}, {1000, 1003}, {1003, 3200}, {3200, n}}},
+		{"spans-global-5", 0, 5, [][2]int{{0, 2000}, {2000, 2003}, {2003, n}}},
 	} {
 		for _, sc := range []*stream.Scratch{nil, stream.NewScratch()} {
 			r := NewResidual(n)
-			h := sha256.New()
+			h := pin.New()
 			for round := 0; round < 3; round++ {
 				r.Accumulate(digestGrad(n, round), 0.5)
 				if tc.spans == nil && sc == nil {
@@ -83,12 +83,8 @@ func TestExtractDigests(t *testing.T) {
 					sc.Release(v) // the next extraction reuses its storage
 				}
 			}
-			for _, x := range r.acc {
-				h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
-			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
-				t.Errorf("%s (pooled %v): digest %s, want %s", tc.name, sc != nil, got, tc.want)
-			}
+			binary.Write(h, binary.LittleEndian, r.acc)
+			pin.Check(t, "topk/extract/"+tc.name, h)
 		}
 	}
 }

@@ -32,13 +32,7 @@ func TestTrainStepSpans(t *testing.T) {
 		if s.End < s.Start {
 			t.Fatalf("negative step span: %+v", s)
 		}
-		var stepAttr string
-		for _, a := range s.Attrs {
-			if a.Key == "step" {
-				stepAttr = a.Value
-			}
-		}
-		steps[s.Rank] = append(steps[s.Rank], stepAttr)
+		steps[s.Rank] = append(steps[s.Rank], s.Attr("step"))
 	}
 	for r := 0; r < P; r++ {
 		if len(steps[r]) != cfg.Epochs*cfg.StepsPerEpoch {

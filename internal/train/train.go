@@ -9,6 +9,7 @@
 package train
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 
@@ -399,18 +400,6 @@ func StepDecay(divisor float64, at ...int) func(epoch int) float64 {
 // Theorem 4.1's requirement that "learning rates should be diminishing".
 func InvSqrtDecay() func(epoch int) float64 {
 	return func(epoch int) float64 {
-		return 1 / sqrtFloat(1+float64(epoch))
+		return 1 / math.Sqrt(1+float64(epoch))
 	}
-}
-
-func sqrtFloat(x float64) float64 {
-	// Newton iterations avoid importing math for one call site.
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 20; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
 }

@@ -11,13 +11,16 @@
 #      goroutine and loopback-TCP backends, every op bit-checked against
 #      the simulator, goroutine/fd leaks fail the run. It measures nothing
 #      here (`go run ./bench` + bench/benchcmp do, see bench/README.md).
-#   4. the full test suite — the acceptance invariants of BENCH_5/7/8 are
+#   4. the pin ledger: every test that checks testdata/pins.json, uncached,
+#      so a drifted digest shows first as a short list of
+#      "name: old → new" lines.
+#   5. the full test suite — the acceptance invariants of BENCH_5/7/8 are
 #      tests against the committed files, so a drift that regresses one
 #      fails twice.
-#   5. record/replay: a recorded scenario trace replays to the live run's
+#   6. record/replay: a recorded scenario trace replays to the live run's
 #      row, Perfetto export and metrics dump byte for byte, and the pinned
 #      lstm export matches its committed golden.
-#   6. the sweep registry's drift gate: every committed BENCH_<n>.json is
+#   7. the sweep registry's drift gate: every committed BENCH_<n>.json is
 #      re-recorded from the sweep registered under its id and must match
 #      byte for byte (all simulated or allocation-count metrics,
 #      deterministic; a drifted file is regenerated in place to commit).
@@ -46,8 +49,8 @@ go run ./tools/doccheck . ./internal/simnet ./internal/comm ./internal/core ./in
 echo "== docdrift (docs tables must name real identifiers, sparbench invocations real sweeps)"
 go run ./tools/docdrift -root . README.md docs/COLLECTIVES.md docs/ARCHITECTURE.md
 
-echo "== go test -race (comm + core + adapt + stream + scenario + train + cluster + obs: real transports, payloads handed between truly concurrent ranks and their scratch pools, parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks)"
-go test -race ./internal/comm/... ./internal/core/... ./internal/adapt/... ./internal/stream/... ./internal/scenario/... ./internal/train/... ./internal/cluster/... ./internal/obs/...
+echo "== go test -race (comm + core + adapt + stream + scenario + train + cluster + obs: real transports, payloads handed between truly concurrent ranks and their scratch pools, parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks, concurrent pin-ledger checks)"
+go test -race ./internal/comm/... ./internal/core/... ./internal/adapt/... ./internal/stream/... ./internal/scenario/... ./internal/train/... ./internal/cluster/... ./internal/obs/... ./internal/pin
 echo "== go test -race -run Adapt . (the facade's EnableAdaptation installs the send hook the link calibrators fold under)"
 go test -race -run 'Adapt' .
 
@@ -77,6 +80,9 @@ go test ./internal/obs -run '^$' -fuzz '^FuzzDecodeChromeTrace$' -fuzztime 5s | 
 
 echo "== bench -quick (six workloads on goroutine + loopback TCP, every op checked, leaks fail)"
 go run ./bench -quick > /dev/null
+
+echo "== pin ledger (every test that checks testdata/pins.json, uncached; a drifted entry prints as 'name: old → new')"
+go test -count=1 -run '^(TestPredictDigests|TestSparseAllgatherPinned|TestQuantizedResultDigests|TestCrossTransportEquivalence|TestCrossTransportRaggedLevels|TestExtractDigests|TestAddAllDigests|TestGoldenDigests|TestEncodeMarshalDigests|TestResidualMLPDigest|TestAdaptDecisionDigests|TestRegistryEntriesRunAndRender|TestLedgerIsCanonical)$/^(nodes|density|hier|hierdsar|adaptdiv)$' ./internal/...
 
 echo "== go test ./..."
 go test ./...
