@@ -37,6 +37,10 @@ type Message struct {
 	// list transfers like any payload, but the blocks inside it are
 	// forwarded from rank to rank as they arrived: they are shared
 	// read-only by every rank that has seen them, not owned by the last.
+	// What a rank no longer references — a payload it has sent, or one it
+	// received and consumed — it may hand to Proc.Recycle, which on TCP
+	// lets the next arrival be decoded into that storage and in process
+	// does nothing, so that a shared block is never reused.
 	Payload any
 	// Bytes is the modeled wire size used by the α–β cost model.
 	Bytes int
@@ -561,6 +565,19 @@ func (p *Proc) activeAt(l int) int {
 // it through the wire codec onto a socket.
 func (p *Proc) Send(to, tag int, payload any, bytes int) {
 	p.world.transport.send(p, p.worldRank(to), tag, payload, bytes)
+}
+
+// Recycle declares that this Proc no longer references payload — one it
+// has sent, or one it received and has consumed — so the transport may
+// reuse its storage. Over TCP every payload a rank holds is its own, built
+// by it or decoded for it, and Recycle puts it into the pool the rank's
+// socket readers decode arrivals into; the in-process backends hand
+// payloads over by reference and ignore it. After the call the caller must
+// not touch payload or anything inside it, except the blocks of a
+// block-allgather list, which Recycle never takes. Pass the interface value
+// that was sent or received: Recycle allocates nothing.
+func (p *Proc) Recycle(payload any) {
+	p.world.transport.recycle(p, payload)
 }
 
 // sendFactor returns the modeled contention factor and priced hierarchy

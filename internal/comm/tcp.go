@@ -30,15 +30,27 @@ import (
 // (IAllreduce, BucketScheduler) take turns and a frame is never rewritten
 // before the kernel has copied it. A receiver reads every frame of one
 // connection into that connection's body buffer, which lives until the next
-// frame on the same connection: every decoder (wire.go, stream.DecodeWire,
-// quant.Unmarshal) copies what it keeps out of the body, so no delivered
-// payload may alias it (TestTCPPayloadsDoNotAliasFrames). Both buffers grow
-// to the largest frame seen and stay that size, up to maxRetainedFrameBytes
-// each (one per local rank for writes, one per inbound connection for
-// reads); a larger frame gets storage of its own that dies with it. A body
-// is grown as its bytes arrive — frameFirstChunk, then doubling, or at once
-// to the size of a frame the connection has already delivered whole — so a
-// length prefix alone buys no memory.
+// frame on the same connection. Both buffers grow to the largest frame
+// seen and stay that size, up to maxRetainedFrameBytes each (one per local
+// rank for writes, one per inbound connection for reads); a larger frame
+// gets storage of its own that dies with it. A body is grown as its bytes
+// arrive — frameFirstChunk, then doubling, or at once to the size of a
+// frame the connection has already delivered whole — so a length prefix
+// alone buys no memory.
+//
+// Decoded payloads are not allocated per message either. Every payload a
+// rank holds over TCP is its own — built by it, or decoded for it alone —
+// so once the rank no longer references one, Proc.Recycle puts it into the
+// rank's endpoint decode pool (decodePool: vectors, quantized blocks and
+// block lists, behind a mutex the rank and its reader goroutines share,
+// each free list bounded). The flat collectives recycle what they have
+// sent once it is framed and the arrivals they consume without releasing
+// them into their own Scratch (the hierarchical sweeps' trees recycle
+// nothing yet), and the readers decode arrivals into that pool. Under a
+// symmetric collective each rank sends what it receives, so the pool
+// settles. The decoders copy everything they keep
+// out of the body, so no delivered payload aliases a frame
+// (TestTCPPayloadsDoNotAliasFrames).
 
 // TCPConfig configures a TCP-transport world (NewWorldTCP).
 type TCPConfig struct {
@@ -116,6 +128,7 @@ type tcpEndpoint struct {
 	mu    sync.Mutex       // serialises dials and message writes of this rank
 	conns map[int]net.Conn // destination world rank → outbound conn
 	wbuf  []byte           // the reused message frame, at most maxRetainedFrameBytes
+	pool  decodePool       // what this rank's readers decode into; refilled by Recycle
 }
 
 // registrar is rank 0's rendezvous state: it collects every rank's data
@@ -165,6 +178,15 @@ func (t *tcpTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
 	}
 	arrival := t.w.wallNow()
 	p.recordSend(dst, tag, bytes, start, arrival, 1, p.sharedLevel(dst))
+}
+
+// recycle puts a payload p no longer references into its rank's decode
+// pool: over TCP every payload a rank holds is its own — built by it, or
+// decoded for it — so nothing else can see the storage.
+func (t *tcpTransport) recycle(p *Proc, payload any) {
+	if ep := t.eps[p.rank]; ep != nil {
+		ep.pool.put(payload)
+	}
 }
 
 // sendMsg builds one whole message frame — length prefix, message header,
@@ -353,7 +375,8 @@ func (ep *tcpEndpoint) serveConn(conn net.Conn) {
 
 // readMessages is the per-connection reader: each frame becomes a mailbox
 // delivery for this endpoint's rank. Every frame is read into the one body
-// buffer this loop owns; decodePayload copies out of it. A mid-run
+// buffer this loop owns, and decoded out of it into the endpoint's decode
+// pool, which every reader of the rank shares. A mid-run
 // transport error poisons the world so blocked receivers fail fast instead
 // of deadlocking.
 func (ep *tcpEndpoint) readMessages(fr *frameReader, src int) {
@@ -370,7 +393,7 @@ func (ep *tcpEndpoint) readMessages(fr *frameReader, src int) {
 			ep.t.w.poison()
 			return
 		}
-		payload, err := decodePayload(codec)
+		payload, err := ep.pool.decode(codec)
 		if err != nil {
 			ep.t.w.poison()
 			return

@@ -16,11 +16,14 @@ package comm
 //
 // Both in-process backends deliver the sender's payload object itself, under
 // the Message.Payload contract: ownership transfers on Send, the sender
-// neither mutates nor recycles what it sent. The blocks inside a
-// block-allgather list are the one thing several ranks hold at once: each
-// is forwarded as it arrived, read by all and written or recycled by none.
+// neither mutates what it sent nor releases it into a pool of its own, and
+// both ignore Proc.Recycle. The blocks inside a block-allgather list are
+// the one thing several ranks hold at once: each is forwarded as it
+// arrived, read by all and written or released by none. Over TCP every
+// payload a rank holds is its own, and Proc.Recycle feeds the pool its
+// socket readers decode into (tcp.go).
 //
-// The interface is sealed (its send/close methods are unexported):
+// The interface is sealed (its send/recycle/close methods are unexported):
 // backends live in this package because they are entangled with mailbox
 // delivery, send-record, and poisoning invariants.
 type Transport interface {
@@ -31,6 +34,8 @@ type Transport interface {
 	Wall() bool
 	// send moves one message from p to world rank dst and records it.
 	send(p *Proc, dst, tag int, payload any, bytes int)
+	// recycle takes back a payload p no longer references (Proc.Recycle).
+	recycle(p *Proc, payload any)
 	// close releases backend resources.
 	close() error
 }
@@ -48,6 +53,10 @@ func (simTransport) Name() string { return "sim" }
 func (simTransport) Wall() bool { return false }
 
 func (simTransport) close() error { return nil }
+
+// recycle is a no-op: a payload handed over by reference may be the
+// receiver's now.
+func (simTransport) recycle(*Proc, any) {}
 
 func (simTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
 	start := p.clock.Now()
@@ -74,6 +83,10 @@ func (goroutineTransport) Name() string { return "goroutine" }
 func (goroutineTransport) Wall() bool { return true }
 
 func (goroutineTransport) close() error { return nil }
+
+// recycle is a no-op: a payload handed over by reference may be the
+// receiver's now.
+func (goroutineTransport) recycle(*Proc, any) {}
 
 func (goroutineTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
 	now := p.world.wallNow()

@@ -47,6 +47,12 @@ func codecCases() []any {
 	}
 }
 
+// decodePayload decodes into fresh storage: the nil pool, as the decoder
+// ran before pools existed.
+func decodePayload(data []byte) (any, error) {
+	return (*decodePool)(nil).decode(data)
+}
+
 // copyPayload round-trips a payload through the codec the way a TCP message
 // travels: one exact-size frame, then the decoded value, which shares no
 // storage with the original.
@@ -165,6 +171,12 @@ func TestPayloadCodecRejectsGarbage(t *testing.T) {
 // a value or an error — it never panics and never allocates past the
 // frame — and an accepted value re-encodes to a frame that decodes to the
 // same bytes again (compared as frames, so NaN payloads compare equal).
+// Every input is decoded twice more, through pools of stale storage of the
+// wrong sizes (stalePool): the pooled decode must give the same value bit
+// for bit, or the same error; a rejected frame must leave every buffer it
+// borrowed in the pool; and an accepted value must share no storage with
+// what the pool still holds, so decoding the same bytes again through that
+// pool leaves the first value as it was.
 func FuzzDecodePayload(f *testing.F) {
 	for _, v := range codecCases() {
 		frame, err := appendPayload(nil, v)
@@ -176,6 +188,9 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(hostileCountFrame)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := decodePayload(data)
+		for _, dp := range []*decodePool{stalePool(false), stalePool(true)} {
+			checkPooledDecode(t, dp, data, v, err)
+		}
 		if err != nil {
 			return
 		}
@@ -194,6 +209,75 @@ func FuzzDecodePayload(f *testing.F) {
 			t.Fatalf("%T: decode∘append is not the identity", v)
 		}
 	})
+}
+
+// checkPooledDecode decodes data through dp and holds the result to the
+// fresh decode's value v or error err (see FuzzDecodePayload).
+func checkPooledDecode(t *testing.T, dp *decodePool, data []byte, v any, err error) {
+	t.Helper()
+	held := dp.held()
+	pv, perr := dp.decode(data)
+	if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+		t.Fatalf("fresh decode: %v; pooled decode: %v", err, perr)
+	}
+	if perr != nil {
+		if now := dp.held(); now < held {
+			t.Fatalf("a rejected frame took %d of the pool's %d buffers with it", held-now, held)
+		}
+		return
+	}
+	want, _ := appendPayload(nil, v)
+	got, gerr := appendPayload(nil, pv)
+	if fmt.Sprintf("%T", pv) != fmt.Sprintf("%T", v) || gerr != nil || !bytes.Equal(got, want) {
+		t.Fatalf("pooled decode gave %T %x (%v), fresh %T %x", pv, got, gerr, v, want)
+	}
+	if _, err := dp.decode(data); err != nil {
+		t.Fatalf("the same bytes decoded once through the pool and then failed: %v", err)
+	}
+	if again, _ := appendPayload(nil, pv); !bytes.Equal(again, want) {
+		t.Fatalf("%T: a second decode through the pool overwrote the first value", pv)
+	}
+}
+
+// stalePool returns a decode pool holding storage of the wrong sizes, full
+// of values no decode should let through: vectors sparse and dense, small
+// and large quantized blocks, and lists of every type at lengths from 0 to
+// 6 (their entries cleared on the way in, as put does). varied selects a
+// second, wider spread of sizes, so that fits and near misses both occur.
+func stalePool(varied bool) *decodePool {
+	rng := rand.New(rand.NewSource(5))
+	junk := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64() * 1e300
+		}
+		return xs
+	}
+	sizes := []int{0, 1, 3, 40}
+	if varied {
+		sizes = []int{2, 5, 7, 50, 200}
+	}
+	dp := &decodePool{}
+	for _, nnz := range sizes {
+		idx := make([]int32, nnz)
+		for i := range idx {
+			idx[i] = int32(2*i + 1)
+		}
+		dp.put(stream.NewSparse(2*nnz+2, idx, junk(nnz), stream.OpProd))
+		dp.put(stream.NewDense(junk(nnz+1), stream.OpMax))
+		dp.put(quant.Encode(junk(7*nnz+1), quant.Config{Bits: 8, Bucket: 3, Norm: quant.NormL2}, rng))
+	}
+	for n := range 7 {
+		dp.put(make([][]float64, n))
+		dp.put(make([]*quant.Quantized, n))
+		dp.put(make([]*stream.Vector, n))
+	}
+	return dp
+}
+
+// held counts the buffers, headers, quantized blocks and lists dp holds.
+func (dp *decodePool) held() int {
+	return dp.vecs.Buffers() + len(dp.quants) + len(dp.floatLists) + len(dp.quantLists) + len(dp.vectorLists)
 }
 
 // exchangeRing is the test program both real backends run: every rank

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/quant"
 	"repro/internal/stream"
@@ -102,10 +103,112 @@ func hasFloats(xs []float64) bool          { return xs != nil }
 func hasQuantized(q *quant.Quantized) bool { return q != nil }
 func hasVector(v *stream.Vector) bool      { return v != nil }
 
-// decodePayload reverses appendPayload, consuming the whole buffer.
-func decodePayload(data []byte) (any, error) {
+// decodePool is the storage one local rank's TCP readers decode into:
+// sparse and dense vectors through a stream.Scratch, quantized blocks, and
+// block lists kept in the interface value they were sent or received in,
+// so a list is reused without being boxed again. The rank refills it with
+// Proc.Recycle — every payload it has sent (once framed) or consumed and no
+// longer references — and the readers draw from it, so under symmetric
+// collectives it settles: sends put back what decodes take. A mutex guards
+// it (the rank and its readers share it), every free list is bounded by
+// decodePoolCap, and a nil pool decodes into fresh storage.
+type decodePool struct {
+	mu     sync.Mutex
+	vecs   stream.Scratch
+	quants []*quant.Quantized
+	// One free list per block-list type, so that a surplus of one cannot
+	// crowd out another; each holds lists with their entries cleared.
+	floatLists, quantLists, vectorLists []any
+}
+
+// decodePoolCap bounds each of the pool's quantized-block and list free
+// lists, as stream.Scratch bounds its own.
+const decodePoolCap = 64
+
+// put takes back a payload its rank no longer references. Types the pool
+// does not decode into are dropped, and nothing is allocated: a list is
+// kept in the interface value it arrived in, with its entries cleared so
+// that the blocks they named are not pinned.
+func (dp *decodePool) put(payload any) {
+	dp.mu.Lock()
+	dp.release(payload)
+	dp.mu.Unlock()
+}
+
+// release is put under the held lock; a nil pool drops the payload.
+func (dp *decodePool) release(payload any) {
+	if dp == nil {
+		return
+	}
+	switch x := payload.(type) {
+	case *stream.Vector:
+		dp.vecs.Release(x)
+	case *quant.Quantized:
+		if x != nil && len(dp.quants) < decodePoolCap {
+			dp.quants = append(dp.quants, x)
+		}
+	case [][]float64:
+		keepList(&dp.floatLists, payload, x)
+	case []*quant.Quantized:
+		keepList(&dp.quantLists, payload, x)
+	case []*stream.Vector:
+		keepList(&dp.vectorLists, payload, x)
+	}
+}
+
+// keepList adds the boxed list payload, whose slice is list, to free.
+func keepList[T any](free *[]any, payload any, list []T) {
+	if list != nil && len(*free) < decodePoolCap {
+		clear(list)
+		*free = append(*free, payload)
+	}
+}
+
+// freeLists returns the pool's free list for the list payload type id; nil
+// for a nil pool.
+func (dp *decodePool) freeLists(id byte) *[]any {
+	if dp == nil {
+		return nil
+	}
+	switch id {
+	case wireFloatss:
+		return &dp.floatLists
+	case wireQuantSlice:
+		return &dp.quantLists
+	default:
+		return &dp.vectorLists
+	}
+}
+
+// takeList returns a zeroed list of count entries as its interface value
+// and its slice: one of that length from free (nil: none), or a new one.
+func takeList[T any](free *[]any, count int) (any, []T) {
+	if free != nil {
+		l := *free
+		for i, box := range l {
+			if list := box.([]T); len(list) == count {
+				last := len(l) - 1
+				l[i] = l[last]
+				l[last] = nil
+				*free = l[:last]
+				return box, list
+			}
+		}
+	}
+	list := make([]T, count)
+	return list, list
+}
+
+// decode reverses appendPayload, consuming the whole buffer, into storage
+// drawn from the pool. A rejected buffer returns an error and puts back
+// whatever its decode had drawn.
+func (dp *decodePool) decode(data []byte) (any, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("comm: empty payload frame")
+	}
+	if dp != nil {
+		dp.mu.Lock()
+		defer dp.mu.Unlock()
 	}
 	id, body := data[0], data[1:]
 	switch id {
@@ -116,32 +219,38 @@ func decodePayload(data []byte) (any, error) {
 	case wireQuantNil:
 		return (*quant.Quantized)(nil), checkDrained(body, 0)
 	case wireFloats:
-		xs, n, err := decodeFloats(body)
+		xs, n, err := decodeFloats(dp, body)
 		if err != nil {
 			return nil, err
 		}
 		return xs, checkDrained(body, n)
 	case wireFloatss:
-		return decodeList(body, decodeFloats)
+		return decodeList(dp, id, body, decodeFloats)
 	case wireVector:
-		v, n, err := stream.DecodeWire(body)
-		if err != nil {
-			return nil, err
-		}
-		return v, checkDrained(body, n)
+		return decodeWhole(dp, body, decodeVector)
 	case wireQuantized:
-		q, n, err := decodeQuantized(body)
-		if err != nil {
-			return nil, err
-		}
-		return q, checkDrained(body, n)
+		return decodeWhole(dp, body, decodeQuantized)
 	case wireQuantSlice:
-		return decodeList(body, decodeQuantized)
+		return decodeList(dp, id, body, decodeQuantized)
 	case wireVectors:
-		return decodeList(body, stream.DecodeWire)
+		return decodeList(dp, id, body, decodeVector)
 	default:
 		return nil, fmt.Errorf("comm: unknown payload type id %d", id)
 	}
+}
+
+// decodeWhole decodes one element that must fill body; an element
+// followed by trailing bytes is put back.
+func decodeWhole[T any](dp *decodePool, body []byte, elem func(*decodePool, []byte) (T, int, error)) (any, error) {
+	x, n, err := elem(dp, body)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkDrained(body, n); err != nil {
+		dp.release(any(x))
+		return nil, err
+	}
+	return x, nil
 }
 
 // appendList writes a rank-indexed list: a uint32 length, then per entry a
@@ -171,8 +280,9 @@ func listSize[T any](list []T, present func(T) bool, elem func(T) int) int {
 
 // decodeList reads a whole appendList body; elem decodes one element from
 // the front of its argument and returns the bytes it consumed. Absent
-// entries stay the zero T.
-func decodeList[T any](body []byte, elem func([]byte) (T, int, error)) ([]T, error) {
+// entries stay the zero T. The list (of payload type id) and its elements
+// are drawn from dp, and a rejected body puts back every one decoded so far.
+func decodeList[T any](dp *decodePool, id byte, body []byte, elem func(*decodePool, []byte) (T, int, error)) (any, error) {
 	if len(body) < 4 {
 		return nil, errTruncated
 	}
@@ -181,24 +291,34 @@ func decodeList[T any](body []byte, elem func([]byte) (T, int, error)) ([]T, err
 	if count > len(body)-off { // every entry takes at least its presence byte
 		return nil, errTruncated
 	}
-	out := make([]T, count)
-	for i := range out {
-		if off >= len(body) {
-			return nil, errTruncated
+	box, out := takeList[T](dp.freeLists(id), count)
+	err := func() error {
+		for i := range out {
+			if off >= len(body) {
+				return errTruncated
+			}
+			present := body[off]
+			off++
+			if present == 0 {
+				continue
+			}
+			x, n, err := elem(dp, body[off:])
+			if err != nil {
+				return err
+			}
+			out[i] = x
+			off += n
 		}
-		present := body[off]
-		off++
-		if present == 0 {
-			continue
+		return checkDrained(body, off)
+	}()
+	if err != nil {
+		for _, x := range out {
+			dp.release(any(x))
 		}
-		x, n, err := elem(body[off:])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = x
-		off += n
+		dp.release(box)
+		return nil, err
 	}
-	return out, checkDrained(body, off)
+	return box, nil
 }
 
 var errTruncated = fmt.Errorf("comm: truncated payload frame")
@@ -224,8 +344,8 @@ func appendFloats(buf []byte, xs []float64) []byte {
 func floatsSize(xs []float64) int { return 4 + 8*len(xs) }
 
 // decodeFloats reads a length-prefixed float64 slice, returning it and the
-// bytes consumed.
-func decodeFloats(data []byte) ([]float64, int, error) {
+// bytes consumed. Float slices are not pooled: the storage is fresh.
+func decodeFloats(_ *decodePool, data []byte) ([]float64, int, error) {
 	if len(data) < 4 {
 		return nil, 0, errTruncated
 	}
@@ -254,9 +374,10 @@ func appendQuantized(buf []byte, q *quant.Quantized) []byte {
 // quantizedSize is the length appendQuantized writes.
 func quantizedSize(q *quant.Quantized) int { return 4 + q.MarshalSize() }
 
-// decodeQuantized reads one appendQuantized block, returning the vector
-// and the bytes consumed.
-func decodeQuantized(data []byte) (*quant.Quantized, int, error) {
+// decodeQuantized reads one appendQuantized block into a pooled vector,
+// returning it and the bytes consumed; a rejected block leaves the pool as
+// it was.
+func decodeQuantized(dp *decodePool, data []byte) (*quant.Quantized, int, error) {
 	if len(data) < 4 {
 		return nil, 0, errTruncated
 	}
@@ -264,6 +385,26 @@ func decodeQuantized(data []byte) (*quant.Quantized, int, error) {
 	if len(data)-4 < n {
 		return nil, 0, errTruncated
 	}
-	q, err := quant.Unmarshal(data[4 : 4+n])
-	return q, 4 + n, err
+	var dst *quant.Quantized
+	if dp != nil && len(dp.quants) > 0 {
+		last := len(dp.quants) - 1
+		dst = dp.quants[last]
+		dp.quants[last] = nil
+		dp.quants = dp.quants[:last]
+	}
+	q, err := quant.UnmarshalInto(dst, data[4:4+n])
+	if err != nil {
+		dp.release(dst) // UnmarshalInto leaves a rejected dst untouched
+		return nil, 0, err
+	}
+	return q, 4 + n, nil
+}
+
+// decodeVector reads one stream vector's wire form into pooled storage.
+func decodeVector(dp *decodePool, data []byte) (*stream.Vector, int, error) {
+	var sc *stream.Scratch
+	if dp != nil {
+		sc = &dp.vecs
+	}
+	return stream.DecodeWireInto(data, sc)
 }

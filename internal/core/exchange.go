@@ -28,7 +28,11 @@ const (
 // send returns what goes on the wire at a stage and its modeled size;
 // absorb consumes what arrived. Both see the stage index (stageFoldIn and
 // stageFoldOut for the fold) and the stage's partner distance. A stage
-// sends before it receives. then, when non-nil, runs on the p2 core ranks
+// sends before it receives. What send returns at a pairwise stage or the
+// fold-out is dedicated to that message: once it is sent the butterfly
+// recycles it (Proc.Recycle), so send must not keep it. The fold-in hands
+// off the excess rank's own contribution, which its caller may still
+// hold, and is not recycled. then, when non-nil, runs on the p2 core ranks
 // between the last stage and the fold-out: the second phase of a composite
 // collective, whose result the fold-out then returns.
 func butterfly(p *comm.Proc, n, base int, halving bool,
@@ -54,7 +58,9 @@ func butterfly(p *comm.Proc, n, base int, halving bool,
 		}
 		peer := rank ^ d
 		out, bytes := send(stage, d)
-		absorb(stage, d, p.SendRecv(peer, base+2+stage, out, bytes).Payload)
+		p.Send(peer, base+2+stage, out, bytes)
+		p.Recycle(out)
+		absorb(stage, d, p.Recv(peer, base+2+stage).Payload)
 	}
 	if then != nil {
 		then()
@@ -62,6 +68,7 @@ func butterfly(p *comm.Proc, n, base int, halving bool,
 	if rank < rem {
 		out, bytes := send(stageFoldOut, 0)
 		p.Send(rank+p2, base+1, out, bytes)
+		p.Recycle(out)
 	}
 }
 
@@ -97,8 +104,10 @@ func halvedRange(n, p2, r int) (lo, hi int) {
 // the in-process backends every rank ends up holding the same objects, so a
 // block is immutable from the moment it enters parts. A received list, by
 // contrast, belongs to its receiver, which tops it up with the blocks it
-// already held and passes it on at the next stage — one list allocation
-// per rank, not one per stage.
+// already held and passes it on at the next stage in the interface value
+// it arrived in — one list allocation per rank, not one per stage. The
+// butterfly recycles each list once sent, and the last one received is
+// recycled once absorbed (Proc.Recycle); the blocks in them never are.
 //
 // Every message carries all its sender holds, so the cost model is a
 // function of weights: weigh gives one block's, a message from a rank
@@ -111,7 +120,7 @@ func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, base int,
 	rank := p.Rank()
 	p2 := largestPow2(n)
 	held := weigh(parts[rank])
-	var carry []T // the list received last
+	var carry any // the list received last, as it arrived
 	butterfly(p, n, base, false,
 		func(stage, dist int) (any, int) {
 			bytes := held
@@ -134,9 +143,10 @@ func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, base int,
 				out = make([]T, n)
 			}
 			carry = nil
+			list := out.([]T)
 			for r := g; r < g+dist; r++ {
 				for b := r; b < n; b += p2 {
-					out[b] = parts[b]
+					list[b] = parts[b]
 				}
 			}
 			return out, bytes
@@ -151,10 +161,11 @@ func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, base int,
 				if stage == stageFoldOut {
 					g, dist = 0, p2
 				}
-				carry = in.([]T)
+				carry = in
+				list := in.([]T)
 				for r := g; r < g+dist; r++ {
 					for b := r; b < n; b += p2 {
-						parts[b] = carry[b]
+						parts[b] = list[b]
 						incoming += weigh(parts[b])
 					}
 				}
@@ -164,6 +175,9 @@ func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, base int,
 			}
 			held += incoming
 		}, nil)
+	if carry != nil {
+		p.Recycle(carry)
+	}
 }
 
 // binomialTree moves data along a binomial tree rooted at root over all of

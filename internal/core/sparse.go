@@ -62,7 +62,8 @@ func mergeCharged(p *comm.Proc, acc, in *stream.Vector, sc *stream.Scratch) {
 // one dense pass when the output spills past δ mid-merge. When any
 // operand is dense, AddAll executes the literal chained folds, so the
 // charging falls back to the per-step mergeCharged rule it matches. The
-// received vectors are consumed: their buffers are released into sc.
+// received vectors are left as they were; releasing them is the caller's
+// (releaseAll).
 func mergeKCharged(p *comm.Proc, acc *stream.Vector, ins []*stream.Vector, sc *stream.Scratch) {
 	if len(ins) == 0 {
 		return
@@ -76,7 +77,6 @@ func mergeKCharged(p *comm.Proc, acc *stream.Vector, ins []*stream.Vector, sc *s
 	if anyDense {
 		for _, in := range ins {
 			mergeCharged(p, acc, in, sc)
-			sc.Release(in)
 		}
 		return
 	}
@@ -90,6 +90,10 @@ func mergeKCharged(p *comm.Proc, acc *stream.Vector, ins []*stream.Vector, sc *s
 	if acc.IsDense() {
 		p.Compute(prof.DenseReduceTime(acc.Dim())) // the mid-merge spill's dense fill
 	}
+}
+
+// releaseAll releases merged arrivals into sc.
+func releaseAll(ins []*stream.Vector, sc *stream.Scratch) {
 	for _, in := range ins {
 		sc.Release(in)
 	}
@@ -102,7 +106,8 @@ func mergeKCharged(p *comm.Proc, acc *stream.Vector, ins []*stream.Vector, sc *s
 // at a higher latency cost", hence the (P−1)·α latency term), then reduces
 // the P slices it received for its own partition in a single k-way merge
 // pass — the hot path of the whole allreduce, so slices are extracted into
-// scratch buffers and the incoming streams are recycled after the merge.
+// scratch buffers, each is recycled once sent (Proc.Recycle), and the
+// incoming streams are released into sc after the merge.
 func splitPhase(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base int) *stream.Vector {
 	rank, P := p.Rank(), p.Size()
 	n := v.Dim()
@@ -112,6 +117,7 @@ func splitPhase(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base int) *s
 		lo, hi := partition(n, P, to)
 		piece := v.ExtractRangeInto(lo, hi, sc)
 		p.Send(to, base+rank, piece, piece.WireBytes())
+		p.Recycle(piece)
 	}
 	p.SpanEnd()
 	lo, hi := partition(n, P, rank)
@@ -123,6 +129,7 @@ func splitPhase(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base int) *s
 		ins[off-1] = p.Recv(from, base+from).Payload.(*stream.Vector)
 	}
 	mergeKCharged(p, acc, ins, sc)
+	releaseAll(ins, sc)
 	p.SpanEnd()
 	return acc
 }
@@ -145,22 +152,28 @@ func splitPhasePipelined(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, bas
 	n := v.Dim()
 	myLo, myHi := partition(n, P, rank)
 	accs := make([]*stream.Vector, C)
+	ins := make([]*stream.Vector, C*(P-1)) // chunk c's arrivals at [c·(P−1), (c+1)·(P−1))
 
 	// The merge stage: extract my partition's chunk, receive the P−1 peer
-	// slices for it, k-way merge — repeated per chunk, on proc f. The
-	// extraction uses no scratch when f runs concurrently with the send
-	// stage (a Scratch belongs to one goroutine).
+	// slices for it, k-way merge — repeated per chunk, on proc f. With a
+	// pool, each chunk's arrivals go back into it once merged. Without one
+	// — f runs concurrently with the send stage, and a Scratch belongs to
+	// one goroutine — the extraction allocates and the arrivals wait in
+	// ins for the send stage's goroutine to release them.
 	mergeStage := func(f *comm.Proc, fsc *stream.Scratch) {
 		for c := 0; c < C; c++ {
 			mergeStart := f.Now()
 			clo, chi := stream.ChunkRange(myHi-myLo, C, c)
 			acc := v.ExtractRangeInto(myLo+clo, myLo+chi, fsc)
-			ins := make([]*stream.Vector, P-1)
+			in := ins[c*(P-1) : (c+1)*(P-1)]
 			for off := 1; off < P; off++ {
 				from := (rank - off + P) % P
-				ins[off-1] = f.Recv(from, base+c*P+from).Payload.(*stream.Vector)
+				in[off-1] = f.Recv(from, base+c*P+from).Payload.(*stream.Vector)
 			}
-			mergeKCharged(f, acc, ins, fsc)
+			mergeKCharged(f, acc, in, fsc)
+			if fsc != nil {
+				releaseAll(in, fsc)
+			}
 			accs[c] = acc
 			// The merge stage overlaps the send stage (physically on wall
 			// transports), so its spans live on the dedicated merge lane.
@@ -179,6 +192,7 @@ func splitPhasePipelined(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, bas
 				clo, chi := stream.ChunkRange(tHi-tLo, C, c)
 				piece := v.ExtractRangeInto(tLo+clo, tLo+chi, sc)
 				p.Send(to, base+c*P+rank, piece, piece.WireBytes())
+				p.Recycle(piece)
 			}
 			if o := p.Obs(); o != nil {
 				o.Event("split:send", sendStart, p.Now(),
@@ -190,8 +204,9 @@ func splitPhasePipelined(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, bas
 	if p.Wall() {
 		// Real transport: true pipeline. The merge goroutine owns no
 		// scratch (the main goroutine's sc stays single-owner) and the two
-		// stages only share v read-only and the accs slots handed over at
-		// the channel close.
+		// stages only share v read-only and the accs and ins slots handed
+		// over at the channel close, after which the arrivals go back
+		// into sc — the pool the send stage drew its slices from.
 		f := p.Fork()
 		done := make(chan struct{})
 		go func() {
@@ -201,6 +216,7 @@ func splitPhasePipelined(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, bas
 		sendStage()
 		<-done
 		p.Join(f)
+		releaseAll(ins, sc)
 	} else {
 		// Simulator: sends price on the parent clock (injection occupies
 		// the sender, as in splitPhase), merges on a forked clock; Join's
@@ -283,7 +299,22 @@ func sparseAllgatherConcat(p *comm.Proc, mine *stream.Vector, sc *stream.Scratch
 				p.Compute(prof.SparseMergeTime(held + incoming))
 			}
 		})
-	return stream.ConcatChunks(parts, sc)
+	out := stream.ConcatChunks(parts, sc)
+	recycleGathered(p, parts)
+	return out
+}
+
+// recycleGathered recycles the blocks a block allgather gathered from
+// other ranks once this rank has consumed them (Proc.Recycle): over TCP
+// each is a copy decoded for this rank alone, and in process the call is
+// a no-op, as it must be for blocks every rank holds. This rank's own
+// block stays where it came from.
+func recycleGathered[T any](p *comm.Proc, parts []T) {
+	for r, b := range parts {
+		if r != p.Rank() {
+			p.Recycle(b)
+		}
+	}
 }
 
 // concatCharged appends the disjoint stream in to acc, charged like
@@ -372,6 +403,7 @@ func dsarSplitAllgather(p *comm.Proc, v *stream.Vector, opts Options, base int) 
 			rLo, rHi := partition(n, P, r)
 			qr.DecodeInto(result[rLo:rHi])
 		}
+		recycleGathered(p, gathered)
 		p.Compute(p.Profile().DenseReduceTime(n)) // decode pass
 		p.SpanEnd()
 	} else {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/pin"
@@ -128,7 +129,11 @@ func TestAppendMarshal(t *testing.T) {
 // FuzzUnmarshal: whatever bytes arrive, Unmarshal returns a vector or an
 // error — it never panics and holds no more than the buffer's worth of
 // storage — and an accepted buffer re-marshals to itself and decodes as
-// the reference decoder says.
+// the reference decoder says. Every input is also unmarshalled into stale
+// blocks whose storage is too small, too large or absent and whose
+// contents are junk (staleBlocks): UnmarshalInto must return the same
+// error, leaving the block exactly as it was, or that block holding the
+// same value bit for bit.
 func FuzzUnmarshal(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, cfg := range []Config{{2, 3, NormMax}, {4, 16, NormL2}, {8, 1000, NormMax}} {
@@ -145,6 +150,24 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{8, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := Unmarshal(data)
+		for _, stale := range staleBlocks() {
+			was := *stale
+			wasScales, wasPacked := append([]float32(nil), stale.scales...), append([]byte(nil), stale.packed...)
+			got, perr := UnmarshalInto(stale, data)
+			if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+				t.Fatalf("Unmarshal: %v; UnmarshalInto a stale block: %v", err, perr)
+			}
+			if perr != nil {
+				if stale.cfg != was.cfg || stale.n != was.n || !sameSlice(stale.scales, was.scales) || !sameSlice(stale.packed, was.packed) ||
+					!slices.EqualFunc(stale.scales, wasScales, sameFloat32) || !bytes.Equal(stale.packed, wasPacked) {
+					t.Fatalf("a rejected buffer changed the block it was unmarshalled into")
+				}
+				continue
+			}
+			if got != stale || !bytes.Equal(got.AppendMarshal(nil), data) || sameBits(got.Decode(), q.Decode()) >= 0 {
+				t.Fatalf("cfg=%+v n=%d: UnmarshalInto a stale block differs from Unmarshal", q.cfg, q.n)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -158,6 +181,35 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("cfg=%+v n=%d: coordinate %d differs from the reference decoder", q.cfg, q.n, i)
 		}
 	})
+}
+
+// staleBlocks returns blocks as a decode pool may hold them: empty, with
+// storage too small for most inputs, and with storage larger than most,
+// under a configuration and contents no input shares.
+func staleBlocks() []*Quantized {
+	junk := func(n int) ([]float32, []byte) {
+		scales, packed := make([]float32, n), make([]byte, 3*n)
+		for i := range scales {
+			scales[i] = float32(math.NaN())
+		}
+		for i := range packed {
+			packed[i] = 0xa5
+		}
+		return scales, packed
+	}
+	small, big := &Quantized{cfg: Config{2, 7, NormL2}, n: 9}, &Quantized{cfg: Config{8, 1, NormMax}, n: 999}
+	small.scales, small.packed = junk(1)
+	big.scales, big.packed = junk(400)
+	return []*Quantized{{}, small, big}
+}
+
+// sameFloat32 compares bit patterns, so that NaN equals itself.
+func sameFloat32(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+
+// sameSlice reports whether a and b are the same slice: one backing array,
+// one length, one capacity.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && cap(a) == cap(b) && (cap(a) == 0 || &a[:1][0] == &b[:1][0])
 }
 
 // pinInput is a fixed vector of exact dyadic values with a ragged last

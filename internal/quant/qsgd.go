@@ -254,6 +254,15 @@ func (q *Quantized) AppendMarshal(buf []byte) []byte {
 // counts are checked against its length before anything is allocated from
 // them.
 func Unmarshal(buf []byte) (*Quantized, error) {
+	return UnmarshalInto(nil, buf)
+}
+
+// UnmarshalInto is Unmarshal into dst's storage: dst's header, scales and
+// packed codes are reused where their capacity suffices and replaced where
+// it does not, and dst itself is returned. A nil dst allocates, as
+// Unmarshal does. Every check is made before dst is touched, so a rejected
+// buffer returns an error and leaves dst exactly as it was.
+func UnmarshalInto(dst *Quantized, buf []byte) (*Quantized, error) {
 	if len(buf) < marshalHeaderBytes {
 		return nil, fmt.Errorf("quant: short buffer")
 	}
@@ -271,11 +280,27 @@ func Unmarshal(buf []byte) (*Quantized, error) {
 	if want := marshalHeaderBytes + 4*nb + packedLen; len(buf) != want {
 		return nil, fmt.Errorf("quant: buffer is %d bytes, want %d", len(buf), want)
 	}
-	q := &Quantized{cfg: cfg, n: n, scales: make([]float32, nb), packed: make([]byte, packedLen)}
+	q := dst
+	if q == nil {
+		q = &Quantized{}
+	}
+	q.cfg, q.n = cfg, n
+	q.scales = reuse(q.scales, nb)
+	q.packed = reuse(q.packed, packedLen)
 	scales := buf[marshalHeaderBytes : marshalHeaderBytes+4*nb]
 	for i := range q.scales {
 		q.scales[i] = math.Float32frombits(binary.LittleEndian.Uint32(scales[4*i:]))
 	}
 	copy(q.packed, buf[marshalHeaderBytes+4*nb:])
 	return q, nil
+}
+
+// reuse returns b resliced to length n when it has the capacity, and a
+// fresh length-n slice otherwise (so never nil). The caller overwrites
+// every element.
+func reuse[T any](b []T, n int) []T {
+	if b != nil && cap(b) >= n {
+		return b[:n]
+	}
+	return make([]T, n)
 }

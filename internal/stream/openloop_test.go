@@ -18,7 +18,10 @@ import (
 // inputs differ from the last. Such a pool lives on the buffers the
 // exchange hands it and needs its small ones, which is why the near-miss
 // rule replaces only a buffer of at least half the requested size. The
-// counts were taken before that rule existed and must not move.
+// counts were taken before that rule existed and must not move. (The
+// split allgather read 125 until its block allgather stopped boxing again
+// the list it forwards at each stage after the first: two allocations
+// fewer per rank, 109.)
 //
 // A call on the goroutine transport sometimes costs a scheduler-dependent
 // allocation or two on top (a parked receiver, a grown mailbox), so what
@@ -32,7 +35,7 @@ func TestOpenLoopAllocationPin(t *testing.T) {
 		want float64
 	}{
 		{"rec-doubling", core.SSARRecDouble, 1 << 16, 128, 53},
-		{"split-allgather", core.SSARSplitAllgather, 1 << 16, 1 << 10, 125},
+		{"split-allgather", core.SSARSplitAllgather, 1 << 16, 1 << 10, 109},
 	}
 	for _, tc := range cases {
 		sc := scenario.Scenario{Name: "stream/openloop/" + tc.name, N: tc.n, P: P, Calls: 4,

@@ -40,9 +40,14 @@ package stream
 //     symmetric, so pools reach a steady state where sends drain and
 //     receives replenish them; a buffer from outside that exchange (a
 //     plain-allocated merge output, say) released on every op only fills
-//     the free lists. Over TCP nothing migrates: the sender's vector is
-//     encoded into its endpoint's reused frame buffer and then left to the
-//     GC, and the receiver releases a freshly decoded copy.
+//     the free lists. Over TCP only bytes cross, and the same balance
+//     holds through a second pool: a collective hands each vector it has
+//     sent to comm.Proc.Recycle, which puts it into the decode pool of
+//     the rank's TCP endpoint (itself a Scratch, behind a lock), and the
+//     rank's socket readers decode its arrivals into that pool
+//     (DecodeWireInto). The arrivals are released here as on any backend,
+//     so this pool loses its sent vectors and gains the arrivals, and the
+//     endpoint's gains the sent vectors and loses the arrivals.
 //
 // The zero value is ready to use; all methods are nil-safe (a nil *Scratch
 // degrades to plain allocation, so every scratch-aware code path can take

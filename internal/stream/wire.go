@@ -80,6 +80,17 @@ func (v *Vector) WireSize() int {
 // accounting — with freshly allocated storage, so the decoded copy behaves
 // bit-identically to the original in every later reduction.
 func DecodeWire(buf []byte) (*Vector, int, error) {
+	return DecodeWireInto(buf, nil)
+}
+
+// DecodeWireInto is DecodeWire with the vector's header and buffers drawn
+// from s (nil degrades to plain allocation), so a receiver whose pool is
+// refilled by what it releases decodes without allocating. Every check of
+// DecodeWire is made: the header's before anything is drawn from the pool
+// (a count the buffer cannot hold draws nothing), and a corrupt index,
+// found mid-decode, puts back everything the vector had drawn before the
+// error is returned.
+func DecodeWireInto(buf []byte, s *Scratch) (*Vector, int, error) {
 	if len(buf) < selfWireHeaderBytes {
 		return nil, 0, errShortBuffer
 	}
@@ -96,14 +107,14 @@ func DecodeWire(buf []byte) (*Vector, int, error) {
 		return nil, 0, fmt.Errorf("stream: wire value bytes %d", vb)
 	}
 	delta := int(binary.LittleEndian.Uint32(buf[7:]))
-	v := &Vector{n: n, op: op, valueBytes: vb, delta: delta}
 	switch buf[0] {
 	case flagDense:
 		size := selfWireHeaderBytes + 8*n
 		if len(buf) < size {
 			return nil, 0, errShortBuffer
 		}
-		v.dns = make([]float64, n)
+		v := s.grabVector(n, op, vb, delta)
+		v.dns = s.grabDenseRaw(n)
 		for i := range v.dns {
 			v.dns[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[selfWireHeaderBytes+8*i:]))
 		}
@@ -114,13 +125,15 @@ func DecodeWire(buf []byte) (*Vector, int, error) {
 		if nnz < 0 || len(buf) < size {
 			return nil, 0, errShortBuffer
 		}
-		v.idx = make([]int32, nnz)
-		v.val = make([]float64, nnz)
+		v := s.grabVector(n, op, vb, delta)
+		v.idx = s.grabIdx(nnz)[:nnz]
+		v.val = s.grabVal(nnz)[:nnz]
 		off := selfWireHeaderBytes
 		var prev int32 = -1
 		for i := 0; i < nnz; i++ {
 			ix := int32(binary.LittleEndian.Uint32(buf[off:]))
 			if ix <= prev || int(ix) >= n {
+				s.Release(v)
 				return nil, 0, fmt.Errorf("stream: corrupt wire index %d at position %d", ix, i)
 			}
 			prev = ix

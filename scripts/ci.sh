@@ -54,10 +54,10 @@ go test -race ./internal/comm/... ./internal/core/... ./internal/adapt/... ./int
 echo "== go test -race -run Adapt . (the facade's EnableAdaptation installs the send hook the link calibrators fold under)"
 go test -race -run 'Adapt' .
 
-echo "== fuzz the payload decoder (frames off a socket: never panics, never allocates past the frame, decode∘append round-trips)"
+echo "== fuzz the payload decoder (frames off a socket: never panics, never allocates past the frame, decode∘append round-trips; decoding through a pool of stale, wrongly sized storage gives the same value bit for bit or the same error, a rejected frame keeps none of the pool's buffers, an accepted one shares none with it)"
 go test ./internal/comm -run '^$' -fuzz '^FuzzDecodePayload$' -fuzztime 10s | tail -n 4
 
-echo "== fuzz quant.Unmarshal (the block inside those frames: never panics, holds no more than the buffer, re-marshals to itself, decodes as the reference decoder)"
+echo "== fuzz quant.Unmarshal (the block inside those frames: never panics, holds no more than the buffer, re-marshals to itself, decodes as the reference decoder; UnmarshalInto a stale block of the wrong size gives the same value bit for bit or the same error and leaves a rejected block untouched)"
 go test ./internal/quant -run '^$' -fuzz '^FuzzUnmarshal$' -fuzztime 10s | tail -n 4
 
 echo "== fuzz the TCP frame reader (length prefix + message header through one reused body buffer: never panics, never holds more than twice the bytes supplied plus the first chunk, a well-formed stream reads back)"
