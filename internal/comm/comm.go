@@ -40,7 +40,8 @@ type Message struct {
 	// What a rank no longer references — a payload it has sent, or one it
 	// received and consumed — it may hand to Proc.Recycle, which on TCP
 	// lets the next arrival be decoded into that storage and in process
-	// does nothing, so that a shared block is never reused.
+	// does nothing: a shared block goes back only to its owner's pool,
+	// once every rank has read it (stream.Scratch.Lend).
 	Payload any
 	// Bytes is the modeled wire size used by the α–β cost model.
 	Bytes int
@@ -574,11 +575,19 @@ func (p *Proc) Send(to, tag int, payload any, bytes int) {
 // socket readers decode arrivals into; the in-process backends hand
 // payloads over by reference and ignore it. After the call the caller must
 // not touch payload or anything inside it, except the blocks of a
-// block-allgather list, which Recycle never takes. Pass the interface value
-// that was sent or received: Recycle allocates nothing.
+// block-allgather list, which Recycle never takes: a block is its owner's,
+// lent to whoever holds it by reference (stream.Scratch.Lend) and taken
+// back by the owner's pool once every holder has read it. Pass the
+// interface value that was sent or received: Recycle allocates nothing.
 func (p *Proc) Recycle(payload any) {
 	p.world.transport.recycle(p, payload)
 }
+
+// ByReference reports whether this rank's sends hand the payload object
+// itself to the receiver, as the simulator and goroutine backends do, so
+// that a block forwarded through an allgather is read by every rank at
+// once. Over TCP it is false: each receiver decodes a copy of its own.
+func (p *Proc) ByReference() bool { return p.world.transport.byReference() }
 
 // sendFactor returns the modeled contention factor and priced hierarchy
 // level of a message to world rank dst (see Send): the product of every

@@ -149,6 +149,9 @@ func (t *tcpTransport) Name() string { return "tcp" }
 // Wall reports measured wall-clock time.
 func (t *tcpTransport) Wall() bool { return true }
 
+// byReference is false: a receiver decodes a copy of every payload.
+func (t *tcpTransport) byReference() bool { return false }
+
 func (t *tcpTransport) close() error {
 	if t.closed.Swap(true) {
 		return nil

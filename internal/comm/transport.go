@@ -19,11 +19,14 @@ package comm
 // neither mutates what it sent nor releases it into a pool of its own, and
 // both ignore Proc.Recycle. The blocks inside a block-allgather list are
 // the one thing several ranks hold at once: each is forwarded as it
-// arrived, read by all and written or released by none. Over TCP every
-// payload a rank holds is its own, and Proc.Recycle feeds the pool its
-// socket readers decode into (tcp.go).
+// arrived and written by none. A sparse allgather's block is lent by its
+// owner's pool (stream.Scratch.Lend) to every rank that holds it, and the
+// owner takes it back once each has counted it read. Over TCP every
+// payload a rank holds is its own — the owner alone holds its block, the
+// peers decoded copies — and Proc.Recycle feeds the pool its socket
+// readers decode into (tcp.go). Proc.ByReference tells the two apart.
 //
-// The interface is sealed (its send/recycle/close methods are unexported):
+// The interface is sealed (its unexported methods):
 // backends live in this package because they are entangled with mailbox
 // delivery, send-record, and poisoning invariants.
 type Transport interface {
@@ -36,6 +39,9 @@ type Transport interface {
 	send(p *Proc, dst, tag int, payload any, bytes int)
 	// recycle takes back a payload p no longer references (Proc.Recycle).
 	recycle(p *Proc, payload any)
+	// byReference reports whether send delivers the payload object itself
+	// (Proc.ByReference).
+	byReference() bool
 	// close releases backend resources.
 	close() error
 }
@@ -57,6 +63,8 @@ func (simTransport) close() error { return nil }
 // recycle is a no-op: a payload handed over by reference may be the
 // receiver's now.
 func (simTransport) recycle(*Proc, any) {}
+
+func (simTransport) byReference() bool { return true }
 
 func (simTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
 	start := p.clock.Now()
@@ -87,6 +95,8 @@ func (goroutineTransport) close() error { return nil }
 // recycle is a no-op: a payload handed over by reference may be the
 // receiver's now.
 func (goroutineTransport) recycle(*Proc, any) {}
+
+func (goroutineTransport) byReference() bool { return true }
 
 func (goroutineTransport) send(p *Proc, dst, tag int, payload any, bytes int) {
 	now := p.world.wallNow()

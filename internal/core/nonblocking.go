@@ -52,14 +52,15 @@ func iallreduce(p *comm.Proc, v *stream.Vector, opts Options, owned bool) *Reque
 }
 
 // ISparseAllgather starts a nonblocking sparse concatenating allgather.
-// Like IAllreduce's input, mine must not be modified until Wait returns.
+// Like IAllreduce's input, mine must not be modified until Wait returns:
+// what the ranks share is a copy of it, taken once the collective starts.
 func ISparseAllgather(p *comm.Proc, mine *stream.Vector) *Request {
 	base := p.NextTagBase()
 	f := p.Fork()
 	r := &Request{forked: f, done: make(chan struct{})}
 	go func() {
 		defer close(r.done)
-		r.result = sparseAllgatherConcat(f, mine, nil, base)
+		r.result = sparseAllgatherConcat(f, mine.Clone(), nil, base)
 	}()
 	return r
 }

@@ -249,23 +249,26 @@ func ssarSplitAllgather(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base
 	} else {
 		acc = splitPhase(p, v, sc, base)
 	}
-	out := sparseAllgatherConcat(p, acc, sc, base+C*p.Size()+8)
-	sc.Release(acc) // the allgather copied it; the partition slice is dead
-	return out
+	return sparseAllgatherConcat(p, acc, sc, base+C*p.Size()+8)
 }
 
 // sparseAllgatherConcat gathers disjoint sparse vectors from all ranks;
 // every rank returns the union. It is the block allgather (allgatherBlocks)
-// over one immutable block per rank: mine is copied once, at its exact size
-// and outside any pool, and that copy is what the ranks share — the
-// in-process backends hand it to every rank by reference, so it can never
-// go back to a pool, and therefore was never taken from one (mine itself
-// stays the caller's, to release where it was drawn). Stages forward lists
-// of blocks by reference, and each rank assembles its result once, at its
-// exact size, from sc (stream.ConcatChunks: end to end when the blocks
-// ascend by rank, as split-phase partitions do; merged when their supports
-// interleave; a shared coordinate panics). Also used directly for the SCD
-// experiment (§8.2) where nodes contribute disjoint coordinate blocks.
+// over one immutable block per rank, and mine itself is this rank's block:
+// the allgather takes it over, and sc lends it (stream.Scratch.Lend) to
+// every rank that holds it by reference — the whole communicator in
+// process (Proc.ByReference), this rank alone over TCP, where the peers
+// read framed copies. Stages forward lists of blocks by reference, and
+// each rank assembles its result once, at its exact size, from sc
+// (stream.ConcatChunks: end to end when the blocks ascend by rank, as
+// split-phase partitions do; merged when their supports interleave; a
+// shared coordinate panics). Then it counts down every block it holds by
+// reference and recycles the copies it decoded (an excess rank of a fold
+// gets a copy of its own block back at the fold-out over TCP), and sc
+// takes mine back at a later grab, once every holder has counted it down.
+// A nil sc lends nothing: mine is left to the GC. Also used directly for
+// the SCD experiment (§8.2) where nodes contribute disjoint coordinate
+// blocks.
 //
 // The modeled cost is that of exchanging and concatenating the accumulated
 // stream itself at every stage, which depends on pair counts alone. A rank
@@ -275,8 +278,13 @@ func ssarSplitAllgather(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base
 // sides are still sparse, else at one dense pass. The assembly is the
 // copy those absorbs already paid for.
 func sparseAllgatherConcat(p *comm.Proc, mine *stream.Vector, sc *stream.Scratch, base int) *stream.Vector {
+	shared, readers := p.ByReference(), 1
+	if shared {
+		readers = p.Size()
+	}
+	sc.Lend(mine, readers)
 	parts := make([]*stream.Vector, p.Size())
-	parts[p.Rank()] = mine.Clone()
+	parts[p.Rank()] = mine
 	n, delta, valueBytes := mine.Dim(), mine.Delta(), mine.ValueBytes()
 	prof := p.Profile()
 	allgatherBlocks(p, p.Size(), parts, base,
@@ -300,7 +308,20 @@ func sparseAllgatherConcat(p *comm.Proc, mine *stream.Vector, sc *stream.Scratch
 			}
 		})
 	out := stream.ConcatChunks(parts, sc)
-	recycleGathered(p, parts)
+	if shared {
+		for _, b := range parts {
+			b.ReadDone()
+		}
+		return out
+	}
+	// Over TCP even parts[rank] is a decoded copy on an excess rank of a
+	// fold, which gets the whole list back at the fold-out.
+	mine.ReadDone()
+	for _, b := range parts {
+		if b != mine {
+			p.Recycle(b)
+		}
+	}
 	return out
 }
 
@@ -336,7 +357,7 @@ func concatCharged(p *comm.Proc, acc, in *stream.Vector, _ *stream.Scratch) {
 // of mine taken on entry, so the caller may modify its vector as soon as
 // the call returns.
 func SparseAllgather(p *comm.Proc, mine *stream.Vector) *stream.Vector {
-	return sparseAllgatherConcat(p, mine, nil, p.NextTagBase())
+	return sparseAllgatherConcat(p, mine.Clone(), nil, p.NextTagBase())
 }
 
 // dsarSplitAllgather implements DSAR_Split_allgather (§5.3.3): the sparse

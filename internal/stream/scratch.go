@@ -19,6 +19,16 @@ package stream
 //     vector someone else may still read — one handed on to a caller, one
 //     whose Pairs() slices are referenced elsewhere, or a block gathered
 //     by an allgather, which every rank holds.
+//   - A vector several holders read at once is lent instead: Lend(v, n)
+//     records that n holders read v, each calls v.ReadDone once it is
+//     done, and the pool takes v back at one of its later grabs, on its
+//     own goroutine, once the count has reached zero. A split allgather
+//     lends its rank's reduced partition this way (core): the block is
+//     read by every rank of the communicator where sends hand payloads
+//     over by reference, and by its owner alone over TCP, where peers read
+//     framed copies. Reclaim never waits — a block still being read stays
+//     lent and the grab allocates instead — and the lent list is bounded
+//     like the free lists: a block lent past it is left to the GC.
 //   - A grab takes the smallest pooled buffer that fits, so a large
 //     buffer — a released result — waits for a large request instead of
 //     leaving with the first small one.
@@ -57,6 +67,8 @@ type Scratch struct {
 	val [][]float64
 	dns [][]float64
 	hdr []*Vector // voided Vector headers, recycled by grabVector
+	// lent holds the vectors lent out (Lend) and not yet taken back.
+	lent []*Vector
 	// bits is the one presence bitmap of the windowed merge kernel: AddAll
 	// calls never nest on one Scratch, so one reusable slice is the pool.
 	bits []uint64
@@ -65,6 +77,11 @@ type Scratch struct {
 // scratchPoolCap bounds each free list so a pathological release pattern
 // cannot retain unbounded memory; excess buffers are dropped to the GC.
 const scratchPoolCap = 64
+
+// lentCap bounds the lent list. A pool lends one block per split
+// allgather and takes it back once every reader is done, so in steady state
+// it holds one or two.
+const lentCap = 8
 
 // NewScratch returns an empty buffer pool.
 func NewScratch() *Scratch { return &Scratch{} }
@@ -103,14 +120,65 @@ func (s *Scratch) Release(v *Vector) {
 	}
 }
 
+// Lend hands v, which this pool's owner no longer needs once it has been
+// read, to readers holders — the owner among them — each of which calls
+// v.ReadDone when it is done. The pool takes v back (as Release would) at
+// a grab after the count has reached zero. On a nil pool Lend does
+// nothing: v is left to the GC.
+func (s *Scratch) Lend(v *Vector, readers int) {
+	if s == nil || len(s.lent) >= lentCap {
+		return
+	}
+	v.readers.Store(int32(readers))
+	s.lent = append(s.lent, v)
+}
+
+// ReadDone records that one holder of a lent vector (Scratch.Lend) has
+// stopped reading it; the holder must not touch v afterwards. On a vector
+// that was never lent it does nothing that matters.
+func (v *Vector) ReadDone() { v.readers.Add(-1) }
+
+// Lent reports how many lent vectors the pool has not yet taken back.
+// Intended for tests and diagnostics.
+func (s *Scratch) Lent() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.lent)
+}
+
+// reclaim takes back every lent vector whose readers are all done. Every
+// grab calls it; with nothing lent it costs one length check.
+func (s *Scratch) reclaim() {
+	for i := 0; i < len(s.lent); {
+		v := s.lent[i]
+		if v.readers.Load() != 0 {
+			i++
+			continue
+		}
+		last := len(s.lent) - 1
+		s.lent[i] = s.lent[last]
+		s.lent[last] = nil
+		s.lent = s.lent[:last]
+		s.Release(v)
+	}
+}
+
 // grabVector returns an empty sparse vector header with the given
 // metadata, recycling a released header when one is available.
 func (s *Scratch) grabVector(n int, op Op, valueBytes, delta int) *Vector {
-	if s != nil && len(s.hdr) > 0 {
-		v := s.hdr[len(s.hdr)-1]
-		s.hdr = s.hdr[:len(s.hdr)-1]
-		*v = Vector{n: n, op: op, valueBytes: valueBytes, delta: delta}
-		return v
+	if s != nil {
+		if len(s.lent) != 0 {
+			s.reclaim()
+		}
+		if len(s.hdr) > 0 {
+			last := len(s.hdr) - 1
+			v := s.hdr[last]
+			s.hdr[last] = nil // the popped header must not stay reachable from the pool
+			s.hdr = s.hdr[:last]
+			*v = Vector{n: n, op: op, valueBytes: valueBytes, delta: delta}
+			return v
+		}
 	}
 	return &Vector{n: n, op: op, valueBytes: valueBytes, delta: delta}
 }
@@ -141,6 +209,7 @@ func takeFit[T any](list *[][]T, c int) []T {
 	take := func(i int) []T {
 		b := l[i]
 		l[i] = l[len(l)-1]
+		l[len(l)-1] = nil // the vacated slot must not keep b reachable
 		*list = l[:len(l)-1]
 		return b[:0]
 	}
@@ -160,6 +229,9 @@ func (s *Scratch) grabIdx(c int) []int32 {
 	if s == nil {
 		return make([]int32, 0, c)
 	}
+	if len(s.lent) != 0 {
+		s.reclaim()
+	}
 	return takeFit(&s.idx, c)
 }
 
@@ -168,6 +240,9 @@ func (s *Scratch) grabIdx(c int) []int32 {
 func (s *Scratch) grabVal(c int) []float64 {
 	if s == nil {
 		return make([]float64, 0, c)
+	}
+	if len(s.lent) != 0 {
+		s.reclaim()
 	}
 	return takeFit(&s.val, c)
 }
@@ -211,11 +286,16 @@ func (s *Scratch) grabDenseRaw(n int) []float64 {
 // allocated (and therefore zeroed).
 func (s *Scratch) grabDenseBuf(n int) ([]float64, bool) {
 	if s != nil {
+		if len(s.lent) != 0 {
+			s.reclaim()
+		}
 		for i := len(s.dns) - 1; i >= 0; i-- {
 			if cap(s.dns[i]) >= n {
 				b := s.dns[i][:n]
-				s.dns[i] = s.dns[len(s.dns)-1]
-				s.dns = s.dns[:len(s.dns)-1]
+				last := len(s.dns) - 1
+				s.dns[i] = s.dns[last]
+				s.dns[last] = nil // the vacated slot must not keep b reachable
+				s.dns = s.dns[:last]
 				return b, false
 			}
 		}

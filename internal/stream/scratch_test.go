@@ -2,7 +2,9 @@ package stream
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"weak"
 )
 
 func TestScratchReleaseAndReuse(t *testing.T) {
@@ -183,5 +185,74 @@ func TestScratchGrabTakesSmallestFit(t *testing.T) {
 	}
 	if got := cap(s.grabIdx(5)); got != 5 {
 		t.Fatalf("empty pool served capacity %d", got)
+	}
+}
+
+// TestScratchPopsDropTheirSlot: a grab shortens a free list, and the slot
+// it vacates must not keep what it handed out reachable from the pool's
+// backing array. Otherwise a header and buffers reused as a caller's
+// result — a reclaimed lent block among them — stay pinned by the pool
+// after the caller drops them. Every pooled kind is taken from a list of
+// two, from its last slot, and dropped; each must then be collectable
+// while the pool lives.
+func TestScratchPopsDropTheirSlot(t *testing.T) {
+	s := NewScratch()
+	for _, k := range []int{8, 3} { // the smallest fit, taken below, is the last slot
+		idx, val := make([]int32, k), make([]float64, k)
+		for i := range idx {
+			idx[i], val[i] = int32(i), 1
+		}
+		s.Release(NewSparse(64, idx, val, OpSum))
+		s.PutDense(make([]float64, 64))
+	}
+	taken := func() (weak.Pointer[Vector], weak.Pointer[int32], weak.Pointer[float64], weak.Pointer[float64]) {
+		v := s.grabVector(64, OpSum, DefaultValueBytes, Delta(64, DefaultValueBytes))
+		idx, val, dns := s.grabIdx(3), s.grabVal(3), s.grabDenseRaw(64)
+		return weak.Make(v), weak.Make(&idx[:1][0]), weak.Make(&val[:1][0]), weak.Make(&dns[0])
+	}
+	hdr, idx, val, dns := taken()
+	runtime.GC()
+	runtime.GC()
+	if hdr.Value() != nil {
+		t.Error("a header taken from the pool and dropped is still reachable")
+	}
+	if idx.Value() != nil || val.Value() != nil {
+		t.Error("an index or value buffer taken from the pool and dropped is still reachable")
+	}
+	if dns.Value() != nil {
+		t.Error("a dense buffer taken from the pool and dropped is still reachable")
+	}
+	if s.Buffers() != 4 { // one header, index, value and dense buffer left
+		t.Fatalf("pool holds %d buffers, want 4", s.Buffers())
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestScratchLendReclaimsOnlyReadBlocks: a lent vector comes back into its
+// pool at the first grab after every reader has called ReadDone, and not
+// before; a nil pool lends nothing, and the lent list is bounded.
+func TestScratchLendReclaimsOnlyReadBlocks(t *testing.T) {
+	s := NewScratch()
+	v := NewSparse(64, []int32{1, 2, 3}, []float64{1, 2, 3}, OpSum)
+	s.Lend(v, 2)
+	v.ReadDone()
+	if w := s.grabVector(64, OpSum, DefaultValueBytes, 0); w == v || s.Lent() != 1 || s.Buffers() != 0 {
+		t.Fatalf("a block with a reader left was taken back (lent %d, buffers %d)", s.Lent(), s.Buffers())
+	}
+	v.ReadDone()
+	if w := s.grabVector(64, OpSum, DefaultValueBytes, 0); w != v || s.Lent() != 0 || s.Buffers() != 2 {
+		t.Fatalf("a block every reader is done with was not taken back (lent %d, buffers %d)", s.Lent(), s.Buffers())
+	}
+
+	var none *Scratch
+	none.Lend(v, 2)
+	if none.Lent() != 0 {
+		t.Fatal("a nil pool lent")
+	}
+	for range 2 * lentCap {
+		s.Lend(Zero(8, OpSum), 1)
+	}
+	if s.Lent() != lentCap {
+		t.Fatalf("%d blocks lent, want the bound %d", s.Lent(), lentCap)
 	}
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // IndexBytes is the wire size of one non-zero index. The paper fixes the
@@ -48,6 +49,10 @@ type Vector struct {
 
 	valueBytes int // wire size per value (4 or 8); storage is float64
 	delta      int // switch-to-dense threshold; default Delta(n, valueBytes)
+
+	// readers counts the holders still reading a lent vector
+	// (Scratch.Lend, ReadDone); zero when it is not lent.
+	readers atomic.Int32
 }
 
 // Zero returns an empty (all-neutral) sparse vector of dimension n for the

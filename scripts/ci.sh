@@ -49,7 +49,7 @@ go run ./tools/doccheck . ./internal/simnet ./internal/comm ./internal/core ./in
 echo "== docdrift (docs tables must name real identifiers, sparbench invocations real sweeps)"
 go run ./tools/docdrift -root . README.md docs/COLLECTIVES.md docs/ARCHITECTURE.md
 
-echo "== go test -race (comm + core + adapt + stream + scenario + train + cluster + obs: real transports, payloads handed between truly concurrent ranks and their scratch pools, parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks, concurrent pin-ledger checks)"
+echo "== go test -race (comm + core + adapt + stream + scenario + train + cluster + obs: real transports, payloads handed between truly concurrent ranks and their scratch pools, split-allgather partitions lent to every rank and taken back by their owners (TestSplitAllgatherLendingLifetime), parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks, concurrent pin-ledger checks)"
 go test -race ./internal/comm/... ./internal/core/... ./internal/adapt/... ./internal/stream/... ./internal/scenario/... ./internal/train/... ./internal/cluster/... ./internal/obs/... ./internal/pin
 echo "== go test -race -run Adapt . (the facade's EnableAdaptation installs the send hook the link calibrators fold under)"
 go test -race -run 'Adapt' .
