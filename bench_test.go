@@ -1,8 +1,8 @@
 // Benchmark harness: one testing.B target per table and figure of the
 // paper's evaluation (§8), plus the ablation benches. Each bench wraps the
 // corresponding runner in internal/experiments at a reduced default scale;
-// the cmd/ tools run the same code at paper scale and print the full
-// tables (see EXPERIMENTS.md for paper-vs-measured shapes).
+// `sparbench -sweep <name>` runs the same code at its defaults and prints
+// the full tables (see README's reproduction map).
 //
 // Run everything:  go test -bench=. -benchmem
 package sparcml
@@ -223,9 +223,9 @@ func BenchmarkContentionSweep(b *testing.B) {
 // 8/512 and 16/512 with 4-bit QSGD).
 func BenchmarkFig4aCIFARTopK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := experiments.Fig4aCIFAR(experiments.DNNScale{Rows: 400, Epochs: 2, P: 4}, 1)
-		if len(series) != 3 {
-			b.Fatal("want 3 series")
+		rows := experiments.Fig4aCIFAR(experiments.Params{Rows: 400, Epochs: 2, P: 4}, 1)
+		if len(rows) != 3*2 {
+			b.Fatal("want 3 series of 2 epochs")
 		}
 	}
 }
@@ -234,9 +234,9 @@ func BenchmarkFig4aCIFARTopK(b *testing.B) {
 // TopK 2/512).
 func BenchmarkFig4bATISLSTM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := experiments.Fig4bATIS(experiments.DNNScale{Rows: 200, Epochs: 2, P: 2}, 1)
-		if len(series) != 2 {
-			b.Fatal("want 2 series")
+		rows := experiments.Fig4bATIS(experiments.Params{Rows: 200, Epochs: 2, P: 2}, 1)
+		if len(rows) != 2*2 {
+			b.Fatal("want 2 series of 2 epochs")
 		}
 	}
 }
@@ -247,9 +247,9 @@ func BenchmarkFig4bATISLSTM(b *testing.B) {
 // (1000-class head, TopK 1/512 vs dense).
 func BenchmarkFig5WideResNet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := experiments.Fig5Wide(experiments.DNNScale{Rows: 400, Epochs: 1, P: 4}, 1)
-		if len(series) != 2 {
-			b.Fatal("want 2 series")
+		rows := experiments.Fig5Wide(experiments.Params{Rows: 400, Epochs: 1, P: 4}, 1)
+		if len(rows) != 2 {
+			b.Fatal("want 2 series of 1 epoch")
 		}
 	}
 }
@@ -260,9 +260,9 @@ func BenchmarkFig5WideResNet(b *testing.B) {
 // 2x/4x/8x scale.
 func BenchmarkFig6aASR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := experiments.Fig6ASR(experiments.DNNScale{Rows: 320, Epochs: 1, P: 2}, 1)
-		if len(series) != 4 {
-			b.Fatal("want 4 series")
+		rows, _ := experiments.Fig6ASR(experiments.Params{Rows: 320, Epochs: 1, P: 2}, 1)
+		if len(rows) != 4 {
+			b.Fatal("want 4 series of 1 epoch")
 		}
 	}
 }
@@ -272,8 +272,7 @@ func BenchmarkFig6aASR(b *testing.B) {
 func BenchmarkFig6bScalability(b *testing.B) {
 	var last float64
 	for i := 0; i < b.N; i++ {
-		series := experiments.Fig6ASR(experiments.DNNScale{Rows: 320, Epochs: 1, P: 2}, 1)
-		pts := experiments.Scalability(series[1:])
+		_, pts := experiments.Fig6ASR(experiments.Params{Rows: 320, Epochs: 1, P: 2}, 1)
 		last = pts[len(pts)-1].Speedup
 	}
 	b.ReportMetric(last, "speedup@8x")

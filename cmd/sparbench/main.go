@@ -1,6 +1,5 @@
 // Command sparbench runs the registered sweeps of internal/experiments:
-// the Figure 3 micro-benchmarks (reduction time versus node count and
-// versus per-node density, all six algorithms), the hierarchical
+// every figure and table of the paper's evaluation (§8), the hierarchical
 // extensions, and the deterministic sweeps recorded as the committed
 // BENCH_<n>.json documents. A sweep is addressed by its name or by the id
 // of the document it records; every sweep renders as an aligned table,
@@ -10,6 +9,10 @@
 //
 //	sparbench -sweep nodes      [-n 1048576] [-density 0.00781] [-maxp 64] [-profile aries]
 //	sparbench -sweep density    [-n 1048576] [-p 8] [-profile gige]
+//	sparbench -sweep fig1       [-n 270000]
+//	sparbench -sweep fig4a      [-rows 2000] [-epochs 8] [-p 8]   # fig4b | fig5 | fig6: their own defaults
+//	sparbench -sweep table2     [-scale 0.02] [-epochs 3]         # scd | spark alike
+//	sparbench -sweep fig7
 //	sparbench -sweep hier       [-n 1048576] [-density 0.0001] [-maxp 64] [-rpn 4] [-intra nvlink] [-profile aries]
 //	sparbench -sweep hierdsar   [-n 262144] [-density 0.6] [-maxp 32] [-rpn 4] [-nic 1] [-intra nvlink] [-profile aries]
 //	sparbench -sweep contention [-intra nvlink] [-profile aries]   # BENCH_2
@@ -75,16 +78,19 @@ func parse(args []string, defaults experiments.Params, usage io.Writer) (options
 		names = append(names, s.Name)
 	}
 	fs.StringVar(&o.sweep, "sweep", "nodes", "sweep to run, by name or BENCH id: "+strings.Join(names, " | "))
-	fs.IntVar(&p.N, "n", p.N, "vector dimension N (paper uses 16M; 2^20 keeps memory modest; hierdsar defaults to 2^18)")
+	fs.IntVar(&p.N, "n", p.N, "vector dimension N (paper uses 16M; 2^20 keeps memory modest; hierdsar defaults to 2^18, fig1's model to 270000)")
 	fs.Float64Var(&p.Density, "density", p.Density, "per-node density d (hier defaults to 1e-4, hierdsar to 0.6)")
 	fs.IntVar(&p.MaxP, "maxp", p.MaxP, "largest rank count of the nodes/hier/hierdsar sweeps")
-	fs.IntVar(&p.P, "p", p.P, "rank count of the density sweep")
+	fs.IntVar(&p.P, "p", p.P, "rank count of the density sweep; base rank count of fig4a/fig4b/fig5/fig6")
 	fs.IntVar(&p.RPN, "rpn", p.RPN, "ranks per node of the hier/hierdsar sweeps")
 	fs.IntVar(&p.NIC, "nic", p.NIC, "per-node NIC serialization cap of the hierdsar sweep (0 disables contention)")
 	profile(&p.Intra, "intra", "intra-node profile of the hier/hierdsar/contention sweeps")
 	profile(&p.Profile, "profile", "network profile (density defaults to gige)")
 	fs.IntVar(&p.Gens, "gens", p.Gens, "data generations per cell (paper: 5)")
 	fs.IntVar(&p.Runs, "runs", p.Runs, "runs per generation (paper: 10)")
+	fs.IntVar(&p.Rows, "rows", p.Rows, "dataset rows of the fig4a/fig4b/fig5/fig6 sweeps")
+	fs.IntVar(&p.Epochs, "epochs", p.Epochs, "training epochs of the fig4a/fig4b/fig5/fig6/table2/scd/spark sweeps")
+	fs.Float64Var(&p.Scale, "scale", p.Scale, "dataset size of the table2/scd/spark sweeps relative to the paper's")
 	fs.BoolVar(&o.csv, "csv", false, "emit CSV (raw numbers) instead of aligned tables")
 	fs.BoolVar(&o.json, "json", false, "emit the sweep's JSON document (for a BENCH id: the committed file's bytes)")
 	fs.BoolVar(&o.trace, "trace", false, "dump a message timeline of one SSAR_Recursive_double allreduce and exit")

@@ -85,10 +85,12 @@ func TestRunCSVAndErrors(t *testing.T) {
 	// Every registered sweep rejects every bad number with an error naming
 	// the flag — before any world is built, so a fixed-cell sweep costs
 	// nothing here. (-rpn 0 once hung in Pow2Range; -p 0, -n 0 and -nic -3
-	// once died in goroutine-trace panics from comm/scenario/simnet.)
+	// once died in goroutine-trace panics from comm/scenario/simnet; -epochs
+	// 0 once indexed a Table 2 row's last epoch at -1.)
 	bad := [][2]string{
 		{"-n", "0"}, {"-density", "0"}, {"-density", "2"}, {"-maxp", "0"}, {"-p", "0"},
 		{"-rpn", "0"}, {"-nic", "-3"}, {"-gens", "0"}, {"-runs", "0"},
+		{"-rows", "0"}, {"-epochs", "0"}, {"-scale", "0"},
 	}
 	for _, sw := range experiments.Sweeps() {
 		for _, b := range bad {
@@ -105,6 +107,21 @@ func TestRunCSVAndErrors(t *testing.T) {
 	}
 	if err := run([]string{"-trace", "-p", "0"}, &buf); err == nil {
 		t.Error("-trace -p 0 must error")
+	}
+}
+
+// TestRunUnknownPaperSweep checks that a paper figure or table with no
+// registered sweep is refused, and that the error lists the names that
+// would have worked.
+func TestRunUnknownPaperSweep(t *testing.T) {
+	for _, name := range []string{"fig3", "fig4c", "table4"} {
+		t.Run(name, func(t *testing.T) {
+			var buf strings.Builder
+			err := run([]string{"-sweep", name}, &buf)
+			if err == nil || !strings.Contains(err.Error(), "unknown sweep") || !strings.Contains(err.Error(), "fig4a") {
+				t.Fatalf("-sweep %s: got %v, want an unknown-sweep error listing the registered sweeps", name, err)
+			}
+		})
 	}
 }
 
@@ -131,6 +148,38 @@ func TestRunEveryFormat(t *testing.T) {
 	out := buf.String()
 	if !strings.HasPrefix(out, "# cells\nworkload,") || !strings.Contains(out, "\n# pipeline_model_cells\nn,p,k_per_rank,chunks,") {
 		t.Fatalf("multi-section CSV must separate its sections:\n%s", out)
+	}
+}
+
+// TestRunPaperSweepsTiny drives the §8 figure sweeps at tiny sizes
+// through the flags that size them; a flag lays over the sweep's own
+// defaults, so -rows alone leaves -epochs and -p at fig4a's.
+func TestRunPaperSweepsTiny(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-sweep", "fig1", "-n", "5000"}, []string{"Figure 1", "# empirical\n", "per_node_density"}},
+		{[]string{"-sweep", "fig7"}, []string{"Figure 7", "expected_k"}},
+		{[]string{"-sweep", "fig4a", "-rows", "80", "-epochs", "1", "-p", "2"}, []string{"Figure 4a", "top1", "topk 16/512 + 4-bit"}},
+		{[]string{"-sweep", "scd", "-scale", "0.002", "-epochs", "1"}, []string{"§8.2 SCD", "sparse_comm_seconds"}},
+		{[]string{"-sweep", "spark", "-scale", "0.002", "-epochs", "1"}, []string{"Spark comparison", "sparse_vs_spark_comm"}},
+	} {
+		t.Run(c.args[1], func(t *testing.T) {
+			var buf strings.Builder
+			if err := run(c.args, &buf); err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range c.want {
+				if !strings.Contains(buf.String(), w) {
+					t.Fatalf("output lacks %q:\n%s", w, buf.String())
+				}
+			}
+		})
+	}
+	var buf strings.Builder
+	if err := run([]string{"-sweep", "fig4a", "-rows", "4"}, &buf); err == nil || !strings.Contains(err.Error(), "-rows 4 ") {
+		t.Fatalf("fig4a -rows 4 on its default 8 ranks: got %v, want an error naming -rows", err)
 	}
 }
 

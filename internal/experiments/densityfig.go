@@ -12,15 +12,15 @@ import (
 // Fig1Row is one cell of the Figure 1 grid: the density of the reduced
 // gradient versus node count and per-node density.
 type Fig1Row struct {
-	P int
 	// PerNodeDensity is the TopK selection fraction at each node.
-	PerNodeDensity float64
+	PerNodeDensity float64 `json:"per_node_density"`
+	P              int     `json:"p"`
 	// Analytic is the closed-form expected reduced density under uniform
 	// index placement.
-	Analytic float64
+	Analytic float64 `json:"analytic"`
 	// Empirical is the measured reduced density of real per-bucket TopK
-	// gradient selections from a model under training (0 when skipped).
-	Empirical float64
+	// gradient selections from a model under training (0 in Fig1Grid).
+	Empirical float64 `json:"empirical"`
 }
 
 // Fig1Grid computes the analytic reduced-density grid of Figure 1 for a
@@ -126,9 +126,12 @@ func sampleDenseBatch(rng *rand.Rand, ds *data.DenseDataset, batch int) ([][]flo
 // Fig7Row is one cell of Figure 7: the expected multiplicative growth of
 // the reduced result under uniform sparsity at N=512.
 type Fig7Row struct {
-	K, P     int
-	Growth   float64
-	Expected float64
+	K int `json:"k"`
+	P int `json:"p"`
+	// Expected is E[K], the expected non-zeros of the reduced result, and
+	// Growth is E[K]/k.
+	Expected float64 `json:"expected_k"`
+	Growth   float64 `json:"growth"`
 }
 
 // Fig7Table computes the Figure 7 surface for N=512.

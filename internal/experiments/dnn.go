@@ -11,32 +11,32 @@ import (
 	"repro/internal/train"
 )
 
-// DNNSeries is one training curve: a labeled sequence of per-epoch points
-// (loss/accuracy versus simulated time).
-type DNNSeries struct {
-	Label  string
-	P      int
-	Params int
-	Points []train.Point
-}
-
-// DNNScale shrinks the DNN experiments to tractable CPU sizes while
-// preserving their structure (model family, sparsity fractions, node
-// counts are unchanged or scaled as documented in EXPERIMENTS.md).
-type DNNScale struct {
-	Rows   int // dataset rows
-	Epochs int
-	P      int // ranks standing in for the paper's GPU counts
+// DNNRow is one epoch of one training curve of Figures 4–6: loss and
+// accuracy versus simulated time. The DNN sweeps shrink the paper's
+// experiments to CPU sizes (-rows, -epochs, and -p ranks standing in for
+// its GPU counts) while keeping the model family, the sparsity fractions
+// and the node-count ratios.
+type DNNRow struct {
+	Series string `json:"series"`
+	P      int    `json:"p"`
+	Params int    `json:"params"`
+	Epoch  int    `json:"epoch"`
+	// SimSeconds and CommSeconds are cumulative simulated time, in total
+	// and in collectives.
+	SimSeconds  float64 `json:"sim_seconds"`
+	CommSeconds float64 `json:"comm_seconds"`
+	Loss        float64 `json:"loss"`
+	Top1        float64 `json:"top1"`
+	Top5        float64 `json:"top5"`
+	// BytesSent is rank 0's cumulative modeled gradient payload.
+	BytesSent int64 `json:"bytes_sent"`
 }
 
 // Fig4aCIFAR reproduces Figure 4a: training accuracy of TopK (k/512 with
 // 4-bit QSGD) versus full dense SGD on the CIFAR-shaped task, using a
 // residual MLP in place of ResNet-110. Returns dense, k=8/512 and k=16/512
 // curves.
-func Fig4aCIFAR(sc DNNScale, seed int64) []DNNSeries {
-	if sc.Rows == 0 {
-		sc = DNNScale{Rows: 2000, Epochs: 8, P: 8}
-	}
+func Fig4aCIFAR(sc Params, seed int64) []DNNRow {
 	ds := data.SyntheticDense(data.DenseConfig{Rows: sc.Rows, Dim: 64, Classes: 10, Sep: 2.2, Seed: seed})
 	mkTask := func(rank int) train.Task {
 		return &train.MLPTask{
@@ -48,11 +48,14 @@ func Fig4aCIFAR(sc DNNScale, seed int64) []DNNSeries {
 		LR: 0.05, BatchPerNode: 32, Epochs: sc.Epochs,
 		Device: simnet.GPUP100, EvalSamples: 256, Seed: seed,
 	}
-	var series []DNNSeries
+	// Momentum 0.9 multiplies the dense arm's step on the mean gradient by
+	// 10, so LR/10 takes the TopK arms' effective step (LR/P on the sum);
+	// at LR itself the dense loss diverges to NaN within eight epochs.
 	dense := base
 	dense.Method = train.MethodDense
+	dense.LR = base.LR / 10
 	dense.Momentum = 0.9
-	series = append(series, runDNN("dense 32-bit", sc.P, simnet.Aries, dense, mkTask))
+	rows := runDNN("dense 32-bit", sc.P, simnet.Aries, dense, mkTask)
 
 	for _, k := range []int{8, 16} {
 		topk := base
@@ -61,17 +64,14 @@ func Fig4aCIFAR(sc DNNScale, seed int64) []DNNSeries {
 		topk.Bucket, topk.K = 512, k
 		topk.QuantBits = 4
 		topk.Algorithm = core.Auto
-		series = append(series, runDNN(label("topk %d/512 + 4-bit", k), sc.P, simnet.Aries, topk, mkTask))
+		rows = append(rows, runDNN(fmt.Sprintf("topk %d/512 + 4-bit", k), sc.P, simnet.Aries, topk, mkTask)...)
 	}
-	return series
+	return rows
 }
 
 // Fig4bATIS reproduces Figure 4b: LSTM training accuracy on the
 // ATIS-shaped intent task, dense versus TopK k=2/512 (no quantization).
-func Fig4bATIS(sc DNNScale, seed int64) []DNNSeries {
-	if sc.Rows == 0 {
-		sc = DNNScale{Rows: 1200, Epochs: 8, P: 4}
-	}
+func Fig4bATIS(sc Params, seed int64) []DNNRow {
 	cfg := data.ATISShape(1)
 	cfg.Rows = sc.Rows
 	ds := data.SyntheticSequences(cfg)
@@ -85,27 +85,22 @@ func Fig4bATIS(sc DNNScale, seed int64) []DNNSeries {
 		LR: 0.5, BatchPerNode: 16, Epochs: sc.Epochs,
 		Device: simnet.GPUP100, EvalSamples: 200, Seed: seed,
 	}
-	var series []DNNSeries
 	dense := base
 	dense.Method = train.MethodDense
-	series = append(series, runDNN("dense 32-bit", sc.P, simnet.Aries, dense, mkTask))
+	rows := runDNN("dense 32-bit", sc.P, simnet.Aries, dense, mkTask)
 
 	topk := base
 	topk.Method = train.MethodTopK
 	topk.LR = base.LR / float64(sc.P)
 	topk.Bucket, topk.K = 512, 2
 	topk.Algorithm = core.Auto
-	series = append(series, runDNN("topk 2/512", sc.P, simnet.Aries, topk, mkTask))
-	return series
+	return append(rows, runDNN("topk 2/512", sc.P, simnet.Aries, topk, mkTask)...)
 }
 
 // Fig5Wide reproduces Figure 5: top-1/top-5 train error of a 4×-wide
 // residual network under TopK k=1/512 versus the dense baseline on the
 // ImageNet-shaped task (1000 classes).
-func Fig5Wide(sc DNNScale, seed int64) []DNNSeries {
-	if sc.Rows == 0 {
-		sc = DNNScale{Rows: 4000, Epochs: 6, P: 8}
-	}
+func Fig5Wide(sc Params, seed int64) []DNNRow {
 	ds := data.SyntheticDense(data.ImageNetShape(sc.Rows))
 	widthFactor := 4
 	mkTask := func(rank int) train.Task {
@@ -122,29 +117,35 @@ func Fig5Wide(sc DNNScale, seed int64) []DNNSeries {
 		LR: 0.02, BatchPerNode: 8, Epochs: sc.Epochs,
 		Device: simnet.GPUP100, EvalSamples: 256, Seed: seed,
 	}
-	var series []DNNSeries
 	dense := base
 	dense.Method = train.MethodDense
 	dense.Momentum = 0.9
-	series = append(series, runDNN("dense 32-bit", sc.P, simnet.Aries, dense, mkTask))
+	rows := runDNN("dense 32-bit", sc.P, simnet.Aries, dense, mkTask)
 
 	topk := base
 	topk.Method = train.MethodTopK
 	topk.LR = 2 * base.LR / float64(sc.P)
 	topk.Bucket, topk.K = 512, 1
 	topk.Algorithm = core.Auto
-	series = append(series, runDNN("topk 1/512", sc.P, simnet.Aries, topk, mkTask))
-	return series
+	return append(rows, runDNN("topk 1/512", sc.P, simnet.Aries, topk, mkTask)...)
+}
+
+// ScalabilityPoint is one point of Figure 6b: the simulated time a TopK
+// configuration of Fig6ASR takes to complete the run, and its speedup over
+// the smallest one.
+type ScalabilityPoint struct {
+	Label      string  `json:"configuration"`
+	P          int     `json:"p"`
+	SimSeconds float64 `json:"sim_seconds"`
+	Speedup    float64 `json:"speedup"`
 }
 
 // Fig6ASR reproduces Figure 6: the ASR production workload. The baseline
 // is BMUF at the smallest node count; TopK k=4/512 runs at 2×, 4×, and 8×
 // that scale (standing in for the paper's 32/64/128 GPUs vs the 16-GPU
-// baseline), on an InfiniBand cluster of V100-rate devices.
-func Fig6ASR(sc DNNScale, seed int64) []DNNSeries {
-	if sc.Rows == 0 {
-		sc = DNNScale{Rows: 3200, Epochs: 12, P: 4}
-	}
+// baseline), on an InfiniBand cluster of V100-rate devices. It returns the
+// training curves (6a) and the TopK runs' scalability (6b).
+func Fig6ASR(sc Params, seed int64) ([]DNNRow, []ScalabilityPoint) {
 	cfg := data.ASRShape(sc.Rows)
 	ds := data.SyntheticSequences(cfg)
 	mk := func(P int) func(rank int) train.Task {
@@ -155,7 +156,6 @@ func Fig6ASR(sc DNNScale, seed int64) []DNNSeries {
 			}
 		}
 	}
-	var series []DNNSeries
 
 	// Effective (not peak) V100 throughput for small-batch LSTM training:
 	// recurrent steps serialize, so utilization is a few percent of peak.
@@ -177,8 +177,9 @@ func Fig6ASR(sc DNNScale, seed int64) []DNNSeries {
 		BMUFBlockSteps: 8, BMUFMomentum: 0.5,
 		Device: lstmDevice, EvalSamples: 200, Seed: seed,
 	}
-	series = append(series, runDNN("BMUF baseline", sc.P, simnet.InfiniBandFDR, bmuf, mk(sc.P)))
+	rows := runDNN("BMUF baseline", sc.P, simnet.InfiniBandFDR, bmuf, mk(sc.P))
 
+	var scaling []ScalabilityPoint
 	for _, mult := range []int{2, 4, 8} {
 		P := sc.P * mult
 		// The paper transmits k=4/512; at our reduced parameter count that
@@ -190,51 +191,29 @@ func Fig6ASR(sc DNNScale, seed int64) []DNNSeries {
 			Bucket: 512, K: 8, Algorithm: core.Auto,
 			Device: lstmDevice, EvalSamples: 200, Seed: seed,
 		}
-		series = append(series, runDNN(label("SparCML topk 4/512, %dx GPUs", mult*2), P, simnet.InfiniBandFDR, topk, mk(P)))
+		curve := runDNN(fmt.Sprintf("SparCML topk 4/512, %dx GPUs", mult*2), P, simnet.InfiniBandFDR, topk, mk(P))
+		rows = append(rows, curve...)
+		end := curve[len(curve)-1]
+		scaling = append(scaling, ScalabilityPoint{Label: end.Series, P: P, SimSeconds: end.SimSeconds})
 	}
-	return series
-}
-
-// Fig6bScalability distills Figure 6b from Fig6ASR output: simulated time
-// to complete the run versus node count, normalized to the smallest TopK
-// configuration.
-type ScalabilityPoint struct {
-	Label   string
-	P       int
-	Time    float64
-	Speedup float64
-}
-
-// Scalability computes end-of-run time speedups relative to the first
-// TopK series.
-func Scalability(series []DNNSeries) []ScalabilityPoint {
-	var out []ScalabilityPoint
-	var ref float64
-	for _, s := range series {
-		if len(s.Points) == 0 {
-			continue
-		}
-		t := s.Points[len(s.Points)-1].Time
-		if ref == 0 {
-			ref = t
-		}
-		out = append(out, ScalabilityPoint{Label: s.Label, P: s.P, Time: t, Speedup: ref / t})
+	for i := range scaling {
+		scaling[i].Speedup = scaling[0].SimSeconds / scaling[i].SimSeconds
 	}
-	return out
+	return rows, scaling
 }
 
-func runDNN(name string, P int, profile simnet.Profile, cfg train.Config, mk func(rank int) train.Task) DNNSeries {
+// runDNN trains on a P-rank world and returns rank 0's curve.
+func runDNN(name string, P int, profile simnet.Profile, cfg train.Config, mk func(rank int) train.Task) []DNNRow {
 	w := comm.NewWorld(P, profile)
 	results := comm.Run(w, func(p *comm.Proc) []train.Point {
 		return train.Run(p, mk(p.Rank()), cfg)
 	})
-	params := 0
-	if t := mk(0); t != nil {
-		params = len(t.Params())
+	params := len(mk(0).Params())
+	rows := make([]DNNRow, len(results[0]))
+	for i, pt := range results[0] {
+		rows[i] = DNNRow{Series: name, P: P, Params: params, Epoch: pt.Epoch,
+			SimSeconds: pt.Time, CommSeconds: pt.CommTime, Loss: pt.Loss,
+			Top1: pt.Top1, Top5: pt.Top5, BytesSent: pt.BytesSent}
 	}
-	return DNNSeries{Label: name, P: P, Params: params, Points: results[0]}
-}
-
-func label(format string, args ...any) string {
-	return fmt.Sprintf(format, args...)
+	return rows
 }

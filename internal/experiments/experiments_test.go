@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/simnet"
@@ -169,25 +170,48 @@ func TestSparkComparisonOrdering(t *testing.T) {
 	}
 }
 
+// TestFig4aSmoke runs Figure 4a at the scale the ledger pins it at: every
+// curve beats chance, and TopK with 4-bit QSGD ends within 0.10 top-1 of
+// dense SGD (the paper's "no loss in accuracy"; at this scale dense reads
+// about 0.66 and TopK 0.68–0.71).
 func TestFig4aSmoke(t *testing.T) {
-	series := Fig4aCIFAR(DNNScale{Rows: 400, Epochs: 2, P: 4}, 1)
-	if len(series) != 3 {
-		t.Fatalf("want 3 series, got %d", len(series))
+	rows := Fig4aCIFAR(Params{Rows: 400, Epochs: 2, P: 4}, 1)
+	if len(rows) != 3*2 {
+		t.Fatalf("want 3 series of 2 epochs, got %d rows", len(rows))
 	}
-	for _, s := range series {
-		if len(s.Points) != 2 {
-			t.Fatalf("%s: want 2 epochs", s.Label)
+	dense := rows[1] // the first series' final epoch
+	for _, r := range rows {
+		if r.Epoch != 1 {
+			continue
 		}
-		last := s.Points[len(s.Points)-1]
-		if last.Top1 <= 0.1 { // must beat 10-class chance
-			t.Fatalf("%s: top-1 %g not above chance", s.Label, last.Top1)
+		if r.Top1 <= 0.1 { // must beat 10-class chance
+			t.Fatalf("%s: top-1 %g not above chance", r.Series, r.Top1)
+		}
+		if math.Abs(r.Top1-dense.Top1) > 0.10 {
+			t.Errorf("%s: top-1 %.3f, more than 0.10 from dense's %.3f", r.Series, r.Top1, dense.Top1)
 		}
 	}
 }
 
+// TestUnevenShardsFinish: 260 rows on 8 ranks shard as 32 and 33 rows,
+// one and two batches of 32. Ranks that each ran their own shard's step
+// count issued different numbers of collectives and blocked forever; they
+// agree on the largest count now.
+func TestUnevenShardsFinish(t *testing.T) {
+	done := make(chan []DNNRow, 1)
+	go func() { done <- Fig4aCIFAR(Params{Rows: 260, Epochs: 1, P: 8}, 1) }()
+	select {
+	case rows := <-done:
+		if len(rows) != 3 {
+			t.Fatalf("want 3 series of 1 epoch, got %d rows", len(rows))
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Fig4aCIFAR at 260 rows on 8 ranks did not finish: ranks disagree on the step count")
+	}
+}
+
 func TestFig6ScalabilityMonotone(t *testing.T) {
-	series := Fig6ASR(DNNScale{Rows: 320, Epochs: 1, P: 2}, 1)
-	pts := Scalability(series[1:]) // TopK runs only
+	_, pts := Fig6ASR(Params{Rows: 320, Epochs: 1, P: 2}, 1)
 	if len(pts) != 3 {
 		t.Fatalf("want 3 scalability points, got %d", len(pts))
 	}

@@ -21,11 +21,13 @@ import (
 // the two profiles), so the gated bytes depend on no flag default but
 // those.
 type Params struct {
-	// N is the vector dimension, Density the per-node non-zero fraction.
+	// N is the vector dimension (fig1: the model's), Density the per-node
+	// non-zero fraction.
 	N       int
 	Density float64
 	// MaxP is the largest rank count of a node-count sweep (nodes, hier,
-	// hierdsar); P the rank count of the density sweep.
+	// hierdsar); P the rank count of the density sweep and the base rank
+	// count of the DNN figures.
 	MaxP, P int
 	// RPN is the ranks per node and NIC the per-node NIC serialization cap
 	// (0 = uncapped) of the two-level topologies; Intra prices their
@@ -34,13 +36,20 @@ type Params struct {
 	Intra, Profile simnet.Profile
 	// Gens data generations × Runs runs per cell (the paper uses 5 × 10).
 	Gens, Runs int
+	// Rows is the dataset size of the DNN figures (fig4a, fig4b, fig5,
+	// fig6); Epochs their training length and that of the §8.2 sweeps
+	// (table2, scd, spark); Scale the §8.2 datasets' size relative to the
+	// paper's.
+	Rows, Epochs int
+	Scale        float64
 }
 
 // DefaultParams returns the defaults every sweep starts from; a Sweep's
 // Defaults differ where its regime does.
 func DefaultParams() Params {
 	return Params{N: 1 << 20, Density: 0.00781, MaxP: 64, P: 8, RPN: 4, NIC: 1,
-		Intra: simnet.NVLinkLike, Profile: simnet.Aries, Gens: 2, Runs: 3}
+		Intra: simnet.NVLinkLike, Profile: simnet.Aries, Gens: 2, Runs: 3,
+		Rows: 2000, Epochs: 3, Scale: 0.02}
 }
 
 // Validate rejects numbers no world or workload can be built from, naming
@@ -54,6 +63,7 @@ func (p Params) Validate() error {
 	}{
 		{"n", p.N, 1}, {"maxp", p.MaxP, 1}, {"p", p.P, 1}, {"rpn", p.RPN, 1},
 		{"nic", p.NIC, 0}, {"gens", p.Gens, 1}, {"runs", p.Runs, 1},
+		{"rows", p.Rows, 1}, {"epochs", p.Epochs, 1},
 	} {
 		if c.v < c.min {
 			return fmt.Errorf("-%s must be >= %d, got %d", c.flag, c.min, c.v)
@@ -61,6 +71,9 @@ func (p Params) Validate() error {
 	}
 	if !(p.Density > 0 && p.Density <= 1) {
 		return fmt.Errorf("-density must be in (0, 1], got %g", p.Density)
+	}
+	if !(p.Scale > 0 && p.Scale <= 1) {
+		return fmt.Errorf("-scale must be in (0, 1], got %g", p.Scale)
 	}
 	return nil
 }
@@ -119,6 +132,24 @@ func pow2Ranks(from, maxP int, what string) ([]int, error) {
 	return ranks, nil
 }
 
+// shardable rejects a -rows that leaves a rank of a DNN sweep's largest
+// world, maxP ranks, an empty shard to draw batches from.
+func shardable(p Params, maxP int) error {
+	if p.Rows < maxP {
+		return fmt.Errorf("-rows %d leaves ranks of the %d-rank world no sample", p.Rows, maxP)
+	}
+	return nil
+}
+
+// dnnCells is the body of the single-world DNN figures, whose largest world
+// is -p ranks.
+func dnnCells(p Params, fig func(Params, int64) []DNNRow) ([]report.Section, error) {
+	if err := shardable(p, p.P); err != nil {
+		return nil, err
+	}
+	return cells(fig(p, 1))
+}
+
 // hierSweep is the body of the hier and hierdsar entries: the
 // flat-vs-hierarchical cell across power-of-two rank counts from two nodes
 // up (single-node shapes carry no hierarchy).
@@ -164,6 +195,102 @@ func Sweeps() []Sweep {
 			Run: func(p Params) ([]report.Section, error) {
 				densities := []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25}
 				return cells(Fig3DensitySweep(p.N, p.P, densities, p.Profile, p.Gens, p.Runs))
+			},
+		},
+		{
+			Name: "fig1",
+			Note: "Figure 1: density of the reduced gradient versus node count and per-node TopK " +
+				"density. cells: the closed form under uniform index placement at model dimension n " +
+				"(default ~ResNet20's 270k parameters). empirical: the measured union of real " +
+				"per-bucket TopK gradient selections of a residual MLP under training, up to P=64, " +
+				"beside the closed form at that model's dimension; real gradients share hot " +
+				"coordinates, so it stays near or below the uniform case",
+			Defaults: with(func(p *Params) { p.N = 270000 }),
+			Run: func(p Params) ([]report.Section, error) {
+				densities := []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25}
+				nodes := report.Pow2Range(2, 256)
+				return []report.Section{
+					{Name: "cells", Rows: Fig1Grid(p.N, nodes, densities)},
+					{Name: "empirical", Rows: Fig1Empirical(nodes[:6], densities, 1)},
+				}, nil
+			},
+		},
+		{
+			Name: "fig4a",
+			Note: "Figure 4a: train accuracy of TopK 8/512 and 16/512 with 4-bit QSGD versus dense " +
+				"SGD on CIFAR-shaped data, a residual MLP standing in for ResNet-110, -p ranks",
+			Defaults: with(func(p *Params) { p.Rows, p.Epochs, p.P = 2000, 8, 8 }),
+			Run:      func(p Params) ([]report.Section, error) { return dnnCells(p, Fig4aCIFAR) },
+		},
+		{
+			Name: "fig4b",
+			Note: "Figure 4b: train accuracy of an LSTM on ATIS-shaped intent data, TopK 2/512 " +
+				"versus dense SGD, -p ranks",
+			Defaults: with(func(p *Params) { p.Rows, p.Epochs, p.P = 1200, 8, 4 }),
+			Run:      func(p Params) ([]report.Section, error) { return dnnCells(p, Fig4bATIS) },
+		},
+		{
+			Name: "fig5",
+			Note: "Figure 5: top-1/top-5 train accuracy of a 4x-wide residual network on " +
+				"ImageNet-shaped data (1000 classes), TopK 1/512 versus dense SGD, -p ranks",
+			Defaults: with(func(p *Params) { p.Rows, p.Epochs, p.P = 4000, 6, 8 }),
+			Run:      func(p Params) ([]report.Section, error) { return dnnCells(p, Fig5Wide) },
+		},
+		{
+			Name: "fig6",
+			Note: "Figure 6: an ASR-shaped LSTM on InfiniBand. cells (6a): CE loss versus simulated " +
+				"time of the BMUF baseline on -p ranks and of SparCML TopK on 2x, 4x and 8x as many. " +
+				"scalability (6b): each TopK run's end-of-run time and its speedup over the smallest",
+			Defaults: with(func(p *Params) { p.Rows, p.Epochs, p.P = 3200, 12, 4 }),
+			Run: func(p Params) ([]report.Section, error) {
+				if err := shardable(p, 8*p.P); err != nil {
+					return nil, err
+				}
+				curves, scaling := Fig6ASR(p, 1)
+				return []report.Section{{Name: "cells", Rows: curves}, {Name: "scalability", Rows: scaling}}, nil
+			},
+		},
+		{
+			Name:     "fig7",
+			Note:     "Figure 7: expected size growth of the reduced result under uniform sparsity, N=512",
+			Defaults: DefaultParams(),
+			Run: func(Params) ([]report.Section, error) {
+				return cells(Fig7Table([]int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}, report.Pow2Range(2, 64)))
+			},
+		},
+		{
+			Name: "table2",
+			Note: "Table 2: distributed SGD with MPI-OPT on URL- and Webspam-shaped data at -scale " +
+				"of the paper's size: per-epoch simulated time of the dense MPI baseline and of the " +
+				"SparCML algorithm, in total and in communication, the speedups, and the final accuracy",
+			Defaults: DefaultParams(),
+			Run: func(p Params) ([]report.Section, error) {
+				var rows []Table2Row
+				for _, tc := range DefaultTable2Cases(p.Scale) {
+					rows = append(rows, RunTable2Case(tc, p.Epochs, 1))
+				}
+				return cells(rows)
+			},
+		},
+		{
+			Name: "scd",
+			Note: "§8.2 SCD: stochastic coordinate descent on URL-shaped data at -scale, 8 nodes, " +
+				"100 coordinates per node per iteration, sparse versus dense allgather; per-epoch " +
+				"simulated times (paper: 1.8x overall, 5.3x in communication)",
+			Defaults: DefaultParams(),
+			Run: func(p Params) ([]report.Section, error) {
+				return cells([]SCDResult{RunSCDExperiment(p.Scale, p.Epochs, 1)})
+			},
+		},
+		{
+			Name: "spark",
+			Note: "§8.2 Spark comparison: URL-shaped SGD at -scale on 8 nodes through a Spark-like " +
+				"dense layer, dense MPI and SparCML sparse collectives; per-epoch simulated times and " +
+				"the communication speedups over Spark-like (paper: 12x for dense MPI on GigE, up to " +
+				"185x for SparCML on Piz Daint)",
+			Defaults: DefaultParams(),
+			Run: func(p Params) ([]report.Section, error) {
+				return cells([]SparkResult{RunSparkComparison(p.Scale, p.Epochs, 1)})
 			},
 		},
 		{

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -85,29 +87,55 @@ func TestRegistryMatchesCommittedDocuments(t *testing.T) {
 	}
 }
 
-// TestRegistryEntriesRunAndRender runs every registered sweep — the
-// CLI-shaped ones at tiny parameters, the fixed-cell ones as recorded —
-// and renders the result in all three formats. The ungated simulated
-// sweeps are pinned as run here (pinSweep); overlapwall is wall-clock and
-// merge is BENCH_3.
+// pinned reports whether TestRegistryEntriesRunAndRender pins a sweep's
+// output in the ledger: every sweep without a BENCH document (scripts/ci.sh
+// byte-compares those) except the wall-clock overlapwall.
+func pinned(sw Sweep) bool { return sw.Bench == "" && sw.Name != "overlapwall" }
+
+// tiny returns the parameters TestRegistryEntriesRunAndRender runs a sweep
+// at: the CLI-shaped ones at tiny sizes, the fixed-cell ones as recorded.
+func tiny(sw Sweep) Params {
+	p := sw.Defaults
+	p.N, p.MaxP, p.P, p.Gens, p.Runs = 4096, 8, 4, 1, 1
+	p.Rows, p.Epochs, p.Scale = 400, 2, 0.002
+	switch sw.Name {
+	case "fig4b", "fig5", "fig6":
+		p.Rows, p.Epochs, p.P = 320, 1, 2
+	case "table2", "scd", "spark":
+		p.Epochs = 1
+	}
+	return p
+}
+
+// TestRegistryEntriesRunAndRender runs every registered sweep at its tiny
+// parameters and renders the result in all three formats. The pinned
+// sweeps' outputs are checked against the ledger (pinSweep); under -short
+// the slow sweeps no pin covers are skipped, so `go test -short -run
+// '^TestRegistryEntriesRunAndRender$'` checks every pin.
 func TestRegistryEntriesRunAndRender(t *testing.T) {
-	slow := map[string]bool{"adapt": true, "adaptdiv": true, "cluster": true} // 20 s each
-	pinned := map[string]bool{"nodes": true, "density": true, "hier": true, "hierdsar": true, "adaptdiv": true}
+	// 20 s each for the fixed-cell sweeps, 1–4 s for the larger figures.
+	slow := map[string]bool{"adapt": true, "adaptdiv": true, "cluster": true, "fig5": true, "fig6": true}
 	for _, sw := range Sweeps() {
 		t.Run(sw.Name, func(t *testing.T) {
 			if slow[sw.Name] {
-				if testing.Short() {
-					t.Skip("fixed cells at full scale")
+				if testing.Short() && !pinned(sw) {
+					t.Skip("fixed cells at full scale, re-recorded by scripts/ci.sh")
 				}
 				// After the serial entries: merge counts allocations
 				// process-wide and must run alone.
 				t.Parallel()
 			}
-			p := sw.Defaults
-			p.N, p.MaxP, p.P, p.Gens, p.Runs = 4096, 8, 4, 1, 1
-			doc, err := sw.Document(p)
+			doc, err := sw.Document(tiny(sw))
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, sec := range doc.Sections {
+				rows, _ := sec.Rows.([]DNNRow)
+				for _, r := range rows {
+					if math.IsNaN(r.Loss) || math.IsInf(r.Loss, 0) {
+						t.Errorf("%s epoch %d: loss %g", r.Series, r.Epoch, r.Loss)
+					}
+				}
 			}
 			for _, f := range []report.Format{report.Text, report.CSV, report.JSON} {
 				var out bytes.Buffer
@@ -127,7 +155,7 @@ func TestRegistryEntriesRunAndRender(t *testing.T) {
 				if back.ID != sw.Bench || len(back.Sections) != len(doc.Sections) {
 					t.Fatalf("-json round trip lost structure: id %q, %d sections", back.ID, len(back.Sections))
 				}
-				if pinned[sw.Name] {
+				if pinned(sw) {
 					pinSweep(t, sw.Name, doc, out.Bytes())
 				}
 			}
@@ -169,6 +197,9 @@ func TestParamsValidate(t *testing.T) {
 		"-nic":     func(p *Params) { p.NIC = -3 },
 		"-gens":    func(p *Params) { p.Gens = 0 },
 		"-runs":    func(p *Params) { p.Runs = -1 },
+		"-rows":    func(p *Params) { p.Rows = 0 },
+		"-epochs":  func(p *Params) { p.Epochs = 0 },
+		"-scale":   func(p *Params) { p.Scale = 0 },
 	} {
 		p := DefaultParams()
 		edit(&p)
@@ -184,6 +215,16 @@ func TestParamsValidate(t *testing.T) {
 		p.MaxP = 1
 		if _, err := sw.Document(p); err == nil || !strings.Contains(err.Error(), "-maxp 1 ") {
 			t.Errorf("%s -maxp 1: got error %v, want one naming the flag", name, err)
+		}
+	}
+	// So is a -rows that leaves a rank of a DNN sweep's largest world an
+	// empty shard, which no batch can be drawn from.
+	for name, maxP := range map[string]int{"fig4a": 8, "fig4b": 4, "fig5": 8, "fig6": 32} {
+		sw, _ := Lookup(name)
+		p := sw.Defaults
+		p.Rows = maxP - 1
+		if _, err := sw.Document(p); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("-rows %d ", maxP-1)) {
+			t.Errorf("%s -rows %d: got error %v, want one naming the flag", name, maxP-1, err)
 		}
 	}
 }

@@ -11,19 +11,22 @@ import (
 // Table2Row is one row of Table 2: distributed optimization with MPI-OPT,
 // comparing a SparCML sparse reduction against the dense MPI baseline.
 type Table2Row struct {
-	System    string
-	Dataset   string
-	Model     string
-	Nodes     int
-	Algorithm core.Algorithm
-	// Per-epoch simulated times in seconds (communication part in
-	// parentheses in the paper).
-	BaselineTime, BaselineComm float64
-	AlgoTime, AlgoComm         float64
+	System    string `json:"system"`
+	Dataset   string `json:"dataset"`
+	Model     string `json:"model"`
+	Nodes     int    `json:"nodes"`
+	Algorithm string `json:"algorithm"`
+	// Per-epoch simulated times (communication part in parentheses in
+	// the paper).
+	BaselineTime float64 `json:"baseline_seconds"`
+	BaselineComm float64 `json:"baseline_comm_seconds"`
+	AlgoTime     float64 `json:"algo_seconds"`
+	AlgoComm     float64 `json:"algo_comm_seconds"`
 	// End-to-end and communication speedups.
-	Speedup, CommSpeedup float64
+	Speedup     float64 `json:"speedup"`
+	CommSpeedup float64 `json:"comm_speedup"`
 	// FinalAccuracy sanity-checks that training converges.
-	FinalAccuracy float64
+	FinalAccuracy float64 `json:"final_accuracy"`
 }
 
 // Table2Case describes one experimental row to run.
@@ -99,7 +102,7 @@ func RunTable2Case(tc Table2Case, epochs int, seed int64) Table2Row {
 	}
 	return Table2Row{
 		System: tc.System, Dataset: tc.Dataset, Model: model,
-		Nodes: tc.Nodes, Algorithm: tc.Algorithm,
+		Nodes: tc.Nodes, Algorithm: tc.Algorithm.String(),
 		BaselineTime: bTime, BaselineComm: bComm,
 		AlgoTime: aTime, AlgoComm: aComm,
 		Speedup: bTime / aTime, CommSpeedup: bComm / aComm,
@@ -110,10 +113,15 @@ func RunTable2Case(tc Table2Case, epochs int, seed int64) Table2Row {
 // SCDResult compares the sparse and dense allgather variants of the
 // distributed coordinate-descent experiment (§8.2).
 type SCDResult struct {
-	SparseEpochTime, SparseCommTime float64
-	DenseEpochTime, DenseCommTime   float64
-	Speedup, CommSpeedup            float64
-	FinalAccuracy                   float64
+	// Per-epoch simulated times, in total and in communication.
+	SparseEpochTime float64 `json:"sparse_epoch_seconds"`
+	SparseCommTime  float64 `json:"sparse_comm_seconds"`
+	DenseEpochTime  float64 `json:"dense_epoch_seconds"`
+	DenseCommTime   float64 `json:"dense_comm_seconds"`
+	// Dense over sparse, end to end and in communication.
+	Speedup       float64 `json:"speedup"`
+	CommSpeedup   float64 `json:"comm_speedup"`
+	FinalAccuracy float64 `json:"final_accuracy"`
 }
 
 // RunSCDExperiment reproduces the §8.2 SCD comparison on a URL-shaped
@@ -153,12 +161,15 @@ type SparkResult struct {
 	// Per-epoch simulated times: Spark-like dense, MPI dense, SparCML
 	// sparse — all on the same cluster profile plus the Spark software
 	// overhead for the first.
-	SparkEpoch, SparkComm   float64
-	DenseEpoch, DenseComm   float64
-	SparseEpoch, SparseComm float64
+	SparkEpoch  float64 `json:"spark_epoch_seconds"`
+	SparkComm   float64 `json:"spark_comm_seconds"`
+	DenseEpoch  float64 `json:"dense_epoch_seconds"`
+	DenseComm   float64 `json:"dense_comm_seconds"`
+	SparseEpoch float64 `json:"sparse_epoch_seconds"`
+	SparseComm  float64 `json:"sparse_comm_seconds"`
 	// Headline ratios as reported in §8.2.
-	SparseVsSparkComm float64
-	DenseVsSparkComm  float64
+	DenseVsSparkComm  float64 `json:"dense_vs_spark_comm"`
+	SparseVsSparkComm float64 `json:"sparse_vs_spark_comm"`
 }
 
 // RunSparkComparison reproduces the §8.2 Spark comparison: the same

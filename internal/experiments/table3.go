@@ -2,7 +2,7 @@ package experiments
 
 // Table 3 of the paper: hyperparameters for the DNN training experiments,
 // kept as data so tests and documentation stay in sync with the configs
-// the runners actually use (at reduced scale; see EXPERIMENTS.md).
+// the runners actually use (at reduced scale; see README's reproduction map).
 type Table3Row struct {
 	Name            string
 	Model           string

@@ -3,6 +3,7 @@ package mlopt
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -92,6 +93,31 @@ func TestSGDConvergesSparseAndDense(t *testing.T) {
 				t.Fatalf("mode=%d: rank %d stats diverge", mode, r)
 			}
 		}
+	}
+}
+
+// TestSGDUnevenShardsFinish: 402 rows on 4 ranks shard as 100 and 101
+// rows, one and two batches of 100, so the ranks must agree on the step
+// count or block forever in mismatched collectives.
+func TestSGDUnevenShardsFinish(t *testing.T) {
+	ds := data.SyntheticSparse(data.SparseConfig{Rows: 402, Dim: 1000, NNZPerRow: 10, Seed: 11})
+	const P = 4
+	done := make(chan []EpochStats, 1)
+	go func() {
+		done <- comm.Run(comm.NewWorld(P, testNet), func(p *comm.Proc) []EpochStats {
+			return TrainSGD(p, ds.Shard(p.Rank(), P), SGDConfig{
+				Loss: Logistic, LR: 1.0, BatchPerNode: 100, Epochs: 1,
+				Mode: CommSparse, Algorithm: core.SSARRecDouble, Seed: 3,
+			})
+		})[0]
+	}()
+	select {
+	case stats := <-done:
+		if len(stats) != 1 {
+			t.Fatalf("want 1 epoch, got %d", len(stats))
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("TrainSGD on uneven shards did not finish: ranks disagree on the step count")
 	}
 }
 

@@ -86,7 +86,11 @@ func TrainSGD(p *comm.Proc, shard *data.SparseDataset, cfg SGDConfig) []EpochSta
 	w := make([]float64, shard.Dim)
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(p.Rank()+1)))
 	stats := make([]EpochStats, 0, cfg.Epochs)
-	stepsPerEpoch := (shard.Rows() + cfg.BatchPerNode - 1) / cfg.BatchPerNode
+	// Shards differing by a row can straddle a batch boundary, and every
+	// rank must run the same number of collectives: agree on the largest
+	// count.
+	local := float64((shard.Rows() + cfg.BatchPerNode - 1) / cfg.BatchPerNode)
+	stepsPerEpoch := int(core.AllreduceDense(p, []float64{local}, stream.OpMax)[0])
 	P := float64(p.Size())
 
 	algOpts := core.Options{Algorithm: cfg.Algorithm}

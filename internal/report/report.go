@@ -2,14 +2,14 @@
 // cmd/ tools and benchmarks: repeated measurements with 25/75 percentile
 // quantiles (the paper's micro-benchmark methodology, §8.1: "we conduct
 // five experiments with newly generated data, while running each one for
-// ten times ... we state the 25 and 75 percentage quantiles"), aligned
-// table printing, CSV output, and geometric parameter sweeps.
+// ten times ... we state the 25 and 75 percentage quantiles"), the sweep
+// document and its aligned-table, CSV and JSON renderings, and
+// power-of-two parameter sweeps.
 package report
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"unicode/utf8"
@@ -53,15 +53,6 @@ func (s *Sample) IQR() (q25, q75 float64) {
 	return s.Quantile(0.25), s.Quantile(0.75)
 }
 
-// Mean returns the arithmetic mean.
-func (s *Sample) Mean() float64 {
-	sum := 0.0
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum / float64(len(s.values))
-}
-
 // Table accumulates rows and prints them with aligned columns.
 type Table struct {
 	header []string
@@ -71,22 +62,6 @@ type Table struct {
 // NewTable creates a table with the given column headers.
 func NewTable(header ...string) *Table {
 	return &Table{header: header}
-}
-
-// AddRow appends a row; cells are formatted with %v.
-func (t *Table) AddRow(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = FormatSeconds(v)
-		case string:
-			row[i] = v
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.rows = append(t.rows, row)
 }
 
 // AddRowRaw appends pre-formatted cells.
@@ -179,39 +154,12 @@ func FormatSeconds(s float64) string {
 	}
 }
 
-// FormatBytes renders a byte count with an adaptive unit.
-func FormatBytes(b int64) string {
-	switch {
-	case b < 1<<10:
-		return fmt.Sprintf("%dB", b)
-	case b < 1<<20:
-		return fmt.Sprintf("%.1fKiB", float64(b)/(1<<10))
-	case b < 1<<30:
-		return fmt.Sprintf("%.1fMiB", float64(b)/(1<<20))
-	default:
-		return fmt.Sprintf("%.2fGiB", float64(b)/(1<<30))
-	}
-}
-
 // Pow2Range returns {from, 2·from, ..., to} (inclusive when to is a
 // power-of-two multiple of from).
 func Pow2Range(from, to int) []int {
 	var out []int
 	for v := from; v <= to; v *= 2 {
 		out = append(out, v)
-	}
-	return out
-}
-
-// GeomRange returns n geometrically spaced values from lo to hi inclusive.
-func GeomRange(lo, hi float64, n int) []float64 {
-	if n < 2 || lo <= 0 || hi <= lo {
-		panic("report: invalid geometric range")
-	}
-	out := make([]float64, n)
-	ratio := hi / lo
-	for i := range out {
-		out[i] = lo * math.Pow(ratio, float64(i)/float64(n-1))
 	}
 	return out
 }

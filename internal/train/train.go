@@ -92,7 +92,8 @@ type Config struct {
 	Momentum float64
 	// BatchPerNode is the per-node minibatch size.
 	BatchPerNode int
-	// StepsPerEpoch caps the steps per epoch (0 = one full local pass).
+	// StepsPerEpoch caps the steps per epoch (0 = one full pass over the
+	// largest shard, a count the ranks agree on with one allreduce).
 	StepsPerEpoch int
 	// Epochs is the number of epochs.
 	Epochs int
@@ -176,6 +177,15 @@ type Point struct {
 	BytesSent int64
 }
 
+// agreedSteps is the steps per epoch of one full pass over the largest
+// shard. Shards differing by a row can straddle a batch boundary, and every
+// rank must run the same number of collectives, so the ranks agree on the
+// largest count.
+func agreedSteps(p *comm.Proc, rows, batch int) int {
+	local := float64((rows + batch - 1) / batch)
+	return int(core.AllreduceDense(p, []float64{local}, stream.OpMax)[0])
+}
+
 // Run executes distributed training on this rank and returns the per-epoch
 // history (identical on every rank up to float determinism — all replicas
 // apply identical updates).
@@ -209,7 +219,7 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 
 	steps := cfg.StepsPerEpoch
 	if steps <= 0 {
-		steps = (task.NumSamples() + cfg.BatchPerNode - 1) / cfg.BatchPerNode
+		steps = agreedSteps(p, task.NumSamples(), cfg.BatchPerNode)
 	}
 	var layers *layerExchange
 	if cfg.Method == MethodTopK {

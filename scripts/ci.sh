@@ -82,7 +82,8 @@ echo "== bench -quick (six workloads on goroutine + loopback TCP, every op check
 go run ./bench -quick > /dev/null
 
 echo "== pin ledger (every test that checks testdata/pins.json, uncached; a drifted entry prints as 'name: old → new')"
-go test -count=1 -run '^(TestPredictDigests|TestSparseAllgatherPinned|TestQuantizedResultDigests|TestCrossTransportEquivalence|TestCrossTransportRaggedLevels|TestExtractDigests|TestAddAllDigests|TestGoldenDigests|TestEncodeMarshalDigests|TestResidualMLPDigest|TestAdaptDecisionDigests|TestRegistryEntriesRunAndRender|TestLedgerIsCanonical)$/^(nodes|density|hier|hierdsar|adaptdiv)$' ./internal/...
+# -short skips only the registry sweeps no pin covers (experiments' pinned()).
+go test -count=1 -short -run '^(TestPredictDigests|TestSparseAllgatherPinned|TestQuantizedResultDigests|TestCrossTransportEquivalence|TestCrossTransportRaggedLevels|TestExtractDigests|TestAddAllDigests|TestGoldenDigests|TestEncodeMarshalDigests|TestResidualMLPDigest|TestAdaptDecisionDigests|TestRegistryEntriesRunAndRender|TestLedgerIsCanonical)$' ./internal/...
 
 echo "== go test ./..."
 go test ./...

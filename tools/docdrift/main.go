@@ -7,9 +7,11 @@
 //     looks like an exported Go identifier — leading upper-case letter, at
 //     least one lower-case letter, only letters, digits and underscores —
 //     must be declared by non-test Go source: a top-level declaration, a
-//     method, a struct field or an interface method. Dotted selectors like
+//     method, a struct field or an interface method — or be a Test function
+//     of a _test.go file, as the README's reproduction map names the test
+//     asserting each claim. Dotted selectors like
 //     `core.DSARSplitAllgather` are checked by their final element. A word that only
-//     survives in a comment, a string or a test does not count.
+//     survives in a comment, a string or a test helper does not count.
 //   - Every `sparcml.X` selector inside a fenced Go block must name an
 //     exported top-level identifier of the facade package at the root.
 //   - Every `sparbench -sweep X` invocation must name a sweep the registry
@@ -89,9 +91,9 @@ func main() {
 
 // declaredIdentifiers parses every non-test .go file under root (skipping
 // hidden directories) and returns the names it declares anywhere —
-// top-level declarations, methods, struct fields, interface methods — plus
-// the exported subset the package in root itself declares at top level: the
-// facade's exports.
+// top-level declarations, methods, struct fields, interface methods — and
+// the Test functions of the _test.go files, plus the exported subset the
+// package in root itself declares at top level: the facade's exports.
 func declaredIdentifiers(root string) (declared, facade map[string]bool, err error) {
 	declared, facade = map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
@@ -105,12 +107,20 @@ func declaredIdentifiers(root string) (declared, facade map[string]bool, err err
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, decl := range file.Decls {
+				if f, ok := decl.(*ast.FuncDecl); ok && f.Recv == nil && strings.HasPrefix(f.Name.Name, "Test") {
+					declared[f.Name.Name] = true
+				}
+			}
+			return nil
 		}
 		inFacade := filepath.Dir(path) == filepath.Clean(root)
 		topLevel := func(name string) {
