@@ -200,23 +200,6 @@ func BenchmarkHierDSARVsFlatContended(b *testing.B) {
 	}
 }
 
-// BenchmarkContentionSweep runs the BENCH_2 contention-model validation
-// sweep (cost-model Auto vs old heuristic vs empirical cheapest) and
-// reports how many cells the cost model gets right.
-func BenchmarkContentionSweep(b *testing.B) {
-	var autoOK float64
-	for i := 0; i < b.N; i++ {
-		rows := experiments.ContentionSweep(simnet.NVLinkLike, simnet.Aries)
-		autoOK = 0
-		for _, r := range rows {
-			if r.AutoMatchesCheapest {
-				autoOK++
-			}
-		}
-	}
-	b.ReportMetric(autoOK, "auto-correct-cells")
-}
-
 // --- Figure 4 -------------------------------------------------------------
 
 // BenchmarkFig4aCIFARTopK runs the CIFAR-shaped comparison (dense vs TopK

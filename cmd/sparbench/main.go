@@ -15,8 +15,7 @@
 //	sparbench -sweep fig7
 //	sparbench -sweep hier       [-n 1048576] [-density 0.0001] [-maxp 64] [-rpn 4] [-intra nvlink] [-profile aries]
 //	sparbench -sweep hierdsar   [-n 262144] [-density 0.6] [-maxp 32] [-rpn 4] [-nic 1] [-intra nvlink] [-profile aries]
-//	sparbench -sweep contention [-intra nvlink] [-profile aries]   # BENCH_2
-//	sparbench -sweep merge | hierlevels | adapt | overlap | cluster   # BENCH_3 | 4 | 5 | 7 | 8
+//	sparbench -sweep regret | merge | adapt | overlap | cluster   # BENCH_2 | 3 | 5 | 7 | 8
 //	sparbench -sweep adaptdiv
 //	sparbench -sweep overlapwall [-runs 5]
 //	sparbench -sweep BENCH_5 -json   # the committed document, byte for byte
@@ -84,7 +83,7 @@ func parse(args []string, defaults experiments.Params, usage io.Writer) (options
 	fs.IntVar(&p.P, "p", p.P, "rank count of the density sweep; base rank count of fig4a/fig4b/fig5/fig6")
 	fs.IntVar(&p.RPN, "rpn", p.RPN, "ranks per node of the hier/hierdsar sweeps")
 	fs.IntVar(&p.NIC, "nic", p.NIC, "per-node NIC serialization cap of the hierdsar sweep (0 disables contention)")
-	profile(&p.Intra, "intra", "intra-node profile of the hier/hierdsar/contention sweeps")
+	profile(&p.Intra, "intra", "intra-node profile of the hier/hierdsar sweeps")
 	profile(&p.Profile, "profile", "network profile (density defaults to gige)")
 	fs.IntVar(&p.Gens, "gens", p.Gens, "data generations per cell (paper: 5)")
 	fs.IntVar(&p.Runs, "runs", p.Runs, "runs per generation (paper: 10)")

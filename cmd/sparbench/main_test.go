@@ -196,34 +196,37 @@ func TestRunHierDSARSweepTiny(t *testing.T) {
 }
 
 func TestRunContentionSweepJSON(t *testing.T) {
+	// The regret grid (BENCH_2) that replaced the contention sweep: both
+	// sections are there, and Auto's pick is one of its cell's candidates.
 	var buf strings.Builder
-	if err := run([]string{"-sweep", "contention", "-json"}, &buf); err != nil {
+	if err := run([]string{"-sweep", "regret", "-json"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc report.Document
 	if err := json.Unmarshal([]byte(buf.String()), &doc); err != nil {
 		t.Fatalf("BENCH_2 output is not valid JSON: %v", err)
 	}
-	var cells []experiments.ContentionRow
-	if err := doc.Rows("cells", &cells); err != nil || doc.ID != "BENCH_2" || len(cells) == 0 {
-		t.Fatalf("unexpected document: %+v (%v)", doc, err)
+	var cells []experiments.RegretCell
+	var cands []experiments.RegretCandidate
+	if doc.ID != "BENCH_2" || doc.Rows("cells", &cells) != nil || doc.Rows("candidates", &cands) != nil ||
+		len(cells) == 0 || len(cands) == 0 {
+		t.Fatalf("unexpected document: id %q, %d cells, %d candidates", doc.ID, len(cells), len(cands))
 	}
-	demonstrated := false
-	for _, c := range cells {
-		if c.AutoMatchesCheapest && !c.OldMatchesCheapest {
-			demonstrated = true
+	type cell struct {
+		scenario, machine string
+		p                 int
+	}
+	offered := map[cell]map[string]bool{}
+	for _, c := range cands {
+		k := cell{c.Scenario, c.Machine, c.P}
+		if offered[k] == nil {
+			offered[k] = map[string]bool{}
 		}
+		offered[k][c.Candidate] = true
 	}
-	if !demonstrated {
-		t.Fatal("BENCH_2 must contain a cell where Auto beats the old heuristic")
-	}
-
-	// The human-readable table form must render too.
-	var tbl strings.Builder
-	if err := run([]string{"-sweep", "contention"}, &tbl); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tbl.String(), "old_heuristic_choice") {
-		t.Fatalf("unexpected table output:\n%s", tbl.String())
+	for _, c := range cells {
+		if !offered[cell{c.Scenario, c.Machine, c.P}][c.Pick] {
+			t.Errorf("%s on %s at P=%d: pick %s is none of the cell's candidates", c.Scenario, c.Machine, c.P, c.Pick)
+		}
 	}
 }

@@ -171,7 +171,7 @@ func ChooseAutoLevels(s CostScenario) (Algorithm, int, int) {
 	}
 	bestAlg, bestLevels, bestChunks, bestT := family[0], 0, s.Chunks, math.Inf(1)
 	for levels := 0; levels <= maxDepth; levels++ {
-		if levels == 1 || levels > 1 && !hierExploitable(h, levels, s.P) {
+		if levels == 1 || levels > 1 && !HierExploitable(h, levels, s.P) {
 			continue // 0 already priced flat
 		}
 		for _, alg := range family {
@@ -415,7 +415,7 @@ func pipe(S, M float64, C int) float64 {
 // L is the scenario's depth and stride = Span(L−2); the flat algorithms
 // are the depth-1 case: L = 1, stride = 1, m = P, no sweeps, every rank a
 // participant holding its own K non-zeros — which is also how a depth with
-// nothing to exploit (hierExploitable) is priced, exactly as execution
+// nothing to exploit (HierExploitable) is priced, exactly as execution
 // runs it.
 //
 // The top-phase helpers take the running total t and return it advanced,
@@ -426,7 +426,7 @@ func pipe(S, M float64, C int) float64 {
 // gated BENCH files record them (TestPredictDigests pins the order).
 func (s CostScenario) predict(alg Algorithm, h simnet.Hierarchy) float64 {
 	L, stride := 1, 1
-	if d := hierDepth(h, s.Levels); hierExploitable(h, d, s.P) {
+	if d := hierDepth(h, s.Levels); HierExploitable(h, d, s.P) {
 		L, stride = d, h.Span(d-2)
 	}
 	m := (s.P + stride - 1) / stride

@@ -166,78 +166,6 @@ func TestOutermostGroupSizeSpellings(t *testing.T) {
 	}
 }
 
-// TestAutoMatchesEmpiricalCheapest is the acceptance-criterion check: in
-// scenarios where the old topology-presence heuristic picks the wrong
-// algorithm or depth, the cost-model Auto must pick the one that is
-// actually cheapest in simulation among every priced algorithm of both
-// families, flat and at depth 2 — with one named exception, which the test
-// asserts is still needed.
-func TestAutoMatchesEmpiricalCheapest(t *testing.T) {
-	topo := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0)
-	nic := simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 1)
-	cases := []struct {
-		name    string
-		n, k, P int
-		topo    simnet.Hierarchy
-		old     string // what the PR-1 topology-presence heuristic chose
-		// gated is a candidate that simulates below Auto's pick but lies
-		// in the family the δ gate rules out: in the dense cell recursive
-		// doubling at depth 2, whose streams densify on the way, beats DSAR
-		// at depth 2 by ~9 % (ROADMAP item 3 keeps the gate question open).
-		gated string
-	}{
-		// Sparse regime on an uncontended topology: old heuristic always
-		// went hierarchical; flat rec-double is empirically cheaper.
-		{"sparse-uncontended", 1 << 20, 100, 32, topo, ChoiceName(SSARRecDouble, 2), ""},
-		// Dense regime under NIC serialization: old heuristic always went
-		// flat DSAR; DSAR at depth 2 is empirically cheaper.
-		{"dense-contended", 1 << 16, 40000, 16, nic, ChoiceName(DSARSplitAllgather, 0), ChoiceName(SSARRecDouble, 2)},
-	}
-	for _, tc := range cases {
-		s := CostScenario{N: tc.n, P: tc.P, K: tc.k, Profile: simnet.Aries, Hier: &tc.topo}
-		autoAlg, levels, _ := ChooseAutoLevels(s)
-		choice := ChoiceName(autoAlg, levels)
-		if choice == tc.old {
-			t.Fatalf("%s: cost model chose %s, same as the old heuristic — scenario no longer discriminates",
-				tc.name, choice)
-		}
-		cheapest, cheapestT := "", math.Inf(1)
-		times := map[string]float64{}
-		for _, alg := range pricedAlgorithms {
-			for _, levels := range []int{0, 2} {
-				name := ChoiceName(alg, levels)
-				sim := simulateUniform(t, tc.n, tc.k, tc.P, &tc.topo, simnet.Aries, levels, alg)
-				times[name] = sim
-				if name != tc.gated && sim < cheapestT {
-					cheapest, cheapestT = name, sim
-				}
-			}
-		}
-		if tc.gated != "" {
-			// The exception stands only while the gate keeps the sparse
-			// family out and its candidate is still the faster one.
-			if autoAlg != DSARSplitAllgather {
-				t.Fatalf("%s: Auto chose %s, so the gate no longer excludes %s — drop the exception",
-					tc.name, choice, tc.gated)
-			}
-			if times[tc.gated] >= times[choice] {
-				t.Fatalf("%s: exception %s (sim %.3gs) no longer beats Auto's %s (sim %.3gs) — drop it",
-					tc.name, tc.gated, times[tc.gated], choice, times[choice])
-			}
-		}
-		if choice != cheapest {
-			t.Fatalf("%s: Auto chose %s (sim %.3gs) but %s is cheapest (sim %.3gs)",
-				tc.name, choice, times[choice], cheapest, cheapestT)
-		}
-		if times[tc.old] <= cheapestT {
-			t.Fatalf("%s: old heuristic's %s is not actually worse (%.3gs vs %.3gs)",
-				tc.name, tc.old, times[tc.old], cheapestT)
-		}
-		t.Logf("%s: auto=%s %.2fµs, old=%s %.2fµs (%.2fx saved)",
-			tc.name, choice, cheapestT*1e6, tc.old, times[tc.old]*1e6, times[tc.old]/cheapestT)
-	}
-}
-
 // TestChooseAutoDeterministicAndFlatSafe: the comparator must be a pure
 // function (same scenario → same choice) and must never pick a depth
 // without an exploitable topology.

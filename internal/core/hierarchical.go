@@ -59,11 +59,12 @@ func hierDepth(h simnet.Hierarchy, levels int) int {
 	return max(1, min(levels, h.Depth()))
 }
 
-// hierExploitable reports whether the depth-L scheme on a world of P ranks
+// HierExploitable reports whether the depth-L scheme on a world of P ranks
 // differs from the flat algorithm: there must be a real grouping below the
 // top (Span(L-2) > 1) that does not already swallow the whole world at the
-// innermost level (Span(0) < P).
-func hierExploitable(h simnet.Hierarchy, L, P int) bool {
+// innermost level (Span(0) < P). The depths 2..h.Depth() it admits are the
+// ones ChooseAutoLevels searches.
+func HierExploitable(h simnet.Hierarchy, L, P int) bool {
 	return L >= 2 && h.Span(L-2) > 1 && h.Span(0) < P
 }
 
@@ -133,7 +134,7 @@ func hierAllreduce(p *comm.Proc, v *stream.Vector, opts Options, base int) *stre
 	}
 	h, P := *p.Hierarchy(), p.Size()
 	L := hierDepth(h, opts.Levels)
-	if !hierExploitable(h, L, P) {
+	if !HierExploitable(h, L, P) {
 		return allreduceFlat(p, v, opts, base)
 	}
 	sc := opts.Scratch

@@ -23,7 +23,7 @@ import (
 // declarative BENCH_5 cells of internal/scenario; every metric is
 // simulated virtual time on seed-isolated inputs, so the document is
 // reproducible byte-for-byte and scripts/ci.sh drift-gates it like
-// BENCH_2–4. Any cell can be recorded to a trace (scenario.Record) and
+// BENCH_2 and BENCH_3. Any cell can be recorded to a trace (scenario.Record) and
 // re-run byte-identically from the file (cmd/sparreplay).
 
 // AdaptRow is one workload cell of the adaptation ablation.

@@ -18,7 +18,7 @@ import (
 // policy's is the mean predicted job time its placements commit to, the
 // quantity the cost-aware policy optimizes. Everything is simulated
 // virtual time on seed-isolated streams, so the document is reproducible
-// byte-for-byte and scripts/ci.sh drift-gates it like BENCH_2–5 and 7.
+// byte-for-byte and scripts/ci.sh drift-gates it like BENCH_2/3/5/7.
 // The document also carries the scenario-diversity adaptation cells
 // (Bench8AdaptNames) promoted from the snapshot-only adaptdiv sweep:
 // the name list is pinned here, so growing the scenario library never

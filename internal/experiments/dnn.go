@@ -117,8 +117,12 @@ func Fig5Wide(sc Params, seed int64) []DNNRow {
 		LR: 0.02, BatchPerNode: 8, Epochs: sc.Epochs,
 		Device: simnet.GPUP100, EvalSamples: 256, Seed: seed,
 	}
+	// Momentum 0.9 multiplies the dense arm's step on the mean gradient by
+	// 10, so LR/5 takes the TopK arm's effective step (2·LR/P on the sum,
+	// 2·LR on the mean); at LR itself dense steps five times as far.
 	dense := base
 	dense.Method = train.MethodDense
+	dense.LR = base.LR / 5
 	dense.Momentum = 0.9
 	rows := runDNN("dense 32-bit", sc.P, simnet.Aries, dense, mkTask)
 

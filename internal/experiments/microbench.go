@@ -100,11 +100,10 @@ func allreduce(opts core.Options) step {
 func once(inputs []*stream.Vector) [][]*stream.Vector { return [][]*stream.Vector{inputs} }
 
 // uniformInputs draws k = d·N indices uniformly at random per node with
-// random values, the §8.1 synthetic workload. The contention, hier, and
-// hierlevels sweeps stay on this frozen sampler deliberately: their
-// BENCH_2/BENCH_4 cells are tuned to sit on decision boundaries, so their
-// byte streams must not move when scenarios evolve. New workloads belong
-// in internal/scenario.
+// random values, the §8.1 synthetic workload. Only the hier and hierdsar
+// sweeps still draw from this frozen sampler, so their pinned outputs
+// (experiments/sweep/hier, .../hierdsar) do not move when scenarios
+// evolve. New workloads belong in internal/scenario.
 func uniformInputs(rng *rand.Rand, n int, density float64, P int) []*stream.Vector {
 	k := int(density * float64(n))
 	if k < 1 {
@@ -124,8 +123,8 @@ func uniformInputs(rng *rand.Rand, n int, density float64, P int) []*stream.Vect
 
 // sampleDistinct draws k distinct indices from [0, n) by rejection
 // sampling, in draw order (stream.NewSparse sorts them). Part of the frozen
-// stream: the cost grows as k approaches n, which the BENCH_2/BENCH_4 cells
-// (d ≤ 0.6) tolerate.
+// stream: the cost grows as k approaches n, which the hierdsar sweep's default
+// d = 0.6 tolerates.
 func sampleDistinct(rng *rand.Rand, n, k int) []int32 {
 	if k > n {
 		k = n

@@ -17,9 +17,8 @@ import (
 
 // Params are the numbers and machine profiles a sweep takes from the
 // command line. Every sweep gets all of them and reads the ones it needs:
-// the fixed-cell sweeps behind the BENCH documents read none (contention:
-// the two profiles), so the gated bytes depend on no flag default but
-// those.
+// the fixed-cell sweeps behind the BENCH documents read none, so the
+// gated bytes depend on no flag.
 type Params struct {
 	// N is the vector dimension (fig1: the model's), Density the per-node
 	// non-zero fraction.
@@ -309,14 +308,20 @@ func Sweeps() []Sweep {
 			Run:      func(p Params) ([]report.Section, error) { return hierSweep(p, true) },
 		},
 		{
-			Name: "contention", Bench: "BENCH_2",
-			Note: "contention-model sweep: per-algorithm modeled vs simulated time on two-level " +
-				"topologies with the per-node NIC serialization cap on/off, for every candidate Auto " +
-				"prices (each algorithm flat, DSAR and Auto's sparse algorithm at depth 2, @2); " +
-				"auto_choice is the cost-model Auto, old_heuristic_choice the replaced " +
-				"topology-presence rule, cheapest_sim the empirically cheapest candidate",
+			Name: "regret", Bench: "BENCH_2",
+			Note: "regret grid: Auto judged against the simulator over the scenario library. A cell is " +
+				"one library scenario's first call (key 1) drawn at P in {8, 16, 31} on one machine: flat " +
+				"Aries, two4 (4-rank NVLink-like nodes on Aries), two4-nic1 (the same, NIC capped at one " +
+				"send) or fly4x4 (DragonflyLike(4,4)). candidates: every priced algorithm flat and at every " +
+				"depth Auto searches there, unchunked, with its modeled and simulated seconds. cells: pick " +
+				"is ChooseAutoLevels on the call's scenario (k = the largest per-rank nnz), cheapest the " +
+				"candidate that simulates fastest, regret = pick_sim / cheapest_sim. Acceptance: " +
+				"TestBench2AcceptanceCriteria",
 			Defaults: DefaultParams(),
-			Run:      func(p Params) ([]report.Section, error) { return cells(ContentionSweep(p.Intra, p.Profile)) },
+			Run: func(Params) ([]report.Section, error) {
+				cells, cands := RegretSweep()
+				return []report.Section{{Name: "cells", Rows: cells}, {Name: "candidates", Rows: cands}}, nil
+			},
 		},
 		{
 			Name: "merge", Bench: "BENCH_3",
@@ -328,17 +333,6 @@ func Sweeps() []Sweep {
 				"(see BenchmarkAblationKWayMerge).",
 			Defaults: DefaultParams(),
 			Run:      func(Params) ([]report.Section, error) { return cells(MergeSweep()) },
-		},
-		{
-			Name: "hierlevels", Bench: "BENCH_4",
-			Note: "hierarchy-depth ablation on DragonflyLike(4,4): the same allreduce instance run " +
-				"flat, at depth 2 (node-only) and at the full depth 3 on one world (DSAR, or " +
-				"SSAR_Split_allgather flat and the sparse algorithm Auto prices at each depth); " +
-				"auto_choice/auto_levels is " +
-				"the algorithm and depth the level-aware cost model (ChooseAutoLevels) resolves to, " +
-				"cheapest_sim the empirically cheapest depth",
-			Defaults: DefaultParams(),
-			Run:      func(Params) ([]report.Section, error) { return cells(HierLevelsSweep()) },
 		},
 		{
 			Name: "adapt", Bench: "BENCH_5",

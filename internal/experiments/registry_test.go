@@ -19,9 +19,8 @@ import (
 // benchRows names the row type of every section of every committed BENCH
 // document, in document order.
 var benchRows = map[string][]any{
-	"BENCH_2": {&[]ContentionRow{}},
+	"BENCH_2": {&[]RegretCell{}, &[]RegretCandidate{}},
 	"BENCH_3": {&[]MergeCell{}},
-	"BENCH_4": {&[]HierLevelsRow{}},
 	"BENCH_5": {&[]AdaptRow{}},
 	"BENCH_7": {&[]OverlapRow{}, &[]PipeModelRow{}},
 	"BENCH_8": {&[]ClusterRow{}, &[]ClusterPolicySummary{}, &[]AdaptRow{}},
@@ -113,8 +112,8 @@ func tiny(sw Sweep) Params {
 // the slow sweeps no pin covers are skipped, so `go test -short -run
 // '^TestRegistryEntriesRunAndRender$'` checks every pin.
 func TestRegistryEntriesRunAndRender(t *testing.T) {
-	// 20 s each for the fixed-cell sweeps, 1–4 s for the larger figures.
-	slow := map[string]bool{"adapt": true, "adaptdiv": true, "cluster": true, "fig5": true, "fig6": true}
+	// 6–20 s each for the fixed-cell sweeps, 1–4 s for the larger figures.
+	slow := map[string]bool{"regret": true, "adapt": true, "adaptdiv": true, "cluster": true, "fig5": true, "fig6": true}
 	for _, sw := range Sweeps() {
 		t.Run(sw.Name, func(t *testing.T) {
 			if slow[sw.Name] {

@@ -11,7 +11,8 @@ import (
 // adaptation ablation, the replay tooling, and the tests all read the one
 // definition; the remaining scenarios cover the support shapes the paper's
 // workloads exhibit (multi-modal hot sets, heavy tails, per-layer model
-// profiles, ragged rank loads).
+// profiles, ragged rank loads) and the two uniform regimes at either end of
+// the δ gate (sparse, dense) that the regret grid judges Auto on.
 
 // library is keyed by scenario name. Adding an entry never changes any
 // other entry's generated bytes — the PartitionedRNG contract, pinned by
@@ -107,6 +108,20 @@ var library = map[string]Scenario{
 			{Name: "output", Frac: 0.2, DensityScale: 3},
 		},
 		HotMass: Const(0.5),
+	},
+	// Latency-bound uniform gradients: k ≈ 105 non-zeros of 2^20 per
+	// rank, a few hundred wire bytes a message, where per-message latency
+	// and the hierarchy's cheap inner links decide the algorithm.
+	"sparse": {
+		Name: "sparse", N: 1 << 20, P: 32, Calls: 8,
+		Density: Const(1e-4),
+	},
+	// Dense-regime uniform gradients: past δ at P ≥ 8 (E[K] ≈ 0.83 N
+	// against δ = 2N/3), so the reduced vector densifies and the
+	// dense-result family is the one Auto prices.
+	"dense": {
+		Name: "dense", N: 1 << 16, P: 16, Calls: 8,
+		Density: Const(0.2),
 	},
 }
 

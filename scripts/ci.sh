@@ -14,9 +14,9 @@
 #   4. the pin ledger: every test that checks testdata/pins.json, uncached,
 #      so a drifted digest shows first as a short list of
 #      "name: old → new" lines.
-#   5. the full test suite — the acceptance invariants of BENCH_5/7/8 are
-#      tests against the committed files, so a drift that regresses one
-#      fails twice.
+#   5. the full test suite — the acceptance invariants of BENCH_2/5/7/8
+#      are tests against the committed files, so a drift that regresses
+#      one fails twice.
 #   6. record/replay: a recorded scenario trace replays to the live run's
 #      row, Perfetto export and metrics dump byte for byte, and the pinned
 #      lstm export matches its committed golden.
@@ -46,7 +46,7 @@ fi
 echo "== doccheck (exported symbols need doc comments)"
 go run ./tools/doccheck . ./internal/simnet ./internal/comm ./internal/core ./internal/adapt ./internal/scenario ./internal/cluster ./internal/obs
 
-echo "== docdrift (docs tables must name real identifiers, sparbench invocations real sweeps)"
+echo "== docdrift (docs tables must name real identifiers, sparbench invocations real sweeps, BENCH_<n>.json references committed files)"
 go run ./tools/docdrift -root . README.md docs/COLLECTIVES.md docs/ARCHITECTURE.md
 
 echo "== go test -race (comm + core + adapt + stream + scenario + train + cluster + obs: real transports, payloads handed between truly concurrent ranks and their scratch pools, split-allgather partitions lent to every rank and taken back by their owners (TestSplitAllgatherLendingLifetime), parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks, concurrent pin-ledger checks)"

@@ -1,7 +1,7 @@
 // Command docdrift fails when the given docs name Go identifiers the
 // repository no longer declares — the cheap guard that keeps the algorithm
 // and API tables in docs/COLLECTIVES.md from silently rotting as code
-// evolves. Three checks:
+// evolves. Four checks:
 //
 //   - A backticked token in a table row (a line starting with '|') that
 //     looks like an exported Go identifier — leading upper-case letter, at
@@ -16,6 +16,8 @@
 //     exported top-level identifier of the facade package at the root.
 //   - Every `sparbench -sweep X` invocation must name a sweep the registry
 //     in internal/experiments holds.
+//   - Every backticked `BENCH_<n>.json` must name a document committed at
+//     the root.
 //
 // Usage: go run ./tools/docdrift -root . docs/COLLECTIVES.md...
 package main
@@ -41,6 +43,7 @@ var identifier = regexp.MustCompile(`^[A-Z][A-Za-z0-9_]*$`)
 var sweepFlag = regexp.MustCompile(`sparbench\s+-sweep\s+([A-Za-z0-9_]+)`)
 var goFence = regexp.MustCompile("(?s)```go\n(.*?)```")
 var facadeSelector = regexp.MustCompile(`\bsparcml\.([A-Z][A-Za-z0-9_]*)`)
+var benchDoc = regexp.MustCompile("`(BENCH_[0-9]+\\.json)`")
 
 func main() {
 	log.SetFlags(0)
@@ -72,6 +75,11 @@ func main() {
 				stale("%s: `sparbench -sweep %s` names no registered sweep", doc, m[1])
 			}
 		}
+		for _, m := range benchDoc.FindAllStringSubmatch(text, -1) {
+			if _, err := os.Stat(filepath.Join(*root, m[1])); err != nil {
+				stale("%s: `%s` is not a committed BENCH document", doc, m[1])
+			}
+		}
 		for _, name := range tableIdentifiers(text) {
 			if !declared[name] {
 				stale("%s: `%s` is named in a table but no non-test Go source declares it", doc, name)
@@ -86,7 +94,7 @@ func main() {
 	if missing > 0 {
 		log.Fatalf("%d stale name(s) — update the docs or restore the symbols", missing)
 	}
-	fmt.Println("docdrift: all documented identifiers and sweeps exist in the source")
+	fmt.Println("docdrift: all documented identifiers, sweeps and BENCH documents exist")
 }
 
 // declaredIdentifiers parses every non-test .go file under root (skipping
