@@ -27,6 +27,8 @@
 package adapt
 
 import (
+	"slices"
+
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/simnet"
@@ -124,6 +126,12 @@ type Controller struct {
 
 	buckets        []bucketHold
 	bucketSwitches int
+
+	// The agreements' storage, reused call after call: the non-zero count
+	// agreement's and the statistics agreement's workspaces, and their
+	// local inputs.
+	agreeK, agreeSt stream.DenseWorkspace
+	ks, local       []float64
 }
 
 // bucketHold is one hysteresis state machine: the margin/hold filter every
@@ -281,11 +289,18 @@ func (a *Controller) Plan(p *comm.Proc, vs []*stream.Vector, opts core.Options) 
 // non-Auto opts is replicated unchanged (inputs still sketched), with only
 // the chunk degree resolved when it asks for core.AutoChunks.
 func (a *Controller) PlanBuckets(p *comm.Proc, sched *core.BucketScheduler, contribs []*stream.Vector, opts core.Options) []core.Options {
+	return a.PlanBucketsInto(p, sched, contribs, opts, nil)
+}
+
+// PlanBucketsInto is PlanBuckets with the decisions written into dst's
+// storage when it holds NumBuckets of them, so a caller that plans every
+// step keeps one slice.
+func (a *Controller) PlanBucketsInto(p *comm.Proc, sched *core.BucketScheduler, contribs []*stream.Vector, opts core.Options, dst []core.Options) []core.Options {
 	for _, v := range contribs {
 		a.sketch.Observe(v)
 	}
 	B := sched.NumBuckets()
-	out := make([]core.Options, B)
+	out := slices.Grow(dst[:0], B)[:B]
 	for b := range out {
 		out[b] = opts
 	}
@@ -296,15 +311,15 @@ func (a *Controller) PlanBuckets(p *comm.Proc, sched *core.BucketScheduler, cont
 		return out
 	}
 	links := a.calib.snapshot() // before the agreements, as in Plan
-	ks := make([]float64, B)
-	for b := range ks {
+	a.ks = slices.Grow(a.ks[:0], B)[:B]
+	for b := range a.ks {
 		n := 0
 		for _, li := range sched.Layers(b) {
 			n += contribs[li].NNZ()
 		}
-		ks[b] = float64(n)
+		a.ks[b] = float64(n)
 	}
-	agreedK := core.AllreduceDense(p, ks, stream.OpMax)
+	agreedK := a.agreeMax(p, a.ks)
 	agreed := a.agreeStats(p, links)
 	if len(a.buckets) != B {
 		a.buckets = make([]bucketHold, B)
@@ -342,8 +357,15 @@ func (a *Controller) BucketSwitches() int { return a.bucketSwitches }
 // core.ScenarioFor's scenario. links is the calibrator snapshot the
 // decision prices with.
 func (a *Controller) agreeScenario(p *comm.Proc, v *stream.Vector, opts core.Options, links []linkFit) core.CostScenario {
-	kmax := core.AllreduceDense(p, []float64{float64(v.NNZ())}, stream.OpMax)[0]
+	a.ks = append(a.ks[:0], float64(v.NNZ()))
+	kmax := a.agreeMax(p, a.ks)[0]
 	return a.scenarioFromAgreed(p, v, opts, kmax, a.agreeStats(p, links))
+}
+
+// agreeMax is the max-allreduce agreeing on per-rank non-zero counts, on
+// the controller's workspace: the result is valid until the next call.
+func (a *Controller) agreeMax(p *comm.Proc, ks []float64) []float64 {
+	return core.AllreduceDenseRecDoubleInto(p, ks, stream.OpMax, stream.DefaultValueBytes, p.NextTagBase(), &a.agreeK)
 }
 
 // agreeStats runs the one sum-allreduce agreeing on the sketch shape and
@@ -356,7 +378,9 @@ func (a *Controller) agreeStats(p *comm.Proc, links []linkFit) []float64 {
 	depth := p.Hierarchy().Depth()
 	st := a.sketch.Stats()
 	// Layout: [hotFrac, hotMass, div, then per level: okFlag, alpha, beta].
-	local := make([]float64, 3+3*depth)
+	local := slices.Grow(a.local[:0], 3+3*depth)[:3+3*depth]
+	clear(local)
+	a.local = local
 	local[0], local[1], local[2] = st.HotFraction, st.HotMass, st.Divergence
 	for l := 0; l < depth && l < len(links); l++ {
 		if alpha, beta, ok := links[l].fit(); ok && int(links[l].n) >= a.cfg.MinCalibSamples {
@@ -365,7 +389,7 @@ func (a *Controller) agreeStats(p *comm.Proc, links []linkFit) []float64 {
 			local[5+3*l] = beta
 		}
 	}
-	return core.AllreduceDense(p, local, stream.OpSum)
+	return core.AllreduceDenseRecDoubleInto(p, local, stream.OpSum, stream.DefaultValueBytes, p.NextTagBase(), &a.agreeSt)
 }
 
 // scenarioFromAgreed substitutes the agreed statistics into the scenario

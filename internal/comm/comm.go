@@ -711,11 +711,36 @@ func (p *Proc) SendRecv(peer, tag int, payload any, bytes int) Message {
 // Tag ranges must be allocated on the parent (in program order) before
 // forking, so concurrent operations never collide.
 func (p *Proc) Fork() *Proc {
-	f := &Proc{rank: p.rank, world: p.world, group: p.group, groupRank: p.groupRank,
-		levelUsers: append([]int(nil), p.levelUsers...), obs: p.obs}
-	f.clock.Observe(p.clock.Now())
+	f := new(Proc)
+	p.ForkInto(f)
 	return f
 }
+
+// ForkInto re-initialises f to exactly what Fork would return now — the
+// clock observed from p's, tag cursor 0, p's group, contention cache and
+// obs track — reusing f's storage, so a nonblocking operation issued step
+// after step keeps one forked Proc. f must be idle: whatever ran on it has
+// finished. The contention cache is a pure function of the rank and its
+// communicator, so when p has not filled its own, f keeps what it computed
+// as an earlier fork of the same communicator.
+func (p *Proc) ForkInto(f *Proc) {
+	users := f.levelUsers
+	if f.world != p.world || f.rank != p.rank || !slices.Equal(f.group, p.group) {
+		users = nil
+	}
+	if p.levelUsers != nil {
+		users = append(users[:0], p.levelUsers...)
+	}
+	*f = Proc{rank: p.rank, world: p.world, group: p.group, groupRank: p.groupRank,
+		levelUsers: users, obs: p.obs}
+	f.clock.Observe(p.clock.Now())
+}
+
+// Abort poisons the world as a rank's panic does once Run has recovered
+// it: every rank blocked in Recv panics instead of waiting for messages
+// that will never arrive. A nonblocking operation's goroutine, which runs
+// outside Run's recover, calls it before handing its panic to the rank.
+func (p *Proc) Abort() { p.world.poison() }
 
 // Join folds a forked Proc's elapsed virtual time into the parent,
 // modeling perfect computation/communication overlap: the parent's clock
@@ -774,6 +799,15 @@ func Run[R any](w *World, f func(*Proc) R) []R {
 		}(r)
 	}
 	wg.Wait()
+	// Drain mailboxes so a world can be reused across experiments even if
+	// a protocol intentionally leaves stragglers (none of ours do; this is
+	// defensive hygiene) or a rank's panic cut a collective short.
+	for _, b := range w.boxes {
+		b.mu.Lock()
+		clear(b.pending) // stragglers' payloads must not outlive the Run
+		b.pending = b.pending[:0]
+		b.mu.Unlock()
+	}
 	// Re-raise the root cause, preferring a rank's own panic over the
 	// secondary "world poisoned" panics it triggered in blocked peers.
 	var first any
@@ -793,15 +827,6 @@ func Run[R any](w *World, f func(*Proc) R) []R {
 	}
 	if first != nil {
 		panic(fmt.Sprintf("comm: rank %d panicked: %v", firstRank, first))
-	}
-	// Drain mailboxes so a world can be reused across experiments even if
-	// a protocol intentionally leaves stragglers (none of ours do; this is
-	// defensive hygiene).
-	for _, b := range w.boxes {
-		b.mu.Lock()
-		clear(b.pending) // stragglers' payloads must not outlive the Run
-		b.pending = b.pending[:0]
-		b.mu.Unlock()
 	}
 	return results
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/stream"
@@ -117,11 +118,7 @@ func (s *BucketScheduler) Layers(b int) []int { return s.buckets[b] }
 // vector the bucket's collective carries. Buffers come from sc (nil
 // degrades to plain allocation); the inputs are not consumed.
 func (s *BucketScheduler) Fuse(b int, contribs []*stream.Vector, sc *stream.Scratch) *stream.Vector {
-	parts := make([]*stream.Vector, len(s.buckets[b]))
-	for i, li := range s.buckets[b] {
-		parts[i] = contribs[li]
-	}
-	return stream.ConcatChunks(parts, sc)
+	return (&BucketRun{s: s}).fuse(b, contribs, sc)
 }
 
 // Issue fuses every bucket and starts its nonblocking allreduce, in issue
@@ -141,7 +138,59 @@ func (s *BucketScheduler) Fuse(b int, contribs []*stream.Vector, sc *stream.Scra
 // caller may release it into the same pool once applied. The
 // contributions are only read, so they may be released as soon as Issue
 // returns. The scheduler itself holds no pool and stays shareable.
+//
+// Issue is a one-shot BucketRun: every call builds fresh requests, each
+// running on a goroutine of its own. A rank that steps repeatedly keeps a
+// run instead (NewRun).
 func (s *BucketScheduler) Issue(p *comm.Proc, contribs []*stream.Vector, opts []Options) []*Request {
+	return (&BucketRun{s: s}).Issue(p, contribs, opts)
+}
+
+// Drain waits on Issue's requests in issue order and returns the summed
+// bucket vectors in the same order. A bucket issued on its own pool
+// returns the pool with its result (see Issue).
+func (s *BucketScheduler) Drain(p *comm.Proc, reqs []*Request) []*stream.Vector {
+	return (&BucketRun{s: s}).Drain(p, reqs)
+}
+
+// BucketRun is one rank's reusable state for stepping a scheduler: one
+// persistent request per bucket (in the manner of MPI-4's persistent
+// collectives), each with its forked Proc and a worker goroutine, and the
+// slices a step fills. The scheduler is shared by every rank and holds no
+// per-rank state; a run holds all of it and belongs to its rank's
+// goroutine. A run's Issue and Drain are the scheduler's, except that the
+// returned slices and requests are the run's own, reused by the next step:
+// a request is re-armed by the next Issue and must have been waited on
+// (Drain) by then. Close stops the workers.
+type BucketRun struct {
+	s          *BucketScheduler
+	persistent bool
+	reqs       []*Request       // one per bucket
+	parts      []*stream.Vector // a bucket's contributions, for fuse
+	sums       []*stream.Vector // Drain's result
+}
+
+// NewRun returns a run of the scheduler for one rank, whose requests
+// persist from step to step until Close.
+func (s *BucketScheduler) NewRun() *BucketRun {
+	return &BucketRun{s: s, persistent: true}
+}
+
+// fuse is Fuse through the run's parts slice.
+func (r *BucketRun) fuse(b int, contribs []*stream.Vector, sc *stream.Scratch) *stream.Vector {
+	r.parts = slices.Grow(r.parts[:0], len(r.s.buckets[b]))
+	for _, li := range r.s.buckets[b] {
+		r.parts = append(r.parts, contribs[li])
+	}
+	v := stream.ConcatChunks(r.parts, sc)
+	clear(r.parts) // the contributions are the caller's
+	return v
+}
+
+// Issue is BucketScheduler.Issue on the run's requests, each re-armed
+// after the previous step's Drain. The returned slice is the run's.
+func (r *BucketRun) Issue(p *comm.Proc, contribs []*stream.Vector, opts []Options) []*Request {
+	s := r.s
 	if len(contribs) != len(s.spans) {
 		panic(fmt.Sprintf("core: %d contributions for %d layers", len(contribs), len(s.spans)))
 	}
@@ -158,15 +207,20 @@ func (s *BucketScheduler) Issue(p *comm.Proc, contribs []*stream.Vector, opts []
 		}
 	}
 	pooled := len(opts) == len(s.buckets) && distinctPools(opts)
-	reqs := make([]*Request, len(s.buckets))
+	if len(r.reqs) != len(s.buckets) {
+		r.reqs = make([]*Request, len(s.buckets))
+	}
 	for b := range s.buckets {
 		o := optAt(b)
 		if !pooled {
 			o.Scratch = nil
 		}
-		reqs[b] = iallreduce(p, s.Fuse(b, contribs, o.Scratch), o, true)
+		if r.reqs[b] == nil {
+			r.reqs[b] = newRequest(r.persistent)
+		}
+		r.reqs[b].start(p, r.fuse(b, contribs, o.Scratch), o, true, false)
 	}
-	return reqs
+	return r.reqs
 }
 
 // distinctPools reports whether no two of the options name the same
@@ -182,13 +236,24 @@ func distinctPools(opts []Options) bool {
 	return true
 }
 
-// Drain waits on Issue's requests in issue order and returns the summed
-// bucket vectors in the same order. A bucket issued on its own pool
-// returns the pool with its result (see Issue).
-func (s *BucketScheduler) Drain(p *comm.Proc, reqs []*Request) []*stream.Vector {
-	out := make([]*stream.Vector, len(reqs))
-	for i, r := range reqs {
-		out[i] = r.Wait(p)
+// Drain is BucketScheduler.Drain. The returned slice is the run's.
+func (r *BucketRun) Drain(p *comm.Proc, reqs []*Request) []*stream.Vector {
+	r.sums = slices.Grow(r.sums[:0], len(reqs))
+	for _, q := range reqs {
+		r.sums = append(r.sums, q.Wait(p))
 	}
-	return out
+	return r.sums
+}
+
+// Close stops the run's workers. It returns once every idle worker has
+// exited; a request still outstanding may be waited on afterwards, and its
+// worker exits once the operation has finished. A later Issue starts new
+// workers. Close is idempotent.
+func (r *BucketRun) Close() {
+	for _, q := range r.reqs {
+		if q != nil {
+			q.close()
+		}
+	}
+	r.reqs = nil
 }

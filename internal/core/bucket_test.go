@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -312,4 +314,90 @@ func TestBucketSchedulerOptionArity(t *testing.T) {
 	comm.Run(comm.NewWorld(2, testProfile), func(p *comm.Proc) any {
 		return s.Issue(p, inputs[p.Rank()], []Options{{}, {}})
 	})
+}
+
+// TestBucketRunMatchesOneShot: a rank's persistent run re-arms its bucket
+// requests step after step on re-synced forks, and that must be invisible.
+// Three consecutive steps on the simulator — compute, issue, overlapped
+// compute, drain — give every rank the same sums, bit for bit in wire form, and the
+// same virtual time after each step through one BucketRun as through fresh
+// Issue/Drain calls. The buckets run Auto and chunk-only Auto on pools of
+// their own, so the agreement workspaces those pools hold are reused too.
+func TestBucketRunMatchesOneShot(t *testing.T) {
+	const n, P, steps = 900, 6, 3
+	spans := [][2]int{{0, 300}, {300, 340}, {340, 700}, {700, 900}}
+	rng := rand.New(rand.NewSource(8105))
+	inputs := make([][][]*stream.Vector, steps)
+	for i := range inputs {
+		inputs[i] = bucketInputs(rng, n, spans, P)
+	}
+	s := NewBucketScheduler(spans, 350)
+	type trace struct {
+		wire [][]byte
+		now  []float64
+	}
+	run := func(persistent bool) []trace {
+		return comm.Run(comm.NewWorld(P, testProfile), func(p *comm.Proc) trace {
+			pools := []*stream.Scratch{stream.NewScratch(), stream.NewScratch()}
+			opts := []Options{{Algorithm: Auto, Scratch: pools[0]},
+				{Algorithm: SSARSplitAllgather, Chunks: AutoChunks, Scratch: pools[1]}}
+			issue, drain := s.Issue, s.Drain
+			if persistent {
+				r := s.NewRun()
+				defer r.Close()
+				issue, drain = r.Issue, r.Drain
+			}
+			var tr trace
+			for i := range steps {
+				p.Compute(float64(p.Rank()+1) * 1e-6) // the gradient: the next issue starts after it
+				reqs := issue(p, inputs[i][p.Rank()], opts)
+				p.Compute(float64(i+1) * 1e-7) // overlapped, shorter than the collectives
+				for b, sum := range drain(p, reqs) {
+					tr.wire = append(tr.wire, sum.AppendWire(nil))
+					pools[b].Release(sum)
+				}
+				tr.now = append(tr.now, p.Now())
+			}
+			return tr
+		})
+	}
+	fresh, kept := run(false), run(true)
+	for r := range fresh {
+		for i := range fresh[r].now {
+			if math.Float64bits(kept[r].now[i]) != math.Float64bits(fresh[r].now[i]) {
+				t.Errorf("rank %d step %d: Now() = %v through a BucketRun, %v through Issue/Drain", r, i, kept[r].now[i], fresh[r].now[i])
+			}
+		}
+		for j := range fresh[r].wire {
+			if !bytes.Equal(kept[r].wire[j], fresh[r].wire[j]) {
+				t.Errorf("rank %d sum %d (step %d bucket %d) differs through a BucketRun", r, j, j/s.NumBuckets(), j%s.NumBuckets())
+			}
+		}
+	}
+}
+
+// TestBucketRunReArmsOnlyAfterWait: a persistent request is re-armed by
+// the run's next Issue, so issuing again before the previous step's Drain
+// is a program error, reported on the issuing rank.
+func TestBucketRunReArmsOnlyAfterWait(t *testing.T) {
+	const P = 2
+	s := NewBucketScheduler([][2]int{{0, 8}}, 1)
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		comm.Run(comm.NewWorld(P, testProfile), func(p *comm.Proc) any {
+			r := s.NewRun()
+			defer r.Close()
+			contribs := []*stream.Vector{stream.NewSparse(8, []int32{int32(p.Rank())}, []float64{1}, stream.OpSum)}
+			first := r.Issue(p, contribs, nil)
+			if p.Rank() == 0 {
+				r.Issue(p, contribs, nil)
+			}
+			r.Drain(p, first)
+			return nil
+		})
+		return ""
+	}()
+	if !strings.Contains(msg, "rank 0 panicked: core: nonblocking request re-armed before Wait") {
+		t.Fatalf("Run panicked with %q, want rank 0's re-arm error", msg)
+	}
 }

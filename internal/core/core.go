@@ -249,13 +249,15 @@ func allreduceFlat(p *comm.Proc, v *stream.Vector, opts Options, base int) *stre
 // (dimension, δ, hierarchy, options) is identical on every rank, and the
 // model is pure deterministic float arithmetic, so all ranks agree. The
 // same agreement path also serves a pinned algorithm asked to pick only
-// its pipelining degree (Options.Chunks = AutoChunks).
+// its pipelining degree (Options.Chunks = AutoChunks). Its storage is
+// opts.Scratch's agreement workspace, so with a pool a repeated call
+// allocates nothing.
 func resolve(p *comm.Proc, v *stream.Vector, opts Options, base int) (Algorithm, int, int) {
 	if opts.Algorithm != Auto && opts.Chunks != AutoChunks {
 		return opts.Algorithm, opts.Levels, opts.Chunks
 	}
-	kmax := int(AllreduceDenseRecDouble(p, []float64{float64(v.NNZ())},
-		stream.OpMax, stream.DefaultValueBytes, base+resolveTagOffset)[0])
+	kmax := int(AllreduceDenseRecDoubleInto(p, []float64{float64(v.NNZ())},
+		stream.OpMax, stream.DefaultValueBytes, base+resolveTagOffset, opts.Scratch.Agreement())[0])
 	s := ScenarioFor(p, v, opts, kmax)
 	if opts.Algorithm != Auto {
 		// Chunk-only Auto: algorithm and depth (s.Levels) are pinned;

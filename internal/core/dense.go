@@ -35,15 +35,45 @@ func AllreduceDense(p *comm.Proc, x []float64, op stream.Op) []float64 {
 // Every rank's result is its own acc or its own arrival, never an array
 // another rank still holds.
 func AllreduceDenseRecDouble(p *comm.Proc, x []float64, op stream.Op, valueBytes, base int) []float64 {
-	acc := append([]float64(nil), x...)
+	return AllreduceDenseRecDoubleInto(p, x, op, valueBytes, base, nil)
+}
+
+// AllreduceDenseRecDoubleInto is AllreduceDenseRecDouble with its storage
+// held across calls by ws: the result is built in ws.Acc and valid until
+// the next call on ws, and the rank's last arrival stays in ws.Spare. A
+// call whose input has the length of the previous one copies it there and
+// sends Spare where AllreduceDenseRecDouble would send a fresh copy, so it
+// allocates nothing; the messages, their sizes and the result are those
+// of AllreduceDenseRecDouble. On a folded rank, whose last arrival is its
+// result, Spare boxes Acc itself and carries the next fold-in. A nil ws is
+// AllreduceDenseRecDouble.
+func AllreduceDenseRecDoubleInto(p *comm.Proc, x []float64, op stream.Op, valueBytes, base int, ws *stream.DenseWorkspace) []float64 {
+	var acc []float64
+	var spare any  // the last arrival, holding acc's values; this rank's to send on
+	var accBox any // acc itself in the interface value it arrived in
+	if ws == nil {
+		acc = append([]float64(nil), x...)
+	} else {
+		acc = append(ws.Acc[:0], x...)
+		if s, ok := ws.Spare.([]float64); ok && len(s) == len(acc) && len(s) > 0 {
+			if &s[0] == &acc[0] {
+				accBox = ws.Spare
+			} else {
+				copy(s, acc)
+				spare = ws.Spare
+			}
+		}
+	}
 	bytes := len(acc) * valueBytes
-	var spare any // the last arrival, holding acc's values; this rank's to send on
 	butterfly(p, p.Size(), base, false,
 		func(stage, _ int) (any, int) {
 			out := spare
 			switch {
-			case stage == stageFoldIn:
-				out = acc // handed off: this rank's result arrives with the fold-out
+			case stage == stageFoldIn && out == nil:
+				out = accBox // handed off: this rank's result arrives with the fold-out
+				if out == nil {
+					out = acc
+				}
 			case out == nil:
 				out = append([]float64(nil), acc...)
 			}
@@ -53,13 +83,19 @@ func AllreduceDenseRecDouble(p *comm.Proc, x []float64, op stream.Op, valueBytes
 		func(stage, _ int, in any) {
 			arrival := in.([]float64)
 			if stage == stageFoldOut {
-				acc = arrival
+				acc, accBox = arrival, in
 				return
 			}
 			combineDense(p, acc, arrival, op)
 			copy(arrival, acc)
 			spare = in
 		}, nil)
+	if ws != nil {
+		ws.Acc, ws.Spare = acc, spare
+		if spare == nil {
+			ws.Spare = accBox
+		}
+	}
 	return acc
 }
 

@@ -64,19 +64,27 @@ func mallocsPerRankCall(w *comm.World, P, warm, calls int, body func(p *comm.Pro
 // later stage and the fold-out send on the arrival the rank has just
 // absorbed. So a call costs a rank at most 3 allocations (its result, the
 // first send's copy and that copy's interface box; fewer with a fold), on
-// every backend and on a folded world (P = 6) as on a power of two. The
-// count is the collective's own: on TCP the decoded copy of each arrival
-// is the transport's, so what the same exchange costs with a payload boxed
-// once is subtracted (nothing, in process). The budget allows 0.02 per
-// rank per call for background noise; copying on every stage, as before,
-// read 7 (5 at P = 6).
+// every backend and on a folded world (P = 6) as on a power of two. With
+// a workspace (AllreduceDenseRecDoubleInto) the result is built in the
+// workspace's accumulator and the first send is the rank's last arrival,
+// so a repeated call allocates nothing, over TCP too. The count is the
+// collective's own: on TCP the
+// decoded copy of each arrival is the transport's, so what the same
+// exchange costs with a payload boxed once is subtracted (nothing, in
+// process). The budgets allow 0.02 per rank per call for background noise;
+// copying on every stage, as before, read 7 (5 at P = 6), and the plain
+// call reads 3.00 wherever the workspace call reads 0.
 func TestRecDoubleAgreementAllocations(t *testing.T) {
-	const warm, calls = 20, 400
+	const warm, calls, noise = 20, 400, 0.02
 	for _, P := range []int{8, 6} {
 		worlds, closeTCP := agreementWorlds(t, P)
 		for name, w := range worlds {
 			agree := func(p *comm.Proc) {
 				AllreduceDenseRecDouble(p, []float64{float64(p.Rank())}, stream.OpMax, 8, p.NextTagBase())
+			}
+			ws := make([]stream.DenseWorkspace, P)
+			agreeInto := func(p *comm.Proc) {
+				AllreduceDenseRecDoubleInto(p, []float64{float64(p.Rank())}, stream.OpMax, 8, p.NextTagBase(), &ws[p.Rank()])
 			}
 			box := any([]float64{0}) // the transport's share: the same exchange, nothing copied or boxed
 			exchange := func(p *comm.Proc) {
@@ -84,10 +92,15 @@ func TestRecDoubleAgreementAllocations(t *testing.T) {
 					func(int, int) (any, int) { return box, 8 },
 					func(int, int, any) {}, nil)
 			}
-			own := mallocsPerRankCall(w, P, warm, calls, agree) - mallocsPerRankCall(w, P, warm, calls, exchange)
-			t.Logf("P=%d %s: %.2f allocations per rank per call", P, name, own)
-			if own > 3.02 {
+			transport := mallocsPerRankCall(w, P, warm, calls, exchange)
+			own := mallocsPerRankCall(w, P, warm, calls, agree) - transport
+			into := mallocsPerRankCall(w, P, warm, calls, agreeInto) - transport
+			t.Logf("P=%d %s: %.2f allocations per rank per call, %.2f with a workspace", P, name, own, into)
+			if own > 3+noise {
 				t.Errorf("P=%d %s: one-word agreement makes %.2f allocations per rank, budget 3", P, name, own)
+			}
+			if into > noise {
+				t.Errorf("P=%d %s: one-word agreement on a workspace makes %.2f allocations per rank, budget 0", P, name, into)
 			}
 		}
 		closeTCP()
@@ -145,6 +158,58 @@ func TestRecDoubleResultsOwnTheirStorage(t *testing.T) {
 					if res[i] != want[i] {
 						t.Fatalf("%s: rank %d's earlier result changed at coord %d: %g", ctx, r, i, res[i])
 					}
+				}
+			}
+		}
+		closeTCP()
+	}
+}
+
+// TestRecDoubleWorkspaceMatchesPlain: an agreement on a workspace sends
+// what the plain call sends and returns the same sums, call after call —
+// while its length changes, on P = 8 and on a folded P = 6, on every
+// backend — and each rank's result is storage no other rank holds.
+func TestRecDoubleWorkspaceMatchesPlain(t *testing.T) {
+	lengths := []int{1, 1, 5, 5, 5, 1, 3}
+	for _, P := range []int{8, 6} {
+		worlds, closeTCP := agreementWorlds(t, P)
+		for name, w := range worlds {
+			ws := make([]stream.DenseWorkspace, P)
+			for call, n := range lengths {
+				input := func(p *comm.Proc) []float64 {
+					x := make([]float64, n)
+					for i := range x {
+						x[i] = float64((p.Rank()+call)%P) + float64(i)/8
+					}
+					return x
+				}
+				w.ResetCounters()
+				want := comm.Run(w, func(p *comm.Proc) []float64 {
+					return AllreduceDenseRecDouble(p, input(p), stream.OpSum, 8, p.NextTagBase())
+				})
+				msgs, bytes := w.TotalMessages(), w.TotalBytes()
+				w.ResetCounters()
+				got := comm.Run(w, func(p *comm.Proc) []float64 {
+					return AllreduceDenseRecDoubleInto(p, input(p), stream.OpSum, 8, p.NextTagBase(), &ws[p.Rank()])
+				})
+				ctx := fmt.Sprintf("P=%d %s call %d", P, name, call)
+				if w.TotalMessages() != msgs || w.TotalBytes() != bytes {
+					t.Fatalf("%s: %d messages, %d bytes with a workspace; %d and %d without",
+						ctx, w.TotalMessages(), w.TotalBytes(), msgs, bytes)
+				}
+				for r := range got {
+					if fmt.Sprint(got[r]) != fmt.Sprint(want[r]) {
+						t.Fatalf("%s: rank %d got %v, want %v", ctx, r, got[r], want[r])
+					}
+				}
+				for r := range got {
+					got[r][0] = -1
+					for o := range got {
+						if o != r && got[o][0] == -1 {
+							t.Fatalf("%s: ranks %d and %d share a result", ctx, r, o)
+						}
+					}
+					got[r][0] = want[r][0]
 				}
 			}
 		}

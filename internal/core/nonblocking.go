@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"repro/internal/comm"
 	"repro/internal/stream"
 )
@@ -15,10 +17,40 @@ import (
 // time back into the caller's clock as max(local, collective), modeling
 // perfect computation/communication overlap — overlapped local Compute is
 // free up to the collective's duration.
+//
+// A request from IAllreduce or ISparseAllgather runs one operation on a
+// goroutine of its own. A BucketRun's requests persist, in the manner of
+// MPI-4's persistent collectives (MPI_Allreduce_init): each keeps its
+// forked Proc and a worker goroutine, and is re-armed by the run's next
+// Issue once its Wait has returned.
 type Request struct {
 	forked *comm.Proc
-	done   chan struct{}
 	result *stream.Vector
+	failed any // a panic the operation raised, re-raised by Wait
+
+	finished atomic.Bool   // the current operation has completed (Test)
+	done     chan struct{} // one token per operation, taken by Wait
+	waited   bool          // Wait has taken the current operation's token
+	wake     chan struct{} // a persistent request's worker; nil runs one goroutine per operation
+
+	// The current operation: an allreduce of v under opts (releasing v
+	// into opts.Scratch when owned), or a concatenating allgather of v.
+	v      *stream.Vector
+	opts   Options
+	base   int
+	owned  bool
+	gather bool
+}
+
+// newRequest returns an idle request; with persistent set it is served by
+// a worker goroutine until close.
+func newRequest(persistent bool) *Request {
+	r := &Request{done: make(chan struct{}, 1), waited: true}
+	if persistent {
+		r.wake = make(chan struct{}, 1)
+		go r.serve(r.wake)
+	}
+	return r
 }
 
 // IAllreduce starts a nonblocking sparse allreduce. The input vector must
@@ -30,24 +62,8 @@ type Request struct {
 // again, and the result — which never shares storage with the input — may
 // be released into it.
 func IAllreduce(p *comm.Proc, v *stream.Vector, opts Options) *Request {
-	return iallreduce(p, v, opts, false)
-}
-
-// iallreduce is IAllreduce; with owned set the operation also owns v and
-// releases it into opts.Scratch once the result is built. Every algorithm
-// reads its input only through copies, so on return no rank still holds v's
-// storage.
-func iallreduce(p *comm.Proc, v *stream.Vector, opts Options, owned bool) *Request {
-	base := p.NextTagBase()
-	f := p.Fork()
-	r := &Request{forked: f, done: make(chan struct{})}
-	go func() {
-		defer close(r.done)
-		r.result = allreduceTagged(f, v, opts, base)
-		if owned {
-			opts.Scratch.Release(v)
-		}
-	}()
+	r := newRequest(false)
+	r.start(p, v, opts, false, false)
 	return r
 }
 
@@ -55,31 +71,106 @@ func iallreduce(p *comm.Proc, v *stream.Vector, opts Options, owned bool) *Reque
 // Like IAllreduce's input, mine must not be modified until Wait returns:
 // what the ranks share is a copy of it, taken once the collective starts.
 func ISparseAllgather(p *comm.Proc, mine *stream.Vector) *Request {
-	base := p.NextTagBase()
-	f := p.Fork()
-	r := &Request{forked: f, done: make(chan struct{})}
-	go func() {
-		defer close(r.done)
-		r.result = sparseAllgatherConcat(f, mine.Clone(), nil, base)
-	}()
+	r := newRequest(false)
+	r.start(p, mine, Options{}, false, true)
 	return r
 }
 
+// start arms r with one operation and sets it running. The tag range is
+// taken on the parent, in program order, before the fork. With owned set
+// the operation also owns v and releases it into opts.Scratch once the
+// result is built; every algorithm reads its input only through copies, so
+// on return no rank still holds v's storage.
+func (r *Request) start(p *comm.Proc, v *stream.Vector, opts Options, owned, gather bool) {
+	if !r.waited {
+		panic("core: nonblocking request re-armed before Wait")
+	}
+	r.base = p.NextTagBase()
+	if r.forked == nil {
+		r.forked = p.Fork()
+	} else {
+		p.ForkInto(r.forked)
+	}
+	r.v, r.opts, r.owned, r.gather = v, opts, owned, gather
+	r.result, r.failed, r.waited = nil, nil, false
+	r.finished.Store(false)
+	if r.wake != nil {
+		r.wake <- struct{}{}
+		return
+	}
+	go r.run()
+}
+
+// serve is a persistent request's worker: one operation per wake-up, until
+// close. On its way out it leaves a token for close to wait on, unless the
+// last operation's token is still there for a Wait to come.
+func (r *Request) serve(wake <-chan struct{}) {
+	for range wake {
+		r.run()
+	}
+	select {
+	case r.done <- struct{}{}:
+	default:
+	}
+}
+
+// run executes the armed operation on the forked Proc.
+func (r *Request) run() {
+	defer r.finish()
+	if r.gather {
+		r.result = sparseAllgatherConcat(r.forked, r.v.Clone(), nil, r.base)
+		return
+	}
+	r.result = allreduceTagged(r.forked, r.v, r.opts, r.base)
+	if r.owned {
+		r.opts.Scratch.Release(r.v)
+	}
+}
+
+// finish signals the operation's completion. A panic is kept for Wait to
+// re-raise on the rank's goroutine, where Run attaches the rank to it; the
+// world is poisoned first, so peers blocked on this operation's messages
+// fail instead of hanging.
+func (r *Request) finish() {
+	if e := recover(); e != nil {
+		r.failed = e
+		r.forked.Abort()
+	}
+	r.v, r.opts = nil, Options{}
+	r.finished.Store(true)
+	r.done <- struct{}{}
+}
+
+// close stops a persistent request's worker. An idle request's worker has
+// exited when close returns; one still running an operation exits once the
+// operation has finished, without close waiting for it, since that
+// operation may wait on peers only a poisoned world releases. A closed
+// request is never re-armed; Wait still returns its last operation.
+func (r *Request) close() {
+	if r.wake == nil {
+		return
+	}
+	close(r.wake)
+	if r.waited {
+		<-r.done
+	}
+}
+
 // Wait blocks until the collective completes, merges its virtual time into
-// p's clock, and returns the result.
+// p's clock, and returns the result. A panic inside the collective is
+// re-raised here.
 func (r *Request) Wait(p *comm.Proc) *stream.Vector {
-	<-r.done
+	if !r.waited {
+		<-r.done
+		r.waited = true
+	}
 	p.Join(r.forked)
+	if r.failed != nil {
+		panic(r.failed)
+	}
 	return r.result
 }
 
 // Test reports whether the collective has completed without blocking
 // (MPI_Test). It does not merge clocks; call Wait to retrieve the result.
-func (r *Request) Test() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
-}
+func (r *Request) Test() bool { return r.finished.Load() }

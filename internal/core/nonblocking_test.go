@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/stream"
@@ -169,6 +173,68 @@ func TestBcast(t *testing.T) {
 				if len(res) != 4 || res[3] != float64(root) {
 					t.Fatalf("P=%d root=%d rank=%d: got %v", P, root, r, res)
 				}
+			}
+		}
+	}
+}
+
+// TestNonblockingPanicReachesRun: a collective that panics on its own
+// goroutine — here, rank 2's input has dimension 32 where every other
+// rank's has 64 — poisons the world and re-raises from Wait on the rank's
+// goroutine, so Run panics with the rank attached instead of the process
+// dying, and every goroutine the call started is gone afterwards. On the
+// simulator and goroutine backends, for IAllreduce, ISparseAllgather and a
+// persistent bucket run.
+func TestNonblockingPanicReachesRun(t *testing.T) {
+	const P = 4
+	input := func(p *comm.Proc) *stream.Vector {
+		n := 64
+		if p.Rank() == 2 {
+			n = 32
+		}
+		return stream.NewSparse(n, []int32{int32(p.Rank())}, []float64{1}, stream.OpSum)
+	}
+	sched := NewBucketScheduler([][2]int{{0, 32}}, 1)
+	ops := map[string]func(p *comm.Proc){
+		"IAllreduce": func(p *comm.Proc) {
+			IAllreduce(p, input(p), Options{Algorithm: SSARRecDouble}).Wait(p)
+		},
+		"ISparseAllgather": func(p *comm.Proc) {
+			ISparseAllgather(p, input(p)).Wait(p)
+		},
+		"BucketRun": func(p *comm.Proc) {
+			run := sched.NewRun()
+			defer run.Close()
+			opts := []Options{{Algorithm: SSARRecDouble}}
+			run.Drain(p, run.Issue(p, []*stream.Vector{input(p)}, opts))
+		},
+	}
+	worlds := map[string]*comm.World{
+		"sim":       comm.NewWorld(P, testProfile),
+		"goroutine": comm.NewWorld(P, testProfile).UseGoroutineTransport(),
+	}
+	for wname, w := range worlds {
+		for oname, op := range ops {
+			ctx := wname + " " + oname
+			before := runtime.NumGoroutine()
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				comm.Run(w, func(p *comm.Proc) any { op(p); return nil })
+				return ""
+			}()
+			want := "rank 2 panicked"
+			if oname == "ISparseAllgather" {
+				want = "panicked" // every rank meets rank 2's block; the lowest reports
+			}
+			if !strings.Contains(msg, want) || !strings.Contains(msg, "dimension mismatch") {
+				t.Errorf("%s: Run panicked with %q, want %q with a dimension mismatch", ctx, msg, want)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%s: %d goroutines before Run, %d two seconds after", ctx, before, n)
 			}
 		}
 	}

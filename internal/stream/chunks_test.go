@@ -140,6 +140,30 @@ func TestWrapSparse(t *testing.T) {
 	if e := WrapSparse(4, nil, nil, OpMax); e.NNZ() != 0 || e.IsDense() {
 		t.Fatalf("WrapSparse of nothing = %v", e)
 	}
+	// WrapSparseInto copies into a pool — here one holding stale storage —
+	// and builds the same stream, sparse, past δ and empty.
+	sc := NewScratch()
+	sc.Release(NewDense([]float64{7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, OpMax))
+	sc.Release(NewSparse(10, []int32{1, 3, 4, 8}, []float64{7, 7, 7, 7}, OpSum))
+	for _, in := range []struct {
+		n   int
+		idx []int32
+		val []float64
+		op  Op
+	}{{10, idx, val, OpSum}, {3, []int32{0, 1, 2}, []float64{1, 2, 3}, OpSum},
+		{10, []int32{0, 2, 3, 4, 5, 6, 7, 9}, []float64{1, 2, 3, 4, 5, 6, 7, 8}, OpMax}, {4, nil, nil, OpMax}} {
+		want := WrapSparse(in.n, in.idx, in.val, in.op).AppendWire(nil)
+		got := WrapSparseInto(in.n, in.idx, in.val, in.op, sc)
+		if !bytes.Equal(got.AppendWire(nil), want) {
+			t.Fatalf("WrapSparseInto(%d, %v) = %v", in.n, in.idx, got)
+		}
+		if !got.IsDense() {
+			if pairs, _ := got.Pairs(); len(pairs) > 0 && &pairs[0] == &in.idx[0] {
+				t.Fatal("WrapSparseInto kept the caller's indices")
+			}
+		}
+		sc.Release(got)
+	}
 	for name, bad := range map[string][]int32{
 		"descending":   {5, 2},
 		"duplicate":    {5, 5},
@@ -153,6 +177,14 @@ func TestWrapSparse(t *testing.T) {
 				}
 			}()
 			WrapSparse(10, bad, make([]float64, len(bad)), OpSum)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s indices %v were wrapped into a pool", name, bad)
+				}
+			}()
+			WrapSparseInto(10, bad, make([]float64, len(bad)), OpSum, sc)
 		}()
 	}
 }

@@ -72,6 +72,32 @@ type Scratch struct {
 	// bits is the one presence bitmap of the windowed merge kernel: AddAll
 	// calls never nest on one Scratch, so one reusable slice is the pool.
 	bits []uint64
+	// agree is the storage of the pool owner's repeated dense agreements
+	// (Agreement).
+	agree DenseWorkspace
+}
+
+// DenseWorkspace is the caller-held storage of a repeated dense
+// recursive-doubling allreduce (core.AllreduceDenseRecDoubleInto): Acc,
+// the accumulator a call builds its result in, and Spare, the rank's last
+// arrival, kept in the interface value it arrived in. An arrival is its
+// receiver's (the comm.Message ownership rule), so the next call of the
+// same length copies its input into Acc and Spare and sends Spare at its
+// first stage, with nothing allocated or boxed. The zero value is ready to
+// use; like a Scratch, a workspace belongs to one goroutine.
+type DenseWorkspace struct {
+	Acc   []float64
+	Spare any
+}
+
+// Agreement returns the pool's dense-agreement workspace, which the
+// collective owning the pool uses for its one-word Auto agreement; nil on
+// a nil pool.
+func (s *Scratch) Agreement() *DenseWorkspace {
+	if s == nil {
+		return nil
+	}
+	return &s.agree
 }
 
 // scratchPoolCap bounds each free list so a pathological release pattern

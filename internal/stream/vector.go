@@ -107,10 +107,42 @@ func NewSparse(n int, idx []int32, val []float64, op Op) *Vector {
 // dense when the pairs exceed δ. The caller must not use the slices
 // afterwards.
 func WrapSparse(n int, idx []int32, val []float64, op Op) *Vector {
+	checkWrapped(n, idx, val)
+	v := Zero(n, op)
+	v.idx, v.val = idx, val
+	v.maybeDensify()
+	return v
+}
+
+// WrapSparseInto is WrapSparse(n, idx, val, op).CloneInto(s) without the
+// intermediate vector: the checked pairs are copied into a header and
+// buffers drawn from s — straight into dense storage when they exceed δ —
+// and idx and val stay the caller's. The stream is the same, bit for bit.
+func WrapSparseInto(n int, idx []int32, val []float64, op Op, s *Scratch) *Vector {
+	checkWrapped(n, idx, val)
+	v := s.grabVector(n, op, DefaultValueBytes, Delta(n, DefaultValueBytes))
+	if len(idx) > v.delta {
+		v.dns = s.grabDense(n, op.Neutral())
+		for i, ix := range idx {
+			v.dns[ix] = val[i]
+		}
+		return v
+	}
+	v.idx = append(s.grabIdx(len(idx)), idx...)
+	v.val = append(s.grabVal(len(val)), val...)
+	return v
+}
+
+// checkWrapped panics unless idx and val are WrapSparse's input over a
+// positive dimension n: as many values as indices, indices strictly
+// ascending and in [0, n).
+func checkWrapped(n int, idx []int32, val []float64) {
 	if len(idx) != len(val) {
 		panic("stream: index/value length mismatch")
 	}
-	v := Zero(n, op)
+	if n <= 0 {
+		panic("stream: dimension must be positive")
+	}
 	prev := int32(-1)
 	for _, ix := range idx {
 		if ix <= prev || int(ix) >= n {
@@ -118,9 +150,6 @@ func WrapSparse(n int, idx []int32, val []float64, op Op) *Vector {
 		}
 		prev = ix
 	}
-	v.idx, v.val = idx, val
-	v.maybeDensify()
-	return v
 }
 
 type pair struct {

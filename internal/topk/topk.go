@@ -304,12 +304,11 @@ func (r *Residual) ExtractSpanInto(lo, hi, bucket, k int, sc *stream.Scratch) *s
 	for _, ix := range idx {
 		r.acc[ix] = 0
 	}
-	v := stream.WrapSparse(len(r.acc), idx, val, stream.OpSum)
 	if sc == nil {
-		return v
+		return stream.WrapSparse(len(r.acc), idx, val, stream.OpSum)
 	}
 	r.idx, r.val = idx, val
-	return v.CloneInto(sc)
+	return stream.WrapSparseInto(len(r.acc), idx, val, stream.OpSum, sc)
 }
 
 // Norm returns the L2 norm of the residual, used to track error-feedback

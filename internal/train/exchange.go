@@ -13,7 +13,8 @@ import (
 // layer-wise using non-blocking calls", §8.3) — or, with a bucket
 // scheduler, one per fused bucket in backprop order. Everything in it is
 // built once per run and reused by every step: the layer spans, the
-// scheduler, the per-step slices and the pools.
+// scheduler and this rank's run of it (one persistent request per bucket,
+// whose workers close stops), the per-step slices and the pools.
 //
 // Every buffer goes back where it dies. Contributions are drawn from the
 // rank's own pool and return to it once the scheduler has fused them (or,
@@ -29,6 +30,7 @@ type layerExchange struct {
 	rank     *stream.Scratch // the contributions' pool
 
 	sched *core.BucketScheduler // nil: one collective per layer
+	run   *core.BucketRun       // this rank's requests and slices for sched
 	pools []*stream.Scratch     // one per bucket
 	bopts []core.Options        // one per bucket
 	reqs  []*core.Request       // one per layer, without a scheduler
@@ -50,6 +52,7 @@ func newLayerExchange(task Task, cfg Config) *layerExchange {
 		return x
 	}
 	x.sched = core.NewBucketScheduler(spans, cfg.BucketCoords)
+	x.run = x.sched.NewRun()
 	x.pools = make([]*stream.Scratch, x.sched.NumBuckets())
 	for b := range x.pools {
 		x.pools[b] = stream.NewScratch()
@@ -86,7 +89,7 @@ func (x *layerExchange) issue(p *comm.Proc, opts core.Options, ctrl *adapt.Contr
 	}
 	bopts := x.bopts
 	if ctrl != nil {
-		bopts = ctrl.PlanBuckets(p, x.sched, x.contribs, opts)
+		bopts = ctrl.PlanBucketsInto(p, x.sched, x.contribs, opts, bopts)
 	} else {
 		for b := range bopts {
 			bopts[b] = opts
@@ -95,7 +98,7 @@ func (x *layerExchange) issue(p *comm.Proc, opts core.Options, ctrl *adapt.Contr
 	for b := range bopts {
 		bopts[b].Scratch = x.pools[b]
 	}
-	reqs := x.sched.Issue(p, x.contribs, bopts)
+	reqs := x.run.Issue(p, x.contribs, bopts)
 	x.releaseContribs()
 	return reqs
 }
@@ -110,9 +113,17 @@ func (x *layerExchange) apply(p *comm.Proc, reqs []*core.Request, params []float
 		x.releaseContribs()
 		return
 	}
-	for b, sum := range x.sched.Drain(p, reqs) {
+	for b, sum := range x.run.Drain(p, reqs) {
 		applyUpdateVec(params, sum)
 		x.pools[b].Release(sum)
+	}
+}
+
+// close stops the bucket run's workers; the exchange must not be used
+// afterwards.
+func (x *layerExchange) close() {
+	if x.run != nil {
+		x.run.Close()
 	}
 }
 

@@ -11,6 +11,7 @@ package train
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"repro/internal/adapt"
@@ -225,10 +226,14 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 	if cfg.Method == MethodTopK {
 		layers = newLayerExchange(task, cfg)
 	}
+	if layers != nil {
+		defer layers.close()
+	}
 	var history []Point
 	commTime := 0.0
 	var bytesSent int64
 	globalStep := 0
+	var idx []int // the step's batch, refilled every step
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		lr := cfg.LR
@@ -237,7 +242,7 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 		}
 		for s := 0; s < steps; s++ {
 			stepStart := p.Now()
-			idx := sampleBatch(rng, task.NumSamples(), cfg.BatchPerNode)
+			idx = sampleBatch(rng, task.NumSamples(), cfg.BatchPerNode, idx)
 			task.ZeroGrads()
 			task.Step(idx)
 			p.Compute(cfg.Device.ComputeTime(task.FlopsPerSample() * float64(len(idx))))
@@ -323,12 +328,13 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 	return history
 }
 
-// sampleBatch draws a batch of local sample indices with replacement.
-func sampleBatch(rng *rand.Rand, n, batch int) []int {
+// sampleBatch draws a batch of local sample indices with replacement into
+// buf's storage when it is large enough.
+func sampleBatch(rng *rand.Rand, n, batch int, buf []int) []int {
 	if batch > n {
 		batch = n
 	}
-	idx := make([]int, batch)
+	idx := slices.Grow(buf[:0], batch)[:batch]
 	for i := range idx {
 		idx[i] = rng.Intn(n)
 	}

@@ -14,13 +14,16 @@
 #   4. the pin ledger: every test that checks testdata/pins.json, uncached,
 #      so a drifted digest shows first as a short list of
 #      "name: old → new" lines.
-#   5. the full test suite — the acceptance invariants of BENCH_2/5/7/8
+#   5. the allocation budgets: every test that counts a hot path's
+#      allocations against a fixed budget, uncached, one --- PASS/FAIL
+#      line per budget with the counts it read beneath.
+#   6. the full test suite — the acceptance invariants of BENCH_2/5/7/8
 #      are tests against the committed files, so a drift that regresses
 #      one fails twice.
-#   6. record/replay: a recorded scenario trace replays to the live run's
+#   7. record/replay: a recorded scenario trace replays to the live run's
 #      row, Perfetto export and metrics dump byte for byte, and the pinned
 #      lstm export matches its committed golden.
-#   7. the sweep registry's drift gate: every committed BENCH_<n>.json is
+#   8. the sweep registry's drift gate: every committed BENCH_<n>.json is
 #      re-recorded from the sweep registered under its id and must match
 #      byte for byte (all simulated or allocation-count metrics,
 #      deterministic; a drifted file is regenerated in place to commit).
@@ -84,6 +87,10 @@ go run ./bench -quick > /dev/null
 echo "== pin ledger (every test that checks testdata/pins.json, uncached; a drifted entry prints as 'name: old → new')"
 # -short skips only the registry sweeps no pin covers (experiments' pinned()).
 go test -count=1 -short -run '^(TestPredictDigests|TestSparseAllgatherPinned|TestQuantizedResultDigests|TestCrossTransportEquivalence|TestCrossTransportRaggedLevels|TestExtractDigests|TestAddAllDigests|TestGoldenDigests|TestEncodeMarshalDigests|TestResidualMLPDigest|TestAdaptDecisionDigests|TestRegistryEntriesRunAndRender|TestLedgerIsCanonical)$' ./internal/...
+
+echo "== allocation budgets (uncached; a regression prints as its own '--- FAIL' line, each budget's counts beneath it)"
+go test -count=1 -v -run '^(TestSplitAllgatherAllocationBudget|TestReleasedResultsAreReused|TestGoroutinePoolsReachSteadyState|TestTCPFramesAreReused|TestTCPSteadyStateAllocations|TestRecDoubleAgreementAllocations|TestBucketedStepSteadyState|TestChooseAutoLevelsDoesNotAllocate)$' \
+  ./internal/comm ./internal/core ./internal/train | grep -E '^(--- |ok|FAIL|    [a-z_]+_test\.go:[0-9]+: )'
 
 echo "== go test ./..."
 go test ./...
