@@ -90,7 +90,7 @@ func TestBench5AcceptanceCriteria(t *testing.T) {
 func TestFacadeAdaptive(t *testing.T) {
 	const n, P, k = 1 << 14, 8, 400
 	w := NewWorldHier(P, TwoLevel(4, NVLinkLike, Aries, 1))
-	w.EnableAdaptation(AdaptConfig{})
+	w.EnableAdaptation()
 	rng := rand.New(rand.NewSource(61))
 	mkInputs := func() []*Vector {
 		out := make([]*Vector, P)

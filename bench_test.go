@@ -478,14 +478,14 @@ func BenchmarkAblationSketchOverhead(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("P=%d/observe", P), func(b *testing.B) {
-			s := adapt.NewShapeSketch(0, 0)
+			s := adapt.NewShapeSketch()
 			for i := 0; i < b.N; i++ {
 				s.Observe(vs[i%P])
 			}
 		})
 		b.Run(fmt.Sprintf("P=%d/merge+observe", P), func(b *testing.B) {
 			sc := stream.NewScratch()
-			s := adapt.NewShapeSketch(0, 0)
+			s := adapt.NewShapeSketch()
 			for i := 0; i < 4; i++ {
 				sc.Release(stream.MergeK(vs, sc))
 			}
@@ -508,7 +508,7 @@ func TestSketchOverheadBudget(t *testing.T) {
 	const n, k, P, reps = 1 << 18, 2000, 16, 50
 	vs := randSparseInputs(977*P, n, k, P)
 	sc := stream.NewScratch()
-	s := adapt.NewShapeSketch(0, 0)
+	s := adapt.NewShapeSketch()
 	for i := 0; i < 4; i++ {
 		sc.Release(stream.MergeK(vs, sc))
 		s.Observe(vs[i])

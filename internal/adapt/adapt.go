@@ -16,14 +16,13 @@
 //     need a sustained, material predicted gain instead of thrashing
 //     between adjacent calls.
 //
-// Determinism and agreement: every rank must hold its own Controller, all
-// constructed with the same Config, and route the same calls through them
-// in the same program order (exactly the discipline collectives already
-// require). Local estimates are combined with two tiny dense allreduces
-// per decided call — a max for the per-rank non-zero count, a sum for the
-// shape and calibration statistics — so every rank derives the decision
-// from identical agreed inputs and the hysteresis state machines stay in
-// lockstep. No rank ever acts on a neighbor's raw estimate.
+// Determinism and agreement: every rank must hold its own Controller and
+// route the same calls through it in the same program order (exactly the
+// discipline collectives already require). Local estimates are combined
+// with two tiny dense allreduces per decided call — a max for the
+// per-rank non-zero count, a sum for the shape and calibration
+// statistics — so every rank derives the decision from identical agreed
+// inputs and the hysteresis state machines stay in lockstep. No rank ever acts on a neighbor's raw estimate.
 package adapt
 
 import (
@@ -35,74 +34,36 @@ import (
 	"repro/internal/stream"
 )
 
-// Config tunes a Controller. The zero value selects all defaults; every
-// rank of a world must use an identical Config.
-type Config struct {
-	// Decay is the sketch EWMA weight of a new observation (default
-	// DefaultDecay).
-	Decay float64
-	// MaxSamples caps the indices one sketch observation inspects
-	// (default DefaultMaxSamples).
-	MaxSamples int
-	// ClusterThreshold is the agreed mean sketch divergence above which
-	// the cost model switches to the clustered support model (default
-	// DefaultClusterThreshold). Uniform supports measure ≈0.05–0.1 at the
-	// default sketch resolution; the clustered test pattern ≈0.6.
-	ClusterThreshold float64
-	// MinClusterK is the smallest agreed per-rank non-zero count at which
-	// the clustered classification is trusted — below it the histogram is
-	// too noisy and the uniform worst case is kept (default
-	// DefaultMinClusterK).
-	MinClusterK int
-	// SwitchMargin is the hysteresis band: a candidate must be predicted
-	// at least this fraction cheaper than the incumbent choice before a
-	// switch is considered (default DefaultSwitchMargin).
-	SwitchMargin float64
-	// HoldCalls is how many consecutive decided calls the candidate must
-	// clear the margin before the switch happens (default
-	// DefaultHoldCalls). A step change in the workload therefore converges
-	// to the new choice within HoldCalls decided calls.
-	HoldCalls int
-	// MinCalibSamples is the per-level transfer count below which the
-	// calibrated α–β constants are not used (default
-	// DefaultMinCalibSamples).
-	MinCalibSamples int
-}
+// Config is empty: the controller has no tunables, and every rank's
+// controller behaves identically. The type is kept so that callers which
+// build NewController(Config{}) — the wall-clock harness under bench/
+// among them — keep compiling.
+type Config struct{}
 
-// Defaults for Config's zero values.
+// The controller's constants.
 const (
-	DefaultClusterThreshold = 0.25
-	DefaultMinClusterK      = 256
-	DefaultSwitchMargin     = 0.10
-	DefaultHoldCalls        = 2
-	DefaultMinCalibSamples  = 8
+	// clusterThreshold is the agreed mean sketch divergence above which
+	// the cost model switches to the clustered support model. Uniform
+	// supports measure ≈0.05–0.1 at the sketch's resolution; the
+	// clustered test pattern ≈0.6.
+	clusterThreshold = 0.25
+	// minClusterK is the smallest agreed per-rank non-zero count at which
+	// the clustered classification is trusted — below it the histogram is
+	// too noisy and the uniform worst case is kept.
+	minClusterK = 256
+	// switchMargin is the hysteresis band: a candidate must be predicted
+	// at least this fraction cheaper than the incumbent choice before a
+	// switch is considered.
+	switchMargin = 0.10
+	// holdCalls is how many consecutive decided calls the candidate must
+	// clear the margin before the switch happens. A step change in the
+	// workload therefore converges to the new choice within holdCalls
+	// decided calls.
+	holdCalls = 2
+	// minCalibSamples is the per-level transfer count below which the
+	// calibrated α–β constants are not used.
+	minCalibSamples = 8
 )
-
-// withDefaults resolves zero fields.
-func (c Config) withDefaults() Config {
-	if c.Decay == 0 {
-		c.Decay = DefaultDecay
-	}
-	if c.MaxSamples == 0 {
-		c.MaxSamples = DefaultMaxSamples
-	}
-	if c.ClusterThreshold == 0 {
-		c.ClusterThreshold = DefaultClusterThreshold
-	}
-	if c.MinClusterK == 0 {
-		c.MinClusterK = DefaultMinClusterK
-	}
-	if c.SwitchMargin == 0 {
-		c.SwitchMargin = DefaultSwitchMargin
-	}
-	if c.HoldCalls == 0 {
-		c.HoldCalls = DefaultHoldCalls
-	}
-	if c.MinCalibSamples == 0 {
-		c.MinCalibSamples = DefaultMinCalibSamples
-	}
-	return c
-}
 
 // Controller is one rank's handle on the adaptation subsystem: an
 // AutoAdaptive allreduce that sketches each input, keeps link constants
@@ -112,7 +73,6 @@ func (c Config) withDefaults() Config {
 // World.EnableAdaptation) and treat it like a Scratch: owned by that
 // rank's goroutine, never shared.
 type Controller struct {
-	cfg    Config
 	sketch *ShapeSketch
 	calib  *LinkCalibrator // nil until Calibrate
 
@@ -148,13 +108,13 @@ type bucketHold struct {
 
 // decide filters the cost model's per-bucket candidate through this
 // bucket's hysteresis. Algorithm/depth switches need a sustained
-// SwitchMargin-cheaper prediction for HoldCalls consecutive decisions
+// switchMargin-cheaper prediction for holdCalls consecutive decisions
 // (incumbent and candidate each priced at their own chunk degree); the
 // chunk degree itself follows the model freely — it carries no cross-call
 // state, so flapping is harmless and hysteresis would only delay the
 // cheaper schedule. All inputs are agreed quantities, so every rank's
 // state machines transition identically.
-func (h *bucketHold) decide(cfg Config, candAlg core.Algorithm, candLevels, candChunks int, s core.CostScenario, switches *int) (core.Algorithm, int, int, bool, string) {
+func (h *bucketHold) decide(candAlg core.Algorithm, candLevels, candChunks int, s core.CostScenario, switches *int) (core.Algorithm, int, int, bool, string) {
 	if !h.started {
 		h.started = true
 		h.curAlg, h.curLevels, h.curChunks = candAlg, candLevels, candChunks
@@ -170,13 +130,13 @@ func (h *bucketHold) decide(cfg Config, candAlg core.Algorithm, candLevels, cand
 	scCand.Levels, scCand.Chunks = candLevels, candChunks
 	tCur := core.PredictSeconds(h.curAlg, scCur)
 	tCand := core.PredictSeconds(candAlg, scCand)
-	if tCand <= (1-cfg.SwitchMargin)*tCur {
+	if tCand <= (1-switchMargin)*tCur {
 		if candAlg == h.pendAlg && candLevels == h.pendLevels {
 			h.pendCount++
 		} else {
 			h.pendAlg, h.pendLevels, h.pendCount = candAlg, candLevels, 1
 		}
-		if h.pendCount >= cfg.HoldCalls {
+		if h.pendCount >= holdCalls {
 			h.curAlg, h.curLevels, h.curChunks = candAlg, candLevels, candChunks
 			h.pendCount = 0
 			*switches++
@@ -189,9 +149,8 @@ func (h *bucketHold) decide(cfg Config, candAlg core.Algorithm, candLevels, cand
 }
 
 // NewController returns a fresh per-rank controller.
-func NewController(cfg Config) *Controller {
-	cfg = cfg.withDefaults()
-	return &Controller{cfg: cfg, sketch: NewShapeSketch(cfg.MaxSamples, cfg.Decay)}
+func NewController(Config) *Controller {
+	return &Controller{sketch: NewShapeSketch()}
 }
 
 // Sketch returns the controller's shape sketch (for inspection).
@@ -201,8 +160,9 @@ func (a *Controller) Sketch() *ShapeSketch { return a.sketch }
 // Calibrate enables calibration.
 func (a *Controller) Calibrator() *LinkCalibrator { return a.calib }
 
-// Choice returns the current algorithm/depth the controller is holding
-// (meaningful after the first Allreduce).
+// Choice returns the current algorithm/depth the blocking path (Allreduce,
+// Plan) is holding, meaningful after the first Allreduce. PlanBuckets'
+// per-bucket choices are on the obs timeline's adapt:decision instants.
 func (a *Controller) Choice() (core.Algorithm, int) { return a.hold.curAlg, a.hold.curLevels }
 
 // Switches returns how many times the held algorithm/depth changed after
@@ -227,45 +187,30 @@ func (a *Controller) Support() core.SupportModel { return a.lastSupport }
 // passed through unchanged, though still observed, so a mixed workload
 // keeps the sketch warm.
 func (a *Controller) Allreduce(p *comm.Proc, v *stream.Vector, opts core.Options) *stream.Vector {
-	return core.Allreduce(p, v, a.Plan(p, []*stream.Vector{v}, opts))
+	return core.Allreduce(p, v, a.Plan(p, v, opts))
 }
 
-// Plan makes one adaptive decision for a batch of allreduces that will be
-// issued together — the layer-wise training path, which fires one
-// nonblocking allreduce per layer. The calls cannot decide individually:
-// forked procs do not inherit the parent's tag cursor, and running one
-// agreement collective per layer would serialize exactly the calls the
-// layer-wise path exists to overlap. Instead the parent proc sketches
-// every input, runs the scenario agreement once, and resolves Auto to a
-// concrete algorithm/depth through the same hysteresis state the blocking
-// path uses; the returned Options (Algorithm pinned, support model filled)
-// are then passed to each core.IAllreduce verbatim. The scenario is priced
-// on the largest input — the layer that dominates the step's cost. Like
-// Allreduce, every rank must call Plan with the same inputs in the same
-// program order; a non-Auto opts passes through unchanged (inputs still
-// sketched).
-func (a *Controller) Plan(p *comm.Proc, vs []*stream.Vector, opts core.Options) core.Options {
-	for _, v := range vs {
-		a.sketch.Observe(v)
-	}
-	if opts.Algorithm != core.Auto || len(vs) == 0 {
+// Plan makes Allreduce's decision for v without running the collective:
+// v is sketched, the measured scenario is agreed across ranks,
+// core.ChooseAutoLevels picks algorithm and depth from it, and the
+// blocking path's hysteresis filters the pick. The returned Options
+// (Algorithm pinned, support model filled) run the call. Like Allreduce,
+// every rank must call Plan in the same program order; a non-Auto opts
+// passes through unchanged (v still sketched).
+func (a *Controller) Plan(p *comm.Proc, v *stream.Vector, opts core.Options) core.Options {
+	a.sketch.Observe(v)
+	if opts.Algorithm != core.Auto {
 		return opts
 	}
 	// The fits are read before the agreement collectives, so a decision
 	// prices with the sends made before it, never with its own.
 	links := a.calib.snapshot()
-	rep := vs[0]
-	for _, v := range vs[1:] {
-		if v.NNZ() > rep.NNZ() {
-			rep = v
-		}
-	}
-	s := a.agreeScenario(p, rep, opts, links)
+	s := a.agreeScenario(p, v, opts, links)
 	candAlg, candLevels, _ := core.ChooseAutoLevels(s)
 	// This path does not own the chunk degree (opts.Chunks passes through),
 	// so incumbent and candidate are both priced at this call's.
 	a.hold.curChunks = s.Chunks
-	alg, levels, _, switched, reason := a.hold.decide(a.cfg, candAlg, candLevels, s.Chunks, s, &a.switches)
+	alg, levels, _, switched, reason := a.hold.decide(candAlg, candLevels, s.Chunks, s, &a.switches)
 	recordDecision(p, decisionEvent{Bucket: -1,
 		Algorithm: alg, Levels: levels, Support: s.Support,
 		PredictedSeconds: predictFor(alg, levels, 0, s),
@@ -334,7 +279,7 @@ func (a *Controller) PlanBucketsInto(p *comm.Proc, sched *core.BucketScheduler, 
 			out[b].Chunks = core.ChooseChunks(opts.Algorithm, s)
 			continue
 		}
-		alg, levels, chunks, switched, reason := a.buckets[b].decide(a.cfg, candAlg, candLevels, candChunks, s, &a.bucketSwitches)
+		alg, levels, chunks, switched, reason := a.buckets[b].decide(candAlg, candLevels, candChunks, s, &a.bucketSwitches)
 		recordDecision(p, decisionEvent{Bucket: b,
 			Algorithm: alg, Levels: levels, Chunks: chunks, Support: s.Support,
 			PredictedSeconds: predictFor(alg, levels, chunks, s),
@@ -373,7 +318,7 @@ func (a *Controller) agreeMax(p *comm.Proc, ks []float64) []float64 {
 // with the per-bucket path, which agrees on all bucket counts in a single
 // separate collective. Returns the agreed sums, laid out per level of the
 // communicator's hierarchy. A level contributes its fit from links only
-// when usable over at least MinCalibSamples transfers.
+// when usable over at least minCalibSamples transfers.
 func (a *Controller) agreeStats(p *comm.Proc, links []linkFit) []float64 {
 	depth := p.Hierarchy().Depth()
 	st := a.sketch.Stats()
@@ -383,7 +328,7 @@ func (a *Controller) agreeStats(p *comm.Proc, links []linkFit) []float64 {
 	a.local = local
 	local[0], local[1], local[2] = st.HotFraction, st.HotMass, st.Divergence
 	for l := 0; l < depth && l < len(links); l++ {
-		if alpha, beta, ok := links[l].fit(); ok && int(links[l].n) >= a.cfg.MinCalibSamples {
+		if alpha, beta, ok := links[l].fit(); ok && int(links[l].n) >= minCalibSamples {
 			local[3+3*l] = 1
 			local[4+3*l] = alpha
 			local[5+3*l] = beta
@@ -406,7 +351,7 @@ func (a *Controller) scenarioFromAgreed(p *comm.Proc, v *stream.Vector, opts cor
 	// the clustered closed form, parameterized by the agreed mean hot
 	// shape. Low-sample calls keep the uniform worst case.
 	avgDiv := agreed[2] / P
-	if avgDiv >= a.cfg.ClusterThreshold && int(kmax) >= a.cfg.MinClusterK {
+	if avgDiv >= clusterThreshold && int(kmax) >= minClusterK {
 		s.Support = core.SupportClustered
 		s.HotFraction = clamp(agreed[0]/P, 1.0/sketchBuckets, 1)
 		s.HotMass = clamp(agreed[1]/P, 0, 0.999)

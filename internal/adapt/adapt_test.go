@@ -14,11 +14,11 @@ import (
 // runAdaptive drives one controller per rank over a per-call input
 // schedule and returns rank 0's controller for inspection plus the final
 // call's per-rank results.
-func runAdaptive(t *testing.T, w *comm.World, cfg Config, schedule [][]*stream.Vector) ([]*Controller, []*stream.Vector) {
+func runAdaptive(t *testing.T, w *comm.World, schedule [][]*stream.Vector) ([]*Controller, []*stream.Vector) {
 	t.Helper()
 	ctrls := make([]*Controller, w.Size())
 	for r := range ctrls {
-		ctrls[r] = NewController(cfg)
+		ctrls[r] = NewController(Config{})
 	}
 	Calibrate(w, ctrls)
 	results := comm.Run(w, func(p *comm.Proc) *stream.Vector {
@@ -54,7 +54,7 @@ func TestAdaptiveMatchesStaticOnStationaryUniform(t *testing.T) {
 	sched := scheduleOf(31, n, P, 6, func(int) int { return k }, func(int) string { return "uniform" })
 
 	w := comm.NewWorld(P, simnet.Aries)
-	ctrls, got := runAdaptive(t, w, Config{}, sched)
+	ctrls, got := runAdaptive(t, w, sched)
 
 	wantAlg, _, _ := core.ChooseAutoLevels(core.CostScenario{N: n, P: P, K: sched[5][0].NNZ(), Profile: simnet.Aries})
 	alg, levels := ctrls[0].Choice()
@@ -95,7 +95,7 @@ func TestAdaptiveDetectsClusteredGateFlip(t *testing.T) {
 	}
 
 	w := comm.NewWorld(P, simnet.Aries)
-	ctrls, results := runAdaptive(t, w, Config{}, sched)
+	ctrls, results := runAdaptive(t, w, sched)
 	alg, _ := ctrls[0].Choice()
 	if alg != core.SSARRecDouble && alg != core.SSARSplitAllgather {
 		t.Fatalf("adaptive should settle on a sparse-result algorithm, got %s", alg)
@@ -133,7 +133,7 @@ func TestHysteresisRampBounded(t *testing.T) {
 	}
 	sched := scheduleOf(41, n, P, calls, kAt, func(int) string { return "uniform" })
 	w := comm.NewWorld(P, simnet.Aries)
-	ctrls, _ := runAdaptive(t, w, Config{}, sched)
+	ctrls, _ := runAdaptive(t, w, sched)
 
 	if sw := ctrls[0].Switches(); sw == 0 || sw > 4 {
 		t.Fatalf("ramp should switch a small positive number of times, got %d", sw)
@@ -146,7 +146,7 @@ func TestHysteresisRampBounded(t *testing.T) {
 }
 
 // TestHysteresisStepConverges: a step change in the workload must move
-// the choice within HoldCalls+1 decided calls and then hold it — and the
+// the choice within holdCalls+1 decided calls and then hold it — and the
 // controllers on every rank must agree call by call.
 func TestHysteresisStepConverges(t *testing.T) {
 	P, n := 8, 1<<16
@@ -161,10 +161,9 @@ func TestHysteresisStepConverges(t *testing.T) {
 	sched := scheduleOf(43, n, P, calls, kAt, func(int) string { return "uniform" })
 
 	tr := comm.NewWorld(P, simnet.Aries)
-	cfg := Config{}.withDefaults()
 	ctrls := make([]*Controller, P)
 	for r := range ctrls {
-		ctrls[r] = NewController(cfg)
+		ctrls[r] = NewController(Config{})
 	}
 	type choice struct {
 		alg core.Algorithm
@@ -203,8 +202,8 @@ func TestHysteresisStepConverges(t *testing.T) {
 	if converged < 0 {
 		t.Fatal("choice never moved after the step change")
 	}
-	if converged > cfg.HoldCalls+1 {
-		t.Fatalf("converged %d calls after the step, want within HoldCalls+1 = %d", converged, cfg.HoldCalls+1)
+	if converged > holdCalls+1 {
+		t.Fatalf("converged %d calls after the step, want within holdCalls+1 = %d", converged, holdCalls+1)
 	}
 	after := perCall[calls-1][0]
 	for c := step + converged; c < calls; c++ {
@@ -259,7 +258,7 @@ func TestAdaptiveOnHierarchyWorld(t *testing.T) {
 	h := simnet.DragonflyLike(4, 4)
 	sched := scheduleOf(53, 1<<18, P, 5, func(int) int { return 120 }, func(int) string { return "uniform" })
 	w := comm.NewWorldHier(P, h)
-	ctrls, results := runAdaptive(t, w, Config{}, sched)
+	ctrls, results := runAdaptive(t, w, sched)
 
 	alg, levels := ctrls[0].Choice()
 	if alg != core.SSARRecDouble && alg != core.SSARSplitAllgather {

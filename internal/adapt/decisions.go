@@ -17,13 +17,13 @@ const (
 	// ReasonKeep means the cost model's candidate equals the incumbent.
 	ReasonKeep = "keep"
 	// ReasonHold means the candidate cleared the switch margin but has
-	// not sustained it for HoldCalls decisions yet; the incumbent runs.
+	// not sustained it for holdCalls decisions yet; the incumbent runs.
 	ReasonHold = "hold"
 	// ReasonSwitch means the margin was sustained: the incumbent was
 	// replaced by the candidate this decision.
 	ReasonSwitch = "switch"
 	// ReasonMargin means the candidate differs but is not predicted
-	// SwitchMargin cheaper; the incumbent is kept and any pending switch
+	// switchMargin cheaper; the incumbent is kept and any pending switch
 	// resets.
 	ReasonMargin = "margin"
 )

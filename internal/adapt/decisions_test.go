@@ -28,7 +28,7 @@ func TestDecisionHistoryStructure(t *testing.T) {
 		})
 	w := comm.NewWorldHier(P, simnet.TwoLevel(4, simnet.NVLinkLike, simnet.Aries, 0))
 	hub := w.EnableObservability()
-	ctrls, _ := runAdaptive(t, w, Config{}, sched)
+	ctrls, _ := runAdaptive(t, w, sched)
 
 	byRank := map[int][]obs.Span{}
 	for _, s := range hub.Spans() {
@@ -83,7 +83,7 @@ func TestDecisionEventsReachObs(t *testing.T) {
 		func(int) string { return "uniform" })
 	w := comm.NewWorld(P, simnet.Aries)
 	hub := w.EnableObservability()
-	ctrls, _ := runAdaptive(t, w, Config{}, sched)
+	ctrls, _ := runAdaptive(t, w, sched)
 
 	instants := map[int]int{}
 	for _, s := range hub.Spans() {

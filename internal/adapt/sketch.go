@@ -11,16 +11,16 @@ import (
 // hot-fraction estimates are quantized to 1/sketchBuckets.
 const sketchBuckets = 64
 
-// DefaultMaxSamples caps how many support indices one Observe call
-// inspects. Sampling is strided over the (sorted) index slice, so the
-// per-call cost is O(DefaultMaxSamples) regardless of k — what keeps the
-// sketch's overhead far below the merge it rides along with.
-const DefaultMaxSamples = 1024
+// maxSamples caps how many support indices one Observe call inspects.
+// Sampling is strided over the (sorted) index slice, so the per-call cost
+// is O(maxSamples) regardless of k — what keeps the sketch's overhead far
+// below the merge it rides along with.
+const maxSamples = 1024
 
-// DefaultDecay is the EWMA weight of a new observation: estimates track a
+// decay is the EWMA weight of a new observation: estimates track a
 // drifting workload with a time constant of a few calls while averaging
 // out per-call sampling noise.
-const DefaultDecay = 0.25
+const decay = 0.25
 
 // ShapeSketch is a cheap, observe-only estimator of the input stream's
 // support shape, fed inline with each collective call (stream.Vector.
@@ -41,11 +41,8 @@ const DefaultDecay = 0.25
 // yields ≈0.6.
 //
 // A ShapeSketch belongs to one rank and is not safe for concurrent use.
-// The zero value is NOT ready; construct with NewShapeSketch.
+// The zero value is an empty sketch, ready to use.
 type ShapeSketch struct {
-	maxSamples int
-	decay      float64
-
 	calls int
 	k     float64 // EWMA of per-call non-zero count
 	dim   int     // dimension of the last observed vector
@@ -56,17 +53,8 @@ type ShapeSketch struct {
 	sorted [sketchBuckets]int32
 }
 
-// NewShapeSketch returns an empty sketch. maxSamples <= 0 takes
-// DefaultMaxSamples; decay outside (0, 1] takes DefaultDecay.
-func NewShapeSketch(maxSamples int, decay float64) *ShapeSketch {
-	if maxSamples <= 0 {
-		maxSamples = DefaultMaxSamples
-	}
-	if decay <= 0 || decay > 1 {
-		decay = DefaultDecay
-	}
-	return &ShapeSketch{maxSamples: maxSamples, decay: decay}
-}
+// NewShapeSketch returns an empty sketch.
+func NewShapeSketch() *ShapeSketch { return &ShapeSketch{} }
 
 // SketchStats is a point-in-time snapshot of the sketch's estimates.
 type SketchStats struct {
@@ -105,7 +93,7 @@ func (s *ShapeSketch) ObserveSparse(n int, idx []int32) {
 		s.update(0, 0, 0, 0)
 		return
 	}
-	stride := (k + s.maxSamples - 1) / s.maxSamples
+	stride := (k + maxSamples - 1) / maxSamples
 	sampled := (k + stride - 1) / stride
 	b := bucketsFor(sampled)
 	s.hist = [sketchBuckets]int32{}
@@ -126,7 +114,7 @@ func (s *ShapeSketch) ObserveDense(n int, dns []float64, neutral float64) {
 		return
 	}
 	s.dim = n
-	stride := (n + s.maxSamples - 1) / s.maxSamples
+	stride := (n + maxSamples - 1) / maxSamples
 	s.hist = [sketchBuckets]int32{}
 	sampled, nonNeutral := 0, 0
 	for i := 0; i < n; i += stride {
@@ -190,10 +178,10 @@ func (s *ShapeSketch) update(k, hotFrac, hotMass, div float64) {
 	if s.calls == 0 {
 		s.k, s.hotFrac, s.hotMass, s.div = k, hotFrac, hotMass, div
 	} else {
-		s.k += s.decay * (k - s.k)
-		s.hotFrac += s.decay * (hotFrac - s.hotFrac)
-		s.hotMass += s.decay * (hotMass - s.hotMass)
-		s.div += s.decay * (div - s.div)
+		s.k += decay * (k - s.k)
+		s.hotFrac += decay * (hotFrac - s.hotFrac)
+		s.hotMass += decay * (hotMass - s.hotMass)
+		s.div += decay * (div - s.div)
 	}
 	s.calls++
 }

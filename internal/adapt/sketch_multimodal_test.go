@@ -61,7 +61,7 @@ func TestSketchMultiModal(t *testing.T) {
 				Blocks:  c.blocks,
 				HotMass: scenario.Const(c.hotMass),
 			}
-			s := NewShapeSketch(0, 0)
+			s := NewShapeSketch()
 			g := sc.Generator(scenario.NewKey(3))
 			for vs := g.Next(); vs != nil; vs = g.Next() {
 				s.Observe(vs[0])
@@ -93,7 +93,7 @@ func TestSketchMultiModalVsSingleBlock(t *testing.T) {
 			Blocks:  blocks,
 			HotMass: scenario.Const(0.8),
 		}
-		s := NewShapeSketch(0, 0)
+		s := NewShapeSketch()
 		g := sc.Generator(scenario.NewKey(5))
 		for vs := g.Next(); vs != nil; vs = g.Next() {
 			s.Observe(vs[0])

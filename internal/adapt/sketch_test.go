@@ -48,13 +48,13 @@ func genSupport(rng *rand.Rand, n, k int, pattern string) *stream.Vector {
 // the divergence estimate stays well under the decision threshold.
 func TestSketchUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	s := NewShapeSketch(0, 0)
+	s := NewShapeSketch()
 	for i := 0; i < 12; i++ {
 		s.Observe(genSupport(rng, 1<<18, 4000, "uniform"))
 	}
 	st := s.Stats()
-	if st.Divergence >= DefaultClusterThreshold {
-		t.Fatalf("uniform divergence %.3f should stay below threshold %.2f", st.Divergence, DefaultClusterThreshold)
+	if st.Divergence >= clusterThreshold {
+		t.Fatalf("uniform divergence %.3f should stay below threshold %.2f", st.Divergence, clusterThreshold)
 	}
 	if math.Abs(st.K-4000) > 1 {
 		t.Fatalf("k EWMA %.1f, want 4000", st.K)
@@ -69,13 +69,13 @@ func TestSketchUniform(t *testing.T) {
 // its ~15% validity band.
 func TestSketchClustered(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	s := NewShapeSketch(0, 0)
+	s := NewShapeSketch()
 	for i := 0; i < 12; i++ {
 		s.Observe(genSupport(rng, 1<<18, 4000, "clustered"))
 	}
 	st := s.Stats()
-	if st.Divergence < DefaultClusterThreshold {
-		t.Fatalf("clustered divergence %.3f should exceed threshold %.2f", st.Divergence, DefaultClusterThreshold)
+	if st.Divergence < clusterThreshold {
+		t.Fatalf("clustered divergence %.3f should exceed threshold %.2f", st.Divergence, clusterThreshold)
 	}
 	if math.Abs(st.HotFraction-0.1) > 0.05 {
 		t.Fatalf("hot fraction %.3f, want 0.1 ± 0.05", st.HotFraction)
@@ -106,13 +106,13 @@ func TestSketchClustered(t *testing.T) {
 // the bulk of the mass.
 func TestSketchHeavyTailed(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := NewShapeSketch(0, 0)
+	s := NewShapeSketch()
 	for i := 0; i < 12; i++ {
 		s.Observe(genSupport(rng, 1<<18, 4000, "heavytail"))
 	}
 	st := s.Stats()
-	if st.Divergence < DefaultClusterThreshold {
-		t.Fatalf("heavy-tail divergence %.3f should exceed threshold %.2f", st.Divergence, DefaultClusterThreshold)
+	if st.Divergence < clusterThreshold {
+		t.Fatalf("heavy-tail divergence %.3f should exceed threshold %.2f", st.Divergence, clusterThreshold)
 	}
 	if st.HotFraction > 0.25 {
 		t.Fatalf("heavy-tail hot fraction %.3f should be small", st.HotFraction)
@@ -133,7 +133,7 @@ func TestSketchOnDataGenerator(t *testing.T) {
 		HotFraction: 0.1, ClusterBias: 0.7, Seed: 7,
 	}
 	ds := data.SyntheticSparse(cfg)
-	s := NewShapeSketch(0, 0)
+	s := NewShapeSketch()
 	row := 0
 	for call := 0; call < 10; call++ {
 		// One "gradient" per call: the union of a minibatch of rows.
@@ -154,8 +154,8 @@ func TestSketchOnDataGenerator(t *testing.T) {
 		s.Observe(stream.NewSparse(cfg.Dim, idx, val, stream.OpSum))
 	}
 	st := s.Stats()
-	if st.Divergence < DefaultClusterThreshold {
-		t.Fatalf("data-generator divergence %.3f should exceed threshold %.2f", st.Divergence, DefaultClusterThreshold)
+	if st.Divergence < clusterThreshold {
+		t.Fatalf("data-generator divergence %.3f should exceed threshold %.2f", st.Divergence, clusterThreshold)
 	}
 	if math.Abs(st.HotFraction-cfg.HotFraction) > 0.06 {
 		t.Fatalf("hot fraction %.3f, want %.2f ± 0.06", st.HotFraction, cfg.HotFraction)
@@ -178,7 +178,7 @@ func TestSketchDense(t *testing.T) {
 		}
 	}
 	v := stream.NewDense(dns, stream.OpSum)
-	s := NewShapeSketch(0, 0)
+	s := NewShapeSketch()
 	for i := 0; i < 4; i++ {
 		s.Observe(v)
 	}
@@ -186,7 +186,7 @@ func TestSketchDense(t *testing.T) {
 	if rel := math.Abs(st.K-float64(nnz)) / float64(nnz); rel > 0.10 {
 		t.Fatalf("dense k estimate %.0f vs true %d (rel %.0f%%)", st.K, nnz, rel*100)
 	}
-	if st.Divergence >= DefaultClusterThreshold {
+	if st.Divergence >= clusterThreshold {
 		t.Fatalf("near-full dense support should not read clustered (div %.3f)", st.Divergence)
 	}
 }
@@ -196,17 +196,17 @@ func TestSketchDense(t *testing.T) {
 // change — the EWMA's time constant.
 func TestSketchTracksDrift(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	s := NewShapeSketch(0, 0)
+	s := NewShapeSketch()
 	for i := 0; i < 15; i++ {
 		s.Observe(genSupport(rng, 1<<18, 4000, "uniform"))
 	}
-	if s.Stats().Divergence >= DefaultClusterThreshold {
+	if s.Stats().Divergence >= clusterThreshold {
 		t.Fatal("still uniform, should be below threshold")
 	}
 	crossed := -1
 	for i := 0; i < 15; i++ {
 		s.Observe(genSupport(rng, 1<<18, 4000, "clustered"))
-		if s.Stats().Divergence >= DefaultClusterThreshold {
+		if s.Stats().Divergence >= clusterThreshold {
 			crossed = i + 1
 			break
 		}
@@ -220,7 +220,7 @@ func TestSketchTracksDrift(t *testing.T) {
 // TestSketchEmptyAndTiny: degenerate supports must not panic and must not
 // trigger the clustered classification.
 func TestSketchEmptyAndTiny(t *testing.T) {
-	s := NewShapeSketch(0, 0)
+	s := NewShapeSketch()
 	s.Observe(stream.Zero(128, stream.OpSum))
 	v := stream.NewSparse(128, []int32{5}, []float64{1}, stream.OpSum)
 	s.Observe(v)
@@ -235,7 +235,7 @@ func TestSketchEmptyAndTiny(t *testing.T) {
 // nothing — the histogram sort included.
 func TestSketchObserveAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewShapeSketch(0, 0)
+	s := NewShapeSketch()
 	dense := make([]float64, 1<<12)
 	for i := range dense[:1<<10] {
 		dense[i] = rng.NormFloat64()
@@ -287,7 +287,7 @@ func FuzzSketchObserveOnly(f *testing.F) {
 		a, b, c := mk(), mk(), mk()
 		ref := stream.MergeK([]*stream.Vector{a, b, c}, nil).ToDense()
 
-		s := NewShapeSketch(0, 0)
+		s := NewShapeSketch()
 		before := a.ToDense()
 		s.Observe(a)
 		s.Observe(b)

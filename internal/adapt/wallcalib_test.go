@@ -172,7 +172,7 @@ func TestCalibrationUnderForkedSends(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			a.Calibrator().Fit(0)
 		}
-		a.Plan(p, []*stream.Vector{v}, core.Options{})
+		a.Plan(p, v, core.Options{})
 		for _, r := range reqs {
 			r.Wait(p)
 		}

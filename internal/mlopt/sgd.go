@@ -45,9 +45,6 @@ type SGDConfig struct {
 	// MPI-OPT's asynchronous aggregation mode (§7: "sparse, dense,
 	// synchronous, and asynchronous aggregation").
 	Async bool
-	// Schedule, when non-nil, multiplies LR by Schedule(epoch) — MPI-OPT's
-	// "parametrized learning rate adaptation strategies" (§7).
-	Schedule func(epoch int) float64
 	// Seed drives batch sampling.
 	Seed int64
 }
@@ -100,10 +97,6 @@ func TrainSGD(p *comm.Proc, shard *data.SparseDataset, cfg SGDConfig) []EpochSta
 	var pending *core.Request
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		lr := cfg.LR
-		if cfg.Schedule != nil {
-			lr = cfg.LR * cfg.Schedule(epoch)
-		}
 		epochStart := p.Now()
 		commTime := 0.0
 		for step := 0; step < stepsPerEpoch; step++ {
@@ -127,7 +120,7 @@ func TrainSGD(p *comm.Proc, shard *data.SparseDataset, cfg SGDConfig) []EpochSta
 			commTime += p.Now() - commStart
 
 			if sum != nil {
-				applyUpdate(w, sum, lr/P)
+				applyUpdate(w, sum, cfg.LR/P)
 				p.Compute(cfg.Device.ComputeTime(float64(sum.NNZ()) * 2))
 			}
 		}
@@ -138,7 +131,7 @@ func TrainSGD(p *comm.Proc, shard *data.SparseDataset, cfg SGDConfig) []EpochSta
 			sum := pending.Wait(p)
 			pending = nil
 			commTime += p.Now() - commStart
-			applyUpdate(w, sum, lr/P)
+			applyUpdate(w, sum, cfg.LR/P)
 		}
 		loss, acc := globalEval(p, w, shard, cfg.Loss)
 		stats = append(stats, EpochStats{

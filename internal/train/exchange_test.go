@@ -1,6 +1,7 @@
 package train
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"runtime"
@@ -11,17 +12,76 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/pin"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
 	"repro/internal/topk"
 )
+
+// TestExchangeDigests pins whole training histories — every rank's Loss,
+// Top1, Top5, Time, CommTime and BytesSent at every epoch — of TopK-SGD
+// through each exchange granularity: fused (one TopK selection over the
+// whole vector), per-layer (one collective per layer) and bucketed (layers
+// fused into buckets of at least 200 coordinates), each under a pinned
+// recursive-doubling SSAR on a flat world, static Auto with the chunk
+// search on a two-level world, and 4-bit quantized DSAR, at P = 8 on the
+// simulator. The entries train/exchange/* were recorded when each
+// granularity had its own code path in Run, so they hold the one bucketed
+// path to the same bits.
+func TestExchangeDigests(t *testing.T) {
+	const P = 8
+	pin.Prefix(t, "train/exchange")
+	grains := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"fused", func(*Config) {}},
+		{"per-layer", func(c *Config) { c.BucketCoords = 1 }},
+		{"bucketed200", func(c *Config) { c.BucketCoords = 200 }},
+	}
+	setups := []struct {
+		name  string
+		world func() *comm.World
+		set   func(*Config)
+	}{
+		{"ssar-flat", func() *comm.World { return comm.NewWorld(P, testNet) },
+			func(c *Config) { c.Algorithm = core.SSARRecDouble }},
+		{"auto-chunks-two2", func() *comm.World {
+			return comm.NewWorldHier(P, simnet.TwoLevel(2, simnet.NVLinkLike, simnet.Aries, 1))
+		}, func(c *Config) { c.Algorithm, c.Chunks = core.Auto, core.AutoChunks }},
+		{"dsar-q4", func() *comm.World { return comm.NewWorld(P, testNet) },
+			func(c *Config) { c.Algorithm, c.QuantBits = core.DSARSplitAllgather, 4 }},
+	}
+	for _, g := range grains {
+		for _, su := range setups {
+			name := "train/exchange/" + g.name + "/" + su.name
+			t.Run(g.name+"/"+su.name, func(t *testing.T) {
+				cfg := Config{Method: MethodTopK, LR: 0.0125, BatchPerNode: 16, Epochs: 2, StepsPerEpoch: 3,
+					Bucket: 256, K: 8, EvalSamples: 32, Seed: 37}
+				g.set(&cfg)
+				su.set(&cfg)
+				hist := comm.Run(su.world(), func(p *comm.Proc) []Point {
+					return Run(p, denseBlobTask(p.Rank(), P), cfg)
+				})
+				h := pin.New()
+				for _, rank := range hist {
+					for _, pt := range rank {
+						binary.Write(h, binary.LittleEndian, []float64{pt.Loss, pt.Top1, pt.Top5, pt.Time, pt.CommTime})
+						binary.Write(h, binary.LittleEndian, pt.BytesSent)
+					}
+				}
+				pin.Check(t, name, h)
+			})
+		}
+	}
+}
 
 // bucketedRank is one rank's state of a bucketed TopK-SGD run driven step
 // by step, the way Run drives it.
 type bucketedRank struct {
 	task     *MLPTask
 	residual *topk.Residual
-	x        *layerExchange
+	x        *topkExchange
 	rng      *rand.Rand
 	batch    []int
 	cfg      Config
@@ -40,7 +100,7 @@ func bucketedRanks(P int, adaptive bool) []*bucketedRank {
 		}
 		task := denseBlobTask(r, P)
 		ranks[r] = &bucketedRank{task: task, residual: topk.NewResidual(len(task.Params())),
-			x:   newLayerExchange(task, cfg),
+			x:   newTopKExchange(task, cfg),
 			rng: scenario.NewPartitionedRNG(scenario.NewKey(cfg.Seed)).Stream(scenario.SubsystemBatch, r),
 			cfg: cfg}
 	}
@@ -212,17 +272,18 @@ func TestPooledBucketsInFlightDuringExtraction(t *testing.T) {
 	}
 }
 
-// TestBucketedRunLeavesNoGoroutines: a bucketed run keeps a worker
-// goroutine per bucket on every rank while it steps, and Run stops them
-// when it returns. Around a short bucketed train.Run on a goroutine world
-// and on a loopback TCP world, from before the world is built to after it
-// is closed, the goroutine count is back to what it was within two seconds
-// (the wall-clock benchmark's own rule), and the TCP run's loss matches
+// TestBucketedRunLeavesNoGoroutines: a TopK-SGD run keeps a worker
+// goroutine per bucket on every rank while it steps — fused exchange too,
+// as one bucket — and Run stops them when it returns. Around a short
+// fused and a short layer-wise train.Run on a goroutine world and on a
+// loopback TCP world, from before the world is built to after it is
+// closed, the goroutine count is back to what it was within two seconds
+// (the wall-clock benchmark's own rule), and each TCP run's loss matches
 // the goroutine run's.
 func TestBucketedRunLeavesNoGoroutines(t *testing.T) {
 	const P = 4
 	cfg := Config{Method: MethodTopK, LR: 0.0125, BatchPerNode: 8, Epochs: 1, StepsPerEpoch: 4,
-		Bucket: 256, K: 8, Algorithm: core.Auto, BucketCoords: 1, Seed: 26, EvalSamples: 8}
+		Bucket: 256, K: 8, Algorithm: core.Auto, Seed: 26, EvalSamples: 8}
 	worlds := []struct {
 		name string
 		open func() (*comm.World, error)
@@ -230,32 +291,35 @@ func TestBucketedRunLeavesNoGoroutines(t *testing.T) {
 		{"goroutine", func() (*comm.World, error) { return comm.NewWorld(P, simnet.Aries).UseGoroutineTransport(), nil }},
 		{"tcp", func() (*comm.World, error) { return comm.NewWorldTCP(P, simnet.Aries, comm.TCPConfig{}) }},
 	}
-	var loss []float64
-	for _, wc := range worlds {
-		before := runtime.NumGoroutine()
-		w, err := wc.open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := comm.Run(w, func(p *comm.Proc) float64 {
-			c := cfg
-			c.Adapt = adapt.NewController(adapt.Config{})
-			return Run(p, denseBlobTask(p.Rank(), P), c)[0].Loss
-		})
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			t.Errorf("%s: %d goroutines before the world, %d two seconds after Close", wc.name, before, n)
-		}
-		if loss == nil {
-			loss = got
-		} else if math.Float64bits(got[0]) != math.Float64bits(loss[0]) {
-			t.Errorf("%s: loss %v, goroutine world %v", wc.name, got[0], loss[0])
+	for _, coords := range []int{0, 1} {
+		var loss []float64
+		for _, wc := range worlds {
+			before := runtime.NumGoroutine()
+			w, err := wc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := comm.Run(w, func(p *comm.Proc) float64 {
+				c := cfg
+				c.BucketCoords = coords
+				c.Adapt = adapt.NewController(adapt.Config{})
+				return Run(p, denseBlobTask(p.Rank(), P), c)[0].Loss
+			})
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%s, BucketCoords %d: %d goroutines before the world, %d two seconds after Close", wc.name, coords, before, n)
+			}
+			if loss == nil {
+				loss = got
+			} else if math.Float64bits(got[0]) != math.Float64bits(loss[0]) {
+				t.Errorf("%s, BucketCoords %d: loss %v, goroutine world %v", wc.name, coords, got[0], loss[0])
+			}
 		}
 	}
 }

@@ -65,7 +65,7 @@ func (t *MLPTask) Eval(idx []int) (float64, int, int) {
 func (t *MLPTask) FlopsPerSample() float64 { return t.Net.FlopsPerSample() }
 
 // LayerSpans exposes the network's per-layer parameter ranges for
-// layer-wise exchange.
+// layer-wise and bucketed exchange (Config.BucketCoords).
 func (t *MLPTask) LayerSpans() [][2]int { return t.Net.LayerSpans() }
 
 // LSTMTask adapts an LSTM classifier over a sequence dataset shard to the

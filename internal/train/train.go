@@ -118,39 +118,37 @@ type Config struct {
 	// instead of accumulating it — an ablation of Algorithm 1's error
 	// feedback. Convergence degrades without it.
 	DisableErrorFeedback bool
-	// LayerWise issues one nonblocking sparse allreduce per model layer
-	// instead of one fused exchange ("communication is done layer-wise
-	// using non-blocking calls", §8.3). Requires the task's model to
-	// implement LayerSpans; ignored otherwise.
-	LayerWise bool
-	// BucketCoords enables bucketed-overlap exchange: per-layer gradients
-	// are coalesced into buckets of at least this many span coordinates
-	// (core.NewBucketScheduler), issued as nonblocking collectives in
-	// backprop order, and drained before the update — DDP-style bucket
-	// fusion between the two extremes of one fused exchange and one
-	// collective per layer. Implies layer-wise extraction, so like
-	// LayerWise it requires the task to implement LayerSpans (ignored
-	// otherwise); when both are set, bucketing wins. 0 disables; use
-	// core.BucketCoords for the cost-model-derived size.
+	// BucketCoords sets MethodTopK's exchange granularity. Every exchange
+	// runs through one bucket scheduler (core.NewBucketScheduler): TopK is
+	// selected per span, spans are coalesced into buckets of at least this
+	// many coordinates, and the buckets are issued as nonblocking
+	// collectives in backprop order and drained before the update —
+	// DDP-style bucket fusion. 0 is fused exchange: one span over the
+	// whole vector, so one TopK selection and one collective. 1 is
+	// layer-wise exchange, one collective per layer ("communication is
+	// done layer-wise using non-blocking calls", §8.3); core.BucketCoords
+	// gives the cost-model-derived size in between. A positive value
+	// needs the task to implement LayerSpans; a task that does not (such
+	// as LSTMTask) exchanges fused.
 	BucketCoords int
 	// Chunks is forwarded to core.Options.Chunks for MethodTopK's
 	// collectives: ≥ 2 pipelines each collective's split phase at that
 	// degree, core.AutoChunks lets the cost model pick, and 0 keeps the
-	// unchunked schedule.
+	// unchunked schedule. Under Adapt with Algorithm Auto, the planner
+	// picks the chunk count per bucket instead.
 	Chunks int
 	// Adapt, when non-nil, routes MethodTopK's gradient allreduces
 	// through the runtime adaptation controller instead of static Auto:
 	// each call is sketched, and algorithm/depth are chosen from the
 	// measured support shape and calibrated link constants with
-	// hysteresis. One controller per rank, all built with the same
-	// adapt.Config (the facade's World.EnableAdaptation does this). TopK
-	// SGD is the canonical adaptive workload: the residual's density and
-	// clustering drift as training progresses, so a static support
-	// assumption is wrong for part of every run. The fused path decides
-	// per call (adapt.Controller.Allreduce); the layer-wise path decides
-	// once per step (adapt.Controller.Plan fuses every layer's sketch on
-	// the parent proc and pins one concrete choice for the step's
-	// nonblocking calls). Ignored by the dense and BMUF methods.
+	// hysteresis. One controller per rank (the facade's
+	// World.EnableAdaptation builds them). TopK SGD is the canonical
+	// adaptive workload: the residual's density and clustering drift as
+	// training progresses, so a static support assumption is wrong for
+	// part of every run. The parent proc decides
+	// once per bucket per step (adapt.Controller.PlanBuckets) and pins a
+	// concrete choice for each bucket's nonblocking call. Ignored by the
+	// dense and BMUF methods.
 	Adapt *adapt.Controller
 	// LRSchedule, when non-nil, multiplies LR by LRSchedule(epoch) — the
 	// paper's Table 3 schedules ("we start with a learning rate of 1,
@@ -204,8 +202,11 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 	P := p.Size()
 
 	var residual *topk.Residual
+	var exchange *topkExchange
 	if cfg.Method == MethodTopK {
 		residual = topk.NewResidual(len(params))
+		exchange = newTopKExchange(task, cfg)
+		defer exchange.close()
 	}
 	var velocity []float64
 	if cfg.Momentum > 0 {
@@ -221,13 +222,6 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 	steps := cfg.StepsPerEpoch
 	if steps <= 0 {
 		steps = agreedSteps(p, task.NumSamples(), cfg.BatchPerNode)
-	}
-	var layers *layerExchange
-	if cfg.Method == MethodTopK {
-		layers = newLayerExchange(task, cfg)
-	}
-	if layers != nil {
-		defer layers.close()
 	}
 	var history []Point
 	commTime := 0.0
@@ -266,24 +260,10 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 				// TopK selection cost: one pass over the parameters.
 				p.Compute(cfg.Device.ComputeTime(float64(len(params)) * 2))
 
-				if layers != nil {
-					t0 := p.Now()
-					bytesSent += layers.extract(residual, cfg)
-					layers.apply(p, layers.issue(p, opts, cfg.Adapt), params)
-					commTime += p.Now() - t0
-				} else {
-					contrib := residual.Extract(cfg.Bucket, cfg.K)
-					t0 := p.Now()
-					var sum *stream.Vector
-					if cfg.Adapt != nil {
-						sum = cfg.Adapt.Allreduce(p, contrib, opts)
-					} else {
-						sum = core.Allreduce(p, contrib, opts)
-					}
-					commTime += p.Now() - t0
-					bytesSent += int64(contrib.WireBytes())
-					applyUpdateVec(params, sum)
-				}
+				t0 := p.Now()
+				bytesSent += exchange.extract(residual, cfg)
+				exchange.apply(p, exchange.issue(p, opts, cfg.Adapt), params)
+				commTime += p.Now() - t0
 				if cfg.DisableErrorFeedback {
 					residual.Reset()
 				}
@@ -392,7 +372,7 @@ func globalEval(p *comm.Proc, task Task, cfg Config) (loss, top1, top5 float64) 
 }
 
 // Spanner is implemented by tasks whose model exposes per-layer parameter
-// spans for layer-wise exchange.
+// spans for layer-wise and bucketed exchange (Config.BucketCoords).
 type Spanner interface {
 	LayerSpans() [][2]int
 }

@@ -1,7 +1,9 @@
 package train
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/adapt"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/topk"
 )
@@ -207,7 +210,7 @@ func TestLayerWiseMatchesFusedConvergence(t *testing.T) {
 	}
 	fused := runTraining(t, P, base, func(rank int) Task { return denseBlobTask(rank, P) })
 	layered := base
-	layered.LayerWise = true
+	layered.BucketCoords = 1
 	layerwise := runTraining(t, P, layered, func(rank int) Task { return denseBlobTask(rank, P) })
 
 	f := fused[0][len(fused[0])-1]
@@ -233,11 +236,11 @@ func TestLayerWiseOverlapReducesCommTime(t *testing.T) {
 	cfg := Config{
 		Method: MethodTopK, LR: 0.0125, BatchPerNode: 16, Epochs: 1,
 		StepsPerEpoch: 4, Bucket: 128, K: 4,
-		Algorithm: core.SSARRecDouble, Seed: 13, LayerWise: true,
+		Algorithm: core.SSARRecDouble, Seed: 13, BucketCoords: 1,
 	}
 	hist := runTraining(t, P, cfg, func(rank int) Task { return denseBlobTask(rank, P) })
 	fusedCfg := cfg
-	fusedCfg.LayerWise = false
+	fusedCfg.BucketCoords = 0
 	fused := runTraining(t, P, fusedCfg, func(rank int) Task { return denseBlobTask(rank, P) })
 	// Layer-wise issues more messages but overlaps them; comm time must
 	// stay within 2x of fused (back-to-back would be ~#layers x).
@@ -304,15 +307,43 @@ func TestScheduledTrainingConverges(t *testing.T) {
 	}
 }
 
+// checkAdaptiveDecisions reads every rank's "adapt:decision" instants off
+// the hub, in program order, each as its attrs, and checks that the
+// controller decided: some decision was made, none left Auto unresolved,
+// and every rank decided exactly what rank 0 did.
+func checkAdaptiveDecisions(t *testing.T, hub *obs.Obs, P int) {
+	t.Helper()
+	byRank := make([][]string, P)
+	for _, s := range hub.Spans() {
+		if s.Name != "adapt:decision" {
+			continue
+		}
+		if s.Attr("alg") == core.Auto.String() {
+			t.Fatalf("rank %d: decision left Auto unresolved: %v", s.Rank, s.Attrs)
+		}
+		byRank[s.Rank] = append(byRank[s.Rank], fmt.Sprint(s.Attrs))
+	}
+	if len(byRank[0]) == 0 {
+		t.Fatal("the controller made no decision")
+	}
+	for r := 1; r < P; r++ {
+		if !slices.Equal(byRank[r], byRank[0]) {
+			t.Fatalf("rank %d decided %d times, differently from rank 0's %d decisions", r, len(byRank[r]), len(byRank[0]))
+		}
+	}
+}
+
 // TestTopKAdaptiveTraining drives the runtime adaptation layer from the
 // TopK SGD loop — the canonical adaptive workload: residual density and
 // clustering drift as training progresses. The adaptive run must converge
 // like the static one, keep replicas consistent, and actually exercise
-// the decision layer (a concrete algorithm held, calibration samples
-// consumed).
+// the decision layer: every rank's decisions, read off the obs timeline,
+// are concrete and equal to rank 0's, and calibration samples are
+// consumed.
 func TestTopKAdaptiveTraining(t *testing.T) {
 	P := 4
 	w := comm.NewWorldHier(P, simnet.TwoLevel(2, simnet.NVLinkLike, simnet.Aries, 1))
+	hub := w.EnableObservability()
 	ctrls := make([]*adapt.Controller, P)
 	for r := range ctrls {
 		ctrls[r] = adapt.NewController(adapt.Config{})
@@ -338,30 +369,21 @@ func TestTopKAdaptiveTraining(t *testing.T) {
 			}
 		}
 	}
-	alg, _ := ctrls[0].Choice()
-	if alg == core.Auto {
-		t.Fatal("controller never resolved a concrete algorithm")
-	}
+	checkAdaptiveDecisions(t, hub, P)
 	if ctrls[0].Calibrator().Samples(0) == 0 {
 		t.Fatal("no calibration samples consumed during training")
 	}
-	for r := 1; r < P; r++ {
-		algR, lvR := ctrls[r].Choice()
-		alg0, lv0 := ctrls[0].Choice()
-		if algR != alg0 || lvR != lv0 {
-			t.Fatalf("rank %d controller holds %s@%d, rank 0 %s@%d — must agree", r, algR, lvR, alg0, lv0)
-		}
-	}
 }
 
-// TestLayerWiseAdaptiveTraining: the layer-wise path must route through
-// the adaptation controller too (Controller.Plan — one fused decision per
-// step on the parent proc), not silently fall back to static Auto. The
-// run must converge, keep replicas consistent, and leave every rank's
-// controller holding the same concrete choice.
+// TestLayerWiseAdaptiveTraining: layer-wise exchange (one layer per
+// bucket) must route through the adaptation controller too — one decision
+// per bucket per step on the parent proc — not silently fall back to
+// static Auto. The run must converge, keep replicas consistent, and every
+// rank must decide the same concrete choices.
 func TestLayerWiseAdaptiveTraining(t *testing.T) {
 	P := 4
 	w := comm.NewWorldHier(P, simnet.TwoLevel(2, simnet.NVLinkLike, simnet.Aries, 1))
+	hub := w.EnableObservability()
 	ctrls := make([]*adapt.Controller, P)
 	for r := range ctrls {
 		ctrls[r] = adapt.NewController(adapt.Config{})
@@ -372,7 +394,7 @@ func TestLayerWiseAdaptiveTraining(t *testing.T) {
 			Method: MethodTopK, LR: 0.0125,
 			BatchPerNode: 32, Epochs: 6,
 			Bucket: 256, K: 8, Algorithm: core.Auto, Seed: 11,
-			LayerWise: true, Adapt: ctrls[p.Rank()],
+			BucketCoords: 1, Adapt: ctrls[p.Rank()],
 		}
 		return Run(p, denseBlobTask(p.Rank(), P), cfg)
 	})
@@ -387,22 +409,13 @@ func TestLayerWiseAdaptiveTraining(t *testing.T) {
 			}
 		}
 	}
-	alg0, lv0 := ctrls[0].Choice()
-	if alg0 == core.Auto {
-		t.Fatal("layer-wise path bypassed the controller: Auto never resolved")
-	}
-	for r := 1; r < P; r++ {
-		algR, lvR := ctrls[r].Choice()
-		if algR != alg0 || lvR != lv0 {
-			t.Fatalf("rank %d holds %s@%d, rank 0 %s@%d", r, algR, lvR, alg0, lv0)
-		}
-	}
+	checkAdaptiveDecisions(t, hub, P)
 }
 
 func TestBucketedTrainingConvergesAndStaysConsistent(t *testing.T) {
-	// Bucketed-overlap exchange (Config.BucketCoords) selects TopK per
-	// layer like LayerWise but fuses consecutive layers into scheduler
-	// buckets; it must converge like the per-layer loop and keep replicas
+	// Bucketed-overlap exchange (Config.BucketCoords 200) selects TopK
+	// per layer like layer-wise exchange but fuses consecutive layers into
+	// one bucket; it must converge like the per-layer loop and keep replicas
 	// bit-consistent, with and without the adaptive per-bucket planner.
 	P := 4
 	base := Config{

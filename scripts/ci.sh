@@ -86,7 +86,7 @@ go run ./bench -quick > /dev/null
 
 echo "== pin ledger (every test that checks testdata/pins.json, uncached; a drifted entry prints as 'name: old → new')"
 # -short skips only the registry sweeps no pin covers (experiments' pinned()).
-go test -count=1 -short -run '^(TestPredictDigests|TestSparseAllgatherPinned|TestQuantizedResultDigests|TestCrossTransportEquivalence|TestCrossTransportRaggedLevels|TestExtractDigests|TestAddAllDigests|TestGoldenDigests|TestEncodeMarshalDigests|TestResidualMLPDigest|TestAdaptDecisionDigests|TestRegistryEntriesRunAndRender|TestLedgerIsCanonical)$' ./internal/...
+go test -count=1 -short -run '^(TestPredictDigests|TestSparseAllgatherPinned|TestQuantizedResultDigests|TestCrossTransportEquivalence|TestCrossTransportRaggedLevels|TestExtractDigests|TestAddAllDigests|TestGoldenDigests|TestEncodeMarshalDigests|TestResidualMLPDigest|TestExchangeDigests|TestAdaptDecisionDigests|TestRegistryEntriesRunAndRender|TestLedgerIsCanonical)$' ./internal/...
 
 echo "== allocation budgets (uncached; a regression prints as its own '--- FAIL' line, each budget's counts beneath it)"
 go test -count=1 -v -run '^(TestSplitAllgatherAllocationBudget|TestReleasedResultsAreReused|TestGoroutinePoolsReachSteadyState|TestTCPFramesAreReused|TestTCPSteadyStateAllocations|TestRecDoubleAgreementAllocations|TestBucketedStepSteadyState|TestChooseAutoLevelsDoesNotAllocate)$' \

@@ -121,11 +121,6 @@ const (
 // Comm.AllreduceAdaptive. See internal/adapt.Controller.
 type Adaptive = adapt.Controller
 
-// AdaptConfig tunes the adaptation layer (EWMA decay, clustering
-// threshold, hysteresis margin/hold, calibration minimums); the zero
-// value selects sensible defaults. See internal/adapt.Config.
-type AdaptConfig = adapt.Config
-
 // QuantConfig configures QSGD stochastic quantization; see quant.Config.
 type QuantConfig = quant.Config
 
@@ -332,27 +327,26 @@ func (w *World) Scratch(rank int) *Scratch {
 }
 
 // EnableAdaptation switches the world to runtime-adaptive Auto selection:
-// one Adaptive controller per rank is built from cfg — all identical,
-// which is what keeps the per-rank decision state machines in lockstep —
-// and the world's send hook folds every send into its rank's link
-// calibrator (a few running sums per hierarchy level, so long-running
-// workloads stay at constant memory). Call it once, from the driving
-// goroutine, before Run; it is idempotent (later calls keep the first
-// configuration).
+// one Adaptive controller per rank is built — all identical, which is
+// what keeps the per-rank decision state machines in lockstep — and the
+// world's send hook folds every send into its rank's link calibrator (a
+// few running sums per hierarchy level, so long-running workloads stay at
+// constant memory). Call it once, from the driving goroutine, before Run;
+// it is idempotent (later calls keep the first controllers).
 // Then route collectives through the controllers:
 //
-//	world.EnableAdaptation(sparcml.AdaptConfig{})
+//	world.EnableAdaptation()
 //	results := sparcml.Run(world, func(c *sparcml.Comm) []float64 {
 //	    a := world.Adapt(c.Rank())
 //	    return c.AllreduceAdaptive(v, a, sparcml.Options{}).ToDense()
 //	})
-func (w *World) EnableAdaptation(cfg AdaptConfig) {
+func (w *World) EnableAdaptation() {
 	if w.adapts != nil {
 		return
 	}
 	w.adapts = make([]*Adaptive, w.Size())
 	for r := range w.adapts {
-		w.adapts[r] = adapt.NewController(cfg)
+		w.adapts[r] = adapt.NewController(adapt.Config{})
 	}
 	adapt.Calibrate(w.inner, w.adapts)
 }
