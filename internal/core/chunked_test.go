@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 	"repro/internal/quant"
 	"repro/internal/simnet"
 	"repro/internal/stream"
@@ -180,5 +181,49 @@ func TestNonblockingOnRealTransports(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSplitPhaseSpans pins the split phase's span layout, which the wall
+// benchmark's phase shares read by name: one chunk records one
+// split:send and one split:merge per rank on the main lane, without
+// attributes; C chunks record C of each, every one carrying its chunk,
+// with the merges on the merge lane they overlap the sends from.
+func TestSplitPhaseSpans(t *testing.T) {
+	const P, n = 4, 512
+	inputs := patterns[0].gen(rand.New(rand.NewSource(38)), n, 40, P)
+	for _, C := range []int{1, 2} {
+		w := comm.NewWorld(P, testProfile)
+		hub := w.EnableObservability()
+		comm.Run(w, func(p *comm.Proc) *stream.Vector {
+			return Allreduce(p, inputs[p.Rank()], Options{Algorithm: SSARSplitAllgather, Chunks: C})
+		})
+		counts := map[string]int{}
+		for _, s := range hub.Spans() {
+			if s.Name != "split:send" && s.Name != "split:merge" {
+				continue
+			}
+			counts[fmt.Sprintf("%s/%d", s.Name, s.Rank)]++
+			wantLane := obs.LaneMain
+			if C > 1 && s.Name == "split:merge" {
+				wantLane = obs.LaneMerge
+			}
+			if s.Lane != wantLane {
+				t.Errorf("C=%d rank %d: %s on lane %q, want %q", C, s.Rank, s.Name, s.Lane, wantLane)
+			}
+			switch {
+			case C == 1 && len(s.Attrs) != 0:
+				t.Errorf("C=1 rank %d: %s carries attributes %v", s.Rank, s.Name, s.Attrs)
+			case C > 1 && s.Attr("chunk") == "":
+				t.Errorf("C=%d rank %d: %s carries no chunk attribute", C, s.Rank, s.Name)
+			}
+		}
+		for r := 0; r < P; r++ {
+			for _, name := range []string{"split:send", "split:merge"} {
+				if got := counts[fmt.Sprintf("%s/%d", name, r)]; got != C {
+					t.Errorf("C=%d rank %d: %d %s spans, want %d", C, r, got, name, C)
+				}
+			}
+		}
 	}
 }

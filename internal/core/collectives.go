@@ -50,7 +50,7 @@ func reduceTagged(p *comm.Proc, v *stream.Vector, root int, sc *stream.Scratch, 
 // never exceeds δ; a single-rank world returns the input's canonical
 // representation.)
 func ReduceScatterSparse(p *comm.Proc, v *stream.Vector) *stream.Vector {
-	return splitPhase(p, v, nil, p.NextTagBase())
+	return splitPhase(p, v, nil, p.NextTagBase(), 1)
 }
 
 // GatherSparse collects every rank's (disjoint) sparse vector at the root

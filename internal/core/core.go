@@ -112,16 +112,15 @@ type Options struct {
 	// Chunks selects the pipelining degree of the split-phase algorithms
 	// (SSARSplitAllgather and DSARSplitAllgather, at any depth): the
 	// dimension partitions are subdivided into C key-range chunks whose
-	// sends and merges overlap stage-pipeline style (see
-	// splitPhasePipelined). Values ≤ 1 (including the zero
-	// default) run the unchunked path, byte-identical on the wire to the
-	// pre-chunking implementation; C ≥ 2 pipelines (value-identical
-	// results, chunk-partitioned message schedule). AutoChunks asks the
-	// cost model to pick the chunk count (alongside algorithm and depth
-	// when Algorithm is Auto). The executed count is clamped by
-	// clampChunks — per-rank partitions must stay subdividable and the tag
-	// budget bounded — identically on every rank. Algorithms without a
-	// split phase ignore it.
+	// sends and merges overlap stage-pipeline style (see splitPhase).
+	// Values ≤ 1 (including the zero default) run the one-chunk schedule,
+	// its send and merge loops in line; C ≥ 2 pipelines them
+	// (value-identical results, chunk-partitioned message schedule).
+	// AutoChunks asks the cost model to pick the chunk count (alongside
+	// algorithm and depth when Algorithm is Auto). The executed count is
+	// clamped by clampChunks — per-rank partitions must stay subdividable
+	// and the tag budget bounded — identically on every rank. Algorithms
+	// without a split phase ignore it.
 	Chunks int
 	// Support selects the index-distribution assumption Auto's cost model
 	// uses for the fill-in expectation E[K] (see CostScenario.Support for
@@ -179,7 +178,7 @@ const maxChunks = 64
 
 // clampChunks bounds a requested chunk count for execution over [0, n)
 // split across P ranks: values ≤ 1 (and the AutoChunks sentinel, which
-// resolve translates before execution) mean unchunked, and a pipelined
+// resolve translates before execution) mean one chunk, and a pipelined
 // count is capped at maxChunks and at ⌊n/P⌋ so every rank's partition
 // subdivides into non-empty chunks. The result depends only on globally
 // agreed quantities, so every rank clamps identically.

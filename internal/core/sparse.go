@@ -108,105 +108,70 @@ func releaseAll(ins []*stream.Vector, sc *stream.Scratch) {
 // pass — the hot path of the whole allreduce, so slices are extracted into
 // scratch buffers, each is recycled once sent (Proc.Recycle), and the
 // incoming streams are released into sc after the merge.
-func splitPhase(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base int) *stream.Vector {
-	rank, P := p.Rank(), p.Size()
-	n := v.Dim()
-	p.SpanBegin("split:send")
-	for off := 1; off < P; off++ {
-		to := (rank + off) % P
-		lo, hi := partition(n, P, to)
-		piece := v.ExtractRangeInto(lo, hi, sc)
-		p.Send(to, base+rank, piece, piece.WireBytes())
-		p.Recycle(piece)
-	}
-	p.SpanEnd()
-	lo, hi := partition(n, P, rank)
-	acc := v.ExtractRangeInto(lo, hi, sc)
-	p.SpanBegin("split:merge")
-	ins := make([]*stream.Vector, P-1)
-	for off := 1; off < P; off++ {
-		from := (rank - off + P) % P
-		ins[off-1] = p.Recv(from, base+from).Payload.(*stream.Vector)
-	}
-	mergeKCharged(p, acc, ins, sc)
-	releaseAll(ins, sc)
-	p.SpanEnd()
-	return acc
-}
-
-// splitPhasePipelined is the chunked split phase: every rank's partition
-// is subdivided into C uniform key-range chunks, and chunk c's slices
-// travel under their own tag (base + c·P + src) so the merge of chunk c
-// can start while chunk c+1's sends are still being issued. On real
-// transports the overlap is physical — a forked merge goroutine drains and
-// merges chunk after chunk while the main goroutine keeps extracting and
-// sending — and on the simulator the send stage stays on the parent clock
+//
+// Every partition is subdivided into C ≥ 1 uniform key-range chunks
+// (clampChunks decides C), and chunk c of source src travels under tag
+// base + c·P + src, so the merge of chunk c can start while chunk c+1's
+// sends are still being issued. splitSend and splitMerge move one chunk.
+// One chunk runs them in line, on the main lane. More run them as a stage
+// pipeline: on real transports a forked merge goroutine drains and merges
+// chunk after chunk while the main goroutine keeps extracting and
+// sending; on the simulator the send stage stays on the parent clock
 // while the merge stage runs on a forked clock, so Join composes the two
 // stages by max, the virtual-time analogue of the same pipeline. The C
 // reduced chunk slices are disjoint ascending key ranges of this rank's
 // partition, so reassembly is a pure concatenation (uncharged: the merge
-// charge already covered every pair once). Callers must pass C ≥ 2
-// (clampChunks decides that); C = 1 is splitPhase itself.
-func splitPhasePipelined(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base, C int) *stream.Vector {
-	rank, P := p.Rank(), p.Size()
-	n := v.Dim()
-	myLo, myHi := partition(n, P, rank)
-	accs := make([]*stream.Vector, C)
+// charge already covered every pair once).
+func splitPhase(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base, C int) *stream.Vector {
+	P := p.Size()
 	ins := make([]*stream.Vector, C*(P-1)) // chunk c's arrivals at [c·(P−1), (c+1)·(P−1))
+	if C == 1 {
+		p.SpanBegin("split:send")
+		splitSend(p, v, sc, base, 1, 0)
+		p.SpanEnd()
+		p.SpanBegin("split:merge")
+		acc := splitMerge(p, v, sc, base, 1, 0, ins)
+		releaseAll(ins, sc)
+		p.SpanEnd()
+		return acc
+	}
 
-	// The merge stage: extract my partition's chunk, receive the P−1 peer
-	// slices for it, k-way merge — repeated per chunk, on proc f. With a
-	// pool, each chunk's arrivals go back into it once merged. Without one
-	// — f runs concurrently with the send stage, and a Scratch belongs to
-	// one goroutine — the extraction allocates and the arrivals wait in
-	// ins for the send stage's goroutine to release them.
+	accs := make([]*stream.Vector, C)
+	// The merge stage, on proc f. With a pool, each chunk's arrivals go
+	// back into it once merged. Without one — f runs concurrently with the
+	// send stage, and a Scratch belongs to one goroutine — the extraction
+	// allocates and the arrivals wait in ins for the send stage's
+	// goroutine to release them. Its spans overlap the send stage's, so
+	// they live on the dedicated merge lane.
 	mergeStage := func(f *comm.Proc, fsc *stream.Scratch) {
 		for c := 0; c < C; c++ {
-			mergeStart := f.Now()
-			clo, chi := stream.ChunkRange(myHi-myLo, C, c)
-			acc := v.ExtractRangeInto(myLo+clo, myLo+chi, fsc)
+			start := f.Now()
 			in := ins[c*(P-1) : (c+1)*(P-1)]
-			for off := 1; off < P; off++ {
-				from := (rank - off + P) % P
-				in[off-1] = f.Recv(from, base+c*P+from).Payload.(*stream.Vector)
-			}
-			mergeKCharged(f, acc, in, fsc)
+			accs[c] = splitMerge(f, v, fsc, base, C, c, in)
 			if fsc != nil {
 				releaseAll(in, fsc)
 			}
-			accs[c] = acc
-			// The merge stage overlaps the send stage (physically on wall
-			// transports), so its spans live on the dedicated merge lane.
 			if o := f.Obs(); o != nil {
-				o.EventLane(obs.LaneMerge, "split:merge", mergeStart, f.Now(),
+				o.EventLane(obs.LaneMerge, "split:merge", start, f.Now(),
 					obs.Attr{Key: "chunk", Value: strconv.Itoa(c)})
 			}
 		}
 	}
 	sendStage := func() {
 		for c := 0; c < C; c++ {
-			sendStart := p.Now()
-			for off := 1; off < P; off++ {
-				to := (rank + off) % P
-				tLo, tHi := partition(n, P, to)
-				clo, chi := stream.ChunkRange(tHi-tLo, C, c)
-				piece := v.ExtractRangeInto(tLo+clo, tLo+chi, sc)
-				p.Send(to, base+c*P+rank, piece, piece.WireBytes())
-				p.Recycle(piece)
-			}
+			start := p.Now()
+			splitSend(p, v, sc, base, C, c)
 			if o := p.Obs(); o != nil {
-				o.Event("split:send", sendStart, p.Now(),
-					obs.Attr{Key: "chunk", Value: strconv.Itoa(c)})
+				o.Event("split:send", start, p.Now(), obs.Attr{Key: "chunk", Value: strconv.Itoa(c)})
 			}
 		}
 	}
-
 	if p.Wall() {
-		// Real transport: true pipeline. The merge goroutine owns no
-		// scratch (the main goroutine's sc stays single-owner) and the two
-		// stages only share v read-only and the accs and ins slots handed
-		// over at the channel close, after which the arrivals go back
-		// into sc — the pool the send stage drew its slices from.
+		// Real transport: the merge goroutine owns no scratch (the main
+		// goroutine's sc stays single-owner), and the two stages share
+		// only v, read-only, and the accs and ins slots handed over at the
+		// channel close, after which the arrivals go back into sc — the
+		// pool the send stage drew its slices from.
 		f := p.Fork()
 		done := make(chan struct{})
 		go func() {
@@ -219,14 +184,13 @@ func splitPhasePipelined(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, bas
 		releaseAll(ins, sc)
 	} else {
 		// Simulator: sends price on the parent clock (injection occupies
-		// the sender, as in splitPhase), merges on a forked clock; Join's
-		// max models the overlap of the merge stage behind the send stage.
+		// the sender), merges on a clock forked after them; Join's max
+		// models the overlap of the merge stage behind the send stage.
 		sendStage()
 		f := p.Fork()
 		mergeStage(f, sc)
 		p.Join(f)
 	}
-
 	out := stream.ConcatChunks(accs, sc)
 	for _, a := range accs {
 		sc.Release(a)
@@ -234,22 +198,47 @@ func splitPhasePipelined(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, bas
 	return out
 }
 
+// splitSend extracts chunk c of C of every peer's partition from v and
+// sends it to the partition's owner under tag base + c·P + rank, recycling
+// each slice once sent.
+func splitSend(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base, C, c int) {
+	rank, P := p.Rank(), p.Size()
+	n := v.Dim()
+	for off := 1; off < P; off++ {
+		to := (rank + off) % P
+		lo, hi := partition(n, P, to)
+		clo, chi := stream.ChunkRange(hi-lo, C, c)
+		piece := v.ExtractRangeInto(lo+clo, lo+chi, sc)
+		p.Send(to, base+c*P+rank, piece, piece.WireBytes())
+		p.Recycle(piece)
+	}
+}
+
+// splitMerge reduces chunk c of C of this rank's partition: it extracts
+// the chunk from v, receives the P−1 peers' slices of it into ins and
+// merges them into the extraction in one k-way pass (mergeKCharged). The
+// arrivals stay in ins for the caller to release.
+func splitMerge(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base, C, c int, ins []*stream.Vector) *stream.Vector {
+	rank, P := p.Rank(), p.Size()
+	lo, hi := partition(v.Dim(), P, rank)
+	clo, chi := stream.ChunkRange(hi-lo, C, c)
+	acc := v.ExtractRangeInto(lo+clo, lo+chi, sc)
+	for off := 1; off < P; off++ {
+		from := (rank - off + P) % P
+		ins[off-1] = p.Recv(from, base+c*P+from).Payload.(*stream.Vector)
+	}
+	mergeKCharged(p, acc, ins, sc)
+	return acc
+}
+
 // ssarSplitAllgather implements SSAR_Split_allgather (§5.3.2): the split
-// phase above followed by a sparse concatenating allgather of the reduced
-// partitions (their contents are disjoint by construction, so merging is
-// concatenation — the "simple (concatenating) sparse allgather"). With
-// chunks ≥ 2 the split phase runs pipelined (splitPhasePipelined) and the
-// allgather's tag range shifts past the C·P chunk tags; chunks ≤ 1 is the
-// unchunked path, byte-identical to the pre-chunking implementation.
+// phase above, in C chunks, followed by a sparse concatenating allgather
+// of the reduced partitions (their contents are disjoint by construction,
+// so merging is concatenation — the "simple (concatenating) sparse
+// allgather") under tags past the C·P chunk tags.
 func ssarSplitAllgather(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base, chunks int) *stream.Vector {
 	C := clampChunks(chunks, v.Dim(), p.Size())
-	var acc *stream.Vector
-	if C > 1 {
-		acc = splitPhasePipelined(p, v, sc, base, C)
-	} else {
-		acc = splitPhase(p, v, sc, base)
-	}
-	return sparseAllgatherConcat(p, acc, sc, base+C*p.Size()+8)
+	return sparseAllgatherConcat(p, splitPhase(p, v, sc, base, C), sc, base+C*p.Size()+8)
 }
 
 // sparseAllgatherConcat gathers disjoint sparse vectors from all ranks;
@@ -374,12 +363,7 @@ func SparseAllgather(p *comm.Proc, mine *stream.Vector) *stream.Vector {
 func dsarSplitAllgather(p *comm.Proc, v *stream.Vector, opts Options, base int) *stream.Vector {
 	sc := opts.Scratch
 	C := clampChunks(opts.Chunks, v.Dim(), p.Size())
-	var reduced *stream.Vector
-	if C > 1 {
-		reduced = splitPhasePipelined(p, v, sc, base, C)
-	} else {
-		reduced = splitPhase(p, v, sc, base)
-	}
+	reduced := splitPhase(p, v, sc, base, C)
 	rank, P := p.Rank(), p.Size()
 	n := v.Dim()
 	lo, hi := partition(n, P, rank)

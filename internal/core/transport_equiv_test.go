@@ -21,8 +21,10 @@ import (
 // the TCP rows. Dyadic values make float addition exact, so any divergence
 // is a transport bug (payload codec corruption, reordering, two truly
 // concurrent ranks writing a vector they share by handover), never float
-// noise. The simulator is the reference; its result is also checked
-// against the plain chained reduction, and its results in wire form, every
+// noise. The split-phase algorithms also run in two chunks, which on the
+// real backends is a merge goroutine pipelined behind the sends. The
+// simulator is the reference; its result is also checked against the
+// plain chained reduction, and its results in wire form, every one-chunk
 // row of one world size, are the ledger entry core/transport-equiv/P=<P>.
 func TestCrossTransportEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -34,17 +36,22 @@ func TestCrossTransportEquivalence(t *testing.T) {
 		alg    Algorithm
 		levels int  // > 0 runs on the hierarchy world
 		quant  bool // exercised with quantization too
+		chunks int  // Options.Chunks; chunked rows stay out of the ledger
 	}{
-		{"ssar-recdouble", SSARRecDouble, 0, false},
-		{"ssar-split", SSARSplitAllgather, 0, false},
-		{"dsar-split", DSARSplitAllgather, 0, true},
-		{"hier-ssar-recdouble", SSARRecDouble, AllLevels, false},
-		{"hier-ssar-split", SSARSplitAllgather, AllLevels, false},
-		{"hier-dsar", DSARSplitAllgather, AllLevels, true},
-		{"dense-raben", DenseRabenseifner, 0, false},
-		{"dense-recdouble", DenseRecDouble, 0, false},
-		{"dense-ring", DenseRing, 0, false},
-		{"ring-sparse", RingSparse, 0, false},
+		{"ssar-recdouble", SSARRecDouble, 0, false, 0},
+		{"ssar-split", SSARSplitAllgather, 0, false, 0},
+		{"dsar-split", DSARSplitAllgather, 0, true, 0},
+		{"hier-ssar-recdouble", SSARRecDouble, AllLevels, false, 0},
+		{"hier-ssar-split", SSARSplitAllgather, AllLevels, false, 0},
+		{"hier-dsar", DSARSplitAllgather, AllLevels, true, 0},
+		{"dense-raben", DenseRabenseifner, 0, false, 0},
+		{"dense-recdouble", DenseRecDouble, 0, false, 0},
+		{"dense-ring", DenseRing, 0, false, 0},
+		{"ring-sparse", RingSparse, 0, false, 0},
+		{"ssar-split/c2", SSARSplitAllgather, 0, false, 2},
+		{"dsar-split/c2", DSARSplitAllgather, 0, true, 2},
+		{"hier-ssar-split/c2", SSARSplitAllgather, AllLevels, false, 2},
+		{"hier-dsar/c2", DSARSplitAllgather, AllLevels, true, 2},
 	}
 
 	pin.Prefix(t, "core/transport-equiv")
@@ -76,7 +83,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 					quantModes = append(quantModes, true)
 				}
 				for _, quantized := range quantModes {
-					opts := Options{Algorithm: tc.alg, Levels: tc.levels, Seed: 42}
+					opts := Options{Algorithm: tc.alg, Levels: tc.levels, Chunks: tc.chunks, Seed: 42}
 					if quantized {
 						opts.Quant = &quant.Config{Bits: 4, Bucket: 256, Norm: quant.NormMax}
 					}
@@ -87,8 +94,10 @@ func TestCrossTransportEquivalence(t *testing.T) {
 					want := runResults(simW, inputs, opts)
 					label := fmt.Sprintf("P=%d pattern=%s alg=%s quant=%v", P, pat.name, tc.name, quantized)
 					matchSim(t, label, want, runResults(goW, inputs, opts), runResults(tcpW, inputs, opts))
-					for _, r := range want {
-						simWire.Write(r.wire)
+					if tc.chunks == 0 {
+						for _, r := range want {
+							simWire.Write(r.wire)
+						}
 					}
 					if !quantized && tc.alg != DenseRabenseifner {
 						// Cross-check the simulator itself against the

@@ -112,8 +112,6 @@ func TrainSGD(p *comm.Proc, shard *data.SparseDataset, cfg SGDConfig) []EpochSta
 					sum = pending.Wait(p)
 				}
 				pending = core.IAllreduce(p, grad, algOpts)
-			} else if cfg.Mode == CommDense {
-				sum = AllreduceRabenseifnerWrapped(p, grad)
 			} else {
 				sum = core.Allreduce(p, grad, algOpts)
 			}
@@ -143,15 +141,6 @@ func TrainSGD(p *comm.Proc, shard *data.SparseDataset, cfg SGDConfig) []EpochSta
 		})
 	}
 	return stats
-}
-
-// AllreduceRabenseifnerWrapped runs the dense baseline on a sparse
-// gradient: the vector is densified first (that is the point of the
-// baseline — it cannot exploit sparsity) and the full dense vector crosses
-// the network.
-func AllreduceRabenseifnerWrapped(p *comm.Proc, grad *stream.Vector) *stream.Vector {
-	dense := core.AllreduceRabenseifner(p, grad.ToDense(), grad.Op(), grad.ValueBytes(), p.NextTagBase())
-	return stream.NewDense(dense, grad.Op())
 }
 
 // minibatchGradient computes the summed gradient of the loss over a random

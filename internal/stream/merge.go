@@ -365,10 +365,23 @@ func (v *Vector) spillToDense(outIdx []int32, outVal []float64, cur []mergeCurso
 	v.idx, v.val = nil, nil
 }
 
-// AddInto is Add drawing its output buffers from s and releasing v's
-// superseded buffers back into it — the in-place reduction step of the
-// steady-state hot path. Semantics are identical to Add; a nil scratch
-// degrades to plain allocation.
+// AddInto reduces other into v coordinate-wise under v's operation,
+// mutating v and possibly switching it to the dense representation. This
+// implements the "efficient summation" cases of §5.1:
+//
+//   - sparse + sparse: if the upper bound |H1|+|H2| on the union exceeds δ,
+//     v is densified first (the paper avoids computing the exact union size
+//     because that is as costly as the merge itself); otherwise a sorted
+//     two-way merge produces the result in O(|H1|+|H2|).
+//   - dense + sparse: the sparse side's pairs are folded into the dense
+//     array in place.
+//   - sparse + dense: v's pairs are folded into a copy of the dense input,
+//     which v adopts.
+//   - dense + dense: element-wise loop over the arrays, reusing v's storage.
+//
+// Output buffers are drawn from s and v's superseded buffers go back into
+// it — the in-place reduction step of the steady-state hot path; a nil
+// scratch degrades to plain allocation.
 func (v *Vector) AddInto(other *Vector, s *Scratch) {
 	if v.n != other.n {
 		panic(fmt.Sprintf("stream: dimension mismatch %d vs %d", v.n, other.n))
@@ -406,8 +419,9 @@ func (v *Vector) AddInto(other *Vector, s *Scratch) {
 	}
 }
 
-// DensifyInto is Densify drawing the dense array from s and releasing the
-// sparse buffers back into it.
+// DensifyInto converts the vector to the dense representation in place,
+// drawing the dense array from s and releasing the sparse buffers back
+// into it.
 func (v *Vector) DensifyInto(s *Scratch) {
 	if v.dns != nil {
 		return
@@ -422,15 +436,17 @@ func (v *Vector) DensifyInto(s *Scratch) {
 	v.idx, v.val = nil, nil
 }
 
-// maybeDensifyInto is maybeDensify with scratch-backed dense storage.
+// maybeDensifyInto switches to the dense representation, drawn from s,
+// when nnz exceeds δ.
 func (v *Vector) maybeDensifyInto(s *Scratch) {
 	if v.dns == nil && len(v.idx) > v.delta {
 		v.DensifyInto(s)
 	}
 }
 
-// CloneInto is Clone with the copy's header and buffers drawn from s. The
-// clone is independent of v; releasing either does not affect the other.
+// CloneInto returns a deep copy of v whose header and buffers are drawn
+// from s. The clone is independent of v; releasing either does not affect
+// the other.
 func (v *Vector) CloneInto(s *Scratch) *Vector {
 	c := s.grabVector(v.n, v.op, v.valueBytes, v.delta)
 	if v.dns != nil {

@@ -1,53 +1,10 @@
 package stream
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Add reduces other into v coordinate-wise under v's operation, mutating v
-// and possibly switching it to the dense representation. This implements
-// the "efficient summation" cases of §5.1:
-//
-//   - sparse + sparse: if the upper bound |H1|+|H2| on the union exceeds δ,
-//     v is densified first (the paper avoids computing the exact union size
-//     because that is as costly as the merge itself); otherwise a sorted
-//     two-way merge produces the result in O(|H1|+|H2|).
-//   - dense + sparse: the sparse side's pairs are folded into the dense
-//     array in place.
-//   - dense + dense: element-wise loop over the arrays, reusing v's storage.
-func (v *Vector) Add(other *Vector) {
-	if v.n != other.n {
-		panic(fmt.Sprintf("stream: dimension mismatch %d vs %d", v.n, other.n))
-	}
-	if v.op != other.op {
-		panic("stream: operation mismatch")
-	}
-	switch {
-	case v.dns == nil && other.dns == nil:
-		if len(v.idx)+len(other.idx) > v.delta {
-			v.Densify()
-			v.addSparseIntoDense(other)
-			return
-		}
-		v.mergeSparse(other)
-	case v.dns != nil && other.dns == nil:
-		v.addSparseIntoDense(other)
-	case v.dns == nil && other.dns != nil:
-		// Iterate over v's sparse pairs, setting positions in a copy of the
-		// dense input; then adopt the dense result.
-		dns := append([]float64(nil), other.dns...)
-		for i, ix := range v.idx {
-			dns[ix] = v.op.Combine(dns[ix], v.val[i])
-		}
-		v.dns = dns
-		v.idx, v.val = nil, nil
-	default:
-		for i, x := range other.dns {
-			v.dns[i] = v.op.Combine(v.dns[i], x)
-		}
-	}
-}
+// Add reduces other into v coordinate-wise under v's operation: AddInto
+// without a pool.
+func (v *Vector) Add(other *Vector) { v.AddInto(other, nil) }
 
 func (v *Vector) addSparseIntoDense(other *Vector) {
 	for i, ix := range other.idx {
@@ -55,19 +12,12 @@ func (v *Vector) addSparseIntoDense(other *Vector) {
 	}
 }
 
-// mergeSparse performs the sorted two-way merge of two sparse vectors.
-func (v *Vector) mergeSparse(other *Vector) {
-	bound := len(v.idx) + len(other.idx)
-	v.idx, v.val = v.mergeSparseInto(other,
-		make([]int32, 0, bound), make([]float64, 0, bound))
-}
-
 // mergeSparseInto writes the sorted two-way merge of v and other into the
 // provided buffers, whose capacity must be at least |v|+|other|, and returns
-// them cut to the merged length (the scratch-pooled twin of mergeSparse; see
-// AddInto). Distinct keys go through the branch-free mergeDistinct; a run
-// of equal keys is folded here with Combine, dropping the neutral element
-// exactly as a three-way merge does, so the output is bit-identical to one
+// them cut to the merged length (AddInto's sparse + sparse case). Distinct
+// keys go through the branch-free mergeDistinct; a run of equal keys is
+// folded here with Combine, dropping the neutral element exactly as a
+// three-way merge does, so the output is bit-identical to one
 // (FuzzTwoWayMergeEquivalence). The equal-key branch is rare on random
 // supports and always taken on identical ones, so it predicts well either
 // way.
@@ -174,7 +124,7 @@ func (v *Vector) Concat(other *Vector) {
 	}
 	// Interleaved but disjoint: merge, panicking on equality.
 	before := len(v.idx) + len(other.idx)
-	v.mergeSparse(other)
+	v.AddInto(other, nil)
 	if len(v.idx) != before {
 		panic("stream: Concat inputs overlap")
 	}

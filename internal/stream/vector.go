@@ -95,22 +95,21 @@ func NewSparse(n int, idx []int32, val []float64, op Op) *Vector {
 		v.idx[i] = p.ix
 		v.val[i] = p.v
 	}
-	v.maybeDensify()
+	v.maybeDensifyInto(nil)
 	return v
 }
 
 // WrapSparse builds a vector of dimension n that takes ownership of idx and
-// val without copying or sorting (the twin of NewSparse for producers that
-// emit pairs in order, as WrapDense is of NewDense). The indices must be
-// strictly ascending and in [0, n) and no value may be the operation's
-// neutral element; the first two are checked. Like NewSparse, the result is
-// dense when the pairs exceed δ. The caller must not use the slices
-// afterwards.
+// val without copying or sorting, for producers that emit pairs in order
+// (NewSparse copies and sorts). The indices must be strictly ascending and
+// in [0, n) and no value may be the operation's neutral element; the first
+// two are checked. Like NewSparse, the result is dense when the pairs
+// exceed δ. The caller must not use the slices afterwards.
 func WrapSparse(n int, idx []int32, val []float64, op Op) *Vector {
 	checkWrapped(n, idx, val)
 	v := Zero(n, op)
 	v.idx, v.val = idx, val
-	v.maybeDensify()
+	v.maybeDensifyInto(nil)
 	return v
 }
 
@@ -167,8 +166,8 @@ func NewDense(values []float64, op Op) *Vector {
 }
 
 // WrapDense builds a dense vector that takes ownership of values without
-// copying (the allocation-free twin of NewDense for hot paths assembling a
-// result in place). The caller must not use the slice afterwards.
+// copying, for hot paths assembling a result in place (NewDense copies).
+// The caller must not use the slice afterwards.
 func WrapDense(values []float64, op Op) *Vector {
 	v := Zero(len(values), op)
 	v.dns = values
@@ -240,7 +239,7 @@ func (v *Vector) SetDelta(d int) {
 		panic("stream: negative delta")
 	}
 	v.delta = d
-	v.maybeDensify()
+	v.maybeDensifyInto(nil)
 }
 
 // SetValueBytes sets the modeled wire size per value (4 for float32, 8 for
@@ -300,35 +299,12 @@ func (v *Vector) Pairs() ([]int32, []float64) {
 	return v.idx, v.val
 }
 
-// Clone returns a deep copy.
-func (v *Vector) Clone() *Vector {
-	c := &Vector{n: v.n, op: v.op, valueBytes: v.valueBytes, delta: v.delta}
-	if v.dns != nil {
-		c.dns = append([]float64(nil), v.dns...)
-		return c
-	}
-	c.idx = append([]int32(nil), v.idx...)
-	c.val = append([]float64(nil), v.val...)
-	return c
-}
+// Clone returns a deep copy: CloneInto without a pool.
+func (v *Vector) Clone() *Vector { return v.CloneInto(nil) }
 
-// Densify converts the vector to the dense representation in place.
-func (v *Vector) Densify() {
-	if v.dns != nil {
-		return
-	}
-	dns := make([]float64, v.n)
-	if neutral := v.op.Neutral(); neutral != 0 {
-		for i := range dns {
-			dns[i] = neutral
-		}
-	}
-	for i, ix := range v.idx {
-		dns[ix] = v.val[i]
-	}
-	v.dns = dns
-	v.idx, v.val = nil, nil
-}
+// Densify converts the vector to the dense representation in place:
+// DensifyInto without a pool.
+func (v *Vector) Densify() { v.DensifyInto(nil) }
 
 // Sparsify converts the vector to the sparse representation in place,
 // regardless of δ. Useful for tests and for re-sparsifying after TopK.
@@ -347,13 +323,6 @@ func (v *Vector) Sparsify() {
 	}
 	v.idx, v.val = idx, val
 	v.dns = nil
-}
-
-// maybeDensify switches to the dense representation when nnz exceeds δ.
-func (v *Vector) maybeDensify() {
-	if v.dns == nil && len(v.idx) > v.delta {
-		v.Densify()
-	}
 }
 
 // WireBytes returns the number of bytes the vector occupies on the wire in

@@ -134,7 +134,7 @@ type Config struct {
 	// Chunks is forwarded to core.Options.Chunks for MethodTopK's
 	// collectives: ≥ 2 pipelines each collective's split phase at that
 	// degree, core.AutoChunks lets the cost model pick, and 0 keeps the
-	// unchunked schedule. Under Adapt with Algorithm Auto, the planner
+	// one-chunk schedule. Under Adapt with Algorithm Auto, the planner
 	// picks the chunk count per bucket instead.
 	Chunks int
 	// Adapt, when non-nil, routes MethodTopK's gradient allreduces

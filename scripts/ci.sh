@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI floor for the repo, cheapest gates first:
 #   1. build, vet, gofmt; the documentation floor (godoc coverage on the
-#      exported API packages; docs tables name real identifiers and every
-#      `sparbench -sweep X` names a registered sweep).
+#      exported API packages; docs tables name real identifiers, backticked
+#      lowerCamel names real declarations, and every `sparbench -sweep X`
+#      names a registered sweep).
 #   2. race-check the concurrency hot spots; fuzz the payload decoder,
 #      quant.Unmarshal, the TCP frame reader, the two k-way merge kernels,
 #      the two-way merge, the TopK selection scan, the dense-layer kernels
@@ -49,7 +50,7 @@ fi
 echo "== doccheck (exported symbols need doc comments)"
 go run ./tools/doccheck . ./internal/simnet ./internal/comm ./internal/core ./internal/adapt ./internal/scenario ./internal/cluster ./internal/obs
 
-echo "== docdrift (docs tables must name real identifiers, sparbench invocations real sweeps, BENCH_<n>.json references committed files)"
+echo "== docdrift (docs tables must name real identifiers, backticked lowerCamel names real unexported declarations, sparbench invocations real sweeps, BENCH_<n>.json references committed files)"
 go run ./tools/docdrift -root . README.md docs/COLLECTIVES.md docs/ARCHITECTURE.md
 
 echo "== go test -race (comm + core + adapt + stream + scenario + train + cluster + obs: real transports, payloads handed between truly concurrent ranks and their scratch pools, split-allgather partitions lent to every rank and taken back by their owners (TestSplitAllgatherLendingLifetime), parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks, concurrent pin-ledger checks)"

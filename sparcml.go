@@ -84,7 +84,7 @@ type Options = core.Options
 
 // AutoChunks, set as Options.Chunks, asks the cost model to pick the
 // pipelined chunk degree alongside the algorithm (a positive value pins
-// it; 0 or 1 runs the classic unchunked pass).
+// it; 0 or 1 runs the split phase as one chunk, in line).
 const AutoChunks = core.AutoChunks
 
 // Scratch is a per-rank pool of reusable reduction buffers. Passing one in

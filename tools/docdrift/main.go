@@ -1,7 +1,7 @@
 // Command docdrift fails when the given docs name Go identifiers the
 // repository no longer declares — the cheap guard that keeps the algorithm
 // and API tables in docs/COLLECTIVES.md from silently rotting as code
-// evolves. Four checks:
+// evolves. Five checks:
 //
 //   - A backticked token in a table row (a line starting with '|') that
 //     looks like an exported Go identifier — leading upper-case letter, at
@@ -12,6 +12,12 @@
 //     asserting each claim. Dotted selectors like
 //     `core.DSARSplitAllgather` are checked by their final element. A word that only
 //     survives in a comment, a string or a test helper does not count.
+//   - A backticked lower-camelCase token anywhere outside fenced blocks —
+//     leading lower-case letter, at least one upper-case one, only letters
+//     and digits, such as `allgatherBlocks` — must be declared by non-test
+//     Go source as well: a function, method, type, const, var, struct
+//     field or parameter. Dotted selectors are checked by their final
+//     element here too.
 //   - Every `sparcml.X` selector inside a fenced Go block must name an
 //     exported top-level identifier of the facade package at the root.
 //   - Every `sparbench -sweep X` invocation must name a sweep the registry
@@ -39,7 +45,8 @@ import (
 )
 
 var backticked = regexp.MustCompile("`([^`]+)`")
-var identifier = regexp.MustCompile(`^[A-Z][A-Za-z0-9_]*$`)
+var exported = regexp.MustCompile(`^[A-Z][A-Za-z0-9_]*[a-z][A-Za-z0-9_]*$`)
+var lowerCamel = regexp.MustCompile(`^[a-z][a-z0-9]*[A-Z][A-Za-z0-9]*$`)
 var sweepFlag = regexp.MustCompile(`sparbench\s+-sweep\s+([A-Za-z0-9_]+)`)
 var goFence = regexp.MustCompile("(?s)```go\n(.*?)```")
 var facadeSelector = regexp.MustCompile(`\bsparcml\.([A-Z][A-Za-z0-9_]*)`)
@@ -80,9 +87,14 @@ func main() {
 				stale("%s: `%s` is not a committed BENCH document", doc, m[1])
 			}
 		}
-		for _, name := range tableIdentifiers(text) {
+		for _, name := range backtickedNames(text, true, exported) {
 			if !declared[name] {
 				stale("%s: `%s` is named in a table but no non-test Go source declares it", doc, name)
+			}
+		}
+		for _, name := range backtickedNames(text, false, lowerCamel) {
+			if !declared[name] {
+				stale("%s: `%s` is named but no non-test Go source declares it", doc, name)
 			}
 		}
 		for _, name := range facadeSelectors(text) {
@@ -99,9 +111,10 @@ func main() {
 
 // declaredIdentifiers parses every non-test .go file under root (skipping
 // hidden directories) and returns the names it declares anywhere —
-// top-level declarations, methods, struct fields, interface methods — and
-// the Test functions of the _test.go files, plus the exported subset the
-// package in root itself declares at top level: the facade's exports.
+// top-level and local declarations, methods, struct fields, interface
+// methods, parameters and results — and the Test functions of the
+// _test.go files, plus the exported subset the package in root itself
+// declares at top level: the facade's exports.
 func declaredIdentifiers(root string) (declared, facade map[string]bool, err error) {
 	declared, facade = map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
@@ -158,19 +171,28 @@ func declaredIdentifiers(root string) (declared, facade map[string]bool, err err
 				}
 			}
 		}
+		fields := func(list *ast.FieldList) {
+			if list == nil {
+				return
+			}
+			for _, m := range list.List {
+				for _, name := range m.Names {
+					declared[name.Name] = true
+				}
+			}
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			var members *ast.FieldList
 			switch n := n.(type) {
 			case *ast.StructType:
-				members = n.Fields
+				fields(n.Fields)
 			case *ast.InterfaceType:
-				members = n.Methods
-			}
-			if members != nil {
-				for _, m := range members.List {
-					for _, name := range m.Names {
-						declared[name.Name] = true
-					}
+				fields(n.Methods)
+			case *ast.FuncType:
+				fields(n.Params)
+				fields(n.Results)
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					declared[name.Name] = true
 				}
 			}
 			return true
@@ -180,13 +202,21 @@ func declaredIdentifiers(root string) (declared, facade map[string]bool, err err
 	return declared, facade, err
 }
 
-// tableIdentifiers extracts the exported-identifier-shaped backticked
-// tokens from the markdown text's table rows.
-func tableIdentifiers(text string) []string {
+// backtickedNames returns, once each and in order of appearance, the
+// backticked tokens whose final dotted element matches name, on the
+// markdown text's lines outside fenced blocks — on its table rows alone
+// when tables is set. A dotted selector yields its final element.
+func backtickedNames(text string, tables bool, name *regexp.Regexp) []string {
 	seen := map[string]bool{}
 	var out []string
+	fenced := false
 	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(strings.TrimSpace(line), "|") {
+		trimmed := strings.TrimSpace(line)
+		if strings.HasPrefix(trimmed, "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced || tables && !strings.HasPrefix(trimmed, "|") {
 			continue
 		}
 		for _, m := range backticked.FindAllStringSubmatch(line, -1) {
@@ -194,10 +224,7 @@ func tableIdentifiers(text string) []string {
 			if i := strings.LastIndex(token, "."); i >= 0 {
 				token = token[i+1:]
 			}
-			if !identifier.MatchString(token) || !strings.ContainsAny(token, "abcdefghijklmnopqrstuvwxyz") {
-				continue
-			}
-			if !seen[token] {
+			if name.MatchString(token) && !seen[token] {
 				seen[token] = true
 				out = append(out, token)
 			}
