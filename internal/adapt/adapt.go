@@ -170,7 +170,9 @@ func (a *Controller) Choice() (core.Algorithm, int) { return a.hold.curAlg, a.ho
 func (a *Controller) Switches() int { return a.switches }
 
 // ClusteredCalls returns how many decided calls selected the clustered
-// support model.
+// support model: Plan calls that priced with it, and PlanBuckets calls
+// where at least one bucket did. Pinned-algorithm calls decide nothing
+// and are not counted.
 func (a *Controller) ClusteredCalls() int { return a.clusteredCalls }
 
 // Support returns the support model the last decision used.
@@ -211,6 +213,9 @@ func (a *Controller) Plan(p *comm.Proc, v *stream.Vector, opts core.Options) cor
 	// so incumbent and candidate are both priced at this call's.
 	a.hold.curChunks = s.Chunks
 	alg, levels, _, switched, reason := a.hold.decide(candAlg, candLevels, s.Chunks, s, &a.switches)
+	if s.Support == core.SupportClustered {
+		a.clusteredCalls++
+	}
 	recordDecision(p, decisionEvent{Bucket: -1,
 		Algorithm: alg, Levels: levels, Support: s.Support,
 		PredictedSeconds: predictFor(alg, levels, 0, s),
@@ -270,6 +275,7 @@ func (a *Controller) PlanBucketsInto(p *comm.Proc, sched *core.BucketScheduler, 
 		a.buckets = make([]bucketHold, B)
 	}
 	rep := contribs[0] // dimension/wire settings; every contribution shares them
+	clustered := false
 	for b := range out {
 		s := a.scenarioFromAgreed(p, rep, opts, agreedK[b], agreed)
 		s.Chunks = core.AutoChunks
@@ -279,6 +285,7 @@ func (a *Controller) PlanBucketsInto(p *comm.Proc, sched *core.BucketScheduler, 
 			out[b].Chunks = core.ChooseChunks(opts.Algorithm, s)
 			continue
 		}
+		clustered = clustered || s.Support == core.SupportClustered
 		alg, levels, chunks, switched, reason := a.buckets[b].decide(candAlg, candLevels, candChunks, s, &a.bucketSwitches)
 		recordDecision(p, decisionEvent{Bucket: b,
 			Algorithm: alg, Levels: levels, Chunks: chunks, Support: s.Support,
@@ -286,6 +293,9 @@ func (a *Controller) PlanBucketsInto(p *comm.Proc, sched *core.BucketScheduler, 
 			Switched:         switched, Reason: reason})
 		out[b].Algorithm, out[b].Levels, out[b].Chunks = alg, levels, chunks
 		out[b].Support, out[b].HotFraction, out[b].HotMass = s.Support, s.HotFraction, s.HotMass
+	}
+	if clustered {
+		a.clusteredCalls++
 	}
 	return out
 }
@@ -355,7 +365,6 @@ func (a *Controller) scenarioFromAgreed(p *comm.Proc, v *stream.Vector, opts cor
 		s.Support = core.SupportClustered
 		s.HotFraction = clamp(agreed[0]/P, 1.0/sketchBuckets, 1)
 		s.HotMass = clamp(agreed[1]/P, 0, 0.999)
-		a.clusteredCalls++
 	} else {
 		s.Support = core.SupportUniform
 		s.HotFraction, s.HotMass = 0, 0

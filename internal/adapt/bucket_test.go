@@ -161,3 +161,32 @@ func TestPlanBucketsPinnedAlgorithm(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanBucketsCountsDecidedCalls: ClusteredCalls counts decided calls
+// on the bucketed path as on the blocking one — one per PlanBuckets call
+// whose buckets priced with the clustered support model, however many
+// buckets it plans, and none for a pinned algorithm, which decides only
+// its chunk degree.
+func TestPlanBucketsCountsDecidedCalls(t *testing.T) {
+	const P, n, calls = 8, 1 << 14, 4
+	spans := [][2]int{{0, n / 2}, {n / 2, n}}
+	bs := core.NewBucketScheduler(spans, 1) // one bucket per layer
+	sched := scheduleOf(41, n, P, calls, func(int) int { return 4000 }, func(int) string { return "clustered" })
+	pinned := core.Options{Algorithm: core.SSARSplitAllgather, Chunks: core.AutoChunks}
+	counts := comm.Run(comm.NewWorld(P, simnet.Aries), func(p *comm.Proc) [2]int {
+		a := NewController(Config{})
+		var got [2]int
+		for i, opts := range []core.Options{{}, pinned} {
+			for _, byRank := range sched {
+				v := byRank[p.Rank()]
+				a.PlanBuckets(p, bs, []*stream.Vector{v.ExtractRange(0, n/2), v.ExtractRange(n/2, n)}, opts)
+			}
+			got[i] = a.ClusteredCalls()
+		}
+		return got
+	})
+	if got := counts[0]; got != [2]int{calls, calls} {
+		t.Errorf("ClusteredCalls read %d after %d clustered Auto PlanBuckets calls of %d buckets and %d after as many pinned ones, want %d both times",
+			got[0], calls, bs.NumBuckets(), got[1], calls)
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,6 +169,21 @@ func (t *tcpTransport) close() error {
 		c.Close()
 	}
 	return nil
+}
+
+// LeakCheck counts goroutines and open descriptors; the returned wait fails
+// unless both fall back to those counts within timeout, as after a Close.
+func LeakCheck() (wait func(timeout time.Duration) error) {
+	fds := func() int { ents, _ := os.ReadDir("/proc/self/fd"); return len(ents) }
+	g0, f0 := runtime.NumGoroutine(), fds()
+	return func(timeout time.Duration) error {
+		for deadline := time.Now().Add(timeout); runtime.NumGoroutine() > g0 || fds() > f0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("goroutines %d → %d, open descriptors %d → %d", g0, runtime.NumGoroutine(), f0, fds())
+			}
+		}
+		return nil
+	}
 }
 
 func (t *tcpTransport) send(p *Proc, dst, tag int, payload any, bytes int) {

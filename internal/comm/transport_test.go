@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
 	"reflect"
 	"runtime"
 	"sync"
@@ -548,11 +547,7 @@ func TestTCPMultiProcessWorlds(t *testing.T) {
 // NewWorldTCP returns one, so it must not panic on any of them — before a
 // listener or goroutine is left behind.
 func TestTCPConfigValidation(t *testing.T) {
-	openFDs := func() int {
-		ents, _ := os.ReadDir("/proc/self/fd")
-		return len(ents)
-	}
-	goroutines, fds := runtime.NumGoroutine(), openFDs()
+	wait := LeakCheck()
 	for _, tc := range []struct {
 		name string
 		p    int
@@ -579,12 +574,7 @@ func TestTCPConfigValidation(t *testing.T) {
 			}
 		}()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > goroutines || openFDs() > fds {
-		if time.Now().After(deadline) {
-			t.Fatalf("rejected configurations leaked: goroutines %d → %d, fds %d → %d",
-				goroutines, runtime.NumGoroutine(), fds, openFDs())
-		}
-		time.Sleep(time.Millisecond)
+	if err := wait(2 * time.Second); err != nil {
+		t.Fatalf("rejected configurations leaked: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -216,7 +215,7 @@ func TestNonblockingPanicReachesRun(t *testing.T) {
 	for wname, w := range worlds {
 		for oname, op := range ops {
 			ctx := wname + " " + oname
-			before := runtime.NumGoroutine()
+			wait := comm.LeakCheck()
 			msg := func() (msg string) {
 				defer func() { msg = fmt.Sprint(recover()) }()
 				comm.Run(w, func(p *comm.Proc) any { op(p); return nil })
@@ -229,12 +228,8 @@ func TestNonblockingPanicReachesRun(t *testing.T) {
 			if !strings.Contains(msg, want) || !strings.Contains(msg, "dimension mismatch") {
 				t.Errorf("%s: Run panicked with %q, want %q with a dimension mismatch", ctx, msg, want)
 			}
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Errorf("%s: %d goroutines before Run, %d two seconds after", ctx, before, n)
+			if err := wait(2 * time.Second); err != nil {
+				t.Errorf("%s: Run left %v", ctx, err)
 			}
 		}
 	}

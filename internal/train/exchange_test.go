@@ -277,9 +277,9 @@ func TestPooledBucketsInFlightDuringExtraction(t *testing.T) {
 // as one bucket — and Run stops them when it returns. Around a short
 // fused and a short layer-wise train.Run on a goroutine world and on a
 // loopback TCP world, from before the world is built to after it is
-// closed, the goroutine count is back to what it was within two seconds
-// (the wall-clock benchmark's own rule), and each TCP run's loss matches
-// the goroutine run's.
+// closed, the goroutine and open-descriptor counts are back to what they
+// were within two seconds (the wall-clock benchmark's own rule), and each
+// TCP run's loss matches the goroutine run's.
 func TestBucketedRunLeavesNoGoroutines(t *testing.T) {
 	const P = 4
 	cfg := Config{Method: MethodTopK, LR: 0.0125, BatchPerNode: 8, Epochs: 1, StepsPerEpoch: 4,
@@ -294,7 +294,7 @@ func TestBucketedRunLeavesNoGoroutines(t *testing.T) {
 	for _, coords := range []int{0, 1} {
 		var loss []float64
 		for _, wc := range worlds {
-			before := runtime.NumGoroutine()
+			wait := comm.LeakCheck()
 			w, err := wc.open()
 			if err != nil {
 				t.Fatal(err)
@@ -308,12 +308,8 @@ func TestBucketedRunLeavesNoGoroutines(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Errorf("%s, BucketCoords %d: %d goroutines before the world, %d two seconds after Close", wc.name, coords, before, n)
+			if err := wait(2 * time.Second); err != nil {
+				t.Errorf("%s, BucketCoords %d: the closed world left %v", wc.name, coords, err)
 			}
 			if loss == nil {
 				loss = got

@@ -1,6 +1,8 @@
 package sparcml
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -308,5 +310,46 @@ func TestFacadeScratchReuse(t *testing.T) {
 	a.AddAll([]*Vector{b}, s)
 	if a.NNZ() != 0 {
 		t.Fatal("cancellation through the facade failed")
+	}
+}
+
+// TestFacadeBucketsAndNonblockingAllgather: BucketIssue and BucketDrain
+// return, bucket for bucket, what the blocking Allreduce of the bucket's
+// fused contributions returns, and IAllgatherSparse what AllgatherSparse
+// returns, in wire bytes, on every rank of a simulated and a goroutine
+// world.
+func TestFacadeBucketsAndNonblockingAllgather(t *testing.T) {
+	const P, n = 4, 96
+	spans := [][2]int{{0, 40}, {40, 64}, {64, 96}}
+	sched := NewBucketScheduler(spans, 48)
+	if sched.NumBuckets() < 2 {
+		t.Fatalf("%d buckets, want at least 2", sched.NumBuckets())
+	}
+	for _, w := range []*World{NewWorld(P, Aries), NewWorld(P, Aries).UseGoroutineTransport()} {
+		failures := Run(w, func(c *Comm) string {
+			r := c.Rank()
+			contribs := make([]*Vector, len(spans))
+			for l, sp := range spans {
+				contribs[l] = NewSparse(n, []int32{int32(sp[0] + r), int32(sp[1] - 1)}, []float64{float64(r + 1), 0.5})
+			}
+			sums := c.BucketDrain(c.BucketIssue(sched, contribs, nil))
+			for b, sum := range sums {
+				want := c.Allreduce(sched.Fuse(b, contribs, nil), Options{})
+				if !bytes.Equal(sum.AppendWire(nil), want.AppendWire(nil)) {
+					return fmt.Sprintf("bucket %d differs from the blocking Allreduce of its fused contributions", b)
+				}
+			}
+			mine := NewSparse(n, []int32{int32(3 * r), int32(3*r + 1)}, []float64{1, float64(r)})
+			got := c.IAllgatherSparse(mine).Wait()
+			if !bytes.Equal(got.AppendWire(nil), c.AllgatherSparse(mine).AppendWire(nil)) {
+				return "IAllgatherSparse differs from AllgatherSparse"
+			}
+			return ""
+		})
+		for r, msg := range failures {
+			if msg != "" {
+				t.Errorf("%s rank %d: %s", w.Transport(), r, msg)
+			}
+		}
 	}
 }
