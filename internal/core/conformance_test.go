@@ -17,13 +17,12 @@ import (
 	"repro/internal/stream"
 )
 
-// TestConformance is the conformance table: one row per collective and
-// world shape, run on each of its transports inside one long-lived
-// comm.Run, every rank with its own pool (the ledger rows run the
-// pool-free path on the real transports instead), ops back to back with
-// no barrier between them, so a fast owner grabs from its pool while
-// slower ranks may still read the block it lent at the last op. Each row
-// holds four columns:
+// The conformance table: one row per collective and world shape, run on
+// each of its transports inside one long-lived comm.Run, every rank with
+// its own pool (the ledger rows run the pool-free path on the real
+// transports instead), ops back to back with no barrier between them, so a
+// fast owner grabs from its pool while slower ranks may still read the
+// block it lent at the last op. Each row holds four columns:
 //
 //  1. every op's result on every rank equals, in wire bytes, what the
 //     simulator returns without pools (itself held to the chained dense
@@ -37,16 +36,58 @@ import (
 //
 // Inputs are dyadic, so sums are exact: a difference is a transport or
 // pooling bug, never float noise, and a block reclaimed while still read
-// shows as one (and in the ci.sh -race pass as a data race). The grid is
-// algorithm × regime (sparse; dense past δ; Q4 on DSAR and Auto) × depth
-// (flat, or AllLevels on TwoLevel(4)) × chunks (0; 2 on the split-phase
-// algorithms and Auto) × P ∈ {6, 8}, on the simulator, the goroutine
-// backend and loopback TCP; the dense baselines densify their input, so
-// they have no dense regime. The ledger rows' reference results are the
-// pin entries core/transport-equiv/P=<P> and core/transport-ragged/P=26.
-func TestConformance(t *testing.T) {
-	rows := slices.Concat(confBudgetRows(), confGridRows(), confLedgerRows())
-	// A row's reference is taken by its first transport's subtest.
+// shows as one (and in the ci.sh -race pass as a data race). Every row
+// names the test it runs under (confRow.test); the tests below differ only
+// in their rows, and runConformance is their one runner.
+
+// TestConformance runs the grid: algorithm × regime (sparse; dense past δ;
+// Q4 on DSAR and Auto) × depth (flat, or AllLevels on TwoLevel(4)) ×
+// chunks (0; 2 on the split-phase algorithms and Auto) × P ∈ {6, 8}, on
+// the simulator, the goroutine backend and loopback TCP; the dense
+// baselines densify their input, so they have no dense regime. The SSAR
+// split-allgather rows run under TestSplitAllgatherLendingLifetime.
+func TestConformance(t *testing.T) { runConformance(t) }
+
+// TestSplitAllgatherLendingLifetime runs the grid's SSAR split-allgather
+// rows: a split allgather lends its rank's reduced partition to every rank
+// that holds it by reference and takes it back into its pool once each has
+// counted it read (stream.Scratch.Lend). A count that never reaches zero
+// (a skipped countdown, or a TCP owner counting its peers) leaves one more
+// block lent per op, which column 4 catches.
+func TestSplitAllgatherLendingLifetime(t *testing.T) { runConformance(t) }
+
+// TestCrossTransportEquivalence runs the ledger rows at P ∈ {4, 12, 16,
+// 32}, whose reference results are the pin entries
+// core/transport-equiv/P=<P>.
+func TestCrossTransportEquivalence(t *testing.T) { runConformance(t, "core/transport-equiv") }
+
+// TestCrossTransportRaggedLevels runs the ledger rows at P = 26 on a
+// three-level machine ragged twice, pinned as core/transport-ragged/P=26.
+func TestCrossTransportRaggedLevels(t *testing.T) { runConformance(t, "core/transport-ragged") }
+
+// TestTCPSteadyStateAllocations runs the budget rows over loopback TCP.
+func TestTCPSteadyStateAllocations(t *testing.T) { runConformance(t) }
+
+// TestSplitAllgatherAllocationBudget runs the budget row of a goroutine
+// split allgather whose results are kept.
+func TestSplitAllgatherAllocationBudget(t *testing.T) { runConformance(t) }
+
+// TestGoroutinePoolsReachSteadyState runs the same shape with no
+// allocation or bytes budget: the pools stop growing and the bytes per op
+// stay flat from window to window.
+func TestGoroutinePoolsReachSteadyState(t *testing.T) { runConformance(t) }
+
+// TestReleasedResultsAreReused runs the budget rows whose results go back
+// into the pools.
+func TestReleasedResultsAreReused(t *testing.T) { runConformance(t) }
+
+// runConformance runs the table's rows that belong to t, each row on each
+// of its transports. A row's reference is taken by its first transport's
+// subtest. When every row ran, t owns the ledger entries under prefixes
+// and checks those its rows produce.
+func runConformance(t *testing.T, prefixes ...string) {
+	rows := slices.DeleteFunc(slices.Concat(confBudgetRows(), confGridRows(), confLedgerRows()),
+		func(row confRow) bool { return row.test != t.Name() })
 	wants, inputs := make([][][][]byte, len(rows)), make([][]byte, len(rows))
 	for i, row := range rows {
 		for _, tr := range row.transports {
@@ -61,8 +102,9 @@ func TestConformance(t *testing.T) {
 	if slices.ContainsFunc(wants, func(w [][][]byte) bool { return w == nil }) {
 		return // a -run filter left rows out, and the ledger needs them all
 	}
-	pin.Prefix(t, "core/transport-equiv")
-	pin.Prefix(t, "core/transport-ragged")
+	for _, prefix := range prefixes {
+		pin.Prefix(t, prefix)
+	}
 	var entries []string
 	for _, row := range rows {
 		if row.ledger != "" && !slices.Contains(entries, row.ledger) {
@@ -90,8 +132,10 @@ func TestConformance(t *testing.T) {
 // (on machine, or flat when nil) over each transport, op i reducing
 // sets[i % len(sets)] (one vector per rank), ops times, or as the budget
 // says. A release row hands every result back to its rank's pool; a
-// poolFree row runs without pools.
+// poolFree row runs without pools. test is the name of the test the row
+// runs under.
 type confRow struct {
+	test       string
 	name       string
 	transports []string
 	P          int
@@ -109,9 +153,9 @@ type confRow struct {
 // follow warm ops, their counts read on rank 0 between barriers. The least
 // window's allocations per op stay within allocs and every window's bytes
 // per op within bytes times the op's result bytes (12 per pair, over the
-// ranks); the pools grow by less than one buffer per measured op, and the
-// last window's bytes stay within 1.1× the first's, or under a tenth of
-// the bytes budget.
+// ranks), a zero budget checking nothing; the pools grow by less than one
+// buffer per measured op, and the last window's bytes stay within 1.1× the
+// first's, or under a tenth of the bytes budget.
 type confBudget struct {
 	warm, window  int
 	allocs, bytes float64
@@ -290,30 +334,39 @@ func confBudgetRows() []confRow {
 		Density: scenario.Const(1.0 / 16)}.Generator(scenario.NewKey(31)).All()
 	split := Options{Algorithm: SSARSplitAllgather}
 	q4 := Options{Algorithm: DSARSplitAllgather, Seed: 4, Quant: &quant.Config{Bits: 4, Bucket: 1024, Norm: quant.NormMax}}
-	row := func(name, transport string, opts Options, sets [][]*stream.Vector, release bool, b confBudget) confRow {
-		return confRow{name: "budget/" + name, transports: []string{transport}, P: 8, opts: opts, sets: sets,
+	row := func(test, name, transport string, opts Options, sets [][]*stream.Vector, release bool, b confBudget) confRow {
+		return confRow{test: test, name: "budget/" + name, transports: []string{transport}, P: 8, opts: opts, sets: sets,
 			release: release, budget: &b}
 	}
 	return []confRow{
 		// Kept results: an op allocates its results and little else (×1.01,
 		// 56.5 allocations). A shared copy of each partition taken outside
 		// the pools read ×1.14, the clone-and-Concat allgather ×2.64.
-		row("split-keep", "goroutine", split, wide, false, confBudget{warm: 8, window: 12, allocs: 1.25 * 57, bytes: 1.05}),
+		row("TestSplitAllgatherAllocationBudget", "split-keep", "goroutine", split, wide, false,
+			confBudget{warm: 8, window: 12, allocs: 1.25 * 57, bytes: 1.05}),
+		// The same shape unbudgeted: the pools grow by less than a buffer
+		// per op, and the bytes per op of the last window stay within 1.1×
+		// the first's.
+		row("TestGoroutinePoolsReachSteadyState", "split-keep", "goroutine", split, wide, false, confBudget{warm: 8, window: 12}),
 		// Released results: the next call builds its result in them, and
 		// the blocks the ranks share are lent and taken back, so an op
 		// allocates small bookkeeping only: 32 allocations, 1.8 kB, 0.003
 		// of one rank's result, against 0.01 (one missed reuse in a window
 		// adds 0.08). Auto runs recursive doubling here, its agreement on
 		// the pool's workspace: 0 allocations, so any per-rank one fails.
-		row("split-release", "goroutine", split, wide, true, confBudget{warm: 48, window: 12, allocs: 1.25 * 32, bytes: 0.01 / 8}),
-		row("auto-release", "goroutine", Options{}, wide, true, confBudget{warm: 8, window: 12, allocs: 1, bytes: 0.01 / 8}),
+		row("TestReleasedResultsAreReused", "split-release", "goroutine", split, wide, true,
+			confBudget{warm: 48, window: 12, allocs: 1.25 * 32, bytes: 0.01 / 8}),
+		row("TestReleasedResultsAreReused", "auto-release", "goroutine", Options{}, wide, true,
+			confBudget{warm: 8, window: 12, allocs: 1, bytes: 0.01 / 8}),
 		// Over TCP every payload sent or consumed goes back into the
 		// rank's decode pool (Proc.Recycle): 81 allocations for DSAR-Q4
 		// (511 decoding every arrival fresh) and 57 for the split allgather
 		// (278 and 238 with splitSend's Recycle dropped); bytes ×1.97 and
 		// ×1.02 of the results.
-		row("dsar-q4", "tcp", q4, tcpSets, false, confBudget{warm: 10, window: 40, allocs: 1.25 * 81, bytes: 1.25 * 1.97}),
-		row("split", "tcp", split, tcpSets, false, confBudget{warm: 10, window: 40, allocs: 1.25 * 57, bytes: 1.25 * 1.02}),
+		row("TestTCPSteadyStateAllocations", "dsar-q4", "tcp", q4, tcpSets, false,
+			confBudget{warm: 10, window: 40, allocs: 1.25 * 81, bytes: 1.25 * 1.97}),
+		row("TestTCPSteadyStateAllocations", "split", "tcp", split, tcpSets, false,
+			confBudget{warm: 10, window: 40, allocs: 1.25 * 57, bytes: 1.25 * 1.02}),
 	}
 }
 
@@ -351,10 +404,13 @@ func confGridRows() []confRow {
 				}
 				for _, regime := range regimes {
 					for _, c := range chunks {
-						row := confRow{name: fmt.Sprintf("P=%d/%s/%s/%s/c%d", P, depth, alg, regime, c),
+						row := confRow{test: "TestConformance", name: fmt.Sprintf("P=%d/%s/%s/%s/c%d", P, depth, alg, regime, c),
 							transports: []string{"sim", "goroutine", "tcp"}, P: P, machine: machine,
 							sets: dense, ops: 2 * len(sparse),
 							opts: Options{Algorithm: alg, Levels: levels, Chunks: c, Seed: 42}}
+						if alg == SSARSplitAllgather {
+							row.test = "TestSplitAllgatherLendingLifetime"
+						}
 						if regime == "sparse" {
 							row.sets = sparse
 						}
@@ -411,7 +467,7 @@ func confLedgerRows() []confRow {
 		sets := drawSets(rng, P)
 		for _, c := range cells {
 			for _, q := range []*quant.Config{nil, confQ4}[:c.quants] {
-				row := confRow{name: fmt.Sprintf("transport-equiv/P=%d/%s", P, c.name), transports: wall,
+				row := confRow{test: "TestCrossTransportEquivalence", name: fmt.Sprintf("transport-equiv/P=%d/%s", P, c.name), transports: wall,
 					P: P, sets: sets, ops: len(sets), poolFree: true,
 					opts: Options{Algorithm: c.alg, Levels: c.levels, Chunks: c.chunks, Quant: q, Seed: 42}}
 				if c.levels > 0 {
@@ -435,7 +491,7 @@ func confLedgerRows() []confRow {
 	sets := [][]*stream.Vector{patterns[0].gen(rand.New(rand.NewSource(7)), 800, 120, 26)}
 	for _, levels := range []int{AllLevels, 2} {
 		for _, alg := range []Algorithm{SSARRecDouble, SSARSplitAllgather, DSARSplitAllgather} {
-			rows = append(rows, confRow{name: fmt.Sprintf("transport-ragged/P=26/levels=%d/%s", levels, alg),
+			rows = append(rows, confRow{test: "TestCrossTransportRaggedLevels", name: fmt.Sprintf("transport-ragged/P=26/levels=%d/%s", levels, alg),
 				transports: wall, P: 26, machine: &ragged, sets: sets, ops: 1, poolFree: true,
 				opts: Options{Algorithm: alg, Levels: levels, Seed: 3}, ledger: "core/transport-ragged/P=26"})
 		}

@@ -15,8 +15,8 @@
 #   4. the pin ledger: every test that checks testdata/pins.json, uncached,
 #      so a drifted digest shows first as a short list of
 #      "name: old → new" lines.
-#   5. the allocation budgets: the conformance table's budget rows
-#      (TestConformance/budget) and the four tests outside it that count
+#   5. the allocation budgets: the conformance table's budget rows (the
+#      four tests that run them) and the four tests outside it that count
 #      a hot path's allocations against a fixed budget, uncached, one
 #      --- PASS/FAIL line per budget with the counts it read beneath.
 #   6. the full test suite — the acceptance invariants of BENCH_2/5/7/8
@@ -54,7 +54,7 @@ go run ./tools/doccheck . ./internal/simnet ./internal/comm ./internal/core ./in
 echo "== docdrift (docs tables must name real identifiers, backticked lowerCamel names real unexported declarations, sparbench invocations real sweeps, BENCH_<n>.json references committed files)"
 go run ./tools/docdrift -root . README.md docs/COLLECTIVES.md docs/ARCHITECTURE.md
 
-echo "== go test -race (comm + core + adapt + stream + scenario + train + cluster + obs: real transports, payloads handed between truly concurrent ranks and their scratch pools, split-allgather partitions lent to every rank and taken back by their owners (the conformance table, TestConformance), parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks, concurrent pin-ledger checks)"
+echo "== go test -race (comm + core + adapt + stream + scenario + train + cluster + obs: real transports, payloads handed between truly concurrent ranks and their scratch pools, split-allgather partitions lent to every rank and taken back by their owners (the conformance table, TestConformance and the tests sharing its runner), parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks, concurrent pin-ledger checks)"
 go test -race ./internal/comm/... ./internal/core/... ./internal/adapt/... ./internal/stream/... ./internal/scenario/... ./internal/train/... ./internal/cluster/... ./internal/obs/... ./internal/pin
 echo "== go test -race -run Adapt . (the facade's EnableAdaptation installs the send hook the link calibrators fold under)"
 go test -race -run 'Adapt' .
@@ -88,11 +88,11 @@ go run ./bench -quick > /dev/null
 
 echo "== pin ledger (every test that checks testdata/pins.json, uncached; a drifted entry prints as 'name: old → new')"
 # -short skips only the registry sweeps no pin covers (experiments' pinned()).
-go test -count=1 -short -run '^(TestPredictDigests|TestSparseAllgatherPinned|TestQuantizedResultDigests|TestConformance|TestExtractDigests|TestAddAllDigests|TestGoldenDigests|TestEncodeMarshalDigests|TestResidualMLPDigest|TestExchangeDigests|TestAdaptDecisionDigests|TestRegistryEntriesRunAndRender|TestLedgerIsCanonical)$' ./internal/...
+go test -count=1 -short -run '^(TestPredictDigests|TestSparseAllgatherPinned|TestQuantizedResultDigests|TestCrossTransportEquivalence|TestCrossTransportRaggedLevels|TestExtractDigests|TestAddAllDigests|TestGoldenDigests|TestEncodeMarshalDigests|TestResidualMLPDigest|TestExchangeDigests|TestAdaptDecisionDigests|TestRegistryEntriesRunAndRender|TestLedgerIsCanonical)$' ./internal/...
 
 echo "== allocation budgets (uncached; a regression prints as its own '--- FAIL' line, each budget's counts beneath it)"
 {
-  go test -count=1 -v -run '^TestConformance$/^budget$' ./internal/core
+  go test -count=1 -v -run '^(TestTCPSteadyStateAllocations|TestSplitAllgatherAllocationBudget|TestGoroutinePoolsReachSteadyState|TestReleasedResultsAreReused)$' ./internal/core
   go test -count=1 -v -run '^(TestTCPFramesAreReused|TestRecDoubleAgreementAllocations|TestBucketedStepSteadyState|TestChooseAutoLevelsDoesNotAllocate)$' \
     ./internal/comm ./internal/core ./internal/train
 } | grep -E '^( *--- |ok|FAIL| +[a-z_]+_test\.go:[0-9]+: )'
