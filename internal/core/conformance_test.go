@@ -32,7 +32,9 @@ import (
 //     merge goroutines included — stay within the budget (confBudget);
 //  3. goroutines and open descriptors fall back to their pre-open counts
 //     after Close;
-//  4. no pool still lends more than the last op's block.
+//  4. no pool still lends more than the last op's block — a split
+//     allgather's partition or, on the Q4 rows, DSAR's quantized own
+//     block.
 //
 // Inputs are dyadic, so sums are exact: a difference is a transport or
 // pooling bug, never float noise, and a block reclaimed while still read
@@ -68,8 +70,9 @@ func TestCrossTransportRaggedLevels(t *testing.T) { runConformance(t, "core/tran
 // TestTCPSteadyStateAllocations runs the budget rows over loopback TCP.
 func TestTCPSteadyStateAllocations(t *testing.T) { runConformance(t) }
 
-// TestSplitAllgatherAllocationBudget runs the budget row of a goroutine
-// split allgather whose results are kept.
+// TestSplitAllgatherAllocationBudget runs the budget rows of goroutine
+// split allgathers whose results are kept: SSAR's, and DSAR-Q4's, whose
+// quantized own block every rank reads.
 func TestSplitAllgatherAllocationBudget(t *testing.T) { runConformance(t) }
 
 // TestGoroutinePoolsReachSteadyState runs the same shape with no
@@ -322,8 +325,8 @@ func confDigest(sets [][]*stream.Vector) []byte {
 
 // confBudgetRows are the allocation budgets at scaled gor-bandwidth shapes
 // (P = 8 goroutine ranks, N = 2^17, N/16 non-zeros per rank, four input
-// sets) and at the tcp-dense-q4 shape (P = 8 over loopback TCP, N = 2^16,
-// density 1/16).
+// sets) and at the tcp-dense-q4 shape (P = 8 over loopback TCP, and on
+// goroutine ranks, N = 2^16, density 1/16).
 func confBudgetRows() []confRow {
 	rng := rand.New(rand.NewSource(93))
 	wide := make([][]*stream.Vector, 4)
@@ -340,33 +343,47 @@ func confBudgetRows() []confRow {
 	}
 	return []confRow{
 		// Kept results: an op allocates its results and little else (×1.01,
-		// 56.5 allocations). A shared copy of each partition taken outside
-		// the pools read ×1.14, the clone-and-Concat allgather ×2.64.
+		// 24.3 allocations; 56.5 while the split phase's arrival slice, the
+		// allgather's parts list and its first block list, allocated and
+		// boxed, were per-call). A shared copy of each partition taken
+		// outside the pools read ×1.14, the clone-and-Concat allgather ×2.64.
 		row("TestSplitAllgatherAllocationBudget", "split-keep", "goroutine", split, wide, false,
-			confBudget{warm: 8, window: 12, allocs: 1.25 * 57, bytes: 1.05}),
+			confBudget{warm: 8, window: 12, allocs: 1.25 * 24.3, bytes: 1.05}),
+		// DSAR-Q4 at the tcp-dense-q4 shape in process, results kept: every
+		// rank reads every rank's lent quantized block (P readers each), and
+		// an op allocates its dense results and little else: 16.2
+		// allocations, bytes ×1.93 of the budget's 12 bytes per result pair.
+		// Per-call slices and lists, a generator source and a quantized
+		// block per rank read 80.2 and ×1.97.
+		row("TestSplitAllgatherAllocationBudget", "dsar-q4", "goroutine", q4, tcpSets, false,
+			confBudget{warm: 10, window: 40, allocs: 1.25 * 16.2, bytes: 1.25 * 1.93}),
 		// The same shape unbudgeted: the pools grow by less than a buffer
 		// per op, and the bytes per op of the last window stay within 1.1×
 		// the first's.
 		row("TestGoroutinePoolsReachSteadyState", "split-keep", "goroutine", split, wide, false, confBudget{warm: 8, window: 12}),
-		// Released results: the next call builds its result in them, and
-		// the blocks the ranks share are lent and taken back, so an op
-		// allocates small bookkeeping only: 32 allocations, 1.8 kB, 0.003
-		// of one rank's result, against 0.01 (one missed reuse in a window
-		// adds 0.08). Auto runs recursive doubling here, its agreement on
-		// the pool's workspace: 0 allocations, so any per-rank one fails.
+		// Released results: the next call builds its result in them, the
+		// blocks the ranks share are lent and taken back, and the slices
+		// and block lists come from the pools, so an op allocates nothing:
+		// 0 allocations, 0 bytes (32 and 1.8 kB while the slices and lists
+		// were per-call), against a budget of 0.01 of one rank's result
+		// (one missed reuse in a window adds 0.08). Auto runs recursive
+		// doubling here, its agreement on the pool's workspace, also 0.
+		// Either budget of 1 fails any per-rank allocation.
 		row("TestReleasedResultsAreReused", "split-release", "goroutine", split, wide, true,
-			confBudget{warm: 48, window: 12, allocs: 1.25 * 32, bytes: 0.01 / 8}),
+			confBudget{warm: 48, window: 12, allocs: 1, bytes: 0.01 / 8}),
 		row("TestReleasedResultsAreReused", "auto-release", "goroutine", Options{}, wide, true,
 			confBudget{warm: 8, window: 12, allocs: 1, bytes: 0.01 / 8}),
 		// Over TCP every payload sent or consumed goes back into the
-		// rank's decode pool (Proc.Recycle): 81 allocations for DSAR-Q4
-		// (511 decoding every arrival fresh) and 57 for the split allgather
-		// (278 and 238 with splitSend's Recycle dropped); bytes ×1.97 and
-		// ×1.02 of the results.
+		// rank's decode pool (Proc.Recycle): 16.4 allocations for DSAR-Q4
+		// (511 decoding every arrival fresh, 80.5 with the per-call slices,
+		// lists, generator and quantized block) and 24.3 for the split
+		// allgather (56.3 with the per-call slices and lists; 278 and 238
+		// with splitSend's Recycle dropped); bytes ×1.93 and ×1.01 of the
+		// results.
 		row("TestTCPSteadyStateAllocations", "dsar-q4", "tcp", q4, tcpSets, false,
-			confBudget{warm: 10, window: 40, allocs: 1.25 * 81, bytes: 1.25 * 1.97}),
+			confBudget{warm: 10, window: 40, allocs: 1.25 * 16.4, bytes: 1.25 * 1.97}),
 		row("TestTCPSteadyStateAllocations", "split", "tcp", split, tcpSets, false,
-			confBudget{warm: 10, window: 40, allocs: 1.25 * 57, bytes: 1.25 * 1.02}),
+			confBudget{warm: 10, window: 40, allocs: 1.25 * 24.3, bytes: 1.25 * 1.02}),
 	}
 }
 

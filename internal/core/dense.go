@@ -142,7 +142,7 @@ func AllreduceRabenseifner(p *comm.Proc, x []float64, op stream.Op, valueBytes, 
 			parts := make([][]float64, p2)
 			parts[rank] = append([]float64(nil), acc[lo:hi]...)
 			blockBytes := (hi-lo)*valueBytes + 8
-			allgatherBlocks(p, p2, parts, base+30, func([]float64) int { return blockBytes }, nil, nil)
+			allgatherBlocks(p, p2, parts, nil, base+30, func([]float64) int { return blockBytes }, nil, nil)
 			for r, v := range parts {
 				rLo, _ := halvedRange(n, p2, r)
 				copy(acc[rLo:], v)
@@ -207,7 +207,7 @@ func AllreduceRing(p *comm.Proc, x []float64, op stream.Op, valueBytes, base int
 func AllgatherDense(p *comm.Proc, mine []float64, valueBytes, base int) [][]float64 {
 	parts := make([][]float64, p.Size())
 	parts[p.Rank()] = append([]float64(nil), mine...)
-	allgatherBlocks(p, p.Size(), parts, base, func(v []float64) int { return len(v) * valueBytes }, nil, nil)
+	allgatherBlocks(p, p.Size(), parts, nil, base, func(v []float64) int { return len(v) * valueBytes }, nil, nil)
 	return parts
 }
 
@@ -216,20 +216,22 @@ func AllgatherDense(p *comm.Proc, mine []float64, valueBytes, base int) [][]floa
 // this rank's partition; its ownership transfers to the collective (it is
 // sent to peers and must not be mutated or recycled afterwards — hence it
 // must not alias dst, which the caller may mutate once the collective
-// returns). No slice of dst ever goes on the wire.
-func AllgatherDenseInto(p *comm.Proc, mine, dst []float64, valueBytes, base int) {
+// returns). No slice of dst ever goes on the wire. The block lists come
+// from sc (allgatherBlocks); a nil sc allocates them.
+func AllgatherDenseInto(p *comm.Proc, mine, dst []float64, sc *stream.Scratch, valueBytes, base int) {
 	rank, P := p.Rank(), p.Size()
 	n := len(dst)
 	if lo, hi := partition(n, P, rank); len(mine) != hi-lo {
 		panic("core: AllgatherDenseInto block does not match this rank's partition")
 	}
-	parts := make([][]float64, P)
+	partsBox, parts := stream.GrabList[[]float64](sc, P)
 	parts[rank] = mine
-	allgatherBlocks(p, P, parts, base, func(v []float64) int { return len(v) * valueBytes }, nil, nil)
+	allgatherBlocks(p, P, parts, sc, base, func(v []float64) int { return len(v) * valueBytes }, nil, nil)
 	for r, v := range parts {
 		lo, _ := partition(n, P, r)
 		copy(dst[lo:lo+len(v)], v)
 	}
+	stream.PutList[[]float64](sc, partsBox)
 }
 
 // Bcast broadcasts root's vector to all ranks via a binomial tree,

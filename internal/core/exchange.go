@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/comm"
+import (
+	"repro/internal/comm"
+	"repro/internal/stream"
+)
 
 // The exchange skeletons. The paper's collectives (§5.3, Appendix A) are a
 // few exchange patterns over streams: the recursive-doubling/halving
@@ -105,9 +108,17 @@ func halvedRange(n, p2, r int) (lo, hi int) {
 // block is immutable from the moment it enters parts. A received list, by
 // contrast, belongs to its receiver, which tops it up with the blocks it
 // already held and passes it on at the next stage in the interface value
-// it arrived in — one list allocation per rank, not one per stage. The
-// butterfly recycles each list once sent, and the last one received is
-// recycled once absorbed (Proc.Recycle); the blocks in them never are.
+// it arrived in — one list per rank, not one per stage, drawn already
+// boxed from sc (stream.GrabList). The butterfly recycles each list once
+// sent (Proc.Recycle), and the last one received goes back into sc,
+// cleared, once absorbed; the blocks in them are never recycled. In
+// process a rank thus sends one list and keeps the last it received. Over
+// TCP the list drawn from sc goes into the decode pool after its send and
+// the last arrival, decoded from that pool, goes into sc, so both pools
+// stay level. A non-power-of-two fold moves one list per op from each core
+// rank that folds to its excess partner, whose pool fills to its bound
+// while the core rank's allocates. A nil sc allocates the list and
+// recycles the last arrival instead.
 //
 // Every message carries all its sender holds, so the cost model is a
 // function of weights: weigh gives one block's, a message from a rank
@@ -115,7 +126,7 @@ func halvedRange(n, p2, r int) (lo, hi int) {
 // as bytes), and absorb, when non-nil, charges for an arrival of weight
 // incoming joining blocks of weight held. The fold-out replaces nothing and
 // is adopted uncharged. Cost with byte weights: ~log2(n)·α + (n−1)/n·total·β.
-func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, base int,
+func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, sc *stream.Scratch, base int,
 	weigh func(T) int, price func(w int) int, absorb func(held, incoming int)) {
 	rank := p.Rank()
 	p2 := largestPow2(n)
@@ -140,7 +151,7 @@ func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, base int,
 			}
 			out := carry
 			if out == nil {
-				out = make([]T, n)
+				out, _ = stream.GrabList[T](sc, n)
 			}
 			carry = nil
 			list := out.([]T)
@@ -175,8 +186,12 @@ func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, base int,
 			}
 			held += incoming
 		}, nil)
-	if carry != nil {
+	switch {
+	case carry == nil:
+	case sc == nil:
 		p.Recycle(carry)
+	default:
+		stream.PutList[T](sc, carry)
 	}
 }
 

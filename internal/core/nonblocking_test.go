@@ -183,7 +183,9 @@ func TestBcast(t *testing.T) {
 // goroutine, so Run panics with the rank attached instead of the process
 // dying, and every goroutine the call started is gone afterwards. On the
 // simulator and goroutine backends, for IAllreduce, ISparseAllgather and a
-// persistent bucket run.
+// persistent bucket run. A chunked split allgather's merge stage runs on a
+// goroutine of its own on the goroutine backend; a panic there reaches Run
+// the same way.
 func TestNonblockingPanicReachesRun(t *testing.T) {
 	const P = 4
 	input := func(p *comm.Proc) *stream.Vector {
@@ -200,6 +202,9 @@ func TestNonblockingPanicReachesRun(t *testing.T) {
 		},
 		"ISparseAllgather": func(p *comm.Proc) {
 			ISparseAllgather(p, input(p)).Wait(p)
+		},
+		"chunked split": func(p *comm.Proc) {
+			Allreduce(p, input(p), Options{Algorithm: SSARSplitAllgather, Chunks: 2})
 		},
 		"BucketRun": func(p *comm.Proc) {
 			run := sched.NewRun()
@@ -222,8 +227,8 @@ func TestNonblockingPanicReachesRun(t *testing.T) {
 				return ""
 			}()
 			want := "rank 2 panicked"
-			if oname == "ISparseAllgather" {
-				want = "panicked" // every rank meets rank 2's block; the lowest reports
+			if oname == "ISparseAllgather" || oname == "chunked split" {
+				want = "panicked" // every rank meets rank 2's block or slice; the lowest reports
 			}
 			if !strings.Contains(msg, want) || !strings.Contains(msg, "dimension mismatch") {
 				t.Errorf("%s: Run panicked with %q, want %q with a dimension mismatch", ctx, msg, want)

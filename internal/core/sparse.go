@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"strconv"
 
 	"repro/internal/comm"
@@ -124,7 +123,7 @@ func releaseAll(ins []*stream.Vector, sc *stream.Scratch) {
 // charge already covered every pair once).
 func splitPhase(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base, C int) *stream.Vector {
 	P := p.Size()
-	ins := make([]*stream.Vector, C*(P-1)) // chunk c's arrivals at [c·(P−1), (c+1)·(P−1))
+	insBox, ins := stream.GrabList[*stream.Vector](sc, C*(P-1)) // chunk c's arrivals at [c·(P−1), (c+1)·(P−1))
 	if C == 1 {
 		p.SpanBegin("split:send")
 		splitSend(p, v, sc, base, 1, 0)
@@ -132,11 +131,12 @@ func splitPhase(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base, C int)
 		p.SpanBegin("split:merge")
 		acc := splitMerge(p, v, sc, base, 1, 0, ins)
 		releaseAll(ins, sc)
+		stream.PutList[*stream.Vector](sc, insBox)
 		p.SpanEnd()
 		return acc
 	}
 
-	accs := make([]*stream.Vector, C)
+	accsBox, accs := stream.GrabList[*stream.Vector](sc, C)
 	// The merge stage, on proc f. With a pool, each chunk's arrivals go
 	// back into it once merged. Without one — f runs concurrently with the
 	// send stage, and a Scratch belongs to one goroutine — the extraction
@@ -171,16 +171,29 @@ func splitPhase(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base, C int)
 		// goroutine's sc stays single-owner), and the two stages share
 		// only v, read-only, and the accs and ins slots handed over at the
 		// channel close, after which the arrivals go back into sc — the
-		// pool the send stage drew its slices from.
+		// pool the send stage drew its slices from. A panic in the merge
+		// stage poisons the world, which releases a rank blocked on this
+		// one, and is re-raised here, on the rank's goroutine, as
+		// Request.Wait re-raises a nonblocking collective's.
 		f := p.Fork()
 		done := make(chan struct{})
+		var failed any
 		go func() {
 			defer close(done)
+			defer func() {
+				if e := recover(); e != nil {
+					failed = e
+					f.Abort()
+				}
+			}()
 			mergeStage(f, nil)
 		}()
 		sendStage()
 		<-done
 		p.Join(f)
+		if failed != nil {
+			panic(failed)
+		}
 		releaseAll(ins, sc)
 	} else {
 		// Simulator: sends price on the parent clock (injection occupies
@@ -195,6 +208,8 @@ func splitPhase(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base, C int)
 	for _, a := range accs {
 		sc.Release(a)
 	}
+	stream.PutList[*stream.Vector](sc, accsBox)
+	stream.PutList[*stream.Vector](sc, insBox)
 	return out
 }
 
@@ -267,16 +282,12 @@ func ssarSplitAllgather(p *comm.Proc, v *stream.Vector, sc *stream.Scratch, base
 // sides are still sparse, else at one dense pass. The assembly is the
 // copy those absorbs already paid for.
 func sparseAllgatherConcat(p *comm.Proc, mine *stream.Vector, sc *stream.Scratch, base int) *stream.Vector {
-	shared, readers := p.ByReference(), 1
-	if shared {
-		readers = p.Size()
-	}
-	sc.Lend(mine, readers)
-	parts := make([]*stream.Vector, p.Size())
+	sc.Lend(mine, holders(p))
+	partsBox, parts := stream.GrabList[*stream.Vector](sc, p.Size())
 	parts[p.Rank()] = mine
 	n, delta, valueBytes := mine.Dim(), mine.Delta(), mine.ValueBytes()
 	prof := p.Profile()
-	allgatherBlocks(p, p.Size(), parts, base,
+	allgatherBlocks(p, p.Size(), parts, sc, base,
 		func(b *stream.Vector) int {
 			if b.IsDense() {
 				return delta + 1
@@ -297,31 +308,41 @@ func sparseAllgatherConcat(p *comm.Proc, mine *stream.Vector, sc *stream.Scratch
 			}
 		})
 	out := stream.ConcatChunks(parts, sc)
-	if shared {
-		for _, b := range parts {
-			b.ReadDone()
-		}
-		return out
-	}
-	// Over TCP even parts[rank] is a decoded copy on an excess rank of a
-	// fold, which gets the whole list back at the fold-out.
-	mine.ReadDone()
-	for _, b := range parts {
-		if b != mine {
-			p.Recycle(b)
-		}
-	}
+	doneGathered(p, parts, mine)
+	stream.PutList[*stream.Vector](sc, partsBox)
 	return out
 }
 
-// recycleGathered recycles the blocks a block allgather gathered from
-// other ranks once this rank has consumed them (Proc.Recycle): over TCP
-// each is a copy decoded for this rank alone, and in process the call is
-// a no-op, as it must be for blocks every rank holds. This rank's own
-// block stays where it came from.
-func recycleGathered[T any](p *comm.Proc, parts []T) {
-	for r, b := range parts {
-		if r != p.Rank() {
+// holders is how many ranks hold a block this rank lends to a block
+// allgather: the whole communicator where sends hand payloads over by
+// reference (Proc.ByReference), this rank alone over TCP, where the peers
+// read framed copies.
+func holders(p *comm.Proc) int {
+	if p.ByReference() {
+		return p.Size()
+	}
+	return 1
+}
+
+// doneGathered ends this rank's reading of the blocks a block allgather
+// gathered, mine being its own: it counts down every block it holds by
+// reference — in process, all of them — and over TCP counts down mine and
+// recycles the copies decoded for it (Proc.Recycle). Even parts[rank] is
+// such a copy on an excess rank of a fold, which gets the whole list back
+// at the fold-out.
+func doneGathered[T interface {
+	comparable
+	ReadDone()
+}](p *comm.Proc, parts []T, mine T) {
+	if p.ByReference() {
+		for _, b := range parts {
+			b.ReadDone()
+		}
+		return
+	}
+	mine.ReadDone()
+	for _, b := range parts {
+		if b != mine {
 			p.Recycle(b)
 		}
 	}
@@ -388,27 +409,32 @@ func dsarSplitAllgather(p *comm.Proc, v *stream.Vector, opts Options, base int) 
 	agBase := base + C*P + 8
 	if opts.Quant != nil {
 		// Quantize my block; exchange quantized blocks; decode each straight
-		// into its slice of the result. The block dies once encoded, so it
-		// is scratch-pooled.
+		// into its slice of the result. The dense block dies once encoded,
+		// so it is scratch-pooled; the quantized one is encoded into the
+		// one sc lent at an earlier op, once every holder has decoded it,
+		// and lent in turn to every rank that holds it by reference, as
+		// sparseAllgatherConcat lends its partition.
 		block := sc.GrabDense(hi-lo, v.Op().Neutral())
 		p.SpanBegin("dsar:densify")
 		densify(block)
 		p.SpanEnd()
 		p.SpanBegin("dsar:quantize")
-		rng := rand.New(rand.NewSource(opts.Seed ^ int64(rank+1)*0x5851F42D4C957F2D))
-		q := quant.Encode(block, *opts.Quant, rng)
-		sc.PutDense(block)                              // Encode copies into its own storage
+		rng := sc.Rand(opts.Seed ^ int64(rank+1)*0x5851F42D4C957F2D)
+		q := quant.EncodeInto(sc.GrabQuantized(), block, *opts.Quant, rng)
+		sc.PutDense(block)                              // EncodeInto copies into q's storage
 		p.Compute(p.Profile().DenseReduceTime(hi - lo)) // encode pass
 		p.SpanEnd()
 		p.SpanBegin("dsar:allgather")
-		gathered := make([]*quant.Quantized, P)
+		sc.LendQuantized(q, holders(p))
+		gatheredBox, gathered := stream.GrabList[*quant.Quantized](sc, P)
 		gathered[rank] = q
-		allgatherBlocks(p, P, gathered, agBase, (*quant.Quantized).WireBytes, nil, nil)
+		allgatherBlocks(p, P, gathered, sc, agBase, (*quant.Quantized).WireBytes, nil, nil)
 		for r, qr := range gathered {
 			rLo, rHi := partition(n, P, r)
 			qr.DecodeInto(result[rLo:rHi])
 		}
-		recycleGathered(p, gathered)
+		doneGathered(p, gathered, q)
+		stream.PutList[*quant.Quantized](sc, gatheredBox)
 		p.Compute(p.Profile().DenseReduceTime(n)) // decode pass
 		p.SpanEnd()
 	} else {
@@ -426,7 +452,7 @@ func dsarSplitAllgather(p *comm.Proc, v *stream.Vector, opts Options, base int) 
 		densify(block)
 		p.SpanEnd()
 		p.SpanBegin("dsar:allgather")
-		AllgatherDenseInto(p, block, result, v.ValueBytes(), agBase)
+		AllgatherDenseInto(p, block, result, sc, v.ValueBytes(), agBase)
 		p.SpanEnd()
 	}
 	// The assembled array becomes the result's backing storage directly —

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/pin"
@@ -95,6 +97,71 @@ func TestDecodeIntoShortDstPanics(t *testing.T) {
 	q.DecodeInto(make([]float64, 99))
 }
 
+// TestEncodeIntoMatchesEncode: encoding into a stale block — empty, too
+// small or too large, under another configuration, its codes and scales
+// junk — returns that block holding exactly what Encode returns from the
+// same rng state, for every width, buckets smaller than the table, ragged
+// last buckets and n = 0. Its packed codes must be cleared first: put ORs
+// each code into place.
+func TestEncodeIntoMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, bits := range []int{2, 4, 8} {
+		for _, bucket := range []int{1, 3, 7, 512} {
+			for _, n := range []int{0, 1, 5, 9, 1025} {
+				v := make([]float64, n)
+				for i := range v {
+					if i/bucket%3 != 1 { // every third bucket stays all-zero
+						v[i] = rng.NormFloat64()
+					}
+				}
+				cfg := Config{Bits: bits, Bucket: bucket, Norm: NormMax}
+				want := Encode(v, cfg, rand.New(rand.NewSource(int64(n)))).AppendMarshal(nil)
+				for _, stale := range staleBlocks() {
+					got := EncodeInto(stale, v, cfg, rand.New(rand.NewSource(int64(n))))
+					if got != stale || !bytes.Equal(got.AppendMarshal(nil), want) {
+						t.Fatalf("bits=%d bucket=%d n=%d: EncodeInto a stale block differs from Encode", bits, bucket, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLentBlockCountdown: a block lent to concurrent readers, each of which
+// decodes it and counts it down, is encoded into again by its owner once
+// Readers reads zero — the DSAR own-block lifetime, which the ci.sh -race
+// pass checks for a reuse that is not ordered after every read.
+func TestLentBlockCountdown(t *testing.T) {
+	const readers, rounds = 4, 8
+	cfg := Config{Bits: 4, Bucket: 64, Norm: NormMax}
+	v := pinInput()
+	var q *Quantized
+	var wg sync.WaitGroup
+	bad := make([]bool, readers*rounds)
+	for round := range rounds {
+		for q != nil && q.Readers() != 0 {
+			runtime.Gosched() // the owner never waits in DSAR; it allocates instead
+		}
+		q = EncodeInto(q, v, cfg, rand.New(rand.NewSource(int64(round))))
+		want := q.Decode()
+		q.Lend(readers)
+		for r := range readers {
+			wg.Add(1)
+			go func(block *Quantized) {
+				defer wg.Done()
+				got := make([]float64, block.Dim())
+				block.DecodeInto(got)
+				bad[round*readers+r] = sameBits(got, want) >= 0
+				block.ReadDone()
+			}(q)
+		}
+	}
+	wg.Wait()
+	if i := slices.Index(bad, true); i >= 0 {
+		t.Fatalf("round %d: a reader decoded another round's block", i/readers)
+	}
+}
+
 // TestHugeBucketScaleSaturates: a bucket whose max |x| is past float32
 // range used to store scale +Inf, and +Inf·0 decoded its zero entries to
 // NaN. The stored scale saturates instead.
@@ -151,7 +218,12 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := Unmarshal(data)
 		for _, stale := range staleBlocks() {
-			was := *stale
+			was := struct {
+				cfg    Config
+				n      int
+				scales []float32
+				packed []byte
+			}{stale.cfg, stale.n, stale.scales, stale.packed}
 			wasScales, wasPacked := append([]float32(nil), stale.scales...), append([]byte(nil), stale.packed...)
 			got, perr := UnmarshalInto(stale, data)
 			if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 )
 
 // Norm selects the per-bucket scaling factor.
@@ -78,22 +79,35 @@ type Quantized struct {
 	n      int
 	scales []float32
 	packed []byte // n codes, cfg.Bits each, little-endian within bytes
+	// readers counts the holders still reading a lent block (Lend).
+	readers atomic.Int32
 }
 
 // Encode stochastically quantizes v. The rng drives the stochastic
 // rounding; passing the same seed reproduces the encoding bit-for-bit.
 func Encode(v []float64, cfg Config, rng *rand.Rand) *Quantized {
+	return EncodeInto(nil, v, cfg, rng)
+}
+
+// EncodeInto is Encode into dst's storage: dst's header, scales and packed
+// codes are reused where their capacity suffices and replaced where it does
+// not, and dst itself is returned, bit-identical to what Encode returns for
+// the same rng state whatever dst held before. A nil dst allocates, as
+// Encode does. No holder may still read dst (Lend).
+func EncodeInto(dst *Quantized, v []float64, cfg Config, rng *rand.Rand) *Quantized {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	L := float64(cfg.Levels())
 	nb := (len(v) + cfg.Bucket - 1) / cfg.Bucket
-	q := &Quantized{
-		cfg:    cfg,
-		n:      len(v),
-		scales: make([]float32, nb),
-		packed: make([]byte, (len(v)*cfg.Bits+7)/8),
+	q := dst
+	if q == nil {
+		q = &Quantized{}
 	}
+	q.cfg, q.n = cfg, len(v)
+	q.scales = reuse(q.scales, nb) // every scale is written below
+	q.packed = reuse(q.packed, (len(v)*cfg.Bits+7)/8)
+	clear(q.packed) // put ORs the codes in
 	for b := 0; b < nb; b++ {
 		lo := b * cfg.Bucket
 		hi := lo + cfg.Bucket
@@ -153,6 +167,20 @@ func (q *Quantized) put(i, code int) {
 	q.packed[bitPos/8] |= byte(u << uint(bitPos%8))
 }
 
+// Lend records that readers holders read q, the owner among them; each
+// calls ReadDone once it is done. The owner reuses q (EncodeInto) only once
+// Readers reports zero.
+func (q *Quantized) Lend(readers int) { q.readers.Store(int32(readers)) }
+
+// ReadDone records that one holder of a lent block has stopped reading it;
+// the holder must not touch q afterwards. On a block that was never lent
+// it does nothing that matters.
+func (q *Quantized) ReadDone() { q.readers.Add(-1) }
+
+// Readers reports how many holders of a lent block have not yet called
+// ReadDone.
+func (q *Quantized) Readers() int { return int(q.readers.Load()) }
+
 // Dim returns the vector dimension.
 func (q *Quantized) Dim() int { return q.n }
 
@@ -168,9 +196,10 @@ func (q *Quantized) Decode() []float64 {
 
 // DecodeInto reconstructs the (lossy) vector into dst[:Dim()] without
 // allocating; it panics when dst is shorter than Dim(). Entry i decodes to
-// float64(scale)·float64(code)/L: per bucket that expression is tabulated
-// once over the 2^Bits code words, then the packed codes are unpacked a
-// whole byte at a time.
+// float64(scale)·float64(code)/L: per bucket holding at least as many codes
+// as there are code words, that expression is tabulated once over the
+// 2^Bits words, then the packed codes are unpacked a whole byte at a time.
+// A smaller bucket evaluates it per code, which costs less than the table.
 func (q *Quantized) DecodeInto(dst []float64) {
 	dst = dst[:q.n]
 	bits, levels := q.cfg.Bits, q.cfg.Levels()
@@ -183,6 +212,12 @@ func (q *Quantized) DecodeInto(dst []float64) {
 		s := float64(scale)
 		lo := b * q.cfg.Bucket
 		hi := min(lo+q.cfg.Bucket, q.n)
+		if hi-lo < 1<<bits {
+			for i := lo; i < hi; i++ {
+				dst[i] = s * float64(word(i)-levels) / L
+			}
+			continue
+		}
 		for u := 0; u < 1<<bits; u++ {
 			table[u] = s * float64(u-levels) / L
 		}

@@ -231,3 +231,16 @@ func BenchmarkDecodeInto4Bit1M(b *testing.B) {
 		q.DecodeInto(dst)
 	}
 }
+
+// BenchmarkDecodeInto8BitBucket16 decodes 8-bit codes in 16-entry buckets,
+// far fewer codes per bucket than the 256-word table would cover.
+func BenchmarkDecodeInto8BitBucket16(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	q := Encode(benchVector(rng), Config{Bits: 8, Bucket: 16, Norm: NormMax}, rng)
+	dst := make([]float64, q.Dim())
+	b.SetBytes(8 << 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.DecodeInto(dst)
+	}
+}

@@ -24,7 +24,11 @@ import (
 // fewer per rank, 109. It read 109 until the allgather stopped copying
 // each rank's reduced partition — header, index and value slices — and
 // lent the partition itself, taken back into its owner's pool once every
-// rank has assembled: three allocations fewer per rank, 85.)
+// rank has assembled: three allocations fewer per rank, 85. It read 85
+// until the split phase's arrival slice, the allgather's rank-indexed
+// parts list and its first block list (allocated and boxed) came from the
+// pool: four allocations fewer per rank, 53 — the same count as recursive
+// doubling.)
 //
 // A call on the goroutine transport sometimes costs a scheduler-dependent
 // allocation or two on top (a parked receiver, a grown mailbox), so what
@@ -38,7 +42,7 @@ func TestOpenLoopAllocationPin(t *testing.T) {
 		want float64
 	}{
 		{"rec-doubling", core.SSARRecDouble, 1 << 16, 128, 53},
-		{"split-allgather", core.SSARSplitAllgather, 1 << 16, 1 << 10, 85},
+		{"split-allgather", core.SSARSplitAllgather, 1 << 16, 1 << 10, 53},
 	}
 	for _, tc := range cases {
 		sc := scenario.Scenario{Name: "stream/openloop/" + tc.name, N: tc.n, P: P, Calls: 4,

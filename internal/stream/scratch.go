@@ -1,5 +1,11 @@
 package stream
 
+import (
+	"math/rand"
+
+	"repro/internal/quant"
+)
+
 // Scratch is a pool of reusable vector buffers for the reduction hot path.
 // The chained two-way merges of an allreduce allocate fresh idx/val slices
 // on every Add; a Scratch lets the in-place
@@ -29,6 +35,18 @@ package stream
 //     framed copies. Reclaim never waits — a block still being read stays
 //     lent and the grab allocates instead — and the lent list is bounded
 //     like the free lists: a block lent past it is left to the GC.
+//   - DSAR's quantized own block is lent the same way (LendQuantized,
+//     quant.Quantized.ReadDone), to the same holders, and GrabQuantized
+//     hands it back to the owner for quant.EncodeInto only once every
+//     holder is done; a block still being read means a fresh one.
+//   - The pool also keeps the block lists of the allgathers and the
+//     per-call slices of the split phase (GrabList, PutList): each in the
+//     interface value it was first boxed in, so a list sent as a payload
+//     is not boxed again, and cleared when put back, since the blocks it
+//     named are other ranks' too. A list sent in process is the
+//     receiver's, so lists move between pools as vectors do. And it keeps
+//     one random generator, which Rand reseeds for each stochastic
+//     quantization.
 //   - A grab takes the smallest pooled buffer that fits, so a large
 //     buffer — a released result — waits for a large request instead of
 //     leaving with the first small one.
@@ -67,8 +85,14 @@ type Scratch struct {
 	val [][]float64
 	dns [][]float64
 	hdr []*Vector // voided Vector headers, recycled by grabVector
-	// lent holds the vectors lent out (Lend) and not yet taken back.
-	lent []*Vector
+	// lent holds the vectors lent out (Lend) and not yet taken back, lentQ
+	// the quantized blocks (LendQuantized).
+	lent  []*Vector
+	lentQ []*quant.Quantized
+	// lists holds boxed lists with their entries cleared (GrabList).
+	lists []any
+	// rng is the generator Rand reseeds.
+	rng *rand.Rand
 	// bits is the one presence bitmap of the windowed merge kernel: AddAll
 	// calls never nest on one Scratch, so one reusable slice is the pool.
 	bits []uint64
@@ -164,13 +188,87 @@ func (s *Scratch) Lend(v *Vector, readers int) {
 // that was never lent it does nothing that matters.
 func (v *Vector) ReadDone() { v.readers.Add(-1) }
 
-// Lent reports how many lent vectors the pool has not yet taken back.
-// Intended for tests and diagnostics.
+// Lent reports how many lent vectors and quantized blocks the pool has not
+// yet taken back. Intended for tests and diagnostics.
 func (s *Scratch) Lent() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.lent)
+	return len(s.lent) + len(s.lentQ)
+}
+
+// LendQuantized is Lend for a quantized block: readers holders each call
+// q.ReadDone, and GrabQuantized hands q back once all have. On a nil pool
+// it does nothing: q is left to the GC.
+func (s *Scratch) LendQuantized(q *quant.Quantized, readers int) {
+	if s == nil || len(s.lentQ) >= lentCap {
+		return
+	}
+	q.Lend(readers)
+	s.lentQ = append(s.lentQ, q)
+}
+
+// GrabQuantized returns a lent quantized block every holder is done with,
+// for quant.EncodeInto to reuse, or nil when there is none — a nil pool, or
+// every block still being read — and EncodeInto allocates. It never waits.
+func (s *Scratch) GrabQuantized() *quant.Quantized {
+	if s == nil {
+		return nil
+	}
+	for i, q := range s.lentQ {
+		if q.Readers() == 0 {
+			last := len(s.lentQ) - 1
+			s.lentQ[i] = s.lentQ[last]
+			s.lentQ[last] = nil
+			s.lentQ = s.lentQ[:last]
+			return q
+		}
+	}
+	return nil
+}
+
+// GrabList returns a zeroed list of n entries, in the interface value it is
+// kept in and as its slice: one of s's when it holds one of that type and
+// length, else a new one (boxed once, here). Return it with PutList.
+func GrabList[T any](s *Scratch, n int) (box any, list []T) {
+	if s != nil {
+		for i, b := range s.lists {
+			if l, ok := b.([]T); ok && len(l) == n {
+				last := len(s.lists) - 1
+				s.lists[i] = s.lists[last]
+				s.lists[last] = nil
+				s.lists = s.lists[:last]
+				return b, l
+			}
+		}
+	}
+	list = make([]T, n)
+	return list, list
+}
+
+// PutList clears the boxed list box, a []T, and keeps it for GrabList; on a
+// nil pool, or past the pool's bound, it is left to the GC. Clearing drops
+// the blocks the list named, which the pool must not pin.
+func PutList[T any](s *Scratch, box any) {
+	clear(box.([]T))
+	if s != nil && len(s.lists) < scratchPoolCap {
+		s.lists = append(s.lists, box)
+	}
+}
+
+// Rand returns s's one generator reseeded with seed, in the state
+// rand.New(rand.NewSource(seed)) starts in; valid until the next Rand call.
+// A nil pool returns a new generator.
+func (s *Scratch) Rand(seed int64) *rand.Rand {
+	if s == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(seed))
+	} else {
+		s.rng.Seed(seed)
+	}
+	return s.rng
 }
 
 // reclaim takes back every lent vector whose readers are all done. Every

@@ -4,7 +4,9 @@
 #      exported API packages; docs tables name real identifiers, backticked
 #      lowerCamel names real declarations, and every `sparbench -sweep X`
 #      names a registered sweep).
-#   2. race-check the concurrency hot spots; fuzz the payload decoder,
+#   2. race-check the concurrency hot spots (among them the blocks an
+#      allgather lends to every rank: split-allgather partitions and
+#      DSAR's quantized own block); fuzz the payload decoder,
 #      quant.Unmarshal, the TCP frame reader, the two k-way merge kernels,
 #      the two-way merge, the TopK selection scan, the dense-layer kernels
 #      and the Chrome-trace decoder.
@@ -54,8 +56,8 @@ go run ./tools/doccheck . ./internal/simnet ./internal/comm ./internal/core ./in
 echo "== docdrift (docs tables must name real identifiers, backticked lowerCamel names real unexported declarations, sparbench invocations real sweeps, BENCH_<n>.json references committed files)"
 go run ./tools/docdrift -root . README.md docs/COLLECTIVES.md docs/ARCHITECTURE.md
 
-echo "== go test -race (comm + core + adapt + stream + scenario + train + cluster + obs: real transports, payloads handed between truly concurrent ranks and their scratch pools, split-allgather partitions lent to every rank and taken back by their owners (the conformance table, TestConformance and the tests sharing its runner), parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks, concurrent pin-ledger checks)"
-go test -race ./internal/comm/... ./internal/core/... ./internal/adapt/... ./internal/stream/... ./internal/scenario/... ./internal/train/... ./internal/cluster/... ./internal/obs/... ./internal/pin
+echo "== go test -race (comm + core + adapt + stream + quant + scenario + train + cluster + obs: real transports, payloads handed between truly concurrent ranks and their scratch pools, split-allgather partitions and DSAR's quantized own block lent to every rank and taken back by their owners (the conformance table, TestConformance and the tests sharing its runner; quant's TestLentBlockCountdown), parallel merge, lazy RNG streams, chunked pipelines + bucket scheduler, multi-tenant event loop, sharded metrics + concurrent span tracks, concurrent pin-ledger checks)"
+go test -race ./internal/comm/... ./internal/core/... ./internal/adapt/... ./internal/stream/... ./internal/quant ./internal/scenario/... ./internal/train/... ./internal/cluster/... ./internal/obs/... ./internal/pin
 echo "== go test -race -run Adapt . (the facade's EnableAdaptation installs the send hook the link calibrators fold under)"
 go test -race -run 'Adapt' .
 
