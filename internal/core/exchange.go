@@ -151,7 +151,11 @@ func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, sc *stream.Scratch, 
 			}
 			out := carry
 			if out == nil {
-				out, _ = stream.GrabList[T](sc, n)
+				box, list := stream.GrabList[T](sc, n)
+				out = box
+				if box == nil {
+					out = list // no pool: boxed here, once
+				}
 			}
 			carry = nil
 			list := out.([]T)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strconv"
 
 	"repro/internal/comm"
@@ -332,7 +333,7 @@ func holders(p *comm.Proc) int {
 // at the fold-out.
 func doneGathered[T interface {
 	comparable
-	ReadDone()
+	stream.Lendable
 }](p *comm.Proc, parts []T, mine T) {
 	if p.ByReference() {
 		for _, b := range parts {
@@ -419,13 +420,18 @@ func dsarSplitAllgather(p *comm.Proc, v *stream.Vector, opts Options, base int) 
 		densify(block)
 		p.SpanEnd()
 		p.SpanBegin("dsar:quantize")
-		rng := sc.Rand(opts.Seed ^ int64(rank+1)*0x5851F42D4C957F2D)
-		q := quant.EncodeInto(sc.GrabQuantized(), block, *opts.Quant, rng)
+		seed := opts.Seed ^ int64(rank+1)*0x5851F42D4C957F2D
+		rng := sc.Rand(seed)
+		if rng == nil {
+			rng = rand.New(rand.NewSource(seed))
+		}
+		stale, _ := stream.GrabLent[*quant.Quantized](sc)
+		q := quant.EncodeInto(stale, block, *opts.Quant, rng)
 		sc.PutDense(block)                              // EncodeInto copies into q's storage
 		p.Compute(p.Profile().DenseReduceTime(hi - lo)) // encode pass
 		p.SpanEnd()
 		p.SpanBegin("dsar:allgather")
-		sc.LendQuantized(q, holders(p))
+		sc.Lend(q, holders(p))
 		gatheredBox, gathered := stream.GrabList[*quant.Quantized](sc, P)
 		gathered[rank] = q
 		allgatherBlocks(p, P, gathered, sc, agBase, (*quant.Quantized).WireBytes, nil, nil)

@@ -169,7 +169,9 @@ func (q *Quantized) put(i, code int) {
 
 // Lend records that readers holders read q, the owner among them; each
 // calls ReadDone once it is done. The owner reuses q (EncodeInto) only once
-// Readers reports zero.
+// Readers reports zero. These three methods make q a stream.Lendable,
+// which a rank's pool lends and hands back (stream.Scratch.Lend,
+// stream.GrabLent).
 func (q *Quantized) Lend(readers int) { q.readers.Store(int32(readers)) }
 
 // ReadDone records that one holder of a lent block has stopped reading it;
@@ -196,10 +198,9 @@ func (q *Quantized) Decode() []float64 {
 
 // DecodeInto reconstructs the (lossy) vector into dst[:Dim()] without
 // allocating; it panics when dst is shorter than Dim(). Entry i decodes to
-// float64(scale)·float64(code)/L: per bucket holding at least as many codes
-// as there are code words, that expression is tabulated once over the
-// 2^Bits words, then the packed codes are unpacked a whole byte at a time.
-// A smaller bucket evaluates it per code, which costs less than the table.
+// float64(scale)·float64(code)/L: per bucket that expression is tabulated
+// once over the 2^Bits code words, then the packed codes are unpacked a
+// whole byte at a time.
 func (q *Quantized) DecodeInto(dst []float64) {
 	dst = dst[:q.n]
 	bits, levels := q.cfg.Bits, q.cfg.Levels()
@@ -212,12 +213,6 @@ func (q *Quantized) DecodeInto(dst []float64) {
 		s := float64(scale)
 		lo := b * q.cfg.Bucket
 		hi := min(lo+q.cfg.Bucket, q.n)
-		if hi-lo < 1<<bits {
-			for i := lo; i < hi; i++ {
-				dst[i] = s * float64(word(i)-levels) / L
-			}
-			continue
-		}
 		for u := 0; u < 1<<bits; u++ {
 			table[u] = s * float64(u-levels) / L
 		}

@@ -1,10 +1,6 @@
 package stream
 
-import (
-	"math/rand"
-
-	"repro/internal/quant"
-)
+import "math/rand"
 
 // Scratch is a pool of reusable vector buffers for the reduction hot path.
 // The chained two-way merges of an allreduce allocate fresh idx/val slices
@@ -25,20 +21,19 @@ import (
 //     vector someone else may still read — one handed on to a caller, one
 //     whose Pairs() slices are referenced elsewhere, or a block gathered
 //     by an allgather, which every rank holds.
-//   - A vector several holders read at once is lent instead: Lend(v, n)
-//     records that n holders read v, each calls v.ReadDone once it is
-//     done, and the pool takes v back at one of its later grabs, on its
-//     own goroutine, once the count has reached zero. A split allgather
-//     lends its rank's reduced partition this way (core): the block is
-//     read by every rank of the communicator where sends hand payloads
-//     over by reference, and by its owner alone over TCP, where peers read
-//     framed copies. Reclaim never waits — a block still being read stays
-//     lent and the grab allocates instead — and the lent list is bounded
-//     like the free lists: a block lent past it is left to the GC.
-//   - DSAR's quantized own block is lent the same way (LendQuantized,
-//     quant.Quantized.ReadDone), to the same holders, and GrabQuantized
-//     hands it back to the owner for quant.EncodeInto only once every
-//     holder is done; a block still being read means a fresh one.
+//   - A block several holders read at once is lent instead: Lend(b, n)
+//     records that n holders read b, each calls b.ReadDone once it is
+//     done, and the pool hands b back, on its own goroutine, once the
+//     count has reached zero: a vector at one of its later grabs, as
+//     Release would, any other Lendable to GrabLent. A split allgather
+//     lends its rank's reduced partition this way (core), and DSAR its
+//     quantized own block, which GrabLent returns for quant.EncodeInto:
+//     the block is read by every rank of the communicator where sends
+//     hand payloads over by reference, and by its owner alone over TCP,
+//     where peers read framed copies. The pool never waits — a block
+//     still being read stays lent and the grab allocates instead — and
+//     the lent list is bounded like the free lists: a block lent past it
+//     is left to the GC.
 //   - The pool also keeps the block lists of the allgathers and the
 //     per-call slices of the split phase (GrabList, PutList): each in the
 //     interface value it was first boxed in, so a list sent as a payload
@@ -79,16 +74,14 @@ import (
 //
 // The zero value is ready to use; all methods are nil-safe (a nil *Scratch
 // degrades to plain allocation, so every scratch-aware code path can take
-// an optional pool).
+// an optional pool; Rand alone leaves the allocation to its caller).
 type Scratch struct {
 	idx [][]int32
 	val [][]float64
 	dns [][]float64
 	hdr []*Vector // voided Vector headers, recycled by grabVector
-	// lent holds the vectors lent out (Lend) and not yet taken back, lentQ
-	// the quantized blocks (LendQuantized).
-	lent  []*Vector
-	lentQ []*quant.Quantized
+	// lent holds the blocks lent out (Lend) and not yet taken back.
+	lent []Lendable
 	// lists holds boxed lists with their entries cleared (GrabList).
 	lists []any
 	// rng is the generator Rand reseeds.
@@ -170,98 +163,116 @@ func (s *Scratch) Release(v *Vector) {
 	}
 }
 
-// Lend hands v, which this pool's owner no longer needs once it has been
+// Lendable is a block a pool can lend (Scratch.Lend): it counts the
+// holders still reading it.
+type Lendable interface {
+	// Lend records that readers holders read the block, its owner among
+	// them.
+	Lend(readers int)
+	// ReadDone records that one holder has stopped reading the block; the
+	// holder must not touch it afterwards.
+	ReadDone()
+	// Readers reports how many holders have not yet called ReadDone.
+	Readers() int
+}
+
+// Lend hands b, which this pool's owner no longer needs once it has been
 // read, to readers holders — the owner among them — each of which calls
-// v.ReadDone when it is done. The pool takes v back (as Release would) at
-// a grab after the count has reached zero. On a nil pool Lend does
-// nothing: v is left to the GC.
-func (s *Scratch) Lend(v *Vector, readers int) {
+// b.ReadDone when it is done. Once the count has reached zero the pool
+// takes b back: a vector at a later grab, as Release would, anything else
+// at a GrabLent. On a nil pool Lend does nothing: b is left to the GC.
+func (s *Scratch) Lend(b Lendable, readers int) {
 	if s == nil || len(s.lent) >= lentCap {
 		return
 	}
-	v.readers.Store(int32(readers))
-	s.lent = append(s.lent, v)
+	b.Lend(readers)
+	s.lent = append(s.lent, b)
 }
+
+// Lend records that readers holders read v (Lendable); Scratch.Lend calls
+// it.
+func (v *Vector) Lend(readers int) { v.readers.Store(int32(readers)) }
 
 // ReadDone records that one holder of a lent vector (Scratch.Lend) has
 // stopped reading it; the holder must not touch v afterwards. On a vector
 // that was never lent it does nothing that matters.
 func (v *Vector) ReadDone() { v.readers.Add(-1) }
 
-// Lent reports how many lent vectors and quantized blocks the pool has not
-// yet taken back. Intended for tests and diagnostics.
+// Readers reports how many holders of a lent vector have not yet called
+// ReadDone.
+func (v *Vector) Readers() int { return int(v.readers.Load()) }
+
+// GrabLent removes from s's lent list and returns a block of type T that
+// every holder is done with, or false when there is none — a nil pool, or
+// every such block still being read. It never waits.
+func GrabLent[T Lendable](s *Scratch) (T, bool) {
+	if s != nil {
+		for i, b := range s.lent {
+			if t, ok := b.(T); ok && b.Readers() == 0 {
+				last := len(s.lent) - 1
+				s.lent[i] = s.lent[last]
+				s.lent[last] = nil
+				s.lent = s.lent[:last]
+				return t, true
+			}
+		}
+	}
+	var none T
+	return none, false
+}
+
+// Lent reports how many lent blocks the pool has not yet taken back.
+// Intended for tests and diagnostics.
 func (s *Scratch) Lent() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.lent) + len(s.lentQ)
-}
-
-// LendQuantized is Lend for a quantized block: readers holders each call
-// q.ReadDone, and GrabQuantized hands q back once all have. On a nil pool
-// it does nothing: q is left to the GC.
-func (s *Scratch) LendQuantized(q *quant.Quantized, readers int) {
-	if s == nil || len(s.lentQ) >= lentCap {
-		return
-	}
-	q.Lend(readers)
-	s.lentQ = append(s.lentQ, q)
-}
-
-// GrabQuantized returns a lent quantized block every holder is done with,
-// for quant.EncodeInto to reuse, or nil when there is none — a nil pool, or
-// every block still being read — and EncodeInto allocates. It never waits.
-func (s *Scratch) GrabQuantized() *quant.Quantized {
-	if s == nil {
-		return nil
-	}
-	for i, q := range s.lentQ {
-		if q.Readers() == 0 {
-			last := len(s.lentQ) - 1
-			s.lentQ[i] = s.lentQ[last]
-			s.lentQ[last] = nil
-			s.lentQ = s.lentQ[:last]
-			return q
-		}
-	}
-	return nil
+	return len(s.lent)
 }
 
 // GrabList returns a zeroed list of n entries, in the interface value it is
 // kept in and as its slice: one of s's when it holds one of that type and
-// length, else a new one (boxed once, here). Return it with PutList.
+// length, else a new one (boxed once, here). Return it with PutList. A nil
+// pool returns a nil box and the bare new list, so a caller that never
+// boxes it pays one allocation.
 func GrabList[T any](s *Scratch, n int) (box any, list []T) {
-	if s != nil {
-		for i, b := range s.lists {
-			if l, ok := b.([]T); ok && len(l) == n {
-				last := len(s.lists) - 1
-				s.lists[i] = s.lists[last]
-				s.lists[last] = nil
-				s.lists = s.lists[:last]
-				return b, l
-			}
+	if s == nil {
+		return nil, make([]T, n)
+	}
+	for i, b := range s.lists {
+		if l, ok := b.([]T); ok && len(l) == n {
+			last := len(s.lists) - 1
+			s.lists[i] = s.lists[last]
+			s.lists[last] = nil
+			s.lists = s.lists[:last]
+			return b, l
 		}
 	}
 	list = make([]T, n)
 	return list, list
 }
 
-// PutList clears the boxed list box, a []T, and keeps it for GrabList; on a
-// nil pool, or past the pool's bound, it is left to the GC. Clearing drops
-// the blocks the list named, which the pool must not pin.
+// PutList clears the boxed list box, a []T, and keeps it for GrabList;
+// past the pool's bound it is left to the GC, and on a nil pool (a nil
+// box) it is dropped untouched. Clearing drops the blocks the list named,
+// which the pool must not pin.
 func PutList[T any](s *Scratch, box any) {
+	if s == nil || box == nil {
+		return
+	}
 	clear(box.([]T))
-	if s != nil && len(s.lists) < scratchPoolCap {
+	if len(s.lists) < scratchPoolCap {
 		s.lists = append(s.lists, box)
 	}
 }
 
 // Rand returns s's one generator reseeded with seed, in the state
 // rand.New(rand.NewSource(seed)) starts in; valid until the next Rand call.
-// A nil pool returns a new generator.
+// A nil pool returns nil: the caller makes its own generator, which it can
+// hold on its stack.
 func (s *Scratch) Rand(seed int64) *rand.Rand {
 	if s == nil {
-		return rand.New(rand.NewSource(seed))
+		return nil
 	}
 	if s.rng == nil {
 		s.rng = rand.New(rand.NewSource(seed))
@@ -274,16 +285,7 @@ func (s *Scratch) Rand(seed int64) *rand.Rand {
 // reclaim takes back every lent vector whose readers are all done. Every
 // grab calls it; with nothing lent it costs one length check.
 func (s *Scratch) reclaim() {
-	for i := 0; i < len(s.lent); {
-		v := s.lent[i]
-		if v.readers.Load() != 0 {
-			i++
-			continue
-		}
-		last := len(s.lent) - 1
-		s.lent[i] = s.lent[last]
-		s.lent[last] = nil
-		s.lent = s.lent[:last]
+	for v, ok := GrabLent[*Vector](s); ok; v, ok = GrabLent[*Vector](s) {
 		s.Release(v)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"weak"
+
+	"repro/internal/quant"
 )
 
 func TestScratchReleaseAndReuse(t *testing.T) {
@@ -254,5 +256,73 @@ func TestScratchLendReclaimsOnlyReadBlocks(t *testing.T) {
 	}
 	if s.Lent() != lentCap {
 		t.Fatalf("%d blocks lent, want the bound %d", s.Lent(), lentCap)
+	}
+}
+
+// TestScratchGrabLentWaitsForEveryReader: a lent quantized block — DSAR's
+// own block, which the owner encodes into again — comes back from GrabLent
+// only once every holder has counted it down, and exactly once. It shares
+// the lent list with vectors: a vector grab leaves it lent, Lent counts
+// it, and the list's bound covers both kinds.
+func TestScratchGrabLentWaitsForEveryReader(t *testing.T) {
+	cfg := quant.Config{Bits: 4, Bucket: 2, Norm: quant.NormMax}
+	block := func() *quant.Quantized {
+		return quant.Encode([]float64{1, -2, 3}, cfg, rand.New(rand.NewSource(1)))
+	}
+	s := NewScratch()
+	q, v := block(), NewSparse(64, []int32{1, 2, 3}, []float64{1, 2, 3}, OpSum)
+	s.Lend(q, 2)
+	s.Lend(v, 1)
+	if got, ok := GrabLent[*quant.Quantized](s); ok || got != nil {
+		t.Fatal("a block two holders still read was handed back")
+	}
+	q.ReadDone()
+	if _, ok := GrabLent[*quant.Quantized](s); ok {
+		t.Fatal("a block one holder still reads was handed back")
+	}
+	v.ReadDone()
+	if w := s.grabVector(64, OpSum, DefaultValueBytes, 0); w != v || s.Lent() != 1 {
+		t.Fatalf("a vector grab did not take back just the read vector (lent %d)", s.Lent())
+	}
+	q.ReadDone()
+	if got, ok := GrabLent[*quant.Quantized](s); !ok || got != q || s.Lent() != 0 {
+		t.Fatalf("a block every holder is done with was not handed back (lent %d)", s.Lent())
+	}
+	if _, ok := GrabLent[*quant.Quantized](s); ok {
+		t.Fatal("a block was handed back twice")
+	}
+
+	var none *Scratch
+	none.Lend(q, 1)
+	if _, ok := GrabLent[*quant.Quantized](none); ok || none.Lent() != 0 {
+		t.Fatal("a nil pool lent")
+	}
+	for range lentCap {
+		s.Lend(Zero(8, OpSum), 1)
+	}
+	past := block()
+	s.Lend(past, 0)
+	if _, ok := GrabLent[*quant.Quantized](s); ok || s.Lent() != lentCap {
+		t.Fatalf("a block lent past the bound was kept (lent %d, bound %d)", s.Lent(), lentCap)
+	}
+}
+
+// TestScratchRandReseeds: the pool's one generator, whatever it drew
+// before, continues as a fresh rand.New(rand.NewSource(seed)) would — the
+// stochastic rounding of a quantized block depends on it bit for bit — and
+// a nil pool leaves the generator to its caller.
+func TestScratchRandReseeds(t *testing.T) {
+	s := NewScratch()
+	for _, seed := range []int64{7, -3, 7} {
+		got, want := s.Rand(seed), rand.New(rand.NewSource(seed))
+		for i := range 1000 {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d, draw %d: %d, want %d", seed, i, g, w)
+			}
+		}
+	}
+	var none *Scratch
+	if none.Rand(1) != nil {
+		t.Fatal("a nil pool returned a generator")
 	}
 }
