@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/stream"
 )
 
 // Message is a tagged point-to-point message.
@@ -57,7 +58,8 @@ type World struct {
 	profile simnet.Profile    // the outermost level's: local compute costs
 	hier    *simnet.Hierarchy // the machine over the ranks; never nil, depth 1 when flat
 	boxes   []*mailbox
-	times   []float64 // final per-rank time (virtual or wall), filled by Run
+	pools   []*stream.Scratch // one per rank, for the world's life (Proc.Pool)
+	times   []float64         // final per-rank time (virtual or wall), filled by Run
 
 	// mach and slots are set only by NewWorldPlaced: the full machine
 	// hierarchy and the ascending machine slot hosting each rank. Pricing
@@ -127,13 +129,25 @@ func newWorld(p int, h simnet.Hierarchy) *World {
 		panic("comm: world size must be positive")
 	}
 	w := &World{p: p, profile: h.Levels[len(h.Levels)-1].Profile, hier: &h,
-		boxes: make([]*mailbox, p), times: make([]float64, p)}
+		boxes: make([]*mailbox, p), pools: make([]*stream.Scratch, p), times: make([]float64, p)}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
+	w.newPools()
 	w.setTransport(simTransport{})
 	return w
 }
+
+// newPools gives every rank an empty pool, dropping any it had.
+func (w *World) newPools() {
+	for i := range w.pools {
+		w.pools[i] = stream.NewScratch()
+	}
+}
+
+// Pool returns rank's pool (see Proc.Pool). Safe to call from inside Run,
+// with the calling rank's own id: the pool belongs to that rank alone.
+func (w *World) Pool(rank int) *stream.Scratch { return w.pools[rank] }
 
 // setTransport installs the execution backend and caches its clock mode.
 func (w *World) setTransport(t Transport) {
@@ -355,6 +369,9 @@ type Proc struct {
 	// Fork) so the disabled path is a plain nil field check. Nil when
 	// the world's observability is disabled.
 	obs *obs.Track
+
+	// pool is the rank's pool (Pool); nil on a fork.
+	pool *stream.Scratch
 }
 
 // Rank returns this process's rank in [0, Size) — group-local on a
@@ -365,6 +382,20 @@ func (p *Proc) Rank() int {
 	}
 	return p.rank
 }
+
+// Pool returns the rank's reusable storage: one stream.Scratch per rank,
+// which the world keeps from its construction to its end, across Run
+// calls, so a caller that draws from it and gives back what it is done
+// with finds it warm at its next call, as an MPI-4 persistent collective
+// (MPI_Allreduce_init) finds the storage it was set up with. The pool
+// belongs to the rank's goroutine: a Sub view shares it, a forked Proc
+// (Fork, ForkInto), which may run beside the rank, has none (nil, on
+// which every Scratch method degrades to plain allocation), and
+// collectives the rank keeps in flight at once run on child pools of it
+// (stream.Scratch.Child). A Run that re-raises a rank's panic replaces
+// every rank's pool with an empty one, so storage an aborted collective
+// still held is never handed out again.
+func (p *Proc) Pool() *stream.Scratch { return p.pool }
 
 // WorldRank returns this process's rank in the full world, regardless of
 // any sub-communicator view.
@@ -434,7 +465,7 @@ func (p *Proc) Sub(ranks []int) *Proc {
 	if idx < 0 {
 		panic(fmt.Sprintf("comm: Sub group %v does not contain caller rank %d", ranks, p.rank))
 	}
-	s := &Proc{rank: p.rank, world: p.world, group: ranks, groupRank: idx, obs: p.obs}
+	s := &Proc{rank: p.rank, world: p.world, group: ranks, groupRank: idx, obs: p.obs, pool: p.pool}
 	s.clock.Observe(p.clock.Now())
 	return s
 }
@@ -704,9 +735,10 @@ func (p *Proc) SendRecv(peer, tag int, payload any, bytes int) Message {
 }
 
 // Fork creates a detached Proc sharing this rank's identity and mailbox but
-// with an independent clock starting at the current virtual time. Used to
-// run nonblocking collectives: the forked Proc's sends and receives do not
-// advance the parent's clock; Join folds the forked completion time back.
+// with an independent clock starting at the current virtual time, and
+// without the rank's pool (Pool). Used to run nonblocking collectives: the
+// forked Proc's sends and receives do not advance the parent's clock; Join
+// folds the forked completion time back.
 //
 // Tag ranges must be allocated on the parent (in program order) before
 // forking, so concurrent operations never collide.
@@ -718,9 +750,9 @@ func (p *Proc) Fork() *Proc {
 
 // ForkInto re-initialises f to exactly what Fork would return now — the
 // clock observed from p's, tag cursor 0, p's group, contention cache and
-// obs track — reusing f's storage, so a nonblocking operation issued step
-// after step keeps one forked Proc. f must be idle: whatever ran on it has
-// finished. The contention cache is a pure function of the rank and its
+// obs track, and no pool (Pool) — reusing f's storage, so a nonblocking
+// operation issued step after step keeps one forked Proc. f must be idle:
+// whatever ran on it has finished. The contention cache is a pure function of the rank and its
 // communicator, so when p has not filled its own, f keeps what it computed
 // as an earlier fork of the same communicator.
 func (p *Proc) ForkInto(f *Proc) {
@@ -790,7 +822,7 @@ func Run[R any](w *World, f func(*Proc) R) []R {
 					w.poison()
 				}
 			}()
-			p := &Proc{rank: rank, world: w}
+			p := &Proc{rank: rank, world: w, pool: w.pools[rank]}
 			if w.obs != nil {
 				p.obs = w.obs.hub.Rank(rank)
 			}
@@ -826,6 +858,9 @@ func Run[R any](w *World, f func(*Proc) R) []R {
 		break
 	}
 	if first != nil {
+		// An aborted collective may have left storage lent to peers, or
+		// half-written, in any rank's pool.
+		w.newPools()
 		panic(fmt.Sprintf("comm: rank %d panicked: %v", firstRank, first))
 	}
 	return results

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/simnet"
+	"repro/internal/stream"
 )
 
 // zeroLatency is a profile where time does not advance, for pure
@@ -295,5 +296,70 @@ func TestWorldRecoversAfterPoisonedRun(t *testing.T) {
 	})
 	if out[0] != 11 || out[1] != 10 {
 		t.Fatalf("post-poison run wrong: %v", out)
+	}
+}
+
+// TestRankPools: a rank's Proc draws on the one pool the world keeps for
+// it — the same object in every Run, shared by a Sub view of the rank, and
+// what was left in it is there at the next Run — while a forked Proc, from
+// Fork or re-synced by ForkInto over a view that had the pool, has none of
+// its parent's. A Run that re-raises a rank's panic replaces every pool
+// with an empty one, so storage an aborted op left in a pool is never
+// handed out again.
+func TestRankPools(t *testing.T) {
+	const P = 4
+	w := NewWorld(P, zeroLatency)
+	all := []int{0, 1, 2, 3}
+	type view struct {
+		pool, world, sub, fork, reforked *stream.Scratch
+		held                             int
+	}
+	views := func(leave bool) []view {
+		return Run(w, func(p *Proc) view {
+			v := view{pool: p.Pool(), world: w.Pool(p.Rank()), held: p.Pool().Buffers()}
+			s := p.Sub(all)
+			v.sub = s.Pool()
+			v.fork = p.Fork().Pool()
+			p.ForkInto(s)
+			v.reforked = s.Pool()
+			if leave {
+				p.Pool().PutDense(make([]float64, 8))
+			}
+			return v
+		})
+	}
+	first, second := views(true), views(false)
+	for r := range P {
+		v := first[r]
+		switch {
+		case v.pool == nil:
+			t.Fatalf("rank %d has no pool", r)
+		case v.world != v.pool || v.sub != v.pool:
+			t.Errorf("rank %d: World.Pool and a Sub view's Pool are not the rank's pool", r)
+		case v.fork == v.pool || v.reforked == v.pool:
+			t.Errorf("rank %d: a forked Proc has its parent's pool", r)
+		case second[r].pool != v.pool || second[r].held != 1:
+			t.Errorf("rank %d: the second Run's pool is not the first's with its buffer (%d buffers)", r, second[r].held)
+		}
+		for q := range r {
+			if first[q].pool == v.pool {
+				t.Errorf("ranks %d and %d share a pool", q, r)
+			}
+		}
+	}
+	func() {
+		defer func() { recover() }()
+		Run(w, func(p *Proc) any {
+			if p.Rank() == 1 {
+				panic("the op dies")
+			}
+			p.Recv(1, 0)
+			return nil
+		})
+	}()
+	for r, v := range views(false) {
+		if v.pool == first[r].pool || v.held != 0 {
+			t.Errorf("rank %d kept its pool (%d buffers) through a Run that panicked", r, v.held)
+		}
 	}
 }

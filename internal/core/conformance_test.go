@@ -333,6 +333,11 @@ func confBudgetRows() []confRow {
 	for s := range wide {
 		wide[s] = patterns[0].gen(rng, 1<<17, 1<<13, 8)
 	}
+	rng6 := rand.New(rand.NewSource(96))
+	wide6 := make([][]*stream.Vector, 4)
+	for s := range wide6 {
+		wide6[s] = patterns[0].gen(rng6, 1<<17, 1<<13, 6)
+	}
 	tcpSets := scenario.Scenario{Name: "core/tcp-steady", N: 1 << 16, P: 8, Calls: 4,
 		Density: scenario.Const(1.0 / 16)}.Generator(scenario.NewKey(31)).All()
 	split := Options{Algorithm: SSARSplitAllgather}
@@ -373,6 +378,20 @@ func confBudgetRows() []confRow {
 			confBudget{warm: 48, window: 12, allocs: 1, bytes: 0.01 / 8}),
 		row("TestReleasedResultsAreReused", "auto-release", "goroutine", Options{}, wide, true,
 			confBudget{warm: 8, window: 12, allocs: 1, bytes: 0.01 / 8}),
+		// The split-release shape at P = 6 (N = 2^17, N/16 non-zeros per
+		// rank, four sets, seed 96), whose allgathers fold two excess ranks
+		// onto two core ranks. The fold hands a block list back at the
+		// fold-in for the one it takes at the fold-out, so an op allocates
+		// nothing here either: 0.0 allocations per op on goroutine ranks
+		// and 0.0–0.3 over TCP, against 4.0 and 8.0 while each folding core
+		// rank lost a list (and its box) per op to its excess partner. Over
+		// TCP stray allocations scatter the bytes from 0 to ×0.0063 of the
+		// results, so its bytes budget, ×0.1, only catches result-sized
+		// storage that stops coming back.
+		{test: "TestConformance", name: "budget/split-release/P=6", transports: []string{"goroutine"}, P: 6,
+			opts: split, sets: wide6, release: true, budget: &confBudget{warm: 48, window: 12, allocs: 0.5, bytes: 0.01 / 6}},
+		{test: "TestConformance", name: "budget/split-release/P=6", transports: []string{"tcp"}, P: 6,
+			opts: split, sets: wide6, release: true, budget: &confBudget{warm: 48, window: 12, allocs: 1, bytes: 0.1}},
 		// Over TCP every payload sent or consumed goes back into the
 		// rank's decode pool (Proc.Recycle): 16.4 allocations for DSAR-Q4
 		// (511 decoding every arrival fresh, 80.5 with the per-call slices,

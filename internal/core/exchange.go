@@ -99,13 +99,13 @@ func halvedRange(n, p2, r int) (lo, hi int) {
 // allgatherBlocks gathers one block per rank among the first n ranks of
 // p's communicator by recursive doubling: parts is the rank-indexed block
 // list with this rank's own entry filled in, and on return every entry is.
-// The blocks may differ in size. On the wire a fold-in carries the excess
-// rank's single block and every other message the same rank-indexed list
-// holding just the blocks being passed on, absent entries left zero (nil) —
-// the one container payload the transports' codec needs. Blocks travel by
-// reference and are forwarded to later-stage partners as they arrived: on
-// the in-process backends every rank ends up holding the same objects, so a
-// block is immutable from the moment it enters parts. A received list, by
+// The blocks may differ in size. On the wire every message, the fold-in's
+// included, carries the same rank-indexed list holding just the blocks
+// being passed on, absent entries left zero (nil) — the one container
+// payload the transports' codec needs. Blocks travel by reference and are
+// forwarded to later-stage partners as they arrived: on the in-process
+// backends every rank ends up holding the same objects, so a block is
+// immutable from the moment it enters parts. A received list, by
 // contrast, belongs to its receiver, which tops it up with the blocks it
 // already held and passes it on at the next stage in the interface value
 // it arrived in — one list per rank, not one per stage, drawn already
@@ -115,10 +115,12 @@ func halvedRange(n, p2, r int) (lo, hi int) {
 // process a rank thus sends one list and keeps the last it received. Over
 // TCP the list drawn from sc goes into the decode pool after its send and
 // the last arrival, decoded from that pool, goes into sc, so both pools
-// stay level. A non-power-of-two fold moves one list per op from each core
-// rank that folds to its excess partner, whose pool fills to its bound
-// while the core rank's allocates. A nil sc allocates the list and
-// recycles the last arrival instead.
+// stay level. A non-power-of-two fold keeps them level too: an excess rank
+// draws the list it sends at the fold-in, and the core rank it folds onto
+// passes that list on at its first stage instead of drawing one, and sends
+// its last arrival back at the fold-out instead of keeping it; the excess
+// rank keeps that one, and recycles the list it sent once the answer is in.
+// A nil sc allocates the list and recycles the last arrival instead.
 //
 // Every message carries all its sender holds, so the cost model is a
 // function of weights: weigh gives one block's, a message from a rank
@@ -131,23 +133,24 @@ func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, sc *stream.Scratch, 
 	rank := p.Rank()
 	p2 := largestPow2(n)
 	held := weigh(parts[rank])
-	var carry any // the list received last, as it arrived
+	var carry any  // the list received last, as it arrived
+	var foldIn any // the list an excess rank sent at the fold-in
 	butterfly(p, n, base, false,
 		func(stage, dist int) (any, int) {
 			bytes := held
 			if price != nil {
 				bytes = price(held)
 			}
-			if stage == stageFoldIn {
-				return parts[rank], bytes
-			}
 			// Entering a stage this rank's dist-aligned group of core ranks
 			// has pooled its members' blocks and those folded onto them, and
 			// every member passes exactly those on; the fold-out passes on
-			// the whole core's.
+			// the whole core's, the fold-in the excess rank's own.
 			g := rank &^ (dist - 1)
-			if stage == stageFoldOut {
+			switch stage {
+			case stageFoldOut:
 				g, dist = 0, p2
+			case stageFoldIn:
+				g, dist = rank, 1
 			}
 			out := carry
 			if out == nil {
@@ -158,6 +161,9 @@ func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, sc *stream.Scratch, 
 				}
 			}
 			carry = nil
+			if stage == stageFoldIn {
+				foldIn = out
+			}
 			list := out.([]T)
 			for r := g; r < g+dist; r++ {
 				for b := r; b < n; b += p2 {
@@ -167,22 +173,22 @@ func allgatherBlocks[T any](p *comm.Proc, n int, parts []T, sc *stream.Scratch, 
 			return out, bytes
 		},
 		func(stage, dist int, in any) {
+			g := rank&^(dist-1) ^ dist // the partner's group
+			switch stage {
+			case stageFoldIn:
+				g, dist = rank+p2, 1
+			case stageFoldOut:
+				g, dist = 0, p2
+				// The fold-in list went out before this arrival.
+				p.Recycle(foldIn)
+			}
+			carry = in
+			list := in.([]T)
 			incoming := 0
-			if stage == stageFoldIn {
-				parts[rank+p2] = in.(T)
-				incoming = weigh(parts[rank+p2])
-			} else {
-				g := rank&^(dist-1) ^ dist // the partner's group
-				if stage == stageFoldOut {
-					g, dist = 0, p2
-				}
-				carry = in
-				list := in.([]T)
-				for r := g; r < g+dist; r++ {
-					for b := r; b < n; b += p2 {
-						parts[b] = list[b]
-						incoming += weigh(parts[b])
-					}
+			for r := g; r < g+dist; r++ {
+				for b := r; b < n; b += p2 {
+					parts[b] = list[b]
+					incoming += weigh(parts[b])
 				}
 			}
 			if absorb != nil && stage != stageFoldOut {

@@ -91,23 +91,21 @@ func runRegretCell(sc scenario.Scenario, m RegretMachine, inputs []*stream.Vecto
 	for _, v := range inputs {
 		k = max(k, v.NNZ())
 	}
-	model := comm.Run(comm.NewWorldHier(P, m.Hier), func(p *comm.Proc) core.CostScenario {
+	w := comm.NewWorldHier(P, m.Hier)
+	model := comm.Run(w, func(p *comm.Proc) core.CostScenario {
 		return core.ScenarioFor(p, inputs[p.Rank()], core.Options{}, k)
 	})[0]
 	alg, levels, _ := core.ChooseAutoLevels(model)
 	cell := RegretCell{Scenario: sc.Name, Machine: m.Name, P: P, N: sc.N, K: k,
 		Pick: core.ChoiceName(alg, levels)}
 
-	// Each rank's pool takes its result back after every candidate, so the
-	// next one reuses the storage; simulated times do not depend on it.
-	pools := make([]*stream.Scratch, P)
-	for r := range pools {
-		pools[r] = stream.NewScratch()
-	}
+	// Every candidate runs on the one world, and each rank's pool takes its
+	// result back, so the next candidate reuses the storage; simulated
+	// times do not depend on it.
 	simulate := func(opts core.Options) float64 {
-		return measure(comm.NewWorldHier(P, m.Hier), once(inputs), func(p *comm.Proc, in *stream.Vector) *stream.Vector {
+		return measure(w, once(inputs), func(p *comm.Proc, in *stream.Vector) *stream.Vector {
 			o := opts
-			o.Scratch = pools[p.Rank()]
+			o.Scratch = p.Pool()
 			o.Scratch.Release(core.Allreduce(p, in, o))
 			return nil
 		}).seconds

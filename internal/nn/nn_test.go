@@ -3,6 +3,8 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -56,6 +58,44 @@ func TestTopKCorrect(t *testing.T) {
 	}
 	if got := TopKCorrect(logits, labels, 5); got != 2 {
 		t.Fatalf("top5 = %d, want 2", got)
+	}
+}
+
+// TestTopKCorrectTies: a label ranks behind every larger logit and every
+// equal logit of a lower class. Here label 3 ties classes 1 and 2 at the
+// top, so it is third, and on tie-heavy random logits of 1 to 24 classes
+// every label's answer is the one a stable sort by decreasing logit gives.
+func TestTopKCorrectTies(t *testing.T) {
+	tied := [][]float64{{1, 2, 2, 2, 0}}
+	for k, want := range []int{0, 0, 0, 1, 1} {
+		if got := TopKCorrect(tied, []int{3}, k); got != want {
+			t.Errorf("k = %d: %d correct, want %d", k, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for n := 1; n <= 24; n++ {
+		for range 50 {
+			z := make([]float64, n)
+			for i := range z {
+				z[i] = float64(rng.Intn(3))
+			}
+			order := make([]int, n)
+			for i := range order {
+				order[i] = i
+			}
+			sort.SliceStable(order, func(a, b int) bool { return z[order[a]] > z[order[b]] })
+			for l := range n {
+				for k := range 6 {
+					want := 0
+					if slices.Contains(order[:min(k, n)], l) {
+						want = 1
+					}
+					if got := TopKCorrect([][]float64{z}, []int{l}, k); got != want {
+						t.Fatalf("logits %v, label %d, k = %d: %d correct, want %d", z, l, k, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // SoftmaxCE computes the mean softmax cross-entropy loss of a batch of
 // logits against integer labels, the gradient dL/dLogits (already averaged
@@ -52,24 +49,22 @@ func SoftmaxCEInto(ws *Workspace, logits [][]float64, labels []int) (loss float6
 }
 
 // TopKCorrect counts samples whose label is among the k largest logits —
-// the top-5 metric of the ImageNet experiments (Figure 5).
+// the top-5 metric of the ImageNet experiments (Figure 5). A label ranks
+// behind every larger logit and every equal one of a lower class, the order
+// a stable sort by decreasing logit gives, so counting them ranks it
+// without sorting or allocating.
 func TopKCorrect(logits [][]float64, labels []int, k int) int {
 	correct := 0
 	for s, z := range logits {
-		order := make([]int, len(z))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return z[order[a]] > z[order[b]] })
-		limit := k
-		if limit > len(order) {
-			limit = len(order)
-		}
-		for _, i := range order[:limit] {
-			if i == labels[s] {
-				correct++
-				break
+		l := labels[s]
+		ahead := 0
+		for i, x := range z {
+			if x > z[l] || x == z[l] && i < l {
+				ahead++
 			}
+		}
+		if ahead < k {
+			correct++
 		}
 	}
 	return correct

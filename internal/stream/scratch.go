@@ -14,6 +14,10 @@ import "math/rand"
 //   - A Scratch belongs to ONE goroutine (one rank). It must never be
 //     shared across ranks or across concurrently running collectives
 //     (e.g. overlapping nonblocking operations) — it performs no locking.
+//     A comm.World keeps one per rank for the world's life
+//     (comm.Proc.Pool), so what a call leaves in it warms the next call;
+//     collectives a rank keeps in flight at once each run on a child pool
+//     of its own (Child), which persists with its parent.
 //   - Release(v) hands v's backing buffers to the pool and voids v. Only
 //     release vectors this goroutine exclusively owns (typically vectors
 //     received from a peer and already merged, local temporaries, or a
@@ -92,6 +96,8 @@ type Scratch struct {
 	// agree is the storage of the pool owner's repeated dense agreements
 	// (Agreement).
 	agree DenseWorkspace
+	// children are the pools Child has made, kept for the pool's life.
+	children []*Scratch
 }
 
 // DenseWorkspace is the caller-held storage of a repeated dense
@@ -115,6 +121,25 @@ func (s *Scratch) Agreement() *DenseWorkspace {
 		return nil
 	}
 	return &s.agree
+}
+
+// Child returns s's i-th child pool, made empty at its first call and kept
+// with s from then on: a pool of its own for the i-th of the collectives its
+// owner keeps in flight at once (a training step's bucket b runs on child
+// b), which must share neither s nor each other. A child is a pool like
+// any other and belongs to the goroutine running its collective; only s's
+// owner calls Child. A nil pool's children are nil.
+func (s *Scratch) Child(i int) *Scratch {
+	if s == nil {
+		return nil
+	}
+	if i >= len(s.children) {
+		s.children = append(s.children, make([]*Scratch, i+1-len(s.children))...)
+	}
+	if s.children[i] == nil {
+		s.children[i] = NewScratch()
+	}
+	return s.children[i]
 }
 
 // scratchPoolCap bounds each free list so a pathological release pattern

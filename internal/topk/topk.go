@@ -248,9 +248,13 @@ type Residual struct {
 }
 
 // NewResidual creates a zeroed accumulator of dimension n.
-func NewResidual(n int) *Residual {
-	return &Residual{acc: make([]float64, n)}
-}
+func NewResidual(n int) *Residual { return NewResidualOver(make([]float64, n)) }
+
+// NewResidualOver returns an accumulator of dimension len(acc) that keeps
+// its values in acc, which the caller has zeroed: storage that outlives the
+// residual, such as a pool's dense buffer (stream.Scratch.GrabDense), which
+// the caller takes back once it is done with the residual.
+func NewResidualOver(acc []float64) *Residual { return &Residual{acc: acc} }
 
 // Dim returns the accumulator dimension.
 func (r *Residual) Dim() int { return len(r.acc) }

@@ -14,47 +14,44 @@ import (
 // ("communication is done layer-wise using non-blocking calls", §8.3).
 // Fused exchange is the one span [0, len(params)) in one bucket: one TopK
 // selection over the whole vector and one collective. One layer per bucket
-// is the paper's layer-wise exchange. Everything in it is built once per
+// is the paper's layer-wise exchange. Its control plane is built once per
 // run and reused by every step: the spans, the scheduler and this rank's
 // run of it (one persistent request per bucket, whose workers close
-// stops), the per-step slices and the pools.
+// stops) and the per-step slices. Its storage outlives the run: it is the
+// rank's pool (comm.Proc.Pool), which the world keeps, so a second run on
+// the same world starts warm.
 //
 // Every buffer goes back where it dies. Contributions are drawn from the
-// rank's own pool and return to it once the scheduler has fused them. Each
-// bucket's collective runs on a pool of its own — the bucket is fused into
-// it, and the collective releases the fused input there and builds its
-// result there — and the summed update returns to it once applied. Buckets
-// in flight together therefore never share a pool, and the scheduler,
-// which holds none, stays shareable.
+// rank's pool and return to it once the scheduler has fused them. Bucket
+// b's collective runs on the rank pool's child b — the bucket is fused
+// into it, and the collective releases the fused input there and builds
+// its result there — and the summed update returns to it once applied.
+// Buckets in flight together therefore never share a pool, and the
+// scheduler, which holds none, stays shareable.
 type topkExchange struct {
 	spans    [][2]int
 	contribs []*stream.Vector
-	rank     *stream.Scratch // the contributions' pool
+	rank     *stream.Scratch // the contributions' pool; bucket b's is its Child(b)
 
 	sched *core.BucketScheduler
-	run   *core.BucketRun   // this rank's requests and slices for sched
-	pools []*stream.Scratch // one per bucket
-	bopts []core.Options    // one per bucket
+	run   *core.BucketRun // this rank's requests and slices for sched
+	bopts []core.Options  // one per bucket
 }
 
-// newTopKExchange returns the exchange for task under cfg: the task's
-// layer spans in buckets of cfg.BucketCoords when it exposes them and
-// BucketCoords is positive, the whole parameter vector as one span
-// otherwise. Bucket composition depends only on the spans, so every rank
-// derives the same buckets.
-func newTopKExchange(task Task, cfg Config) *topkExchange {
+// newTopKExchange returns the exchange for task under cfg, drawing from
+// pool, the rank's: the task's layer spans in buckets of cfg.BucketCoords
+// when it exposes them and BucketCoords is positive, the whole parameter
+// vector as one span otherwise. Bucket composition depends only on the
+// spans, so every rank derives the same buckets. A nil pool allocates.
+func newTopKExchange(task Task, cfg Config, pool *stream.Scratch) *topkExchange {
 	spans := [][2]int{{0, len(task.Params())}}
 	if s, ok := task.(Spanner); ok && cfg.BucketCoords > 0 {
 		spans = s.LayerSpans()
 	}
-	x := &topkExchange{spans: spans, contribs: make([]*stream.Vector, len(spans)), rank: stream.NewScratch()}
+	x := &topkExchange{spans: spans, contribs: make([]*stream.Vector, len(spans)), rank: pool}
 	x.sched = core.NewBucketScheduler(spans, cfg.BucketCoords)
 	x.run = x.sched.NewRun()
-	x.pools = make([]*stream.Scratch, x.sched.NumBuckets())
-	for b := range x.pools {
-		x.pools[b] = stream.NewScratch()
-	}
-	x.bopts = make([]core.Options, len(x.pools))
+	x.bopts = make([]core.Options, x.sched.NumBuckets())
 	return x
 }
 
@@ -83,7 +80,7 @@ func (x *topkExchange) issue(p *comm.Proc, opts core.Options, ctrl *adapt.Contro
 		}
 	}
 	for b := range bopts {
-		bopts[b].Scratch = x.pools[b]
+		bopts[b].Scratch = x.rank.Child(b)
 	}
 	reqs := x.run.Issue(p, x.contribs, bopts)
 	x.releaseContribs()
@@ -95,7 +92,7 @@ func (x *topkExchange) issue(p *comm.Proc, opts core.Options, ctrl *adapt.Contro
 func (x *topkExchange) apply(p *comm.Proc, reqs []*core.Request, params []float64) {
 	for b, sum := range x.run.Drain(p, reqs) {
 		applyUpdateVec(params, sum)
-		x.pools[b].Release(sum)
+		x.rank.Child(b).Release(sum)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/pin"
 	"repro/internal/scenario"
 	"repro/internal/simnet"
+	"repro/internal/stream"
 	"repro/internal/topk"
 )
 
@@ -100,7 +101,7 @@ func bucketedRanks(P int, adaptive bool) []*bucketedRank {
 		}
 		task := denseBlobTask(r, P)
 		ranks[r] = &bucketedRank{task: task, residual: topk.NewResidual(len(task.Params())),
-			x:   newTopKExchange(task, cfg),
+			x:   newTopKExchange(task, cfg, stream.NewScratch()),
 			rng: scenario.NewPartitionedRNG(scenario.NewKey(cfg.Seed)).Stream(scenario.SubsystemBatch, r),
 			cfg: cfg}
 	}
@@ -140,8 +141,8 @@ func (s *bucketedRank) step(p *comm.Proc) {
 func pooled(ranks []*bucketedRank) [][]int {
 	out := make([][]int, len(ranks))
 	for r, s := range ranks {
-		for _, sc := range s.x.pools {
-			out[r] = append(out[r], sc.Buffers())
+		for b := range s.x.sched.NumBuckets() {
+			out[r] = append(out[r], s.x.rank.Child(b).Buffers())
 		}
 	}
 	return out
@@ -255,7 +256,8 @@ func TestPooledBucketsInFlightDuringExtraction(t *testing.T) {
 	})
 	for r, s := range ranks {
 		seen := map[any]bool{s.x.rank: true}
-		for b, sc := range s.x.pools {
+		for b := range s.x.sched.NumBuckets() {
+			sc := s.x.rank.Child(b)
 			if seen[sc] {
 				t.Fatalf("rank %d bucket %d shares a pool", r, b)
 			}
@@ -317,5 +319,81 @@ func TestBucketedRunLeavesNoGoroutines(t *testing.T) {
 				t.Errorf("%s, BucketCoords %d: loss %v, goroutine world %v", wc.name, coords, got[0], loss[0])
 			}
 		}
+	}
+}
+
+// TestRepeatedRunStartsWarm: the residual, the contributions and every
+// bucket's collective draw from the rank's pool, which the world keeps, so
+// a second Run on the same world starts warm. Three Runs inside one
+// comm.Run on an 8-rank goroutine world, each from the same initial
+// parameters with a fresh controller, each return the history — loss,
+// top-1, top-5 and bytes sent at every epoch; times are wall-clock — and
+// the final parameters of one Run on a fresh world, bit for bit. The third
+// Run's allocations, counted over the whole world between barriers, stay
+// within the budget: ×1.25 of the 26–27 per step it read, against 79–81 for
+// the first Run, which fills the pools; what is left is each Run's control
+// plane (scheduler, persistent requests, controller, batch generator).
+func TestRepeatedRunStartsWarm(t *testing.T) {
+	const P, runs, budget = 8, 3, 1.25 * 27
+	cfg := Config{Method: MethodTopK, LR: 0.0125, BatchPerNode: 8, Epochs: 2, StepsPerEpoch: 10,
+		Bucket: 256, K: 8, Algorithm: core.Auto, BucketCoords: 1, EvalSamples: 16, Seed: 26}
+	steps := float64(cfg.Epochs * cfg.StepsPerEpoch)
+	tasks := make([]*MLPTask, P)
+	for r := range tasks {
+		tasks[r] = denseBlobTask(r, P)
+	}
+	initial := slices.Clone(tasks[0].Params())
+	type outcome struct {
+		hist   []Point
+		params []float64
+	}
+	train := func(p *comm.Proc) outcome {
+		task := tasks[p.Rank()]
+		copy(task.Params(), initial)
+		c := cfg
+		c.Adapt = adapt.NewController(adapt.Config{})
+		return outcome{Run(p, task, c), slices.Clone(task.Params())}
+	}
+	world := func() *comm.World { return comm.NewWorld(P, simnet.Aries).UseGoroutineTransport() }
+	fresh := comm.Run(world(), train)
+
+	var mallocs [runs]float64
+	got := comm.Run(world(), func(p *comm.Proc) []outcome {
+		var from, to runtime.MemStats
+		out := make([]outcome, runs)
+		for i := range out {
+			p.Barrier()
+			if p.Rank() == 0 {
+				runtime.ReadMemStats(&from)
+			}
+			p.Barrier()
+			out[i] = train(p)
+			p.Barrier()
+			if p.Rank() == 0 {
+				runtime.ReadMemStats(&to)
+				mallocs[i] = float64(to.Mallocs-from.Mallocs) / steps
+			}
+		}
+		return out
+	})
+	for r := range P {
+		for i, o := range got[r] {
+			want := fresh[r]
+			same := len(o.hist) == len(want.hist) && slices.Equal(o.params, want.params)
+			for e := 0; same && e < len(o.hist); e++ {
+				a, b := o.hist[e], want.hist[e]
+				same = a.Epoch == b.Epoch && a.BytesSent == b.BytesSent &&
+					math.Float64bits(a.Loss) == math.Float64bits(b.Loss) &&
+					math.Float64bits(a.Top1) == math.Float64bits(b.Top1) &&
+					math.Float64bits(a.Top5) == math.Float64bits(b.Top5)
+			}
+			if !same {
+				t.Errorf("rank %d, run %d: history or parameters differ from a fresh world's", r, i+1)
+			}
+		}
+	}
+	t.Logf("allocations per step across %d ranks, runs 1 to %d: %.1f", P, runs, mallocs)
+	if mallocs[runs-1] > budget {
+		t.Errorf("run %d allocated %.1f times per step, budget %.1f", runs, mallocs[runs-1], budget)
 	}
 }

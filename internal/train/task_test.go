@@ -9,6 +9,8 @@ import (
 	"repro/internal/nn"
 )
 
+// TestMLPTaskStepAllocatesNothing: a warm MLPTask.Step allocates nothing,
+// and neither does an Eval over the same rows, top-5 count included.
 func TestMLPTaskStepAllocatesNothing(t *testing.T) {
 	task := denseBlobTask(0, 1)
 	idx := []int{3, 1}
@@ -19,6 +21,9 @@ func TestMLPTaskStepAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("a warm MLPTask.Step allocates %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { task.Eval(idx) }); allocs != 0 {
+		t.Fatalf("a warm MLPTask.Eval allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -204,8 +204,13 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 	var residual *topk.Residual
 	var exchange *topkExchange
 	if cfg.Method == MethodTopK {
-		residual = topk.NewResidual(len(params))
-		exchange = newTopKExchange(task, cfg)
+		// The accumulator and the exchange's storage are the rank's pool's,
+		// which outlives this call.
+		pool := p.Pool()
+		acc := pool.GrabDense(len(params), 0)
+		defer pool.PutDense(acc)
+		residual = topk.NewResidualOver(acc)
+		exchange = newTopKExchange(task, cfg, pool)
 		defer exchange.close()
 	}
 	var velocity []float64
@@ -227,7 +232,7 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 	commTime := 0.0
 	var bytesSent int64
 	globalStep := 0
-	var idx []int // the step's batch, refilled every step
+	var idx []int // the step's batch or the epoch's eval rows, refilled at each use
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		lr := cfg.LR
@@ -295,7 +300,8 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 			}
 			globalStep++
 		}
-		loss, top1, top5 := globalEval(p, task, cfg)
+		idx = evalRows(task.NumSamples(), cfg.EvalSamples, idx)
+		loss, top1, top5 := globalEval(p, task, idx)
 		if o := p.Obs(); o != nil {
 			o.Metrics().Gauge("train.loss").Set(loss)
 			o.Metrics().Gauge("train.top1").Set(top1)
@@ -351,20 +357,25 @@ func applyUpdateVec(params []float64, g *stream.Vector) {
 	}
 }
 
-// globalEval computes the global training loss/top-1/top-5 by evaluating a
-// deterministic local subset on every rank and allreducing the counts.
-func globalEval(p *comm.Proc, task Task, cfg Config) (loss, top1, top5 float64) {
-	n := task.NumSamples()
-	cap := cfg.EvalSamples
-	if cap <= 0 || cap > n {
-		cap = n
+// evalRows returns the deterministic local subset evaluated at every epoch's
+// end — at most limit of the n local rows, evenly spaced; all of them when
+// limit is not positive — in buf's storage when it is large enough.
+func evalRows(n, limit int, buf []int) []int {
+	if limit <= 0 || limit > n {
+		limit = n
 	}
-	idx := make([]int, cap)
+	idx := slices.Grow(buf[:0], limit)[:limit]
 	for i := range idx {
-		idx[i] = i * n / cap
+		idx[i] = i * n / limit
 	}
+	return idx
+}
+
+// globalEval computes the global training loss/top-1/top-5 by evaluating
+// the local rows idx on every rank and allreducing the counts.
+func globalEval(p *comm.Proc, task Task, idx []int) (loss, top1, top5 float64) {
 	l, c1, c5 := task.Eval(idx)
-	sums := core.AllreduceDense(p, []float64{l, float64(c1), float64(c5), float64(cap)}, stream.OpSum)
+	sums := core.AllreduceDense(p, []float64{l, float64(c1), float64(c5), float64(len(idx))}, stream.OpSum)
 	if sums[3] == 0 {
 		return 0, 0, 0
 	}

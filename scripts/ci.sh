@@ -18,9 +18,11 @@
 #      so a drifted digest shows first as a short list of
 #      "name: old → new" lines.
 #   5. the allocation budgets: the conformance table's budget rows (the
-#      four tests that run them) and the four tests outside it that count
-#      a hot path's allocations against a fixed budget, uncached, one
-#      --- PASS/FAIL line per budget with the counts it read beneath.
+#      four tests that run them, and TestConformance's P = 6 rows) and the
+#      five tests outside it that count a hot path's allocations against a
+#      fixed budget (TestRepeatedRunStartsWarm: a second train.Run on one
+#      world starts warm), uncached, one --- PASS/FAIL line per budget
+#      with the counts it read beneath.
 #   6. the full test suite — the acceptance invariants of BENCH_2/5/7/8
 #      are tests against the committed files, so a drift that regresses
 #      one fails twice.
@@ -95,7 +97,8 @@ go test -count=1 -short -run '^(TestPredictDigests|TestSparseAllgatherPinned|Tes
 echo "== allocation budgets (uncached; a regression prints as its own '--- FAIL' line, each budget's counts beneath it)"
 {
   go test -count=1 -v -run '^(TestTCPSteadyStateAllocations|TestSplitAllgatherAllocationBudget|TestGoroutinePoolsReachSteadyState|TestReleasedResultsAreReused)$' ./internal/core
-  go test -count=1 -v -run '^(TestTCPFramesAreReused|TestRecDoubleAgreementAllocations|TestBucketedStepSteadyState|TestChooseAutoLevelsDoesNotAllocate)$' \
+  go test -count=1 -v -run '^TestConformance$/^budget$' ./internal/core
+  go test -count=1 -v -run '^(TestTCPFramesAreReused|TestRecDoubleAgreementAllocations|TestBucketedStepSteadyState|TestRepeatedRunStartsWarm|TestChooseAutoLevelsDoesNotAllocate)$' \
     ./internal/comm ./internal/core ./internal/train
 } | grep -E '^( *--- |ok|FAIL| +[a-z_]+_test\.go:[0-9]+: )'
 

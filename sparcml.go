@@ -239,22 +239,13 @@ func FromDense(values []float64) *Vector {
 
 // World is a group of P communicating ranks over a simulated network.
 type World struct {
-	inner     *comm.World
-	scratches []*Scratch  // one pool per rank, see Scratch(rank)
-	adapts    []*Adaptive // one controller per rank, see EnableAdaptation
+	inner  *comm.World
+	adapts []*Adaptive // one controller per rank, see EnableAdaptation
 }
 
 // NewWorld creates a world of p ranks on the given network profile.
 func NewWorld(p int, profile Profile) *World {
-	return &World{inner: comm.NewWorld(p, profile), scratches: newScratches(p)}
-}
-
-func newScratches(p int) []*Scratch {
-	out := make([]*Scratch, p)
-	for i := range out {
-		out[i] = NewScratch()
-	}
-	return out
+	return &World{inner: comm.NewWorld(p, profile)}
 }
 
 // NewWorldHier creates a world of p ranks on an N-level machine hierarchy:
@@ -263,7 +254,7 @@ func newScratches(p int) []*Scratch {
 // picks the recursive hierarchical collectives — at the cheapest modeled
 // depth — on such worlds.
 func NewWorldHier(p int, h Hierarchy) *World {
-	return &World{inner: comm.NewWorldHier(p, h), scratches: newScratches(p)}
+	return &World{inner: comm.NewWorldHier(p, h)}
 }
 
 // TCPConfig configures a TCP-transport world (NewWorldTCP): the rendezvous
@@ -283,7 +274,7 @@ func NewWorldTCP(p int, profile Profile, cfg TCPConfig) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &World{inner: inner, scratches: newScratches(p)}, nil
+	return &World{inner: inner}, nil
 }
 
 // UseGoroutineTransport switches the world to the in-process goroutine
@@ -312,8 +303,10 @@ func (w *World) Close() error { return w.inner.Close() }
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.inner.Size() }
 
-// Scratch returns rank's reusable reduction-buffer pool. The pools persist
-// across Run calls, which is what makes them pay off:
+// Scratch returns rank's reusable reduction-buffer pool: the one pool the
+// world keeps per rank for its whole life, which the training loop draws
+// from too. The pools persist across Run calls, which is what makes them
+// pay off:
 //
 //	results := sparcml.Run(world, func(c *sparcml.Comm) []float64 {
 //	    opts := sparcml.Options{Scratch: world.Scratch(c.Rank())}
@@ -321,10 +314,11 @@ func (w *World) Size() int { return w.inner.Size() }
 //	})
 //
 // Safe to call concurrently from inside Run, but always with the calling
-// rank's own id: each pool belongs to exactly one rank.
-func (w *World) Scratch(rank int) *Scratch {
-	return w.scratches[rank]
-}
+// rank's own id: each pool belongs to exactly one rank. Collectives the
+// rank keeps in flight at once each take a child pool of it
+// (Scratch.Child). A Run that panics replaces every rank's pool with an
+// empty one.
+func (w *World) Scratch(rank int) *Scratch { return w.inner.Pool(rank) }
 
 // EnableAdaptation switches the world to runtime-adaptive Auto selection:
 // one Adaptive controller per rank is built — all identical, which is
@@ -470,10 +464,11 @@ func BucketCoords(s CostScenario) int { return core.BucketCoords(s) }
 // nonblocking allreduce, in issue (backprop) order. opts follows
 // BucketScheduler.Issue: nil, one replicated element, or one per bucket.
 // Buckets in flight never share a pool: a Scratch is used only when every
-// bucket's Options names its own (NewScratch, not the rank's
-// World.Scratch, which the caller keeps using meanwhile), and then it
-// belongs to that bucket until BucketDrain. The contributions are only
-// read and may be released as soon as BucketIssue returns.
+// bucket's Options names its own (bucket b a child of the rank's pool,
+// World.Scratch(rank).Child(b), not that pool itself, which the caller
+// keeps using meanwhile), and then it belongs to that bucket until
+// BucketDrain. The contributions are only read and may be released as
+// soon as BucketIssue returns.
 func (c *Comm) BucketIssue(s *BucketScheduler, contribs []*Vector, opts []Options) []*Request {
 	inner := s.Issue(c.proc, contribs, opts)
 	out := make([]*Request, len(inner))
