@@ -86,12 +86,21 @@ type Controller struct {
 
 	buckets        []bucketHold
 	bucketSwitches int
+}
 
-	// The agreements' storage, reused call after call: the non-zero count
-	// agreement's and the statistics agreement's workspaces, and their
-	// local inputs.
-	agreeK, agreeSt stream.DenseWorkspace
+// agreements is the storage of a rank's agreements, kept by its world
+// (comm.Keep) so that a controller built per call finds it warm: the
+// non-zero count and the statistics agreements' inputs and workspaces,
+// one per kind, since a workspace asked for another length reallocates.
+type agreements struct {
 	ks, local       []float64
+	agreeK, agreeSt stream.DenseWorkspace
+}
+
+// agreementsOf returns p's rank's agreement storage.
+func agreementsOf(p *comm.Proc) *agreements {
+	type key struct{}
+	return comm.Keep(p, key{}, func() *agreements { return new(agreements) })
 }
 
 // bucketHold is one hysteresis state machine: the margin/hold filter every
@@ -261,16 +270,17 @@ func (a *Controller) PlanBucketsInto(p *comm.Proc, sched *core.BucketScheduler, 
 		return out
 	}
 	links := a.calib.snapshot() // before the agreements, as in Plan
-	a.ks = slices.Grow(a.ks[:0], B)[:B]
-	for b := range a.ks {
+	ag := agreementsOf(p)
+	ag.ks = slices.Grow(ag.ks[:0], B)[:B]
+	for b := range ag.ks {
 		n := 0
 		for _, li := range sched.Layers(b) {
 			n += contribs[li].NNZ()
 		}
-		a.ks[b] = float64(n)
+		ag.ks[b] = float64(n)
 	}
-	agreedK := a.agreeMax(p, a.ks)
-	agreed := a.agreeStats(p, links)
+	agreedK := agreeMax(p, ag)
+	agreed := a.agreeStats(p, ag, links)
 	if len(a.buckets) != B {
 		a.buckets = make([]bucketHold, B)
 	}
@@ -312,30 +322,31 @@ func (a *Controller) BucketSwitches() int { return a.bucketSwitches }
 // core.ScenarioFor's scenario. links is the calibrator snapshot the
 // decision prices with.
 func (a *Controller) agreeScenario(p *comm.Proc, v *stream.Vector, opts core.Options, links []linkFit) core.CostScenario {
-	a.ks = append(a.ks[:0], float64(v.NNZ()))
-	kmax := a.agreeMax(p, a.ks)[0]
-	return a.scenarioFromAgreed(p, v, opts, kmax, a.agreeStats(p, links))
+	ag := agreementsOf(p)
+	ag.ks = append(ag.ks[:0], float64(v.NNZ()))
+	kmax := agreeMax(p, ag)[0]
+	return a.scenarioFromAgreed(p, v, opts, kmax, a.agreeStats(p, ag, links))
 }
 
-// agreeMax is the max-allreduce agreeing on per-rank non-zero counts, on
-// the controller's workspace: the result is valid until the next call.
-func (a *Controller) agreeMax(p *comm.Proc, ks []float64) []float64 {
-	return core.AllreduceDenseRecDoubleInto(p, ks, stream.OpMax, stream.DefaultValueBytes, p.NextTagBase(), &a.agreeK)
+// agreeMax is the max-allreduce agreeing on the per-rank non-zero counts
+// in ag.ks, on ag's workspace: the result is valid until the next call.
+func agreeMax(p *comm.Proc, ag *agreements) []float64 {
+	return core.AllreduceDenseRecDoubleInto(p, ag.ks, stream.OpMax, stream.DefaultValueBytes, p.NextTagBase(), &ag.agreeK)
 }
 
 // agreeStats runs the one sum-allreduce agreeing on the sketch shape and
 // calibration statistics — the K-independent half of agreeScenario, shared
 // with the per-bucket path, which agrees on all bucket counts in a single
-// separate collective. Returns the agreed sums, laid out per level of the
-// communicator's hierarchy. A level contributes its fit from links only
-// when usable over at least minCalibSamples transfers.
-func (a *Controller) agreeStats(p *comm.Proc, links []linkFit) []float64 {
+// separate collective, on ag's storage. Returns the agreed sums, laid out
+// per level of the communicator's hierarchy. A level contributes its fit
+// from links only when usable over at least minCalibSamples transfers.
+func (a *Controller) agreeStats(p *comm.Proc, ag *agreements, links []linkFit) []float64 {
 	depth := p.Hierarchy().Depth()
 	st := a.sketch.Stats()
 	// Layout: [hotFrac, hotMass, div, then per level: okFlag, alpha, beta].
-	local := slices.Grow(a.local[:0], 3+3*depth)[:3+3*depth]
+	local := slices.Grow(ag.local[:0], 3+3*depth)[:3+3*depth]
 	clear(local)
-	a.local = local
+	ag.local = local
 	local[0], local[1], local[2] = st.HotFraction, st.HotMass, st.Divergence
 	for l := 0; l < depth && l < len(links); l++ {
 		if alpha, beta, ok := links[l].fit(); ok && int(links[l].n) >= minCalibSamples {
@@ -344,7 +355,7 @@ func (a *Controller) agreeStats(p *comm.Proc, links []linkFit) []float64 {
 			local[5+3*l] = beta
 		}
 	}
-	return core.AllreduceDenseRecDoubleInto(p, local, stream.OpSum, stream.DefaultValueBytes, p.NextTagBase(), &a.agreeSt)
+	return core.AllreduceDenseRecDoubleInto(p, local, stream.OpSum, stream.DefaultValueBytes, p.NextTagBase(), &ag.agreeSt)
 }
 
 // scenarioFromAgreed substitutes the agreed statistics into the scenario

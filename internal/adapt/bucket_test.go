@@ -3,6 +3,8 @@ package adapt
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -188,5 +190,49 @@ func TestPlanBucketsCountsDecidedCalls(t *testing.T) {
 	if got := counts[0]; got != [2]int{calls, calls} {
 		t.Errorf("ClusteredCalls read %d after %d clustered Auto PlanBuckets calls of %d buckets and %d after as many pinned ones, want %d both times",
 			got[0], calls, bs.NumBuckets(), got[1], calls)
+	}
+}
+
+// TestFreshControllerPlansWarm: a controller's agreements run on storage
+// the rank's world keeps (comm.Keep), so a controller built for one call
+// on a warm rank — as a training run with a controller of its own per call
+// builds one — plans its first call allocating only its own per-bucket
+// hysteresis state. On an 8-rank goroutine world, a fresh controller per
+// call plans three buckets with Auto, its allocations counted between
+// barriers; over calls 2 to 12 the median stays within 1.25 per rank. It
+// read 1.00 (single calls up to 1.75, the transport's wake-ups), against
+// about 9 for a controller whose agreements grow workspaces of their own.
+func TestFreshControllerPlansWarm(t *testing.T) {
+	const P, n, calls, budget = 8, 1 << 12, 12, 1.25
+	spans := [][2]int{{0, 1000}, {1000, 2500}, {2500, n}}
+	sched := core.NewBucketScheduler(spans, 1)
+	contribs := bucketSchedule(4202, n, P, 1, spans)[0]
+	w := comm.NewWorld(P, simnet.Aries).UseGoroutineTransport()
+	mallocs := make([]float64, calls)
+	comm.Run(w, func(p *comm.Proc) any {
+		var from, to runtime.MemStats
+		dst := make([]core.Options, sched.NumBuckets())
+		for c := range calls {
+			ctrl := NewController(Config{})
+			p.Barrier()
+			if p.Rank() == 0 {
+				runtime.ReadMemStats(&from)
+			}
+			p.Barrier()
+			dst = ctrl.PlanBucketsInto(p, sched, contribs[p.Rank()], core.Options{Algorithm: core.Auto}, dst)
+			p.Barrier()
+			if p.Rank() == 0 {
+				runtime.ReadMemStats(&to)
+				mallocs[c] = float64(to.Mallocs-from.Mallocs) / P
+			}
+			p.Barrier() // the next controller is built after the count
+		}
+		return nil
+	})
+	t.Logf("allocations per rank of a fresh controller's first plan, calls 1 to %d: %.2f", calls, mallocs)
+	warm := slices.Clone(mallocs[1:])
+	slices.Sort(warm)
+	if median := warm[len(warm)/2]; median > budget {
+		t.Errorf("a fresh controller's first plan made %.2f allocations per rank in the median warm call, budget %.2f", median, budget)
 	}
 }

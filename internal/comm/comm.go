@@ -59,6 +59,7 @@ type World struct {
 	hier    *simnet.Hierarchy // the machine over the ranks; never nil, depth 1 when flat
 	boxes   []*mailbox
 	pools   []*stream.Scratch // one per rank, for the world's life (Proc.Pool)
+	kept    []map[any]any     // one per rank, beside its pool (Keep)
 	times   []float64         // final per-rank time (virtual or wall), filled by Run
 
 	// mach and slots are set only by NewWorldPlaced: the full machine
@@ -129,7 +130,7 @@ func newWorld(p int, h simnet.Hierarchy) *World {
 		panic("comm: world size must be positive")
 	}
 	w := &World{p: p, profile: h.Levels[len(h.Levels)-1].Profile, hier: &h,
-		boxes: make([]*mailbox, p), pools: make([]*stream.Scratch, p), times: make([]float64, p)}
+		boxes: make([]*mailbox, p), pools: make([]*stream.Scratch, p), kept: make([]map[any]any, p), times: make([]float64, p)}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
@@ -138,10 +139,11 @@ func newWorld(p int, h simnet.Hierarchy) *World {
 	return w
 }
 
-// newPools gives every rank an empty pool, dropping any it had.
+// newPools gives every rank an empty pool and slot, dropping any it had.
 func (w *World) newPools() {
 	for i := range w.pools {
 		w.pools[i] = stream.NewScratch()
+		w.kept[i] = map[any]any{}
 	}
 }
 
@@ -370,8 +372,9 @@ type Proc struct {
 	// the world's observability is disabled.
 	obs *obs.Track
 
-	// pool is the rank's pool (Pool); nil on a fork.
+	// pool is the rank's pool (Pool), kept its slot (Keep); nil on a fork.
 	pool *stream.Scratch
+	kept map[any]any
 }
 
 // Rank returns this process's rank in [0, Size) — group-local on a
@@ -396,6 +399,25 @@ func (p *Proc) Rank() int {
 // every rank's pool with an empty one, so storage an aborted collective
 // still held is never handed out again.
 func (p *Proc) Pool() *stream.Scratch { return p.pool }
+
+// Keep returns the value the world keeps for the rank under key, built by
+// build on first use — MPI's attribute caching (MPI_Comm_set_attr) beside
+// the rank's pool. Give each use an unexported key type, as for
+// context.WithValue. The pool's rules hold: a Sub view shares the values,
+// a fork keeps none (build runs every call), and a Run that re-raises a
+// panic drops them. A kept value must hold no goroutine or descriptor
+// between calls: most worlds are never closed.
+func Keep[T any](p *Proc, key any, build func() T) T {
+	if p.kept == nil {
+		return build()
+	}
+	if v, ok := p.kept[key]; ok {
+		return v.(T)
+	}
+	v := build()
+	p.kept[key] = v
+	return v
+}
 
 // WorldRank returns this process's rank in the full world, regardless of
 // any sub-communicator view.
@@ -465,7 +487,7 @@ func (p *Proc) Sub(ranks []int) *Proc {
 	if idx < 0 {
 		panic(fmt.Sprintf("comm: Sub group %v does not contain caller rank %d", ranks, p.rank))
 	}
-	s := &Proc{rank: p.rank, world: p.world, group: ranks, groupRank: idx, obs: p.obs, pool: p.pool}
+	s := &Proc{rank: p.rank, world: p.world, group: ranks, groupRank: idx, obs: p.obs, pool: p.pool, kept: p.kept}
 	s.clock.Observe(p.clock.Now())
 	return s
 }
@@ -750,11 +772,12 @@ func (p *Proc) Fork() *Proc {
 
 // ForkInto re-initialises f to exactly what Fork would return now — the
 // clock observed from p's, tag cursor 0, p's group, contention cache and
-// obs track, and no pool (Pool) — reusing f's storage, so a nonblocking
-// operation issued step after step keeps one forked Proc. f must be idle:
-// whatever ran on it has finished. The contention cache is a pure function of the rank and its
-// communicator, so when p has not filled its own, f keeps what it computed
-// as an earlier fork of the same communicator.
+// obs track, and no pool or slot (Pool, Keep) — reusing f's storage, so a
+// nonblocking operation issued step after step keeps one forked Proc. f
+// must be idle: whatever ran on it has finished. The contention cache is a
+// pure function of the rank and its communicator, so when p has not filled
+// its own, f keeps what it computed as an earlier fork of the same
+// communicator.
 func (p *Proc) ForkInto(f *Proc) {
 	users := f.levelUsers
 	if f.world != p.world || f.rank != p.rank || !slices.Equal(f.group, p.group) {
@@ -822,7 +845,7 @@ func Run[R any](w *World, f func(*Proc) R) []R {
 					w.poison()
 				}
 			}()
-			p := &Proc{rank: rank, world: w, pool: w.pools[rank]}
+			p := &Proc{rank: rank, world: w, pool: w.pools[rank], kept: w.kept[rank]}
 			if w.obs != nil {
 				p.obs = w.obs.hub.Rank(rank)
 			}

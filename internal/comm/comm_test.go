@@ -305,21 +305,32 @@ func TestWorldRecoversAfterPoisonedRun(t *testing.T) {
 // Fork or re-synced by ForkInto over a view that had the pool, has none of
 // its parent's. A Run that re-raises a rank's panic replaces every pool
 // with an empty one, so storage an aborted op left in a pool is never
-// handed out again.
+// handed out again. Keep follows the same rules: a value kept under a key
+// is the rank's own, found again at the next Run and by a Sub view, never
+// by a fork (which builds anew at every call), and dropped with the pool
+// by a Run that panicked.
 func TestRankPools(t *testing.T) {
 	const P = 4
 	w := NewWorld(P, zeroLatency)
 	all := []int{0, 1, 2, 3}
+	type keyT struct{}
 	type view struct {
 		pool, world, sub, fork, reforked *stream.Scratch
 		held                             int
+		kept, subKept, forkKept          *int
+		forkAgain                        *int
 	}
 	views := func(leave bool) []view {
 		return Run(w, func(p *Proc) view {
 			v := view{pool: p.Pool(), world: w.Pool(p.Rank()), held: p.Pool().Buffers()}
+			build := func() *int { return new(int) }
+			v.kept = Keep(p, keyT{}, build)
 			s := p.Sub(all)
 			v.sub = s.Pool()
-			v.fork = p.Fork().Pool()
+			v.subKept = Keep(s, keyT{}, build)
+			f := p.Fork()
+			v.fork = f.Pool()
+			v.forkKept, v.forkAgain = Keep(f, keyT{}, build), Keep(f, keyT{}, build)
 			p.ForkInto(s)
 			v.reforked = s.Pool()
 			if leave {
@@ -340,10 +351,14 @@ func TestRankPools(t *testing.T) {
 			t.Errorf("rank %d: a forked Proc has its parent's pool", r)
 		case second[r].pool != v.pool || second[r].held != 1:
 			t.Errorf("rank %d: the second Run's pool is not the first's with its buffer (%d buffers)", r, second[r].held)
+		case v.subKept != v.kept || second[r].kept != v.kept:
+			t.Errorf("rank %d: a Sub view or the second Run does not find the rank's kept value", r)
+		case v.forkKept == v.kept || v.forkAgain == v.forkKept:
+			t.Errorf("rank %d: a forked Proc kept a value", r)
 		}
 		for q := range r {
-			if first[q].pool == v.pool {
-				t.Errorf("ranks %d and %d share a pool", q, r)
+			if first[q].pool == v.pool || first[q].kept == v.kept {
+				t.Errorf("ranks %d and %d share a pool or a kept value", q, r)
 			}
 		}
 	}
@@ -358,8 +373,8 @@ func TestRankPools(t *testing.T) {
 		})
 	}()
 	for r, v := range views(false) {
-		if v.pool == first[r].pool || v.held != 0 {
-			t.Errorf("rank %d kept its pool (%d buffers) through a Run that panicked", r, v.held)
+		if v.pool == first[r].pool || v.held != 0 || v.kept == first[r].kept {
+			t.Errorf("rank %d kept its pool (%d buffers) or its value through a Run that panicked", r, v.held)
 		}
 	}
 }

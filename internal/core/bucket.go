@@ -161,7 +161,9 @@ func (s *BucketScheduler) Drain(p *comm.Proc, reqs []*Request) []*stream.Vector 
 // goroutine. A run's Issue and Drain are the scheduler's, except that the
 // returned slices and requests are the run's own, reused by the next step:
 // a request is re-armed by the next Issue and must have been waited on
-// (Drain) by then. Close stops the workers.
+// (Drain) by then. Close stops the workers and keeps the rest, so a run
+// closed between bursts of steps holds no goroutine and builds nothing
+// when it resumes.
 type BucketRun struct {
 	s          *BucketScheduler
 	persistent bool
@@ -171,7 +173,7 @@ type BucketRun struct {
 }
 
 // NewRun returns a run of the scheduler for one rank, whose requests
-// persist from step to step until Close.
+// persist from step to step and across Close.
 func (s *BucketScheduler) NewRun() *BucketRun {
 	return &BucketRun{s: s, persistent: true}
 }
@@ -247,13 +249,13 @@ func (r *BucketRun) Drain(p *comm.Proc, reqs []*Request) []*stream.Vector {
 
 // Close stops the run's workers. It returns once every idle worker has
 // exited; a request still outstanding may be waited on afterwards, and its
-// worker exits once the operation has finished. A later Issue starts new
-// workers. Close is idempotent.
+// worker exits once the operation has finished. The requests and their
+// forks stay with the run: a later Issue starts new workers on them.
+// Close is idempotent.
 func (r *BucketRun) Close() {
 	for _, q := range r.reqs {
 		if q != nil {
 			q.close()
 		}
 	}
-	r.reqs = nil
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/quant"
@@ -323,6 +324,9 @@ func TestBucketSchedulerOptionArity(t *testing.T) {
 // same virtual time after each step through one BucketRun as through fresh
 // Issue/Drain calls. The buckets run Auto and chunk-only Auto on pools of
 // their own, so the agreement workspaces those pools hold are reused too.
+// So does a run closed after every Issue, before its Drain, whose workers
+// stop once their operations end and which the next Issue restarts on the
+// same requests and forks; no goroutine of it outlives the comm.Run.
 func TestBucketRunMatchesOneShot(t *testing.T) {
 	const n, P, steps = 900, 6, 3
 	spans := [][2]int{{0, 300}, {300, 340}, {340, 700}, {700, 900}}
@@ -336,7 +340,7 @@ func TestBucketRunMatchesOneShot(t *testing.T) {
 		wire [][]byte
 		now  []float64
 	}
-	run := func(persistent bool) []trace {
+	run := func(persistent, closing bool) []trace {
 		return comm.Run(comm.NewWorld(P, testProfile), func(p *comm.Proc) trace {
 			pools := []*stream.Scratch{stream.NewScratch(), stream.NewScratch()}
 			opts := []Options{{Algorithm: Auto, Scratch: pools[0]},
@@ -346,6 +350,12 @@ func TestBucketRunMatchesOneShot(t *testing.T) {
 				r := s.NewRun()
 				defer r.Close()
 				issue, drain = r.Issue, r.Drain
+				if closing {
+					issue = func(p *comm.Proc, contribs []*stream.Vector, opts []Options) []*Request {
+						defer r.Close()
+						return r.Issue(p, contribs, opts)
+					}
+				}
 			}
 			var tr trace
 			for i := range steps {
@@ -361,16 +371,23 @@ func TestBucketRunMatchesOneShot(t *testing.T) {
 			return tr
 		})
 	}
-	fresh, kept := run(false), run(true)
-	for r := range fresh {
-		for i := range fresh[r].now {
-			if math.Float64bits(kept[r].now[i]) != math.Float64bits(fresh[r].now[i]) {
-				t.Errorf("rank %d step %d: Now() = %v through a BucketRun, %v through Issue/Drain", r, i, kept[r].now[i], fresh[r].now[i])
+	fresh, kept := run(false, false), run(true, false)
+	wait := comm.LeakCheck()
+	closed := run(true, true)
+	if err := wait(2 * time.Second); err != nil {
+		t.Errorf("a run closed after every Issue left %v", err)
+	}
+	for name, got := range map[string][]trace{"a BucketRun": kept, "a BucketRun closed after every Issue": closed} {
+		for r := range fresh {
+			for i := range fresh[r].now {
+				if math.Float64bits(got[r].now[i]) != math.Float64bits(fresh[r].now[i]) {
+					t.Errorf("rank %d step %d: Now() = %v through %s, %v through Issue/Drain", r, i, got[r].now[i], name, fresh[r].now[i])
+				}
 			}
-		}
-		for j := range fresh[r].wire {
-			if !bytes.Equal(kept[r].wire[j], fresh[r].wire[j]) {
-				t.Errorf("rank %d sum %d (step %d bucket %d) differs through a BucketRun", r, j, j/s.NumBuckets(), j%s.NumBuckets())
+			for j := range fresh[r].wire {
+				if !bytes.Equal(got[r].wire[j], fresh[r].wire[j]) {
+					t.Errorf("rank %d sum %d (step %d bucket %d) differs through %s", r, j, j/s.NumBuckets(), j%s.NumBuckets(), name)
+				}
 			}
 		}
 	}

@@ -22,7 +22,8 @@ import (
 // goroutine of its own. A BucketRun's requests persist, in the manner of
 // MPI-4's persistent collectives (MPI_Allreduce_init): each keeps its
 // forked Proc and a worker goroutine, and is re-armed by the run's next
-// Issue once its Wait has returned.
+// Issue once its Wait has returned. Closing the run stops the workers and
+// keeps the requests, which the next Issue starts again.
 type Request struct {
 	forked *comm.Proc
 	result *stream.Vector
@@ -31,7 +32,16 @@ type Request struct {
 	finished atomic.Bool   // the current operation has completed (Test)
 	done     chan struct{} // one token per operation, taken by Wait
 	waited   bool          // Wait has taken the current operation's token
-	wake     chan struct{} // a persistent request's worker; nil runs one goroutine per operation
+
+	// A persistent request's worker (serve, started through the kept
+	// method value) reads wake: true runs the armed operation, false stops
+	// it, and it leaves a token in exited on its way out. serving is set
+	// while a worker reads wake, reap while a stopped worker's token is
+	// still to be taken. A nil wake runs one goroutine per operation.
+	wake          chan bool
+	exited        chan struct{}
+	serve         func()
+	serving, reap bool
 
 	// The current operation: an allreduce of v under opts (releasing v
 	// into opts.Scratch when owned), or a concatenating allgather of v.
@@ -42,13 +52,15 @@ type Request struct {
 	gather bool
 }
 
-// newRequest returns an idle request; with persistent set it is served by
-// a worker goroutine until close.
+// newRequest returns an idle request; with persistent set its operations
+// run on a worker goroutine, started by start and stopped by close.
 func newRequest(persistent bool) *Request {
 	r := &Request{done: make(chan struct{}, 1), waited: true}
 	if persistent {
-		r.wake = make(chan struct{}, 1)
-		go r.serve(r.wake)
+		// Room for an operation and the stop behind it, so close never
+		// blocks on a worker still running one.
+		r.wake, r.exited = make(chan bool, 2), make(chan struct{}, 1)
+		r.serve = r.work
 	}
 	return r
 }
@@ -94,24 +106,28 @@ func (r *Request) start(p *comm.Proc, v *stream.Vector, opts Options, owned, gat
 	r.v, r.opts, r.owned, r.gather = v, opts, owned, gather
 	r.result, r.failed, r.waited = nil, nil, false
 	r.finished.Store(false)
-	if r.wake != nil {
-		r.wake <- struct{}{}
+	if r.wake == nil {
+		go r.run()
 		return
 	}
-	go r.run()
+	if !r.serving {
+		if r.reap {
+			<-r.exited // stopped mid-operation, which Wait has since seen end
+			r.reap = false
+		}
+		r.serving = true
+		go r.serve()
+	}
+	r.wake <- true
 }
 
-// serve is a persistent request's worker: one operation per wake-up, until
-// close. On its way out it leaves a token for close to wait on, unless the
-// last operation's token is still there for a Wait to come.
-func (r *Request) serve(wake <-chan struct{}) {
-	for range wake {
+// work is a persistent request's worker: one operation per wake-up, until
+// close.
+func (r *Request) work() {
+	for <-r.wake {
 		r.run()
 	}
-	select {
-	case r.done <- struct{}{}:
-	default:
-	}
+	r.exited <- struct{}{}
 }
 
 // run executes the armed operation on the forked Proc.
@@ -144,15 +160,19 @@ func (r *Request) finish() {
 // close stops a persistent request's worker. An idle request's worker has
 // exited when close returns; one still running an operation exits once the
 // operation has finished, without close waiting for it, since that
-// operation may wait on peers only a poisoned world releases. A closed
-// request is never re-armed; Wait still returns its last operation.
+// operation may wait on peers only a poisoned world releases. Wait still
+// returns the last operation, and the next start starts a new worker on
+// the same request and fork.
 func (r *Request) close() {
-	if r.wake == nil {
+	if !r.serving {
 		return
 	}
-	close(r.wake)
+	r.wake <- false
+	r.serving = false
 	if r.waited {
-		<-r.done
+		<-r.exited
+	} else {
+		r.reap = true
 	}
 }
 

@@ -102,6 +102,7 @@ func checkGrad(layer string, dOut, x [][]float64, w int) {
 type Net struct {
 	layers []Layer
 	offs   []int
+	spans  [][2]int // LayerSpans
 	params []float64
 	grads  []float64
 	flops  float64
@@ -114,8 +115,12 @@ func NewNet(seed int64, layers ...Layer) *Net {
 	n := &Net{layers: layers}
 	total := 0
 	for _, l := range layers {
+		np := l.NumParams()
 		n.offs = append(n.offs, total)
-		total += l.NumParams()
+		if np > 0 {
+			n.spans = append(n.spans, [2]int{total, total + np})
+		}
+		total += np
 		n.flops += l.FlopsPerSample()
 	}
 	n.params = make([]float64, total)
@@ -146,16 +151,9 @@ func (n *Net) NumParams() int { return len(n.params) }
 // LayerSpans returns the [offset, offset+len) range of each parameterized
 // layer within the flat buffers, in network order. Used for layer-wise
 // gradient exchange ("communication is done layer-wise using non-blocking
-// calls", paper §8.3) and tensor-fusion decisions.
-func (n *Net) LayerSpans() [][2]int {
-	var spans [][2]int
-	for i, l := range n.layers {
-		if np := l.NumParams(); np > 0 {
-			spans = append(spans, [2]int{n.offs[i], n.offs[i] + np})
-		}
-	}
-	return spans
-}
+// calls", paper §8.3) and tensor-fusion decisions. The slice is the
+// net's own; treat it as read-only.
+func (n *Net) LayerSpans() [][2]int { return n.spans }
 
 // FlopsPerSample estimates forward+backward work per sample.
 func (n *Net) FlopsPerSample() float64 { return n.flops }

@@ -109,5 +109,16 @@ func (pr *PartitionedRNG) Named(name string) *rand.Rand {
 // Stream returns the per-rank stream of one subsystem — the common case,
 // equivalent to Named(subsystem + "/rank" + rank).
 func (pr *PartitionedRNG) Stream(subsystem string, rank int) *rand.Rand {
-	return pr.Named(fmt.Sprintf("%s/rank%d", subsystem, rank))
+	return pr.Named(streamName(subsystem, rank))
+}
+
+// StreamSeed is the seed Stream's generator starts from under key, for a
+// caller that keeps one generator and reseeds it (rand.Rand.Seed).
+func (k SimulationKey) StreamSeed(subsystem string, rank int) int64 {
+	return k.Derive(streamName(subsystem, rank))
+}
+
+// streamName names Stream's stream.
+func streamName(subsystem string, rank int) string {
+	return fmt.Sprintf("%s/rank%d", subsystem, rank)
 }

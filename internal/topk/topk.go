@@ -248,13 +248,12 @@ type Residual struct {
 }
 
 // NewResidual creates a zeroed accumulator of dimension n.
-func NewResidual(n int) *Residual { return NewResidualOver(make([]float64, n)) }
+func NewResidual(n int) *Residual { return &Residual{acc: make([]float64, n)} }
 
-// NewResidualOver returns an accumulator of dimension len(acc) that keeps
-// its values in acc, which the caller has zeroed: storage that outlives the
-// residual, such as a pool's dense buffer (stream.Scratch.GrabDense), which
-// the caller takes back once it is done with the residual.
-func NewResidualOver(acc []float64) *Residual { return &Residual{acc: acc} }
+// Rebind makes acc, which the caller has zeroed, the accumulator, keeping
+// the selection buffers: a residual kept across training runs can work in
+// each run's pooled storage (stream.Scratch.GrabDense).
+func (r *Residual) Rebind(acc []float64) { r.acc = acc }
 
 // Dim returns the accumulator dimension.
 func (r *Residual) Dim() int { return len(r.acc) }

@@ -1,6 +1,8 @@
 package train
 
 import (
+	"slices"
+
 	"repro/internal/adapt"
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -14,12 +16,11 @@ import (
 // ("communication is done layer-wise using non-blocking calls", §8.3).
 // Fused exchange is the one span [0, len(params)) in one bucket: one TopK
 // selection over the whole vector and one collective. One layer per bucket
-// is the paper's layer-wise exchange. Its control plane is built once per
-// run and reused by every step: the spans, the scheduler and this rank's
-// run of it (one persistent request per bucket, whose workers close
-// stops) and the per-step slices. Its storage outlives the run: it is the
-// rank's pool (comm.Proc.Pool), which the world keeps, so a second run on
-// the same world starts warm.
+// is the paper's layer-wise exchange. The rank's world keeps it across
+// Runs (runState): the spans, the scheduler and this rank's run of it (one
+// persistent request per bucket, whose workers close stops and the next
+// issue restarts) and the per-step slices. Its storage is the rank's pool
+// (comm.Proc.Pool).
 //
 // Every buffer goes back where it dies. Contributions are drawn from the
 // rank's pool and return to it once the scheduler has fused them. Bucket
@@ -30,6 +31,8 @@ import (
 // scheduler, which holds none, stays shareable.
 type topkExchange struct {
 	spans    [][2]int
+	coords   int // the BucketCoords the buckets were sized by
+	caller   int // the rank, in its group, the exchange was built on
 	contribs []*stream.Vector
 	rank     *stream.Scratch // the contributions' pool; bucket b's is its Child(b)
 
@@ -38,21 +41,35 @@ type topkExchange struct {
 	bopts []core.Options  // one per bucket
 }
 
-// newTopKExchange returns the exchange for task under cfg, drawing from
-// pool, the rank's: the task's layer spans in buckets of cfg.BucketCoords
-// when it exposes them and BucketCoords is positive, the whole parameter
-// vector as one span otherwise. Bucket composition depends only on the
-// spans, so every rank derives the same buckets. A nil pool allocates.
-func newTopKExchange(task Task, cfg Config, pool *stream.Scratch) *topkExchange {
+// newTopKExchange returns the exchange for task under cfg on the rank
+// caller, drawing from pool, the rank's: the task's layer spans in buckets
+// of cfg.BucketCoords when it exposes them and BucketCoords is positive,
+// the whole parameter vector as one span otherwise. Bucket composition
+// depends only on the spans, so every rank derives the same buckets. A nil
+// pool allocates.
+func newTopKExchange(task Task, cfg Config, caller int, pool *stream.Scratch) *topkExchange {
 	spans := [][2]int{{0, len(task.Params())}}
 	if s, ok := task.(Spanner); ok && cfg.BucketCoords > 0 {
-		spans = s.LayerSpans()
+		spans = slices.Clone(s.LayerSpans())
 	}
-	x := &topkExchange{spans: spans, contribs: make([]*stream.Vector, len(spans)), rank: pool}
+	x := &topkExchange{spans: spans, coords: cfg.BucketCoords, caller: caller,
+		contribs: make([]*stream.Vector, len(spans)), rank: pool}
 	x.sched = core.NewBucketScheduler(spans, cfg.BucketCoords)
 	x.run = x.sched.NewRun()
 	x.bopts = make([]core.Options, x.sched.NumBuckets())
 	return x
+}
+
+// fits reports whether x is the exchange newTopKExchange would build for
+// task under cfg on the rank caller: the same spans, BucketCoords and rank.
+func (x *topkExchange) fits(task Task, cfg Config, caller int) bool {
+	if x == nil || x.coords != cfg.BucketCoords || x.caller != caller {
+		return false
+	}
+	if s, ok := task.(Spanner); ok && cfg.BucketCoords > 0 {
+		return slices.Equal(x.spans, s.LayerSpans())
+	}
+	return len(x.spans) == 1 && x.spans[0] == [2]int{0, len(task.Params())}
 }
 
 // extract removes every span's TopK contribution from the residual and
@@ -96,8 +113,7 @@ func (x *topkExchange) apply(p *comm.Proc, reqs []*core.Request, params []float6
 	}
 }
 
-// close stops the bucket run's workers; the exchange must not be used
-// afterwards.
+// close stops the bucket run's workers; the next issue starts them again.
 func (x *topkExchange) close() { x.run.Close() }
 
 // releaseContribs hands the step's contributions back to the rank pool.

@@ -101,7 +101,7 @@ func bucketedRanks(P int, adaptive bool) []*bucketedRank {
 		}
 		task := denseBlobTask(r, P)
 		ranks[r] = &bucketedRank{task: task, residual: topk.NewResidual(len(task.Params())),
-			x:   newTopKExchange(task, cfg, stream.NewScratch()),
+			x:   newTopKExchange(task, cfg, r, stream.NewScratch()),
 			rng: scenario.NewPartitionedRNG(scenario.NewKey(cfg.Seed)).Stream(scenario.SubsystemBatch, r),
 			cfg: cfg}
 	}
@@ -322,21 +322,32 @@ func TestBucketedRunLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestRepeatedRunStartsWarm: the residual, the contributions and every
-// bucket's collective draw from the rank's pool, which the world keeps, so
-// a second Run on the same world starts warm. Three Runs inside one
-// comm.Run on an 8-rank goroutine world, each from the same initial
-// parameters with a fresh controller, each return the history — loss,
-// top-1, top-5 and bytes sent at every epoch; times are wall-clock — and
-// the final parameters of one Run on a fresh world, bit for bit. The third
-// Run's allocations, counted over the whole world between barriers, stay
-// within the budget: ×1.25 of the 26–27 per step it read, against 79–81 for
-// the first Run, which fills the pools; what is left is each Run's control
-// plane (scheduler, persistent requests, controller, batch generator).
+// TestRepeatedRunStartsWarm: a rank's world keeps what Run sets up — the
+// exchange with its persistent requests and their forks, the residual, the
+// batch generator and the index buffer (comm.Keep) — and the storage it
+// draws from (comm.Proc.Pool), so a second Run on the same world starts
+// warm. On an 8-rank goroutine world and on a loopback TCP world, inside
+// one comm.Run, three Runs with BucketCoords 1 and a fourth with fused
+// exchange (BucketCoords 0, which rebuilds the exchange), each from the
+// same initial parameters with a fresh controller, each return the
+// history — loss, top-1, top-5 and bytes sent at every epoch; times are
+// wall-clock — and the final parameters of one Run on a fresh world, bit
+// for bit; so does a Run after a Run whose steps panicked on every rank,
+// which drops the kept state. The goroutine count is back to its pre-call
+// count after every Run. The third Run's allocations on the goroutine
+// world, counted over the whole world between barriers, stay within the
+// budget: ×1.25 of the 2.0–3.0 per step it read over ten runs (26–27
+// before the world kept Run's state), against about 78 for the first Run,
+// which builds the state and fills the pools. What is left is five per
+// rank per Run — the history, the test's copy of the parameters and each
+// fresh controller's own state — and the transport's wake-ups.
 func TestRepeatedRunStartsWarm(t *testing.T) {
-	const P, runs, budget = 8, 3, 1.25 * 27
+	const P, warm, budget = 8, 3, 1.25 * 3
 	cfg := Config{Method: MethodTopK, LR: 0.0125, BatchPerNode: 8, Epochs: 2, StepsPerEpoch: 10,
 		Bucket: 256, K: 8, Algorithm: core.Auto, BucketCoords: 1, EvalSamples: 16, Seed: 26}
+	fused := cfg
+	fused.BucketCoords = 0
+	cfgs := []Config{cfg, cfg, cfg, fused}
 	steps := float64(cfg.Epochs * cfg.StepsPerEpoch)
 	tasks := make([]*MLPTask, P)
 	for r := range tasks {
@@ -347,53 +358,135 @@ func TestRepeatedRunStartsWarm(t *testing.T) {
 		hist   []Point
 		params []float64
 	}
-	train := func(p *comm.Proc) outcome {
-		task := tasks[p.Rank()]
+	train := func(p *comm.Proc, task Task, c Config) outcome {
 		copy(task.Params(), initial)
-		c := cfg
 		c.Adapt = adapt.NewController(adapt.Config{})
 		return outcome{Run(p, task, c), slices.Clone(task.Params())}
 	}
-	world := func() *comm.World { return comm.NewWorld(P, simnet.Aries).UseGoroutineTransport() }
-	fresh := comm.Run(world(), train)
+	trainAll := func(c Config) func(p *comm.Proc) outcome {
+		return func(p *comm.Proc) outcome { return train(p, tasks[p.Rank()], c) }
+	}
+	same := func(o, want outcome) bool {
+		ok := len(o.hist) == len(want.hist) && slices.Equal(o.params, want.params)
+		for e := 0; ok && e < len(o.hist); e++ {
+			a, b := o.hist[e], want.hist[e]
+			ok = a.Epoch == b.Epoch && a.BytesSent == b.BytesSent &&
+				math.Float64bits(a.Loss) == math.Float64bits(b.Loss) &&
+				math.Float64bits(a.Top1) == math.Float64bits(b.Top1) &&
+				math.Float64bits(a.Top5) == math.Float64bits(b.Top5)
+		}
+		return ok
+	}
+	goroutines := func() *comm.World { return comm.NewWorld(P, simnet.Aries).UseGoroutineTransport() }
+	fresh := map[int][]outcome{}
+	for _, c := range cfgs[warm-1:] {
+		fresh[c.BucketCoords] = comm.Run(goroutines(), trainAll(c))
+	}
 
-	var mallocs [runs]float64
-	got := comm.Run(world(), func(p *comm.Proc) []outcome {
-		var from, to runtime.MemStats
-		out := make([]outcome, runs)
-		for i := range out {
-			p.Barrier()
-			if p.Rank() == 0 {
-				runtime.ReadMemStats(&from)
+	worlds := []struct {
+		name string
+		open func() (*comm.World, error)
+	}{
+		{"goroutine", func() (*comm.World, error) { return goroutines(), nil }},
+		{"tcp", func() (*comm.World, error) { return comm.NewWorldTCP(P, simnet.Aries, comm.TCPConfig{}) }},
+	}
+	for _, wc := range worlds {
+		w, err := wc.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A TCP world dials a pair at its first message; every pair talks
+		// before counting starts.
+		comm.Run(w, func(p *comm.Proc) any {
+			for q := range P {
+				p.Send(q, 0, nil, 0)
 			}
-			p.Barrier()
-			out[i] = train(p)
-			p.Barrier()
-			if p.Rank() == 0 {
-				runtime.ReadMemStats(&to)
-				mallocs[i] = float64(to.Mallocs-from.Mallocs) / steps
+			for q := range P {
+				p.Recv(q, 0)
+			}
+			return nil
+		})
+		mallocs := make([]float64, len(cfgs))
+		got := comm.Run(w, func(p *comm.Proc) []outcome {
+			var from, to runtime.MemStats
+			var wait func(time.Duration) error
+			out := make([]outcome, len(cfgs))
+			for i, c := range cfgs {
+				p.Barrier()
+				if p.Rank() == 0 {
+					wait = comm.LeakCheck()
+					runtime.ReadMemStats(&from)
+				}
+				p.Barrier()
+				out[i] = train(p, tasks[p.Rank()], c)
+				p.Barrier()
+				if p.Rank() == 0 {
+					runtime.ReadMemStats(&to)
+					mallocs[i] = float64(to.Mallocs-from.Mallocs) / steps
+					if err := wait(2 * time.Second); err != nil {
+						t.Errorf("%s, run %d left %v", wc.name, i+1, err)
+					}
+				}
+			}
+			return out
+		})
+		for r := range P {
+			for i, o := range got[r] {
+				if !same(o, fresh[cfgs[i].BucketCoords][r]) {
+					t.Errorf("%s, rank %d, run %d: history or parameters differ from a fresh world's", wc.name, r, i+1)
+				}
 			}
 		}
-		return out
-	})
-	for r := range P {
-		for i, o := range got[r] {
-			want := fresh[r]
-			same := len(o.hist) == len(want.hist) && slices.Equal(o.params, want.params)
-			for e := 0; same && e < len(o.hist); e++ {
-				a, b := o.hist[e], want.hist[e]
-				same = a.Epoch == b.Epoch && a.BytesSent == b.BytesSent &&
-					math.Float64bits(a.Loss) == math.Float64bits(b.Loss) &&
-					math.Float64bits(a.Top1) == math.Float64bits(b.Top1) &&
-					math.Float64bits(a.Top5) == math.Float64bits(b.Top5)
-			}
-			if !same {
-				t.Errorf("rank %d, run %d: history or parameters differ from a fresh world's", r, i+1)
+
+		// Every rank's Run panics at its third step; the world drops what
+		// its ranks kept, and the next Run builds it anew.
+		wait := comm.LeakCheck()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the failing Run did not panic", wc.name)
+				}
+			}()
+			comm.Run(w, func(p *comm.Proc) outcome {
+				return train(p, &failingTask{MLPTask: tasks[p.Rank()], failAt: 3}, cfg)
+			})
+		}()
+		if err := wait(2 * time.Second); err != nil {
+			t.Errorf("%s, the failing Run left %v", wc.name, err)
+		}
+		wait = comm.LeakCheck()
+		after := comm.Run(w, trainAll(cfg))
+		if err := wait(2 * time.Second); err != nil {
+			t.Errorf("%s, the Run after the failing one left %v", wc.name, err)
+		}
+		for r := range P {
+			if !same(after[r], fresh[cfg.BucketCoords][r]) {
+				t.Errorf("%s, rank %d: the Run after a panicking Run differs from a fresh world's", wc.name, r)
 			}
 		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if wc.name != "goroutine" {
+			continue
+		}
+		t.Logf("allocations per step across %d ranks, runs 1 to %d: %.1f", P, len(cfgs), mallocs)
+		if mallocs[warm-1] > budget {
+			t.Errorf("run %d allocated %.1f times per step, budget %.1f", warm, mallocs[warm-1], budget)
+		}
 	}
-	t.Logf("allocations per step across %d ranks, runs 1 to %d: %.1f", P, runs, mallocs)
-	if mallocs[runs-1] > budget {
-		t.Errorf("run %d allocated %.1f times per step, budget %.1f", runs, mallocs[runs-1], budget)
+}
+
+// failingTask is an MLPTask whose Step panics at its failAt-th call.
+type failingTask struct {
+	*MLPTask
+	steps, failAt int
+}
+
+// Step is MLPTask.Step until the failAt-th call, which panics.
+func (f *failingTask) Step(idx []int) (float64, int) {
+	if f.steps++; f.steps == f.failAt {
+		panic("train: the step fails")
 	}
+	return f.MLPTask.Step(idx)
 }

@@ -185,9 +185,40 @@ func agreedSteps(p *comm.Proc, rows, batch int) int {
 	return int(core.AllreduceDense(p, []float64{local}, stream.OpMax)[0])
 }
 
+// runState is what one rank's Run keeps across calls: the TopK exchange
+// (rebuilt when its shape changes), the residual with its selection
+// buffers, the batch generator, the batch/eval index buffer and the
+// evaluation agreement's workspace.
+type runState struct {
+	exchange *topkExchange
+	residual topk.Residual
+
+	rng       *rand.Rand
+	rngSeed   int64    // the stream seed rng restarts from
+	rngOrigin [2]int64 // the Config.Seed and rank rngSeed derives from
+	idx       []int
+	eval      stream.DenseWorkspace // globalEval's agreement
+}
+
+// batchRand returns the rank's batch generator in the state of a fresh
+// rank-seed-isolated stream (scenario.PartitionedRNG.Stream): adding ranks
+// or other consumers never perturbs an existing rank's batches.
+func (st *runState) batchRand(seed int64, rank int) *rand.Rand {
+	if o := [2]int64{seed, int64(rank)}; st.rng == nil || st.rngOrigin != o {
+		st.rngOrigin, st.rngSeed = o, scenario.NewKey(seed).StreamSeed(scenario.SubsystemBatch, rank)
+		st.rng = rand.New(rand.NewSource(st.rngSeed))
+	} else {
+		st.rng.Seed(st.rngSeed)
+	}
+	return st.rng
+}
+
 // Run executes distributed training on this rank and returns the per-epoch
 // history (identical on every rank up to float determinism — all replicas
-// apply identical updates).
+// apply identical updates). What it sets up (runState) is kept by the
+// rank's world across Runs (comm.Keep) and its storage comes from the
+// rank's pool (comm.Proc.Pool), so a Run on a warm rank builds nothing.
+// Every worker goroutine it starts has stopped when it returns.
 func Run(p *comm.Proc, task Task, cfg Config) []Point {
 	if cfg.Device.FlopsPerSec == 0 {
 		cfg.Device = simnet.GPUP100
@@ -195,22 +226,27 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 	if cfg.BatchPerNode <= 0 {
 		cfg.BatchPerNode = 32
 	}
-	// Batch sampling draws from the rank's seed-isolated stream: adding
-	// ranks or other consumers never perturbs an existing rank's batches.
-	rng := scenario.NewPartitionedRNG(scenario.NewKey(cfg.Seed)).Stream(scenario.SubsystemBatch, p.Rank())
+	type key struct{}
+	st := comm.Keep(p, key{}, func() *runState { return new(runState) })
+	rng := st.batchRand(cfg.Seed, p.Rank())
 	params := task.Params()
 	P := p.Size()
 
 	var residual *topk.Residual
 	var exchange *topkExchange
 	if cfg.Method == MethodTopK {
-		// The accumulator and the exchange's storage are the rank's pool's,
-		// which outlives this call.
 		pool := p.Pool()
 		acc := pool.GrabDense(len(params), 0)
-		defer pool.PutDense(acc)
-		residual = topk.NewResidualOver(acc)
-		exchange = newTopKExchange(task, cfg, pool)
+		residual = &st.residual
+		residual.Rebind(acc)
+		defer func() {
+			residual.Rebind(nil)
+			pool.PutDense(acc)
+		}()
+		if !st.exchange.fits(task, cfg, p.Rank()) {
+			st.exchange = newTopKExchange(task, cfg, p.Rank(), pool)
+		}
+		exchange = st.exchange
 		defer exchange.close()
 	}
 	var velocity []float64
@@ -232,7 +268,6 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 	commTime := 0.0
 	var bytesSent int64
 	globalStep := 0
-	var idx []int // the step's batch or the epoch's eval rows, refilled at each use
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		lr := cfg.LR
@@ -241,10 +276,10 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 		}
 		for s := 0; s < steps; s++ {
 			stepStart := p.Now()
-			idx = sampleBatch(rng, task.NumSamples(), cfg.BatchPerNode, idx)
+			st.idx = sampleBatch(rng, task.NumSamples(), cfg.BatchPerNode, st.idx)
 			task.ZeroGrads()
-			task.Step(idx)
-			p.Compute(cfg.Device.ComputeTime(task.FlopsPerSample() * float64(len(idx))))
+			task.Step(st.idx)
+			p.Compute(cfg.Device.ComputeTime(task.FlopsPerSample() * float64(len(st.idx))))
 
 			switch cfg.Method {
 			case MethodDense:
@@ -300,8 +335,8 @@ func Run(p *comm.Proc, task Task, cfg Config) []Point {
 			}
 			globalStep++
 		}
-		idx = evalRows(task.NumSamples(), cfg.EvalSamples, idx)
-		loss, top1, top5 := globalEval(p, task, idx)
+		st.idx = evalRows(task.NumSamples(), cfg.EvalSamples, st.idx)
+		loss, top1, top5 := st.globalEval(p, task)
 		if o := p.Obs(); o != nil {
 			o.Metrics().Gauge("train.loss").Set(loss)
 			o.Metrics().Gauge("train.top1").Set(top1)
@@ -372,10 +407,12 @@ func evalRows(n, limit int, buf []int) []int {
 }
 
 // globalEval computes the global training loss/top-1/top-5 by evaluating
-// the local rows idx on every rank and allreducing the counts.
-func globalEval(p *comm.Proc, task Task, idx []int) (loss, top1, top5 float64) {
-	l, c1, c5 := task.Eval(idx)
-	sums := core.AllreduceDense(p, []float64{l, float64(c1), float64(c5), float64(len(idx))}, stream.OpSum)
+// the local rows st.idx on every rank and allreducing the counts
+// (core.AllreduceDense, on st's workspace).
+func (st *runState) globalEval(p *comm.Proc, task Task) (loss, top1, top5 float64) {
+	l, c1, c5 := task.Eval(st.idx)
+	local := [4]float64{l, float64(c1), float64(c5), float64(len(st.idx))}
+	sums := core.AllreduceDenseRecDoubleInto(p, local[:], stream.OpSum, stream.DefaultValueBytes, p.NextTagBase(), &st.eval)
 	if sums[3] == 0 {
 		return 0, 0, 0
 	}

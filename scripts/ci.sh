@@ -19,10 +19,12 @@
 #      "name: old → new" lines.
 #   5. the allocation budgets: the conformance table's budget rows (the
 #      four tests that run them, and TestConformance's P = 6 rows) and the
-#      five tests outside it that count a hot path's allocations against a
+#      six tests outside it that count a hot path's allocations against a
 #      fixed budget (TestRepeatedRunStartsWarm: a second train.Run on one
-#      world starts warm), uncached, one --- PASS/FAIL line per budget
-#      with the counts it read beneath.
+#      world starts warm; TestFreshControllerPlansWarm: a controller built
+#      per call plans its first call on the rank's kept agreement
+#      storage), uncached, one --- PASS/FAIL line per budget with the
+#      counts it read beneath.
 #   6. the full test suite — the acceptance invariants of BENCH_2/5/7/8
 #      are tests against the committed files, so a drift that regresses
 #      one fails twice.
@@ -98,8 +100,8 @@ echo "== allocation budgets (uncached; a regression prints as its own '--- FAIL'
 {
   go test -count=1 -v -run '^(TestTCPSteadyStateAllocations|TestSplitAllgatherAllocationBudget|TestGoroutinePoolsReachSteadyState|TestReleasedResultsAreReused)$' ./internal/core
   go test -count=1 -v -run '^TestConformance$/^budget$' ./internal/core
-  go test -count=1 -v -run '^(TestTCPFramesAreReused|TestRecDoubleAgreementAllocations|TestBucketedStepSteadyState|TestRepeatedRunStartsWarm|TestChooseAutoLevelsDoesNotAllocate)$' \
-    ./internal/comm ./internal/core ./internal/train
+  go test -count=1 -v -run '^(TestTCPFramesAreReused|TestRecDoubleAgreementAllocations|TestBucketedStepSteadyState|TestRepeatedRunStartsWarm|TestFreshControllerPlansWarm|TestChooseAutoLevelsDoesNotAllocate)$' \
+    ./internal/comm ./internal/core ./internal/adapt ./internal/train
 } | grep -E '^( *--- |ok|FAIL| +[a-z_]+_test\.go:[0-9]+: )'
 
 echo "== go test ./..."
