@@ -81,16 +81,19 @@ func TestBench8AcceptanceCriteria(t *testing.T) {
 	}
 }
 
-// TestBench8AdaptDiversity promotes the scenario-diversity adaptation
-// cells (snapshot-only in the adaptdiv sweep) into the drift gate: the
-// pinned library cells are all present, the adaptive controller beats
-// static-uniform Auto on every clustered/drifting cell, stays within
-// agreement-overhead noise on the stationary uniform one, never loses
-// badly (>15%) on any library shape it was not tuned on, and keeps its
-// switch count bounded by hysteresis. The four BENCH_5 workloads must
-// reproduce the committed BENCH_5.json rows exactly — same machine, key,
-// and streams, so any divergence means the two documents were recorded
-// from different code.
+// TestBench8AdaptDiversity validates the runtime-adaptation ablation on
+// the committed BENCH_8.json adapt_cells (scripts/ci.sh regenerates the
+// file and hard-fails on drift, so the committed cells always reflect the
+// current code): the pinned library cells are all present, the adaptive
+// controller beats the default uniform-static Auto by more than noise on
+// the clustered and drifting workloads and picks the clustered support
+// model there, never loses to it by more than noise on stationary uniform
+// (where it never picks the clustered model), stays within noise of (or
+// beats) the better static arm on the drifting cells, never loses badly
+// (>15%) on any library shape it was not tuned on, and keeps its switch
+// count bounded by hysteresis. The noise bound is 3%: the measured
+// overhead of the two tiny per-call agreement allreduces is ~0.7–1.1% on
+// these cells.
 func TestBench8AdaptDiversity(t *testing.T) {
 	var adaptCells []experiments.AdaptRow
 	readBench(t, "BENCH_8", "adapt_cells", &adaptCells)
@@ -116,10 +119,16 @@ func TestBench8AdaptDiversity(t *testing.T) {
 				t.Errorf("uniform: adaptive loses %.1f%% to static Auto, beyond the %.0f%% noise bound",
 					(1-c.AdaptiveVsUniform)*100, noise*100)
 			}
+			if c.AdaptiveClusteredCalls != 0 {
+				t.Errorf("uniform: %d calls misclassified as clustered", c.AdaptiveClusteredCalls)
+			}
 		case "clustered", "drift-cluster", "drift-shift":
-			if c.AdaptiveVsUniform <= 1 {
-				t.Errorf("%s: adaptive_vs_uniform = %.3f, adaptive must beat static-uniform Auto",
+			if c.AdaptiveVsUniform <= 1+noise {
+				t.Errorf("%s: adaptive_vs_uniform = %.3f, must beat static-uniform Auto by more than noise",
 					c.Workload, c.AdaptiveVsUniform)
+			}
+			if c.AdaptiveClusteredCalls == 0 {
+				t.Errorf("%s: the clustered support model was never selected", c.Workload)
 			}
 		default:
 			// Diversity-only shapes (small worlds, few calls): the
@@ -130,18 +139,11 @@ func TestBench8AdaptDiversity(t *testing.T) {
 					c.Workload, (1-c.AdaptiveVsUniform)*100)
 			}
 		}
-	}
-
-	var bench5 []experiments.AdaptRow
-	readBench(t, "BENCH_5", "cells", &bench5)
-	for _, b5 := range bench5 {
-		b8, ok := byName[b5.Workload]
-		if !ok {
-			t.Errorf("BENCH_5 workload %q absent from BENCH_8 adapt cells", b5.Workload)
-			continue
-		}
-		if !reflect.DeepEqual(b5, b8) {
-			t.Errorf("%s: BENCH_8 adapt cell diverges from BENCH_5:\n%+v\nvs\n%+v", b5.Workload, b8, b5)
+		if c.Workload == "drift-cluster" || c.Workload == "drift-shift" {
+			if c.AdaptiveVsBestStatic < 1-noise {
+				t.Errorf("%s: adaptive_vs_best_static = %.3f, must be >= best static within noise",
+					c.Workload, c.AdaptiveVsBestStatic)
+			}
 		}
 	}
 }

@@ -455,14 +455,15 @@ func BenchmarkAblationScratchAllreduce(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSketchOverhead is the PR-5 tentpole ablation
-// (BENCH_5.json acceptance): one adaptive-layer sketch observation per
-// call (adapt.ShapeSketch via stream.Vector.Observe) against the
-// split-phase k-way merge it rides along with, at the BENCH_3 merge
-// shapes. The sketch's strided sampling caps its work at ~1k indices, so
-// observe/op must stay ≤ 2% of merge/op at P ≥ 16 (compare the two
-// sub-benchmark times; TestSketchOverheadBudget enforces a loose multiple
-// of the budget to stay robust on noisy CI machines).
+// BenchmarkAblationSketchOverhead is the adaptation ablation's overhead
+// benchmark (its snapshot is in BENCH_8's note): one adaptive-layer
+// sketch observation per call (adapt.ShapeSketch via
+// stream.Vector.Support) against the split-phase k-way merge it rides
+// along with, at the BENCH_3 merge shapes. The sketch's strided sampling
+// caps its work at ~1k indices, so observe/op must stay ≤ 2% of merge/op
+// at P ≥ 16 (compare the two sub-benchmark times;
+// TestSketchOverheadBudget enforces a loose multiple of the budget to
+// stay robust on noisy CI machines).
 func BenchmarkAblationSketchOverhead(b *testing.B) {
 	const n, k = 1 << 18, 2000
 	for _, P := range []int{16, 64} {
@@ -503,7 +504,7 @@ func BenchmarkAblationSketchOverhead(b *testing.B) {
 // ≤ 20% of merge/op) so a noisy shared machine cannot flake the suite,
 // while a regression that makes observation do real per-pair work (the
 // measured ratio is ~0.6%) still fails loudly. The true ratio is recorded
-// in BENCH_5's note from BenchmarkAblationSketchOverhead.
+// in BENCH_8's note from BenchmarkAblationSketchOverhead.
 func TestSketchOverheadBudget(t *testing.T) {
 	const n, k, P, reps = 1 << 18, 2000, 16, 50
 	vs := randSparseInputs(977*P, n, k, P)

@@ -15,10 +15,9 @@
 //	sparbench -sweep fig7
 //	sparbench -sweep hier       [-n 1048576] [-density 0.0001] [-maxp 64] [-rpn 4] [-intra nvlink] [-profile aries]
 //	sparbench -sweep hierdsar   [-n 262144] [-density 0.6] [-maxp 32] [-rpn 4] [-nic 1] [-intra nvlink] [-profile aries]
-//	sparbench -sweep regret | merge | adapt | overlap | cluster   # BENCH_2 | 3 | 5 | 7 | 8
-//	sparbench -sweep adaptdiv
+//	sparbench -sweep regret | merge | overlap | cluster   # BENCH_2 | 3 | 7 | 8
 //	sparbench -sweep overlapwall [-runs 5]
-//	sparbench -sweep BENCH_5 -json   # the committed document, byte for byte
+//	sparbench -sweep BENCH_8 -json   # the committed document, byte for byte
 //	sparbench -trace [-n 1024] [-p 4]   # message timeline of one allreduce
 //
 // Any invocation also takes -cpuprofile/-memprofile to write pprof

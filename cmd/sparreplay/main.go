@@ -50,7 +50,7 @@ func run(args []string, stdout io.Writer) error {
 		record  = fs.Bool("record", false, "record the scenario's trace to -out instead of running it")
 		out     = fs.String("out", "", "output path for -record")
 		replay  = fs.String("replay", "", "trace file to replay instead of generating live")
-		seed    = fs.Int64("seed", experiments.AdaptSeed, "generation seed (the BENCH_5 sweep's default)")
+		seed    = fs.Int64("seed", experiments.AdaptSeed, "generation seed (BENCH_8's adaptation cells' default)")
 		jsonOut = fs.Bool("json", false, "emit the cell row as a JSON document instead of a table")
 		obsOut  = fs.String("obs", "", "write the adaptive arm's Chrome trace-event JSON (Perfetto) here")
 		obsMet  = fs.String("obsmetrics", "", "write the adaptive arm's plain-text metrics dump here")

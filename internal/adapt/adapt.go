@@ -73,7 +73,7 @@ const (
 // World.EnableAdaptation) and treat it like a Scratch: owned by that
 // rank's goroutine, never shared.
 type Controller struct {
-	sketch *ShapeSketch
+	sketch ShapeSketch
 	calib  *LinkCalibrator // nil until Calibrate
 
 	// hold is the blocking path's (Allreduce, Plan) hysteresis state; the
@@ -159,11 +159,8 @@ func (h *bucketHold) decide(candAlg core.Algorithm, candLevels, candChunks int, 
 
 // NewController returns a fresh per-rank controller.
 func NewController(Config) *Controller {
-	return &Controller{sketch: NewShapeSketch()}
+	return new(Controller)
 }
-
-// Sketch returns the controller's shape sketch (for inspection).
-func (a *Controller) Sketch() *ShapeSketch { return a.sketch }
 
 // Calibrator returns the controller's link calibrator, nil until
 // Calibrate enables calibration.

@@ -78,12 +78,20 @@ func (s *ShapeSketch) Stats() SketchStats {
 }
 
 // Observe feeds one vector's support into the sketch (strictly read-only;
-// see stream.Vector.Observe).
-func (s *ShapeSketch) Observe(v *stream.Vector) { v.Observe(s) }
+// see stream.Vector.Support). The sketch is called directly, not through
+// an interface, so it does not escape: a controller that embeds it stays
+// wherever its owner keeps it.
+func (s *ShapeSketch) Observe(v *stream.Vector) {
+	if idx, dns, neutral := v.Support(); dns != nil {
+		s.observeDense(v.Dim(), dns, neutral)
+	} else {
+		s.observeSparse(v.Dim(), idx)
+	}
+}
 
-// ObserveSparse implements stream.SupportObserver: a strided sample of
-// the sorted index slice updates the position histogram and the EWMAs.
-func (s *ShapeSketch) ObserveSparse(n int, idx []int32) {
+// observeSparse samples the sorted index slice with a stride; the samples
+// update the position histogram and the EWMAs.
+func (s *ShapeSketch) observeSparse(n int, idx []int32) {
 	if n <= 0 {
 		return
 	}
@@ -104,12 +112,12 @@ func (s *ShapeSketch) ObserveSparse(n int, idx []int32) {
 	s.update(float64(k), f, m, d)
 }
 
-// ObserveDense implements stream.SupportObserver: a strided sample of the
-// dense array estimates the non-neutral count; the positions of the
-// sampled non-neutral entries feed the same histogram. Dense vectors are
-// past δ by construction, so the k estimate is what matters — shape
-// estimates of a ~full support converge to uniform.
-func (s *ShapeSketch) ObserveDense(n int, dns []float64, neutral float64) {
+// observeDense samples the dense array with a stride to estimate the
+// non-neutral count; the positions of the sampled non-neutral entries
+// feed the same histogram. Dense vectors are past δ by construction, so
+// the k estimate is what matters — shape estimates of a ~full support
+// converge to uniform.
+func (s *ShapeSketch) observeDense(n int, dns []float64, neutral float64) {
 	if n <= 0 {
 		return
 	}

@@ -128,7 +128,7 @@ type Options struct {
 	// paper's worst case; SupportClustered prices blocked hot-set supports.
 	// The runtime adaptation layer (internal/adapt) sets this per call from
 	// the observed input shape; setting it statically pins the assumption,
-	// which is how the BENCH_5 static-clustered ablation arm is built.
+	// which is how the adaptation ablation's static-clustered arm is built.
 	Support SupportModel
 	// HotFraction and HotMass parameterize SupportClustered, exactly as in
 	// CostScenario; zero values take the defaults. Ignored under

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/adapt"
 	"repro/internal/comm"
@@ -12,18 +13,24 @@ import (
 	"repro/internal/stream"
 )
 
-// This file holds the runtime-adaptation ablation recorded as
-// BENCH_5.json: the same call sequence run with static-uniform Auto (the
+// This file holds the runtime-adaptation ablation recorded as BENCH_8's
+// adapt_cells: the same call sequence run with static-uniform Auto (the
 // default), static-clustered Auto (Options.Support pinned), and the
-// adaptive controller (internal/adapt), on stationary uniform, stationary
-// clustered, and two drifting workloads — one drifting into clustering
+// adaptive controller (internal/adapt), on the declarative library cells
+// of internal/scenario — among them stationary uniform, stationary
+// clustered, and two drifting workloads: one drifting into clustering
 // (where the uniform support model flips the δ gate wrongly) and one
 // drifting into density under mild clustering (where the clustered model
-// with its default shape is the wrong one). The workloads are the
-// declarative BENCH_5 cells of internal/scenario; every metric is
-// simulated virtual time on seed-isolated inputs, so the document is
-// reproducible byte-for-byte and scripts/ci.sh drift-gates it like
-// BENCH_2 and BENCH_3. Any cell can be recorded to a trace (scenario.Record) and
+// with its default shape is the wrong one). Those four run 32 ranks at
+// N = 2^18 with densities around the δ regime gate, where the support
+// model actually flips decisions: at P = 32 the uniform worst case routes
+// to the dense-result family from d ≈ 3.4%, while a 5%-wide hot block
+// holding ~90% of the mass keeps the true union around a fifth of the
+// space — where the sparse-result family simulates ~20% faster than the
+// dense one the uniform model picks. Every metric is simulated
+// virtual time on seed-isolated inputs, so the rows are reproducible
+// byte-for-byte and scripts/ci.sh drift-gates them with the rest of
+// BENCH_8. Any cell can be recorded to a trace (scenario.Record) and
 // re-run byte-identically from the file (cmd/sparreplay).
 
 // AdaptRow is one workload cell of the adaptation ablation.
@@ -102,43 +109,35 @@ func RunAdaptCell(rpn, nic int, tr *scenario.Trace, observe bool) (AdaptRow, *ob
 	return row, hub
 }
 
-// AdaptSeed seeds the BENCH_5 sweep; cmd/sparreplay records its traces
-// under the same key so a recorded cell replays the committed document
-// rows exactly.
+// AdaptSeed keys every library cell; cmd/sparreplay records its traces
+// under the same key so a recorded cell replays the committed rows exactly.
 const AdaptSeed = 701
 
-// adaptCells runs the named library scenarios as adaptation cells on the
-// BENCH_5 machine shape (4 ranks per node, NIC serial 1) under the BENCH_5
-// key.
-func adaptCells(names []string) []AdaptRow {
-	key := scenario.NewKey(AdaptSeed)
-	rows := make([]AdaptRow, 0, len(names))
-	for _, name := range names {
-		sc, err := scenario.ByName(name)
-		if err != nil {
-			panic(err) // callers name library entries only
-		}
-		row, _ := RunAdaptCell(4, 1, scenario.Record(sc, key), false)
-		rows = append(rows, row)
-	}
-	return rows
+// libraryCell is one library scenario's adaptation cell: its row and its
+// adaptive arm's "adapt:decision" instants.
+type libraryCell struct {
+	row       AdaptRow
+	decisions []obs.Span
 }
 
-// AdaptSweep runs the BENCH_5 scenario cells (scenario.Bench5Names) on a
-// 32-rank, 4-ranks-per-node contended topology at N = 2^18. Densities sit
-// around the δ regime gate, where the support model actually flips
-// decisions: at P = 32 the uniform worst case routes to the dense-result
-// family from d ≈ 3.4%, while a 5%-wide hot block holding ~90% of the
-// mass keeps the true union around a fifth of the space — where the
-// sparse-result family simulates ~20% faster than the dense one the
-// uniform model picks.
-func AdaptSweep() []AdaptRow { return adaptCells(scenario.Bench5Names()) }
-
-// AdaptDiversitySweep runs the adaptation ablation across the *entire*
-// scenario library (scenario.Names) rather than the four BENCH_5 cells.
-// Library scenarios vary P, N, and call counts, so this sweep is a
-// scenario-diversity check (does the controller ever lose badly to the
-// static arms on shapes it was not tuned on?) and is reported
-// snapshot-only — it is NOT drift-gated, because adding a library entry
-// legitimately adds a row.
-func AdaptDiversitySweep() []AdaptRow { return adaptCells(scenario.Names()) }
+// libraryCells runs each library scenario once per process, observed, on
+// a 4-ranks-per-node machine with NIC serial 1 under the AdaptSeed key.
+// The shape and key are constants, so the name alone keys the cell, and
+// parallel sweeps and tests share one run.
+var libraryCells = func() map[string]func() libraryCell {
+	cells := map[string]func() libraryCell{}
+	for _, name := range scenario.Names() {
+		cells[name] = sync.OnceValue(func() libraryCell {
+			sc, _ := scenario.ByName(name)
+			row, hub := RunAdaptCell(4, 1, scenario.Record(sc, scenario.NewKey(AdaptSeed)), true)
+			cell := libraryCell{row: row}
+			for _, s := range hub.Spans() {
+				if s.Name == "adapt:decision" {
+					cell.decisions = append(cell.decisions, s)
+				}
+			}
+			return cell
+		})
+	}
+	return cells
+}()

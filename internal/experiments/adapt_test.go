@@ -8,7 +8,7 @@ import (
 )
 
 // testAdaptScenario is a reduced clustered cell (same shape as the
-// BENCH_5 "clustered" cell at a sixteenth of the dimension) used by the
+// library "clustered" cell at a sixteenth of the dimension) used by the
 // determinism and replay tests.
 var testAdaptScenario = scenario.Scenario{
 	Name: "clustered-small", N: 1 << 16, P: 16, Calls: 6,
@@ -18,7 +18,7 @@ var testAdaptScenario = scenario.Scenario{
 }
 
 // TestRunAdaptCellDeterministic checks one reduced adaptation cell is
-// fully deterministic (the property the BENCH_5 drift gate relies on)
+// fully deterministic (the property the BENCH_8 drift gate relies on)
 // and internally consistent.
 func TestRunAdaptCellDeterministic(t *testing.T) {
 	key := scenario.NewKey(42)

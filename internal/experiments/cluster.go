@@ -18,11 +18,10 @@ import (
 // policy's is the mean predicted job time its placements commit to, the
 // quantity the cost-aware policy optimizes. Everything is simulated
 // virtual time on seed-isolated streams, so the document is reproducible
-// byte-for-byte and scripts/ci.sh drift-gates it like BENCH_2/3/5/7.
-// The document also carries the scenario-diversity adaptation cells
-// (Bench8AdaptNames) promoted from the snapshot-only adaptdiv sweep:
-// the name list is pinned here, so growing the scenario library never
-// drifts the gated file.
+// byte-for-byte and scripts/ci.sh drift-gates it like BENCH_2/3/7.
+// The document also carries the runtime-adaptation ablation (adapt.go)
+// on the library cells Bench8AdaptNames lists: the name list is pinned
+// here, so growing the scenario library never drifts the gated file.
 
 // ClusterSeed seeds every BENCH_8 stream: the job workloads, the Random
 // policy's placement draws, and nothing else (the sweep runs without
@@ -228,11 +227,10 @@ func ClusterSweep() ([]ClusterRow, []ClusterPolicySummary) {
 	return rows, summaries
 }
 
-// Bench8AdaptNames pins the scenario-diversity cells of BENCH_8's
-// adaptation section: the whole scenario library as of this document's
-// introduction, in document order. Pinned by name — unlike the
-// snapshot-only adaptdiv sweep (which iterates scenario.Names and grows
-// with the library), adding a library entry never drifts BENCH_8; extend
+// Bench8AdaptNames pins the cells of BENCH_8's adaptation section: the
+// whole scenario library as of this document's introduction, in document
+// order (sparse and dense joined the library later, for the regret grid).
+// Pinned by name, so adding a library entry never drifts BENCH_8; extend
 // this list deliberately when a new scenario should join the gate.
 func Bench8AdaptNames() []string {
 	return []string{
@@ -241,8 +239,12 @@ func Bench8AdaptNames() []string {
 	}
 }
 
-// ClusterAdaptCells runs the pinned diversity cells on the BENCH_5
-// machine shape and key, so the four shared workloads reproduce the
-// BENCH_5 rows exactly and the remaining library shapes join the drift
-// gate with them.
-func ClusterAdaptCells() []AdaptRow { return adaptCells(Bench8AdaptNames()) }
+// ClusterAdaptCells returns the rows of the pinned adaptation cells, each
+// run once per process (libraryCells).
+func ClusterAdaptCells() []AdaptRow {
+	var rows []AdaptRow
+	for _, name := range Bench8AdaptNames() {
+		rows = append(rows, libraryCells[name]().row)
+	}
+	return rows
+}

@@ -165,8 +165,8 @@ func overlapScenarios() []scenario.Scenario {
 	return out
 }
 
-// OverlapSweep runs the BENCH_7 workload cells on the BENCH_5 machine
-// shape (4 ranks per node, serialized NIC).
+// OverlapSweep runs the BENCH_7 workload cells on the adaptation cells'
+// machine shape (4 ranks per node, serialized NIC).
 func OverlapSweep() []OverlapRow {
 	var rows []OverlapRow
 	key := scenario.NewKey(OverlapSeed)

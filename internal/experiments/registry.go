@@ -335,28 +335,6 @@ func Sweeps() []Sweep {
 			Run:      func(Params) ([]report.Section, error) { return cells(MergeSweep()) },
 		},
 		{
-			Name: "adapt", Bench: "BENCH_5",
-			Note: "runtime-adaptation ablation: the same call schedule run under static-uniform Auto " +
-				"(the default), static-clustered Auto (Options.Support pinned to the 10%/70% default " +
-				"shape), and the adaptive controller (internal/adapt: ShapeSketch support detection + " +
-				"LinkCalibrator + hysteresis). Acceptance: adaptive_vs_uniform > 1 on the clustered and " +
-				"drifting cells, within agreement-overhead noise (~1%, two tiny allreduces per call) of " +
-				"1 on stationary uniform, and adaptive_vs_best_static within the same noise of >= 1 on " +
-				"the drifting cells. Sketch overhead wall-clock snapshot at recording time (go1.24, one " +
-				"shared machine): ~8us per observed call vs ~1.3ms per P=16 k-way split-phase merge " +
-				"(~0.6%, within the 2% budget; ~0.1% at P=64) — see BenchmarkAblationSketchOverhead, " +
-				"re-measure with go test -bench (wall time is machine-dependent and cannot be drift-gated).",
-			Defaults: DefaultParams(),
-			Run:      func(Params) ([]report.Section, error) { return cells(AdaptSweep()) },
-		},
-		{
-			Name: "adaptdiv",
-			Note: "scenario-diversity check: the adaptation ablation arms run over the entire " +
-				"scenario library (not just the BENCH_5 cells). Snapshot-only, NOT drift-gated.",
-			Defaults: DefaultParams(),
-			Run:      func(Params) ([]report.Section, error) { return cells(AdaptDiversitySweep()) },
-		},
-		{
 			Name: "overlap", Bench: "BENCH_7",
 			Note: "overlap/bucketing ablation: the library's layered workload profiles at N=2^20 run as " +
 				"(1) one fused blocking allreduce per call, (2) one blocking allreduce per model layer — " +
@@ -407,10 +385,20 @@ func Sweeps() []Sweep {
 				"full mix runs concurrently (concurrent_peak = jobs), no job runs faster than isolated, " +
 				"packed slowdown stays 1.0 on exclusive groups, and the cost-aware policy's " +
 				"mean_predicted_job_seconds strictly beats random's at every scale. adapt_cells are the " +
-				"scenario-diversity adaptation rows (Bench8AdaptNames: the whole library, pinned by " +
-				"name so library growth never drifts this file) on the BENCH_5 machine shape and key — " +
-				"the four shared workloads reproduce the BENCH_5 rows exactly, and the gate extends " +
-				"adaptive >= static-uniform (within noise) to the clustered/drifting diversity cells.",
+				"scenario-diversity adaptation rows (Bench8AdaptNames: the library as of this file's " +
+				"introduction, pinned by name so library growth never drifts this file), the " +
+				"runtime-adaptation ablation on a 4-ranks-per-node machine with NIC serial 1 under seed 701: " +
+				"the same call schedule run under static-uniform Auto (the default), static-clustered Auto " +
+				"(Options.Support pinned to the 10%/70% default shape), and the adaptive controller " +
+				"(internal/adapt: ShapeSketch support detection + LinkCalibrator + hysteresis). Acceptance " +
+				"(TestBench8AdaptDiversity, noise 3%, two tiny agreement allreduces per call): at most 3 " +
+				"switches per cell; adaptive_vs_uniform >= 1 - noise with no clustered call on uniform, > 1 " +
+				"+ noise with at least one on clustered, drift-cluster and drift-shift, >= 0.85 on every " +
+				"other library shape; adaptive_vs_best_static >= 1 - noise on the two drifting cells. Sketch " +
+				"overhead wall-clock snapshot at recording time (go1.24, one shared machine): ~8us per " +
+				"observed call vs ~1.3ms per P=16 k-way split-phase merge (~0.6%, within the 2% budget; " +
+				"~0.1% at P=64) — see BenchmarkAblationSketchOverhead, re-measure with go test -bench (wall " +
+				"time is machine-dependent and cannot be drift-gated).",
 			Defaults: DefaultParams(),
 			Run: func(Params) ([]report.Section, error) {
 				rows, summaries := ClusterSweep()

@@ -21,7 +21,6 @@ import (
 var benchRows = map[string][]any{
 	"BENCH_2": {&[]RegretCell{}, &[]RegretCandidate{}},
 	"BENCH_3": {&[]MergeCell{}},
-	"BENCH_5": {&[]AdaptRow{}},
 	"BENCH_7": {&[]OverlapRow{}, &[]PipeModelRow{}},
 	"BENCH_8": {&[]ClusterRow{}, &[]ClusterPolicySummary{}, &[]AdaptRow{}},
 }
@@ -113,7 +112,7 @@ func tiny(sw Sweep) Params {
 // '^TestRegistryEntriesRunAndRender$'` checks every pin.
 func TestRegistryEntriesRunAndRender(t *testing.T) {
 	// 6–20 s each for the fixed-cell sweeps, 1–4 s for the larger figures.
-	slow := map[string]bool{"regret": true, "adapt": true, "adaptdiv": true, "cluster": true, "fig5": true, "fig6": true}
+	slow := map[string]bool{"regret": true, "cluster": true, "fig5": true, "fig6": true}
 	for _, sw := range Sweeps() {
 		t.Run(sw.Name, func(t *testing.T) {
 			if slow[sw.Name] {
@@ -155,31 +154,21 @@ func TestRegistryEntriesRunAndRender(t *testing.T) {
 					t.Fatalf("-json round trip lost structure: id %q, %d sections", back.ID, len(back.Sections))
 				}
 				if pinned(sw) {
-					pinSweep(t, sw.Name, doc, out.Bytes())
+					pinSweep(t, sw.Name, out.Bytes())
 				}
 			}
 		})
 	}
 }
 
-// pinSweep checks an ungated sweep against the ledger: one entry over its
-// -json bytes, or one per row for adaptdiv, whose rows grow with the
-// scenario library.
-func pinSweep(t *testing.T, name string, doc report.Document, js []byte) {
+// pinSweep checks an ungated sweep's -json bytes against the ledger.
+func pinSweep(t *testing.T, name string, js []byte) {
 	t.Helper()
 	prefix := "experiments/sweep/" + name
 	pin.Prefix(t, prefix)
-	if name != "adaptdiv" {
-		h := pin.New()
-		h.Write(js)
-		pin.Check(t, prefix, h)
-		return
-	}
-	for _, row := range doc.Sections[0].Rows.([]AdaptRow) {
-		h := pin.New()
-		json.NewEncoder(h).Encode(row)
-		pin.Check(t, prefix+"/"+row.Workload, h)
-	}
+	h := pin.New()
+	h.Write(js)
+	pin.Check(t, prefix, h)
 }
 
 // TestParamsValidate pins the one place CLI numbers are checked.

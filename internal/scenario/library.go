@@ -6,13 +6,14 @@ import (
 )
 
 // This file is the declarative scenario library: every named workload the
-// experiments and documents draw from, as plain data. The BENCH_5 cells
-// (uniform / clustered / drift-cluster / drift-shift) live here so the
-// adaptation ablation, the replay tooling, and the tests all read the one
-// definition; the remaining scenarios cover the support shapes the paper's
-// workloads exhibit (multi-modal hot sets, heavy tails, per-layer model
-// profiles, ragged rank loads) and the two uniform regimes at either end of
-// the δ gate (sparse, dense) that the regret grid judges Auto on.
+// experiments and documents draw from, as plain data. The adaptation
+// ablation's gated cells (uniform / clustered / drift-cluster /
+// drift-shift) live here so BENCH_8, the replay tooling, and the tests all
+// read the one definition; the remaining scenarios cover the support
+// shapes the paper's workloads exhibit (multi-modal hot sets, heavy tails,
+// per-layer model profiles, ragged rank loads) and the two uniform regimes
+// at either end of the δ gate (sparse, dense) that the regret grid judges
+// Auto on.
 
 // library is keyed by scenario name. Adding an entry never changes any
 // other entry's generated bytes — the PartitionedRNG contract, pinned by
@@ -123,12 +124,6 @@ var library = map[string]Scenario{
 		Name: "dense", N: 1 << 16, P: 16, Calls: 8,
 		Density: Const(0.2),
 	},
-}
-
-// Bench5Names lists the BENCH_5 adaptation-ablation cells in document
-// order.
-func Bench5Names() []string {
-	return []string{"uniform", "clustered", "drift-cluster", "drift-shift"}
 }
 
 // Names lists every library scenario in sorted order.

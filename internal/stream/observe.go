@@ -1,34 +1,23 @@
 package stream
 
-// SupportObserver receives a read-only view of a vector's support during
-// Observe. It is the hook the runtime adaptation layer (internal/adapt)
-// uses to sketch input shapes inline with the reduction hot path: the
-// vector hands its backing storage to the observer without copying, so a
-// sampling observer costs a few hundred nanoseconds per call.
+// Support returns a read-only view of the vector's support in its current
+// representation, without copying: the sorted index slice of a sparse
+// vector (dns nil; values are irrelevant to support shape), or the dense
+// array and the operation's neutral element, whose non-neutral entries
+// are the support. It is the hook the runtime adaptation layer
+// (internal/adapt) sketches input shapes through, inline with the
+// reduction hot path, so a sampling sketch costs a few hundred
+// nanoseconds per call.
 //
-// Observers must treat the slices as immutable and must not retain them
-// past the call — they alias the vector's live storage, which scratch
-// pools may recycle.
-type SupportObserver interface {
-	// ObserveSparse is called with the dimension and the sorted index
-	// slice of a sparse vector (values are irrelevant to support shape).
-	ObserveSparse(n int, idx []int32)
-	// ObserveDense is called with the dimension, the dense array, and the
-	// operation's neutral element when the vector is in the dense
-	// representation; non-neutral entries are the support.
-	ObserveDense(n int, dns []float64, neutral float64)
-}
-
-// Observe feeds the vector's support to o in its current representation.
-// Strictly observe-only: the vector is not modified, no storage is
-// allocated or copied, and the observer sees backing slices it must not
-// mutate or retain. Calling Observe any number of times, at any point,
-// never changes the result of subsequent merges — the invariant the
-// adapt-layer fuzz tests enforce.
-func (v *Vector) Observe(o SupportObserver) {
+// Strictly observe-only: the vector is not modified and nothing is
+// allocated or copied. Callers must treat the slices as immutable and must
+// not retain them past the call — they alias the vector's live storage,
+// which scratch pools may recycle. Reading the support any number of
+// times, at any point, never changes the result of subsequent merges — the
+// invariant the adapt-layer fuzz tests enforce.
+func (v *Vector) Support() (idx []int32, dns []float64, neutral float64) {
 	if v.dns != nil {
-		o.ObserveDense(v.n, v.dns, v.op.Neutral())
-		return
+		return nil, v.dns, v.op.Neutral()
 	}
-	o.ObserveSparse(v.n, v.idx)
+	return v.idx, nil, 0
 }

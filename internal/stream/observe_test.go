@@ -2,61 +2,40 @@ package stream
 
 import "testing"
 
-// recordingObserver captures what Observe hands out.
-type recordingObserver struct {
-	sparseN, denseN int
-	idx             []int32
-	dns             []float64
-	neutral         float64
-}
-
-func (r *recordingObserver) ObserveSparse(n int, idx []int32) {
-	r.sparseN, r.idx = n, idx
-}
-
-func (r *recordingObserver) ObserveDense(n int, dns []float64, neutral float64) {
-	r.denseN, r.dns, r.neutral = n, dns, neutral
-}
-
-// TestObserveRepresentations: the observer sees the live backing storage
+// TestObserveRepresentations: Support hands out the live backing storage
 // of whichever representation the vector is in, with no copying and no
 // mutation.
 func TestObserveRepresentations(t *testing.T) {
 	v := NewSparse(100, []int32{3, 7, 50}, []float64{1, 2, 3}, OpSum)
-	var r recordingObserver
-	v.Observe(&r)
-	if r.sparseN != 100 || len(r.idx) != 3 || r.idx[2] != 50 {
-		t.Fatalf("sparse observation wrong: n=%d idx=%v", r.sparseN, r.idx)
+	idx, dns, _ := v.Support()
+	if len(idx) != 3 || idx[2] != 50 {
+		t.Fatalf("sparse support wrong: idx=%v", idx)
 	}
-	if r.denseN != 0 {
-		t.Fatal("sparse vector must not be observed densely")
+	if dns != nil {
+		t.Fatal("a sparse vector must not hand out a dense array")
 	}
-	idx, _ := v.Pairs()
-	if &r.idx[0] != &idx[0] {
-		t.Fatal("sparse observation must alias the backing storage, not copy it")
+	pairs, _ := v.Pairs()
+	if &idx[0] != &pairs[0] {
+		t.Fatal("the sparse support must alias the backing storage, not copy it")
 	}
 
 	v.Densify()
-	var d recordingObserver
-	v.Observe(&d)
-	if d.denseN != 100 || len(d.dns) != 100 || d.dns[50] != 3 || d.neutral != 0 {
-		t.Fatalf("dense observation wrong: n=%d len=%d", d.denseN, len(d.dns))
+	idx, dns, neutral := v.Support()
+	if idx != nil || len(dns) != 100 || dns[50] != 3 || neutral != 0 {
+		t.Fatalf("dense support wrong: idx=%v len=%d neutral=%g", idx, len(dns), neutral)
 	}
 
 	prod := NewSparse(10, []int32{1}, []float64{4}, OpProd)
 	prod.Densify()
-	var p recordingObserver
-	prod.Observe(&p)
-	if p.neutral != 1 {
-		t.Fatalf("OpProd neutral = %g, want 1", p.neutral)
+	if _, _, neutral := prod.Support(); neutral != 1 {
+		t.Fatalf("OpProd neutral = %g, want 1", neutral)
 	}
 }
 
-// TestObserveEmpty: observing an empty vector feeds an empty index slice.
+// TestObserveEmpty: an empty vector's support is an empty index slice.
 func TestObserveEmpty(t *testing.T) {
-	var r recordingObserver
-	Zero(5, OpSum).Observe(&r)
-	if r.sparseN != 5 || len(r.idx) != 0 {
-		t.Fatalf("empty observation wrong: n=%d idx=%v", r.sparseN, r.idx)
+	idx, dns, _ := Zero(5, OpSum).Support()
+	if len(idx) != 0 || dns != nil {
+		t.Fatalf("empty support wrong: idx=%v dns=%v", idx, dns)
 	}
 }

@@ -25,7 +25,7 @@
 #      per call plans its first call on the rank's kept agreement
 #      storage), uncached, one --- PASS/FAIL line per budget with the
 #      counts it read beneath.
-#   6. the full test suite — the acceptance invariants of BENCH_2/5/7/8
+#   6. the full test suite — the acceptance invariants of BENCH_2/7/8
 #      are tests against the committed files, so a drift that regresses
 #      one fails twice.
 #   7. record/replay: a recorded scenario trace replays to the live run's
@@ -107,7 +107,7 @@ echo "== allocation budgets (uncached; a regression prints as its own '--- FAIL'
 echo "== go test ./..."
 go test ./...
 
-echo "== bench smoke (the ablation benchmarks the BENCH_3/5/7 notes cite, 1 iteration each)"
+echo "== bench smoke (the ablation benchmarks the BENCH_3/7/8 notes cite, 1 iteration each)"
 go test -run '^$' -bench 'BenchmarkAblationKWayMerge|BenchmarkAblationScratchAllreduce|BenchmarkAblationSketchOverhead' -benchtime 1x . > /dev/null
 
 tmp=$(mktemp -d)
